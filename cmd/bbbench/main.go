@@ -74,6 +74,7 @@ func main() {
 		{"HandoffFreeStep", simbench.HandoffFreeStep},
 		{"HandoffFreeCall", simbench.HandoffFreeCall},
 		{"PutBwEndToEnd", simbench.PutBwEndToEnd},
+		{"NoisyPutBw", simbench.NoisyPutBw},
 		{"WindowedPutBw", simbench.WindowedPutBw},
 		{"IncastPutBw", simbench.IncastPutBw},
 		{"OversubscribedPutBw", simbench.OversubscribedPutBw},

@@ -36,35 +36,27 @@ func (f Fixed) String() string { return fmt.Sprintf("fixed(%v)", units.Time(f)) 
 
 // LogNormalDist is a lognormal duration with a given mean and coefficient of
 // variation. It models the right-skewed timing of software instruction blocks
-// (cache misses, branch mispredictions).
+// (cache misses, branch mispredictions). Build it with LogNormalNs.
 type LogNormalDist struct {
-	MeanTime units.Time
-	CV       float64
+	// p's mean is a whole number of picoseconds, which converts back to
+	// units.Time exactly below 2^53 ps (2.5 hours).
+	p LogNormal
 }
 
 // LogNormalNs builds a LogNormalDist from nanoseconds and a cv.
 func LogNormalNs(ns, cv float64) LogNormalDist {
-	return LogNormalDist{MeanTime: units.Nanoseconds(ns), CV: cv}
+	return LogNormalDist{NewLogNormal(float64(units.Nanoseconds(ns)), cv)}
 }
 
 // Sample implements Dist.
-func (d LogNormalDist) Sample(r *Rand) units.Time {
-	if r == nil || d.CV <= 0 {
-		return d.MeanTime
-	}
-	v := r.LogNormal(float64(d.MeanTime), d.CV)
-	if v < 0 {
-		v = 0
-	}
-	return units.Time(v)
-}
+func (d LogNormalDist) Sample(r *Rand) units.Time { return units.Time(d.p.Draw(r)) }
 
 // Mean implements Dist.
-func (d LogNormalDist) Mean() units.Time { return d.MeanTime }
+func (d LogNormalDist) Mean() units.Time { return units.Time(d.p.mean) }
 
 // String implements Dist.
 func (d LogNormalDist) String() string {
-	return fmt.Sprintf("lognormal(mean=%v cv=%.3f)", d.MeanTime, d.CV)
+	return fmt.Sprintf("lognormal(mean=%v cv=%.3f)", d.Mean(), d.p.cv)
 }
 
 // Spiked decorates a base distribution with a rare additive spike, modelling

@@ -44,4 +44,17 @@
 // (a rare additive preemption spike reproducing the paper's Figure-7
 // tail). Sampling with a nil *Rand returns the mean, so a single
 // configuration switch turns the whole simulation exact.
+//
+// A lognormal's log-space parameters (mu, sigma) are fixed when
+// NewLogNormal or LogNormalNs builds it; a draw is exp(mu + sigma*Norm()).
+// LogNormalDist and the workload size generator share this one path.
+//
+// How many uniforms each call consumes is part of the determinism contract,
+// because it fixes every later draw of the stream. Norm consumes two
+// uniforms per Box-Muller pair (redrawing only a zero first uniform), hands
+// out one variate and caches the other as the spare that the next Norm call
+// returns without drawing. A lognormal draw is exactly one Norm call, and a
+// degenerate lognormal (cv or mean of zero or below) draws nothing. A change
+// to any of this, or to the arithmetic that turns the draws into a value,
+// must keep the reference tests bit-identical or re-record the goldens.
 package rng

@@ -99,20 +99,45 @@ func (r *Rand) Norm() float64 {
 		}
 		v := r.Float64()
 		m := math.Sqrt(-2 * math.Log(u))
-		r.spare = m * math.Sin(2*math.Pi*v)
+		// Sincos shares Sin's and Cos's argument reduction and
+		// polynomials, so the pair is bit-identical to two separate calls.
+		sin, cos := math.Sincos(2 * math.Pi * v)
+		r.spare = m * sin
 		r.hasSpare = true
-		return m * math.Cos(2*math.Pi*v)
+		return m * cos
 	}
 }
 
-// LogNormal returns a lognormal variate with the given mean and coefficient
-// of variation (stddev/mean) of the *resulting* distribution. A cv of zero
-// returns mean exactly.
-func (r *Rand) LogNormal(mean, cv float64) float64 {
-	if cv <= 0 || mean <= 0 {
-		return mean
+// LogNormal is a lognormal distribution with a given mean and coefficient of
+// variation (stddev/mean) of the *resulting* distribution. NewLogNormal
+// derives its log-space parameters once, so a draw costs one normal variate
+// and one Exp. The zero value is degenerate: it returns 0 and consumes
+// nothing.
+type LogNormal struct {
+	mean, cv  float64
+	mu, sigma float64
+}
+
+// NewLogNormal fixes the parameters of a lognormal with the given mean and
+// cv. A cv or mean of zero or below is degenerate: every draw returns mean
+// exactly.
+func NewLogNormal(mean, cv float64) LogNormal {
+	p := LogNormal{mean: mean, cv: cv}
+	if !p.degenerate() {
+		sigma2 := math.Log(1 + cv*cv)
+		p.mu = math.Log(mean) - sigma2/2
+		p.sigma = math.Sqrt(sigma2)
 	}
-	sigma2 := math.Log(1 + cv*cv)
-	mu := math.Log(mean) - sigma2/2
-	return math.Exp(mu + math.Sqrt(sigma2)*r.Norm())
+	return p
+}
+
+func (p LogNormal) degenerate() bool { return p.cv <= 0 || p.mean <= 0 }
+
+// Draw returns one variate from r. Degenerate parameters and a nil r (the
+// NoiseOff convention) return the mean and leave every stream untouched.
+func (p LogNormal) Draw(r *Rand) float64 {
+	if r == nil || p.degenerate() {
+		return p.mean
+	}
+	return math.Exp(p.mu + p.sigma*r.Norm())
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"breakband/internal/units"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -113,10 +115,11 @@ func TestNormMoments(t *testing.T) {
 func TestLogNormalMoments(t *testing.T) {
 	r := New(11)
 	const mean, cv = 100.0, 0.3
+	p := NewLogNormal(mean, cv)
 	n := 200000
 	sum, sum2 := 0.0, 0.0
 	for i := 0; i < n; i++ {
-		v := r.LogNormal(mean, cv)
+		v := p.Draw(r)
 		if v < 0 {
 			t.Fatal("lognormal produced negative value")
 		}
@@ -133,12 +136,42 @@ func TestLogNormalMoments(t *testing.T) {
 	}
 }
 
+// TestLogNormalDegenerate pins that degenerate parameters and a nil
+// generator return the mean without touching the stream, including a cached
+// Box-Muller spare.
 func TestLogNormalDegenerate(t *testing.T) {
-	r := New(1)
-	if v := r.LogNormal(100, 0); v != 100 {
-		t.Errorf("cv=0 should return the mean, got %v", v)
+	cases := []struct {
+		name string
+		want float64
+		draw func(r *Rand) float64
+	}{
+		{"cv=0", 100, NewLogNormal(100, 0).Draw},
+		{"cv<0", 100, NewLogNormal(100, -1).Draw},
+		{"mean=0", 0, NewLogNormal(0, 0.5).Draw},
+		{"mean<0", -5, NewLogNormal(-5, 0.5).Draw},
+		{"zero value", 0, LogNormal{}.Draw},
+		{"dist cv=0", float64(units.Nanoseconds(100)), func(r *Rand) float64 {
+			return float64(LogNormalNs(100, 0).Sample(r))
+		}},
+		{"dist mean=0", 0, func(r *Rand) float64 {
+			return float64(LogNormalNs(0, 0.2).Sample(r))
+		}},
 	}
-	if v := r.LogNormal(0, 0.5); v != 0 {
-		t.Errorf("mean=0 should return 0, got %v", v)
+	for _, c := range cases {
+		r, twin := New(3), New(3)
+		r.Norm() // leave a spare cached
+		twin.Norm()
+		if v := c.draw(r); v != c.want {
+			t.Errorf("%s: drew %v, want %v", c.name, v, c.want)
+		}
+		if r.Norm() != twin.Norm() || r.Uint64() != twin.Uint64() {
+			t.Errorf("%s: a degenerate draw moved the stream", c.name)
+		}
+		if v := c.draw(nil); v != c.want {
+			t.Errorf("%s: nil rand drew %v, want %v", c.name, v, c.want)
+		}
+	}
+	if v := NewLogNormal(100, 0.5).Draw(nil); v != 100 {
+		t.Errorf("nil rand should return the mean, got %v", v)
 	}
 }

@@ -16,6 +16,7 @@ func BenchmarkSleepHandoff(b *testing.B)        { simbench.SleepHandoff(b) }
 func BenchmarkHandoffFreeStep(b *testing.B)     { simbench.HandoffFreeStep(b) }
 func BenchmarkHandoffFreeCall(b *testing.B)     { simbench.HandoffFreeCall(b) }
 func BenchmarkPutBwEndToEnd(b *testing.B)       { simbench.PutBwEndToEnd(b) }
+func BenchmarkNoisyPutBw(b *testing.B)          { simbench.NoisyPutBw(b) }
 func BenchmarkWindowedPutBw(b *testing.B)       { simbench.WindowedPutBw(b) }
 func BenchmarkIncastPutBw(b *testing.B)         { simbench.IncastPutBw(b) }
 func BenchmarkOversubscribedPutBw(b *testing.B) { simbench.OversubscribedPutBw(b) }

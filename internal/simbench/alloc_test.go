@@ -48,13 +48,13 @@ func TestSchedulePathZeroAlloc(t *testing.T) {
 	}
 }
 
-// mallocsForPutBw runs a fresh NoiseOff put_bw of the given length and
-// reports the process-wide malloc count it consumed (setup included).
-func mallocsForPutBw(iters int) float64 {
+// mallocsForPutBw runs a fresh put_bw of the given length and reports the
+// process-wide malloc count it consumed (setup included).
+func mallocsForPutBw(noise config.NoiseLevel, iters int) float64 {
 	runtime.GC()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	sys := node.NewSystem(config.TX2CX4(config.NoiseOff, 1, true), 2)
+	sys := node.NewSystem(config.TX2CX4(noise, 1, true), 2)
 	perftest.PutBw(sys, perftest.Options{Iters: iters, Warmup: 64})
 	sys.Shutdown()
 	runtime.ReadMemStats(&m1)
@@ -67,13 +67,27 @@ func mallocsForPutBw(iters int) float64 {
 // the steady-state per-message cost.
 func TestDevicePathAllocBudget(t *testing.T) {
 	const short, long = 256, 2048
-	a1 := mallocsForPutBw(short)
-	a2 := mallocsForPutBw(long)
+	a1 := mallocsForPutBw(config.NoiseOff, short)
+	a2 := mallocsForPutBw(config.NoiseOff, long)
 	perMsg := (a2 - a1) / float64(long-short)
 	if perMsg > deviceAllocBudget {
 		t.Errorf("device path allocates %.2f per message, budget %.0f", perMsg, deviceAllocBudget)
 	}
 	t.Logf("device path: %.3f allocs/message (budget %.0f)", perMsg, deviceAllocBudget)
+}
+
+// TestNoisyDevicePathAllocBudget holds the NoiseOn device path, where every
+// software cost is a draw through the rng.Dist interface, to the same
+// budget: jitter must not buy per-message garbage.
+func TestNoisyDevicePathAllocBudget(t *testing.T) {
+	const short, long = 256, 2048
+	a1 := mallocsForPutBw(config.NoiseOn, short)
+	a2 := mallocsForPutBw(config.NoiseOn, long)
+	perMsg := (a2 - a1) / float64(long-short)
+	if perMsg > deviceAllocBudget {
+		t.Errorf("noisy device path allocates %.2f per message, budget %.0f", perMsg, deviceAllocBudget)
+	}
+	t.Logf("noisy device path: %.3f allocs/message (budget %.0f)", perMsg, deviceAllocBudget)
 }
 
 // releasePort is the minimal fabric.Port: it hands every delivered frame

@@ -180,9 +180,16 @@ func HandoffFreeCall(b *testing.B) {
 // uct over the calibrated NoiseOff system, including the PCIe/NIC/fabric
 // event chains and completion polling. This is the number the measurement
 // campaign's wall clock follows.
-func PutBwEndToEnd(b *testing.B) {
+func PutBwEndToEnd(b *testing.B) { putBw(b, config.NoiseOff) }
+
+// NoisyPutBw is PutBwEndToEnd over the NoiseOn system: every software cost
+// is a lognormal draw, plus the rare preemption spike. The measurement
+// campaign runs with noise, and these draws are most of its host time.
+func NoisyPutBw(b *testing.B) { putBw(b, config.NoiseOn) }
+
+func putBw(b *testing.B, noise config.NoiseLevel) {
 	b.ReportAllocs()
-	sys := node.NewSystem(config.TX2CX4(config.NoiseOff, 1, true), 2)
+	sys := node.NewSystem(config.TX2CX4(noise, 1, true), 2)
 	defer sys.Shutdown()
 	b.ResetTimer()
 	res := perftest.PutBw(sys, perftest.Options{Iters: b.N, Warmup: 16})

@@ -121,14 +121,14 @@ type sizeGen struct {
 	dist     string
 	bytes    int // fixed
 	min, max int // uniform
-	mean, cv float64
+	logn     rng.LogNormal
 	choices  []SizeChoice
 	cum      []float64 // cumulative weights, normalized to [0, 1]
 }
 
 func newSizeGen(s *SizeSpec) sizeGen {
 	g := sizeGen{dist: s.Dist, bytes: s.Bytes, min: s.Min, max: s.Max,
-		mean: s.Mean, cv: s.CV, choices: s.Choices}
+		logn: rng.NewLogNormal(s.Mean, s.CV), choices: s.Choices}
 	if s.Dist == SizeDistChoice {
 		var total float64
 		for _, c := range s.Choices {
@@ -151,7 +151,7 @@ func (g *sizeGen) draw(r *rng.Rand) int {
 		span := g.max - g.min + 1
 		return g.min + int(r.Float64()*float64(span))%span
 	case SizeDistLogNormal:
-		b := int(math.Round(r.LogNormal(g.mean, g.cv)))
+		b := int(math.Round(g.logn.Draw(r)))
 		if b < 1 {
 			b = 1
 		}
