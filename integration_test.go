@@ -8,6 +8,7 @@ import (
 	"breakband/internal/node"
 	"breakband/internal/perftest"
 	"breakband/internal/sim"
+	"breakband/internal/simtest"
 	"breakband/internal/units"
 	"breakband/internal/verbs"
 )
@@ -60,41 +61,58 @@ func TestVerbsMatchesUCTTiming(t *testing.T) {
 	payload := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	var verbsOneWay float64
 
-	sysV.K.Spawn("verbs.responder", func(p *sim.Proc) {
-		tk := p.Task()
-		wcs := make([]verbs.WC, 1)
-		q1.PostRecv(tk, &verbs.RecvWR{SGE: verbs.SGE{Addr: rx1.Base, Length: 4096}})
-		for i := 0; i < iters; i++ {
-			for q1.PollRecvCQ(tk, wcs) == 0 {
-			}
-			q1.PostRecv(tk, &verbs.RecvWR{SGE: verbs.SGE{Addr: rx1.Base, Length: 4096}})
-			q1.PostSend(tk, &verbs.SendWR{
+	wcs0 := make([]verbs.WC, 1)
+	wcs1 := make([]verbs.WC, 1)
+	postRecv := func(q *verbs.QP, base uint64) simtest.Step {
+		return func(tk *sim.Task) { q.StartPostRecv(tk, &verbs.RecvWR{SGE: verbs.SGE{Addr: base, Length: 4096}}) }
+	}
+	postSend := func(q *verbs.QP) simtest.Step {
+		return func(tk *sim.Task) {
+			q.StartPostSend(tk, &verbs.SendWR{
 				Opcode: verbs.WROpSend, Flags: verbs.SendSignaled | verbs.SendInline,
 				InlineData: payload,
 			})
+		}
+	}
+	// awaitRecv polls until one receive completion arrives.
+	awaitRecv := func(q *verbs.QP, wcs []verbs.WC) simtest.Step {
+		poll := func(tk *sim.Task) { q.StartPollRecvCQ(tk, wcs) }
+		return simtest.Seq(poll, simtest.While(func() bool { return q.LastPoll(true) == 0 }, poll))
+	}
+	// drainSend retires send completions while polls keep finding them.
+	drainSend := func(q *verbs.QP, wcs []verbs.WC) simtest.Step {
+		var more bool
+		return simtest.Seq(
+			func(*sim.Task) { more = true },
+			simtest.While(func() bool { return more && q.Outstanding() > 0 },
+				func(tk *sim.Task) { q.StartPollSendCQ(tk, wcs) },
+				func(*sim.Task) { more = q.LastPoll(false) > 0 }))
+	}
+
+	ri := 0
+	simtest.Start(sysV.K, "verbs.responder",
+		postRecv(q1, rx1.Base),
+		simtest.While(func() bool { return ri < iters },
+			awaitRecv(q1, wcs1),
+			postRecv(q1, rx1.Base),
+			postSend(q1),
 			// Drain the pong's send completion while idle.
-			for q1.Outstanding() > 0 && q1.PollSendCQ(tk, wcs) > 0 {
-			}
-		}
-	})
-	sysV.K.Spawn("verbs.initiator", func(p *sim.Proc) {
-		tk := p.Task()
-		wcs := make([]verbs.WC, 1)
-		q0.PostRecv(tk, &verbs.RecvWR{SGE: verbs.SGE{Addr: rx0.Base, Length: 4096}})
-		start := p.Now()
-		for i := 0; i < iters; i++ {
-			q0.PostSend(tk, &verbs.SendWR{
-				Opcode: verbs.WROpSend, Flags: verbs.SendSignaled | verbs.SendInline,
-				InlineData: payload,
-			})
-			for q0.PollRecvCQ(tk, wcs) == 0 {
-			}
-			q0.PostRecv(tk, &verbs.RecvWR{SGE: verbs.SGE{Addr: rx0.Base, Length: 4096}})
-			for q0.Outstanding() > 0 && q0.PollSendCQ(tk, wcs) > 0 {
-			}
-		}
-		verbsOneWay = (p.Now() - start).Ns() / float64(2*iters)
-	})
+			drainSend(q1, wcs1),
+			func(*sim.Task) { ri++ }),
+	)
+	var start units.Time
+	ii := 0
+	simtest.Start(sysV.K, "verbs.initiator",
+		postRecv(q0, rx0.Base),
+		func(tk *sim.Task) { start = tk.Now() },
+		simtest.While(func() bool { return ii < iters },
+			postSend(q0),
+			awaitRecv(q0, wcs0),
+			postRecv(q0, rx0.Base),
+			drainSend(q0, wcs0),
+			func(*sim.Task) { ii++ }),
+		func(tk *sim.Task) { verbsOneWay = (tk.Now() - start).Ns() / float64(2*iters) },
+	)
 	sysV.Run()
 	sysV.Shutdown()
 

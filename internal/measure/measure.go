@@ -293,11 +293,20 @@ func (s *state) assemble() *Result {
 
 func (s *state) measureCalibration() {
 	sys := s.sys("calibration")
-	sys.K.Spawn("calibrate", func(p *sim.Proc) {
-		s.calibration = sys.Nodes[0].Prof.Calibrate(p, sys.Cfg.Prof.CalibrationSamples)
-	})
+	sys.K.SpawnTask("calibrate", oneStep(func(t *sim.Task) {
+		s.calibration = sys.Nodes[0].Prof.Calibrate(t, sys.Cfg.Prof.CalibrationSamples)
+	}))
 	sys.Run()
 	sys.Shutdown()
+}
+
+// oneStep is a frame for work that never pauses (profiler-only runs that
+// touch nothing outside the task), so it completes in a single Step.
+type oneStep func(t *sim.Task)
+
+func (f oneStep) Step(t *sim.Task) {
+	f(t)
+	t.Return()
 }
 
 // --- LLP component times (§4.1), one profiled stage per run ---
@@ -318,16 +327,16 @@ func (s *state) measureDirectCosts() {
 	sys := s.sys("direct_costs")
 	cfg := sys.Cfg
 	n0 := sys.Nodes[0]
-	sys.K.Spawn("direct_costs", func(p *sim.Proc) {
+	sys.K.SpawnTask("direct_costs", oneStep(func(t *sim.Task) {
 		prof := n0.Prof
-		prof.Calibrate(p, cfg.Prof.CalibrationSamples)
+		prof.Calibrate(t, cfg.Prof.CalibrationSamples)
 		for i := 0; i < s.o.Samples; i++ {
-			tok := prof.Begin(p, "meas_update")
-			p.Advance(cfg.SW.MeasUpdate.Sample(n0.Rand))
-			prof.End(p, tok)
+			tok := prof.Begin(t, "meas_update")
+			t.Advance(cfg.SW.MeasUpdate.Sample(n0.Rand))
+			prof.End(t, tok)
 		}
 		s.measUpdate = prof.MeanNs("meas_update")
-	})
+	}))
 	sys.Run()
 	sys.Shutdown()
 }
@@ -427,50 +436,124 @@ func (s *state) measureHLPTask(task, scope string, setup func(r0 *mpi.Rank), slo
 // --- MPI_Wait breakdown (§5): totals and callbacks across runs, combined
 // with per-wait loop counts ---
 
+// The §5 wait workload's timetable: message i is sent, and its receive
+// posted, at waitStart+i*waitPeriod. The waiter calibrates its profiler
+// first (~100 us of simulated time); traffic starts afterwards.
+const (
+	waitStart  = 500 * units.Microsecond
+	waitPeriod = 5 * units.Microsecond
+	// waitDelay places each MPI_Wait after its message has landed (~1.4 us
+	// in), so the completion is already in the queue.
+	waitDelay = 3 * units.Microsecond
+)
+
+// sleepUntil advances t to target and pauses there. It reports whether the
+// task suspended; a target already reached costs nothing.
+func sleepUntil(t *sim.Task, target units.Time) bool {
+	if target <= t.Now() {
+		return false
+	}
+	t.Advance(target - t.Now())
+	return t.Pause()
+}
+
+// waitSenderFrame is rank 1 of the wait workload: one isend per period,
+// each followed by a progress call.
+type waitSenderFrame struct {
+	r       *mpi.Rank
+	samples int
+	data    []byte
+	pc, i   int
+}
+
+func (f *waitSenderFrame) Step(t *sim.Task) {
+	for {
+		switch f.pc {
+		case 0:
+			f.pc = 1
+			f.r.StartPreparePostedRecvs(t, 64)
+			return
+		case 1:
+			if f.i >= f.samples {
+				t.Return()
+				return
+			}
+			f.pc = 2
+			if sleepUntil(t, waitStart+units.Time(f.i)*waitPeriod) {
+				return
+			}
+		case 2:
+			f.pc = 3
+			f.r.StartIsend(t, 0, f.i, f.data)
+			return
+		case 3:
+			// Keep the transport retiring unsignaled batches.
+			f.pc = 4
+			f.r.Worker.StartProgress(t)
+			return
+		case 4:
+			f.i++
+			f.pc = 1
+		}
+	}
+}
+
+// waitWaiterFrame is rank 0 of the wait workload: it posts each receive on
+// the send schedule and waits for it once the message has landed.
+type waitWaiterFrame struct {
+	r       *mpi.Rank
+	samples int
+	calib   int
+	pc, i   int
+	req     *mpi.Request
+}
+
+func (f *waitWaiterFrame) Step(t *sim.Task) {
+	for {
+		at := waitStart + units.Time(f.i)*waitPeriod
+		switch f.pc {
+		case 0:
+			f.r.Node.Prof.Calibrate(t, f.calib)
+			f.pc = 1
+			f.r.StartPreparePostedRecvs(t, 512)
+			return
+		case 1:
+			if f.i >= f.samples {
+				t.Return()
+				return
+			}
+			f.pc = 2
+			if sleepUntil(t, at) {
+				return
+			}
+		case 2:
+			f.req = f.r.Irecv(t, 1, f.i)
+			f.pc = 3
+			if sleepUntil(t, at+waitDelay) {
+				return
+			}
+		case 3:
+			f.pc = 4
+			f.r.StartWait(t, f.req)
+			return
+		case 4:
+			f.req = nil
+			f.i++
+			f.pc = 1
+		}
+	}
+}
+
 // waitWorkload drives "successful (i.e. no busy waiting) MPI_Wait" calls
 // (§5): rank 1 sends on a fixed schedule; rank 0 posts the receive before
 // each message arrives and calls MPI_Wait only after it has landed, so every
 // wait completes on its first progress pass.
 func waitWorkload(sys *node.System, samples int, setup func(r0 *mpi.Rank)) *mpi.Rank {
-	cfg := sys.Cfg
-	comm := mpi.NewComm(sys.Nodes[:2], cfg, uct.PIOInline)
+	comm := mpi.NewComm(sys.Nodes[:2], sys.Cfg, uct.PIOInline)
 	r0, r1 := comm.Ranks[0], comm.Ranks[1]
 	setup(r0)
-	// The waiter calibrates its profiler first (~100 us of simulated
-	// time); traffic starts afterwards.
-	const (
-		start  = 500 * units.Microsecond
-		period = 5 * units.Microsecond
-	)
-	sleepUntil := func(p *sim.Proc, t units.Time) {
-		if t > p.Now() {
-			p.Sleep(t - p.Now())
-		}
-	}
-	data := make([]byte, 8)
-	sys.K.Spawn("wait_workload.sender", func(p *sim.Proc) {
-		t := p.Task()
-		r1.PreparePostedRecvs(t, 64)
-		for i := 0; i < samples; i++ {
-			sleepUntil(p, start+units.Time(i)*period)
-			r1.Isend(t, 0, i, data)
-			// Keep the transport retiring unsignaled batches.
-			r1.Worker.Progress(t)
-		}
-	})
-	sys.K.Spawn("wait_workload.waiter", func(p *sim.Proc) {
-		t := p.Task()
-		r0.Node.Prof.Calibrate(p, cfg.Prof.CalibrationSamples)
-		r0.PreparePostedRecvs(t, 512)
-		for i := 0; i < samples; i++ {
-			sleepUntil(p, start+units.Time(i)*period)
-			req := r0.Irecv(t, 1, i)
-			// The message lands ~1.4 us in; wait at +3 us so the
-			// completion is already in the queue.
-			sleepUntil(p, start+units.Time(i)*period+3*units.Microsecond)
-			r0.Wait(t, req)
-		}
-	})
+	sys.K.SpawnTask("wait_workload.sender", &waitSenderFrame{r: r1, samples: samples, data: make([]byte, 8)})
+	sys.K.SpawnTask("wait_workload.waiter", &waitWaiterFrame{r: r0, samples: samples, calib: sys.Cfg.Prof.CalibrationSamples})
 	sys.Run()
 	sys.Shutdown()
 	return r0

@@ -4,7 +4,7 @@
 // rings, doorbell records, receive buffers). Because the simulation kernel
 // serializes all activity on the virtual clock, write *timing* is owned by
 // whoever performs the write (the Root Complex schedules its commit after the
-// RC-to-MEM latency; CPU stores commit at the executing proc's current time),
+// RC-to-MEM latency; CPU stores commit at the executing task's current time),
 // and a read simply observes the bytes committed so far — which is exactly
 // the memory-consistency behaviour a single coherent host memory provides.
 package memsim

@@ -9,9 +9,8 @@
 // UCP → MPICH callback chain before the progress call returns (paper §5).
 //
 // Like the layers below, the blocking operations are resumable sim.Frame
-// state machines: continuation tasks use the Start*/Last* forms, blocking
-// tasks (Proc.Task) the synchronous wrappers. One task drives a Rank at a
-// time.
+// state machines: callers use the Start*/Last* forms. One task drives a
+// Rank at a time.
 package mpi
 
 import (
@@ -166,13 +165,6 @@ func (r *Rank) StartPreparePostedRecvs(t *sim.Task, n int) {
 	t.Call(&r.prepF)
 }
 
-// PreparePostedRecvs is the synchronous form of StartPreparePostedRecvs for
-// blocking tasks.
-func (r *Rank) PreparePostedRecvs(t *sim.Task, n int) {
-	t.BlockingOnly("mpi.Rank.PreparePostedRecvs")
-	r.StartPreparePostedRecvs(t, n)
-}
-
 type prepFrame struct {
 	r    *Rank
 	pc   int
@@ -204,13 +196,6 @@ func (r *Rank) StartIsend(t *sim.Task, dst int, tag int, data []byte) {
 // LastIsend reports the request created by the most recently completed
 // isend frame.
 func (r *Rank) LastIsend() *Request { return r.isendF.res }
-
-// Isend is the synchronous form of StartIsend for blocking tasks.
-func (r *Rank) Isend(t *sim.Task, dst int, tag int, data []byte) *Request {
-	t.BlockingOnly("mpi.Rank.Isend")
-	r.StartIsend(t, dst, tag, data)
-	return r.isendF.res
-}
 
 type isendFrame struct {
 	r        *Rank
@@ -274,8 +259,7 @@ func (f *isendFrame) Step(t *sim.Task) {
 }
 
 // Irecv starts a nonblocking receive matching (src, tag). It is pause-free,
-// so it works identically on continuation and blocking tasks and needs no
-// Start form.
+// so it needs no Start form.
 func (r *Rank) Irecv(t *sim.Task, src int, tag int) *Request {
 	r.Stats.Irecvs++
 	req := &Request{rank: r, isRecv: true, src: src}
@@ -359,12 +343,6 @@ func (r *Rank) StartWait(t *sim.Task, req *Request) {
 	r.waitF.pc = 0
 	r.waitF.req = req
 	t.Call(&r.waitF)
-}
-
-// Wait is the synchronous form of StartWait for blocking tasks.
-func (r *Rank) Wait(t *sim.Task, req *Request) {
-	t.BlockingOnly("mpi.Rank.Wait")
-	r.StartWait(t, req)
 }
 
 type waitFrame struct {
@@ -458,12 +436,6 @@ func (r *Rank) StartWaitall(t *sim.Task, reqs []*Request) {
 	t.Call(&r.waitallF)
 }
 
-// Waitall is the synchronous form of StartWaitall for blocking tasks.
-func (r *Rank) Waitall(t *sim.Task, reqs []*Request) {
-	t.BlockingOnly("mpi.Rank.Waitall")
-	r.StartWaitall(t, reqs)
-}
-
 type waitallFrame struct {
 	r    *Rank
 	pc   int
@@ -520,12 +492,6 @@ func (r *Rank) StartSend(t *sim.Task, dst int, tag int, data []byte) {
 	t.Call(&r.sendF)
 }
 
-// Send is the synchronous form of StartSend for blocking tasks.
-func (r *Rank) Send(t *sim.Task, dst int, tag int, data []byte) {
-	t.BlockingOnly("mpi.Rank.Send")
-	r.Wait(t, r.Isend(t, dst, tag, data))
-}
-
 type sendFrame struct {
 	r        *Rank
 	pc       int
@@ -560,14 +526,6 @@ func (r *Rank) StartRecv(t *sim.Task, src int, tag int) {
 // LastRecv reports the payload received by the most recently completed recv
 // frame.
 func (r *Rank) LastRecv() []byte { return r.recvF.data }
-
-// Recv is the synchronous form of StartRecv for blocking tasks.
-func (r *Rank) Recv(t *sim.Task, src int, tag int) []byte {
-	t.BlockingOnly("mpi.Rank.Recv")
-	req := r.Irecv(t, src, tag)
-	r.Wait(t, req)
-	return req.Data()
-}
 
 type recvFrame struct {
 	r        *Rank

@@ -7,6 +7,7 @@ import (
 	"breakband/internal/faults"
 	"breakband/internal/node"
 	"breakband/internal/sim"
+	"breakband/internal/simtest"
 	"breakband/internal/uct"
 	"breakband/internal/units"
 )
@@ -31,20 +32,20 @@ func TestSendToCrashedPeerErrors(t *testing.T) {
 	defer sys.Shutdown()
 	r0, r1 := comm.Ranks[0], comm.Ranks[1]
 	var sendErr error
-	sys.K.Spawn("rank1", func(p *sim.Proc) {
-		r1.PreparePostedRecvs(p.Task(), 16)
-	})
-	sys.K.Spawn("rank0", func(p *sim.Proc) {
-		tk := p.Task()
-		r0.PreparePostedRecvs(tk, 16)
-		p.Sleep(units.Microseconds(10)) // peer is dead by now
-		req := r0.Isend(tk, 1, 1, []byte{1})
-		r0.Wait(tk, req)
-		if !req.Done() {
-			t.Error("request not done after Wait")
-		}
-		sendErr = req.Err()
-	})
+	var req *Request
+	simtest.Start(sys.K, "rank1", prep(r1, 16))
+	simtest.Start(sys.K, "rank0",
+		prep(r0, 16),
+		sleep(units.Microseconds(10)), // peer is dead by now
+		isend(r0, 1, 1, []byte{1}, &req),
+		wait(r0, &req),
+		func(*sim.Task) {
+			if !req.Done() {
+				t.Error("request not done after Wait")
+			}
+			sendErr = req.Err()
+		},
+	)
 	sys.Run()
 	if sendErr == nil {
 		t.Fatal("send to crashed peer completed without error")
@@ -66,28 +67,31 @@ func TestRecvFromCrashedPeerErrors(t *testing.T) {
 	r0, r1 := comm.Ranks[0], comm.Ranks[1]
 	var pendingErr, lateErr error
 	var lateTook units.Time
-	sys.K.Spawn("rank1", func(p *sim.Proc) {
-		r1.PreparePostedRecvs(p.Task(), 16)
-	})
-	sys.K.Spawn("rank0", func(p *sim.Proc) {
-		tk := p.Task()
-		r0.PreparePostedRecvs(tk, 16)
-		p.Sleep(units.Microseconds(10))
+	var pending, probe, late *Request
+	var start units.Time
+	simtest.Start(sys.K, "rank1", prep(r1, 16))
+	simtest.Start(sys.K, "rank0",
+		prep(r0, 16),
+		sleep(units.Microseconds(10)),
 		// The posted receive cannot learn of the death on its own — the
 		// probe send drives the transport to retry exhaustion, which marks
 		// the endpoint and lets the wait loop cancel the receive.
-		pending := r0.Irecv(tk, 1, 1)
-		probe := r0.Isend(tk, 1, 2, []byte{2})
-		r0.Wait(tk, probe)
-		r0.Wait(tk, pending)
-		pendingErr = pending.Err()
+		func(tk *sim.Task) { pending = r0.Irecv(tk, 1, 1) },
+		isend(r0, 1, 2, []byte{2}, &probe),
+		wait(r0, &probe),
+		wait(r0, &pending),
 		// Late post against the now-known-dead endpoint: no waiting at all.
-		start := sys.K.Now()
-		late := r0.Irecv(tk, 1, 3)
-		r0.Wait(tk, late)
-		lateErr = late.Err()
-		lateTook = sys.K.Now() - start
-	})
+		func(tk *sim.Task) {
+			pendingErr = pending.Err()
+			start = tk.Now()
+			late = r0.Irecv(tk, 1, 3)
+		},
+		wait(r0, &late),
+		func(tk *sim.Task) {
+			lateErr = late.Err()
+			lateTook = tk.Now() - start
+		},
+	)
 	sys.Run()
 	if pendingErr == nil {
 		t.Error("pending receive against crashed peer completed without error")
@@ -111,19 +115,19 @@ func TestLocalCrashFlushesRecv(t *testing.T) {
 	defer sys.Shutdown()
 	r0, r1 := comm.Ranks[0], comm.Ranks[1]
 	var recvErr error
-	sys.K.Spawn("rank0", func(p *sim.Proc) {
-		r0.PreparePostedRecvs(p.Task(), 16)
-	})
-	sys.K.Spawn("rank1", func(p *sim.Proc) {
-		tk := p.Task()
-		r1.PreparePostedRecvs(tk, 16)
-		req := r1.Irecv(tk, 0, 1) // node 1's own NIC crashes at 5us
-		r1.Wait(tk, req)
-		if !req.Done() {
-			t.Error("request not done after Wait")
-		}
-		recvErr = req.Err()
-	})
+	var req *Request
+	simtest.Start(sys.K, "rank0", prep(r0, 16))
+	simtest.Start(sys.K, "rank1",
+		prep(r1, 16),
+		func(tk *sim.Task) { req = r1.Irecv(tk, 0, 1) }, // node 1's own NIC crashes at 5us
+		wait(r1, &req),
+		func(*sim.Task) {
+			if !req.Done() {
+				t.Error("request not done after Wait")
+			}
+			recvErr = req.Err()
+		},
+	)
 	sys.Run()
 	if recvErr == nil {
 		t.Fatal("receive on crashed node completed without error")
@@ -141,23 +145,25 @@ func TestWaitallMixedOutcomes(t *testing.T) {
 	defer sys.Shutdown()
 	r0, r1 := comm.Ranks[0], comm.Ranks[1]
 	var early, late *Request
-	sys.K.Spawn("rank1", func(p *sim.Proc) {
-		r1.PreparePostedRecvs(p.Task(), 16)
+	var got []byte
+	simtest.Start(sys.K, "rank1",
+		prep(r1, 16),
 		// Match only the pre-crash send, then stop progressing.
-		got := r1.Recv(p.Task(), 0, 1)
-		if len(got) != 1 || got[0] != 7 {
-			t.Errorf("pre-crash recv = %v", got)
-		}
-	})
-	sys.K.Spawn("rank0", func(p *sim.Proc) {
-		tk := p.Task()
-		r0.PreparePostedRecvs(tk, 16)
-		p.Sleep(units.Microsecond)
-		early = r0.Isend(tk, 1, 1, []byte{7}) // completes before the crash
-		p.Sleep(units.Microseconds(100))      // peer dies at 50us
-		late = r0.Isend(tk, 1, 2, []byte{8})
-		r0.Waitall(tk, []*Request{early, late})
-	})
+		recv(r1, 0, 1, &got),
+		func(*sim.Task) {
+			if len(got) != 1 || got[0] != 7 {
+				t.Errorf("pre-crash recv = %v", got)
+			}
+		},
+	)
+	simtest.Start(sys.K, "rank0",
+		prep(r0, 16),
+		sleep(units.Microsecond),
+		isend(r0, 1, 1, []byte{7}, &early), // completes before the crash
+		sleep(units.Microseconds(100)),     // peer dies at 50us
+		isend(r0, 1, 2, []byte{8}, &late),
+		func(tk *sim.Task) { r0.StartWaitall(tk, []*Request{early, late}) },
+	)
 	sys.Run()
 	if !early.Done() || !late.Done() {
 		t.Fatalf("waitall did not terminate both requests: early=%v late=%v", early.Done(), late.Done())

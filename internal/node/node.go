@@ -167,6 +167,6 @@ func newNode(k *sim.Kernel, net fabric.Deliverer, cfg *config.Config, id int) *N
 // Run executes the simulation until the event queue drains.
 func (s *System) Run() uint64 { return s.K.Run() }
 
-// Shutdown terminates any leftover procs. Always call it when a simulation
+// Shutdown cancels any unfinished tasks. Always call it when a simulation
 // is finished, especially from tests that build many systems.
 func (s *System) Shutdown() { s.K.Shutdown() }

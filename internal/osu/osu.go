@@ -9,9 +9,8 @@
 //   - Latency (osu_latency-style): blocking MPI Send/Recv ping-pong;
 //     reports half the round trip, the observed end-to-end latency.
 //
-// Both drivers run as continuation tasks (sim.SpawnTask): the steady state
-// executes with zero goroutine handoffs, each rank a resumable frame
-// machine over the frame-based MPI layer.
+// Both drivers run as continuation tasks (sim.SpawnTask), each rank a
+// resumable frame machine over the frame-based MPI layer.
 package osu
 
 import (
@@ -39,7 +38,7 @@ type Options struct {
 	// MsgSize is the user payload (8 bytes by default).
 	MsgSize int
 	// Setup, if set, runs after the communicator is built and before any
-	// proc starts — the measurement methodology uses it to arm exactly
+	// task starts — the measurement methodology uses it to arm exactly
 	// one profiling scope per run (paper §3).
 	Setup func(r0, r1 *mpi.Rank)
 	// Calibrate runs profiler overhead calibration on rank 0's node
@@ -111,7 +110,7 @@ func (f *mrRecvFrame) Step(t *sim.Task) {
 }
 
 // mrSendFrame drives the isend windows: one warmup window, then the
-// measured ones, mirroring the goroutine driver statement for statement.
+// measured ones.
 type mrSendFrame struct {
 	r   *mpi.Rank
 	cfg *config.Config

@@ -58,25 +58,6 @@ func TestMessageRateWaitallAccounting(t *testing.T) {
 	}
 }
 
-// TestBenchmarksRunHandoffFree asserts both OSU drivers execute entirely on
-// continuation task frames: zero kernel→goroutine handoffs over the whole
-// run (the static gate in the root package keeps the sources clean; this
-// checks the executions).
-func TestBenchmarksRunHandoffFree(t *testing.T) {
-	sys := newSys(t, config.NoiseOn)
-	defer sys.Shutdown()
-	MessageRate(sys, Options{Windows: 6})
-	if h := sys.K.Handoffs(); h != 0 {
-		t.Errorf("osu_mbw_mr performed %d goroutine handoffs, want 0", h)
-	}
-	sys2 := node.NewSystem(config.TX2CX4(config.NoiseOn, 2, true), 2)
-	defer sys2.Shutdown()
-	Latency(sys2, Options{Iters: 200})
-	if h := sys2.K.Handoffs(); h != 0 {
-		t.Errorf("osu_latency performed %d goroutine handoffs, want 0", h)
-	}
-}
-
 func TestLatencyNearModel(t *testing.T) {
 	sys := newSys(t, config.NoiseOff)
 	defer sys.Shutdown()

@@ -141,7 +141,7 @@ func clampSenders(sys *node.System, senders int) int {
 // and the system runs to completion. The measured window opens when the
 // last sender finishes warmup and closes when the last sender finishes
 // posting its measured iterations; each sender drains its in-flight tail
-// outside the window. name prefixes the spawned procs and target labels.
+// outside the window. name prefixes the spawned tasks and target labels.
 // The returned endpoints (sender side, receiver worker) expose the QP
 // statistics the scenarios report.
 func incastWindow(sys *node.System, senders int, opt Options, name string) (elapsed units.Time, senderEps []*uct.Ep, recvW *uct.Worker) {

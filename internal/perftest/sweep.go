@@ -96,7 +96,7 @@ func WindowedPutBw(sys *node.System, window, iters int) *WindowedResult {
 	ep0 := w0.NewEp(uct.PIOInline, 1)
 	// The target endpoint exists only to terminate the QP: put_bw is
 	// one-sided, so the target CPU never progresses its worker and no
-	// responder proc is spawned.
+	// responder task is spawned.
 	ep1 := uct.NewWorker(n1, cfg).NewEp(uct.PIOInline, 1)
 	uct.Connect(ep0, ep1)
 	tgt := n1.Mem.Alloc("windowed.target", 4096, 64)

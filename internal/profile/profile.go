@@ -42,18 +42,18 @@ func (pr *Profiler) Overhead() units.Time { return pr.overhead }
 // (nanoseconds).
 func (pr *Profiler) Calibration() stats.Summary { return pr.calib }
 
-// Calibrate measures n empty regions back to back from proc p and stores the
+// Calibrate measures n empty regions back to back from task t and stores the
 // mean raw delta as the overhead to subtract. It returns the calibration
 // summary in nanoseconds (mean ~= the paper's 49.69 ns for the default
 // configuration).
-func (pr *Profiler) Calibrate(p sim.Ctx, n int) stats.Summary {
+func (pr *Profiler) Calibrate(t *sim.Task, n int) stats.Summary {
 	if n <= 0 {
 		panic("profile: calibration needs at least one sample")
 	}
 	var s stats.Sample
 	for i := 0; i < n; i++ {
-		t1 := pr.timer.Read(p)
-		t2 := pr.timer.Read(p)
+		t1 := pr.timer.Read(t)
+		t2 := pr.timer.Read(t)
 		s.Add(pr.timer.TicksToTime(t2 - t1).Ns())
 	}
 	pr.calib = s.Summarize()
@@ -71,14 +71,14 @@ type Token struct {
 // time, perturbing the measured system exactly as real instrumentation does;
 // the measurement methodology therefore profiles one component at a time
 // (paper §3).
-func (pr *Profiler) Begin(p sim.Ctx, name string) Token {
-	return Token{name: name, t1: pr.timer.Read(p)}
+func (pr *Profiler) Begin(t *sim.Task, name string) Token {
+	return Token{name: name, t1: pr.timer.Read(t)}
 }
 
 // End closes a measurement scope, recording the overhead-corrected duration
 // in nanoseconds. It returns the corrected duration.
-func (pr *Profiler) End(p sim.Ctx, tok Token) units.Time {
-	t2 := pr.timer.Read(p)
+func (pr *Profiler) End(t *sim.Task, tok Token) units.Time {
+	t2 := pr.timer.Read(t)
 	raw := pr.timer.TicksToTime(t2 - tok.t1)
 	d := raw - pr.overhead
 	if d < 0 {
@@ -91,22 +91,22 @@ func (pr *Profiler) End(p sim.Ctx, tok Token) units.Time {
 // BeginAnon opens a measurement whose scope name is chosen at EndAs time,
 // for call sites whose outcome determines the category (e.g. a post attempt
 // that may turn out to be a busy post).
-func (pr *Profiler) BeginAnon(p sim.Ctx) Token {
-	return Token{t1: pr.timer.Read(p)}
+func (pr *Profiler) BeginAnon(t *sim.Task) Token {
+	return Token{t1: pr.timer.Read(t)}
 }
 
 // EndAs closes a measurement under the given scope name.
-func (pr *Profiler) EndAs(p sim.Ctx, tok Token, name string) units.Time {
+func (pr *Profiler) EndAs(t *sim.Task, tok Token, name string) units.Time {
 	tok.name = name
-	return pr.End(p, tok)
+	return pr.End(t, tok)
 }
 
 // Measure profiles fn as a single scope under name and returns the corrected
 // duration.
-func (pr *Profiler) Measure(p sim.Ctx, name string, fn func()) units.Time {
-	tok := pr.Begin(p, name)
+func (pr *Profiler) Measure(t *sim.Task, name string, fn func()) units.Time {
+	tok := pr.Begin(t, name)
 	fn()
-	return pr.End(p, tok)
+	return pr.End(t, tok)
 }
 
 func (pr *Profiler) record(name string, d units.Time) {

@@ -6,6 +6,7 @@ import (
 
 	"breakband/internal/rng"
 	"breakband/internal/sim"
+	"breakband/internal/simtest"
 	"breakband/internal/units"
 	"breakband/internal/vtimer"
 )
@@ -18,8 +19,8 @@ func harness() (*sim.Kernel, *Profiler) {
 
 func TestCalibration(t *testing.T) {
 	k, pr := harness()
-	k.Spawn("cal", func(p *sim.Proc) {
-		sum := pr.Calibrate(p, 100)
+	simtest.Start(k, "cal", func(tk *sim.Task) {
+		sum := pr.Calibrate(tk, 100)
 		if math.Abs(sum.Mean-49.69) > 1e-9 {
 			t.Errorf("calibrated overhead = %v, want 49.69", sum.Mean)
 		}
@@ -39,8 +40,8 @@ func TestCalibrationNoisy(t *testing.T) {
 	r := rng.New(7)
 	tm := vtimer.New(k, 1e12, rng.LogNormalNs(15, 0.03), rng.LogNormalNs(34.69, 0.03), r)
 	pr := New(tm)
-	k.Spawn("cal", func(p *sim.Proc) {
-		sum := pr.Calibrate(p, 1000)
+	simtest.Start(k, "cal", func(tk *sim.Task) {
+		sum := pr.Calibrate(tk, 1000)
 		// The paper reports 49.69 mean, sigma 1.48 over 1000 samples.
 		if math.Abs(sum.Mean-49.69) > 0.5 {
 			t.Errorf("noisy calibration mean = %v", sum.Mean)
@@ -55,10 +56,10 @@ func TestCalibrationNoisy(t *testing.T) {
 
 func TestOverheadRemoval(t *testing.T) {
 	k, pr := harness()
-	k.Spawn("m", func(p *sim.Proc) {
-		pr.Calibrate(p, 10)
-		d := pr.Measure(p, "region", func() {
-			p.Sleep(units.Nanoseconds(175.42))
+	simtest.Start(k, "m", func(tk *sim.Task) {
+		pr.Calibrate(tk, 10)
+		d := pr.Measure(tk, "region", func() {
+			tk.Advance(units.Nanoseconds(175.42))
 		})
 		if math.Abs(d.Ns()-175.42) > 1e-9 {
 			t.Errorf("measured %v, want 175.42 after overhead removal", d.Ns())
@@ -73,8 +74,8 @@ func TestOverheadRemoval(t *testing.T) {
 
 func TestWithoutCalibrationIncludesOverhead(t *testing.T) {
 	k, pr := harness()
-	k.Spawn("m", func(p *sim.Proc) {
-		d := pr.Measure(p, "raw", func() { p.Sleep(100 * units.Nanosecond) })
+	simtest.Start(k, "m", func(tk *sim.Task) {
+		d := pr.Measure(tk, "raw", func() { tk.Advance(100 * units.Nanosecond) })
 		want := 100 + 49.69
 		if math.Abs(d.Ns()-want) > 1e-9 {
 			t.Errorf("uncalibrated measurement = %v, want %v", d.Ns(), want)
@@ -86,10 +87,10 @@ func TestWithoutCalibrationIncludesOverhead(t *testing.T) {
 
 func TestNegativeClamp(t *testing.T) {
 	k, pr := harness()
-	k.Spawn("m", func(p *sim.Proc) {
-		pr.Calibrate(p, 10)
+	simtest.Start(k, "m", func(tk *sim.Task) {
+		pr.Calibrate(tk, 10)
 		// An empty region measures ~0 after subtraction, never negative.
-		d := pr.Measure(p, "empty", func() {})
+		d := pr.Measure(tk, "empty", func() {})
 		if d < 0 {
 			t.Errorf("measured negative duration %v", d)
 		}
@@ -100,11 +101,11 @@ func TestNegativeClamp(t *testing.T) {
 
 func TestEndAs(t *testing.T) {
 	k, pr := harness()
-	k.Spawn("m", func(p *sim.Proc) {
-		pr.Calibrate(p, 10)
-		tok := pr.BeginAnon(p)
-		p.Sleep(50 * units.Nanosecond)
-		pr.EndAs(p, tok, "late_named")
+	simtest.Start(k, "m", func(tk *sim.Task) {
+		pr.Calibrate(tk, 10)
+		tok := pr.BeginAnon(tk)
+		tk.Advance(50 * units.Nanosecond)
+		pr.EndAs(tk, tok, "late_named")
 	})
 	k.Run()
 	k.Shutdown()
@@ -115,10 +116,10 @@ func TestEndAs(t *testing.T) {
 
 func TestNamesAndReset(t *testing.T) {
 	k, pr := harness()
-	k.Spawn("m", func(p *sim.Proc) {
-		pr.Measure(p, "a", func() {})
-		pr.Measure(p, "b", func() {})
-		pr.Measure(p, "a", func() {})
+	simtest.Start(k, "m", func(tk *sim.Task) {
+		pr.Measure(tk, "a", func() {})
+		pr.Measure(tk, "b", func() {})
+		pr.Measure(tk, "a", func() {})
 	})
 	k.Run()
 	k.Shutdown()
@@ -147,13 +148,13 @@ func TestMeanNsPanicsOnUnknown(t *testing.T) {
 
 func TestCalibrateRequiresSamples(t *testing.T) {
 	k, pr := harness()
-	k.Spawn("m", func(p *sim.Proc) {
+	simtest.Start(k, "m", func(tk *sim.Task) {
 		defer func() {
 			if recover() == nil {
 				t.Error("Calibrate(0) did not panic")
 			}
 		}()
-		pr.Calibrate(p, 0)
+		pr.Calibrate(tk, 0)
 	})
 	k.Run()
 	k.Shutdown()

@@ -12,7 +12,6 @@ import (
 )
 
 func BenchmarkSchedule(b *testing.B)            { simbench.Schedule(b) }
-func BenchmarkSleepHandoff(b *testing.B)        { simbench.SleepHandoff(b) }
 func BenchmarkHandoffFreeStep(b *testing.B)     { simbench.HandoffFreeStep(b) }
 func BenchmarkHandoffFreeCall(b *testing.B)     { simbench.HandoffFreeCall(b) }
 func BenchmarkPutBwEndToEnd(b *testing.B)       { simbench.PutBwEndToEnd(b) }

@@ -3,31 +3,20 @@
 //
 // The kernel owns a virtual clock (integer picoseconds) and a priority queue
 // of events. Hardware components (PCIe links, NICs, the network fabric) are
-// written in event-callback style. Simulated software threads come in two
-// styles sharing one timeline:
+// written in event-callback style. Simulated software threads are Tasks
+// (task.go): run-to-completion continuations, each a stack of resumable
+// Frames executed inside kernel event context. Where a thread would
+// suspend, the frame records its program counter, schedules its own resume
+// as one pooled event (Pause), and returns to the event loop. Every
+// software layer — uct, verbs, ucp, mpi, the osu / perftest drivers and the
+// measurement campaign — runs as tasks: no goroutine, no channel handoff,
+// zero allocations in steady state.
 //
-//   - Tasks (task.go) are run-to-completion continuations: a stack of
-//     resumable Frames executed inside kernel event context. Where a thread
-//     would suspend, the frame records its program counter, schedules its
-//     own resume as one pooled event (Pause), and returns to the event
-//     loop. The hot software stacks — uct, verbs, ucp, mpi, and the osu /
-//     perftest drivers — run exclusively as tasks: no goroutine, no channel
-//     handoff, zero allocations in steady state.
-//   - Procs (proc.go) are goroutines that advance virtual time with
-//     Sleep/Sync. Each suspension costs a kernel event plus two goroutine
-//     handoffs (counted by Kernel.Handoffs), so procs are reserved for cold
-//     paths — the measurement campaign, tests, ad-hoc drivers — where
-//     direct style is worth the price. Proc.Task adapts a proc so it can
-//     call the frame-based stacks synchronously.
-//
-// Tasks and procs never run concurrently with each other or with the
-// kernel: at any instant exactly one frame Step, proc body, or event
-// callback is executing, so shared simulation state needs no locking and
-// runs are fully deterministic: events at equal timestamps fire in
-// scheduling order (a monotone sequence number breaks ties). The two styles
-// are observationally equivalent — each former Sync call site maps to one
-// Pause call site, so a converted stack schedules identical events
-// (TestTaskProcTwin soaks this; the golden fixtures pin it end to end).
+// Tasks never run concurrently with each other or with the kernel: at any
+// instant exactly one frame Step or event callback is executing, so shared
+// simulation state needs no locking and runs are fully deterministic:
+// events at equal timestamps fire in scheduling order (a monotone sequence
+// number breaks ties). The golden fixtures pin this end to end.
 //
 // # Event-queue internals
 //
@@ -52,12 +41,10 @@
 //
 // # Batched time advancement
 //
-// Tasks and procs carry a lazy local clock (Advance / Pause, Proc.Advance /
-// Proc.Sync): consecutive pure-delay advances accumulate locally and
-// materialize as a single kernel event at the next synchronization point.
-// The contract is identical in both styles: Advance only pure delay, and
-// synchronize (Pause/Sync) before reading or writing any state outside the
-// simulated thread. See task.go and proc.go.
+// Tasks carry a lazy local clock (Advance / Pause): consecutive pure-delay
+// advances accumulate locally and materialize as a single kernel event at
+// the next Pause. The contract: Advance only pure delay, and Pause before
+// reading or writing any state outside the simulated thread. See task.go.
 //
 // # Closure-free continuations
 //
@@ -161,14 +148,9 @@ type Kernel struct {
 	live  int // scheduled-and-not-cancelled events; keeps Pending O(1)
 
 	fired   uint64
-	procs   []*Proc
 	tasks   []*Task
 	stopped bool
 	limit   uint64 // safety valve: max events per Run (0 = unlimited)
-	// handoffs counts kernel→proc goroutine transfers (the costliest kernel
-	// primitive). Continuation tasks never increment it; the hot-stack
-	// scenarios assert it stays zero.
-	handoffs uint64
 
 	// tracer is the optional flight recorder shared by every component on
 	// this kernel's timeline (nil = tracing disabled). It lives on the
@@ -189,12 +171,6 @@ func (k *Kernel) Now() Time { return k.now }
 // Fired reports how many events have executed, a cheap progress/size metric
 // used by tests.
 func (k *Kernel) Fired() uint64 { return k.fired }
-
-// Handoffs reports how many goroutine handoffs (kernel→proc control
-// transfers) have occurred. A scenario running purely on continuation tasks
-// reports zero; tests assert this for every steady-state perftest/osu
-// driver.
-func (k *Kernel) Handoffs() uint64 { return k.handoffs }
 
 // SetEventLimit installs a safety valve: Run panics after n events. Tests use
 // it to convert accidental non-termination into a diagnosable failure.
@@ -315,18 +291,17 @@ func (k *Kernel) RunUntil(deadline Time) uint64 {
 // Pending reports the number of live events still queued.
 func (k *Kernel) Pending() int { return k.live }
 
-// StuckTasks reports the continuation tasks that are still live — neither
-// done nor cancelled — at the moment of the call. After a clean Run (event
-// queue drained) the slice is empty: a paused task always holds a scheduled
+// StuckTasks reports the tasks that are still live — neither finished nor
+// cancelled — at the moment of the call. After a clean Run (event queue
+// drained) the slice is empty: a paused task always holds a scheduled
 // resume event, so live tasks can only survive a drain if something
 // cancelled their wake-up, and they survive a RunUntil/Stop/event-limit
 // exit whenever they are deadlocked or livelocked (e.g. polling a
-// completion that can never arrive). Blocking Proc adapters are not
-// tracked here; Kernel.Shutdown owns those.
+// completion that can never arrive).
 func (k *Kernel) StuckTasks() []*Task {
 	var out []*Task
 	for _, t := range k.tasks {
-		if t.done || t.cancelled {
+		if t.done {
 			continue
 		}
 		out = append(out, t)

@@ -2,11 +2,9 @@ package sim
 
 import (
 	"container/heap"
-	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"breakband/internal/rng"
 	"breakband/internal/units"
@@ -135,54 +133,29 @@ func TestPending(t *testing.T) {
 	}
 }
 
-func TestProcSleep(t *testing.T) {
-	k := NewKernel()
-	var times []Time
-	k.Spawn("worker", func(p *Proc) {
-		times = append(times, p.Now())
-		p.Sleep(100)
-		times = append(times, p.Now())
-		p.Sleep(0)
-		times = append(times, p.Now())
-	})
-	k.Run()
-	if len(times) != 3 || times[0] != 0 || times[1] != 100 || times[2] != 100 {
-		t.Errorf("times = %v", times)
-	}
-}
-
-func TestProcNegativeSleepPanics(t *testing.T) {
-	k := NewKernel()
-	k.Spawn("bad", func(p *Proc) {
-		defer func() {
-			if recover() == nil {
-				t.Error("negative sleep did not panic")
-			}
-		}()
-		p.Sleep(-1)
-	})
-	k.Run()
-	k.Shutdown()
-}
-
-func TestProcsInterleaveDeterministically(t *testing.T) {
+func TestTasksInterleaveDeterministically(t *testing.T) {
 	run := func() []string {
 		k := NewKernel()
 		var log []string
 		for _, name := range []string{"a", "b", "c"} {
 			name := name
-			k.Spawn(name, func(p *Proc) {
-				for i := 0; i < 5; i++ {
+			var fns []func(*Task)
+			for i := 0; i < 5; i++ {
+				fns = append(fns, func(t *Task) {
 					log = append(log, name)
-					p.Sleep(10)
-				}
-			})
+					t.Advance(10)
+				})
+			}
+			k.SpawnTask(name, &stepsFrame{fns: fns})
 		}
 		k.Run()
 		k.Shutdown()
 		return log
 	}
 	first := run()
+	if len(first) != 15 {
+		t.Fatalf("interleaving logged %d steps, want 15", len(first))
+	}
 	for trial := 0; trial < 5; trial++ {
 		if got := run(); len(got) != len(first) {
 			t.Fatal("interleaving length changed between runs")
@@ -196,76 +169,58 @@ func TestProcsInterleaveDeterministically(t *testing.T) {
 	}
 }
 
-func TestProcEventInterleaving(t *testing.T) {
-	// A proc sleeping across an event sees the event's effects: events and
-	// procs share one timeline.
+func TestTaskEventInterleaving(t *testing.T) {
+	// A task paused across an event sees the event's effects: events and
+	// tasks share one timeline.
 	k := NewKernel()
 	value := 0
 	k.At(50, func() { value = 42 })
 	var seen int
-	k.Spawn("reader", func(p *Proc) {
-		p.Sleep(60)
-		seen = value
-	})
+	k.SpawnTask("reader", &stepsFrame{fns: []func(*Task){
+		func(t *Task) { t.Advance(60) },
+		func(t *Task) { seen = value },
+	}})
 	k.Run()
 	if seen != 42 {
-		t.Errorf("proc observed %d, want 42", seen)
+		t.Errorf("task observed %d, want 42", seen)
 	}
 }
 
-func TestShutdownReleasesGoroutines(t *testing.T) {
-	// Mixed mode: every kernel shuts down parked goroutine procs AND
-	// paused continuation tasks together; neither may leak (procs hold a
-	// goroutine each, tasks hold only a pending event).
-	before := runtime.NumGoroutine()
-	for i := 0; i < 50; i++ {
-		k := NewKernel()
-		k.Spawn("sleeper", func(p *Proc) {
-			p.Sleep(units.Second) // would park ~forever
-		})
-		ticks := 0
-		task := k.SpawnTask("ticker", &tickFrame{ticks: &ticks})
-		k.RunUntil(10) // stop long before the wake event
-		k.Shutdown()
-		if !task.Done() {
-			t.Fatal("paused task not cancelled by Shutdown")
-		}
+func TestShutdownCancelsPausedTasks(t *testing.T) {
+	k := NewKernel()
+	ticks := 0
+	task := k.SpawnTask("ticker", &tickFrame{ticks: &ticks})
+	k.RunUntil(15) // paused until t=20
+	k.Shutdown()
+	if !task.Done() {
+		t.Fatal("paused task not cancelled by Shutdown")
 	}
-	// Allow the runtime to reap exited goroutines.
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before+5 && time.Now().Before(deadline) {
-		runtime.Gosched()
-		time.Sleep(time.Millisecond)
+	if k.Pending() != 0 {
+		t.Errorf("Pending after Shutdown = %d, want 0", k.Pending())
 	}
-	if after := runtime.NumGoroutine(); after > before+5 {
-		t.Errorf("goroutines leaked: %d before, %d after", before, after)
+	if n := k.Run(); n != 0 || ticks != 1 {
+		t.Errorf("after Shutdown: fired %d events, ticks = %d; want 0 and 1", n, ticks)
 	}
 }
 
 func TestShutdownBeforeStart(t *testing.T) {
-	// A proc whose start event never fires must still terminate cleanly.
+	// A task whose start event never fires must still terminate cleanly,
+	// and its start event must not outlive it.
 	k := NewKernel()
-	k.Spawn("never", func(p *Proc) {
-		t.Error("body of never-started proc ran")
-	})
+	task := k.SpawnTask("never", &stepsFrame{fns: []func(*Task){
+		func(*Task) { t.Error("body of never-started task ran") },
+	}})
 	// Do not run the kernel at all.
 	k.Shutdown()
-}
-
-func TestProcDone(t *testing.T) {
-	k := NewKernel()
-	p := k.Spawn("quick", func(p *Proc) { p.Sleep(5) })
-	if p.Done() {
-		t.Error("proc done before running")
+	if !task.Done() {
+		t.Error("never-started task not done after Shutdown")
 	}
-	k.Run()
-	if !p.Done() {
-		t.Error("proc not done after run")
+	if k.Pending() != 0 {
+		t.Errorf("Pending after Shutdown = %d, want 0 (start event left live)", k.Pending())
 	}
-	if p.Name() != "quick" {
-		t.Errorf("name = %q", p.Name())
+	if n := k.Run(); n != 0 {
+		t.Errorf("Run after Shutdown fired %d events, want 0", n)
 	}
-	k.Shutdown()
 }
 
 func TestQuickEventOrderInvariant(t *testing.T) {
@@ -499,18 +454,20 @@ func TestAdvanceIsLazy(t *testing.T) {
 	k := NewKernel()
 	value := 0
 	k.At(50, func() { value = 42 })
-	var lazySaw, syncedSaw int
-	var procNow, kernelNow Time
-	k.Spawn("lazy", func(p *Proc) {
-		p.Advance(100)
-		procNow, kernelNow = p.Now(), k.Now()
-		lazySaw = value // no Sync yet: the t=50 event has not fired
-		p.Sync()
-		syncedSaw = value
-	})
-	k.Run()
-	if procNow != 100 {
-		t.Errorf("proc Now = %v, want 100", procNow)
+	var lazySaw, pausedSaw int
+	var taskNow, kernelNow Time
+	k.SpawnTask("lazy", &stepsFrame{fns: []func(*Task){
+		func(t *Task) {
+			t.Advance(60)
+			t.Advance(40)
+			taskNow, kernelNow = t.Now(), k.Now()
+			lazySaw = value // no Pause yet: the t=50 event has not fired
+		},
+		func(t *Task) { pausedSaw = value },
+	}})
+	fired := k.Run()
+	if taskNow != 100 {
+		t.Errorf("task Now = %v, want 100", taskNow)
 	}
 	if kernelNow != 0 {
 		t.Errorf("kernel Now during lazy span = %v, want 0", kernelNow)
@@ -518,73 +475,96 @@ func TestAdvanceIsLazy(t *testing.T) {
 	if lazySaw != 0 {
 		t.Errorf("lazy read saw %d; Advance must not run co-pending events", lazySaw)
 	}
-	if syncedSaw != 42 {
-		t.Errorf("post-Sync read saw %d, want 42", syncedSaw)
+	if pausedSaw != 42 {
+		t.Errorf("post-Pause read saw %d, want 42", pausedSaw)
 	}
 	if k.Now() != 100 {
 		t.Errorf("kernel clock = %v after run, want 100", k.Now())
 	}
-}
-
-func TestSleepFoldsPendingLag(t *testing.T) {
-	k := NewKernel()
-	var woke Time
-	k.Spawn("fold", func(p *Proc) {
-		p.Advance(30)
-		p.Sleep(20) // materializes 30+20 as one event
-		woke = p.Now()
-	})
-	fired := k.Run()
-	if woke != 50 {
-		t.Errorf("woke at %v, want 50", woke)
-	}
-	// Spawn start + one combined wake: the two advances cost one event.
-	if fired != 2 {
-		t.Errorf("fired %d events, want 2", fired)
+	// Spawn start + the t=50 event + one combined resume: the two advances
+	// cost one event.
+	if fired != 3 {
+		t.Errorf("fired %d events, want 3", fired)
 	}
 }
 
-func TestSyncWithoutLagDoesNotYield(t *testing.T) {
+func TestPauseWithoutLagDoesNotYield(t *testing.T) {
 	k := NewKernel()
-	k.Spawn("noop", func(p *Proc) {
-		before := k.Fired()
-		p.Sync()
-		if k.Fired() != before {
-			t.Error("Sync with zero lag scheduled an event")
-		}
-	})
+	k.SpawnTask("noop", &stepsFrame{fns: []func(*Task){
+		func(tk *Task) {
+			before := k.Fired()
+			if tk.Pause() {
+				t.Error("Pause with zero lag suspended the task")
+			}
+			if k.Fired() != before || k.Pending() != 0 {
+				t.Error("Pause with zero lag scheduled an event")
+			}
+		},
+	}})
 	k.Run()
-}
-
-func TestSleepZeroYieldsToCoTimedEvents(t *testing.T) {
-	k := NewKernel()
-	seen := 0
-	k.Spawn("z", func(p *Proc) {
-		p.Advance(10)
-		// The event below lands at t=10 with an earlier sequence than the
-		// wake Sleep(0) schedules, so it must fire during the yield.
-		p.Sleep(0)
-		seen = seen * 10
-	})
-	k.At(10, func() { seen += 3 })
-	k.Run()
-	if seen != 30 {
-		t.Errorf("seen = %d, want 30 (event before resumed proc)", seen)
-	}
 }
 
 func TestNegativeAdvancePanics(t *testing.T) {
 	k := NewKernel()
-	k.Spawn("bad", func(p *Proc) {
-		defer func() {
-			if recover() == nil {
-				t.Error("negative advance did not panic")
-			}
-		}()
-		p.Advance(-1)
-	})
+	k.SpawnTask("bad", &stepsFrame{fns: []func(*Task){
+		func(tk *Task) {
+			defer func() {
+				if recover() == nil {
+					t.Error("negative advance did not panic")
+				}
+			}()
+			tk.Advance(-1)
+		},
+	}})
 	k.Run()
 	k.Shutdown()
+}
+
+// A negative delay must panic even when lag is pending: it may not cancel
+// out time the task has already advanced, and it leaves that lag untouched.
+func TestProcNegativeSleepPanics(t *testing.T) {
+	k := NewKernel()
+	var after Time
+	k.SpawnTask("bad", &stepsFrame{fns: []func(*Task){
+		func(tk *Task) {
+			tk.Advance(30)
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Error("negative advance with pending lag did not panic")
+					}
+				}()
+				tk.Advance(-10)
+			}()
+			after = tk.Now()
+		},
+	}})
+	k.Run()
+	k.Shutdown()
+	if after != 30 {
+		t.Errorf("Now after rejected advance = %v, want 30", after)
+	}
+}
+
+// Pending lag and a further delay materialize as a single kernel event.
+func TestSleepFoldsPendingLag(t *testing.T) {
+	k := NewKernel()
+	var woke Time
+	k.SpawnTask("fold", &stepsFrame{fns: []func(*Task){
+		func(tk *Task) {
+			tk.Advance(30)
+			tk.Advance(20) // the frame's Pause materializes 30+20 as one event
+		},
+		func(tk *Task) { woke = tk.Now() },
+	}})
+	fired := k.Run()
+	if woke != 50 {
+		t.Errorf("woke at %v, want 50", woke)
+	}
+	// Spawn start + one combined resume: the two advances cost one event.
+	if fired != 2 {
+		t.Errorf("fired %d events, want 2", fired)
+	}
 }
 
 func TestAfterArg(t *testing.T) {

@@ -2,15 +2,6 @@ package sim
 
 import "fmt"
 
-// Ctx is the minimal execution context shared by goroutine Procs and
-// run-to-completion Tasks: advancing the local lazy clock and reading it.
-// Pure-delay helpers that never synchronize with the kernel (the virtual
-// timer, the profiler) accept a Ctx so both execution styles drive them.
-type Ctx interface {
-	Advance(d Time)
-	Now() Time
-}
-
 // Frame is one resumable activation record of a continuation task. Step is
 // re-entered every time the task resumes with this frame on top of the
 // stack; the frame keeps its own program counter and locals across pauses.
@@ -36,51 +27,46 @@ type Ctx interface {
 //
 // Step must leave via return immediately after Pause reports true, after
 // Call (pushing a sub-frame), or after Return (popping itself). Pause with
-// no pending lag reports false and the loop simply continues inline —
-// exactly the "Sync with zero lag is free" semantics of the goroutine path.
+// no pending lag reports false and the loop simply continues inline.
 type Frame interface {
 	Step(t *Task)
 }
 
-// Task is a run-to-completion simulated thread: the continuation-style
-// replacement for a goroutine Proc on the hot software stacks. A task owns a
-// stack of Frames and executes them inside kernel event context; where a
-// Proc would park (Sleep/Sync), a task schedules its own resume through the
-// pooled AtArg/AfterArg machinery and returns to the event loop. No
-// goroutine, no channel handoff: suspending and resuming a task costs
-// exactly one pooled kernel event.
+// Task is a run-to-completion simulated thread: one sequential software
+// agent (a CPU core running a benchmark, a progress loop, ...). A task owns
+// a stack of Frames and executes them inside kernel event context; where the
+// thread would suspend, a task schedules its own resume through the pooled
+// AtArg/AfterArg machinery and returns to the event loop. Suspending and
+// resuming a task costs exactly one pooled kernel event.
 //
-// # Equivalence with Procs
+// # Batched time advancement
 //
-// A task advances time with the same batched lazy clock as a Proc (Advance
-// accumulates lag; Pause materializes it as one kernel event scheduled at
-// now+lag). Because each former Proc.Sync call site maps to one Pause call
-// site, a converted stack schedules the same events at the same times in
-// the same seq order as its goroutine twin — runs are bit-for-bit
-// identical. TestTaskProcTwin in this package soaks that property.
+// The software stacks above the kernel advance time in long runs of pure
+// delays — model stages that touch nothing but the task's own state.
+// Advance accumulates such delays in a task-local lazy clock instead of
+// suspending: Now reflects the accumulated lag immediately, while the
+// kernel's clock lags behind until the task synchronizes. Pause materializes
+// the whole accumulated lag as a single kernel event.
 //
-// # Blocking adapter
+// The correctness contract: between an Advance and the next Pause the task
+// must not interact with state outside itself — no simulated memory reads or
+// writes, no MMIO, no posting of receive credits, nothing an event callback
+// could observe or mutate. Pause immediately before any such interaction;
+// the task then observes exactly the state it would have seen had every
+// delay been materialized on its own, and runs remain bit-for-bit identical.
 //
-// A Task obtained from Proc.Task is a blocking adapter: it executes the
-// same Frames synchronously on the proc's goroutine, translating Advance to
-// Proc.Advance and Pause to Proc.Sync. Cold-path code (the measurement
-// campaign, tests) keeps its direct goroutine style while calling into the
-// frame-based hot stacks; both styles run one shared implementation.
-//
-// Like Procs, tasks never run concurrently with each other or the kernel:
-// at any instant exactly one frame Step (or one proc body) is executing.
+// Tasks never run concurrently with each other or the kernel: at any
+// instant exactly one frame Step or event callback is executing.
 type Task struct {
 	k    *Kernel
-	p    *Proc // non-nil: blocking adapter bound to a goroutine proc
 	name string
-	// lag is the task-local lazy clock (continuation mode only; the
-	// blocking adapter delegates to the proc's lag).
-	lag       Time
-	stack     []Frame
-	paused    bool
-	done      bool
-	cancelled bool
-	// pending is the scheduled resume event while paused (for Cancel).
+	// lag is the task-local lazy clock: virtual time the task has advanced
+	// past the kernel clock without pausing yet.
+	lag    Time
+	stack  []Frame
+	paused bool
+	done   bool
+	// pending is the scheduled start or resume event (for Cancel).
 	pending EventRef
 }
 
@@ -90,32 +76,19 @@ type Task struct {
 func taskStep(a any) { a.(*Task).step() }
 
 // SpawnTask starts a continuation task with root as its outermost frame. The
-// first Step runs when the kernel reaches the spawn event, exactly like a
-// Proc spawn; the task completes when its frame stack empties.
+// first Step runs when the kernel reaches the spawn event; the task
+// completes when its frame stack empties.
 func (k *Kernel) SpawnTask(name string, root Frame) *Task {
 	t := &Task{k: k, name: name}
 	t.stack = append(make([]Frame, 0, 8), root)
 	k.tasks = append(k.tasks, t)
-	k.AfterArg(0, taskStep, t)
+	t.pending = k.AfterArg(0, taskStep, t)
 	return t
-}
-
-// Task returns the blocking adapter bound to this proc, creating it on first
-// use. Frame-based APIs called through it run synchronously on the proc's
-// goroutine with identical event scheduling (Pause becomes Proc.Sync).
-func (p *Proc) Task() *Task {
-	if p.task == nil {
-		p.task = &Task{k: p.k, p: p, name: p.name}
-	}
-	return p.task
 }
 
 // step runs frames until the task pauses or its stack empties. It executes
 // in kernel (event) context.
 func (t *Task) step() {
-	if t.cancelled {
-		return
-	}
 	t.paused = false
 	for !t.paused && len(t.stack) > 0 {
 		t.stack[len(t.stack)-1].Step(t)
@@ -142,29 +115,18 @@ func (t *Task) StallSite() string {
 // Kernel returns the owning kernel.
 func (t *Task) Kernel() *Kernel { return t.k }
 
-// Blocking reports whether this task is a Proc-bound blocking adapter.
-func (t *Task) Blocking() bool { return t.p != nil }
-
 // Done reports whether the task's frame stack has emptied.
 func (t *Task) Done() bool { return t.done }
 
 // Now reports current virtual time as observed by this task: the kernel
 // clock plus any not-yet-materialized lag.
-func (t *Task) Now() Time {
-	if t.p != nil {
-		return t.p.Now()
-	}
-	return t.k.now + t.lag
-}
+func (t *Task) Now() Time { return t.k.now + t.lag }
 
-// Advance adds d to the task's lazy clock without suspending; the batched
-// time-advancement contract of Proc.Advance applies unchanged (pure delays
-// only between here and the next Pause).
+// Advance adds d to the task's lazy clock without suspending: the delay
+// becomes visible in Now immediately and is materialized by the next Pause.
+// Use it for pure delays only — see the batched-advancement contract in the
+// type documentation.
 func (t *Task) Advance(d Time) {
-	if t.p != nil {
-		t.p.Advance(d)
-		return
-	}
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative advance %v in task %q", d, t.name))
 	}
@@ -173,17 +135,11 @@ func (t *Task) Advance(d Time) {
 
 // Pause materializes any pending lag as one kernel event and suspends the
 // task until it fires, bringing the kernel clock up to the task's local
-// clock — the continuation replacement for Proc.Sync, and like Sync it is
-// free with no pending lag. It reports whether the task actually suspended:
-// the caller's Step must return immediately when Pause reports true, and
-// simply continue when it reports false. On a blocking adapter Pause
-// performs Proc.Sync and always reports false (the caller just ran it
-// synchronously).
+// clock so every event scheduled in between has fired. With no pending lag
+// it is free. It reports whether the task actually suspended: the caller's
+// Step must return immediately when Pause reports true, and simply continue
+// when it reports false.
 func (t *Task) Pause() bool {
-	if t.p != nil {
-		t.p.Sync()
-		return false
-	}
 	if t.lag == 0 {
 		return false
 	}
@@ -194,31 +150,12 @@ func (t *Task) Pause() bool {
 	return true
 }
 
-// BlockingOnly panics unless t is a blocking adapter. The synchronous
-// convenience wrappers on the software stacks (which return results
-// directly) guard themselves with it: a continuation task must use the
-// Start*/Last* forms, because a wrapper's result is not ready until the
-// pushed frame has run.
-func (t *Task) BlockingOnly(api string) {
-	if t.p == nil {
-		panic("sim: " + api + " called on a continuation task; use the Start form")
-	}
-}
-
 // Call pushes f as a sub-frame; it begins executing before the caller's
 // Step is re-entered, and the caller resumes (at its updated pc) once f
 // Returns. Set the pc past the call site before calling, then return from
-// Step. On a blocking adapter Call drives f synchronously to completion
-// before returning, so the caller may also simply fall through.
+// Step.
 func (t *Task) Call(f Frame) {
 	t.stack = append(t.stack, f)
-	if t.p == nil {
-		return
-	}
-	base := len(t.stack) - 1
-	for len(t.stack) > base {
-		t.stack[len(t.stack)-1].Step(t)
-	}
 }
 
 // Return pops the current frame: the sub-frame's way of completing back to
@@ -229,19 +166,25 @@ func (t *Task) Return() {
 	t.stack = t.stack[:len(t.stack)-1]
 }
 
-// Cancel terminates a paused continuation task mid-chain: its scheduled
-// resume event is cancelled and no further frames run. Cancelling a
-// finished task is a no-op; blocking adapters cannot be cancelled (their
-// lifetime is the proc's).
+// Cancel terminates a task that has not finished — paused mid-chain or not
+// yet started: its scheduled start or resume event is cancelled and no
+// further frames run. Cancelling a finished task is a no-op.
 func (t *Task) Cancel() {
-	if t.p != nil {
-		panic(fmt.Sprintf("sim: cancel of blocking task %q (shut the proc down instead)", t.name))
-	}
-	if t.done || t.cancelled {
+	if t.done {
 		return
 	}
-	t.cancelled = true
 	t.done = true
 	t.pending.Cancel()
 	t.stack = t.stack[:0]
+}
+
+// Shutdown cancels every task that has not finished. It must be called
+// outside Run (after the event loop returns). Tasks hold no goroutines, so
+// cancelling in place (dropping their pending start or resume events) is
+// the whole cleanup.
+func (k *Kernel) Shutdown() {
+	for _, t := range k.tasks {
+		t.Cancel()
+	}
+	k.tasks = nil
 }

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 // --- continuation task semantics ---
 
@@ -118,21 +115,18 @@ func TestTaskCancelMidChain(t *testing.T) {
 	k.Shutdown()
 }
 
-func TestTaskCancelBlockingAdapterPanics(t *testing.T) {
+func TestTaskCancelBeforeStart(t *testing.T) {
+	// Cancelling a task whose start event has not fired drops that event.
 	k := NewKernel()
-	panicked := false
-	k.Spawn("holder", func(p *Proc) {
-		defer func() {
-			if recover() != nil {
-				panicked = true
-			}
-		}()
-		p.Task().Cancel()
-	})
-	k.Run()
-	k.Shutdown()
-	if !panicked {
-		t.Error("Cancel on a blocking adapter did not panic")
+	task := k.SpawnTask("unstarted", &stepsFrame{fns: []func(*Task){
+		func(*Task) { t.Error("cancelled task ran") },
+	}})
+	task.Cancel()
+	if k.Pending() != 0 {
+		t.Errorf("Pending after cancel = %d, want 0", k.Pending())
+	}
+	if n := k.Run(); n != 0 {
+		t.Errorf("Run after cancel fired %d events, want 0", n)
 	}
 }
 
@@ -171,133 +165,20 @@ func TestTaskPanicPropagatesOutOfRun(t *testing.T) {
 	k.Shutdown()
 }
 
-// --- continuation vs goroutine twin soak ---
-
-// scriptOp is one step of a generated workload: advance by adv, optionally
-// synchronize (Sync/Pause — always a matched pair across the two styles),
-// optionally record a trace mark.
-type scriptOp struct {
-	adv  Time
-	sync bool
-	mark bool
+// stepsFrame runs fns in order on one task, pausing after each, which
+// materializes any lag the function left behind.
+type stepsFrame struct {
+	fns []func(t *Task)
+	i   int
 }
 
-// twinMark is one trace entry: who recorded it, the virtual time they
-// observed, and how many events the kernel had fired.
-type twinMark struct {
-	who   int
-	at    Time
-	fired uint64
-}
-
-// scriptFrame replays a script in continuation style: one Pause site per
-// sync op, mirroring the goroutine twin's Sync call site one-for-one.
-type scriptFrame struct {
-	ops   []scriptOp
-	who   int
-	trace *[]twinMark
-	i     int
-	pc    int
-}
-
-func (f *scriptFrame) Step(t *Task) {
-	for {
-		if f.i >= len(f.ops) {
-			t.Return()
+func (f *stepsFrame) Step(t *Task) {
+	for f.i < len(f.fns) {
+		f.i++
+		f.fns[f.i-1](t)
+		if t.Pause() {
 			return
 		}
-		op := f.ops[f.i]
-		switch f.pc {
-		case 0:
-			t.Advance(op.adv)
-			f.pc = 1
-			if op.sync && t.Pause() {
-				return
-			}
-		case 1:
-			if op.mark {
-				*f.trace = append(*f.trace, twinMark{f.who, t.Now(), t.Kernel().Fired()})
-			}
-			f.i++
-			f.pc = 0
-		}
 	}
-}
-
-// genScript draws a workload from r: small advances, frequent syncs, some
-// zero-length advances (the free-Pause path), and trace marks.
-func genScript(r *rand.Rand, n int) []scriptOp {
-	ops := make([]scriptOp, n)
-	for i := range ops {
-		adv := Time(r.Intn(40))
-		if r.Intn(4) == 0 {
-			adv = 0 // exercise the lag-free Pause/Sync fast path
-		}
-		ops[i] = scriptOp{adv: adv, sync: r.Intn(3) != 0, mark: r.Intn(2) == 0}
-	}
-	return ops
-}
-
-// TestTaskProcTwin soaks the equivalence contract documented on Task: a
-// stack converted from goroutine Procs to continuation frames schedules the
-// same events at the same times in the same order, so interleaved workloads
-// produce bit-identical traces in both styles.
-func TestTaskProcTwin(t *testing.T) {
-	const workers = 3
-	for seed := int64(0); seed < 25; seed++ {
-		scripts := make([][]scriptOp, workers)
-		r := rand.New(rand.NewSource(seed))
-		for w := range scripts {
-			scripts[w] = genScript(r, 120)
-		}
-
-		run := func(continuation bool) ([]twinMark, Time, uint64) {
-			k := NewKernel()
-			var trace []twinMark
-			// Background pure events interleave with the workers in
-			// both modes; they must land at identical points.
-			for at := Time(7); at < 500; at += 61 {
-				at := at
-				k.At(at, func() {
-					trace = append(trace, twinMark{-1, k.Now(), k.Fired()})
-				})
-			}
-			for w := 0; w < workers; w++ {
-				w := w
-				if continuation {
-					k.SpawnTask("twin", &scriptFrame{ops: scripts[w], who: w, trace: &trace})
-					continue
-				}
-				k.Spawn("twin", func(p *Proc) {
-					for _, op := range scripts[w] {
-						p.Advance(op.adv)
-						if op.sync {
-							p.Sync()
-						}
-						if op.mark {
-							trace = append(trace, twinMark{w, p.Now(), k.Fired()})
-						}
-					}
-				})
-			}
-			k.Run()
-			defer k.Shutdown()
-			return trace, k.Now(), k.Fired()
-		}
-
-		ct, cNow, cFired := run(true)
-		gt, gNow, gFired := run(false)
-		if cNow != gNow || cFired != gFired {
-			t.Fatalf("seed %d: end state diverged: task (now %v, %d events) vs proc (now %v, %d events)",
-				seed, cNow, cFired, gNow, gFired)
-		}
-		if len(ct) != len(gt) {
-			t.Fatalf("seed %d: trace lengths %d vs %d", seed, len(ct), len(gt))
-		}
-		for i := range ct {
-			if ct[i] != gt[i] {
-				t.Fatalf("seed %d: trace[%d] = %+v (task) vs %+v (proc)", seed, i, ct[i], gt[i])
-			}
-		}
-	}
+	t.Return()
 }

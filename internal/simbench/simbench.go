@@ -47,27 +47,8 @@ func Schedule(b *testing.B) {
 	reportEventsPerSec(b, float64(fired))
 }
 
-// SleepHandoff measures the full proc suspend/resume round trip: one kernel
-// event plus two goroutine handoffs per Sleep. This is the cost the batched
-// Advance API amortizes away on the software-stack hot paths.
-func SleepHandoff(b *testing.B) {
-	b.ReportAllocs()
-	k := sim.NewKernel()
-	n := b.N
-	k.Spawn("sleeper", func(p *sim.Proc) {
-		for i := 0; i < n; i++ {
-			p.Sleep(1)
-		}
-	})
-	b.ResetTimer()
-	k.Run()
-	b.StopTimer()
-	k.Shutdown()
-	reportEventsPerSec(b, float64(n))
-}
-
-// stepLoopFrame is the continuation twin of SleepHandoff's loop body: one
-// Advance+Pause suspend/resume round trip per iteration.
+// stepLoopFrame runs one Advance+Pause suspend/resume round trip per
+// iteration.
 type stepLoopFrame struct {
 	pc, i, n int
 }
@@ -92,11 +73,8 @@ func (f *stepLoopFrame) Step(t *sim.Task) {
 	}
 }
 
-// HandoffFreeStep measures the continuation suspend/resume round trip: one
-// pooled kernel event per Pause, zero goroutine handoffs and zero
-// allocations. It is the direct twin of SleepHandoff — the ns/op gap between
-// the two is the price the goroutine path pays per suspension, and the
-// reason the hot software stacks run on task frames.
+// HandoffFreeStep measures the task suspend/resume round trip: one pooled
+// kernel event per Pause and zero allocations.
 func HandoffFreeStep(b *testing.B) {
 	b.ReportAllocs()
 	k := sim.NewKernel()
@@ -106,9 +84,6 @@ func HandoffFreeStep(b *testing.B) {
 	k.Run()
 	b.StopTimer()
 	k.Shutdown()
-	if k.Handoffs() != 0 {
-		b.Fatalf("continuation benchmark performed %d handoffs", k.Handoffs())
-	}
 	reportEventsPerSec(b, float64(b.N))
 }
 
@@ -170,9 +145,6 @@ func HandoffFreeCall(b *testing.B) {
 	k.Run()
 	b.StopTimer()
 	k.Shutdown()
-	if k.Handoffs() != 0 {
-		b.Fatalf("continuation benchmark performed %d handoffs", k.Handoffs())
-	}
 	reportEventsPerSec(b, float64(b.N))
 }
 

@@ -15,8 +15,7 @@
 //     returns.
 //
 // Like internal/uct, the data path is written as resumable sim.Frame state
-// machines: continuation tasks use StartTagSend/StartProgress plus the Last*
-// getters, while blocking tasks (Proc.Task) use the synchronous wrappers.
+// machines: callers use StartTagSend/StartProgress plus the Last* getters.
 // One task may drive a Worker (and each Ep) at a time.
 package ucp
 
@@ -185,13 +184,6 @@ func (e *Ep) StartTagSend(t *sim.Task, tag uint64, data []byte, cb Callback) {
 // frame.
 func (e *Ep) LastSend() (*Request, error) { return e.sendF.res, e.sendF.err }
 
-// TagSendNB is the synchronous form of StartTagSend for blocking tasks.
-func (e *Ep) TagSendNB(t *sim.Task, tag uint64, data []byte, cb Callback) (*Request, error) {
-	t.BlockingOnly("ucp.Ep.TagSendNB")
-	e.StartTagSend(t, tag, data, cb)
-	return e.sendF.res, e.sendF.err
-}
-
 // tagSendFrame runs the eager tagged-send initiation.
 type tagSendFrame struct {
 	e    *Ep
@@ -255,8 +247,7 @@ func (f *tagSendFrame) Step(t *sim.Task) {
 
 // TagRecvNB posts a nonblocking tagged receive (matching is exact-tag; the
 // benchmarks and examples do not use wildcards). It is pause-free, so it
-// works identically on continuation and blocking tasks and needs no Start
-// form.
+// needs no Start form.
 func (w *Worker) TagRecvNB(t *sim.Task, tag uint64, cb Callback) *Request {
 	w.Stats.Recvs++
 	req := &Request{cb: cb, tag: tag}
@@ -283,13 +274,6 @@ func (w *Worker) StartProgress(t *sim.Task) {
 // LastProgress reports the LLP operation count retired by the most recently
 // completed progress frame.
 func (w *Worker) LastProgress() int { return w.progF.n }
-
-// Progress is the synchronous form of StartProgress for blocking tasks.
-func (w *Worker) Progress(t *sim.Task) int {
-	t.BlockingOnly("ucp.Worker.Progress")
-	w.StartProgress(t)
-	return w.progF.n
-}
 
 // progressFrame executes deferred LLP_posts for busy posts while slots are
 // free, then runs one LLP progress.

@@ -7,6 +7,7 @@ import (
 	"breakband/internal/config"
 	"breakband/internal/node"
 	"breakband/internal/sim"
+	"breakband/internal/simtest"
 	"breakband/internal/uct"
 	"breakband/internal/units"
 )
@@ -26,33 +27,57 @@ func harness(t *testing.T, signalPeriod int) (*node.System, *Worker, *Worker, *E
 	return sys, w0, w1, e0, e1
 }
 
+// send runs a tagged send on e, storing its request in *sent (if non-nil)
+// and failing the test if the send was rejected.
+func send(t *testing.T, e *Ep, tag uint64, data []byte, cb Callback, sent **Request) simtest.Step {
+	return simtest.Seq(
+		func(tk *sim.Task) { e.StartTagSend(tk, tag, data, cb) },
+		func(*sim.Task) {
+			req, err := e.LastSend()
+			if err != nil {
+				t.Fatalf("send tag %d: %v", tag, err)
+			}
+			if sent != nil {
+				*sent = req
+			}
+		},
+	)
+}
+
+func postRecvs(e *Ep, n int) simtest.Step {
+	return func(tk *sim.Task) { e.UctEp.StartPostRecvs(tk, n) }
+}
+
+func sleep(d units.Time) simtest.Step {
+	return func(tk *sim.Task) { tk.Advance(d) }
+}
+
+// progressUntil drives w's progress engine until done reports true.
+func progressUntil(w *Worker, done func() bool) simtest.Step {
+	return simtest.While(func() bool { return !done() }, w.StartProgress)
+}
+
 func TestTagSendRecv(t *testing.T) {
 	sys, w0, w1, e0, e1 := harness(t, 1)
 	defer sys.Shutdown()
 	payload := []byte{1, 2, 3}
 	var sendDone, recvDone bool
-	sys.K.Spawn("rx", func(p *sim.Proc) {
-		tk := p.Task()
-		e1.UctEp.PostRecvs(tk, 8)
-		req := w1.TagRecvNB(tk, 42, func(cp *sim.Task) { recvDone = true })
-		for !req.Completed() {
-			w1.Progress(tk)
-		}
-		if !bytes.Equal(req.Data(), payload) {
-			t.Errorf("received %v", req.Data())
-		}
-	})
-	sys.K.Spawn("tx", func(p *sim.Proc) {
-		tk := p.Task()
-		p.Sleep(units.Microsecond)
-		req, err := e0.TagSendNB(tk, 42, payload, func(cp *sim.Task) { sendDone = true })
-		if err != nil {
-			t.Fatalf("send: %v", err)
-		}
-		for !req.Completed() {
-			w0.Progress(tk)
-		}
-	})
+	var rreq, sreq *Request
+	simtest.Start(sys.K, "rx",
+		postRecvs(e1, 8),
+		func(tk *sim.Task) { rreq = w1.TagRecvNB(tk, 42, func(cp *sim.Task) { recvDone = true }) },
+		progressUntil(w1, func() bool { return rreq.Completed() }),
+		func(*sim.Task) {
+			if !bytes.Equal(rreq.Data(), payload) {
+				t.Errorf("received %v", rreq.Data())
+			}
+		},
+	)
+	simtest.Start(sys.K, "tx",
+		sleep(units.Microsecond),
+		send(t, e0, 42, payload, func(cp *sim.Task) { sendDone = true }, &sreq),
+		progressUntil(w0, func() bool { return sreq.Completed() }),
+	)
 	sys.Run()
 	if !sendDone || !recvDone {
 		t.Errorf("callbacks: send=%v recv=%v", sendDone, recvDone)
@@ -62,33 +87,27 @@ func TestTagSendRecv(t *testing.T) {
 func TestUnexpectedMessage(t *testing.T) {
 	sys, w0, w1, e0, e1 := harness(t, 1)
 	defer sys.Shutdown()
-	sys.K.Spawn("rx", func(p *sim.Proc) {
-		tk := p.Task()
-		e1.UctEp.PostRecvs(tk, 8)
-		// Drive progress without a posted receive: the message must
-		// land in the unexpected queue.
-		for w1.Stats.UnexpectedMsgs == 0 {
-			w1.Progress(tk)
-		}
+	simtest.Start(sys.K, "rx",
+		postRecvs(e1, 8),
+		// Drive progress without a posted receive: the message must land
+		// in the unexpected queue.
+		progressUntil(w1, func() bool { return w1.Stats.UnexpectedMsgs > 0 }),
 		// A matching receive posted afterwards completes immediately.
-		req := w1.TagRecvNB(tk, 9, nil)
-		if !req.Completed() {
-			t.Error("late receive did not match the unexpected queue")
-		}
-		if !bytes.Equal(req.Data(), []byte{0xFF}) {
-			t.Errorf("unexpected payload = %v", req.Data())
-		}
-	})
-	sys.K.Spawn("tx", func(p *sim.Proc) {
-		tk := p.Task()
-		p.Sleep(units.Microsecond)
-		if _, err := e0.TagSendNB(tk, 9, []byte{0xFF}, nil); err != nil {
-			t.Fatal(err)
-		}
-		for w0.Uct.Stats.SendCQEs == 0 {
-			w0.Progress(tk)
-		}
-	})
+		func(tk *sim.Task) {
+			req := w1.TagRecvNB(tk, 9, nil)
+			if !req.Completed() {
+				t.Error("late receive did not match the unexpected queue")
+			}
+			if !bytes.Equal(req.Data(), []byte{0xFF}) {
+				t.Errorf("unexpected payload = %v", req.Data())
+			}
+		},
+	)
+	simtest.Start(sys.K, "tx",
+		sleep(units.Microsecond),
+		send(t, e0, 9, []byte{0xFF}, nil, nil),
+		progressUntil(w0, func() bool { return w0.Uct.Stats.SendCQEs > 0 }),
+	)
 	sys.Run()
 }
 
@@ -101,41 +120,31 @@ func TestPendingBusyPosts(t *testing.T) {
 	// ragged tail; the benchmarks always post aligned windows).
 	n := depth + 64
 	var completed int
-	sys.K.Spawn("rx", func(p *sim.Proc) {
-		tk := p.Task()
-		e1.UctEp.PostRecvs(tk, 512)
-		for int(w1.Stats.RecvCompletions+w1.Stats.UnexpectedMsgs) < n {
-			w1.Progress(tk)
-		}
-	})
-	sys.K.Spawn("tx", func(p *sim.Proc) {
-		tk := p.Task()
-		p.Sleep(units.Microsecond)
-		reqs := make([]*Request, 0, n)
-		for i := 0; i < n; i++ {
-			req, err := e0.TagSendNB(tk, uint64(i), []byte{byte(i)}, func(cp *sim.Task) { completed++ })
-			if err != nil {
-				t.Fatalf("send %d: %v", i, err)
+	simtest.Start(sys.K, "rx",
+		postRecvs(e1, 512),
+		progressUntil(w1, func() bool { return int(w1.Stats.RecvCompletions+w1.Stats.UnexpectedMsgs) >= n }),
+	)
+	reqs := make([]*Request, n)
+	tx := []simtest.Step{sleep(units.Microsecond)}
+	for i := range reqs {
+		tx = append(tx, send(t, e0, uint64(i), []byte{byte(i)}, func(cp *sim.Task) { completed++ }, &reqs[i]))
+	}
+	tx = append(tx,
+		func(*sim.Task) {
+			if w0.Stats.BusyPosts == 0 {
+				t.Error("expected busy posts beyond the queue depth")
 			}
-			reqs = append(reqs, req)
-		}
-		if w0.Stats.BusyPosts == 0 {
-			t.Error("expected busy posts beyond the queue depth")
-		}
-		for {
-			all := true
+		},
+		progressUntil(w0, func() bool {
 			for _, r := range reqs {
 				if !r.Completed() {
-					all = false
-					break
+					return false
 				}
 			}
-			if all {
-				break
-			}
-			w0.Progress(tk)
-		}
-	})
+			return true
+		}),
+	)
+	simtest.Start(sys.K, "tx", tx...)
 	sys.Run()
 	if completed != n {
 		t.Errorf("completed %d of %d", completed, n)
@@ -150,25 +159,16 @@ func TestUnsignaledBatchCompletion(t *testing.T) {
 	defer sys.Shutdown()
 	const n = 16
 	var completions int
-	sys.K.Spawn("rx", func(p *sim.Proc) {
-		tk := p.Task()
-		e1.UctEp.PostRecvs(tk, 64)
-		for int(w1.Stats.RecvCompletions+w1.Stats.UnexpectedMsgs) < n {
-			w1.Progress(tk)
-		}
-	})
-	sys.K.Spawn("tx", func(p *sim.Proc) {
-		tk := p.Task()
-		p.Sleep(units.Microsecond)
-		for i := 0; i < n; i++ {
-			if _, err := e0.TagSendNB(tk, uint64(i), []byte{1}, func(cp *sim.Task) { completions++ }); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for completions < n {
-			w0.Progress(tk)
-		}
-	})
+	simtest.Start(sys.K, "rx",
+		postRecvs(e1, 64),
+		progressUntil(w1, func() bool { return int(w1.Stats.RecvCompletions+w1.Stats.UnexpectedMsgs) >= n }),
+	)
+	tx := []simtest.Step{sleep(units.Microsecond)}
+	for i := 0; i < n; i++ {
+		tx = append(tx, send(t, e0, uint64(i), []byte{1}, func(cp *sim.Task) { completions++ }, nil))
+	}
+	tx = append(tx, progressUntil(w0, func() bool { return completions >= n }))
+	simtest.Start(sys.K, "tx", tx...)
 	sys.Run()
 	// 16 sends at c=8 -> exactly 2 transport CQEs.
 	if got := w0.Uct.Stats.SendCQEs; got != 2 {
@@ -179,12 +179,14 @@ func TestUnsignaledBatchCompletion(t *testing.T) {
 func TestEagerSizeLimit(t *testing.T) {
 	sys, _, _, e0, _ := harness(t, 1)
 	defer sys.Shutdown()
-	sys.K.Spawn("tx", func(p *sim.Proc) {
-		tk := p.Task()
-		if _, err := e0.TagSendNB(tk, 1, make([]byte, MaxBcopy+1), nil); err == nil {
-			t.Error("oversized eager send accepted")
-		}
-	})
+	simtest.Start(sys.K, "tx",
+		func(tk *sim.Task) { e0.StartTagSend(tk, 1, make([]byte, MaxBcopy+1), nil) },
+		func(*sim.Task) {
+			if _, err := e0.LastSend(); err == nil {
+				t.Error("oversized eager send accepted")
+			}
+		},
+	)
 	sys.Run()
 }
 
@@ -195,27 +197,21 @@ func TestBcopyPathSendRecv(t *testing.T) {
 	for i := range payload {
 		payload[i] = byte(i)
 	}
-	sys.K.Spawn("rx", func(p *sim.Proc) {
-		tk := p.Task()
-		e1.UctEp.PostRecvs(tk, 8)
-		req := w1.TagRecvNB(tk, 3, nil)
-		for !req.Completed() {
-			w1.Progress(tk)
-		}
-		if !bytes.Equal(req.Data(), payload) {
-			t.Error("bcopy payload corrupted")
-		}
-	})
-	sys.K.Spawn("tx", func(p *sim.Proc) {
-		tk := p.Task()
-		p.Sleep(units.Microsecond)
-		req, err := e0.TagSendNB(tk, 3, payload, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for !req.Completed() {
-			w0.Progress(tk)
-		}
-	})
+	var rreq, sreq *Request
+	simtest.Start(sys.K, "rx",
+		postRecvs(e1, 8),
+		func(tk *sim.Task) { rreq = w1.TagRecvNB(tk, 3, nil) },
+		progressUntil(w1, func() bool { return rreq.Completed() }),
+		func(*sim.Task) {
+			if !bytes.Equal(rreq.Data(), payload) {
+				t.Error("bcopy payload corrupted")
+			}
+		},
+	)
+	simtest.Start(sys.K, "tx",
+		sleep(units.Microsecond),
+		send(t, e0, 3, payload, nil, &sreq),
+		progressUntil(w0, func() bool { return sreq.Completed() }),
+	)
 	sys.Run()
 }

@@ -14,11 +14,9 @@
 //
 // The data path is written as resumable sim.Frame state machines driven by a
 // sim.Task, so steady-state traffic runs to completion on the kernel with no
-// goroutine handoffs. Continuation callers use the Start* methods plus the
-// Last* result getters; cold-path code holding a goroutine Proc calls the
-// synchronous wrappers (PutShort, Progress, ...) through Proc.Task, which
-// drives the same frames inline with identical event scheduling. Every
-// frame is preallocated on its owning Worker or Ep, so the steady state
+// goroutine handoffs. Callers use the Start* methods plus the Last* result
+// getters, read once the started frame has returned. Every frame is
+// preallocated on its owning Worker or Ep, so the steady state
 // allocates nothing; the corollary is that a Worker and each Ep may be
 // driven by at most one task at a time.
 package uct
@@ -301,12 +299,6 @@ func (e *Ep) StartPostRecvs(t *sim.Task, n int) {
 	t.Call(&e.recvsF)
 }
 
-// PostRecvs is the synchronous form of StartPostRecvs for blocking tasks.
-func (e *Ep) PostRecvs(t *sim.Task, n int) {
-	t.BlockingOnly("uct.Ep.PostRecvs")
-	e.StartPostRecvs(t, n)
-}
-
 // recvsFrame posts n receive credits; each credit must become visible to
 // in-flight deliveries at its own post time, not batched at the end.
 type recvsFrame struct {
@@ -379,34 +371,6 @@ func (e *Ep) StartPutBcopy(t *sim.Task, off uint64, data []byte) {
 // buffered-copy path.
 func (e *Ep) StartAmBcopy(t *sim.Task, id uint8, data []byte) {
 	e.startGather(t, mlx.OpSend, id, 0, data)
-}
-
-// PutShort is the synchronous form of StartPutShort for blocking tasks.
-func (e *Ep) PutShort(t *sim.Task, off uint64, data []byte) error {
-	t.BlockingOnly("uct.Ep.PutShort")
-	e.StartPutShort(t, off, data)
-	return e.lastPost
-}
-
-// AmShort is the synchronous form of StartAmShort for blocking tasks.
-func (e *Ep) AmShort(t *sim.Task, id uint8, data []byte) error {
-	t.BlockingOnly("uct.Ep.AmShort")
-	e.StartAmShort(t, id, data)
-	return e.lastPost
-}
-
-// PutBcopy is the synchronous form of StartPutBcopy for blocking tasks.
-func (e *Ep) PutBcopy(t *sim.Task, off uint64, data []byte) error {
-	t.BlockingOnly("uct.Ep.PutBcopy")
-	e.StartPutBcopy(t, off, data)
-	return e.lastPost
-}
-
-// AmBcopy is the synchronous form of StartAmBcopy for blocking tasks.
-func (e *Ep) AmBcopy(t *sim.Task, id uint8, data []byte) error {
-	t.BlockingOnly("uct.Ep.AmBcopy")
-	e.StartAmBcopy(t, id, data)
-	return e.lastPost
 }
 
 func (e *Ep) startPost(t *sim.Task, op mlx.Opcode, amID uint8, raddr uint64, data []byte) {
@@ -734,13 +698,6 @@ func (e *Ep) nextSignaled() bool {
 func (w *Worker) StartProgress(t *sim.Task) {
 	w.progF.pc = 0
 	t.Call(&w.progF)
-}
-
-// Progress is the synchronous form of StartProgress for blocking tasks.
-func (w *Worker) Progress(t *sim.Task) int {
-	t.BlockingOnly("uct.Worker.Progress")
-	w.StartProgress(t)
-	return w.progF.n
 }
 
 // LastProgress reports the operation count retired by the most recently

@@ -8,6 +8,7 @@ import (
 	"breakband/internal/config"
 	"breakband/internal/node"
 	"breakband/internal/sim"
+	"breakband/internal/simtest"
 	"breakband/internal/units"
 )
 
@@ -23,21 +24,31 @@ func harness(t *testing.T) (*node.System, *Worker, *Worker, *Ep, *Ep) {
 	return sys, w0, w1, e0, e1
 }
 
+// drain progresses w until every post on e has completed.
+func drain(w *Worker, e *Ep) simtest.Step {
+	return simtest.While(func() bool { return e.InFlight() > 0 }, w.StartProgress)
+}
+
+// putShort posts data to offset 0 of e's remote buffer.
+func putShort(e *Ep, data []byte) simtest.Step {
+	return func(tk *sim.Task) { e.StartPutShort(tk, 0, data) }
+}
+
 func TestPutShortDeliversPayload(t *testing.T) {
 	sys, w0, _, e0, _ := harness(t)
 	defer sys.Shutdown()
 	dst := sys.Nodes[1].Mem.Alloc("dst", 64, 8)
 	e0.RemoteBuf = dst.Base
 	payload := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	sys.K.Spawn("test", func(p *sim.Proc) {
-		tk := p.Task()
-		if err := e0.PutShort(tk, 0, payload); err != nil {
-			t.Errorf("put: %v", err)
-		}
-		for e0.InFlight() > 0 {
-			w0.Progress(tk)
-		}
-	})
+	simtest.Start(sys.K, "test",
+		putShort(e0, payload),
+		func(*sim.Task) {
+			if err := e0.LastPost(); err != nil {
+				t.Errorf("put: %v", err)
+			}
+		},
+		drain(w0, e0),
+	)
 	sys.Run()
 	if got := sys.Nodes[1].Mem.Read(dst.Base, 8); !bytes.Equal(got, payload) {
 		t.Errorf("remote buffer = %v", got)
@@ -57,23 +68,20 @@ func TestAmShortInvokesHandler(t *testing.T) {
 		gotAt = p.Now()
 	})
 	payload := []byte{0xA, 0xB, 0xC}
-	sys.K.Spawn("rx", func(p *sim.Proc) {
-		tk := p.Task()
-		e1.PostRecvs(tk, 8)
-		for got == nil {
-			w1.Progress(tk)
-		}
-	})
-	sys.K.Spawn("tx", func(p *sim.Proc) {
-		tk := p.Task()
-		p.Sleep(units.Microsecond) // let receives post
-		if err := e0.AmShort(tk, 7, payload); err != nil {
-			t.Errorf("am: %v", err)
-		}
-		for e0.InFlight() > 0 {
-			w0.Progress(tk)
-		}
-	})
+	simtest.Start(sys.K, "rx",
+		func(tk *sim.Task) { e1.StartPostRecvs(tk, 8) },
+		simtest.While(func() bool { return got == nil }, w1.StartProgress),
+	)
+	simtest.Start(sys.K, "tx",
+		func(tk *sim.Task) { tk.Advance(units.Microsecond) }, // let receives post
+		func(tk *sim.Task) { e0.StartAmShort(tk, 7, payload) },
+		func(*sim.Task) {
+			if err := e0.LastPost(); err != nil {
+				t.Errorf("am: %v", err)
+			}
+		},
+		drain(w0, e0),
+	)
 	sys.Run()
 	if !bytes.Equal(got, payload) {
 		t.Errorf("handler payload = %v", got)
@@ -89,32 +97,40 @@ func TestBusyPostOnFullQueue(t *testing.T) {
 	dst := sys.Nodes[1].Mem.Alloc("dst", 64, 8)
 	e0.RemoteBuf = dst.Base
 	depth := e0.QP().SQ.Depth
-	sys.K.Spawn("test", func(p *sim.Proc) {
-		tk := p.Task()
-		for i := 0; i < depth; i++ {
-			if err := e0.PutShort(tk, 0, []byte{1}); err != nil {
-				t.Fatalf("post %d failed: %v", i, err)
+	posted := 0
+	simtest.Start(sys.K, "test",
+		simtest.While(func() bool { return posted < depth },
+			putShort(e0, []byte{1}),
+			func(*sim.Task) {
+				if err := e0.LastPost(); err != nil {
+					t.Fatalf("post %d failed: %v", posted, err)
+				}
+				posted++
+			}),
+		func(*sim.Task) {
+			if e0.FreeSlots() != 0 {
+				t.Errorf("FreeSlots = %d after filling", e0.FreeSlots())
 			}
-		}
-		if e0.FreeSlots() != 0 {
-			t.Errorf("FreeSlots = %d after filling", e0.FreeSlots())
-		}
-		if err := e0.PutShort(tk, 0, []byte{1}); err != ErrNoResource {
-			t.Errorf("overfull post returned %v, want ErrNoResource", err)
-		}
-		if w0.Stats.BusyPosts != 1 {
-			t.Errorf("busy posts = %d", w0.Stats.BusyPosts)
-		}
+		},
+		putShort(e0, []byte{1}),
+		func(*sim.Task) {
+			if err := e0.LastPost(); err != ErrNoResource {
+				t.Errorf("overfull post returned %v, want ErrNoResource", err)
+			}
+			if w0.Stats.BusyPosts != 1 {
+				t.Errorf("busy posts = %d", w0.Stats.BusyPosts)
+			}
+		},
 		// Progress must free a slot and let the post succeed.
-		for w0.Progress(tk) == 0 {
-		}
-		if err := e0.PutShort(tk, 0, []byte{1}); err != nil {
-			t.Errorf("post after progress: %v", err)
-		}
-		for e0.InFlight() > 0 {
-			w0.Progress(tk)
-		}
-	})
+		simtest.While(func() bool { return e0.FreeSlots() == 0 }, w0.StartProgress),
+		putShort(e0, []byte{1}),
+		func(*sim.Task) {
+			if err := e0.LastPost(); err != nil {
+				t.Errorf("post after progress: %v", err)
+			}
+		},
+		drain(w0, e0),
+	)
 	sys.Run()
 }
 
@@ -125,17 +141,22 @@ func TestBusyPostCost(t *testing.T) {
 	dst := sys.Nodes[1].Mem.Alloc("dst", 64, 8)
 	e0.RemoteBuf = dst.Base
 	depth := e0.QP().SQ.Depth
-	sys.K.Spawn("test", func(p *sim.Proc) {
-		tk := p.Task()
-		for i := 0; i < depth; i++ {
-			e0.PutShort(tk, 0, []byte{1})
-		}
-		t0 := p.Now()
-		e0.PutShort(tk, 0, []byte{1})
-		if d := p.Now() - t0; d != cfg.SW.BusyPost.Mean() {
-			t.Errorf("busy post cost %v, want %v", d, cfg.SW.BusyPost.Mean())
-		}
-	})
+	posted := 0
+	var t0 units.Time
+	simtest.Start(sys.K, "test",
+		simtest.While(func() bool { return posted < depth },
+			putShort(e0, []byte{1}),
+			func(*sim.Task) { posted++ }),
+		func(tk *sim.Task) {
+			t0 = tk.Now()
+			e0.StartPutShort(tk, 0, []byte{1})
+		},
+		func(tk *sim.Task) {
+			if d := tk.Now() - t0; d != cfg.SW.BusyPost.Mean() {
+				t.Errorf("busy post cost %v, want %v", d, cfg.SW.BusyPost.Mean())
+			}
+		},
+	)
 	sys.Run()
 }
 
@@ -144,15 +165,19 @@ func TestLLPPostCostMatchesTable(t *testing.T) {
 	defer sys.Shutdown()
 	dst := sys.Nodes[1].Mem.Alloc("dst", 64, 8)
 	e0.RemoteBuf = dst.Base
-	sys.K.Spawn("test", func(p *sim.Proc) {
-		tk := p.Task()
-		t0 := p.Now()
-		e0.PutShort(tk, 0, []byte{1, 2, 3, 4, 5, 6, 7, 8})
-		got := (p.Now() - t0).Ns()
-		if math.Abs(got-config.TabLLPPost) > 1e-9 {
-			t.Errorf("LLP_post wall time = %v, want %v", got, config.TabLLPPost)
-		}
-	})
+	var t0 units.Time
+	simtest.Start(sys.K, "test",
+		func(tk *sim.Task) {
+			t0 = tk.Now()
+			e0.StartPutShort(tk, 0, []byte{1, 2, 3, 4, 5, 6, 7, 8})
+		},
+		func(tk *sim.Task) {
+			got := (tk.Now() - t0).Ns()
+			if math.Abs(got-config.TabLLPPost) > 1e-9 {
+				t.Errorf("LLP_post wall time = %v, want %v", got, config.TabLLPPost)
+			}
+		},
+	)
 	sys.Run()
 }
 
@@ -169,17 +194,18 @@ func TestUnsignaledPeriod(t *testing.T) {
 	e0.RemoteBuf = dst.Base
 	var freed int
 	w0.SetSendCompletion(func(p *sim.Task, _ *Ep, n int, _ error) { freed += n })
-	sys.K.Spawn("test", func(p *sim.Proc) {
-		tk := p.Task()
-		for i := 0; i < 8; i++ {
-			if err := e0.PutShort(tk, 0, []byte{1}); err != nil {
-				t.Fatalf("post %d: %v", i, err)
-			}
-		}
-		for e0.InFlight() > 0 {
-			w0.Progress(tk)
-		}
-	})
+	posted := 0
+	simtest.Start(sys.K, "test",
+		simtest.While(func() bool { return posted < 8 },
+			putShort(e0, []byte{1}),
+			func(*sim.Task) {
+				if err := e0.LastPost(); err != nil {
+					t.Fatalf("post %d: %v", posted, err)
+				}
+				posted++
+			}),
+		drain(w0, e0),
+	)
 	sys.Run()
 	if w0.Stats.SendCQEs != 2 {
 		t.Errorf("CQEs = %d, want 2 (8 posts, c=4)", w0.Stats.SendCQEs)
@@ -195,12 +221,14 @@ func TestUnsignaledPeriod(t *testing.T) {
 func TestOversizedPostRejected(t *testing.T) {
 	sys, _, _, e0, _ := harness(t)
 	defer sys.Shutdown()
-	sys.K.Spawn("test", func(p *sim.Proc) {
-		tk := p.Task()
-		if err := e0.PutShort(tk, 0, make([]byte, 33)); err == nil || err == ErrNoResource {
-			t.Errorf("oversized post returned %v", err)
-		}
-	})
+	simtest.Start(sys.K, "test",
+		putShort(e0, make([]byte, 33)),
+		func(*sim.Task) {
+			if err := e0.LastPost(); err == nil || err == ErrNoResource {
+				t.Errorf("oversized post returned %v", err)
+			}
+		},
+	)
 	sys.Run()
 }
 
@@ -216,15 +244,15 @@ func TestDoorbellModesDeliver(t *testing.T) {
 		dst := sys.Nodes[1].Mem.Alloc("dst", 64, 8)
 		e0.RemoteBuf = dst.Base
 		payload := []byte{5, 6, 7, 8}
-		sys.K.Spawn("test", func(p *sim.Proc) {
-			tk := p.Task()
-			if err := e0.PutShort(tk, 0, payload); err != nil {
-				t.Errorf("%v post: %v", mode, err)
-			}
-			for e0.InFlight() > 0 {
-				w0.Progress(tk)
-			}
-		})
+		simtest.Start(sys.K, "test",
+			putShort(e0, payload),
+			func(*sim.Task) {
+				if err := e0.LastPost(); err != nil {
+					t.Errorf("%v post: %v", mode, err)
+				}
+			},
+			drain(w0, e0),
+		)
 		sys.Run()
 		if got := sys.Nodes[1].Mem.Read(dst.Base, 4); !bytes.Equal(got, payload) {
 			t.Errorf("%v: remote buffer = %v", mode, got)
@@ -239,16 +267,14 @@ func TestStageProfiling(t *testing.T) {
 		dst := sys.Nodes[1].Mem.Alloc("dst", 64, 8)
 		e0.RemoteBuf = dst.Base
 		w0.ProfStage = st
-		sys.K.Spawn("test", func(p *sim.Proc) {
-			tk := p.Task()
-			sys.Nodes[0].Prof.Calibrate(p, 100)
-			for i := 0; i < 50; i++ {
-				e0.PutShort(tk, 0, []byte{1})
-				for e0.InFlight() > 0 {
-					w0.Progress(tk)
-				}
-			}
-		})
+		posted := 0
+		simtest.Start(sys.K, "test",
+			func(tk *sim.Task) { sys.Nodes[0].Prof.Calibrate(tk, 100) },
+			simtest.While(func() bool { return posted < 50 },
+				putShort(e0, []byte{1}),
+				drain(w0, e0),
+				func(*sim.Task) { posted++ }),
+		)
 		sys.Run()
 		want := map[Stage]float64{
 			StMDSetup:    config.TabMDSetup,
@@ -272,18 +298,16 @@ func TestDeterminism(t *testing.T) {
 		dst := sys.Nodes[1].Mem.Alloc("dst", 64, 8)
 		e0.RemoteBuf = dst.Base
 		var end units.Time
-		sys.K.Spawn("test", func(p *sim.Proc) {
-			tk := p.Task()
-			for i := 0; i < 200; i++ {
-				for e0.PutShort(tk, 0, []byte{1}) == ErrNoResource {
-					w0.Progress(tk)
-				}
-			}
-			for e0.InFlight() > 0 {
-				w0.Progress(tk)
-			}
-			end = p.Now()
-		})
+		posted := 0
+		post := putShort(e0, []byte{1})
+		simtest.Start(sys.K, "test",
+			simtest.While(func() bool { return posted < 200 },
+				post,
+				simtest.While(func() bool { return e0.LastPost() == ErrNoResource }, w0.StartProgress, post),
+				func(*sim.Task) { posted++ }),
+			drain(w0, e0),
+			func(tk *sim.Task) { end = tk.Now() },
+		)
 		sys.Run()
 		return end
 	}

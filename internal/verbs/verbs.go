@@ -11,9 +11,8 @@
 // LLP_prog.
 //
 // The verbs data path is written as resumable sim.Frame state machines like
-// internal/uct: continuation tasks use the Start*/Last* forms, blocking
-// tasks (Proc.Task) the synchronous wrappers. One task drives a QP at a
-// time.
+// internal/uct: callers use the Start*/Last* forms. One task drives a QP at
+// a time.
 package verbs
 
 import (
@@ -185,13 +184,6 @@ func (q *QP) StartPostSend(t *sim.Task, wr *SendWR) {
 // frame.
 func (q *QP) LastPostSend() error { return q.lastPost }
 
-// PostSend is the synchronous form of StartPostSend for blocking tasks.
-func (q *QP) PostSend(t *sim.Task, wr *SendWR) error {
-	t.BlockingOnly("verbs.QP.PostSend")
-	q.StartPostSend(t, wr)
-	return q.lastPost
-}
-
 type sendFrame struct {
 	q      *QP
 	pc     int
@@ -312,13 +304,6 @@ func (q *QP) StartPostRecv(t *sim.Task, wr *RecvWR) {
 	t.Call(&q.recvF)
 }
 
-// PostRecv is the synchronous form of StartPostRecv for blocking tasks.
-func (q *QP) PostRecv(t *sim.Task, wr *RecvWR) error {
-	t.BlockingOnly("verbs.QP.PostRecv")
-	q.StartPostRecv(t, wr)
-	return nil
-}
-
 type recvFrame struct {
 	q  *QP
 	pc int
@@ -377,20 +362,6 @@ func (q *QP) LastPoll(recv bool) int {
 		return q.pollRecvF.n
 	}
 	return q.pollSendF.n
-}
-
-// PollSendCQ is the synchronous form of StartPollSendCQ for blocking tasks.
-func (q *QP) PollSendCQ(t *sim.Task, wcs []WC) int {
-	t.BlockingOnly("verbs.QP.PollSendCQ")
-	q.StartPollSendCQ(t, wcs)
-	return q.pollSendF.n
-}
-
-// PollRecvCQ is the synchronous form of StartPollRecvCQ for blocking tasks.
-func (q *QP) PollRecvCQ(t *sim.Task, wcs []WC) int {
-	t.BlockingOnly("verbs.QP.PollRecvCQ")
-	q.StartPollRecvCQ(t, wcs)
-	return q.pollRecvF.n
 }
 
 type pollFrame struct {

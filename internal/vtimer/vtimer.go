@@ -65,17 +65,16 @@ func (t *Timer) TicksToTime(ticks uint64) units.Time {
 	return units.Time(float64(ticks) * 1e12 / float64(t.freqHz))
 }
 
-// Read performs "isb; mrs cntvct_el0" plus sample recording from execution
-// context c (a goroutine Proc or a continuation Task): it advances virtual
-// time by the isb cost, samples the counter, then advances by the read/record
-// cost. The returned value is the counter at the instant between the two
-// costs, which is how back-to-back reads measure the infrastructure's own
-// overhead.
+// Read performs "isb; mrs cntvct_el0" plus sample recording from task c: it
+// advances virtual time by the isb cost, samples the counter, then advances
+// by the read/record cost. The returned value is the counter at the instant
+// between the two costs, which is how back-to-back reads measure the
+// infrastructure's own overhead.
 //
 // Both costs are pure delays and the counter is derived arithmetic over the
-// context's own clock, so Read uses the batched Advance API: profiling a
+// task's own clock, so Read uses the batched Advance API: profiling a
 // region costs simulated time but no suspensions at all.
-func (t *Timer) Read(c sim.Ctx) uint64 {
+func (t *Timer) Read(c *sim.Task) uint64 {
 	c.Advance(t.isb.Sample(t.r))
 	v := t.counterAt(c.Now())
 	c.Advance(t.read.Sample(t.r))

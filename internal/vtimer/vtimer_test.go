@@ -6,6 +6,7 @@ import (
 
 	"breakband/internal/rng"
 	"breakband/internal/sim"
+	"breakband/internal/simtest"
 	"breakband/internal/units"
 )
 
@@ -94,9 +95,9 @@ func TestReadCostsTime(t *testing.T) {
 	k := sim.NewKernel()
 	tm := newTimer(k, 1e12)
 	var v1, v2 uint64
-	k.Spawn("reader", func(p *sim.Proc) {
-		v1 = tm.Read(p)
-		v2 = tm.Read(p)
+	simtest.Start(k, "reader", func(tk *sim.Task) {
+		v1 = tm.Read(tk)
+		v2 = tm.Read(tk)
 	})
 	k.Run()
 	k.Shutdown()
