@@ -7,6 +7,11 @@
 // TLP-to-ACK round trips (the PCIe component), downstream-to-upstream deltas
 // (the Network component) and inbound-pong to outbound-ping deltas (the
 // RC-to-MEM component, Figure 9).
+//
+// The analyzer stores each capture in a packed 32-byte form, not as the
+// 56-byte public Record: a long capture then holds little more than half
+// the host memory. Every query expands the stored form back into the
+// Record it was captured as, so callers never see the difference.
 package analyzer
 
 import (
@@ -41,6 +46,30 @@ func (r Record) Kind() string {
 	return r.DLLPType.String()
 }
 
+// capture is the stored form of one Record, 32 bytes against the Record's
+// 56. A TLP's Seq and a DLLP's AckSeq share seq, and typ holds the
+// TLPType or the DLLPType as tlp says. The fields a Record leaves zero for
+// the other packet kind need no storage. A uint32 payload length holds up
+// to 4 GiB, far beyond the kilobyte payloads the simulator moves.
+type capture struct {
+	at      units.Time
+	addr    uint64
+	seq     uint64
+	payload uint32
+	dir     pcie.Dir
+	tlp     bool
+	typ     uint8
+}
+
+// record expands c into the Record it was captured as.
+func (c *capture) record() Record {
+	if c.tlp {
+		return Record{At: c.at, Dir: c.dir, IsTLP: true, TLPType: pcie.TLPType(c.typ),
+			Addr: c.addr, Payload: int(c.payload), Seq: c.seq}
+	}
+	return Record{At: c.at, Dir: c.dir, DLLPType: pcie.DLLPType(c.typ), AckSeq: c.seq}
+}
+
 // recChunk is the record count of one trace chunk. Chunked storage keeps
 // long captures append-cheap: a benchmark-length trace grows by adding
 // chunks instead of repeatedly re-copying one giant slice.
@@ -48,14 +77,14 @@ const recChunk = 4096
 
 // Analyzer is a passive trace recorder implementing pcie.Tap. Because link
 // packets are pooled (see the pcie package borrow contract), the analyzer
-// copies the fields it keeps into its own Records at observation time and
+// copies the fields it keeps into its own captures at observation time and
 // never retains the packets themselves.
 type Analyzer struct {
 	name string
 	// chunks hold the trace in capture order; chunks[:active] are full,
 	// chunks[active] is the append target. Cleared chunks keep their
 	// capacity for reuse.
-	chunks  [][]Record
+	chunks  [][]capture
 	active  int
 	n       int
 	enabled bool
@@ -64,7 +93,7 @@ type Analyzer struct {
 	// ring, when non-nil, switches capture into circular mode (SetRing):
 	// length grows to capacity, then ringHead marks the oldest record and
 	// new captures overwrite it.
-	ring        []Record
+	ring        []capture
 	ringHead    int
 	overwritten uint64
 }
@@ -113,7 +142,7 @@ func (a *Analyzer) Clear() {
 func (a *Analyzer) SetRing(n int) {
 	a.Clear()
 	if n > 0 {
-		a.ring = make([]Record, 0, n)
+		a.ring = make([]capture, 0, n)
 	} else {
 		a.ring = nil
 	}
@@ -126,26 +155,26 @@ func (a *Analyzer) Overwritten() uint64 { return a.overwritten }
 // Len reports the number of records currently held.
 func (a *Analyzer) Len() int { return a.n }
 
-// add appends one record to the trace: into the circular buffer in ring
+// add appends one capture to the trace: into the circular buffer in ring
 // mode, else onto the chunked store.
-func (a *Analyzer) add(r Record) {
+func (a *Analyzer) add(c capture) {
 	if a.ring != nil {
 		if len(a.ring) < cap(a.ring) {
-			a.ring = append(a.ring, r)
+			a.ring = append(a.ring, c)
 			a.n++
 			return
 		}
-		a.ring[a.ringHead] = r
+		a.ring[a.ringHead] = c
 		a.ringHead = (a.ringHead + 1) % cap(a.ring)
 		a.overwritten++
 		return
 	}
 	if a.active == len(a.chunks) {
-		a.chunks = append(a.chunks, make([]Record, 0, recChunk))
+		a.chunks = append(a.chunks, make([]capture, 0, recChunk))
 	}
-	c := append(a.chunks[a.active], r)
-	a.chunks[a.active] = c
-	if len(c) == recChunk {
+	chunk := append(a.chunks[a.active], c)
+	a.chunks[a.active] = chunk
+	if len(chunk) == recChunk {
 		a.active++
 	}
 	a.n++
@@ -156,16 +185,16 @@ func (a *Analyzer) add(r Record) {
 func (a *Analyzer) each(fn func(Record)) {
 	if a.ring != nil {
 		for i := a.ringHead; i < len(a.ring); i++ {
-			fn(a.ring[i])
+			fn(a.ring[i].record())
 		}
 		for i := 0; i < a.ringHead; i++ {
-			fn(a.ring[i])
+			fn(a.ring[i].record())
 		}
 		return
 	}
 	for _, c := range a.chunks {
 		for i := range c {
-			fn(c[i])
+			fn(c[i].record())
 		}
 	}
 }
@@ -176,9 +205,9 @@ func (a *Analyzer) ObserveTLP(at units.Time, dir pcie.Dir, t *pcie.TLP) {
 	if !a.enabled || a.full() {
 		return
 	}
-	a.add(Record{
-		At: at, Dir: dir, IsTLP: true,
-		TLPType: t.Type, Addr: t.Addr, Payload: t.PayloadBytes(), Seq: t.Seq,
+	a.add(capture{
+		at: at, dir: dir, tlp: true,
+		typ: uint8(t.Type), addr: t.Addr, payload: uint32(t.PayloadBytes()), seq: t.Seq,
 	})
 }
 
@@ -187,10 +216,7 @@ func (a *Analyzer) ObserveDLLP(at units.Time, dir pcie.Dir, d *pcie.DLLP) {
 	if !a.enabled || a.full() {
 		return
 	}
-	a.add(Record{
-		At: at, Dir: dir, IsTLP: false,
-		DLLPType: d.Type, AckSeq: d.AckSeq,
-	})
+	a.add(capture{at: at, dir: dir, typ: uint8(d.Type), seq: d.AckSeq})
 }
 
 // Records returns the captured trace in time order (capture order), as one

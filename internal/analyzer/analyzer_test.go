@@ -1,8 +1,10 @@
 package analyzer
 
 import (
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"breakband/internal/pcie"
 	"breakband/internal/units"
@@ -172,6 +174,104 @@ func TestRingDeltasAfterWrap(t *testing.T) {
 	}
 	if s.Min() != s.Max() {
 		t.Errorf("wrapped record order is not time order: deltas %v..%v", s.Min(), s.Max())
+	}
+}
+
+// packingTrace is one capture of every TLP and DLLP type in both
+// directions, carrying the values the stored form must keep without loss:
+// BAR addresses, 4 KiB payloads and sequence numbers above 2^32. feed
+// replays it into an analyzer; want is what Records must return.
+func packingTrace() (feed func(*Analyzer), want []Record) {
+	type obs struct {
+		tlp  *pcie.TLP
+		dllp *pcie.DLLP
+	}
+	var trace []obs
+	seq := uint64(1)<<32 + 7
+	for _, dir := range []pcie.Dir{pcie.Down, pcie.Up} {
+		addr := uint64(0x1040)
+		if dir == pcie.Down {
+			addr = pcie.BARBase + 0x840
+		}
+		for _, typ := range []pcie.TLPType{pcie.MWr, pcie.MRd, pcie.CplD} {
+			seq++
+			t := &pcie.TLP{Type: typ, Seq: seq, Addr: addr, ReadLen: 4096}
+			payload := 0
+			if typ != pcie.MRd {
+				t.Data = make([]byte, 4096)
+				payload = 4096
+			}
+			trace = append(trace, obs{tlp: t})
+			want = append(want, Record{Dir: dir, IsTLP: true, TLPType: typ, Addr: addr, Payload: payload, Seq: seq})
+		}
+		for _, typ := range []pcie.DLLPType{pcie.Ack, pcie.Nack, pcie.UpdateFC} {
+			seq++
+			d := &pcie.DLLP{Type: typ, AckSeq: seq, Kind: pcie.NonPosted, Credit: pcie.Credits{Hdr: 1, Data: 4}}
+			trace = append(trace, obs{dllp: d})
+			want = append(want, Record{Dir: dir, DLLPType: typ, AckSeq: seq})
+		}
+	}
+	for i := range want {
+		want[i].At = units.Nanoseconds(float64(100 * (i + 1)))
+	}
+	feed = func(a *Analyzer) {
+		for i, o := range trace {
+			if o.tlp != nil {
+				a.ObserveTLP(want[i].At, want[i].Dir, o.tlp)
+			} else {
+				a.ObserveDLLP(want[i].At, want[i].Dir, o.dllp)
+			}
+		}
+	}
+	return feed, want
+}
+
+// keep returns the records of rs that match f.
+func keep(rs []Record, f func(Record) bool) []Record {
+	var out []Record
+	for _, r := range rs {
+		if f(r) {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// TestStoredRecordsRoundTrip checks that the 32-byte stored form loses
+// nothing a Record carries: Records, Filter and TLPs return exactly the
+// records captured, from the chunked store and from a wrapped ring.
+func TestStoredRecordsRoundTrip(t *testing.T) {
+	if got := unsafe.Sizeof(capture{}); got != 32 {
+		t.Errorf("stored record is %d bytes, want 32", got)
+	}
+	feed, want := packingTrace()
+	chunked := New("chunked")
+	feed(chunked)
+	ring := New("ring")
+	ring.SetRing(len(want))
+	for i := 0; i < len(want)/2+1; i++ {
+		ring.ObserveTLP(units.Time(i), pcie.Down, tlp(pcie.MWr, uint64(i), 8, 0))
+	}
+	feed(ring)
+	if ring.Overwritten() == 0 {
+		t.Fatal("ring did not wrap")
+	}
+	isDLLP := func(r Record) bool { return !r.IsTLP }
+	for _, a := range []*Analyzer{chunked, ring} {
+		if got := a.Records(); !slices.Equal(got, want) {
+			t.Errorf("%s: Records() =\n%+v\nwant\n%+v", a.Name(), got, want)
+		}
+		if got := a.Filter(isDLLP); !slices.Equal(got, keep(want, isDLLP)) {
+			t.Errorf("%s: Filter(DLLPs) = %+v", a.Name(), got)
+		}
+		for _, dir := range []pcie.Dir{pcie.Down, pcie.Up} {
+			for _, typ := range []pcie.TLPType{pcie.MWr, pcie.MRd, pcie.CplD} {
+				match := func(r Record) bool { return r.IsTLP && r.Dir == dir && r.TLPType == typ }
+				if got := a.TLPs(dir, typ, 0, 0); !slices.Equal(got, keep(want, match)) {
+					t.Errorf("%s: TLPs(%v, %v) = %+v", a.Name(), dir, typ, got)
+				}
+			}
+		}
 	}
 }
 

@@ -7,6 +7,10 @@
 // RC-to-MEM latency; CPU stores commit at the executing task's current time),
 // and a read simply observes the bytes committed so far — which is exactly
 // the memory-consistency behaviour a single coherent host memory provides.
+//
+// The host memory a Memory costs follows the bytes a run writes, not the
+// span its regions cover: the backing is a table of 4 KiB pages, each
+// allocated on its first write.
 package memsim
 
 import (
@@ -33,17 +37,30 @@ func (r Region) Contains(addr uint64, n int) bool {
 	return uint64(n) <= r.Size-(addr-r.Base)
 }
 
+// The backing is split into 4 KiB pages.
+const (
+	pageShift = 12
+	pageSize  = 1 << pageShift
+	pageMask  = pageSize - 1
+)
+
+// page is one 4 KiB unit of backing.
+type page = [pageSize]byte
+
 // Memory is one node's DRAM plus its allocation bookkeeping.
 //
-// The backing store is lazy: a fresh Memory owns no buffer, and the buffer
-// grows geometrically as writes land. Addresses past the backing read as
-// zeros, exactly like untouched DRAM. Regions are bump-allocated from zero,
-// so the backing stays a tiny fraction of the modelled DRAM size — which is
-// what lets the measurement campaign build hundreds of fresh systems
-// without cycling gigabytes through the allocator.
+// The backing store is sparse: pages[addr>>12] backs the 4 KiB page that
+// holds addr. A fresh Memory owns no table and no pages. A write allocates
+// each page it touches for the first time and grows the table only as far
+// as the highest page written. A nil page, or an index past the table,
+// reads as zeros, exactly like untouched DRAM. So a node costs the host the
+// pages its run writes, not the span of its regions — which is what lets
+// the measurement campaign build hundreds of fresh systems, and a fat-tree
+// run hand out thousands of 4 KiB buffer slots, without cycling that span
+// through the allocator.
 type Memory struct {
 	size    uint64
-	buf     []byte // lazily grown; [len(buf), size) reads as zeros
+	pages   []*page // nil entries and indexes past len(pages) read as zeros
 	next    uint64
 	regions []Region
 	// writes counts committed store operations, a cheap invariant hook for
@@ -61,6 +78,18 @@ func (m *Memory) Size() uint64 { return m.size }
 
 // Writes reports the number of committed store operations.
 func (m *Memory) Writes() uint64 { return m.writes }
+
+// Resident reports the host bytes backing the memory: 4 KiB for every page
+// a write has touched.
+func (m *Memory) Resident() uint64 {
+	var n uint64
+	for _, p := range m.pages {
+		if p != nil {
+			n += pageSize
+		}
+	}
+	return n
+}
 
 // Alloc carves out a region of n bytes aligned to align (a power of two).
 func (m *Memory) Alloc(name string, n, align uint64) Region {
@@ -94,40 +123,35 @@ func (m *Memory) check(addr uint64, n int, op string) {
 	}
 }
 
-// ensure grows the backing store to cover [0, end). The caller must have
-// bounds-checked end (end <= m.size): ensure doubles geometrically from 4
-// KiB and clamps the growth to the memory size, which can only stay >= end
-// — never clamp below a legal request — because end itself is bounded by
-// the size. The explicit guard converts any future violation of that
-// contract into a panic instead of a silent short buffer.
-func (m *Memory) ensure(end uint64) {
-	if end <= uint64(len(m.buf)) {
-		return
+// pageAt returns page i, allocating it, and growing the table to reach it,
+// on first use. Callers pass only pages of bounds-checked bytes, so the
+// table never outgrows the memory size.
+func (m *Memory) pageAt(i uint64) *page {
+	if i >= uint64(len(m.pages)) {
+		m.pages = append(m.pages, make([]*page, i+1-uint64(len(m.pages)))...)
 	}
-	grown := uint64(4096)
-	for grown < end {
-		grown *= 2
+	p := m.pages[i]
+	if p == nil {
+		p = new(page)
+		m.pages[i] = p
 	}
-	if grown > m.size {
-		grown = m.size
-	}
-	if grown < end {
-		panic(fmt.Sprintf("memsim: ensure(%d) beyond memory size %d (missing bounds check?)", end, m.size))
-	}
-	nb := make([]byte, grown)
-	copy(nb, m.buf)
-	m.buf = nb
+	return p
 }
 
-// readAt copies the bytes at addr into dst, treating addresses past the
-// backing store as zeros.
+// readAt copies the bytes at addr into dst one page at a time, treating
+// unwritten pages as zeros.
 func (m *Memory) readAt(addr uint64, dst []byte) {
-	var n int
-	if addr < uint64(len(m.buf)) {
-		n = copy(dst, m.buf[addr:])
-	}
-	for i := n; i < len(dst); i++ {
-		dst[i] = 0
+	for len(dst) > 0 {
+		i, off := addr>>pageShift, addr&pageMask
+		var n int
+		if i < uint64(len(m.pages)) && m.pages[i] != nil {
+			n = copy(dst, m.pages[i][off:])
+		} else {
+			n = min(len(dst), int(pageSize-off))
+			clear(dst[:n])
+		}
+		dst = dst[n:]
+		addr += uint64(n)
 	}
 }
 
@@ -135,8 +159,11 @@ func (m *Memory) readAt(addr uint64, dst []byte) {
 // time).
 func (m *Memory) Write(addr uint64, data []byte) {
 	m.check(addr, len(data), "write")
-	m.ensure(addr + uint64(len(data)))
-	copy(m.buf[addr:], data)
+	for len(data) > 0 {
+		n := copy(m.pageAt(addr >> pageShift)[addr&pageMask:], data)
+		data = data[n:]
+		addr += uint64(n)
+	}
 	m.writes++
 }
 

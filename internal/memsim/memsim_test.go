@@ -2,6 +2,7 @@ package memsim
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
@@ -144,8 +145,8 @@ func TestLazyBackingReadsZeros(t *testing.T) {
 
 func TestLazyBackingGrowsAcrossBoundary(t *testing.T) {
 	m := New(1 << 20)
-	// A write spanning far past the initial backing commits fully and
-	// reads back, with untouched neighbours still zero.
+	// A write far above address zero commits fully and reads back, with
+	// untouched neighbours still zero.
 	data := bytes.Repeat([]byte{0xab}, 100)
 	m.Write(99_000, data)
 	if got := m.Read(99_000, 100); !bytes.Equal(got, data) {
@@ -249,20 +250,134 @@ func TestAllocOverflowPanics(t *testing.T) {
 	m.Alloc("huge", math.MaxUint64-16, 64)
 }
 
-// TestEnsureClampNearTop exercises the ensure clamp-vs-end interaction: a
-// legal write near the top of a non-power-of-two memory makes the doubling
-// loop overshoot the size; the clamp must never land below the requested
-// end. The geometry here (size 10000, doubling hits 16384 > size > end)
-// walks exactly that path.
-func TestEnsureClampNearTop(t *testing.T) {
+// TestPageBoundaries pins the page table at its edges, on a memory whose
+// size (10000 bytes: two pages and part of a third) is not page-aligned.
+// A write straddling a page boundary and a write ending on the last byte of
+// memory read back intact, the unwritten rest of a touched page reads as
+// zeros, and only touched pages become resident. Reading untouched pages
+// and a zero-length write at Size() allocate nothing at all.
+func TestPageBoundaries(t *testing.T) {
 	m := New(10000)
-	payload := []byte{0xde, 0xad, 0xbe, 0xef}
-	m.Write(9996, payload) // end=10000: grown 4096->8192->16384, clamped to 10000
-	if !bytes.Equal(m.Read(9996, 4), payload) {
-		t.Error("write near the top of memory lost after clamped growth")
+	straddle := bytes.Repeat([]byte{0x5a}, 12)
+	m.Write(pageSize-6, straddle)
+	if got := m.Read(pageSize-6, 12); !bytes.Equal(got, straddle) {
+		t.Errorf("page-straddling write read back %v", got)
 	}
-	// The backing must have grown to exactly the clamp, not the overshoot.
-	if got := m.Read(9000, 4); !bytes.Equal(got, []byte{0, 0, 0, 0}) {
-		t.Errorf("untouched bytes below the write read %v, want zeros", got)
+	if got := m.Resident(); got != 2*pageSize {
+		t.Errorf("resident %d bytes after a two-page write, want %d", got, 2*pageSize)
 	}
+	top := []byte{0xde, 0xad, 0xbe, 0xef}
+	m.Write(9996, top)
+	if got := m.Read(9996, 4); !bytes.Equal(got, top) {
+		t.Errorf("write ending on the last byte read back %v", got)
+	}
+	if got := m.Resident(); got != 3*pageSize {
+		t.Errorf("resident %d bytes after touching the partial top page, want %d", got, 3*pageSize)
+	}
+	want := make([]byte, 10000)
+	copy(want[pageSize-6:], straddle)
+	copy(want[9996:], top)
+	if got := m.Read(0, 10000); !bytes.Equal(got, want) {
+		t.Error("a read across all three pages differs from the two writes over zeros")
+	}
+
+	idle := New(1 << 20)
+	dst := make([]byte, 3*pageSize)
+	if n := testing.AllocsPerRun(100, func() { idle.ReadInto(pageSize/2, dst) }); n != 0 {
+		t.Errorf("ReadInto over untouched pages allocates %v times per call", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { idle.Write(1<<20, nil) }); n != 0 {
+		t.Errorf("zero-length Write at Size() allocates %v times per call", n)
+	}
+	if got := idle.Resident(); got != 0 {
+		t.Errorf("reads and a zero-length write left %d bytes resident", got)
+	}
+}
+
+// fuzzSize is FuzzMemory's memory size: four pages and part of a fifth, so
+// the top of memory is not page-aligned.
+const fuzzSize = 4*pageSize + 100
+
+// fuzzAnchors are the addresses fuzzed accesses start near: every page
+// boundary inside the memory, and its size.
+var fuzzAnchors = [...]uint64{0, pageSize, 2 * pageSize, 3 * pageSize, 4 * pageSize, fuzzSize}
+
+// fuzzOp encodes one FuzzMemory call: kind picks Write, ReadInto or Read,
+// the address is fuzzAnchors[anchor]+delta, and n is the length.
+func fuzzOp(kind, anchor byte, delta int8, n uint16) []byte {
+	return []byte{kind, anchor, byte(delta), byte(n), byte(n >> 8)}
+}
+
+// panics reports whether f panicked.
+func panics(f func()) (p bool) {
+	defer func() { p = recover() != nil }()
+	f()
+	return false
+}
+
+// FuzzMemory checks the paged memory against a flat reference: one dense
+// byte slice as large as the memory. Every call must read the same bytes
+// as the reference, and panic exactly when slicing the reference panics.
+// After every call only the pages written so far are resident.
+func FuzzMemory(f *testing.F) {
+	f.Add(fuzzOp(0, 1, -10, 100))                            // a page-straddling write
+	f.Add(fuzzOp(0, 5, -16, 16))                             // a write ending on the last byte of memory
+	f.Add(append(fuzzOp(0, 5, 0, 0), fuzzOp(1, 5, 0, 0)...)) // a zero-length write, then read, at Size()
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		m := New(fuzzSize)
+		ref := make([]byte, fuzzSize)
+		touched := map[uint64]bool{}
+		var writes uint64
+		for step := 0; len(ops) >= 5 && step < 64; step++ {
+			kind := ops[0] % 3
+			addr := fuzzAnchors[int(ops[1])%len(fuzzAnchors)] + uint64(int64(int8(ops[2])))
+			n := int(binary.LittleEndian.Uint16(ops[3:5])) % (2*pageSize + 1)
+			ops = ops[5:]
+			end := addr + uint64(n)
+			var got, want []byte
+			var gotPanic, wantPanic bool
+			switch kind {
+			case 0:
+				data := make([]byte, n)
+				for i := range data {
+					data[i] = byte((step+i)%255 + 1)
+				}
+				gotPanic = panics(func() { m.Write(addr, data) })
+				wantPanic = panics(func() { copy(ref[addr:end], data) })
+				if !wantPanic {
+					writes++
+					for p := addr >> pageShift; n > 0 && p <= (end-1)>>pageShift; p++ {
+						touched[p] = true
+					}
+				}
+			case 1:
+				got = bytes.Repeat([]byte{0xa5}, n)
+				gotPanic = panics(func() { m.ReadInto(addr, got) })
+				wantPanic = panics(func() { want = ref[addr:end] })
+			case 2:
+				gotPanic = panics(func() { got = m.Read(addr, n) })
+				wantPanic = panics(func() { want = ref[addr:end] })
+			}
+			if gotPanic != wantPanic {
+				t.Fatalf("step %d: op %d at %#x len %d: panicked %v, reference panicked %v", step, kind, addr, n, gotPanic, wantPanic)
+			}
+			if kind != 0 && !gotPanic && !bytes.Equal(got, want) {
+				i := 0
+				for i < len(got) && i < len(want) && got[i] == want[i] {
+					i++
+				}
+				t.Fatalf("step %d: op %d at %#x len %d returned %d bytes, first differing from the reference at offset %d",
+					step, kind, addr, n, len(got), i)
+			}
+			if m.Writes() != writes {
+				t.Fatalf("step %d: %d writes counted, want %d", step, m.Writes(), writes)
+			}
+			if got, want := m.Resident(), uint64(len(touched))*pageSize; got != want {
+				t.Fatalf("step %d: resident %d bytes, want %d for %d written pages", step, got, want, len(touched))
+			}
+		}
+		if !bytes.Equal(m.Read(0, fuzzSize), ref) {
+			t.Fatal("memory contents differ from the reference")
+		}
+	})
 }

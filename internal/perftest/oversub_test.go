@@ -116,6 +116,32 @@ func TestOversubscribedBudgetOneLockstep(t *testing.T) {
 	}
 }
 
+// TestOversubscribedResidentBytes measures host bytes per node on the
+// 8-node fat-tree incast. The endpoints allocate a 4 KiB staging slot per
+// send-queue entry and 64 receive slots each, but a run writes only the
+// slots it cycles through, the rings and the doorbell records, so the
+// resident pages must stay below a quarter of the allocated span.
+func TestOversubscribedResidentBytes(t *testing.T) {
+	cfg := config.TX2CX4(config.NoiseOff, 1, true)
+	cfg.Topology = topo.Spec{Kind: topo.FatTree}
+	cfg.NICRxBudget = 8
+	sys := node.NewSystem(cfg, 8)
+	defer sys.Shutdown()
+	OversubscribedPutBw(sys, 7, Options{Iters: 200, Warmup: 20, MsgSize: 4096})
+	var resident, span uint64
+	for _, nd := range sys.Nodes {
+		resident += nd.Mem.Resident()
+		if regs := nd.Mem.Regions(); len(regs) > 0 {
+			span += regs[len(regs)-1].End()
+		}
+	}
+	t.Logf("resident %d B of a %d B allocated span over %d nodes (%d B/node)",
+		resident, span, len(sys.Nodes), resident/uint64(len(sys.Nodes)))
+	if resident == 0 || resident >= span/4 {
+		t.Errorf("resident %d B, want nonzero and below a quarter of the %d B allocated span", resident, span)
+	}
+}
+
 // TestOversubscribedDeterministic pins run-to-run determinism of the
 // NAK/retry machinery (backoff timers ride the ordinary event queue).
 func TestOversubscribedDeterministic(t *testing.T) {

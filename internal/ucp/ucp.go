@@ -22,6 +22,7 @@ package ucp
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"breakband/internal/config"
 	"breakband/internal/profile"
@@ -254,7 +255,7 @@ func (w *Worker) TagRecvNB(t *sim.Task, tag uint64, cb Callback) *Request {
 	// Check the unexpected queue first.
 	for i, m := range w.unexpected {
 		if m.tag == tag {
-			w.unexpected = append(w.unexpected[:i], w.unexpected[i+1:]...)
+			w.unexpected = slices.Delete(w.unexpected, i, i+1)
 			w.completeRecv(t, req, m.data)
 			return req
 		}
@@ -348,7 +349,7 @@ func (w *Worker) onSendComplete(t *sim.Task, ep *uct.Ep, n int, err error) {
 				continue
 			}
 			req := w.inflight[i].req
-			w.inflight = append(w.inflight[:i], w.inflight[i+1:]...)
+			w.inflight = slices.Delete(w.inflight, i, i+1)
 			n--
 			w.failSend(t, req, err)
 		}
@@ -388,7 +389,7 @@ func (w *Worker) failSend(t *sim.Task, req *Request, err error) {
 func (w *Worker) CancelRecv(t *sim.Task, req *Request, err error) bool {
 	for i, q := range w.expected {
 		if q == req {
-			w.expected = append(w.expected[:i], w.expected[i+1:]...)
+			w.expected = slices.Delete(w.expected, i, i+1)
 			req.err = err
 			req.completed = true
 			w.Stats.RecvFailures++
@@ -410,7 +411,7 @@ func (w *Worker) onEager(t *sim.Task, payload []byte) {
 	data := append([]byte(nil), payload[tagHeaderBytes:]...)
 	for i, req := range w.expected {
 		if req.tag == tag {
-			w.expected = append(w.expected[:i], w.expected[i+1:]...)
+			w.expected = slices.Delete(w.expected, i, i+1)
 			w.completeRecv(t, req, data)
 			return
 		}

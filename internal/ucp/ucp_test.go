@@ -2,6 +2,7 @@ package ucp
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"breakband/internal/config"
@@ -187,6 +188,36 @@ func TestEagerSizeLimit(t *testing.T) {
 			}
 		},
 	)
+	sys.Run()
+}
+
+// TestQueueDeletesClearVacatedSlot pins that matching or cancelling a
+// queued entry leaves no copy of it in the backing array past the queue's
+// length, where it would keep a delivered payload or a finished request
+// reachable until a later append overwrote the slot.
+func TestQueueDeletesClearVacatedSlot(t *testing.T) {
+	sys, _, w1, _, _ := harness(t, 1)
+	defer sys.Shutdown()
+	simtest.Start(sys.K, "rx", func(tk *sim.Task) {
+		w1.unexpected = append(w1.unexpected, unexpMsg{tag: 1, data: []byte{1}}, unexpMsg{tag: 2, data: []byte{2}})
+		w1.TagRecvNB(tk, 1, nil)
+		if tail := w1.unexpected[:2][1]; tail.data != nil {
+			t.Errorf("TagRecvNB left unexpected message %d's payload past the queue", tail.tag)
+		}
+		w1.TagRecvNB(tk, 3, nil)
+		w1.TagRecvNB(tk, 4, nil)
+		w1.onEager(tk, encodeEager(3, []byte{3}))
+		if tail := w1.expected[:2][1]; tail != nil {
+			t.Errorf("onEager left the matched request for tag %d past the queue", tail.tag)
+		}
+		w1.TagRecvNB(tk, 5, nil)
+		if !w1.CancelRecv(tk, w1.expected[0], errors.New("peer failed")) {
+			t.Fatal("CancelRecv did not find the posted receive")
+		}
+		if tail := w1.expected[:2][1]; tail != nil {
+			t.Errorf("CancelRecv left the cancelled request for tag %d past the queue", tail.tag)
+		}
+	})
 	sys.Run()
 }
 
