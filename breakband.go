@@ -101,7 +101,8 @@ func (o Options) NewSystem() *node.System {
 // packages for fat-trees) with every NIC's receive pend budget set to
 // rxBudget (0 = unbounded) — the entry point for the congestion scenarios
 // in internal/perftest (incast, all-to-all, oversubscribed). See
-// ARCHITECTURE.md's scenario catalog.
+// ARCHITECTURE.md's scenario catalog. DirectCable cables exactly two nodes
+// back to back, so with it set any n other than 2 panics, as n < 2 does.
 func (o Options) NewNodeSystem(n, rxBudget int) *node.System {
 	cfg := o.configMaker()()
 	cfg.NICRxBudget = rxBudget

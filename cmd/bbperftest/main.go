@@ -11,6 +11,9 @@
 //
 //	bbperftest put_bw                 # single-core RDMA-write injection
 //	bbperftest -iters 5000 am_lat     # send-receive latency
+//	bbperftest -topology backtoback am_lat
+//	                                  # the two NICs cabled directly, no
+//	                                  # switch (the paper's Wire-only path)
 //	bbperftest -mode doorbell-gather am_lat
 //	bbperftest -cores 16 multi        # concurrent injectors, one QP each
 //	bbperftest -cores 64 sweep        # multi-core scaling sweep, one fresh
@@ -82,10 +85,9 @@ var (
 	flagMode     = flag.String("mode", "pio-inline", "descriptor path: pio-inline, doorbell-inline, doorbell-gather")
 	flagNoise    = flag.Bool("noise", false, "enable the stochastic timing model")
 	flagSeed     = flag.Uint64("seed", 1, "random seed")
-	flagDirect   = flag.Bool("direct", false, "no switch between the NICs")
 	flagCores    = flag.Int("cores", 4, "injecting cores for the multi test (sweep: largest core count)")
 	flagParallel = flag.Int("parallel", 0, "sweep worker pool (0 = GOMAXPROCS, 1 = serial)")
-	flagTopology = flag.String("topology", "auto", "fabric shape: auto, backtoback, switch, fattree")
+	flagTopology = flag.String("topology", "auto", "fabric shape: auto (a single switch), backtoback (2 nodes, no switch), switch, fattree")
 	flagNodes    = flag.Int("nodes", 0, "system size (0 = 2 nodes, or 5 for incast / 8 for alltoall)")
 	flagRadix    = flag.Int("radix", 0, "fat-tree switch radix (0 = smallest that fits)")
 	flagCredits  = flag.Int("credits", 0, "per-link credit budget in frames (0 = default)")
@@ -153,12 +155,12 @@ func main() {
 		rxBudget = 8
 	}
 	spec := topo.Spec{Kind: kind, Radix: *flagRadix, Credits: *flagCredits}
-	if err := spec.Validate(config.TX2CX4(noise, *flagSeed, !*flagDirect).Fabric, nodes); err != nil {
+	if err := spec.Validate(nodes); err != nil {
 		fmt.Fprintln(os.Stderr, "bbperftest:", err)
 		os.Exit(2)
 	}
 	mkCfg := func() *config.Config {
-		cfg := config.TX2CX4(noise, *flagSeed, !*flagDirect)
+		cfg := config.TX2CX4(noise, *flagSeed, true)
 		cfg.Topology = spec
 		cfg.NICRxBudget = rxBudget
 		if *flagTrace != "" || test == "saturate" {
@@ -363,7 +365,7 @@ func main() {
 			seeds[i] = *flagSeed + uint64(i)
 		}
 		failed := 0
-		for _, res := range perftest.ChaosLadder(config.TX2CX4(noise, *flagSeed, !*flagDirect), seeds, perftest.ChaosOptions{}) {
+		for _, res := range perftest.ChaosLadder(config.TX2CX4(noise, *flagSeed, true), seeds, perftest.ChaosOptions{}) {
 			fmt.Println(res)
 			if !res.Passed() {
 				failed++

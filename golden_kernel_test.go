@@ -41,8 +41,8 @@ import (
 // The incast_* and alltoall_* entries pin the N-node congestion scenarios
 // added with the internal/topo layer (PR 4); the pre-existing two-node
 // entries were untouched by that change — the two-endpoint path routes
-// through topo's calibrated ideal tier, which reproduces fabric.Network
-// exactly.
+// through topo's calibrated ideal tier, which reproduces the two-endpoint
+// model exactly (TestIdealTierMatchesNetwork checks it in closed form).
 //
 // The incast_* entries were re-captured when receiver-side backpressure
 // landed (PR 5): the NIC now defers a delivered frame's release until its

@@ -30,7 +30,7 @@
 //     steady-state traffic allocation-free: payload capacity survives
 //     recycling.
 //   - Accounting: InUse = allocated − released. Pool-owning components
-//     surface it (Link.InUsePackets, Network/Fabric.InUseFrames) and
+//     surface it (Link.InUsePackets, Fabric.InUseFrames) and
 //     tests assert it returns to zero — a leaked borrow is a test
 //     failure, not silent pool growth.
 //   - Release hooks: SetOnRelease runs just before a slot recycles, with

@@ -208,11 +208,11 @@ type Config struct {
 	Fabric fabric.Config
 	NIC    nic.Config
 
-	// Topology selects the compiled fabric shape for N-node systems (see
-	// internal/topo). The zero Spec is Auto: two nodes reproduce the
-	// paper's calibrated two-endpoint path exactly (back-to-back or
-	// single switch per Fabric.UseSwitch); more nodes share a single
-	// switch with contended ports.
+	// Topology selects the compiled fabric shape (see internal/topo), and
+	// with it whether the two-node path crosses a switch. The zero Spec is
+	// Auto, a single switch: two nodes get the paper's calibrated switched
+	// path, more nodes share the switch's contended ports. TX2CX4 without
+	// a switch sets BackToBack.
 	Topology topo.Spec
 
 	// NICRxBudget bounds every NIC's receive-side pend buffering: the
@@ -262,8 +262,9 @@ func dist(noise NoiseLevel, ns, cv float64) rng.Dist {
 }
 
 // TX2CX4 returns the calibrated ThunderX2 + ConnectX-4 + EDR InfiniBand
-// configuration. useSwitch selects the switched topology (the paper's main
-// numbers include the switch).
+// configuration. useSwitch keeps the default single-switch topology (the
+// paper's main numbers include the switch); without it the two nodes are
+// cabled back to back (Topology.Kind = topo.BackToBack).
 func TX2CX4(noise NoiseLevel, seed uint64, useSwitch bool) *Config {
 	c := &Config{Seed: seed, Noise: noise, MemBytes: 256 << 20}
 
@@ -376,7 +377,6 @@ func TX2CX4(noise NoiseLevel, seed uint64, useSwitch bool) *Config {
 	// Solve WireProp so the measured no-switch value equals Table 1's
 	// Wire (274.81 ns).
 	fab := fabric.DefaultConfig()
-	fab.UseSwitch = useSwitch
 	fab.SwitchLatency = units.Nanoseconds(TabSwitch)
 	dataSerNs := float64(8+fab.FrameOverhead) * float64(fab.WirePerByte) / 1000
 	ackSerNs := float64(fab.FrameOverhead) * float64(fab.WirePerByte) / 1000
@@ -385,6 +385,9 @@ func TX2CX4(noise NoiseLevel, seed uint64, useSwitch bool) *Config {
 	c.Fabric = fab
 
 	c.NIC = nic.DefaultConfig()
+	if !useSwitch {
+		c.Topology.Kind = topo.BackToBack
+	}
 	return c
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"breakband/internal/rng"
+	"breakband/internal/topo"
 )
 
 func TestDerivedConstantsMatchPaper(t *testing.T) {
@@ -104,8 +105,8 @@ func TestWireCalibrationSolvesMethodology(t *testing.T) {
 func TestSwitchFlagged(t *testing.T) {
 	with := TX2CX4(NoiseOff, 1, true)
 	without := TX2CX4(NoiseOff, 1, false)
-	if !with.Fabric.UseSwitch || without.Fabric.UseSwitch {
-		t.Error("useSwitch flag not applied")
+	if with.Topology.Kind != topo.Auto || without.Topology.Kind != topo.BackToBack {
+		t.Errorf("useSwitch flag not applied: topology %v with, %v without", with.Topology.Kind, without.Topology.Kind)
 	}
 	if with.Fabric.SwitchLatency.Ns() != TabSwitch {
 		t.Errorf("switch latency = %v", with.Fabric.SwitchLatency.Ns())

@@ -1,26 +1,27 @@
-// Package fabric models the interconnect between NICs: the physical wire and
-// an optional store-and-forward switch (the paper's Network = Wire + Switch
-// decomposition), plus the transport-level acknowledgement that drives
-// completion generation on the initiator (paper §2 step 4).
+// Package fabric defines what travels between NICs and the wire it travels
+// on: the link-layer Frame with its pool and borrow contract, the transport
+// acknowledgement that drives completion generation on the initiator (paper
+// §2 step 4), and the wire and switch parameters of the paper's Network =
+// Wire + Switch decomposition (Config).
 //
 // # Pooled frames and the borrow contract
 //
-// Frames on the hot path are pooled: the Network owns a generation-checked
-// arena of value-typed frame slots, and the steady-state simulated-message
-// path recycles frames instead of allocating them. The rules mirror the
-// PCIe packet pool (see internal/pcie):
+// Frames on the hot path are pooled: the network owns a generation-checked
+// arena of value-typed frame slots (NewFrameArena), and the steady-state
+// simulated-message path recycles frames instead of allocating them. The
+// rules mirror the PCIe packet pool (see internal/pcie):
 //
-//   - The sending NIC allocates with Network.NewFrame, fills it (payload
-//     bytes go in via Frame.SetPayload, which copies into the slot's
-//     reusable buffer), and hands it to Send. The network owns the frame in
-//     flight.
+//   - The sending NIC allocates with the network's NewFrame, fills it
+//     (payload bytes go in via Frame.SetPayload, which copies into the
+//     slot's reusable buffer), and hands it to Send. The network owns the
+//     frame in flight.
 //   - Delivery transfers ownership to the Port: RxFrame must eventually
 //     call Frame.Release — synchronously, or from a later event if receive
 //     processing is deferred. The NIC exploits the deferred form for
 //     receiver backpressure: it releases a data frame only once the PCIe
 //     writes it generated have been issued, so a receiver drowning in
-//     overload keeps frames (and, on the topology fabric, their final-hop
-//     buffer credits) until its host link catches up.
+//     overload keeps frames (and, where links carry credits, their
+//     final-hop buffer credits) until its host link catches up.
 //   - Anything that wants to keep frame contents past its ownership window
 //     must copy them; Payload() aliases the pooled buffer.
 //
@@ -40,22 +41,19 @@
 // fields) rather than as boxed interface payloads, so a frame never drags
 // heap allocations behind it.
 //
-// # Delivery implementations
+// # Delivery
 //
-// NICs drive the fabric through the Deliverer interface. Network is the
-// paper's calibrated two-endpoint model (one wire, at most one ideal
-// switch); internal/topo provides the multi-switch implementation with
-// routing, per-output-port queueing and credit flow control for N-node
-// congestion scenarios. Both honour the same frame pool and borrow
-// contract.
+// This package defines only the frame, its pool and the wire parameters.
+// The one network that carries frames between NICs is internal/topo's
+// Fabric: a compiled topology with routing, per-output-port queueing and
+// credit flow control, whose two-host back-to-back and single-switch
+// shapes reduce to the paper's calibrated two-endpoint model.
 package fabric
 
 import (
 	"fmt"
 
 	"breakband/internal/arena"
-	"breakband/internal/faults"
-	"breakband/internal/sim"
 	"breakband/internal/units"
 )
 
@@ -166,10 +164,10 @@ type Frame struct {
 	// SetPayload.
 	payload []byte
 
-	// HopRef is delivery-implementation bookkeeping: internal/topo
-	// records the final-hop link (index+1; 0 = none) whose buffer credit
-	// a delivered frame occupies, returning the credit when the receiver
-	// releases the frame. Senders and receivers never touch it.
+	// HopRef is the network's bookkeeping: internal/topo records the
+	// final-hop link (index+1; 0 = none) whose buffer credit a delivered
+	// frame occupies, returning the credit when the receiver releases the
+	// frame. Senders and receivers never touch it.
 	HopRef int32
 
 	// RxPendWrites is receiver-side bookkeeping: the NIC counts the
@@ -201,8 +199,7 @@ type FrameRef = arena.Ref[Frame]
 func (f *Frame) Ref() FrameRef { return arena.MakeRef(f, &f.Slot) }
 
 // NewFrameArena builds a pool of value-typed frame slots (see
-// internal/arena). Delivery implementations (Network here, the topology
-// fabric in internal/topo) each own one.
+// internal/arena). The network (internal/topo's Fabric) owns one.
 func NewFrameArena() *arena.Arena[Frame] {
 	return arena.New(
 		func(f *Frame) *arena.Slot { return &f.Slot },
@@ -231,23 +228,18 @@ type Port interface {
 
 // Config parameterizes the fabric.
 type Config struct {
-	// WireProp is the one-way propagation time of one cable hop
-	// (calibrated so the paper's trace methodology measures its Wire
-	// value).
+	// WireProp is the total one-way cable propagation of the two-endpoint
+	// path (calibrated so the paper's trace methodology measures its Wire
+	// value). A switched path splits it over two cables of WireProp/2.
 	WireProp units.Time
 	// WirePerByte is the serialization cost per byte (~80 ps/B at
 	// 100 Gb/s).
 	WirePerByte units.Time
 	// FrameOverhead is per-frame header bytes (LRH/BTH-style).
 	FrameOverhead int
-	// SwitchLatency is the added forwarding latency of the switch.
+	// SwitchLatency is the added forwarding latency of the switch. Whether
+	// a path crosses a switch at all is the topology's choice (topo.Spec).
 	SwitchLatency units.Time
-	// UseSwitch selects the two-hop switched topology; otherwise NICs are
-	// cabled back to back (the paper measures both to isolate Switch).
-	UseSwitch bool
-	// AckTurnaround is the target NIC's delay before emitting the
-	// transport ACK.
-	AckTurnaround units.Time
 }
 
 // DefaultConfig returns an EDR-flavoured configuration.
@@ -257,237 +249,17 @@ func DefaultConfig() Config {
 		WirePerByte:   units.Time(80),
 		FrameOverhead: 30,
 		SwitchLatency: units.Nanoseconds(108),
-		UseSwitch:     true,
 	}
 }
 
 // SerTime reports the wire serialization time of a frame carrying b payload
 // bytes (header overhead included). It is the single source of the
-// serialization arithmetic shared by Send, OneWay and the internal/topo
-// switch ports, so the model and its calibration view cannot drift.
+// serialization arithmetic shared by every port of internal/topo and its
+// calibration view, so the model and the attribution cannot drift.
 func (c Config) SerTime(b int) units.Time {
 	return units.Time(b+c.FrameOverhead) * c.WirePerByte
 }
 
-// FlightTime reports the post-serialization flight time of the calibrated
-// two-endpoint path: the total cable propagation plus, when configured, the
-// ideal switch's forwarding latency.
-func (c Config) FlightTime() units.Time {
-	d := c.WireProp
-	if c.UseSwitch {
-		d += c.SwitchLatency
-	}
-	return d
-}
-
-// Deliverer is the delivery interface NICs drive: frame allocation from the
-// shared pool, transmission towards an attached port, and the transport-ACK
-// helpers. Network implements the paper's calibrated two-endpoint model;
-// internal/topo implements multi-switch topologies with port contention.
-type Deliverer interface {
-	// Attach registers port under NIC id (panics on duplicates).
-	Attach(id int, p Port)
-	// NewFrame allocates a pooled frame owned by the caller until Send.
-	NewFrame() *Frame
-	// Send transmits f from its Src towards its Dst.
-	Send(f *Frame)
-	// AckFor allocates the transport ACK answering the Data frame f. The
-	// caller may retag the returned frame as an RnrNak before sending it;
-	// both kinds ride the reverse path identically.
-	AckFor(f *Frame, info AckInfo) *Frame
-	// SendAck transmits a previously built ACK (or NAK) after the
-	// configured turnaround delay.
-	SendAck(ack *Frame)
-	// Config reports the wire/switch parameter set.
-	Config() Config
-	// InUseFrames reports live frame-pool slots (0 once every in-flight
-	// frame has been delivered and released — the leak check).
-	InUseFrames() int
-}
-
-// Network connects NIC ports. With a switch, each endpoint has its own cable
-// to the switch; the modelled WireProp is the *total* cable flight time
-// end-to-end (the paper's Wire), so each of the two hops contributes half.
-type Network struct {
-	k     *sim.Kernel
-	cfg   Config
-	ports map[int]Port
-	// busyUntil serializes each endpoint's egress, indexed by NIC id
-	// (ids are small and dense; grown on Attach).
-	busyUntil []units.Time
-	// Delivered counts frames by kind, a test hook.
-	Delivered [NumFrameKinds]uint64
-
-	frames *arena.Arena[Frame]
-
-	// flts holds per-egress fault state indexed by NIC id (nil entries —
-	// and a nil slice when no injector was adopted — cost one branch on
-	// the hot path and nothing else).
-	flts []*faults.Link
-
-	// Continuations, bound once so the per-frame path schedules events
-	// without allocating closures.
-	deliverFn func(any)
-	sendFn    func(any)
-}
-
-var _ Deliverer = (*Network)(nil)
-
-// New builds an empty network.
-func New(k *sim.Kernel, cfg Config) *Network {
-	n := &Network{
-		k:      k,
-		cfg:    cfg,
-		ports:  make(map[int]Port),
-		frames: NewFrameArena(),
-	}
-	n.deliverFn = func(a any) {
-		f := a.(*Frame)
-		if f.Corrupted {
-			// The CRC check at the destination port discards the frame
-			// before the NIC sees it; transport recovery takes over.
-			f.Release()
-			return
-		}
-		n.Delivered[f.Kind]++
-		n.ports[f.Dst].RxFrame(f)
-	}
-	n.sendFn = func(a any) { n.Send(a.(*Frame)) }
-	return n
-}
-
-// Config reports the fabric configuration.
-func (n *Network) Config() Config { return n.cfg }
-
-// Attach registers port under NIC id.
-func (n *Network) Attach(id int, p Port) {
-	if _, dup := n.ports[id]; dup {
-		panic(fmt.Sprintf("fabric: duplicate port id %d", id))
-	}
-	n.ports[id] = p
-	for len(n.busyUntil) <= id {
-		n.busyUntil = append(n.busyUntil, 0)
-	}
-}
-
-// NewFrame allocates a pooled frame owned by the caller until it is handed
-// to Send. Fields are zeroed and the payload is empty with its previous
-// capacity retained.
-func (n *Network) NewFrame() *Frame { return n.frames.Alloc() }
-
-// InUseFrames reports live frame-pool slots, the pool-leak check: it must
-// return to zero once every in-flight frame has been delivered and released.
-func (n *Network) InUseFrames() int { return n.frames.InUse() }
-
-// OneWay reports the modelled one-way latency for a frame of b payload
-// bytes, including switch forwarding when configured. Exposed for tests and
-// calibration solvers. It is Send's arrival arithmetic (SerTime +
-// FlightTime) applied to an idle egress.
-func (n *Network) OneWay(b int) units.Time {
-	return n.cfg.SerTime(b) + n.cfg.FlightTime()
-}
-
-// Send transmits f from its Src towards its Dst.
-func (n *Network) Send(f *Frame) {
-	if _, ok := n.ports[f.Dst]; !ok {
-		panic(fmt.Sprintf("fabric: no port %d", f.Dst))
-	}
-	if f.Src < 0 || f.Src >= len(n.busyUntil) {
-		panic(fmt.Sprintf("fabric: frame from unattached source port %d", f.Src))
-	}
-	// Egress serialization at the source NIC, then the shared one-way
-	// flight arithmetic (the same terms OneWay reports).
-	start := units.Max(n.k.Now(), n.busyUntil[f.Src])
-	txDone := start + n.cfg.SerTime(f.Bytes)
-	n.busyUntil[f.Src] = txDone
-	if n.flts != nil && f.Src < len(n.flts) {
-		if fl := n.flts[f.Src]; fl != nil {
-			switch fl.Decide() {
-			case faults.Drop:
-				// Lost on the wire: the egress still serialized it (the
-				// transmitter cannot know), but it never arrives.
-				f.Release()
-				return
-			case faults.Corrupt:
-				f.Corrupted = true
-			}
-		}
-	}
-	n.k.AtArg(txDone+n.cfg.FlightTime(), n.deliverFn, f)
-}
-
 // EgressName is the compiled port name of NIC id's injection egress — the
-// name fault schedules use, shared with internal/topo's host ports.
+// name fault schedules use for it on every topology.
 func EgressName(id int) string { return fmt.Sprintf("host%d.egress", id) }
-
-// InjectFaults adopts a fault injector: every attached egress gets its
-// per-link Bernoulli state, and scripted drops resolve against the
-// "host<N>.egress" names. The two-endpoint network has no redundant paths
-// or switch ports, so flap schedules (and scripted names it cannot
-// resolve) panic with the port named — the same contract as the attach
-// panics. Call after every NIC has attached.
-func (n *Network) InjectFaults(inj *faults.Injector) {
-	for _, name := range inj.ScriptPorts() {
-		if !n.egressKnown(name) {
-			panic(fmt.Sprintf("fabric: fault injection on unknown port %q (two-endpoint network has only host<N>.egress ports)", name))
-		}
-	}
-	if len(inj.Config().Flaps) > 0 {
-		panic(fmt.Sprintf("fabric: link flap on %q: the two-endpoint network has no redundant paths to fail over", inj.Config().Flaps[0].Port))
-	}
-	n.flts = make([]*faults.Link, len(n.busyUntil))
-	for id := range n.ports {
-		name := EgressName(id)
-		if inj.Bernoulli() || len(inj.FlapsFor(name)) > 0 || scripted(inj, name) {
-			n.flts[id] = inj.Link(name)
-		}
-	}
-}
-
-// egressKnown reports whether name is an attached NIC's egress.
-func (n *Network) egressKnown(name string) bool {
-	for id := range n.ports {
-		if EgressName(id) == name {
-			return true
-		}
-	}
-	return false
-}
-
-// scripted reports whether the injector's schedule names the port.
-func scripted(inj *faults.Injector, name string) bool {
-	for _, p := range inj.ScriptPorts() {
-		if p == name {
-			return true
-		}
-	}
-	return false
-}
-
-// AckFor allocates the transport-level acknowledgement frame answering the
-// received Data frame f. The caller transmits it with SendAck (possibly
-// after its own processing delay).
-func (n *Network) AckFor(f *Frame, info AckInfo) *Frame {
-	ack := n.frames.Alloc()
-	ack.Kind = TransportAck
-	ack.Src = f.Dst
-	ack.Dst = f.Src
-	ack.Ack = info
-	return ack
-}
-
-// SendAck transmits a previously built ACK frame after the configured
-// turnaround delay.
-func (n *Network) SendAck(ack *Frame) {
-	if n.cfg.AckTurnaround > 0 {
-		n.k.AfterArg(n.cfg.AckTurnaround, n.sendFn, ack)
-		return
-	}
-	n.Send(ack)
-}
-
-// Ack emits the transport-level acknowledgement for a received Data frame
-// back to its source.
-func (n *Network) Ack(f *Frame, info AckInfo) {
-	n.SendAck(n.AckFor(f, info))
-}

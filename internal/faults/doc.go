@@ -39,10 +39,9 @@
 // # Validation and the unrouted-port contract
 //
 // Config.Validate rejects rates outside [0,1] and flap schedules with
-// down >= up. Port names are resolved when a delivery layer adopts the
-// injector (topo.Fabric.InjectFaults / fabric.Network.InjectFaults): a
-// scripted drop or flap naming a port the compiled topology does not have
-// panics with the port named, the same contract as topo's attach panics —
-// a fault schedule that silently never fires is a test that silently
-// passes.
+// down >= up. Port names are resolved when the network adopts the
+// injector (topo.Fabric.InjectFaults): a scripted drop or flap naming a
+// port the compiled topology does not have panics with the port named, the
+// same contract as topo's attach panics — a fault schedule that silently
+// never fires is a test that silently passes.
 package faults

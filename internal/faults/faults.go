@@ -200,9 +200,9 @@ func (l *Link) CountFlap() { l.Flaps++ }
 func (l *Link) Sent() uint64 { return l.sent }
 
 // Injector compiles a validated Config against a seed into per-link
-// decision state. Delivery layers adopt it once at system build time
-// (topo.Fabric.InjectFaults / fabric.Network.InjectFaults) and then
-// consult the per-port Links on their transmit paths.
+// decision state. The network adopts it once at system build time
+// (topo.Fabric.InjectFaults) and then consults the per-port Links on its
+// transmit paths.
 type Injector struct {
 	seed  uint64
 	cfg   Config

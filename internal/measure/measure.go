@@ -37,6 +37,7 @@ import (
 	"breakband/internal/rng"
 	"breakband/internal/sim"
 	"breakband/internal/stats"
+	"breakband/internal/topo"
 	"breakband/internal/uct"
 	"breakband/internal/units"
 )
@@ -378,7 +379,7 @@ func networkFromTrace(tap *analyzer.Analyzer) *stats.Sample {
 func (s *state) measureWire() {
 	// Direct NIC-to-NIC cabling isolates the cable.
 	cfg := s.cfg("network/wire")
-	cfg.Fabric.UseSwitch = false
+	cfg.Topology.Kind = topo.BackToBack
 	sys := node.NewSystem(cfg, 2)
 	perftest.AmLat(sys, perftest.Options{Iters: s.o.Samples, Warmup: 50, ClearTrace: true})
 	wire := networkFromTrace(sys.Nodes[0].Tap)

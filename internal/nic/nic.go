@@ -68,6 +68,7 @@ import (
 	"breakband/internal/mlx"
 	"breakband/internal/pcie"
 	"breakband/internal/sim"
+	"breakband/internal/topo"
 	"breakband/internal/trace"
 	"breakband/internal/units"
 )
@@ -346,7 +347,7 @@ type NIC struct {
 	id   int
 	mem  *memsim.Memory
 	link *pcie.Link
-	net  fabric.Deliverer
+	net  *topo.Fabric
 	cfg  Config
 	// tr is the kernel's event tracer, captured at construction (nil when
 	// tracing is disabled — every emit site is behind one pointer test).
@@ -399,7 +400,6 @@ type NIC struct {
 	// timers schedule without closures.
 	txFrameFn    func(any)
 	rxFrameFn    func(any)
-	sendAckFn    func(any)
 	retransmitFn func(any)
 	ackTimeoutFn func(any)
 }
@@ -442,9 +442,8 @@ var (
 )
 
 // New creates a NIC with the given fabric identity, attaching it to the PCIe
-// link's endpoint side and to the network (any fabric.Deliverer: the
-// two-endpoint fabric.Network or a compiled internal/topo topology).
-func New(k *sim.Kernel, id int, mem *memsim.Memory, link *pcie.Link, net fabric.Deliverer, cfg Config) *NIC {
+// link's endpoint side and to the network, a compiled internal/topo fabric.
+func New(k *sim.Kernel, id int, mem *memsim.Memory, link *pcie.Link, net *topo.Fabric, cfg Config) *NIC {
 	if cfg.BARStride == 0 {
 		cfg.BARStride = 0x1000
 	}
@@ -471,7 +470,6 @@ func New(k *sim.Kernel, id int, mem *memsim.Memory, link *pcie.Link, net fabric.
 	}
 	n.txFrameFn = func(a any) { n.net.Send(a.(*fabric.Frame)) }
 	n.rxFrameFn = func(a any) { n.handleFrame(a.(*fabric.Frame)) }
-	n.sendAckFn = func(a any) { n.net.SendAck(a.(*fabric.Frame)) }
 	n.retransmitFn = func(a any) { n.retransmit(a.(*QP)) }
 	n.ackTimeoutFn = func(a any) { n.ackTimeout(a.(*QP)) }
 	link.SetEndpointSide(n)
@@ -1089,13 +1087,13 @@ func (n *NIC) rxData(f *fabric.Frame) (held bool) {
 }
 
 // emitAck transmits a built acknowledgement (ACK or NAK) frame after the
-// configured AckProcess delay.
+// configured AckProcess delay. Acks leave through Send, as data frames do.
 func (n *NIC) emitAck(ack *fabric.Frame) {
 	if n.cfg.AckProcess > 0 {
-		n.k.AfterArg(n.cfg.AckProcess, n.sendAckFn, ack)
+		n.k.AfterArg(n.cfg.AckProcess, n.txFrameFn, ack)
 		return
 	}
-	n.net.SendAck(ack)
+	n.net.Send(ack)
 }
 
 // traceDrop marks a delivered-but-discarded data frame's flight dead in the

@@ -10,21 +10,21 @@ import (
 	"breakband/internal/mlx"
 	"breakband/internal/pcie"
 	"breakband/internal/sim"
+	"breakband/internal/topo"
 	"breakband/internal/units"
 )
 
 // lossyRig is the two-NIC rig with a fault schedule compiled into the
-// back-to-back fabric and the reliability timers armed.
+// two-host switched fabric's egresses and the reliability timers armed.
 func lossyRig(t *testing.T, cfg Config, fcfg faults.Config) *rig {
 	t.Helper()
 	k := sim.NewKernel()
-	net := fabric.New(k, fabric.Config{
+	net := topo.NewFabric(k, fabric.Config{
 		WireProp:      units.Nanoseconds(270),
 		WirePerByte:   units.Time(80),
 		FrameOverhead: 30,
 		SwitchLatency: units.Nanoseconds(108),
-		UseSwitch:     true,
-	})
+	}, topo.Spec{Kind: topo.SingleSwitch}, 2)
 	linkCfg := pcie.DefaultLinkConfig()
 	rcCfg := pcie.RCConfig{
 		RCToMemBase:      units.Nanoseconds(240),
@@ -257,13 +257,12 @@ func TestTimeoutBackoffExponential(t *testing.T) {
 func TestAdaptiveRnrTimer(t *testing.T) {
 	run := func(advertised units.Time) units.Time {
 		k := sim.NewKernel()
-		net := fabric.New(k, fabric.Config{
+		net := topo.NewFabric(k, fabric.Config{
 			WireProp:      units.Nanoseconds(270),
 			WirePerByte:   units.Time(80),
 			FrameOverhead: 30,
 			SwitchLatency: units.Nanoseconds(108),
-			UseSwitch:     true,
-		})
+		}, topo.Spec{Kind: topo.SingleSwitch}, 2)
 		linkCfg := pcie.DefaultLinkConfig()
 		rcCfg := pcie.RCConfig{
 			RCToMemBase:      units.Nanoseconds(240),

@@ -10,6 +10,7 @@ import (
 	"breakband/internal/mlx"
 	"breakband/internal/pcie"
 	"breakband/internal/sim"
+	"breakband/internal/topo"
 	"breakband/internal/units"
 )
 
@@ -26,13 +27,12 @@ type rig struct {
 func newRig(t *testing.T) *rig {
 	t.Helper()
 	k := sim.NewKernel()
-	net := fabric.New(k, fabric.Config{
+	net := topo.NewFabric(k, fabric.Config{
 		WireProp:      units.Nanoseconds(270),
 		WirePerByte:   units.Time(80),
 		FrameOverhead: 30,
 		SwitchLatency: units.Nanoseconds(108),
-		UseSwitch:     true,
-	})
+	}, topo.Spec{Kind: topo.SingleSwitch}, 2)
 	linkCfg := pcie.DefaultLinkConfig()
 	rcCfg := pcie.RCConfig{
 		RCToMemBase:      units.Nanoseconds(240),
@@ -345,11 +345,11 @@ func TestRNRNakRacedWithInFlightFrames(t *testing.T) {
 func newBudgetRig(t *testing.T, budget int) *rig {
 	t.Helper()
 	k := sim.NewKernel()
-	net := fabric.New(k, fabric.Config{
+	net := topo.NewFabric(k, fabric.Config{
 		WireProp:      units.Nanoseconds(270),
 		WirePerByte:   units.Time(80),
 		FrameOverhead: 30,
-	})
+	}, topo.Spec{Kind: topo.BackToBack}, 2)
 	rcCfg := pcie.RCConfig{
 		RCToMemBase:      units.Nanoseconds(240),
 		RCToMemBaseBytes: 64,
@@ -426,11 +426,11 @@ func TestRxBudgetBoundsHeldFramesAndPend(t *testing.T) {
 // monopolizing the shared pend buffering.
 func TestRxBudgetPerQPIsolatesSiblingQP(t *testing.T) {
 	k := sim.NewKernel()
-	net := fabric.New(k, fabric.Config{
+	net := topo.NewFabric(k, fabric.Config{
 		WireProp:      units.Nanoseconds(270),
 		WirePerByte:   units.Time(80),
 		FrameOverhead: 30,
-	})
+	}, topo.Spec{Kind: topo.BackToBack}, 2)
 	rcCfg := pcie.RCConfig{
 		RCToMemBase:      units.Nanoseconds(240),
 		RCToMemBaseBytes: 64,
@@ -627,10 +627,10 @@ func TestDMATagExhaustionQueues(t *testing.T) {
 	// descriptor fetches are requested back to back.
 	const qps = 300
 	k := sim.NewKernel()
-	net := fabric.New(k, fabric.Config{
+	net := topo.NewFabric(k, fabric.Config{
 		WireProp:    units.Nanoseconds(270),
 		WirePerByte: units.Time(80),
-	})
+	}, topo.Spec{Kind: topo.BackToBack}, 2)
 	linkCfg := pcie.DefaultLinkConfig()
 	rcCfg := pcie.RCConfig{
 		RCToMemBase:      units.Nanoseconds(240),

@@ -12,7 +12,6 @@ import (
 
 	"breakband/internal/analyzer"
 	"breakband/internal/config"
-	"breakband/internal/fabric"
 	"breakband/internal/faults"
 	"breakband/internal/memsim"
 	"breakband/internal/nic"
@@ -44,9 +43,9 @@ type Node struct {
 type System struct {
 	K   *sim.Kernel
 	Cfg *config.Config
-	// Net is the delivery fabric — a compiled topo.Fabric (type-assert to
-	// *topo.Fabric for port/queue statistics).
-	Net   fabric.Deliverer
+	// Net is the network every NIC drives: the topology Config.Topology
+	// compiles to (port/queue statistics included).
+	Net   *topo.Fabric
 	Nodes []*Node
 	// Faults is the compiled fault injector, nil unless cfg.Faults enables
 	// anything (per-link counters for reports live here).
@@ -118,14 +117,14 @@ func (s *System) scheduleEndpointFaults() {
 	}
 }
 
-// Topo reports the system's compiled topology fabric.
-func (s *System) Topo() *topo.Fabric { return s.Net.(*topo.Fabric) }
+// Topo reports the system's compiled topology fabric, the same one as Net.
+func (s *System) Topo() *topo.Fabric { return s.Net }
 
 // Tracer reports the system's event tracer (nil when Config.TraceCapacity
 // is zero).
 func (s *System) Tracer() *trace.Tracer { return s.K.Tracer() }
 
-func newNode(k *sim.Kernel, net fabric.Deliverer, cfg *config.Config, id int) *Node {
+func newNode(k *sim.Kernel, net *topo.Fabric, cfg *config.Config, id int) *Node {
 	mem := memsim.New(cfg.MemBytes)
 	link := pcie.NewLink(k, cfg.Link)
 	link.SetTraceNode(id)

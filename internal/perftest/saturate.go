@@ -15,29 +15,18 @@ import (
 	"breakband/internal/units"
 )
 
-// NewCalib builds the stall-attribution calibration from the config the
-// system was compiled with. The formulas mirror the simulator's own
-// arithmetic term by term (topo link propagation is WireProp/2 per cable,
-// switch forwarding folds into every hop but the last, the NIC pipeline
-// delays bracket the fabric), so on an uncontended run every component but
-// Ideal attributes to exactly zero — the conservation tests pin this.
-func NewCalib(cfg *config.Config) trace.Calib {
-	fab := cfg.Fabric
-	txp := cfg.NIC.TxProcess
-	rxp := cfg.NIC.RxProcess
+// NewCalib builds the stall-attribution calibration for sys. The wire
+// term is the uncontended time of the fabric sys actually built
+// (topo.Fabric.UncontendedWire), and the NIC pipeline delays bracket it, so
+// on an uncontended run every component but Ideal attributes to exactly
+// zero — the conservation tests pin this.
+func NewCalib(sys *node.System) trace.Calib {
+	net := sys.Net
+	txp := sys.Cfg.NIC.TxProcess
+	rxp := sys.Cfg.NIC.RxProcess
 	return trace.Calib{
 		WireIdeal: func(bytes, hops int) units.Time {
-			if hops <= 1 {
-				// Ideal two-endpoint tier: one serialization plus the
-				// calibrated constant flight.
-				return txp + fab.SerTime(bytes) + fab.FlightTime()
-			}
-			// Compiled topology: every hop serializes onto its cable
-			// (flight WireProp/2); store-and-forward switching adds the
-			// forwarding latency on every hop except the final one into
-			// the destination host.
-			h := units.Time(hops)
-			return txp + h*fab.SerTime(bytes) + h*(fab.WireProp/2) + (h-1)*fab.SwitchLatency
+			return txp + net.UncontendedWire(bytes, hops)
 		},
 		// With PCIe credits available the delivered frame's MWr issues
 		// synchronously, so the uncontended receiver hold is the NIC
@@ -53,7 +42,7 @@ func StallReport(sys *node.System) *trace.Report {
 	if tr == nil {
 		return nil
 	}
-	return trace.Attribute(tr.Events(), NewCalib(sys.Cfg))
+	return trace.Attribute(tr.Events(), NewCalib(sys))
 }
 
 // SaturationBottleneck reports the predicted per-message service time at

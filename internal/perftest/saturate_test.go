@@ -38,26 +38,66 @@ func checkConservation(t *testing.T, sys *node.System, wantMsgs int) *trace.Repo
 	return rep
 }
 
-// TestConservationBackToBack pins the calibration on the ideal two-endpoint
-// tier: a put_bw run's latency decomposes into ideal wire time, egress
-// queueing from pipelined posting, and receiver PCIe pend — with no credit
-// stalls (the ideal tier has no credits) and no recovery components (no
-// faults), and zero residual.
-func TestConservationBackToBack(t *testing.T) {
+// TestConservationTwoNode pins the calibration on the ideal two-endpoint
+// tier for every way a configuration picks the two-node shape: the default
+// (Auto), a single switch chosen on a switchless TX2CX4 config, back-to-back
+// cabling chosen on a switched one, and TX2CX4 without a switch. The
+// topology kind alone decides the shape. Each put_bw and am_lat run must
+// decompose with zero residual, no credit stalls (the ideal tier has no
+// credits) and no recovery components (no faults). Uncontended, the whole
+// latency is the calibrated ideal, so a calibration that disagrees with the
+// built fabric about the switch shows as an ideal share off 1.
+func TestConservationTwoNode(t *testing.T) {
+	withKind := func(useSwitch bool, kind topo.Kind) func() *config.Config {
+		return func() *config.Config {
+			cfg := tracedConfig(useSwitch, 1<<16)
+			if kind != topo.Auto {
+				cfg.Topology.Kind = kind
+			}
+			return cfg
+		}
+	}
+	shapes := []struct {
+		name string
+		cfg  func() *config.Config
+	}{
+		{"auto", withKind(true, topo.Auto)},
+		{"switch_on_direct_config", withKind(false, topo.SingleSwitch)},
+		{"backtoback_on_switched_config", withKind(true, topo.BackToBack)},
+		{"direct_config", withKind(false, topo.Auto)},
+	}
 	opt := Options{Iters: 300, Warmup: 100, MsgSize: 8}
-	sys := node.NewSystem(tracedConfig(false, 1<<16), 2)
-	defer sys.Shutdown()
-	PutBw(sys, opt)
-
-	rep := checkConservation(t, sys, opt.Iters+opt.Warmup)
-	if rep.Stall != 0 {
-		t.Errorf("credit stall %v on the creditless ideal tier, want 0", rep.Stall)
+	benches := []struct {
+		name string
+		run  func(sys *node.System) (msgs int)
+	}{
+		{"put_bw", func(sys *node.System) int {
+			PutBw(sys, opt)
+			return opt.Iters + opt.Warmup
+		}},
+		// Every ping and every pong is one message.
+		{"am_lat", func(sys *node.System) int {
+			AmLat(sys, opt)
+			return 2 * (opt.Iters + opt.Warmup)
+		}},
 	}
-	if rep.Backoff != 0 || rep.Waste != 0 {
-		t.Errorf("recovery components (backoff %v, waste %v) on a faultless run, want 0", rep.Backoff, rep.Waste)
-	}
-	if rep.Ideal == 0 {
-		t.Error("ideal component is zero; calibration is not being applied")
+	for _, sh := range shapes {
+		for _, b := range benches {
+			t.Run(sh.name+"/"+b.name, func(t *testing.T) {
+				sys := node.NewSystem(sh.cfg(), 2)
+				defer sys.Shutdown()
+				rep := checkConservation(t, sys, b.run(sys))
+				if rep.Stall != 0 {
+					t.Errorf("credit stall %v on the creditless ideal tier, want 0", rep.Stall)
+				}
+				if rep.Backoff != 0 || rep.Waste != 0 {
+					t.Errorf("recovery components (backoff %v, waste %v) on a faultless run, want 0", rep.Backoff, rep.Waste)
+				}
+				if share := rep.Shares()[0]; share != 1 {
+					t.Errorf("ideal share %.4f on an uncontended run, want exactly 1", share)
+				}
+			})
+		}
 	}
 }
 

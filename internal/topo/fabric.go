@@ -12,11 +12,11 @@ import (
 	"breakband/internal/units"
 )
 
-// Fabric is the compiled topology: a fabric.Deliverer whose frames travel
-// host egress -> switch chain -> destination host, with per-output-port
-// serialization queues and link-level credits (see the package doc). Two
-// hosts on the back-to-back or single-switch spec take the calibrated
-// ideal path instead, bit-identical with fabric.Network.
+// Fabric is the compiled topology, the network every NIC drives: frames
+// travel host egress -> switch chain -> destination host, with
+// per-output-port serialization queues and link-level credits (see the
+// package doc). Two hosts on the back-to-back or single-switch spec take
+// the paper's calibrated two-endpoint path instead (the ideal tier).
 type Fabric struct {
 	k    *sim.Kernel
 	cfg  fabric.Config
@@ -28,12 +28,12 @@ type Fabric struct {
 	// port. Attached-but-unrouted ids live only in the ports map.
 	attached []bool
 
-	// Delivered counts delivered frames by kind, a test hook (mirrors
-	// fabric.Network).
+	// Delivered counts delivered frames by kind, a test hook.
 	Delivered [fabric.NumFrameKinds]uint64
 
 	// Ideal two-endpoint tier (nil switches): one egress serialization,
-	// then a constant flight time.
+	// then a constant flight time (WireProp, plus SwitchLatency on the
+	// single-switch shape).
 	ideal     bool
 	flight    units.Time
 	busyUntil []units.Time
@@ -69,10 +69,7 @@ type Fabric struct {
 	idealPorts []int32
 
 	deliverFn func(any)
-	sendFn    func(any)
 }
-
-var _ fabric.Deliverer = (*Fabric)(nil)
 
 // Switch is one compiled store-and-forward switch.
 type Switch struct {
@@ -335,9 +332,9 @@ func (p *outPort) setUp() {
 
 // NewFabric compiles spec for the given host count on kernel k. Wire
 // parameters (serialization, propagation, switch forwarding latency) come
-// from the same fabric.Config that calibrates the two-endpoint Network.
+// from cfg; whether a path crosses a switch is the spec's choice alone.
 func NewFabric(k *sim.Kernel, cfg fabric.Config, spec Spec, hosts int) *Fabric {
-	spec = spec.resolve(cfg, hosts)
+	spec = spec.resolve(hosts)
 	t := &Fabric{
 		k:        k,
 		cfg:      cfg,
@@ -366,18 +363,17 @@ func NewFabric(k *sim.Kernel, cfg fabric.Config, spec Spec, hosts int) *Fabric {
 		t.Delivered[f.Kind]++
 		t.ports[f.Dst].RxFrame(f)
 	}
-	t.sendFn = func(a any) { t.Send(a.(*fabric.Frame)) }
 	t.frames.SetOnRelease(t.frameReleased)
 
 	if hosts == 2 && spec.Kind != FatTree {
 		// Calibrated ideal tier: the paper's two-endpoint model, with the
-		// switch (when present) as a cut-through constant. Bit-identical
-		// with fabric.Network by construction — same SerTime/FlightTime
-		// helpers, same single delivery event per frame.
+		// switch (when present) as a cut-through constant and a single
+		// delivery event per frame.
 		t.ideal = true
-		c := cfg
-		c.UseSwitch = spec.Kind == SingleSwitch
-		t.flight = c.FlightTime()
+		t.flight = cfg.WireProp
+		if spec.Kind == SingleSwitch {
+			t.flight += cfg.SwitchLatency
+		}
 		t.busyUntil = make([]units.Time, hosts)
 		if t.tr != nil {
 			t.idealPorts = make([]int32, hosts)
@@ -652,8 +648,8 @@ func (t *Fabric) InjectFaults(inj *faults.Injector) {
 	}
 }
 
-// injectIdeal is InjectFaults for the calibrated two-endpoint tier, which
-// mirrors fabric.Network: per-egress fault state consulted at Send time.
+// injectIdeal is InjectFaults for the calibrated two-endpoint tier:
+// per-egress fault state consulted at Send time.
 func (t *Fabric) injectIdeal(inj *faults.Injector) {
 	if len(inj.Config().Flaps) > 0 {
 		panic(fmt.Sprintf("topo: %s: link flaps need a switched topology (no redundant paths to fail over)", t.spec))
@@ -679,13 +675,25 @@ func (t *Fabric) injectIdeal(inj *faults.Injector) {
 	}
 }
 
-// ---------- fabric.Deliverer ----------
-
-// Config reports the wire/switch parameter set.
-func (t *Fabric) Config() fabric.Config { return t.cfg }
+// ---------- the NIC-facing network ----------
 
 // Spec reports the resolved topology.
 func (t *Fabric) Spec() Spec { return t.spec }
+
+// UncontendedWire reports the inject-to-deliver time of a frame carrying
+// bytes payload bytes that crosses hops serialization ports of an idle
+// fabric. The ideal tier serializes once and then flies its constant
+// flight, whatever hops says. The compiled tiers serialize at each of the
+// hops ports, fly WireProp/2 on each cable, and add SwitchLatency at each
+// of the hops-1 switches.
+func (t *Fabric) UncontendedWire(bytes, hops int) units.Time {
+	ser := t.cfg.SerTime(bytes)
+	if t.ideal {
+		return ser + t.flight
+	}
+	h := units.Time(hops)
+	return h*ser + h*t.hopProp + (h-1)*t.cfg.SwitchLatency
+}
 
 // Attach registers port under NIC id. Ids may be sparse and attached in
 // any order; only ids below the compiled host count are routable.
@@ -736,7 +744,7 @@ func (t *Fabric) Send(f *fabric.Frame) {
 	}
 	if t.ideal {
 		// Calibrated two-endpoint path: egress serialization, then the
-		// constant flight (identical to fabric.Network.Send).
+		// constant flight.
 		start := units.Max(t.k.Now(), t.busyUntil[f.Src])
 		txDone := start + t.cfg.SerTime(f.Bytes)
 		t.busyUntil[f.Src] = txDone
@@ -771,7 +779,8 @@ func (t *Fabric) Send(f *fabric.Frame) {
 }
 
 // AckFor allocates the transport-level acknowledgement frame answering the
-// received Data frame f (same contract as fabric.Network.AckFor).
+// received Data frame f. The caller may retag it as an RnrNak or SeqNak
+// (both ride the reverse path identically) and transmits it with Send.
 func (t *Fabric) AckFor(f *fabric.Frame, info fabric.AckInfo) *fabric.Frame {
 	ack := t.frames.Alloc()
 	ack.Kind = fabric.TransportAck
@@ -779,22 +788,6 @@ func (t *Fabric) AckFor(f *fabric.Frame, info fabric.AckInfo) *fabric.Frame {
 	ack.Dst = f.Src
 	ack.Ack = info
 	return ack
-}
-
-// SendAck transmits a previously built ACK frame after the configured
-// turnaround delay.
-func (t *Fabric) SendAck(ack *fabric.Frame) {
-	if t.cfg.AckTurnaround > 0 {
-		t.k.AfterArg(t.cfg.AckTurnaround, t.sendFn, ack)
-		return
-	}
-	t.Send(ack)
-}
-
-// Ack emits the transport-level acknowledgement for a received Data frame
-// back to its source.
-func (t *Fabric) Ack(f *fabric.Frame, info fabric.AckInfo) {
-	t.SendAck(t.AckFor(f, info))
 }
 
 // ---------- observability ----------

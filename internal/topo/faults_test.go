@@ -14,7 +14,7 @@ import (
 // never-faulted default.
 func TestFlapFailoverAndRestore(t *testing.T) {
 	down, up := units.Microseconds(10), units.Microseconds(30)
-	k, fab, ports := build(t, testCfg(true), Spec{Kind: FatTree}, 8)
+	k, fab, ports := build(t, testCfg(), Spec{Kind: FatTree}, 8)
 	fab.InjectFaults(faults.MustInjector(1, faults.Config{
 		Flaps: []faults.Flap{{Port: "leaf0.up1", Down: down, Up: up}},
 	}))
@@ -72,7 +72,7 @@ func TestFlapDropsQueuedFrames(t *testing.T) {
 	down, up := units.Microseconds(1), units.Microseconds(1000)
 	// Single switch: no path redundancy, so host1-bound frames die at the
 	// dead port until it restores.
-	k, fab, ports := build(t, testCfg(true), Spec{Kind: SingleSwitch}, 3)
+	k, fab, ports := build(t, testCfg(), Spec{Kind: SingleSwitch}, 3)
 	fab.InjectFaults(faults.MustInjector(1, faults.Config{
 		Flaps: []faults.Flap{{Port: "sw0.port1", Down: down, Up: up}},
 	}))
@@ -105,7 +105,7 @@ func TestFlapDropsQueuedFrames(t *testing.T) {
 func TestInjectUnknownPortPanics(t *testing.T) {
 	check := func(t *testing.T, spec Spec, hosts int, cfg faults.Config) {
 		t.Helper()
-		_, fab, _ := build(t, testCfg(true), spec, hosts)
+		_, fab, _ := build(t, testCfg(), spec, hosts)
 		defer func() {
 			r := recover()
 			if r == nil {
@@ -137,7 +137,7 @@ func TestInjectUnknownPortPanics(t *testing.T) {
 // TestIdealTierFlapPanics: the calibrated two-endpoint tier has no
 // redundant paths, so a flap schedule is unsatisfiable and must panic.
 func TestIdealTierFlapPanics(t *testing.T) {
-	_, fab, _ := build(t, testCfg(false), Spec{Kind: BackToBack}, 2)
+	_, fab, _ := build(t, testCfg(), Spec{Kind: BackToBack}, 2)
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -157,7 +157,7 @@ func TestIdealTierFlapPanics(t *testing.T) {
 // are discarded at the next store-and-forward check, and every lost frame
 // still releases back to the arena.
 func TestBernoulliDropsAndCorruptions(t *testing.T) {
-	k, fab, ports := build(t, testCfg(true), Spec{Kind: SingleSwitch}, 3)
+	k, fab, ports := build(t, testCfg(), Spec{Kind: SingleSwitch}, 3)
 	fab.InjectFaults(faults.MustInjector(2, faults.Config{DropRate: 0.25, CorruptRate: 0.25}))
 	ports[1].ack = false
 	const n = 200

@@ -2,8 +2,9 @@
 // declarative multi-switch topologies: a topology Spec is compiled into
 // per-switch routing tables and store-and-forward switches whose output
 // ports model serialization queues and link-level credit flow control, so
-// shared links actually congest. It is the fabric.Deliverer implementation
-// behind every N-node system (node.NewSystem routes all traffic through it).
+// shared links actually congest. It is the one network of the simulator:
+// every system, two-node or N-node, routes all traffic through its Fabric
+// (node.NewSystem builds it), and the NICs drive it directly.
 //
 // # Scenario catalog
 //
@@ -31,7 +32,7 @@
 // Each directed link is driven by exactly one output port (a host NIC's
 // injection egress or a switch output port). A port serializes frames one
 // at a time (fabric.Config.SerTime — the same arithmetic the two-endpoint
-// Network uses) and owns a FIFO of frames waiting for the wire. The
+// tier uses) and owns a FIFO of frames waiting for the wire. The
 // downstream end of every link advertises Spec.Credits buffer slots: a
 // frame consumes one credit when its transmission starts and returns it
 // when it leaves the downstream element — departing the next switch's
@@ -59,39 +60,37 @@
 //
 // The one deliberate exception is the two-host back-to-back and
 // single-switch topologies, which reproduce the paper's calibrated model
-// bit for bit (one egress serialization, then OneWay's flight time with
-// the switch as an ideal cut-through constant). The golden kernel fixture
-// pins this: a two-endpoint system built through topo is indistinguishable
-// from the original fabric.Network. Contention modelling engages for N>2,
-// where shared ports exist.
+// bit for bit: one egress serialization, then a constant flight of
+// WireProp, plus SwitchLatency on the single-switch shape, with the switch
+// as an ideal cut-through constant. The golden kernel fixture pins this
+// tier, and TestIdealTierMatchesNetwork checks it against the closed
+// form. Contention modelling engages for N>2, where shared ports exist.
+// Fabric.UncontendedWire reports the uncontended wire time on every tier;
+// stall attribution calibrates against it.
 //
 // # Pooled frames and the borrow contract
 //
-// The fabric owns a generation-checked frame arena identical to
-// fabric.Network's (fabric.NewFrameArena) and obeys the same borrow
-// contract: senders allocate with NewFrame and hand ownership to Send; the
-// fabric owns frames across every hop (switch queues hold borrowed
-// pointers, never copies); delivery transfers ownership to the receiving
-// port, which must Release. The steady-state switch path allocates
-// nothing: queue rings and the event pool reach a high-water mark bounded
-// by the credit budget and recycle thereafter (pinned by
-// internal/simbench's switch-path alloc budget test).
+// The fabric owns a generation-checked frame arena (fabric.NewFrameArena)
+// and obeys the borrow contract documented in internal/fabric: senders
+// allocate with NewFrame and hand ownership to Send; the fabric owns
+// frames across every hop (switch queues hold borrowed pointers, never
+// copies); delivery transfers ownership to the receiving port, which must
+// Release. The steady-state switch path allocates nothing: queue rings and
+// the event pool reach a high-water mark bounded by the credit budget and
+// recycle thereafter (pinned by internal/simbench's switch-path alloc
+// budget test).
 package topo
 
-import (
-	"fmt"
-
-	"breakband/internal/fabric"
-)
+import "fmt"
 
 // Kind selects the compiled topology shape.
 type Kind int
 
 // Topology kinds.
 const (
-	// Auto picks the calibrated two-endpoint path for two hosts
-	// (back-to-back or single switch per fabric.Config.UseSwitch) and a
-	// single switch for more.
+	// Auto is SingleSwitch: the paper's main configuration for two hosts
+	// and the shared-switch star for more. Choose BackToBack explicitly
+	// for the switchless two-host path.
 	Auto Kind = iota
 	// BackToBack cables exactly two hosts directly.
 	BackToBack
@@ -137,8 +136,8 @@ func ParseKind(s string) (Kind, error) {
 // frames) when Spec.Credits is zero.
 const DefaultCredits = 16
 
-// Spec declares a topology. The zero Spec is Auto with defaults, which
-// reproduces the pre-topology two-node behaviour exactly.
+// Spec declares a topology. The zero Spec is Auto with defaults: a single
+// switch, which for two hosts is the paper's calibrated switched path.
 type Spec struct {
 	Kind Kind
 	// Radix is the switch port count for FatTree (even, >= 2): k/2 hosts
@@ -173,22 +172,22 @@ func (s Spec) String() string {
 // Validate reports why the spec cannot compile for the given host count,
 // or nil when it can. CLIs use it to turn flag mistakes into usage errors
 // instead of the panics NewFabric raises on programmer error.
-func (s Spec) Validate(cfg fabric.Config, hosts int) error {
-	_, err := s.resolveErr(cfg, hosts)
+func (s Spec) Validate(hosts int) error {
+	_, err := s.resolveErr(hosts)
 	return err
 }
 
 // resolve validates the spec against the host count and fills defaults,
 // returning the concrete topology NewFabric compiles.
-func (s Spec) resolve(cfg fabric.Config, hosts int) Spec {
-	r, err := s.resolveErr(cfg, hosts)
+func (s Spec) resolve(hosts int) Spec {
+	r, err := s.resolveErr(hosts)
 	if err != nil {
 		panic("topo: " + err.Error())
 	}
 	return r
 }
 
-func (s Spec) resolveErr(cfg fabric.Config, hosts int) (Spec, error) {
+func (s Spec) resolveErr(hosts int) (Spec, error) {
 	if hosts < 2 {
 		return s, fmt.Errorf("a fabric needs at least two hosts, got %d", hosts)
 	}
@@ -202,11 +201,7 @@ func (s Spec) resolveErr(cfg fabric.Config, hosts int) (Spec, error) {
 	}
 	switch r.Kind {
 	case Auto:
-		if hosts == 2 && !cfg.UseSwitch {
-			r.Kind = BackToBack
-		} else {
-			r.Kind = SingleSwitch
-		}
+		r.Kind = SingleSwitch
 	case BackToBack:
 		if hosts != 2 {
 			return r, fmt.Errorf("backtoback cables exactly 2 hosts, got %d", hosts)

@@ -12,31 +12,32 @@ import (
 
 // testCfg mirrors the calibration shape with round numbers: 80 ps/B
 // serialization, 30 B frame overhead, 270 ns total wire, 108 ns switch.
-func testCfg(useSwitch bool) fabric.Config {
+func testCfg() fabric.Config {
 	return fabric.Config{
 		WireProp:      units.Nanoseconds(270),
 		WirePerByte:   units.Time(80),
 		FrameOverhead: 30,
 		SwitchLatency: units.Nanoseconds(108),
-		UseSwitch:     useSwitch,
 	}
 }
 
 // port records deliveries and releases every frame (optionally acking data
 // frames first).
 type port struct {
-	k   *sim.Kernel
-	fab *Fabric
-	got []fabric.FrameKind
-	at  []units.Time
-	ack bool
+	k    *sim.Kernel
+	fab  *Fabric
+	got  []fabric.FrameKind
+	at   []units.Time
+	info []fabric.AckInfo // Ack field of every delivered frame
+	ack  bool
 }
 
 func (p *port) RxFrame(f *fabric.Frame) {
 	p.got = append(p.got, f.Kind)
 	p.at = append(p.at, p.k.Now())
+	p.info = append(p.info, f.Ack)
 	if p.ack && f.Kind == fabric.Data {
-		p.fab.Ack(f, fabric.AckInfo{QPN: f.Op.SrcQPN, Counter: f.Op.Counter})
+		p.fab.Send(p.fab.AckFor(f, fabric.AckInfo{QPN: f.Op.SrcQPN, Counter: f.Op.Counter}))
 	}
 	f.Release()
 }
@@ -71,13 +72,13 @@ func TestSpecResolve(t *testing.T) {
 		hosts int
 		want  Kind
 	}{
-		{Spec{}, 2, SingleSwitch},             // auto + UseSwitch
-		{Spec{}, 5, SingleSwitch},             // auto N>2
+		{Spec{}, 2, SingleSwitch}, // auto is a switch, also for two hosts
+		{Spec{}, 5, SingleSwitch},
 		{Spec{Kind: BackToBack}, 2, BackToBack},
 		{Spec{Kind: FatTree}, 8, FatTree},
 	}
 	for _, c := range cases {
-		r := c.spec.resolve(testCfg(true), c.hosts)
+		r := c.spec.resolve(c.hosts)
 		if r.Kind != c.want {
 			t.Errorf("resolve(%v, %d hosts): kind %v, want %v", c.spec, c.hosts, r.Kind, c.want)
 		}
@@ -85,15 +86,11 @@ func TestSpecResolve(t *testing.T) {
 			t.Errorf("resolve(%v): credits %d, want default %d", c.spec, r.Credits, DefaultCredits)
 		}
 	}
-	// Auto with two hosts and no switch resolves back-to-back.
-	if r := (Spec{}).resolve(testCfg(false), 2); r.Kind != BackToBack {
-		t.Errorf("auto direct: kind %v, want backtoback", r.Kind)
-	}
 	// Fat-tree default radix: smallest even k with k*k/2 >= hosts.
-	if r := (Spec{Kind: FatTree}).resolve(testCfg(true), 8); r.Radix != 4 {
+	if r := (Spec{Kind: FatTree}).resolve(8); r.Radix != 4 {
 		t.Errorf("fattree(8 hosts) default radix %d, want 4", r.Radix)
 	}
-	if r := (Spec{Kind: FatTree}).resolve(testCfg(true), 9); r.Radix != 6 {
+	if r := (Spec{Kind: FatTree}).resolve(9); r.Radix != 6 {
 		t.Errorf("fattree(9 hosts) default radix %d, want 6", r.Radix)
 	}
 }
@@ -122,96 +119,69 @@ func TestSpecValidationPanics(t *testing.T) {
 					t.Errorf("panic %q does not mention %q", r, c.msg)
 				}
 			}()
-			c.spec.resolve(testCfg(true), c.hosts)
+			c.spec.resolve(c.hosts)
 		})
 	}
 }
 
-// TestIdealTierMatchesNetwork drives the same frame schedule through
-// fabric.Network and the two-host topo fabric and requires identical
-// delivery timestamps — the bit-for-bit compatibility the golden fixture
-// relies on.
+// TestIdealTierMatchesNetwork drives one frame schedule through both
+// two-host kinds and requires every delivery at the closed-form time of the
+// paper's two-endpoint Network = Wire + Switch model: each source's egress
+// serializes its frames back to back, busy[src] = max(at, busy[src]) +
+// SerTime(b), and a frame arrives busy[src] + WireProp later, plus
+// SwitchLatency on the single-switch shape. The golden fixture relies on
+// this tier bit for bit.
 func TestIdealTierMatchesNetwork(t *testing.T) {
-	for _, useSwitch := range []bool{false, true} {
-		cfg := testCfg(useSwitch)
-
-		type hit struct {
-			at   units.Time
-			kind fabric.FrameKind
+	cfg := testCfg()
+	// Pipelined sends (egress serialization), a reverse-direction frame,
+	// different sizes.
+	sched := []struct {
+		at              units.Time
+		src, dst, bytes int
+	}{
+		{0, 0, 1, 8},
+		{0, 0, 1, 64},
+		{units.Nanoseconds(100), 1, 0, 8},
+		{units.Nanoseconds(400), 0, 1, 2048},
+	}
+	for _, kind := range []Kind{BackToBack, SingleSwitch} {
+		flight := cfg.WireProp
+		if kind == SingleSwitch {
+			flight += cfg.SwitchLatency
 		}
-		run := func(send func(at units.Time, src, dst, bytes int), ack func(), done func() []hit) []hit {
-			// Schedule a mix: pipelined sends (egress serialization), a
-			// reverse-direction frame, different sizes.
-			send(0, 0, 1, 8)
-			send(0, 0, 1, 64)
-			send(units.Nanoseconds(100), 1, 0, 8)
-			send(units.Nanoseconds(400), 0, 1, 2048)
-			ack()
-			return done()
+		// Reference arrivals per destination; each destination has one
+		// source here, so schedule order is arrival order.
+		var busy [2]units.Time
+		want := make([][]units.Time, 2)
+		for _, s := range sched {
+			busy[s.src] = units.Max(s.at, busy[s.src]) + cfg.SerTime(s.bytes)
+			want[s.dst] = append(want[s.dst], busy[s.src]+flight)
 		}
 
-		// Reference: fabric.Network.
-		kN := sim.NewKernel()
-		net := fabric.New(kN, cfg)
-		var refHits []hit
-		refPort := func(id int) fabric.Port {
-			return rxFunc(func(f *fabric.Frame) {
-				refHits = append(refHits, hit{kN.Now(), f.Kind})
-				if f.Kind == fabric.Data {
-					net.Ack(f, fabric.AckInfo{})
+		k, fab, ports := build(t, cfg, Spec{Kind: kind}, 2)
+		if got := fab.Spec().Kind; got != kind {
+			t.Fatalf("spec %v compiled as %v", kind, got)
+		}
+		for _, s := range sched {
+			sendAt(k, fab, s.at, s.src, s.dst, s.bytes)
+		}
+		k.Run()
+		for dst, p := range ports {
+			if len(p.at) != len(want[dst]) {
+				t.Fatalf("%v: %d deliveries at host %d, want %d", kind, len(p.at), dst, len(want[dst]))
+			}
+			for i := range p.at {
+				if p.at[i] != want[dst][i] {
+					t.Errorf("%v: delivery %d at host %d at %v, want %v", kind, i, dst, p.at[i], want[dst][i])
 				}
-				f.Release()
-			})
-		}
-		net.Attach(0, refPort(0))
-		net.Attach(1, refPort(1))
-		ref := run(func(at units.Time, src, dst, b int) {
-			kN.At(at, func() {
-				f := net.NewFrame()
-				f.Kind = fabric.Data
-				f.Src = src
-				f.Dst = dst
-				f.Bytes = b
-				net.Send(f)
-			})
-		}, func() {}, func() []hit { kN.Run(); return refHits })
-
-		// Topo two-host auto spec.
-		kT := sim.NewKernel()
-		fab := NewFabric(kT, cfg, Spec{}, 2)
-		var topoHits []hit
-		topoPort := func(id int) fabric.Port {
-			return rxFunc(func(f *fabric.Frame) {
-				topoHits = append(topoHits, hit{kT.Now(), f.Kind})
-				if f.Kind == fabric.Data {
-					fab.Ack(f, fabric.AckInfo{})
-				}
-				f.Release()
-			})
-		}
-		fab.Attach(0, topoPort(0))
-		fab.Attach(1, topoPort(1))
-		got := run(func(at units.Time, src, dst, b int) {
-			kT.At(at, func() {
-				f := fab.NewFrame()
-				f.Kind = fabric.Data
-				f.Src = src
-				f.Dst = dst
-				f.Bytes = b
-				fab.Send(f)
-			})
-		}, func() {}, func() []hit { kT.Run(); return topoHits })
-
-		if len(got) != len(ref) {
-			t.Fatalf("useSwitch=%v: %d deliveries, want %d", useSwitch, len(got), len(ref))
-		}
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Errorf("useSwitch=%v delivery %d: %+v, want %+v", useSwitch, i, got[i], ref[i])
 			}
 		}
-		if fab.InUseFrames() != 0 || net.InUseFrames() != 0 {
-			t.Errorf("useSwitch=%v: leaked frames (topo %d, net %d)", useSwitch, fab.InUseFrames(), net.InUseFrames())
+		// The first frame left an idle egress: the uncontended wire time.
+		if got := fab.UncontendedWire(sched[0].bytes, 1); got != want[1][0] {
+			t.Errorf("%v: UncontendedWire = %v, want the first arrival %v", kind, got, want[1][0])
+		}
+		if n := fab.InUseFrames(); n != 0 {
+			t.Errorf("%v: %d frames leaked", kind, n)
 		}
 	}
 }
@@ -225,7 +195,7 @@ func (fn rxFunc) RxFrame(f *fabric.Frame) { fn(f) }
 // 8-byte frame through an N=3 star costs two serializations, the full
 // cable flight (two half-cables) and one switch forwarding latency.
 func TestStarUncontendedLatency(t *testing.T) {
-	k, fab, ports := build(t, testCfg(true), Spec{}, 3)
+	k, fab, ports := build(t, testCfg(), Spec{}, 3)
 	sendAt(k, fab, 0, 0, 1, 8)
 	k.Run()
 	if len(ports[1].at) != 1 {
@@ -236,6 +206,9 @@ func TestStarUncontendedLatency(t *testing.T) {
 	if ports[1].at[0] != want {
 		t.Errorf("arrival %v, want %v", ports[1].at[0], want)
 	}
+	if got := fab.UncontendedWire(8, 2); got != want {
+		t.Errorf("UncontendedWire(8, 2) = %v, want %v", got, want)
+	}
 	if fab.InUseFrames() != 0 {
 		t.Errorf("%d frames leaked", fab.InUseFrames())
 	}
@@ -245,7 +218,7 @@ func TestStarUncontendedLatency(t *testing.T) {
 // sources to one destination share the switch output port; the second is
 // serialized behind the first.
 func TestStarOutputPortContention(t *testing.T) {
-	k, fab, ports := build(t, testCfg(true), Spec{}, 3)
+	k, fab, ports := build(t, testCfg(), Spec{}, 3)
 	sendAt(k, fab, 0, 0, 2, 8)
 	sendAt(k, fab, 0, 1, 2, 8)
 	k.Run()
@@ -265,7 +238,7 @@ func TestStarOutputPortContention(t *testing.T) {
 // is paced by credit returns, stalling the injection port.
 func TestCreditBackpressure(t *testing.T) {
 	const burst = 5
-	k, fab, ports := build(t, testCfg(true), Spec{Credits: 1}, 3)
+	k, fab, ports := build(t, testCfg(), Spec{Credits: 1}, 3)
 	k.At(0, func() {
 		for i := 0; i < burst; i++ {
 			f := fab.NewFrame()
@@ -310,7 +283,7 @@ func TestCreditBackpressure(t *testing.T) {
 // TestFatTreeShapeAndRouting pins the compiled Clos: 8 hosts at radix 4
 // give 4 leaves and 2 spines, with destination-based up-path selection.
 func TestFatTreeShapeAndRouting(t *testing.T) {
-	_, fab, _ := build(t, testCfg(true), Spec{Kind: FatTree}, 8)
+	_, fab, _ := build(t, testCfg(), Spec{Kind: FatTree}, 8)
 	sws := fab.Switches()
 	if len(sws) != 6 {
 		t.Fatalf("%d switches, want 4 leaves + 2 spines", len(sws))
@@ -339,7 +312,7 @@ func TestFatTreeShapeAndRouting(t *testing.T) {
 // TestFatTreePartialLeaf: a host count that only part-fills the last leaf
 // must compile without phantom (unwired) ports and still route to it.
 func TestFatTreePartialLeaf(t *testing.T) {
-	k, fab, ports := build(t, testCfg(true), Spec{Kind: FatTree, Radix: 4}, 5)
+	k, fab, ports := build(t, testCfg(), Spec{Kind: FatTree, Radix: 4}, 5)
 	// 5 hosts at radix 4: leaves 0-1 full (2 hosts), leaf2 holds host 4
 	// alone — one down port plus two up ports.
 	sws := fab.Switches()
@@ -364,7 +337,7 @@ func TestFatTreePartialLeaf(t *testing.T) {
 // TestFatTreeLatency pins same-leaf (one switch) vs cross-leaf (three
 // switch) path latencies.
 func TestFatTreeLatency(t *testing.T) {
-	k, fab, ports := build(t, testCfg(true), Spec{Kind: FatTree}, 8)
+	k, fab, ports := build(t, testCfg(), Spec{Kind: FatTree}, 8)
 	sendAt(k, fab, 0, 0, 1, 8) // same leaf
 	sendAt(k, fab, 0, 2, 5, 8) // cross leaf: leaf1 -> spine -> leaf2
 	k.Run()
@@ -379,12 +352,18 @@ func TestFatTreeLatency(t *testing.T) {
 	if len(ports[5].at) != 1 || ports[5].at[0] != wantCross {
 		t.Errorf("cross-leaf arrival %v, want %v", ports[5].at, wantCross)
 	}
+	if got := fab.UncontendedWire(8, 2); got != wantSame {
+		t.Errorf("UncontendedWire(8, 2) = %v, want the same-leaf arrival %v", got, wantSame)
+	}
+	if got := fab.UncontendedWire(8, 4); got != wantCross {
+		t.Errorf("UncontendedWire(8, 4) = %v, want the cross-leaf arrival %v", got, wantCross)
+	}
 }
 
 // TestSparseOutOfOrderAttach: ids need not be dense or ordered.
 func TestSparseOutOfOrderAttach(t *testing.T) {
 	k := sim.NewKernel()
-	fab := NewFabric(k, testCfg(true), Spec{}, 4)
+	fab := NewFabric(k, testCfg(), Spec{}, 4)
 	ports := map[int]*port{}
 	for _, id := range []int{3, 0, 2, 1} {
 		p := &port{k: k, fab: fab}
@@ -400,7 +379,7 @@ func TestSparseOutOfOrderAttach(t *testing.T) {
 
 func TestDuplicateAttachPanics(t *testing.T) {
 	k := sim.NewKernel()
-	fab := NewFabric(k, testCfg(true), Spec{}, 3)
+	fab := NewFabric(k, testCfg(), Spec{}, 3)
 	fab.Attach(0, &port{k: k, fab: fab})
 	defer func() {
 		r := recover()
@@ -433,22 +412,29 @@ func TestSendPanicsNamePortAndTopology(t *testing.T) {
 	}
 
 	t.Run("unattached", func(t *testing.T) {
-		k, fab, _ := build(t, testCfg(true), Spec{}, 3)
+		k, fab, _ := build(t, testCfg(), Spec{}, 3)
 		defer expectPanic(t, "no attached destination port 9", "switch(hosts=3")
 		k.At(0, func() { fab.Send(&fabric.Frame{Kind: fabric.Data, Src: 0, Dst: 9}) })
 		k.Run()
 	})
 
 	t.Run("attached but unrouted", func(t *testing.T) {
-		k, fab, _ := build(t, testCfg(true), Spec{}, 3)
+		k, fab, _ := build(t, testCfg(), Spec{}, 3)
 		fab.Attach(7, &port{k: k, fab: fab}) // beyond the 3 routed hosts
 		defer expectPanic(t, "port 7 is attached but not routed", "hosts 0..2", "switch(hosts=3")
 		k.At(0, func() { fab.Send(&fabric.Frame{Kind: fabric.Data, Src: 0, Dst: 7}) })
 		k.Run()
 	})
 
+	t.Run("unattached source", func(t *testing.T) {
+		k, fab, _ := build(t, testCfg(), Spec{Kind: BackToBack}, 2)
+		defer expectPanic(t, "no attached source port 9", "backtoback(hosts=2")
+		k.At(0, func() { fab.Send(&fabric.Frame{Kind: fabric.Data, Src: 9, Dst: 1}) })
+		k.Run()
+	})
+
 	t.Run("unrouted source", func(t *testing.T) {
-		k, fab, _ := build(t, testCfg(true), Spec{Kind: FatTree}, 4)
+		k, fab, _ := build(t, testCfg(), Spec{Kind: FatTree}, 4)
 		fab.Attach(11, &port{k: k, fab: fab})
 		defer expectPanic(t, "source port 11", "fattree(radix=4")
 		k.At(0, func() { fab.Send(&fabric.Frame{Kind: fabric.Data, Src: 11, Dst: 0}) })
@@ -457,26 +443,40 @@ func TestSendPanicsNamePortAndTopology(t *testing.T) {
 }
 
 // TestAckRoundTripOverStar: the transport ACK crosses the star back to the
-// initiator, and both pooled frames return to the pool.
+// initiator carrying the acked WQE's identity, and both pooled frames
+// return to the pool — on the two-host ideal tier and on a compiled star.
 func TestAckRoundTripOverStar(t *testing.T) {
-	k, fab, ports := build(t, testCfg(true), Spec{}, 4)
-	ports[2].ack = true
-	sendAt(k, fab, 0, 0, 2, 8)
-	k.Run()
-	if len(ports[0].got) != 1 || ports[0].got[0] != fabric.TransportAck {
-		t.Fatalf("no transport ack at initiator: %v", ports[0].got)
-	}
-	if fab.Delivered[fabric.Data] != 1 || fab.Delivered[fabric.TransportAck] != 1 {
-		t.Errorf("delivered counts: %v", fab.Delivered)
-	}
-	if fab.InUseFrames() != 0 {
-		t.Errorf("%d frames leaked after ack round trip", fab.InUseFrames())
+	for _, hosts := range []int{2, 4} {
+		k, fab, ports := build(t, testCfg(), Spec{}, hosts)
+		dst := hosts - 1
+		ports[dst].ack = true
+		k.At(0, func() {
+			f := fab.NewFrame()
+			f.Kind = fabric.Data
+			f.Dst = dst
+			f.Bytes = 8
+			f.Op = fabric.TxOp{SrcQPN: 7, Counter: 42}
+			fab.Send(f)
+		})
+		k.Run()
+		if len(ports[0].got) != 1 || ports[0].got[0] != fabric.TransportAck {
+			t.Fatalf("hosts=%d: no transport ack at initiator: %v", hosts, ports[0].got)
+		}
+		if got := ports[0].info[0]; got != (fabric.AckInfo{QPN: 7, Counter: 42}) {
+			t.Errorf("hosts=%d: ack info %+v, want QPN 7 counter 42", hosts, got)
+		}
+		if fab.Delivered[fabric.Data] != 1 || fab.Delivered[fabric.TransportAck] != 1 {
+			t.Errorf("hosts=%d: delivered counts: %v", hosts, fab.Delivered)
+		}
+		if fab.InUseFrames() != 0 {
+			t.Errorf("hosts=%d: %d frames leaked after ack round trip", hosts, fab.InUseFrames())
+		}
 	}
 }
 
 // TestOnDepthHook observes queue growth during contention.
 func TestOnDepthHook(t *testing.T) {
-	k, fab, _ := build(t, testCfg(true), Spec{}, 4)
+	k, fab, _ := build(t, testCfg(), Spec{}, 4)
 	depthHits := map[string]int{}
 	fab.OnDepth = func(at units.Time, port string, depth int) {
 		if depth > depthHits[port] {
@@ -496,7 +496,7 @@ func TestOnDepthHook(t *testing.T) {
 // times.
 func TestDeterminism(t *testing.T) {
 	run := func() []units.Time {
-		k, fab, ports := build(t, testCfg(true), Spec{Kind: FatTree, Credits: 2}, 8)
+		k, fab, ports := build(t, testCfg(), Spec{Kind: FatTree, Credits: 2}, 8)
 		for src := 1; src < 8; src++ {
 			for i := 0; i < 5; i++ {
 				sendAt(k, fab, units.Time(i)*units.Nanoseconds(50), src, 0, 512)

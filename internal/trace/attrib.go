@@ -9,8 +9,8 @@ import (
 )
 
 // Calib supplies the analytically calibrated ideal times the attribution
-// subtracts from measured spans. perftest builds one from config.Config
-// (wire serialization, flight constants, receiver PCIe write cycle); the
+// subtracts from measured spans. perftest builds one from a built system
+// (the fabric's uncontended wire time, the NIC pipeline delays); the
 // conservation tests pin that these formulas match the simulator exactly.
 type Calib struct {
 	// WireIdeal reports the uncontended inject-to-deliver time of a data

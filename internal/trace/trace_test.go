@@ -59,7 +59,7 @@ func synthEvents() []Event {
 		// message A (qpn 1, psn 0): inject 0, queue, stall 1us, tx, deliver, release.
 		{At: us(0), Kind: EvInject, TID: 1, Node: 0, Arg: ArgMsg(1, 100, 0)},
 		{At: us(0), Kind: EvQueue, TID: 1, Port: 0},
-		{At: us(2), Kind: EvStall, TID: 1, Port: 0},  // queued 2us behind others
+		{At: us(2), Kind: EvStall, TID: 1, Port: 0},   // queued 2us behind others
 		{At: us(3), Kind: EvTxStart, TID: 1, Port: 0}, // stalled 1us on credits
 		{At: us(5), Kind: EvDeliver, TID: 1, Node: 1}, // ser+flight 2us
 		{At: us(9), Kind: EvRelease, TID: 1, Node: 1}, // rx hold 4us (ideal 3us -> pend 1us)
@@ -71,7 +71,7 @@ func synthEvents() []Event {
 		{At: us(12), Kind: EvRefuse, TID: 2, Node: 1, Arg: ArgMsg(1, 0, 1)},
 		{At: us(12), Kind: EvRelease, TID: 2, Node: 1},
 		{At: us(14), Kind: EvNakRx, Node: 0, Arg: ArgQP(1, 2_000_000)}, // backoff armed
-		{At: us(17), Kind: EvRetx, Node: 0, Arg: ArgQP(1, 1)},         // 3us backoff
+		{At: us(17), Kind: EvRetx, Node: 0, Arg: ArgQP(1, 1)},          // 3us backoff
 		{At: us(17), Kind: EvInject, TID: 3, Node: 0, Arg: ArgMsg(1, 100, 1)},
 		{At: us(17), Kind: EvQueue, TID: 3, Port: 0},
 		{At: us(17), Kind: EvTxStart, TID: 3, Port: 0},

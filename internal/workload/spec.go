@@ -233,10 +233,7 @@ func (s *Spec) Validate() error {
 	if err != nil {
 		return fmt.Errorf("workload %q: %v", s.Name, err)
 	}
-	// Validate the topology against a switched reference fabric (the
-	// workload runner always builds switched systems).
-	probe := config.TX2CX4(config.NoiseOff, 1, true)
-	if err := ts.Validate(probe.Fabric, s.Nodes); err != nil {
+	if err := ts.Validate(s.Nodes); err != nil {
 		return fmt.Errorf("workload %q: %v", s.Name, err)
 	}
 	if s.RxBudget < 0 {
