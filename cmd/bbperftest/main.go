@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	bbperftest [flags] put_bw|am_lat|multi|sweep|incast|alltoall|oversub|saturate|lossy|flap|chaos|workload
+//	bbperftest [flags] put_bw|am_lat|multi|sweep|incast|alltoall|saturate|lossy|flap|chaos|workload
 //
 // Examples:
 //
@@ -24,7 +24,7 @@
 //	                                  # one shared switch port
 //	bbperftest -topology fattree -nodes 8 alltoall
 //	                                  # uniform matrix over a 2-tier Clos
-//	bbperftest -nodes 5 -size 4096 -rxbudget 8 oversub
+//	bbperftest -nodes 5 -size 4096 -rxbudget 8 incast
 //	                                  # saturating incast against a bounded
 //	                                  # receiver: RNR NAKs, sender backoff
 //	                                  # and go-back-N replay
@@ -81,7 +81,7 @@ import (
 var (
 	flagIters    = flag.Int("iters", 2000, "measured iterations")
 	flagWarmup   = flag.Int("warmup", 200, "warmup iterations")
-	flagSize     = flag.Int("size", 8, "message size in bytes")
+	flagSize     = flag.Int("size", 8, "message size in bytes, 1 to 4096 (inline short path up to 32, buffered copy above)")
 	flagMode     = flag.String("mode", "pio-inline", "descriptor path: pio-inline, doorbell-inline, doorbell-gather")
 	flagNoise    = flag.Bool("noise", false, "enable the stochastic timing model")
 	flagSeed     = flag.Uint64("seed", 1, "random seed")
@@ -91,7 +91,7 @@ var (
 	flagNodes    = flag.Int("nodes", 0, "system size (0 = 2 nodes, or 5 for incast / 8 for alltoall)")
 	flagRadix    = flag.Int("radix", 0, "fat-tree switch radix (0 = smallest that fits)")
 	flagCredits  = flag.Int("credits", 0, "per-link credit budget in frames (0 = default)")
-	flagRxBudget = flag.Int("rxbudget", 0, "NIC receive pend budget in frames; overflow is RNR-NAKed (0 = unbounded, oversub: 8)")
+	flagRxBudget = flag.Int("rxbudget", 0, "NIC receive pend budget in frames; overflow is RNR-NAKed (0 = unbounded)")
 	flagDropRate = flag.Float64("droprate", 0, "lossy: per-frame Bernoulli drop probability (0 with -corruptrate 0 = sweep the default ladder)")
 	flagCorrupt  = flag.Float64("corruptrate", 0, "lossy: per-frame Bernoulli corruption probability")
 	flagFlapPort = flag.String("flapport", "leaf1.up0", "flap: switch port to take down")
@@ -107,8 +107,13 @@ var (
 func main() {
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: bbperftest [flags] put_bw|am_lat|multi|sweep|incast|alltoall|oversub|saturate|lossy|flap|chaos|workload")
+		fmt.Fprintln(os.Stderr, "usage: bbperftest [flags] put_bw|am_lat|multi|sweep|incast|alltoall|saturate|lossy|flap|chaos|workload")
 		flag.PrintDefaults()
+		os.Exit(2)
+	}
+	test := flag.Arg(0)
+	if err := checkFlags(test); err != nil {
+		fmt.Fprintln(os.Stderr, "bbperftest:", err)
 		os.Exit(2)
 	}
 	var mode uct.PostMode
@@ -132,7 +137,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bbperftest:", err)
 		os.Exit(2)
 	}
-	test := flag.Arg(0)
 	if test == "flap" && kind == topo.Auto {
 		// A flap needs redundant paths to fail over across.
 		kind = topo.FatTree
@@ -140,7 +144,7 @@ func main() {
 	nodes := *flagNodes
 	if nodes == 0 {
 		switch test {
-		case "incast", "oversub", "saturate":
+		case "incast", "saturate":
 			nodes = 5
 		case "flap":
 			nodes = 6
@@ -150,10 +154,6 @@ func main() {
 			nodes = 2
 		}
 	}
-	rxBudget := *flagRxBudget
-	if rxBudget == 0 && test == "oversub" {
-		rxBudget = 8
-	}
 	spec := topo.Spec{Kind: kind, Radix: *flagRadix, Credits: *flagCredits}
 	if err := spec.Validate(nodes); err != nil {
 		fmt.Fprintln(os.Stderr, "bbperftest:", err)
@@ -162,22 +162,14 @@ func main() {
 	mkCfg := func() *config.Config {
 		cfg := config.TX2CX4(noise, *flagSeed, true)
 		cfg.Topology = spec
-		cfg.NICRxBudget = rxBudget
+		cfg.NICRxBudget = *flagRxBudget
 		if *flagTrace != "" || test == "saturate" {
 			// The tracer rides the kernel: lifecycle spans and policy
 			// decisions from every layer, feeding the -trace export and the
 			// saturate command's stall attribution.
 			cfg.TraceCapacity = 1 << 20
 		}
-		cfg.Faults.DropRate = *flagDropRate
-		cfg.Faults.CorruptRate = *flagCorrupt
-		if test == "flap" {
-			cfg.Faults.Flaps = []faults.Flap{{
-				Port: *flagFlapPort,
-				Down: units.Microseconds(*flagFlapDown),
-				Up:   units.Microseconds(*flagFlapUp),
-			}}
-		}
+		cfg.Faults = faultConfig(test)
 		return cfg
 	}
 	mkSys := func() *node.System {
@@ -230,8 +222,10 @@ func main() {
 	case "incast":
 		sys := mkSys()
 		defer sys.Shutdown()
-		res := perftest.IncastPutBw(sys, 0, opt)
+		res := perftest.OversubscribedPutBw(sys, 0, opt)
 		fmt.Println(res)
+		fmt.Printf("receiver PCIe service model: %.1f ns/msg (%.0f msg/s aggregate ceiling)\n",
+			res.ModelCycleNs, 1e9/res.ModelCycleNs)
 		printHotPorts(sys)
 		report(sys)
 	case "alltoall":
@@ -239,22 +233,6 @@ func main() {
 		defer sys.Shutdown()
 		res := perftest.AllToAllPutBw(sys, opt)
 		fmt.Println(res)
-		printHotPorts(sys)
-		report(sys)
-	case "oversub":
-		if *flagSize == 8 {
-			// The receiver PCIe link only becomes the bottleneck once one
-			// MWr fills the posted data credit pool; default to the 4 KiB
-			// bcopy maximum (an explicit -size 8 is overridden too — the
-			// flag package cannot tell it from the default).
-			opt.MsgSize = 4096
-		}
-		sys := mkSys()
-		defer sys.Shutdown()
-		res := perftest.OversubscribedPutBw(sys, 0, opt)
-		fmt.Println(res)
-		fmt.Printf("receiver PCIe service model: %.1f ns/msg (%.0f msg/s aggregate ceiling)\n",
-			res.ModelCycleNs, 1e9/res.ModelCycleNs)
 		printHotPorts(sys)
 		report(sys)
 	case "lossy":
@@ -379,6 +357,40 @@ func main() {
 		fmt.Fprintf(os.Stderr, "bbperftest: unknown test %q\n", test)
 		os.Exit(2)
 	}
+}
+
+// checkFlags rejects flag values no command can run, before any system is
+// built.
+func checkFlags(test string) error {
+	switch {
+	case *flagSize < 1 || *flagSize > uct.MaxBcopy:
+		return fmt.Errorf("-size %d outside [1, %d]", *flagSize, uct.MaxBcopy)
+	case *flagIters < 0:
+		return fmt.Errorf("-iters %d is negative", *flagIters)
+	case *flagWarmup < 0:
+		return fmt.Errorf("-warmup %d is negative", *flagWarmup)
+	case *flagSeeds < 0:
+		return fmt.Errorf("-seeds %d is negative", *flagSeeds)
+	case *flagRxBudget < 0:
+		return fmt.Errorf("-rxbudget %d is negative", *flagRxBudget)
+	case test == "multi" && *flagCores < 1:
+		return fmt.Errorf("-cores %d: multi needs at least one core", *flagCores)
+	}
+	fc := faultConfig(test)
+	return fc.Validate()
+}
+
+// faultConfig builds the fault schedule the flags describe for test.
+func faultConfig(test string) faults.Config {
+	fc := faults.Config{DropRate: *flagDropRate, CorruptRate: *flagCorrupt}
+	if test == "flap" {
+		fc.Flaps = []faults.Flap{{
+			Port: *flagFlapPort,
+			Down: units.Microseconds(*flagFlapDown),
+			Up:   units.Microseconds(*flagFlapUp),
+		}}
+	}
+	return fc
 }
 
 // report appends the uniform observability tail every command shares: the

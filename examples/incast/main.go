@@ -46,7 +46,7 @@ func main() {
 		}
 	}
 
-	res := perftest.IncastPutBw(sys, senders, perftest.Options{
+	res := perftest.OversubscribedPutBw(sys, senders, perftest.Options{
 		Iters: 400, Warmup: 250, MsgSize: msgSize,
 	})
 	fmt.Println(res)

@@ -61,7 +61,7 @@ func main() {
 	fmt.Println("== deep dive: stall attribution of a saturating closed-loop incast ==")
 	sys := mkSys()
 	defer sys.Shutdown()
-	ires := perftest.IncastPutBw(sys, 0, opt)
+	ires := perftest.OversubscribedPutBw(sys, 0, opt)
 	fmt.Println(ires)
 	rep := perftest.StallReport(sys)
 	fmt.Print(rep.Format())

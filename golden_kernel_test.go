@@ -173,7 +173,7 @@ func kernelFingerprint() map[string]string {
 		icfg := config.TX2CX4(noise, 7, true)
 		icfg.Topology = topo.Spec{Kind: topo.SingleSwitch}
 		isys := node.NewSystem(icfg, 5)
-		ir := perftest.IncastPutBw(isys, 4, perftest.Options{Iters: 150, Warmup: 60, MsgSize: 4096})
+		ir := perftest.OversubscribedPutBw(isys, 4, perftest.Options{Iters: 150, Warmup: 60, MsgSize: 4096})
 		isys.Shutdown()
 		fp["incast_"+nc.name] = fmt.Sprintf("persender=%s queue=%d stalls=%d msgs=%d",
 			g(ir.PerSenderMsgRate), ir.MaxSwitchQueue, ir.CreditStalls, ir.Messages)

@@ -75,15 +75,6 @@ import (
 
 // Config parameterizes the device.
 type Config struct {
-	// TxProcess is the NIC pipeline delay from descriptor availability to
-	// first wire byte. The paper folds NIC processing into its Wire
-	// measurement; it defaults to zero and stays configurable.
-	TxProcess units.Time
-	// RxProcess is the pipeline delay on inbound frames before DMA.
-	RxProcess units.Time
-	// AckProcess is the delay from inbound-frame handling to the
-	// transport ACK (or RNR NAK) emission.
-	AckProcess units.Time
 	// BARStride is the device-memory span reserved per QP.
 	BARStride uint64
 
@@ -395,11 +386,8 @@ type NIC struct {
 	rxHeldMax int
 	upPendQ   frameFIFO
 
-	// Continuations, bound once so the optional processing delays
-	// (TxProcess/RxProcess/AckProcess) and the RNR backoff / ACK-timeout
-	// timers schedule without closures.
-	txFrameFn    func(any)
-	rxFrameFn    func(any)
+	// Continuations, bound once so the RNR backoff / ACK-timeout timers
+	// schedule without closures.
 	retransmitFn func(any)
 	ackTimeoutFn func(any)
 }
@@ -468,8 +456,6 @@ func New(k *sim.Kernel, id int, mem *memsim.Memory, link *pcie.Link, net *topo.F
 		byBAR:   make(map[uint64]*QP),
 		barNext: pcie.BARBase,
 	}
-	n.txFrameFn = func(a any) { n.net.Send(a.(*fabric.Frame)) }
-	n.rxFrameFn = func(a any) { n.handleFrame(a.(*fabric.Frame)) }
 	n.retransmitFn = func(a any) { n.retransmit(a.(*QP)) }
 	n.ackTimeoutFn = func(a any) { n.ackTimeout(a.(*QP)) }
 	link.SetEndpointSide(n)
@@ -827,11 +813,8 @@ func (qp *QP) onPayloadFetched(data []byte) {
 // execWQE records a decoded descriptor in the retransmit ring and transmits
 // it onto the fabric. The WQE (often a scratch) is consumed synchronously:
 // its payload is copied into the ring record and from there into the pooled
-// frame. The outstanding record is made at execution time; with a nonzero
-// TxProcess the frame itself leaves TxProcess later, which cannot be
-// observed out of order because the transport ACK consuming the record
-// travels behind the frame. While the QP is waiting out an RNR backoff the
-// frame is not transmitted: the record rides the go-back-N replay instead.
+// frame. While the QP is waiting out an RNR backoff the frame is not
+// transmitted: the record rides the go-back-N replay instead.
 func (n *NIC) execWQE(qp *QP, w *mlx.WQE) {
 	if w.QPN != qp.QPN {
 		panic(fmt.Sprintf("nic%d: WQE qpn %d posted to qp %d", n.id, w.QPN, qp.QPN))
@@ -897,31 +880,17 @@ func (n *NIC) txRecFrame(qp *QP, rec *txRec) {
 		n.tr.Emit(trace.Event{At: n.k.Now(), Kind: trace.EvInject, TID: f.TID,
 			Node: int16(n.id), Arg: trace.ArgMsg(qp.QPN, len(rec.payload), uint32(rec.counter))})
 	}
-	if n.cfg.TxProcess > 0 {
-		n.k.AfterArg(n.cfg.TxProcess, n.txFrameFn, f)
-		return
-	}
 	n.net.Send(f)
 }
 
 // ---------- fabric port side ----------
 
-// RxFrame implements fabric.Port. The NIC owns the delivered frame until
-// handleFrame releases it (after the optional RxProcess delay).
+// RxFrame implements fabric.Port: it dispatches a delivered frame and
+// releases it — immediately for ACKs, NAKs, refused and discarded data
+// frames, or once the last host-memory write of an accepted data frame has
+// been issued on the PCIe link (rxData reports true for frames held that
+// way; upIssued performs the deferred release).
 func (n *NIC) RxFrame(f *fabric.Frame) {
-	if n.cfg.RxProcess > 0 {
-		n.k.AfterArg(n.cfg.RxProcess, n.rxFrameFn, f)
-		return
-	}
-	n.handleFrame(f)
-}
-
-// handleFrame dispatches a delivered frame and releases it — immediately
-// for ACKs, NAKs, refused and discarded data frames, or once the last
-// host-memory write of an accepted data frame has been issued on the PCIe
-// link (rxData reports true for frames held that way; upIssued performs the
-// deferred release).
-func (n *NIC) handleFrame(f *fabric.Frame) {
 	if n.dead {
 		// The NIC is dark: whatever arrives is dropped on the floor. Peers
 		// discover the death through their own ACK-timeout path.
@@ -988,7 +957,7 @@ func (n *NIC) rxData(f *fabric.Frame) (held bool) {
 			// exactly once; only the acknowledgement needs repair.
 			qp.DupRxFrames++
 			n.traceDrop(f)
-			n.emitAck(n.net.AckFor(f, fabric.AckInfo{QPN: op.SrcQPN, Counter: qp.rxPSN - 1}))
+			n.net.Send(n.net.AckFor(f, fabric.AckInfo{QPN: op.SrcQPN, Counter: qp.rxPSN - 1}))
 			return false
 		}
 		qp.RxDiscarded++
@@ -999,7 +968,7 @@ func (n *NIC) rxData(f *fabric.Frame) (held bool) {
 			qp.rxResume = qp.rxPSN
 			nak := n.net.AckFor(f, fabric.AckInfo{QPN: op.SrcQPN, Counter: qp.rxPSN})
 			nak.Kind = fabric.SeqNak
-			n.emitAck(nak)
+			n.net.Send(nak)
 		}
 		return false
 	}
@@ -1082,18 +1051,8 @@ func (n *NIC) rxData(f *fabric.Frame) (held bool) {
 	}
 	// Transport-level acknowledgement back to the initiator (paper §2
 	// step 4).
-	n.emitAck(n.net.AckFor(f, fabric.AckInfo{QPN: op.SrcQPN, Counter: op.Counter}))
+	n.net.Send(n.net.AckFor(f, fabric.AckInfo{QPN: op.SrcQPN, Counter: op.Counter}))
 	return held
-}
-
-// emitAck transmits a built acknowledgement (ACK or NAK) frame after the
-// configured AckProcess delay. Acks leave through Send, as data frames do.
-func (n *NIC) emitAck(ack *fabric.Frame) {
-	if n.cfg.AckProcess > 0 {
-		n.k.AfterArg(n.cfg.AckProcess, n.txFrameFn, ack)
-		return
-	}
-	n.net.Send(ack)
 }
 
 // traceDrop marks a delivered-but-discarded data frame's flight dead in the
@@ -1119,7 +1078,7 @@ func (n *NIC) refuse(qp *QP, f *fabric.Frame) {
 	qp.rxResume = f.Op.Counter
 	nak := n.net.AckFor(f, fabric.AckInfo{QPN: f.Op.SrcQPN, Counter: f.Op.Counter, Timer: n.cfg.RnrNakTimer})
 	nak.Kind = fabric.RnrNak
-	n.emitAck(nak)
+	n.net.Send(nak)
 }
 
 // rxAck handles a transport ACK on the initiator NIC. ACKs are cumulative

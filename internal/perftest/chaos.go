@@ -1,7 +1,6 @@
 package perftest
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -150,30 +149,17 @@ func ChaosSchedule(seed uint64, cfg *config.Config, nodes int) faults.Config {
 	return fc
 }
 
-// chaosPair is the shared state of one sequence-verified stream.
+// chaosPair is the shared state of one sequence-verified stream. The
+// embedded seqCheck is the receiver-side verification behind the
+// corruption/duplication invariant.
 type chaosPair struct {
+	seqCheck
 	src, dst int
-	msgSize  int
 	total    int
-
-	// Receiver-side sequence verification (the corruption/duplication
-	// invariant): every completed receive must carry the next sequence
-	// number and the exact pattern fill.
-	delivered                   int
-	dups, gaps, corrupt, badLen int
 
 	sendErr, recvErr     error
 	senderDone, recvDone bool
 	deadlineCancels      int
-}
-
-// chaosStamp writes message i's payload: sequence number plus pattern fill
-// (the same layout the lossy stream uses).
-func chaosStamp(msg []byte, i int) {
-	binary.LittleEndian.PutUint64(msg[:8], uint64(i))
-	for j := 8; j < len(msg); j++ {
-		msg[j] = byte(uint64(i) + uint64(j))
-	}
 }
 
 // hbWaitFrame waits for a set of MPI requests while running an
@@ -309,7 +295,7 @@ func (f *chaosSendFrame) Step(t *sim.Task) {
 				t.Call(&f.wait)
 				return
 			}
-			chaosStamp(f.msg, f.i+len(f.reqs))
+			seqStamp(f.msg, f.i+len(f.reqs))
 			f.pc = 3
 			f.r.StartIsend(t, f.pair.dst, chaosStreamTag, f.msg)
 			return
@@ -365,7 +351,6 @@ func (f *chaosRecvFrame) Step(t *sim.Task) {
 			return
 		case 2:
 			f.pair.deadlineCancels = f.wait.cancels
-			var expected uint64
 			failed := false
 			for _, q := range f.reqs {
 				if q.Err() != nil {
@@ -381,27 +366,7 @@ func (f *chaosRecvFrame) Step(t *sim.Task) {
 					f.pair.gaps++
 					continue
 				}
-				data := q.Data()
-				if len(data) != f.pair.msgSize {
-					f.pair.badLen++
-					continue
-				}
-				seq := binary.LittleEndian.Uint64(data[:8])
-				switch d := int64(seq - expected); {
-				case d == 0:
-					expected++
-					f.pair.delivered++
-					for j := 8; j < len(data); j++ {
-						if data[j] != byte(seq+uint64(j)) {
-							f.pair.corrupt++
-							break
-						}
-					}
-				case d < 0:
-					f.pair.dups++
-				default:
-					f.pair.gaps++
-				}
+				f.pair.check(q.Data())
 			}
 			f.pair.recvDone = true
 			f.reqs = nil
@@ -492,7 +457,7 @@ func ChaosSoak(base *config.Config, seed uint64, opt ChaosOptions) *ChaosResult 
 	half := opt.Nodes / 2
 	pairs := make([]*chaosPair, half)
 	for i := 0; i < half; i++ {
-		p := &chaosPair{src: i, dst: i + half, total: opt.Total, msgSize: 8 + 8*tr.Intn(3)}
+		p := &chaosPair{seqCheck: seqCheck{msgSize: 8 + 8*tr.Intn(3)}, src: i, dst: i + half, total: opt.Total}
 		pairs[i] = p
 		send := &chaosSendFrame{r: comm.Ranks[p.src], pair: p, opt: &opt, msg: make([]byte, p.msgSize)}
 		recv := &chaosRecvFrame{r: comm.Ranks[p.dst], pair: p, opt: &opt}

@@ -19,82 +19,146 @@ type winShared struct {
 	done       int
 }
 
-// putLoopFrame is one sender of the incast and multicore scenarios: the
-// put_bw loop (warmup, measured iterations with batched polling, in-flight
-// drain) against a shared measured window.
-type putLoopFrame struct {
-	cfg  *config.Config
-	rand *rng.Rand // jitter stream for the bench-loop advances
+// sender is one put_bw source: its own worker and QP into the receiver, the
+// payload it writes, and the jitter stream of its benchmark loop.
+type sender struct {
+	n    *node.Node
 	w    *uct.Worker
 	ep   *uct.Ep
-	opt  *Options
-	st   *winShared
-	// marks, when set, collects each measured iteration's completion
-	// time — the flap-incast scenario splits the run into pre/dip/post
-	// windows from them. Nil on the hot scenarios.
-	marks *[]units.Time
+	msg  []byte
+	rand *rng.Rand
+	// mark, when set, collects each measured iteration's completion time
+	// in marks — the flap-incast scenario splits the run into pre/dip/post
+	// windows from them. Off on the hot scenarios.
+	mark  bool
+	marks []units.Time
+}
 
-	postF postSpinFrame
-	pc    int
-	i     int
+// connectSenders gives every node of srcs (a node may repeat: one sender
+// per simulated core) its own worker and QP. All the QPs connect into one
+// receiver worker on dst, which is returned, and each sender gets its own
+// max(MsgSize, 64)-byte target on dst. name labels the targets.
+func connectSenders(sys *node.System, srcs []*node.Node, dst *node.Node, opt Options, name string) ([]*sender, *uct.Worker) {
+	cfg := sys.Cfg
+	recvW := uct.NewWorker(dst, cfg)
+	snd := make([]*sender, len(srcs))
+	for i, n := range srcs {
+		w := uct.NewWorker(n, cfg)
+		w.ProfStage = opt.ProfStage
+		ep := w.NewEp(opt.Mode, opt.SignalPeriod)
+		uct.Connect(ep, recvW.NewEp(opt.Mode, opt.SignalPeriod))
+		tgt := dst.Mem.Alloc(fmt.Sprintf("%s.target%d", name, i), uint64(max(opt.MsgSize, 64)), 64)
+		ep.RemoteBuf = tgt.Base
+		snd[i] = &sender{n: n, w: w, ep: ep, msg: make([]byte, opt.MsgSize), rand: n.Rand}
+	}
+	return snd, recvW
+}
+
+// runPutLoops runs the put_bw loop on every sender concurrently until the
+// system drains, and returns the shared measured window. name prefixes the
+// spawned tasks.
+func runPutLoops(sys *node.System, snd []*sender, opt Options, name string) *winShared {
+	st := &winShared{}
+	for i, s := range snd {
+		sys.K.SpawnTask(fmt.Sprintf("%s.sender%d", name, i), &putLoopFrame{cfg: sys.Cfg, s: s, opt: &opt, st: st})
+	}
+	sys.Run()
+	if st.done != len(snd) {
+		panic(fmt.Sprintf("perftest: only %d of %d %s senders finished", st.done, len(snd), name))
+	}
+	return st
+}
+
+// putLoopFrame is the put_bw loop of one sender: the optional profiler
+// calibration, warmup posts, the optional trace clear, the measured
+// injection loop with batched polling, then an in-flight drain outside the
+// measured window. The calibration and the trace clear act on the sender's
+// own node.
+type putLoopFrame struct {
+	cfg *config.Config
+	s   *sender
+	opt *Options
+	st  *winShared
+
+	pc int
+	i  int
 }
 
 func (f *putLoopFrame) Step(t *sim.Task) {
 	cfg := f.cfg
+	s := f.s
 	for {
 		switch f.pc {
-		case 0: // warmup loop head
+		case 0:
+			if f.opt.Calibrate {
+				s.n.Prof.Calibrate(t, cfg.Prof.CalibrationSamples)
+			}
+			f.pc = 1
+		case 1: // warmup loop head
 			if f.i >= f.opt.Warmup {
-				if t.Now() > f.st.start {
-					// The window opens when the last sender finishes
-					// warmup.
-					f.st.start = t.Now()
-				}
-				f.i = 0
 				f.pc = 3
 				continue
 			}
-			f.pc = 1
-			f.postF.start(t)
+			f.pc = 2
+			s.ep.StartPut(t, s.msg)
 			return
-		case 1:
-			if (f.i+1)%cfg.Bench.PollBatch == 0 {
-				f.i++
-				f.pc = 0
-				f.w.StartProgress(t)
+		case 2: // after a warmup post: batched poll
+			mustPost(s.ep)
+			f.i++
+			f.pc = 1
+			if f.i%cfg.Bench.PollBatch == 0 {
+				s.w.StartProgress(t)
 				return
 			}
-			f.i++
-			f.pc = 0
-		case 3: // measured loop head
+		case 3:
+			// The analyzer is fed by link events: settle the lazy clock
+			// so every TLP up to the task's current time is recorded (and
+			// cleared) before the measured window opens.
+			f.pc = 4
+			if f.opt.ClearTrace && t.Pause() {
+				return
+			}
+		case 4:
+			if f.opt.ClearTrace {
+				s.n.Tap.Clear()
+			}
+			if t.Now() > f.st.start {
+				// The window opens when the last sender finishes warmup.
+				f.st.start = t.Now()
+			}
+			f.i = 0
+			f.pc = 5
+		case 5: // measured loop head
 			if f.i >= f.opt.Iters {
 				if t.Now() > f.st.end {
 					f.st.end = t.Now()
 				}
-				f.pc = 6
+				f.pc = 8
 				continue
 			}
-			f.pc = 4
-			f.postF.start(t)
+			f.pc = 6
+			s.ep.StartPut(t, s.msg)
 			return
-		case 4:
+		case 6: // after a measured post: batched poll
+			mustPost(s.ep)
+			f.pc = 7
 			if (f.i+1)%cfg.Bench.PollBatch == 0 {
-				f.pc = 5
-				f.w.StartProgress(t)
+				s.w.StartProgress(t)
 				return
 			}
-			f.pc = 5
-		case 5:
-			t.Advance(cfg.SW.MeasUpdate.Sample(f.rand))
-			t.Advance(cfg.SW.BenchLoop.Sample(f.rand))
-			if f.marks != nil {
-				*f.marks = append(*f.marks, t.Now())
+		case 7:
+			// Timestamp + injection-rate measurement update, then the
+			// residual loop logic.
+			t.Advance(cfg.SW.MeasUpdate.Sample(s.rand))
+			t.Advance(cfg.SW.BenchLoop.Sample(s.rand))
+			if s.mark {
+				s.marks = append(s.marks, t.Now())
 			}
 			f.i++
-			f.pc = 3
-		case 6: // drain the in-flight tail outside the window
-			if f.ep.InFlight() > 0 {
-				f.w.StartProgress(t)
+			f.pc = 5
+		case 8: // drain the in-flight tail outside the window
+			if s.ep.InFlight() > 0 {
+				s.w.StartProgress(t)
 				return
 			}
 			f.st.done++
@@ -102,27 +166,6 @@ func (f *putLoopFrame) Step(t *sim.Task) {
 			return
 		}
 	}
-}
-
-// IncastResult reports the N-senders -> one-receiver congestion scenario.
-type IncastResult struct {
-	Senders  int
-	MsgSize  int
-	Messages int
-	Elapsed  units.Time
-	// AggMsgRate is messages per second across every sender.
-	AggMsgRate float64
-	// PerSenderMsgRate is the per-sender average — the number that
-	// collapses as the shared receiver downlink port congests.
-	PerSenderMsgRate float64
-	// PerSenderBwMBs is the matching per-sender goodput in MB/s.
-	PerSenderBwMBs float64
-	// MaxSwitchQueue is the deepest switch output-port queue of the run
-	// (the incast hotspot is the receiver's downlink port).
-	MaxSwitchQueue int
-	// CreditStalls counts egress stalls on exhausted link credits —
-	// backpressure reaching the senders.
-	CreditStalls uint64
 }
 
 // clampSenders resolves the senders argument of the incast-family
@@ -133,70 +176,6 @@ func clampSenders(sys *node.System, senders int) int {
 		senders = len(sys.Nodes) - 1
 	}
 	return senders
-}
-
-// incastWindow is the sender machinery shared by the incast-family
-// scenarios (IncastPutBw, OversubscribedPutBw): `senders` sender nodes
-// (sys.Nodes[1..senders]) run the put_bw loop into node 0 concurrently
-// and the system runs to completion. The measured window opens when the
-// last sender finishes warmup and closes when the last sender finishes
-// posting its measured iterations; each sender drains its in-flight tail
-// outside the window. name prefixes the spawned tasks and target labels.
-// The returned endpoints (sender side, receiver worker) expose the QP
-// statistics the scenarios report.
-func incastWindow(sys *node.System, senders int, opt Options, name string) (elapsed units.Time, senderEps []*uct.Ep, recvW *uct.Worker) {
-	cfg := sys.Cfg
-	recv := sys.Nodes[0]
-	recvW = uct.NewWorker(recv, cfg)
-
-	st := &winShared{}
-	for s := 1; s <= senders; s++ {
-		n := sys.Nodes[s]
-		w := uct.NewWorker(n, cfg)
-		ep := w.NewEp(opt.Mode, opt.SignalPeriod)
-		epR := recvW.NewEp(opt.Mode, opt.SignalPeriod)
-		uct.Connect(ep, epR)
-		tgt := recv.Mem.Alloc(fmt.Sprintf("%s.target%d", name, s), uint64(max(opt.MsgSize, 64)), 64)
-		ep.RemoteBuf = tgt.Base
-		senderEps = append(senderEps, ep)
-
-		msg := make([]byte, opt.MsgSize)
-		f := &putLoopFrame{cfg: cfg, rand: n.Rand, w: w, ep: ep, opt: &opt, st: st}
-		f.postF = postSpinFrame{w: w, ep: ep, kind: postPutAuto, strict: true, msg: msg}
-		sys.K.SpawnTask(fmt.Sprintf("%s.sender%d", name, s), f)
-	}
-	sys.Run()
-	if st.done != senders {
-		panic(fmt.Sprintf("perftest: only %d of %d %s senders finished", st.done, senders, name))
-	}
-	return st.end - st.start, senderEps, recvW
-}
-
-// IncastPutBw runs the put_bw loop from `senders` sender nodes
-// (sys.Nodes[1..senders]) into node 0 concurrently: the classic incast.
-// All flows converge on the receiver's downlink switch port, whose
-// serialization queue and credit backpressure the topology models;
-// senders <= 0 selects every node but the receiver. With one sender it
-// doubles as the uncontended baseline on the identical path.
-func IncastPutBw(sys *node.System, senders int, opt Options) *IncastResult {
-	opt.Defaults(sys.Cfg)
-	senders = clampSenders(sys, senders)
-	res := &IncastResult{Senders: senders, MsgSize: opt.MsgSize}
-	res.Elapsed, _, _ = incastWindow(sys, senders, opt, "incast")
-
-	res.Messages = senders * opt.Iters
-	res.AggMsgRate = float64(res.Messages) / res.Elapsed.Seconds()
-	res.PerSenderMsgRate = res.AggMsgRate / float64(senders)
-	res.PerSenderBwMBs = res.PerSenderMsgRate * float64(opt.MsgSize) / 1e6
-	res.MaxSwitchQueue = sys.Topo().MaxSwitchQueue()
-	res.CreditStalls = sys.Topo().CreditStalls()
-	return res
-}
-
-// String renders the result.
-func (r *IncastResult) String() string {
-	return fmt.Sprintf("incast put_bw: %d senders x %dB, %d msgs in %v -> %.0f msg/s/sender (%.1f MB/s/sender; max switch queue %d, %d credit stalls)",
-		r.Senders, r.MsgSize, r.Messages, r.Elapsed, r.PerSenderMsgRate, r.PerSenderBwMBs, r.MaxSwitchQueue, r.CreditStalls)
 }
 
 // AllToAllResult reports the all-to-all congestion scenario.
@@ -250,9 +229,8 @@ func AllToAllPutBw(sys *node.System, opt Options) *AllToAllResult {
 
 	st := &winShared{}
 	for i := 0; i < n; i++ {
-		msg := make([]byte, opt.MsgSize)
-		f := &a2aNodeFrame{cfg: cfg, rand: sys.Nodes[i].Rand, w: workers[i], me: i, n: n, eps: eps, opt: &opt, st: st}
-		f.postF = postSpinFrame{w: workers[i], kind: postPutAuto, strict: true, msg: msg}
+		f := &a2aNodeFrame{cfg: cfg, rand: sys.Nodes[i].Rand, w: workers[i], me: i, n: n, eps: eps,
+			msg: make([]byte, opt.MsgSize), opt: &opt, st: st}
 		sys.K.SpawnTask(fmt.Sprintf("a2a.node%d", i), f)
 	}
 	sys.Run()
@@ -278,10 +256,10 @@ type a2aNodeFrame struct {
 	me   int
 	n    int
 	eps  [][]*uct.Ep
+	msg  []byte
 	opt  *Options
 	st   *winShared
 
-	postF postSpinFrame
 	pc    int
 	r     int // round index (warmup, then measured)
 	j     int // peer index within a round / drain
@@ -335,10 +313,10 @@ func (f *a2aNodeFrame) Step(t *sim.Task) {
 				continue
 			}
 			f.pc = 3
-			f.postF.ep = f.eps[f.me][f.j]
-			f.postF.start(t)
+			f.eps[f.me][f.j].StartPut(t, f.msg)
 			return
 		case 3:
+			mustPost(f.eps[f.me][f.j])
 			f.posts++
 			if f.posts%cfg.Bench.PollBatch == 0 {
 				f.pc = 31

@@ -27,10 +27,10 @@ func incastConfig(credits int) *config.Config {
 func TestIncastContention(t *testing.T) {
 	const size = 4096
 	opt := Options{Iters: 400, Warmup: 250, MsgSize: size}
-	run := func(nodes, senders int) *IncastResult {
+	run := func(nodes, senders int) *OversubscribedResult {
 		sys := node.NewSystem(incastConfig(0), nodes)
 		defer sys.Shutdown()
-		return IncastPutBw(sys, senders, opt)
+		return OversubscribedPutBw(sys, senders, opt)
 	}
 
 	solo := run(5, 1)
@@ -72,7 +72,7 @@ func TestIncastContention(t *testing.T) {
 		t.Fatalf("scenario mis-sized: PCIe cycle %.1f ns not slower than wire serialization %.1f ns", cycleNs, serNs)
 	}
 	for _, c := range []struct {
-		res *IncastResult
+		res *OversubscribedResult
 		n   float64
 	}{{four, 4}, {eight, 8}} {
 		gotNs := 1e9 / c.res.PerSenderMsgRate
@@ -94,7 +94,7 @@ func TestIncastContention(t *testing.T) {
 func TestIncastBackpressure(t *testing.T) {
 	sys := node.NewSystem(incastConfig(2), 5)
 	defer sys.Shutdown()
-	res := IncastPutBw(sys, 4, Options{Iters: 200, Warmup: 30, MsgSize: 4096})
+	res := OversubscribedPutBw(sys, 4, Options{Iters: 200, Warmup: 30, MsgSize: 4096})
 	if res.CreditStalls == 0 {
 		t.Errorf("no credit stalls with credits=2 under incast: %v", res)
 	}
@@ -105,7 +105,7 @@ func TestIncastBackpressure(t *testing.T) {
 func TestIncastSmallMessages(t *testing.T) {
 	sys := node.NewSystem(incastConfig(0), 4)
 	defer sys.Shutdown()
-	res := IncastPutBw(sys, 0, Options{Iters: 150, Warmup: 20})
+	res := OversubscribedPutBw(sys, 0, Options{Iters: 150, Warmup: 20})
 	if res.Senders != 3 || res.Messages != 3*150 {
 		t.Fatalf("senders/messages: %v", res)
 	}
@@ -186,7 +186,7 @@ func TestScenarioPoolsDrained(t *testing.T) {
 	t.Run("incast", func(t *testing.T) {
 		sys := node.NewSystem(incastConfig(0), 5)
 		defer sys.Shutdown()
-		IncastPutBw(sys, 4, Options{Iters: 80, Warmup: 10, MsgSize: 4096})
+		OversubscribedPutBw(sys, 4, Options{Iters: 80, Warmup: 10, MsgSize: 4096})
 		check(t, sys)
 	})
 	t.Run("oversub", func(t *testing.T) {

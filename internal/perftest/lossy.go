@@ -7,7 +7,6 @@ import (
 	"breakband/internal/config"
 	"breakband/internal/nic"
 	"breakband/internal/node"
-	"breakband/internal/rng"
 	"breakband/internal/sim"
 	"breakband/internal/uct"
 	"breakband/internal/units"
@@ -16,72 +15,80 @@ import (
 // amLossy is the active-message id the lossy stream rides on.
 const amLossy = 5
 
-// lossyShared is the state the lossy sender, receiver and verifier share:
-// the receiver-side sequence check that turns "the transport recovered"
-// into an application-layer assertion.
-type lossyShared struct {
-	total    int
-	msgSize  int
-	expected uint64 // next sequence number the application must see
-	received int
-	lastRx   units.Time
-	// Integrity violations — all must stay zero at any drop rate short of
-	// QP failure.
+// seqCheck verifies a sequence-stamped stream at the receiver: every
+// delivered payload must carry the next sequence number (little-endian in
+// bytes 0..7) and the exact pattern fill seqStamp wrote behind it —
+// exactly once, in order, uncorrupted.
+type seqCheck struct {
+	msgSize   int
+	expected  uint64 // next sequence number the application must see
+	delivered int
+	// Integrity violations — all must stay zero on a transport that
+	// recovers.
 	dups, gaps, corrupt, badLen int
-	failed                      bool // the sender's QP errored (retry exhaustion)
-	senderDone                  bool
 }
 
-// verify is the receiver's AM handler: every delivered payload must carry
-// the next sequence number (little-endian in bytes 0..7) and the exact
-// pattern fill behind it — exactly once, in order, uncorrupted.
-func (sh *lossyShared) verify(t *sim.Task, data []byte) {
-	sh.lastRx = t.Now()
-	if len(data) != sh.msgSize {
-		sh.badLen++
+// check verifies one delivered payload.
+func (c *seqCheck) check(data []byte) {
+	if len(data) != c.msgSize {
+		c.badLen++
 		return
 	}
 	seq := binary.LittleEndian.Uint64(data[:8])
-	d := int64(seq - sh.expected)
-	switch {
+	switch d := int64(seq - c.expected); {
 	case d == 0:
-		sh.expected++
-		sh.received++
+		c.expected++
+		c.delivered++
 		for j := 8; j < len(data); j++ {
 			if data[j] != byte(seq+uint64(j)) {
-				sh.corrupt++
+				c.corrupt++
 				break
 			}
 		}
 	case d < 0:
-		sh.dups++
+		c.dups++
 	default:
-		sh.gaps++
+		c.gaps++
 	}
 }
 
-// stamp writes message i's payload: sequence number plus pattern fill.
-func lossyStamp(msg []byte, i int) {
+// seqStamp writes message i's payload: sequence number plus pattern fill.
+func seqStamp(msg []byte, i int) {
 	binary.LittleEndian.PutUint64(msg[:8], uint64(i))
 	for j := 8; j < len(msg); j++ {
 		msg[j] = byte(uint64(i) + uint64(j))
 	}
 }
 
+// lossyShared is the state the lossy sender, receiver and verifier share:
+// the receiver-side sequence check that turns "the transport recovered"
+// into an application-layer assertion.
+type lossyShared struct {
+	seqCheck
+	total      int
+	lastRx     units.Time
+	failed     bool // the sender's QP errored (retry exhaustion)
+	senderDone bool
+}
+
+// verify is the receiver's AM handler.
+func (sh *lossyShared) verify(t *sim.Task, data []byte) {
+	sh.lastRx = t.Now()
+	sh.check(data)
+}
+
 // lossySendFrame streams sh.total sequence-stamped active messages with
 // batched polling, aborting when the QP fails (retry exhaustion under
 // heavy loss), then drains its in-flight tail.
 type lossySendFrame struct {
-	cfg  *config.Config
-	rand *rng.Rand
-	w    *uct.Worker
-	ep   *uct.Ep
-	sh   *lossyShared
+	cfg *config.Config
+	w   *uct.Worker
+	ep  *uct.Ep
+	sh  *lossyShared
 
-	postF postSpinFrame
-	msg   []byte
-	pc    int
-	i     int
+	msg []byte
+	pc  int
+	i   int
 }
 
 func (f *lossySendFrame) Step(t *sim.Task) {
@@ -92,9 +99,9 @@ func (f *lossySendFrame) Step(t *sim.Task) {
 				f.pc = 2
 				continue
 			}
-			lossyStamp(f.msg, f.i)
+			seqStamp(f.msg, f.i)
 			f.pc = 1
-			f.postF.start(t)
+			f.ep.StartAm(t, amLossy, f.msg)
 			return
 		case 1:
 			if f.ep.Err != nil {
@@ -144,7 +151,7 @@ func (f *lossyRecvFrame) Step(t *sim.Task) {
 			f.ep.StartPostRecvs(t, 64)
 			return
 		case 1:
-			if f.sh.received >= f.sh.total || (f.sh.failed && f.sh.senderDone) {
+			if f.sh.delivered >= f.sh.total || (f.sh.failed && f.sh.senderDone) {
 				t.Return()
 				return
 			}
@@ -205,24 +212,21 @@ func LossyPutBw(sys *node.System, opt Options) *LossyResult {
 	ep1 := w1.NewEp(opt.Mode, opt.SignalPeriod)
 	uct.Connect(ep0, ep1)
 
-	sh := &lossyShared{total: opt.Iters, msgSize: opt.MsgSize}
+	sh := &lossyShared{seqCheck: seqCheck{msgSize: opt.MsgSize}, total: opt.Iters}
 	w1.SetAmHandler(amLossy, sh.verify)
 
-	send := &lossySendFrame{cfg: cfg, rand: n0.Rand, w: w0, ep: ep0, sh: sh, msg: make([]byte, opt.MsgSize)}
-	send.postF = postSpinFrame{w: w0, ep: ep0, kind: postAmAuto, id: amLossy, msg: send.msg}
-	recv := &lossyRecvFrame{w: w1, ep: ep1, sh: sh}
-	sys.K.SpawnTask("lossy.sender", send)
-	sys.K.SpawnTask("lossy.receiver", recv)
+	sys.K.SpawnTask("lossy.sender", &lossySendFrame{cfg: cfg, w: w0, ep: ep0, sh: sh, msg: make([]byte, opt.MsgSize)})
+	sys.K.SpawnTask("lossy.receiver", &lossyRecvFrame{w: w1, ep: ep1, sh: sh})
 	sys.Run()
 
-	if !sh.failed && sh.received != sh.total {
-		panic(fmt.Sprintf("perftest: lossy run ended with %d of %d delivered and no QP error", sh.received, sh.total))
+	if !sh.failed && sh.delivered != sh.total {
+		panic(fmt.Sprintf("perftest: lossy run ended with %d of %d delivered and no QP error", sh.delivered, sh.total))
 	}
 	res := &LossyResult{
 		DropRate:      cfg.Faults.DropRate,
 		CorruptRate:   cfg.Faults.CorruptRate,
 		Total:         sh.total,
-		Delivered:     sh.received,
+		Delivered:     sh.delivered,
 		Duplicated:    sh.dups,
 		Misordered:    sh.gaps,
 		Corrupted:     sh.corrupt,
@@ -292,9 +296,9 @@ type FlapIncastResult struct {
 // FlapIncastPutBw runs the incast put_bw loop over a fault schedule that
 // flaps a fabric link — sys must be built with at least one
 // cfg.Faults.Flaps entry, typically a fat-tree leaf up-link some of the
-// flows ride. Unlike IncastPutBw it takes its `senders` senders from the
-// END of the node list (sys.Nodes[len-senders:] into node 0), so on a
-// fat-tree the set can be kept leaf-symmetric: a sender sharing the
+// flows ride. Unlike OversubscribedPutBw it takes its `senders` senders
+// from the END of the node list (sys.Nodes[len-senders:] into node 0), so
+// on a fat-tree the set can be kept leaf-symmetric: a sender sharing the
 // receiver's leaf runs a much shorter RTT and would skew the windowed
 // rates. While the link is down ECMP re-hashes the affected flows around
 // the dead path and the ACK-timeout machinery replays what the flap
@@ -308,29 +312,11 @@ func FlapIncastPutBw(sys *node.System, senders int, opt Options) *FlapIncastResu
 		panic("perftest: FlapIncastPutBw needs a cfg.Faults.Flaps schedule")
 	}
 	senders = clampSenders(sys, senders)
-	recv := sys.Nodes[0]
-	recvW := uct.NewWorker(recv, cfg)
-
-	st := &winShared{}
-	marks := make([][]units.Time, senders)
-	for s := 1; s <= senders; s++ {
-		n := sys.Nodes[len(sys.Nodes)-senders+s-1]
-		w := uct.NewWorker(n, cfg)
-		ep := w.NewEp(opt.Mode, opt.SignalPeriod)
-		epR := recvW.NewEp(opt.Mode, opt.SignalPeriod)
-		uct.Connect(ep, epR)
-		tgt := recv.Mem.Alloc(fmt.Sprintf("flap.target%d", s), uint64(max(opt.MsgSize, 64)), 64)
-		ep.RemoteBuf = tgt.Base
-
-		msg := make([]byte, opt.MsgSize)
-		f := &putLoopFrame{cfg: cfg, rand: n.Rand, w: w, ep: ep, opt: &opt, st: st, marks: &marks[s-1]}
-		f.postF = postSpinFrame{w: w, ep: ep, kind: postPutAuto, strict: true, msg: msg}
-		sys.K.SpawnTask(fmt.Sprintf("flap.sender%d", s), f)
+	snd, _ := connectSenders(sys, sys.Nodes[len(sys.Nodes)-senders:], sys.Nodes[0], opt, "flap")
+	for _, s := range snd {
+		s.mark = true
 	}
-	sys.Run()
-	if st.done != senders {
-		panic(fmt.Sprintf("perftest: only %d of %d flap senders finished", st.done, senders))
-	}
+	st := runPutLoops(sys, snd, opt, "flap")
 
 	fl := cfg.Faults.Flaps[0]
 	res := &FlapIncastResult{
@@ -346,15 +332,15 @@ func FlapIncastPutBw(sys *node.System, senders int, opt Options) *FlapIncastResu
 	// back) and closes when the first sender runs out of work (past that
 	// point fewer flows are active and the aggregate is not comparable).
 	postEnd := st.end
-	for _, ms := range marks {
-		if len(ms) > 0 && ms[len(ms)-1] < postEnd {
-			postEnd = ms[len(ms)-1]
+	for _, s := range snd {
+		if n := len(s.marks); n > 0 && s.marks[n-1] < postEnd {
+			postEnd = s.marks[n-1]
 		}
 	}
 	preLo, preHi := fl.Down/2, fl.Down
 	postLo := fl.Up + (fl.Up-fl.Down)/2
-	for _, ms := range marks {
-		for _, at := range ms {
+	for _, s := range snd {
+		for _, at := range s.marks {
 			switch {
 			case at >= preLo && at < preHi:
 				res.PreN++
@@ -374,8 +360,8 @@ func FlapIncastPutBw(sys *node.System, senders int, opt Options) *FlapIncastResu
 	res.PreRate = rate(res.PreN, preHi-preLo)
 	res.DipRate = rate(res.DipN, fl.Up-fl.Down)
 	res.PostRate = rate(res.PostN, postEnd-postLo)
-	for s := 1; s <= senders; s++ {
-		ns := sys.Nodes[len(sys.Nodes)-senders+s-1].NIC.Stats()
+	for _, s := range snd {
+		ns := s.n.NIC.Stats()
 		res.AckTimeouts += ns.AckTimeouts
 		res.SeqNaks += ns.SeqNaksRecv
 		res.Retransmits += ns.Retransmits

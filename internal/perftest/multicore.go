@@ -5,7 +5,6 @@ import (
 
 	"breakband/internal/campaign"
 	"breakband/internal/node"
-	"breakband/internal/uct"
 	"breakband/internal/units"
 )
 
@@ -30,42 +29,26 @@ type MultiPutBwResult struct {
 // MultiPutBw runs the put_bw loop on cores simulated cores concurrently.
 func MultiPutBw(sys *node.System, cores int, opt Options) *MultiPutBwResult {
 	opt.Defaults(sys.Cfg)
-	cfg := sys.Cfg
-	n0, n1 := sys.Nodes[0], sys.Nodes[1]
-	res := &MultiPutBwResult{Cores: cores}
-
-	st := &winShared{}
-	for c := 0; c < cores; c++ {
-		w0 := uct.NewWorker(n0, cfg)
-		w1 := uct.NewWorker(n1, cfg)
+	n0 := sys.Nodes[0]
+	srcs := make([]*node.Node, cores)
+	for c := range srcs {
+		srcs[c] = n0
+	}
+	snd, _ := connectSenders(sys, srcs, sys.Nodes[1], opt, "multiput")
+	for c, s := range snd {
 		// Each simulated core draws its jitter from its own stream,
 		// derived from the campaign seed and the core identity (nil in
 		// NoiseOff). Sharing the node stream would entangle co-node
 		// cores' draw sequences with event scheduling order.
-		coreRand := cfg.Rand(fmt.Sprintf("node%d.core%d", n0.ID, c))
-		w0.SetRand(coreRand)
-		ep0 := w0.NewEp(opt.Mode, opt.SignalPeriod)
-		ep1 := w1.NewEp(opt.Mode, opt.SignalPeriod)
-		uct.Connect(ep0, ep1)
-		tgt := n1.Mem.Alloc(fmt.Sprintf("multiput.target%d", c), 4096, 64)
-		ep0.RemoteBuf = tgt.Base
-
-		msg := make([]byte, opt.MsgSize)
-		f := &putLoopFrame{cfg: cfg, rand: coreRand, w: w0, ep: ep0, opt: &opt, st: st}
-		f.postF = postSpinFrame{w: w0, ep: ep0, kind: postPutShort, msg: msg}
-		sys.K.SpawnTask(fmt.Sprintf("put_bw.core%d", c), f)
+		s.rand = sys.Cfg.Rand(fmt.Sprintf("node%d.core%d", n0.ID, c))
+		s.w.SetRand(s.rand)
 	}
-	sys.Run()
-	if st.done != cores {
-		panic(fmt.Sprintf("perftest: only %d of %d cores finished", st.done, cores))
-	}
+	st := runPutLoops(sys, snd, opt, "multi")
 
-	res.Messages = cores * opt.Iters
-	res.Elapsed = st.end - st.start
+	res := &MultiPutBwResult{Cores: cores, Messages: cores * opt.Iters, Elapsed: st.end - st.start}
 	res.PerMsgNs = res.Elapsed.Ns() / float64(res.Messages)
 	res.AggMsgRate = float64(res.Messages) / res.Elapsed.Seconds()
-	blockedDown, _ := n0.Link.Blocked()
-	res.LinkBlocked = blockedDown
+	res.LinkBlocked, _ = n0.Link.Blocked()
 	return res
 }
 

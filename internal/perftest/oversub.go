@@ -23,20 +23,26 @@ func PCIeWriteCycle(cfg *config.Config, msgSize int) units.Time {
 	return ser(msgSize+l.TLPHeader) + l.Prop + l.AckDelay + 2*ser(l.DLLPBytes) + l.RxProcess + l.Prop
 }
 
-// OversubscribedResult reports the bounded-buffer incast scenario: the
-// usual incast numbers plus the receiver-side overload accounting the rx
-// budget introduces.
+// OversubscribedResult reports the incast: N senders into one receiver,
+// with the receiver-side overload accounting an rx budget introduces.
 type OversubscribedResult struct {
 	Senders  int
 	MsgSize  int
 	Messages int
 	Elapsed  units.Time
-	// AggMsgRate / PerSenderMsgRate / PerSenderBwMBs as in IncastResult.
-	AggMsgRate       float64
+	// AggMsgRate is messages per second across every sender.
+	AggMsgRate float64
+	// PerSenderMsgRate is the per-sender average — the number that
+	// collapses as the shared receiver downlink port congests.
 	PerSenderMsgRate float64
-	PerSenderBwMBs   float64
-	MaxSwitchQueue   int
-	CreditStalls     uint64
+	// PerSenderBwMBs is the matching per-sender goodput in MB/s.
+	PerSenderBwMBs float64
+	// MaxSwitchQueue is the deepest switch output-port queue of the run
+	// (the incast hotspot is the receiver's downlink port).
+	MaxSwitchQueue int
+	// CreditStalls counts egress stalls on exhausted link credits —
+	// backpressure reaching the senders.
+	CreditStalls uint64
 
 	// RxBudget is the receiver NIC's configured pend budget (0 =
 	// unbounded).
@@ -60,16 +66,19 @@ type OversubscribedResult struct {
 	ModelCycleNs float64
 }
 
-// OversubscribedPutBw runs the incast put_bw loop with receiver-overload
-// accounting: `senders` nodes (sys.Nodes[1..senders]) RDMA-write into
-// node 0, whose PCIe link — not the wire — is the bottleneck for large
-// messages, so the offered load oversubscribes the receiver. With
+// OversubscribedPutBw runs the incast: `senders` nodes
+// (sys.Nodes[1..senders]) run the put_bw loop into node 0 concurrently.
+// All flows converge on the receiver's downlink switch port, whose
+// serialization queue and credit backpressure the topology models; for
+// large messages the receiver's PCIe link, not the wire, is the
+// bottleneck, so the offered load oversubscribes the receiver. With
 // cfg.NICRxBudget set the receiver holds at most that many frames (each
 // unreleased frame keeps its final-hop fabric credit, backpressuring the
 // switch hop by hop) and refuses the rest with RNR NAKs; goodput still
 // converges to the PCIe service rate because the held frames bridge the
-// senders' backoff windows. senders <= 0 selects every node but the
-// receiver.
+// senders' backoff windows. With no budget it is the classic incast, and
+// with one sender the uncontended baseline on the identical path. senders
+// <= 0 selects every node but the receiver.
 func OversubscribedPutBw(sys *node.System, senders int, opt Options) *OversubscribedResult {
 	opt.Defaults(sys.Cfg)
 	senders = clampSenders(sys, senders)
@@ -80,10 +89,11 @@ func OversubscribedPutBw(sys *node.System, senders int, opt Options) *Oversubscr
 		RxBudget:     recv.NIC.RxBudget(),
 		ModelCycleNs: PCIeWriteCycle(sys.Cfg, opt.MsgSize).Ns(),
 	}
-	elapsed, eps, wR := incastWindow(sys, senders, opt, "oversub")
+	snd, recvW := connectSenders(sys, sys.Nodes[1:senders+1], recv, opt, "incast")
+	st := runPutLoops(sys, snd, opt, "incast")
 
 	res.Messages = senders * opt.Iters
-	res.Elapsed = elapsed
+	res.Elapsed = st.end - st.start
 	res.AggMsgRate = float64(res.Messages) / res.Elapsed.Seconds()
 	res.PerSenderMsgRate = res.AggMsgRate / float64(senders)
 	res.PerSenderBwMBs = res.PerSenderMsgRate * float64(opt.MsgSize) / 1e6
@@ -91,11 +101,11 @@ func OversubscribedPutBw(sys *node.System, senders int, opt Options) *Oversubscr
 	res.CreditStalls = sys.Topo().CreditStalls()
 	res.MaxRxHeld = recv.NIC.RxHeldMax()
 	_, res.MaxUpPend = recv.Link.MaxPend()
-	for _, e := range wR.Eps {
+	for _, e := range recvW.Eps {
 		res.RNRNaks += e.QP().RNRNaksSent
 	}
-	for _, ep := range eps {
-		qp := ep.QP()
+	for _, s := range snd {
+		qp := s.ep.QP()
 		res.Retransmits += qp.RnrRetransmits
 		res.RetryStall += qp.RnrStall
 	}
@@ -104,7 +114,7 @@ func OversubscribedPutBw(sys *node.System, senders int, opt Options) *Oversubscr
 
 // String renders the result.
 func (r *OversubscribedResult) String() string {
-	return fmt.Sprintf("oversubscribed put_bw: %d senders x %dB (rx budget %d), %d msgs in %v -> %.0f msg/s/sender (%.1f MB/s/sender; model %.1f ns/msg; rx held max %d, pend max %d, %d RNR NAKs, %d replays, %v stalled)",
-		r.Senders, r.MsgSize, r.RxBudget, r.Messages, r.Elapsed, r.PerSenderMsgRate,
-		r.PerSenderBwMBs, r.ModelCycleNs, r.MaxRxHeld, r.MaxUpPend, r.RNRNaks, r.Retransmits, r.RetryStall)
+	return fmt.Sprintf("incast put_bw: %d senders x %dB (rx budget %d), %d msgs in %v -> %.0f msg/s/sender (%.1f MB/s/sender; model %.1f ns/msg; max switch queue %d, %d credit stalls; rx held max %d, pend max %d, %d RNR NAKs, %d replays, %v stalled)",
+		r.Senders, r.MsgSize, r.RxBudget, r.Messages, r.Elapsed, r.PerSenderMsgRate, r.PerSenderBwMBs, r.ModelCycleNs,
+		r.MaxSwitchQueue, r.CreditStalls, r.MaxRxHeld, r.MaxUpPend, r.RNRNaks, r.Retransmits, r.RetryStall)
 }

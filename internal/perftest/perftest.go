@@ -10,12 +10,23 @@
 //     semantics; the benchmark reports half the round-trip time and performs
 //     its measurement update inside the round trip.
 //
-// Beyond the paper's two-node tests the package carries the scenario
-// suite over the internal/topo layer: WindowedPutBw and MultiPutBw
-// (ablations), IncastPutBw and AllToAllPutBw (congestion), and
-// OversubscribedPutBw (receiver-side backpressure with a bounded NIC rx
-// budget: RNR NAK, sender backoff, go-back-N replay). ARCHITECTURE.md
-// catalogs them with the bbperftest command that runs each.
+// Every scenario that talks to uct directly posts through one path,
+// uct.Ep.StartPut/StartAm: the inline short path up to 32 bytes, buffered
+// copy above it, busy posts retried after a progress. A post error aborts
+// the benchmark (mustPost); only the lossy stream reads it, because it
+// reports failures.
+//
+// One put_bw loop (putLoopFrame) runs every closed-loop sender: PutBw is one
+// sender, MultiPutBw (and MultiCoreSweep over it) one per core on the same
+// node, OversubscribedPutBw the N-to-1 incast (with or without a receiver
+// rx budget), and FlapIncastPutBw the incast over a link flap.
+// connectSenders builds their sender sets and runPutLoops runs them
+// against a shared measured window. The other scenarios keep their own
+// loops: AmLat (and LatencySizeSweep over it), WindowedPutBw (the
+// poll-window ablation), AllToAllPutBw, SaturationSweep (paced open-loop
+// senders), LossyPutBw and ChaosSoak (sequence-verified streams under
+// faults). ARCHITECTURE.md catalogs them with the bbperftest command that
+// runs each.
 package perftest
 
 import (
@@ -82,131 +93,22 @@ type PutBwResult struct {
 // sys. The target's CPU is not involved (one-sided writes).
 func PutBw(sys *node.System, opt Options) *PutBwResult {
 	opt.Defaults(sys.Cfg)
-	cfg := sys.Cfg
-	n0, n1 := sys.Nodes[0], sys.Nodes[1]
+	snd, _ := connectSenders(sys, sys.Nodes[:1], sys.Nodes[1], opt, "put_bw")
+	st := runPutLoops(sys, snd, opt, "put_bw")
 
-	w0 := uct.NewWorker(n0, cfg)
-	w1 := uct.NewWorker(n1, cfg)
-	ep0 := w0.NewEp(opt.Mode, opt.SignalPeriod)
-	ep1 := w1.NewEp(opt.Mode, opt.SignalPeriod)
-	uct.Connect(ep0, ep1)
-	tgt := n1.Mem.Alloc("putbw.target", 4096, 64)
-	ep0.RemoteBuf = tgt.Base
-
-	res := &PutBwResult{Worker: w0}
-	msg := make([]byte, opt.MsgSize)
-	for i := range msg {
-		msg[i] = byte(i)
-	}
-
-	w0.ProfStage = opt.ProfStage
-	f := &putBwFrame{cfg: cfg, n0: n0, w0: w0, ep0: ep0, opt: &opt, res: res}
-	f.postF = postSpinFrame{w: w0, ep: ep0, kind: postPutShort, msg: msg}
-	sys.K.SpawnTask("put_bw", f)
-	sys.Run()
-
-	res.Messages = opt.Iters
+	w0 := snd[0].w
+	res := &PutBwResult{Messages: opt.Iters, Elapsed: st.end - st.start, Stats: w0.Stats, Worker: w0}
 	res.MeanInjNs = res.Elapsed.Ns() / float64(opt.Iters)
 	res.MsgRate = float64(opt.Iters) / res.Elapsed.Seconds()
-	res.Stats = w0.Stats
 	return res
 }
 
-// putBwFrame is the single put_bw driver: warmup posts, optional trace
-// clear, the measured injection loop, then an in-flight drain outside the
-// measured window.
-type putBwFrame struct {
-	cfg *config.Config
-	n0  *node.Node
-	w0  *uct.Worker
-	ep0 *uct.Ep
-	opt *Options
-	res *PutBwResult
-
-	postF postSpinFrame
-	pc    int
-	i     int
-	start units.Time
-}
-
-func (f *putBwFrame) Step(t *sim.Task) {
-	cfg := f.cfg
-	for {
-		switch f.pc {
-		case 0:
-			if f.opt.Calibrate {
-				f.n0.Prof.Calibrate(t, cfg.Prof.CalibrationSamples)
-			}
-			f.pc = 1
-		case 1: // warmup loop head
-			if f.i >= f.opt.Warmup {
-				f.pc = 3
-				continue
-			}
-			f.pc = 2
-			f.postF.start(t)
-			return
-		case 2: // after a warmup post: batched poll
-			if (f.i+1)%cfg.Bench.PollBatch == 0 {
-				f.i++
-				f.pc = 1
-				f.w0.StartProgress(t)
-				return
-			}
-			f.i++
-			f.pc = 1
-		case 3:
-			if !f.opt.ClearTrace {
-				f.pc = 4
-				continue
-			}
-			// The analyzer is fed by link events: settle the lazy clock
-			// so every TLP up to the task's current time is recorded
-			// (and cleared) before the measured window opens.
-			f.pc = 31
-			if t.Pause() {
-				return
-			}
-		case 31:
-			f.n0.Tap.Clear()
-			f.pc = 4
-		case 4:
-			f.start = t.Now()
-			f.i = 0
-			f.pc = 5
-		case 5: // measured loop head
-			if f.i >= f.opt.Iters {
-				f.pc = 8
-				continue
-			}
-			f.pc = 6
-			f.postF.start(t)
-			return
-		case 6: // after a measured post: batched poll
-			if (f.i+1)%cfg.Bench.PollBatch == 0 {
-				f.pc = 7
-				f.w0.StartProgress(t)
-				return
-			}
-			f.pc = 7
-		case 7:
-			// Timestamp + injection-rate measurement update, then the
-			// residual loop logic.
-			t.Advance(cfg.SW.MeasUpdate.Sample(f.n0.Rand))
-			t.Advance(cfg.SW.BenchLoop.Sample(f.n0.Rand))
-			f.i++
-			f.pc = 5
-		case 8:
-			f.res.Elapsed = t.Now() - f.start
-			f.pc = 9
-		case 9: // drain outside the measured window
-			if f.ep0.InFlight() > 0 {
-				f.w0.StartProgress(t)
-				return
-			}
-			t.Return()
-			return
-		}
+// mustPost panics when the post that just returned on ep failed. Busy posts
+// never get here (StartPut and StartAm retry them), so an error is a
+// transport failure a benchmark cannot measure through.
+func mustPost(ep *uct.Ep) {
+	if err := ep.LastPost(); err != nil {
+		panic(fmt.Sprintf("perftest: post: %v", err))
 	}
 }
 
@@ -228,6 +130,9 @@ type AmLatResult struct {
 	Ep0, Ep1 *uct.Ep
 }
 
+// Active-message ids of the am_lat ping-pong.
+const amPing, amPong = 2, 3
+
 // AmLat runs the send-receive ping-pong between node 0 (initiator) and
 // node 1 (responder).
 func AmLat(sys *node.System, opt Options) *AmLatResult {
@@ -241,7 +146,6 @@ func AmLat(sys *node.System, opt Options) *AmLatResult {
 	ep1 := w1.NewEp(opt.Mode, opt.SignalPeriod)
 	uct.Connect(ep0, ep1)
 
-	const amPing, amPong = 2, 3
 	gotPong, gotPing := false, false
 	w0.SetAmHandler(amPong, func(t *sim.Task, data []byte) { gotPong = true })
 	w1.SetAmHandler(amPing, func(t *sim.Task, data []byte) { gotPing = true })
@@ -251,15 +155,12 @@ func AmLat(sys *node.System, opt Options) *AmLatResult {
 	total := opt.Warmup + opt.Iters
 
 	// Responder: wait for each ping, answer with a pong.
-	echo := &amLatEchoFrame{w: w1, ep: ep1, total: total, gotPing: &gotPing}
-	echo.postF = postSpinFrame{w: w1, ep: ep1, kind: postAmShort, id: amPong, msg: msg}
-	sys.K.SpawnTask("am_lat.responder", echo)
+	sys.K.SpawnTask("am_lat.responder", &amLatEchoFrame{w: w1, ep: ep1, msg: msg, total: total, gotPing: &gotPing})
 
 	// Initiator: ping, update measurement, spin for the pong.
 	w0.ProfStage = opt.ProfStage
-	ping := &amLatPingFrame{cfg: cfg, n0: n0, w0: w0, opt: &opt, res: res, total: total, gotPong: &gotPong}
-	ping.postF = postSpinFrame{w: w0, ep: ep0, kind: postAmShort, id: amPing, msg: msg}
-	sys.K.SpawnTask("am_lat.initiator", ping)
+	sys.K.SpawnTask("am_lat.initiator", &amLatPingFrame{cfg: cfg, n0: n0, w0: w0, ep0: ep0, msg: msg,
+		opt: &opt, res: res, total: total, gotPong: &gotPong})
 	sys.Run()
 
 	res.AdjustedNs = res.ReportedNs - cfg.SW.MeasUpdate.Mean().Ns()/2
@@ -267,16 +168,16 @@ func AmLat(sys *node.System, opt Options) *AmLatResult {
 }
 
 // amLatEchoFrame is the ping-pong responder: wait for each ping, answer
-// with a pong. The sweep's responder reuses it with an auto-path postF.
+// with a pong.
 type amLatEchoFrame struct {
 	w       *uct.Worker
 	ep      *uct.Ep
+	msg     []byte
 	total   int
 	gotPing *bool
 
-	postF postSpinFrame
-	pc    int
-	i     int
+	pc int
+	i  int
 }
 
 func (f *amLatEchoFrame) Step(t *sim.Task) {
@@ -300,11 +201,12 @@ func (f *amLatEchoFrame) Step(t *sim.Task) {
 			}
 			*f.gotPing = false
 			f.pc = 4
-			f.postF.start(t)
+			f.ep.StartAm(t, amPong, f.msg)
 			return
 		case 3:
 			f.pc = 2
 		case 4:
+			mustPost(f.ep)
 			f.i++
 			f.pc = 1
 		}
@@ -312,18 +214,18 @@ func (f *amLatEchoFrame) Step(t *sim.Task) {
 }
 
 // amLatPingFrame is the ping-pong initiator: post the ping, run the
-// measurement update inside the round trip, spin for the pong. The sweep's
-// initiator reuses it with an auto-path postF.
+// measurement update inside the round trip, spin for the pong.
 type amLatPingFrame struct {
 	cfg     *config.Config
 	n0      *node.Node
 	w0      *uct.Worker
+	ep0     *uct.Ep
+	msg     []byte
 	opt     *Options
 	res     *AmLatResult
 	total   int
 	gotPong *bool
 
-	postF postSpinFrame
 	pc    int
 	i     int
 	t0    units.Time
@@ -339,7 +241,7 @@ func (f *amLatPingFrame) Step(t *sim.Task) {
 				f.n0.Prof.Calibrate(t, cfg.Prof.CalibrationSamples)
 			}
 			f.pc = 1
-			f.postF.ep.StartPostRecvs(t, 64)
+			f.ep0.StartPostRecvs(t, 64)
 			return
 		case 1: // iteration head
 			if f.i >= f.total {
@@ -350,7 +252,7 @@ func (f *amLatPingFrame) Step(t *sim.Task) {
 			}
 			if f.i == f.opt.Warmup {
 				if f.opt.ClearTrace {
-					// See PutBw: settle the trace before clearing.
+					// See putLoopFrame: settle the trace before clearing.
 					f.pc = 11
 					if t.Pause() {
 						return
@@ -367,9 +269,10 @@ func (f *amLatPingFrame) Step(t *sim.Task) {
 		case 2: // post the ping
 			f.t0 = t.Now()
 			f.pc = 3
-			f.postF.start(t)
+			f.ep0.StartAm(t, amPing, f.msg)
 			return
 		case 3:
+			mustPost(f.ep0)
 			// The measurement update happens inside the round trip
 			// (paper §4.3: half of it is deducted when comparing to
 			// the model).

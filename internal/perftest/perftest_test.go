@@ -2,11 +2,13 @@ package perftest
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"breakband/internal/config"
 	"breakband/internal/node"
 	"breakband/internal/uct"
+	"breakband/internal/units"
 )
 
 func newSys(t *testing.T, noise config.NoiseLevel, seed uint64) *node.System {
@@ -153,3 +155,76 @@ func TestStringers(t *testing.T) {
 }
 
 func relErr(a, b float64) float64 { return math.Abs(a-b) / b }
+
+// TestPutBwDeliversAboveInlineMax: put_bw and the multi-core loop post
+// every size on the path it selects (short up to 32 bytes, bcopy above),
+// so every warmup and measured message reaches node 1, and the bcopy path
+// costs more per message than the 8-byte inline one.
+func TestPutBwDeliversAboveInlineMax(t *testing.T) {
+	run := func(cores, size int) (perMsgNs float64, rxFrames uint64) {
+		sys := newSys(t, config.NoiseOff, 1)
+		defer sys.Shutdown()
+		opt := Options{Iters: 200, Warmup: 20, MsgSize: size}
+		if cores == 0 {
+			perMsgNs = PutBw(sys, opt).MeanInjNs
+		} else {
+			perMsgNs = MultiPutBw(sys, cores, opt).PerMsgNs
+		}
+		return perMsgNs, sys.Nodes[1].NIC.Stats().RxFrames
+	}
+	for _, cores := range []int{0, 2} { // 0: PutBw, one core
+		base, _ := run(cores, 8)
+		for _, size := range []int{33, 4096} {
+			perMsg, rx := run(cores, size)
+			if want := uint64(max(cores, 1) * (20 + 200)); rx != want {
+				t.Errorf("cores=%d %dB: node 1 received %d frames, want %d", cores, size, rx, want)
+			}
+			if perMsg <= base {
+				t.Errorf("cores=%d %dB: %.2f ns/msg, not above the 8B inline %.2f ns/msg", cores, size, perMsg, base)
+			}
+		}
+	}
+}
+
+// TestAmLatAboveInlineMax: am_lat above the 32-byte inline limit sends
+// bcopy active messages and completes every round trip, slower than 8 B.
+func TestAmLatAboveInlineMax(t *testing.T) {
+	lat := func(size int) *AmLatResult {
+		sys := newSys(t, config.NoiseOff, 1)
+		defer sys.Shutdown()
+		return AmLat(sys, Options{Iters: 100, Warmup: 10, MsgSize: size})
+	}
+	base := lat(8)
+	for _, size := range []int{33, 4096} {
+		res := lat(size)
+		if res.RTTs.N() != 100 {
+			t.Errorf("%dB: %d round trips, want 100", size, res.RTTs.N())
+		}
+		if res.AdjustedNs <= base.AdjustedNs {
+			t.Errorf("%dB: %.2f ns, not above the 8B latency %.2f ns", size, res.AdjustedNs, base.AdjustedNs)
+		}
+	}
+}
+
+// TestIncastStringCarriesEveryField: the one incast line reports the
+// congestion fields (max switch queue, credit stalls) and the receiver
+// overload fields (rx budget, held, pend, NAKs, replays, stall) together.
+func TestIncastStringCarriesEveryField(t *testing.T) {
+	r := &OversubscribedResult{
+		Senders: 4, MsgSize: 4096, Messages: 1200, Elapsed: 1400450 * units.Nanosecond,
+		PerSenderMsgRate: 214217, PerSenderBwMBs: 877.4, ModelCycleNs: 539.2,
+		MaxSwitchQueue: 62, CreditStalls: 7068,
+		RxBudget: 8, MaxRxHeld: 7, MaxUpPend: 6, RNRNaks: 41, Retransmits: 40, RetryStall: 84 * units.Microsecond,
+	}
+	s := r.String()
+	for _, want := range []string{
+		"incast put_bw: 4 senders x 4096B", "(rx budget 8)", "1200 msgs in 1400.450us",
+		"214217 msg/s/sender", "877.4 MB/s/sender", "model 539.2 ns/msg",
+		"max switch queue 62", "7068 credit stalls",
+		"rx held max 7", "pend max 6", "41 RNR NAKs", "40 replays", "84.000us stalled",
+	} {
+		if !strings.Contains(s, want) {
+			t.Errorf("incast line lacks %q:\n%s", want, s)
+		}
+	}
+}

@@ -7,31 +7,23 @@ import (
 	"breakband/internal/campaign"
 	"breakband/internal/config"
 	"breakband/internal/node"
-	"breakband/internal/rng"
 	"breakband/internal/sim"
 	"breakband/internal/stats"
 	"breakband/internal/trace"
-	"breakband/internal/uct"
 	"breakband/internal/units"
 )
 
 // NewCalib builds the stall-attribution calibration for sys. The wire
 // term is the uncontended time of the fabric sys actually built
-// (topo.Fabric.UncontendedWire), and the NIC pipeline delays bracket it, so
-// on an uncontended run every component but Ideal attributes to exactly
-// zero — the conservation tests pin this.
+// (topo.Fabric.UncontendedWire), so on an uncontended run every component
+// but Ideal attributes to exactly zero — the conservation tests pin this.
 func NewCalib(sys *node.System) trace.Calib {
-	net := sys.Net
-	txp := sys.Cfg.NIC.TxProcess
-	rxp := sys.Cfg.NIC.RxProcess
 	return trace.Calib{
-		WireIdeal: func(bytes, hops int) units.Time {
-			return txp + net.UncontendedWire(bytes, hops)
-		},
+		WireIdeal: sys.Net.UncontendedWire,
 		// With PCIe credits available the delivered frame's MWr issues
-		// synchronously, so the uncontended receiver hold is the NIC
-		// receive pipeline alone; anything beyond it is PCIe pend time.
-		RxHold: func(bytes int) units.Time { return rxp },
+		// synchronously, so the uncontended receiver hold is zero;
+		// anything beyond it is PCIe pend time.
+		RxHold: func(int) units.Time { return 0 },
 	}
 }
 
@@ -70,20 +62,18 @@ func SaturationBottleneck(cfg *config.Config, msgSize int) units.Time {
 // iters*period and the delivered rate falls below the offered rate.
 type pacedPutFrame struct {
 	cfg    *config.Config
-	rand   *rng.Rand
-	w      *uct.Worker
-	ep     *uct.Ep
+	s      *sender
 	period units.Time
 	opt    *Options
 	st     *winShared
 
-	postF postSpinFrame
-	pc    int
-	i     int
-	next  units.Time // next posting deadline
+	pc   int
+	i    int
+	next units.Time // next posting deadline
 }
 
 func (f *pacedPutFrame) Step(t *sim.Task) {
+	s := f.s
 	for {
 		switch f.pc {
 		case 0: // arm the pacing clock
@@ -101,20 +91,21 @@ func (f *pacedPutFrame) Step(t *sim.Task) {
 				t.Advance(d)
 			}
 			f.pc = 2
-			f.postF.start(t)
+			s.ep.StartPut(t, s.msg)
 			return
 		case 2:
+			mustPost(s.ep)
 			f.next += f.period
 			f.i++
 			f.pc = 3
-			f.w.StartProgress(t)
+			s.w.StartProgress(t)
 			return
 		case 3:
-			t.Advance(f.cfg.SW.BenchLoop.Sample(f.rand))
+			t.Advance(f.cfg.SW.BenchLoop.Sample(s.rand))
 			f.pc = 1
 		case 4: // drain the in-flight tail; the window closes when empty
-			if f.ep.InFlight() > 0 {
-				f.w.StartProgress(t)
+			if s.ep.InFlight() > 0 {
+				s.w.StartProgress(t)
 				return
 			}
 			if t.Now() > f.st.end {
@@ -236,22 +227,10 @@ func saturationPoint(sys *node.System, senders int, load float64, bottleneck uni
 		s.Add(float64(depth))
 	}
 
-	recv := sys.Nodes[0]
-	recvW := uct.NewWorker(recv, cfg)
+	snd, _ := connectSenders(sys, sys.Nodes[1:senders+1], sys.Nodes[0], opt, "sat")
 	st := &winShared{}
-	for s := 1; s <= senders; s++ {
-		n := sys.Nodes[s]
-		w := uct.NewWorker(n, cfg)
-		ep := w.NewEp(opt.Mode, opt.SignalPeriod)
-		epR := recvW.NewEp(opt.Mode, opt.SignalPeriod)
-		uct.Connect(ep, epR)
-		tgt := recv.Mem.Alloc(fmt.Sprintf("sat.target%d", s), uint64(max(opt.MsgSize, 64)), 64)
-		ep.RemoteBuf = tgt.Base
-
-		msg := make([]byte, opt.MsgSize)
-		f := &pacedPutFrame{cfg: cfg, rand: n.Rand, w: w, ep: ep, period: period, opt: &opt, st: st}
-		f.postF = postSpinFrame{w: w, ep: ep, kind: postPutAuto, strict: true, msg: msg}
-		sys.K.SpawnTask(fmt.Sprintf("sat.sender%d", s), f)
+	for i, s := range snd {
+		sys.K.SpawnTask(fmt.Sprintf("sat.sender%d", i), &pacedPutFrame{cfg: cfg, s: s, period: period, opt: &opt, st: st})
 	}
 	sys.Run()
 	if st.done != senders {

@@ -112,7 +112,7 @@ func TestConservationSingleSwitch(t *testing.T) {
 	cfg.Topology = topo.Spec{Kind: topo.SingleSwitch}
 	sys := node.NewSystem(cfg, senders+1)
 	defer sys.Shutdown()
-	IncastPutBw(sys, senders, opt)
+	OversubscribedPutBw(sys, senders, opt)
 
 	rep := checkConservation(t, sys, senders*(opt.Iters+opt.Warmup))
 	if rep.Queue == 0 {

@@ -5,8 +5,6 @@ import (
 	"breakband/internal/config"
 	"breakband/internal/node"
 	"breakband/internal/sim"
-	"breakband/internal/stats"
-	"breakband/internal/uct"
 	"breakband/internal/units"
 )
 
@@ -32,47 +30,15 @@ func LatencySizeSweep(mkSys func() *node.System, sizes []int, iters, parallelism
 	return campaign.Map(parallelism, sizes, func(_, size int) SizePoint {
 		sys := mkSys()
 		defer sys.Shutdown()
-		res := amLatAuto(sys, size, iters)
+		lat := AmLat(sys, Options{Iters: iters, Warmup: 30, MsgSize: size}).AdjustedNs
 		sw := sys.Cfg.LLPPostMean() + sys.Cfg.LLPProgMean()
 		return SizePoint{
 			Bytes:       size,
-			LatencyNs:   res,
+			LatencyNs:   lat,
 			SoftwareNs:  sw,
-			SoftwarePct: sw / res * 100,
+			SoftwarePct: sw / lat * 100,
 		}
 	})
-}
-
-// amLatAuto is am_lat with automatic short/bcopy path selection by size. It
-// reuses the am_lat driver frames with auto-path strict posting.
-func amLatAuto(sys *node.System, size, iters int) float64 {
-	cfg := sys.Cfg
-	n0, n1 := sys.Nodes[0], sys.Nodes[1]
-	w0 := uct.NewWorker(n0, cfg)
-	w1 := uct.NewWorker(n1, cfg)
-	ep0 := w0.NewEp(uct.PIOInline, 1)
-	ep1 := w1.NewEp(uct.PIOInline, 1)
-	uct.Connect(ep0, ep1)
-
-	const amPing, amPong = 2, 3
-	gotPong, gotPing := false, false
-	w0.SetAmHandler(amPong, func(t *sim.Task, data []byte) { gotPong = true })
-	w1.SetAmHandler(amPing, func(t *sim.Task, data []byte) { gotPing = true })
-
-	msg := make([]byte, size)
-	opt := Options{Iters: iters, Warmup: 30}
-	total := opt.Warmup + opt.Iters
-	res := &AmLatResult{Iters: iters, RTTs: &stats.Sample{}}
-
-	echo := &amLatEchoFrame{w: w1, ep: ep1, total: total, gotPing: &gotPing}
-	echo.postF = postSpinFrame{w: w1, ep: ep1, kind: postAmAuto, strict: true, id: amPong, msg: msg}
-	sys.K.SpawnTask("sweep.responder", echo)
-
-	ping := &amLatPingFrame{cfg: cfg, n0: n0, w0: w0, opt: &opt, res: res, total: total, gotPong: &gotPong}
-	ping.postF = postSpinFrame{w: w0, ep: ep0, kind: postAmAuto, strict: true, id: amPing, msg: msg}
-	sys.K.SpawnTask("sweep.initiator", ping)
-	sys.Run()
-	return res.ReportedNs - cfg.SW.MeasUpdate.Mean().Ns()/2
 }
 
 // WindowedResult is one point of the poll-window ablation.
@@ -90,25 +56,15 @@ type WindowedResult struct {
 // waits on completion generation; above it the injection overhead flattens
 // to the CPU time.
 func WindowedPutBw(sys *node.System, window, iters int) *WindowedResult {
-	cfg := sys.Cfg
-	n0, n1 := sys.Nodes[0], sys.Nodes[1]
-	w0 := uct.NewWorker(n0, cfg)
-	ep0 := w0.NewEp(uct.PIOInline, 1)
 	// The target endpoint exists only to terminate the QP: put_bw is
 	// one-sided, so the target CPU never progresses its worker and no
 	// responder task is spawned.
-	ep1 := uct.NewWorker(n1, cfg).NewEp(uct.PIOInline, 1)
-	uct.Connect(ep0, ep1)
-	tgt := n1.Mem.Alloc("windowed.target", 4096, 64)
-	ep0.RemoteBuf = tgt.Base
-
-	msg := make([]byte, 8)
+	snd, _ := connectSenders(sys, sys.Nodes[:1], sys.Nodes[1], Options{MsgSize: 8, SignalPeriod: 1}, "windowed")
 	res := &WindowedResult{Window: window}
-	f := &windowedFrame{cfg: cfg, n0: n0, w0: w0, res: res, windows: iters / window, window: window, warmup: 2}
-	f.postF = postSpinFrame{w: w0, ep: ep0, kind: postPutShort, msg: msg}
+	f := &windowedFrame{cfg: sys.Cfg, s: snd[0], res: res, windows: iters / window, window: window, warmup: 2}
 	sys.K.SpawnTask("windowed_put_bw", f)
 	sys.Run()
-	res.ModelMin = minPollPeriod(cfg)
+	res.ModelMin = minPollPeriod(sys.Cfg)
 	return res
 }
 
@@ -116,14 +72,12 @@ func WindowedPutBw(sys *node.System, window, iters int) *WindowedResult {
 // window's completions before reusing it.
 type windowedFrame struct {
 	cfg     *config.Config
-	n0      *node.Node
-	w0      *uct.Worker
+	s       *sender
 	res     *WindowedResult
 	windows int
 	window  int
 	warmup  int
 
-	postF     postSpinFrame
 	pc        int
 	wnd       int
 	i         int
@@ -155,22 +109,23 @@ func (f *windowedFrame) Step(t *sim.Task) {
 				continue
 			}
 			f.pc = 2
-			f.postF.start(t)
+			f.s.ep.StartPut(t, f.s.msg)
 			return
 		case 2:
+			mustPost(f.s.ep)
 			f.i++
 			f.pc = 1
 		case 3: // poll loop head
 			if f.completed < f.target {
 				f.pc = 4
-				f.w0.StartProgress(t)
+				f.s.w.StartProgress(t)
 				return
 			}
-			t.Advance(f.cfg.SW.MeasUpdate.Sample(f.n0.Rand))
+			t.Advance(f.cfg.SW.MeasUpdate.Sample(f.s.rand))
 			f.wnd++
 			f.pc = 0
 		case 4:
-			f.completed += f.w0.LastProgress()
+			f.completed += f.s.w.LastProgress()
 			f.pc = 3
 		}
 	}

@@ -113,7 +113,9 @@ func Bar(b breakdown.Breakdown, width int) string {
 	used := 0
 	cells := make([]int, len(b.Parts))
 	for i, p := range b.Parts {
-		n := int(math.Round(p.Pct / 100 * float64(width)))
+		// A component estimated as a difference of noisy means can come
+		// out negative: it gets no cells but keeps its legend entry.
+		n := max(0, int(math.Round(p.Pct/100*float64(width))))
 		if used+n > width {
 			n = width - used
 		}

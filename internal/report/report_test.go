@@ -70,6 +70,28 @@ func TestBar(t *testing.T) {
 	}
 }
 
+// TestBarNegativePart: a component estimated as a difference of noisy
+// means can be negative (Table 1's 2.19 ns "MPI_Isend in UCP" under noise).
+// It must render with no cells and keep its legend entry, not panic.
+func TestBarNegativePart(t *testing.T) {
+	b := breakdown.New("noisy",
+		breakdown.Part{Label: "MPICH", Ns: 27.98},
+		breakdown.Part{Label: "UCP", Ns: -1.70},
+	)
+	out := Bar(b, 60)
+	start := strings.Index(out, "[")
+	end := strings.Index(out, "]")
+	if end-start-1 != 60 {
+		t.Errorf("bar width = %d, want 60:\n%s", end-start-1, out)
+	}
+	if strings.Contains(out[start:end], "=") {
+		t.Errorf("negative part drew cells:\n%s", out)
+	}
+	if !strings.Contains(out, "= UCP -6.47% (-1.70 ns)") {
+		t.Errorf("negative part's legend missing:\n%s", out)
+	}
+}
+
 func TestBars(t *testing.T) {
 	c := model.Paper()
 	out := Bars(breakdown.Fig14HLPvsLLP(c), 40)

@@ -156,7 +156,7 @@ func TestIncastDevicePathAllocBudget(t *testing.T) {
 		cfg := config.TX2CX4(config.NoiseOff, 1, true)
 		cfg.Topology = topo.Spec{Kind: topo.SingleSwitch}
 		sys := node.NewSystem(cfg, senders+1)
-		perftest.IncastPutBw(sys, senders, perftest.Options{Iters: iters, Warmup: 64, MsgSize: 4096})
+		perftest.OversubscribedPutBw(sys, senders, perftest.Options{Iters: iters, Warmup: 64, MsgSize: 4096})
 		sys.Shutdown()
 		runtime.ReadMemStats(&m1)
 		return float64(m1.Mallocs - m0.Mallocs)

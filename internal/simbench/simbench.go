@@ -198,8 +198,9 @@ func WindowedPutBw(b *testing.B) {
 // IncastPutBw measures the contended switch path: four senders funnel
 // 4 KiB buffered-copy writes through one receiver downlink port of a
 // 5-node single-switch topology (internal/topo), exercising the
-// store-and-forward queues and credit flow control under saturation.
-// b.N counts delivered messages across all senders.
+// store-and-forward queues and credit flow control under saturation. It
+// runs perftest.OversubscribedPutBw with no rx budget. b.N counts
+// delivered messages across all senders.
 func IncastPutBw(b *testing.B) {
 	b.ReportAllocs()
 	cfg := config.TX2CX4(config.NoiseOff, 1, true)
@@ -209,7 +210,7 @@ func IncastPutBw(b *testing.B) {
 	const senders = 4
 	iters := (b.N + senders - 1) / senders
 	b.ResetTimer()
-	res := perftest.IncastPutBw(sys, senders, perftest.Options{Iters: iters, Warmup: 16, MsgSize: 4096})
+	res := perftest.OversubscribedPutBw(sys, senders, perftest.Options{Iters: iters, Warmup: 16, MsgSize: 4096})
 	b.StopTimer()
 	if res.Messages != senders*iters {
 		b.Fatalf("incast ran %d messages, want %d", res.Messages, senders*iters)

@@ -11,17 +11,18 @@
 //   - Back-to-back (two hosts, one cable): the paper's switchless baseline.
 //   - Single switch (N hosts in a star): the paper's main configuration for
 //     N=2, and the first contention scenario for N>2 — incast
-//     (perftest.IncastPutBw) funnels N-1 senders into one receiver downlink
-//     port, whose queue is where the congestion lives.
+//     (perftest.OversubscribedPutBw with no rx budget) funnels N-1 senders
+//     into one receiver downlink port, whose queue is where the congestion
+//     lives.
 //   - Fat-tree (two-tier folded Clos of radix-k switches: k/2 hosts per
 //     leaf, k/2 spines, up to k leaves): multi-switch paths with shared
 //     leaf-spine links. All-to-all traffic (perftest.AllToAllPutBw)
 //     exercises every tier; up-path spine selection is deterministic
 //     destination-based ECMP (spine = dst mod k/2), so runs are exactly
 //     reproducible.
-//   - Oversubscribed incast (perftest.OversubscribedPutBw): the incast
-//     shape sized so the receiver's PCIe link, not the wire, is the
-//     bottleneck, against a NIC with bounded rx buffering
+//   - Oversubscribed incast (perftest.OversubscribedPutBw with an rx
+//     budget): the incast shape sized so the receiver's PCIe link, not the
+//     wire, is the bottleneck, against a NIC with bounded rx buffering
 //     (config.Config.NICRxBudget) — held frames pin their final-hop
 //     credits here (see below) and overflow turns into RNR NAK / retry
 //     traffic riding the reverse path. The full catalog with run commands

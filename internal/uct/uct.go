@@ -10,6 +10,13 @@
 // full transmit queue) fail fast with ErrNoResource, exactly the semantic
 // the paper's injection model builds on.
 //
+// StartPut and StartAm are the one post path of the perftest benchmarks
+// and the workload injector: they take the inline short path up to
+// mlx.InlineMax bytes and the buffered-copy path above it, as UCX selects
+// by size, and retry a busy post after one worker progress. The explicit
+// StartPutShort/StartAmShort/StartPutBcopy/StartAmBcopy calls stay for
+// callers that pick the path and handle busy posts themselves (ucp).
+//
 // # Execution model
 //
 // The data path is written as resumable sim.Frame state machines driven by a
@@ -244,6 +251,7 @@ type Ep struct {
 	// Preallocated frames (one in-flight operation per endpoint at a time).
 	postF   postFrame
 	gatherF gatherFrame
+	sizedF  sizedPostFrame
 	recvsF  recvsFrame
 }
 
@@ -269,6 +277,7 @@ func (w *Worker) NewEp(mode PostMode, signalPeriod int) *Ep {
 	ep := &Ep{w: w, qp: qp, Mode: mode, SignalPeriod: signalPeriod, staging: st.Base, recvPool: pool.Base}
 	ep.postF.e = ep
 	ep.gatherF.e = ep
+	ep.sizedF.e = ep
 	ep.recvsF.e = ep
 	w.Eps = append(w.Eps, ep)
 	return ep
@@ -343,8 +352,8 @@ func (e *Ep) InFlight() int { return int(e.pi - e.completed) }
 func (e *Ep) FreeSlots() int { return e.qp.SQ.Depth - e.InFlight() }
 
 // LastPost reports the outcome of the most recently completed post frame
-// (StartPutShort/StartAmShort/StartPutBcopy/StartAmBcopy). Valid once the
-// frame has returned to its caller.
+// (StartPut/StartAm or one of the explicit-path posts). Valid once the frame
+// has returned to its caller.
 func (e *Ep) LastPost() error { return e.lastPost }
 
 // StartPutShort begins an RDMA write of data (<= mlx.InlineMax bytes) to the
@@ -371,6 +380,66 @@ func (e *Ep) StartPutBcopy(t *sim.Task, off uint64, data []byte) {
 // buffered-copy path.
 func (e *Ep) StartAmBcopy(t *sim.Task, id uint8, data []byte) {
 	e.startGather(t, mlx.OpSend, id, 0, data)
+}
+
+// StartPut begins an RDMA write of data to the peer's RemoteBuf on the path
+// its size selects, as UCX does: the inline short path up to mlx.InlineMax
+// bytes, the buffered-copy path above it. A busy post progresses the worker
+// and posts again, so LastPost never reports ErrNoResource; any other error
+// (a payload above MaxBcopy, a failed QP) is left there for the caller.
+func (e *Ep) StartPut(t *sim.Task, data []byte) {
+	e.startSized(t, mlx.OpRDMAWrite, 0, data)
+}
+
+// StartAm begins sending an active message on the path its size selects,
+// retrying busy posts like StartPut.
+func (e *Ep) StartAm(t *sim.Task, id uint8, data []byte) {
+	e.startSized(t, mlx.OpSend, id, data)
+}
+
+func (e *Ep) startSized(t *sim.Task, op mlx.Opcode, amID uint8, data []byte) {
+	f := &e.sizedF
+	f.pc = 0
+	f.op = op
+	f.amID = amID
+	f.data = data
+	t.Call(f)
+}
+
+// sizedPostFrame is the benchmark post loop behind StartPut and StartAm:
+// post on the short or bcopy path by size and, while the transmit queue is
+// full, progress the worker and post again.
+type sizedPostFrame struct {
+	e    *Ep
+	pc   int
+	op   mlx.Opcode
+	amID uint8
+	data []byte
+}
+
+func (f *sizedPostFrame) Step(t *sim.Task) {
+	e := f.e
+	switch f.pc {
+	case 0:
+		f.pc = 1
+		var raddr uint64
+		if f.op == mlx.OpRDMAWrite {
+			raddr = e.RemoteBuf
+		}
+		if len(f.data) <= mlx.InlineMax {
+			e.startPost(t, f.op, f.amID, raddr, f.data)
+		} else {
+			e.startGather(t, f.op, f.amID, raddr, f.data)
+		}
+	case 1:
+		if e.lastPost == ErrNoResource {
+			f.pc = 0
+			e.w.StartProgress(t)
+			return
+		}
+		f.data = nil
+		t.Return()
+	}
 }
 
 func (e *Ep) startPost(t *sim.Task, op mlx.Opcode, amID uint8, raddr uint64, data []byte) {

@@ -323,3 +323,120 @@ func TestModeString(t *testing.T) {
 		t.Error("mode strings")
 	}
 }
+
+// postStream sends n messages from node 0 with post and drains the
+// completions; with am set, node 1 posts receives and polls until every
+// message arrived. It reports the sender's stats, the time its last
+// completion was polled, and how many posts left an error in LastPost.
+func postStream(t *testing.T, n int, am bool, post func(w *Worker, e *Ep) simtest.Step) (Stats, units.Time, int) {
+	t.Helper()
+	sys, w0, w1, e0, e1 := harness(t)
+	defer sys.Shutdown()
+	dst := sys.Nodes[1].Mem.Alloc("dst", MaxBcopy, 64)
+	e0.RemoteBuf = dst.Base
+	if am {
+		got := 0
+		w1.SetAmHandler(7, func(*sim.Task, []byte) { got++ })
+		simtest.Start(sys.K, "rx",
+			func(tk *sim.Task) { e1.StartPostRecvs(tk, 64) },
+			simtest.While(func() bool { return got < n }, w1.StartProgress),
+		)
+	}
+	var end units.Time
+	posted, failed := 0, 0
+	simtest.Start(sys.K, "tx",
+		func(tk *sim.Task) { tk.Advance(units.Microsecond) }, // let receives post
+		simtest.While(func() bool { return posted < n },
+			post(w0, e0),
+			func(*sim.Task) {
+				if e0.LastPost() != nil {
+					failed++
+				}
+				posted++
+			}),
+		drain(w0, e0),
+		func(tk *sim.Task) { end = tk.Now() },
+	)
+	sys.Run()
+	return w0.Stats, end, failed
+}
+
+// retried wraps an explicit-path post in a busy-post retry loop: progress
+// the worker and post again while the transmit queue is full.
+func retried(w *Worker, e *Ep, post simtest.Step) simtest.Step {
+	return simtest.Seq(post,
+		simtest.While(func() bool { return e.LastPost() == ErrNoResource }, w.StartProgress, post))
+}
+
+// TestSizedPostMatchesExplicitPaths: StartPut and StartAm post exactly
+// what the explicit path their size selects posts — short up to
+// mlx.InlineMax (32) bytes, bcopy above — with busy posts retried, so a
+// stream long enough to fill the transmit queue gives the same posts, busy
+// posts and completion times either way.
+func TestSizedPostMatchesExplicitPaths(t *testing.T) {
+	const n = 300 // > SQDepth: the queue fills and busy posts retry
+	for _, size := range []int{8, 32, 33, 4096} {
+		payload := make([]byte, size)
+		short := size <= 32
+		for _, am := range []bool{false, true} {
+			explicit := func(w *Worker, e *Ep) simtest.Step {
+				var post simtest.Step
+				switch {
+				case am && short:
+					post = func(tk *sim.Task) { e.StartAmShort(tk, 7, payload) }
+				case am:
+					post = func(tk *sim.Task) { e.StartAmBcopy(tk, 7, payload) }
+				case short:
+					post = func(tk *sim.Task) { e.StartPutShort(tk, 0, payload) }
+				default:
+					post = func(tk *sim.Task) { e.StartPutBcopy(tk, 0, payload) }
+				}
+				return retried(w, e, post)
+			}
+			sized := func(_ *Worker, e *Ep) simtest.Step {
+				if am {
+					return func(tk *sim.Task) { e.StartAm(tk, 7, payload) }
+				}
+				return func(tk *sim.Task) { e.StartPut(tk, payload) }
+			}
+			want, wantEnd, wantFailed := postStream(t, n, am, explicit)
+			got, gotEnd, gotFailed := postStream(t, n, am, sized)
+			if got.Posts != want.Posts || got.BusyPosts != want.BusyPosts || gotEnd != wantEnd {
+				t.Errorf("%dB am=%v: sized post gave %d posts, %d busy, done at %v; explicit path %d, %d, %v",
+					size, am, got.Posts, got.BusyPosts, gotEnd, want.Posts, want.BusyPosts, wantEnd)
+			}
+			if got.Posts != n || got.BusyPosts == 0 {
+				t.Errorf("%dB am=%v: %d posts, %d busy; want %d posts after busy retries", size, am, got.Posts, got.BusyPosts, n)
+			}
+			if gotFailed != 0 || wantFailed != 0 {
+				t.Errorf("%dB am=%v: %d sized and %d explicit posts left an error in LastPost", size, am, gotFailed, wantFailed)
+			}
+		}
+	}
+}
+
+// TestSizedPostOversizedErrors: a payload above MaxBcopy fits neither path;
+// StartPut and StartAm return with the error in LastPost instead of
+// retrying or panicking.
+func TestSizedPostOversizedErrors(t *testing.T) {
+	sys, w0, _, e0, _ := harness(t)
+	defer sys.Shutdown()
+	big := make([]byte, MaxBcopy+1)
+	check := func(op string) simtest.Step {
+		return func(*sim.Task) {
+			if err := e0.LastPost(); err == nil || err == ErrNoResource {
+				t.Errorf("%s of %d bytes returned %v, want a size error", op, len(big), err)
+			}
+		}
+	}
+	simtest.Start(sys.K, "test",
+		func(tk *sim.Task) { e0.StartPut(tk, big) },
+		check("StartPut"),
+		func(tk *sim.Task) { e0.StartAm(tk, 7, big) },
+		check("StartAm"),
+	)
+	sys.Run()
+	if w0.Stats.Posts != 0 || w0.Stats.BusyPosts != 0 {
+		t.Errorf("oversized posts reached the queue: %+v", w0.Stats)
+	}
+}

@@ -31,9 +31,10 @@
 // Injectors are goroutine-free sim.Task continuation frames (zero handoffs
 // in steady state): one injector per (cohort, source node) paces its
 // clients' merged arrivals with a preallocated binary heap, posts RDMA
-// writes through internal/uct, and records per-cohort delivery and latency
-// statistics from send completions. The steady-state injection path
-// allocates nothing (enforced by internal/simbench).
+// writes through uct.Ep.StartPut (short or bcopy by size, busy posts
+// retried), polls once after every post, and records per-cohort delivery
+// and latency statistics from send completions. The steady-state injection
+// path allocates nothing (enforced by internal/simbench).
 //
 // # Trace record and replay
 //

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"breakband/internal/config"
-	"breakband/internal/mlx"
 	"breakband/internal/node"
 	"breakband/internal/rng"
 	"breakband/internal/sim"
@@ -231,7 +230,6 @@ func (b *builder) newInjector(ci int32, c *Cohort, src int, opt RunOpt, rec *Tra
 		f.rings = append(f.rings, compRing{buf: make([]compEntry, b.cfg.Bench.SQDepth)})
 	}
 	f.buf = make([]byte, bufBytes)
-	f.postF.w = f.w
 
 	if opt.Replay != nil {
 		f.tr = opt.Replay
@@ -329,7 +327,6 @@ type injectFrame struct {
 
 	rec *Trace // recording sink (nil when not recording)
 
-	postF wlPostFrame
 	pAt   units.Time
 	pSize int32
 	pEp   int32
@@ -396,10 +393,8 @@ func (f *injectFrame) Step(t *sim.Task) {
 			}
 			f.res.Offered++
 			f.pAt, f.pSize, f.pEp = at, size, epi
-			f.postF.ep = f.eps[epi]
-			f.postF.msg = f.buf[:size]
 			f.pc = 1
-			f.postF.start(t)
+			f.eps[epi].StartPut(t, f.buf[:size])
 			return
 		case 1: // post returned: enqueue completion bookkeeping
 			if err := f.eps[f.pEp].LastPost(); err != nil {
@@ -452,46 +447,6 @@ func (f *injectFrame) onComplete(t *sim.Task, ep *uct.Ep, count int, err error) 
 		f.res.Latency.Add((now - e.at).Ns())
 		if now > f.res.LastDone {
 			f.res.LastDone = now
-		}
-	}
-}
-
-// wlPostFrame posts one put, short or bcopy by size, spinning on worker
-// progress while the transmit queue is full (the perftest post discipline).
-// Errors other than a full queue are left in Ep.LastPost for the caller.
-type wlPostFrame struct {
-	w   *uct.Worker
-	ep  *uct.Ep
-	msg []byte
-	pc  int
-}
-
-func (f *wlPostFrame) start(t *sim.Task) {
-	f.pc = 0
-	t.Call(f)
-}
-
-func (f *wlPostFrame) Step(t *sim.Task) {
-	for {
-		switch f.pc {
-		case 0:
-			f.pc = 1
-			if len(f.msg) <= mlx.InlineMax {
-				f.ep.StartPutShort(t, 0, f.msg)
-			} else {
-				f.ep.StartPutBcopy(t, 0, f.msg)
-			}
-			return
-		case 1:
-			if f.ep.LastPost() == uct.ErrNoResource {
-				f.pc = 2
-				f.w.StartProgress(t)
-				return
-			}
-			t.Return()
-			return
-		case 2:
-			f.pc = 0
 		}
 	}
 }
