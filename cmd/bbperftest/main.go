@@ -66,11 +66,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"breakband/internal/config"
+	"breakband/internal/fabric"
 	"breakband/internal/faults"
 	"breakband/internal/node"
 	"breakband/internal/perftest"
+	"breakband/internal/sim"
 	"breakband/internal/topo"
 	"breakband/internal/trace"
 	"breakband/internal/uct"
@@ -155,7 +158,11 @@ func main() {
 		}
 	}
 	spec := topo.Spec{Kind: kind, Radix: *flagRadix, Credits: *flagCredits}
-	if err := spec.Validate(nodes); err != nil {
+	err = spec.Validate(nodes)
+	if err == nil && test == "flap" {
+		err = checkFlapPort(*flagFlapPort, spec, nodes)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "bbperftest:", err)
 		os.Exit(2)
 	}
@@ -378,6 +385,19 @@ func checkFlags(test string) error {
 	}
 	fc := faultConfig(test)
 	return fc.Validate()
+}
+
+// checkFlapPort rejects a flap on a port that spec, compiled for nodes
+// hosts, does not have: the fabric would panic on it when it adopts the
+// fault schedule. spec must already validate. Like perftest.ChaosSchedule,
+// it reads the port names off a scratch fabric; they do not depend on the
+// wire parameters, so a zero fabric.Config serves.
+func checkFlapPort(port string, spec topo.Spec, nodes int) error {
+	scratch := topo.NewFabric(sim.NewKernel(), fabric.Config{}, spec, nodes)
+	if !slices.Contains(scratch.PortNames(), port) {
+		return fmt.Errorf("-flapport %q: %s has no such port", port, scratch.Spec())
+	}
+	return nil
 }
 
 // faultConfig builds the fault schedule the flags describe for test.

@@ -4,6 +4,8 @@ import (
 	"flag"
 	"strings"
 	"testing"
+
+	"breakband/internal/topo"
 )
 
 // TestCheckFlags: every flag value no command can run is rejected before a
@@ -49,6 +51,39 @@ func TestCheckFlags(t *testing.T) {
 		}
 		if err != nil && strings.Contains(err.Error(), "\n") {
 			t.Errorf("%v: error spans lines: %q", c.args, err)
+		}
+	}
+}
+
+// TestCheckFlapPort: a flap on a port the topology does not compile is an
+// error naming the port and the topology, not a panic inside the fabric.
+func TestCheckFlapPort(t *testing.T) {
+	def := flag.Lookup("flapport").DefValue
+	cases := []struct {
+		port  string
+		kind  topo.Kind
+		nodes int
+		ok    bool
+	}{
+		{def, topo.FatTree, 6, true}, // the flap command's default shape
+		{"nosuch", topo.FatTree, 6, false},
+		{def, topo.SingleSwitch, 4, false},
+		{"sw0.port0", topo.SingleSwitch, 4, true},
+		{def, topo.BackToBack, 2, false},
+	}
+	for _, c := range cases {
+		spec := topo.Spec{Kind: c.kind}
+		err := checkFlapPort(c.port, spec, c.nodes)
+		if (err == nil) != c.ok {
+			t.Errorf("%s on %v x%d: checkFlapPort = %v, want ok=%v", c.port, c.kind, c.nodes, err, c.ok)
+			continue
+		}
+		if err == nil {
+			continue
+		}
+		if msg := err.Error(); strings.Contains(msg, "\n") ||
+			!strings.Contains(msg, c.port) || !strings.Contains(msg, c.kind.String()) {
+			t.Errorf("%s on %v x%d: error %q should be one line naming the port and topology", c.port, c.kind, c.nodes, msg)
 		}
 	}
 }

@@ -88,14 +88,6 @@ type Analyzer struct {
 	active  int
 	n       int
 	enabled bool
-	// Limit bounds capture size; 0 means unlimited.
-	Limit int
-	// ring, when non-nil, switches capture into circular mode (SetRing):
-	// length grows to capacity, then ringHead marks the oldest record and
-	// new captures overwrite it.
-	ring        []capture
-	ringHead    int
-	overwritten uint64
 }
 
 var _ pcie.Tap = (*Analyzer)(nil)
@@ -108,67 +100,25 @@ func New(name string) *Analyzer {
 // Name reports the analyzer's label.
 func (a *Analyzer) Name() string { return a.name }
 
-// full reports whether capture must stop: only the chunked store honours
-// Limit — a ring never fills, it wraps.
-func (a *Analyzer) full() bool {
-	return a.ring == nil && a.Limit > 0 && a.n >= a.Limit
-}
-
 // SetEnabled starts or stops capture. A disabled analyzer records nothing,
 // and — because taps are passive — has zero effect on timing either way
 // (asserted by test).
 func (a *Analyzer) SetEnabled(on bool) { a.enabled = on }
 
-// Clear discards the captured trace, retaining chunk (and ring) capacity
-// for reuse.
+// Clear discards the captured trace, retaining chunk capacity for reuse.
 func (a *Analyzer) Clear() {
 	for i := range a.chunks {
 		a.chunks[i] = a.chunks[i][:0]
 	}
 	a.active = 0
 	a.n = 0
-	if a.ring != nil {
-		a.ring = a.ring[:0]
-	}
-	a.ringHead = 0
-	a.overwritten = 0
 }
-
-// SetRing switches capture into circular mode: the analyzer retains only
-// the most recent n records, overwriting the oldest once the buffer fills —
-// the hardware analyzer's circular capture buffer, which lets a soak run of
-// any length keep the trace tail in bounded memory. SetRing(0) returns to
-// unbounded chunked capture. Switching modes discards the current trace.
-func (a *Analyzer) SetRing(n int) {
-	a.Clear()
-	if n > 0 {
-		a.ring = make([]capture, 0, n)
-	} else {
-		a.ring = nil
-	}
-}
-
-// Overwritten reports how many records the ring has discarded to make room
-// (always 0 in chunked mode).
-func (a *Analyzer) Overwritten() uint64 { return a.overwritten }
 
 // Len reports the number of records currently held.
 func (a *Analyzer) Len() int { return a.n }
 
-// add appends one capture to the trace: into the circular buffer in ring
-// mode, else onto the chunked store.
+// add appends one capture to the chunked store.
 func (a *Analyzer) add(c capture) {
-	if a.ring != nil {
-		if len(a.ring) < cap(a.ring) {
-			a.ring = append(a.ring, c)
-			a.n++
-			return
-		}
-		a.ring[a.ringHead] = c
-		a.ringHead = (a.ringHead + 1) % cap(a.ring)
-		a.overwritten++
-		return
-	}
 	if a.active == len(a.chunks) {
 		a.chunks = append(a.chunks, make([]capture, 0, recChunk))
 	}
@@ -180,18 +130,8 @@ func (a *Analyzer) add(c capture) {
 	a.n++
 }
 
-// each calls fn for every held record in capture order (oldest first — in a
-// wrapped ring that is ringHead onward, then the records before it).
+// each calls fn for every held record in capture order.
 func (a *Analyzer) each(fn func(Record)) {
-	if a.ring != nil {
-		for i := a.ringHead; i < len(a.ring); i++ {
-			fn(a.ring[i].record())
-		}
-		for i := 0; i < a.ringHead; i++ {
-			fn(a.ring[i].record())
-		}
-		return
-	}
 	for _, c := range a.chunks {
 		for i := range c {
 			fn(c[i].record())
@@ -202,7 +142,7 @@ func (a *Analyzer) each(fn func(Record)) {
 // ObserveTLP implements pcie.Tap. The TLP is borrowed; the fields the trace
 // keeps are copied here.
 func (a *Analyzer) ObserveTLP(at units.Time, dir pcie.Dir, t *pcie.TLP) {
-	if !a.enabled || a.full() {
+	if !a.enabled {
 		return
 	}
 	a.add(capture{
@@ -213,7 +153,7 @@ func (a *Analyzer) ObserveTLP(at units.Time, dir pcie.Dir, t *pcie.TLP) {
 
 // ObserveDLLP implements pcie.Tap. The DLLP is borrowed; see ObserveTLP.
 func (a *Analyzer) ObserveDLLP(at units.Time, dir pcie.Dir, d *pcie.DLLP) {
-	if !a.enabled || a.full() {
+	if !a.enabled {
 		return
 	}
 	a.add(capture{at: at, dir: dir, typ: uint8(d.Type), seq: d.AckSeq})

@@ -1,6 +1,7 @@
 package analyzer
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -43,17 +44,6 @@ func TestDisabledAndClear(t *testing.T) {
 	a.Clear()
 	if len(a.Records()) != 0 {
 		t.Error("Clear left records")
-	}
-}
-
-func TestLimit(t *testing.T) {
-	a := New("n0")
-	a.Limit = 2
-	for i := 0; i < 5; i++ {
-		a.ObserveTLP(units.Time(i), pcie.Down, tlp(pcie.MWr, uint64(i), 8, 0))
-	}
-	if len(a.Records()) != 2 {
-		t.Errorf("limit not enforced: %d", len(a.Records()))
 	}
 }
 
@@ -134,49 +124,6 @@ func TestKind(t *testing.T) {
 	}
 }
 
-func TestRingWraparound(t *testing.T) {
-	a := New("n0")
-	a.SetRing(4)
-	for i := 0; i < 10; i++ {
-		a.ObserveTLP(units.Time(i*100), pcie.Down, tlp(pcie.MWr, uint64(i), 8, uint64(i)))
-	}
-	if a.Len() != 4 {
-		t.Fatalf("ring held %d records, want 4", a.Len())
-	}
-	if a.Overwritten() != 6 {
-		t.Errorf("overwritten %d, want 6", a.Overwritten())
-	}
-	recs := a.Records()
-	for i, r := range recs {
-		if want := uint64(6 + i); r.Seq != want {
-			t.Errorf("record %d has seq %d, want %d (oldest-first tail)", i, r.Seq, want)
-		}
-	}
-	// The trace table over a wrapped ring must also start at the oldest
-	// record, not the overwrite cursor.
-	if got := a.FormatTrace(1); !strings.Contains(got, "600ps") {
-		t.Errorf("FormatTrace does not start at the oldest record:\n%s", got)
-	}
-}
-
-func TestRingDeltasAfterWrap(t *testing.T) {
-	a := New("n0")
-	a.SetRing(3)
-	// 7 captures 280ns apart: the ring keeps the last 3, so deltas over
-	// Records() must see exactly 2 gaps of 280ns each — time-ordered
-	// despite the buffer having wrapped twice.
-	for i := 0; i < 7; i++ {
-		a.ObserveTLP(units.Nanoseconds(float64(100+280*i)), pcie.Down, tlp(pcie.MWr, uint64(i), 64, 0))
-	}
-	s := Deltas(a.Records())
-	if s.N() != 2 || s.Mean() != 280 {
-		t.Errorf("wrapped deltas n=%d mean=%v, want 2 x 280ns", s.N(), s.Mean())
-	}
-	if s.Min() != s.Max() {
-		t.Errorf("wrapped record order is not time order: deltas %v..%v", s.Min(), s.Max())
-	}
-}
-
 // packingTrace is one capture of every TLP and DLLP type in both
 // directions, carrying the values the stored form must keep without loss:
 // BAR addresses, 4 KiB payloads and sequence numbers above 2^32. feed
@@ -239,63 +186,80 @@ func keep(rs []Record, f func(Record) bool) []Record {
 
 // TestStoredRecordsRoundTrip checks that the 32-byte stored form loses
 // nothing a Record carries: Records, Filter and TLPs return exactly the
-// records captured, from the chunked store and from a wrapped ring.
+// records captured.
 func TestStoredRecordsRoundTrip(t *testing.T) {
 	if got := unsafe.Sizeof(capture{}); got != 32 {
 		t.Errorf("stored record is %d bytes, want 32", got)
 	}
 	feed, want := packingTrace()
-	chunked := New("chunked")
-	feed(chunked)
-	ring := New("ring")
-	ring.SetRing(len(want))
-	for i := 0; i < len(want)/2+1; i++ {
-		ring.ObserveTLP(units.Time(i), pcie.Down, tlp(pcie.MWr, uint64(i), 8, 0))
-	}
-	feed(ring)
-	if ring.Overwritten() == 0 {
-		t.Fatal("ring did not wrap")
+	a := New("n0")
+	feed(a)
+	if got := a.Records(); !slices.Equal(got, want) {
+		t.Errorf("Records() =\n%+v\nwant\n%+v", got, want)
 	}
 	isDLLP := func(r Record) bool { return !r.IsTLP }
-	for _, a := range []*Analyzer{chunked, ring} {
-		if got := a.Records(); !slices.Equal(got, want) {
-			t.Errorf("%s: Records() =\n%+v\nwant\n%+v", a.Name(), got, want)
-		}
-		if got := a.Filter(isDLLP); !slices.Equal(got, keep(want, isDLLP)) {
-			t.Errorf("%s: Filter(DLLPs) = %+v", a.Name(), got)
-		}
-		for _, dir := range []pcie.Dir{pcie.Down, pcie.Up} {
-			for _, typ := range []pcie.TLPType{pcie.MWr, pcie.MRd, pcie.CplD} {
-				match := func(r Record) bool { return r.IsTLP && r.Dir == dir && r.TLPType == typ }
-				if got := a.TLPs(dir, typ, 0, 0); !slices.Equal(got, keep(want, match)) {
-					t.Errorf("%s: TLPs(%v, %v) = %+v", a.Name(), dir, typ, got)
-				}
+	if got := a.Filter(isDLLP); !slices.Equal(got, keep(want, isDLLP)) {
+		t.Errorf("Filter(DLLPs) = %+v", got)
+	}
+	for _, dir := range []pcie.Dir{pcie.Down, pcie.Up} {
+		for _, typ := range []pcie.TLPType{pcie.MWr, pcie.MRd, pcie.CplD} {
+			match := func(r Record) bool { return r.IsTLP && r.Dir == dir && r.TLPType == typ }
+			if got := a.TLPs(dir, typ, 0, 0); !slices.Equal(got, keep(want, match)) {
+				t.Errorf("TLPs(%v, %v) = %+v", dir, typ, got)
 			}
 		}
 	}
 }
 
-func TestRingClearAndModeSwitch(t *testing.T) {
+// TestRecordsAcrossChunks captures past two chunk boundaries and checks
+// that every query walks the chunks in capture order, then that Clear
+// lets a second capture reuse the chunks without showing the first.
+func TestRecordsAcrossChunks(t *testing.T) {
+	const n = 2*recChunk + 1
 	a := New("n0")
-	a.SetRing(2)
-	for i := 0; i < 5; i++ {
-		a.ObserveTLP(units.Time(i), pcie.Down, tlp(pcie.MWr, uint64(i), 8, 0))
+	fill := func(seq0 uint64, gap units.Time) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			a.ObserveTLP(units.Time(i+1)*gap, pcie.Down, tlp(pcie.MWr, seq0+uint64(i), 64, 0))
+		}
+		if a.Len() != n {
+			t.Fatalf("Len() = %d, want %d", a.Len(), n)
+		}
+		recs := a.Records()
+		if len(recs) != n {
+			t.Fatalf("Records() holds %d, want %d", len(recs), n)
+		}
+		for i, r := range recs {
+			if r.Seq != seq0+uint64(i) || r.At != units.Time(i+1)*gap {
+				t.Fatalf("record %d = seq %d at %v, want seq %d at %v",
+					i, r.Seq, r.At, seq0+uint64(i), units.Time(i+1)*gap)
+			}
+		}
+		s := Deltas(recs)
+		if s.N() != n-1 || s.Min() != gap.Ns() || s.Max() != gap.Ns() {
+			t.Errorf("Deltas: n=%d min=%v max=%v, want %d gaps of %v ns",
+				s.N(), s.Min(), s.Max(), n-1, gap.Ns())
+		}
+		const shown = recChunk + 3
+		lines := strings.Split(strings.TrimSuffix(a.FormatTrace(shown), "\n"), "\n")
+		if len(lines) != 1+shown+1 {
+			t.Fatalf("FormatTrace(%d) printed %d lines, want header + %d rows + note", shown, len(lines), shown)
+		}
+		if last := fmt.Sprint(" ", seq0+shown-1); !strings.HasSuffix(lines[shown], last) {
+			t.Errorf("FormatTrace row %d = %q, want seq%s", shown, lines[shown], last)
+		}
+		if want := fmt.Sprintf("... (%d more records)", n-shown); lines[shown+1] != want {
+			t.Errorf("FormatTrace note = %q, want %q", lines[shown+1], want)
+		}
 	}
+	fill(0, units.Nanoseconds(280))
+	chunks := len(a.chunks)
 	a.Clear()
-	if a.Len() != 0 || a.Overwritten() != 0 {
-		t.Errorf("Clear left len=%d overwritten=%d", a.Len(), a.Overwritten())
+	if a.Len() != 0 || len(a.Records()) != 0 {
+		t.Fatalf("Clear left Len() = %d", a.Len())
 	}
-	a.ObserveTLP(7, pcie.Down, tlp(pcie.MWr, 7, 8, 0))
-	if a.Len() != 1 || a.Records()[0].Seq != 7 {
-		t.Error("ring does not capture after Clear")
-	}
-	// Back to chunked mode: unbounded again, Limit honoured again.
-	a.SetRing(0)
-	a.Limit = 3
-	for i := 0; i < 5; i++ {
-		a.ObserveTLP(units.Time(i), pcie.Down, tlp(pcie.MWr, uint64(i), 8, 0))
-	}
-	if a.Len() != 3 {
-		t.Errorf("chunked mode after ring: len=%d, want Limit=3", a.Len())
+	fill(1<<20, units.Nanoseconds(140))
+	if len(a.chunks) != chunks {
+		t.Errorf("second capture used %d chunks, want the %d Clear kept", len(a.chunks), chunks)
 	}
 }

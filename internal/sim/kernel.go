@@ -8,7 +8,7 @@
 // Frames executed inside kernel event context. Where a thread would
 // suspend, the frame records its program counter, schedules its own resume
 // as one pooled event (Pause), and returns to the event loop. Every
-// software layer — uct, verbs, ucp, mpi, the osu / perftest drivers and the
+// software layer — uct, ucp, mpi, the osu / perftest drivers and the
 // measurement campaign — runs as tasks: no goroutine, no channel handoff,
 // zero allocations in steady state.
 //

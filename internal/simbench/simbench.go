@@ -107,8 +107,8 @@ func (f *pauseOnceFrame) Step(t *sim.Task) {
 }
 
 // callLoopFrame pushes a preallocated sub-frame per iteration, measuring the
-// Call/Return activation discipline the layered stacks (osu→mpi→ucp→uct→
-// verbs) use on every operation.
+// Call/Return activation discipline the layered stack (osu→mpi→ucp→uct)
+// uses on every operation.
 type callLoopFrame struct {
 	pc, i, n int
 	sub      pauseOnceFrame
