@@ -1,8 +1,9 @@
 // Command bbbench runs the kernel microbenchmarks (the same bodies `go test
 // -bench . ./internal/sim/...` runs, via internal/simbench) and emits
 // BENCH_kernel.json so the repository's perf trajectory is recorded run over
-// run: events/sec, ns/op, and allocs/op per benchmark, plus the speedup
-// against the frozen pre-optimization baseline.
+// run: ns/op, events/sec, events/op and allocs/op per benchmark, the
+// speedup against the frozen pre-optimization baseline, and the host the
+// numbers were taken on.
 //
 // Usage:
 //
@@ -18,6 +19,8 @@ import (
 	"os"
 	"regexp"
 	"runtime"
+	"runtime/debug"
+	"strings"
 	"testing"
 
 	"breakband/internal/simbench"
@@ -43,14 +46,64 @@ type result struct {
 	AllocsPerOp  int64   `json:"allocs_per_op"`
 	BytesPerOp   int64   `json:"bytes_per_op"`
 	EventsPerSec float64 `json:"events_per_sec"`
-	Iterations   int64   `json:"iterations,omitempty"`
+	// EventsPerOp is kernel events fired per op: a change that removes
+	// events lowers events_per_sec without slowing anything down.
+	EventsPerOp float64 `json:"events_per_op,omitempty"`
+	Iterations  int64   `json:"iterations,omitempty"`
+}
+
+// provenance identifies the host and build the numbers were taken on;
+// numbers from different hosts do not compare.
+type provenance struct {
+	CPU        string `json:"cpu"`
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	// Revision is the VCS revision the binary was built from, when the
+	// build carries it (go build in a checkout; go run does not stamp it).
+	Revision string `json:"revision,omitempty"`
+}
+
+// hostProvenance describes this host and build.
+func hostProvenance() provenance {
+	p := provenance{
+		CPU:        "unknown",
+		NProc:      runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+	}
+	if b, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, l := range strings.Split(string(b), "\n") {
+			if k, v, ok := strings.Cut(l, ":"); ok && strings.TrimSpace(k) == "model name" {
+				p.CPU = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		dirty := false
+		for _, s := range bi.Settings {
+			switch s.Key {
+			case "vcs.revision":
+				p.Revision = s.Value
+			case "vcs.modified":
+				dirty = s.Value == "true"
+			}
+		}
+		if dirty && p.Revision != "" {
+			p.Revision += "+dirty"
+		}
+	}
+	return p
 }
 
 type report struct {
 	Tool       string             `json:"tool"`
-	GoVersion  string             `json:"go_version"`
-	GOOS       string             `json:"goos"`
-	GOARCH     string             `json:"goarch"`
+	Provenance provenance         `json:"provenance"`
 	Benchmarks map[string]result  `json:"benchmarks"`
 	Baseline   map[string]result  `json:"baseline_pr2_prekernel"`
 	Speedup    map[string]float64 `json:"speedup_vs_baseline"`
@@ -86,9 +139,7 @@ func main() {
 
 	rep := report{
 		Tool:       "bbbench",
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
+		Provenance: hostProvenance(),
 		Benchmarks: map[string]result{},
 		Baseline:   baseline,
 		Speedup:    map[string]float64{},
@@ -103,6 +154,7 @@ func main() {
 			AllocsPerOp:  r.AllocsPerOp(),
 			BytesPerOp:   r.AllocedBytesPerOp(),
 			EventsPerSec: r.Extra["events/sec"],
+			EventsPerOp:  r.Extra["events/op"],
 			Iterations:   int64(r.N),
 		}
 		rep.Benchmarks[b.name] = res
@@ -111,8 +163,8 @@ func main() {
 			rep.Speedup[b.name] = base.NsPerOp / res.NsPerOp
 			vsBase = fmt.Sprintf("%.2fx vs baseline", rep.Speedup[b.name])
 		}
-		fmt.Fprintf(os.Stderr, "%-19s %10.1f ns/op  %12.0f events/sec  %3d allocs/op  (%s)\n",
-			b.name, res.NsPerOp, res.EventsPerSec, res.AllocsPerOp, vsBase)
+		fmt.Fprintf(os.Stderr, "%-19s %10.1f ns/op  %12.0f events/sec  %8.2f events/op  %3d allocs/op  (%s)\n",
+			b.name, res.NsPerOp, res.EventsPerSec, res.EventsPerOp, res.AllocsPerOp, vsBase)
 	}
 
 	buf, err := json.MarshalIndent(rep, "", "  ")

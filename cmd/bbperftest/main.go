@@ -144,19 +144,7 @@ func main() {
 		// A flap needs redundant paths to fail over across.
 		kind = topo.FatTree
 	}
-	nodes := *flagNodes
-	if nodes == 0 {
-		switch test {
-		case "incast", "saturate":
-			nodes = 5
-		case "flap":
-			nodes = 6
-		case "alltoall":
-			nodes = 8
-		default:
-			nodes = 2
-		}
-	}
+	nodes := nodeCount(test)
 	spec := topo.Spec{Kind: kind, Radix: *flagRadix, Credits: *flagCredits}
 	err = spec.Validate(nodes)
 	if err == nil && test == "flap" {
@@ -182,7 +170,7 @@ func main() {
 	mkSys := func() *node.System {
 		return node.NewSystem(mkCfg(), nodes)
 	}
-	opt := perftest.Options{Iters: *flagIters, Warmup: *flagWarmup, MsgSize: *flagSize, Mode: mode}
+	opt := perftest.Options{Iters: *flagIters, Warmup: *flagWarmup, MsgSize: msgSize(test), Mode: mode}
 
 	switch test {
 	case "sweep", "chaos", "saturate":
@@ -258,11 +246,6 @@ func main() {
 		printFaultPorts(sys)
 		report(sys)
 	case "flap":
-		if *flagSize == 8 {
-			// Match the incast-family default: 4 KiB puts congest the
-			// shared port so the flap's dip and recovery are visible.
-			opt.MsgSize = 4096
-		}
 		sys := mkSys()
 		defer sys.Shutdown()
 		// nodes-2 symmetric cross-leaf senders: the receiver's leaf-mate
@@ -292,11 +275,6 @@ func main() {
 			}
 			fmt.Print(res.Format())
 			break
-		}
-		if *flagSize == 8 {
-			// Match the incast-family default: 4 KiB puts make the receiver
-			// path (wire vs PCIe write cycle) the contended stage.
-			opt.MsgSize = 4096
 		}
 		res := perftest.SaturationSweep(mkSys, 0, loads, opt, *flagParallel)
 		fmt.Print(res.Format())
@@ -382,9 +360,71 @@ func checkFlags(test string) error {
 		return fmt.Errorf("-rxbudget %d is negative", *flagRxBudget)
 	case test == "multi" && *flagCores < 1:
 		return fmt.Errorf("-cores %d: multi needs at least one core", *flagCores)
+	case *flagParallel < 0:
+		return fmt.Errorf("-parallel %d is negative (0 selects GOMAXPROCS)", *flagParallel)
+	}
+	if err := checkEndpoints(test); err != nil {
+		return err
 	}
 	fc := faultConfig(test)
 	return fc.Validate()
+}
+
+// checkEndpoints rejects a system whose busiest node would open more
+// endpoints than its memory holds: each reserves uct.EpBytes, plus the
+// message-sized target its peer writes into.
+func checkEndpoints(test string) error {
+	cfg := config.TX2CX4(config.NoiseOff, *flagSeed, true)
+	perEp := uct.EpBytes(cfg) + (uint64(max(msgSize(test), 64))+63)&^63
+	fit := cfg.MemBytes / perEp
+	flagName, flagVal := "-nodes", nodeCount(test)
+	var eps int
+	switch test {
+	case "incast", "saturate", "alltoall":
+		eps = flagVal - 1
+	case "flap":
+		eps = flagVal - 2
+	case "multi":
+		flagName, flagVal, eps = "-cores", *flagCores, *flagCores
+	case "sweep":
+		// The sweep doubles the core count up to -cores.
+		flagName, flagVal = "-cores", *flagCores
+		for c := 1; c <= *flagCores; c *= 2 {
+			eps = c
+		}
+	}
+	if uint64(eps) > fit {
+		return fmt.Errorf("%s %d: %s opens %d endpoints on one node, but its %d MiB hold %d (%d KiB each)",
+			flagName, flagVal, test, eps, cfg.MemBytes>>20, fit, perEp>>10)
+	}
+	return nil
+}
+
+// nodeCount resolves -nodes for test: 0 selects 2 nodes, or 5 for incast
+// and saturate, 6 for flap and 8 for alltoall.
+func nodeCount(test string) int {
+	if *flagNodes != 0 {
+		return *flagNodes
+	}
+	switch test {
+	case "incast", "saturate":
+		return 5
+	case "flap":
+		return 6
+	case "alltoall":
+		return 8
+	}
+	return 2
+}
+
+// msgSize resolves -size for test: flap and saturate turn the 8-byte
+// default into 4 KiB puts, like the incast family, so the shared port
+// (flap) or the receiver path (saturate) is the contended stage.
+func msgSize(test string) int {
+	if *flagSize == 8 && (test == "flap" || test == "saturate") {
+		return 4096
+	}
+	return *flagSize
 }
 
 // checkFlapPort rejects a flap on a port that spec, compiled for nodes

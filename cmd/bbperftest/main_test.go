@@ -38,6 +38,20 @@ func TestCheckFlags(t *testing.T) {
 		{[]string{"-droprate", "1e-3", "-corruptrate", "1e-3", "lossy"}, true},
 		{[]string{"-flapdown", "300", "-flapup", "200", "flap"}, false},
 		{[]string{"-flapdown", "100", "-flapup", "200", "flap"}, true},
+		// One node holds 203 endpoints of the default memory: an incast
+		// receiver takes one per sender, a multi receiver one per core,
+		// and an all-to-all node one per peer.
+		{[]string{"-nodes", "204", "incast"}, true},
+		{[]string{"-nodes", "205", "incast"}, false},
+		{[]string{"-nodes", "250", "incast"}, false},
+		{[]string{"-cores", "203", "multi"}, true},
+		{[]string{"-cores", "204", "multi"}, false},
+		{[]string{"-cores", "250", "multi"}, false},
+		{[]string{"-cores", "255", "sweep"}, true}, // the sweep stops at 128
+		{[]string{"-cores", "256", "sweep"}, false},
+		{[]string{"-nodes", "300", "alltoall"}, false},
+		{[]string{"-parallel", "-1", "sweep"}, false},
+		{[]string{"-parallel", "0", "sweep"}, true},
 	}
 	defer resetFlags(t)
 	for _, c := range cases {

@@ -11,6 +11,18 @@
 // The host memory a Memory costs follows the bytes a run writes, not the
 // span its regions cover: the backing is a table of 4 KiB pages, each
 // allocated on its first write.
+//
+// # Write watches
+//
+// Watch arms a callback on an address range: every Write that overlaps it
+// runs the callback after the bytes are committed, at the writer's virtual
+// time, until Unwatch disarms it. This is how a waiting software thread
+// learns that a device wrote its completion queue without polling for it:
+// the uct poll loops watch each endpoint's next completion slot while they
+// are parked (internal/uct), and tests watch a buffer to time an inbound
+// DMA commit. A write runs the first watch it overlaps and no other, so
+// watched ranges must be disjoint; the callback may arm and disarm
+// watches. With no watch armed a write pays one length check.
 package memsim
 
 import (
@@ -66,6 +78,16 @@ type Memory struct {
 	// writes counts committed store operations, a cheap invariant hook for
 	// tests.
 	writes uint64
+	// watches are the armed write watches (see Watch), in arming order.
+	watches []watch
+}
+
+// watch is one armed write watch: fn(arg) runs after each Write that
+// overlaps [lo, hi).
+type watch struct {
+	lo, hi uint64
+	fn     func(any)
+	arg    any
 }
 
 // New creates a memory of the given size in bytes.
@@ -156,16 +178,52 @@ func (m *Memory) readAt(addr uint64, dst []byte) {
 }
 
 // Write commits data at addr immediately (at the caller's current virtual
-// time).
+// time), then runs the watch the write overlaps, if any.
 func (m *Memory) Write(addr uint64, data []byte) {
 	m.check(addr, len(data), "write")
+	lo, hi := addr, addr+uint64(len(data))
 	for len(data) > 0 {
 		n := copy(m.pageAt(addr >> pageShift)[addr&pageMask:], data)
 		data = data[n:]
 		addr += uint64(n)
 	}
 	m.writes++
+	if lo == hi {
+		return
+	}
+	for _, w := range m.watches {
+		if lo < w.hi && w.lo < hi {
+			// The callback may rearrange the watches: stop scanning.
+			w.fn(w.arg)
+			return
+		}
+	}
 }
+
+// Watch arms a write watch: after every Write that overlaps [addr, addr+n),
+// fn(arg) runs, until Unwatch(arg). Ranges must not overlap other armed
+// watches. arg identifies the watch for Unwatch and should be a pointer;
+// fn is bound once by the caller, so arming allocates nothing once the
+// watch table has grown.
+func (m *Memory) Watch(addr uint64, n int, fn func(any), arg any) {
+	m.check(addr, n, "watch")
+	m.watches = append(m.watches, watch{lo: addr, hi: addr + uint64(n), fn: fn, arg: arg})
+}
+
+// Unwatch disarms every watch armed with arg.
+func (m *Memory) Unwatch(arg any) {
+	kept := m.watches[:0]
+	for _, w := range m.watches {
+		if w.arg != arg {
+			kept = append(kept, w)
+		}
+	}
+	clear(m.watches[len(kept):])
+	m.watches = kept
+}
+
+// Watches reports the number of armed write watches.
+func (m *Memory) Watches() int { return len(m.watches) }
 
 // Read copies n bytes at addr into a fresh slice.
 func (m *Memory) Read(addr uint64, n int) []byte {

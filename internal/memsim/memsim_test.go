@@ -381,3 +381,65 @@ func FuzzMemory(f *testing.F) {
 		}
 	})
 }
+
+// TestWatchFiresOnOverlappingWrites: a watch runs after every write that
+// overlaps its range, sees the committed bytes, ignores writes beside the
+// range and empty writes, and stays armed until Unwatch.
+func TestWatchFiresOnOverlappingWrites(t *testing.T) {
+	m := New(1 << 16)
+	m.Alloc("before", 64, 64)
+	r := m.Alloc("slot", 64, 64)
+	m.Alloc("after", 64, 64)
+	var fired int
+	var seen byte
+	owner := &fired
+	m.Watch(r.Base, int(r.Size), func(a any) {
+		if a != owner {
+			t.Errorf("watch got arg %v", a)
+		}
+		fired++
+		seen = m.Read(r.End()-1, 1)[0]
+	}, owner)
+	if m.Watches() != 1 {
+		t.Fatalf("Watches = %d after arming one", m.Watches())
+	}
+	m.Write(r.Base-8, make([]byte, 8)) // ends where the range starts
+	m.Write(r.End(), []byte{1})        // starts where it ends
+	m.Write(r.Base+8, nil)
+	if fired != 0 {
+		t.Fatalf("watch fired %d times on writes outside its range", fired)
+	}
+	m.Write(r.End()-1, []byte{0xAB, 0xCD}) // straddles the end
+	if fired != 1 || seen != 0xAB {
+		t.Fatalf("after an overlapping write: fired %d, saw %#x; want 1 and the new byte", fired, seen)
+	}
+	m.Write(r.Base, []byte{1})
+	if fired != 2 {
+		t.Fatalf("watch fired %d times, want it armed until Unwatch", fired)
+	}
+	m.Unwatch(owner)
+	m.Write(r.Base, []byte{1})
+	if fired != 2 || m.Watches() != 0 {
+		t.Errorf("after Unwatch: fired %d, %d watches armed", fired, m.Watches())
+	}
+}
+
+// TestUnwatchFromCallback: Unwatch disarms exactly the watches armed with
+// its arg, also from inside a firing callback, and leaves the others.
+func TestUnwatchFromCallback(t *testing.T) {
+	m := New(1 << 16)
+	a, b := &struct{ n int }{}, &struct{ n int }{}
+	for i := uint64(0); i < 3; i++ {
+		m.Watch(i*64, 64, func(any) { a.n++; m.Unwatch(a) }, a)
+		m.Watch(1024+i*64, 64, func(any) { b.n++ }, b)
+	}
+	m.Write(128, []byte{1}) // a's third slot
+	if a.n != 1 || m.Watches() != 3 {
+		t.Fatalf("a fired %d times, %d watches armed; want 1 and b's 3", a.n, m.Watches())
+	}
+	m.Write(0, []byte{1})
+	m.Write(1024+64, []byte{1})
+	if a.n != 1 || b.n != 1 {
+		t.Errorf("a fired %d, b %d; want a disarmed and b still armed", a.n, b.n)
+	}
+}

@@ -549,6 +549,13 @@ func (n *NIC) QPs() []*QP {
 	return out
 }
 
+// QPBytes reports the host memory CreateQP reserves for one queue pair:
+// the doorbell record, padded to the rings' 64-byte alignment, the send
+// queue ring and the two completion rings.
+func QPBytes(sqDepth, cqDepth int) uint64 {
+	return 64 + uint64(sqDepth)*mlx.WQESize + 2*uint64(cqDepth)*mlx.CQESize
+}
+
 // CreateQP allocates a queue pair with the given ring depths (powers of
 // two). Ring memory and the doorbell record are allocated from host memory;
 // the DoorBell and BlueFlame registers from the device BAR.

@@ -261,7 +261,7 @@ func TestRCCommitDelay(t *testing.T) {
 		RCToMemBase: units.Nanoseconds(240.96), RCToMemBaseBytes: 64,
 	})
 	var commitAt units.Time
-	rc.OnCommit(func(addr uint64, n int) { commitAt = k.Now() })
+	mem.Watch(buf.Base, int(buf.Size), func(any) { commitAt = k.Now() }, rc)
 	ep := &collector{k: k}
 	l.SetEndpointSide(ep)
 	k.At(0, func() {

@@ -54,11 +54,9 @@ type RootComplex struct {
 	link *Link
 	cfg  RCConfig
 
-	// Commits counts inbound MWr commits, a test hook.
+	// Commits counts inbound MWr commits, a test hook. To observe a
+	// commit's address and time, watch the memory (memsim.Memory.Watch).
 	Commits uint64
-	// onCommit, if set, observes each committed inbound write. The NIC's
-	// host-memory doorbell records do not need it; tests do.
-	onCommit func(addr uint64, n int)
 
 	// Continuations, bound once so the per-message path schedules events
 	// without allocating closures. Each carries the in-flight *TLP, which
@@ -77,9 +75,6 @@ func NewRootComplex(k *sim.Kernel, mem *memsim.Memory, link *Link, cfg RCConfig)
 		t := a.(*TLP)
 		rc.mem.Write(t.Addr, t.Data)
 		rc.Commits++
-		if rc.onCommit != nil {
-			rc.onCommit(t.Addr, len(t.Data))
-		}
 		t.Release()
 	}
 	rc.mrdFn = func(a any) {
@@ -99,9 +94,6 @@ func NewRootComplex(k *sim.Kernel, mem *memsim.Memory, link *Link, cfg RCConfig)
 
 // Config reports the RC configuration.
 func (rc *RootComplex) Config() RCConfig { return rc.cfg }
-
-// OnCommit registers an observer for inbound write commits.
-func (rc *RootComplex) OnCommit(fn func(addr uint64, n int)) { rc.onCommit = fn }
 
 // MMIOWrite issues a posted write from the CPU to device memory. The data is
 // copied (into the pooled TLP's reusable buffer), so callers may reuse their

@@ -157,10 +157,10 @@ func (f *putLoopFrame) Step(t *sim.Task) {
 			f.i++
 			f.pc = 5
 		case 8: // drain the in-flight tail outside the window
-			if s.ep.InFlight() > 0 {
-				s.w.StartProgress(t)
-				return
-			}
+			f.pc = 9
+			s.w.StartFlush(t)
+			return
+		case 9:
 			f.st.done++
 			t.Return()
 			return
@@ -248,7 +248,7 @@ func AllToAllPutBw(sys *node.System, opt Options) *AllToAllResult {
 }
 
 // a2aNodeFrame is one node of the all-to-all: rounds of one put to every
-// peer with batched polling, then a per-peer in-flight drain.
+// peer with batched polling, then an in-flight drain across every peer.
 type a2aNodeFrame struct {
 	cfg  *config.Config
 	rand *rng.Rand
@@ -262,7 +262,7 @@ type a2aNodeFrame struct {
 
 	pc    int
 	r     int // round index (warmup, then measured)
-	j     int // peer index within a round / drain
+	j     int // peer index within a round
 	retPc int // state to resume after the current round
 	posts int
 }
@@ -291,7 +291,6 @@ func (f *a2aNodeFrame) Step(t *sim.Task) {
 				if t.Now() > f.st.end {
 					f.st.end = t.Now()
 				}
-				f.j = 0
 				f.pc = 6
 				continue
 			}
@@ -329,20 +328,13 @@ func (f *a2aNodeFrame) Step(t *sim.Task) {
 			f.j++
 			f.pc = 2
 		case 6: // drain every peer's in-flight tail
-			if f.j >= f.n {
-				f.st.done++
-				t.Return()
-				return
-			}
-			if f.j == f.me {
-				f.j++
-				continue
-			}
-			if f.eps[f.me][f.j].InFlight() > 0 {
-				f.w.StartProgress(t)
-				return
-			}
-			f.j++
+			f.pc = 7
+			f.w.StartFlush(t)
+			return
+		case 7:
+			f.st.done++
+			t.Return()
+			return
 		}
 	}
 }

@@ -142,6 +142,31 @@ func TestOversubscribedResidentBytes(t *testing.T) {
 	}
 }
 
+// TestOversubscribedEventsPerMessage gates the kernel events the NoiseOff
+// 8-node fat-tree incast (seven 4 KiB senders, rx budget 8: bench's
+// incast_oversub at a fifth of its iterations) fires per delivered message.
+// Senders wait on a full send queue, and drain their tails, parked on
+// their completion slots: the run fires about 70 events per message. A
+// poll loop that schedules one event per empty poll again fires about 163.
+func TestOversubscribedEventsPerMessage(t *testing.T) {
+	const maxPerMsg = 75
+	cfg := config.TX2CX4(config.NoiseOff, 1, true)
+	cfg.Topology = topo.Spec{Kind: topo.FatTree}
+	cfg.NICRxBudget = 8
+	sys := node.NewSystem(cfg, 8)
+	defer sys.Shutdown()
+	OversubscribedPutBw(sys, 7, Options{Iters: 200, Warmup: 20, MsgSize: 4096})
+	delivered := sys.Nodes[0].NIC.Stats().RxFrames
+	if delivered != 7*220 {
+		t.Fatalf("receiver took %d messages, want %d", delivered, 7*220)
+	}
+	perMsg := float64(sys.K.Fired()) / float64(delivered)
+	t.Logf("%d events for %d messages: %.2f per message (gate %d)", sys.K.Fired(), delivered, perMsg, maxPerMsg)
+	if perMsg > maxPerMsg {
+		t.Errorf("%.2f kernel events per delivered message, gate %d: is a poll loop spinning again?", perMsg, maxPerMsg)
+	}
+}
+
 // TestOversubscribedDeterministic pins run-to-run determinism of the
 // NAK/retry machinery (backoff timers ride the ordinary event queue).
 func TestOversubscribedDeterministic(t *testing.T) {

@@ -16,6 +16,16 @@
 // the benchmark (mustPost); only the lossy stream reads it, because it
 // reports failures.
 //
+// The closed-loop senders drain their in-flight tail, outside the measured
+// window, with one call, uct.Worker.StartFlush: putLoopFrame, the
+// all-to-all node frame and the saturation sweep's paced senders (the
+// workload injectors do the same). Like StartPut's busy-post retry, the
+// flush polls exactly when some endpoint still has a send in flight, and
+// under NoiseOff it parks on an empty completion queue instead of firing
+// one kernel event per poll; every simulated value is the spin's.
+// LossyPutBw keeps its own drain, which stops on Ep.Err, and AmLat polls
+// for its pong itself.
+//
 // One put_bw loop (putLoopFrame) runs every closed-loop sender: PutBw is one
 // sender, MultiPutBw (and MultiCoreSweep over it) one per core on the same
 // node, OversubscribedPutBw the N-to-1 incast (with or without a receiver

@@ -104,10 +104,10 @@ func (f *pacedPutFrame) Step(t *sim.Task) {
 			t.Advance(f.cfg.SW.BenchLoop.Sample(s.rand))
 			f.pc = 1
 		case 4: // drain the in-flight tail; the window closes when empty
-			if s.ep.InFlight() > 0 {
-				s.w.StartProgress(t)
-				return
-			}
+			f.pc = 5
+			s.w.StartFlush(t)
+			return
+		case 5:
 			if t.Now() > f.st.end {
 				f.st.end = t.Now()
 			}

@@ -12,6 +12,11 @@
 // measurement campaign — runs as tasks: no goroutine, no channel handoff,
 // zero allocations in steady state.
 //
+// A task that would only spin until another component acts parks instead
+// (Task.Park): it schedules nothing, and the component's event callback
+// wakes it (Task.WakeAt) at the instant the spin would have noticed. The
+// uct poll loops park this way on an empty completion queue.
+//
 // Tasks never run concurrently with each other or with the kernel: at any
 // instant exactly one frame Step or event callback is executing, so shared
 // simulation state needs no locking and runs are fully deterministic:
@@ -292,12 +297,13 @@ func (k *Kernel) RunUntil(deadline Time) uint64 {
 func (k *Kernel) Pending() int { return k.live }
 
 // StuckTasks reports the tasks that are still live — neither finished nor
-// cancelled — at the moment of the call. After a clean Run (event queue
-// drained) the slice is empty: a paused task always holds a scheduled
-// resume event, so live tasks can only survive a drain if something
-// cancelled their wake-up, and they survive a RunUntil/Stop/event-limit
-// exit whenever they are deadlocked or livelocked (e.g. polling a
-// completion that can never arrive).
+// cancelled — at the moment of the call. A paused task holds a scheduled
+// resume event, but a parked task holds none: it waits for a waker it
+// armed (a memory write watch) to fire. So live tasks survive a drained
+// Run when they are parked on something that never happens (a completion
+// that can never arrive) or something cancelled their wake-up, and they
+// survive a RunUntil/Stop/event-limit exit whenever they are deadlocked or
+// livelocked (e.g. spin-polling a completion that can never arrive).
 func (k *Kernel) StuckTasks() []*Task {
 	var out []*Task
 	for _, t := range k.tasks {

@@ -55,6 +55,16 @@ type Frame interface {
 // the task then observes exactly the state it would have seen had every
 // delay been materialized on its own, and runs remain bit-for-bit identical.
 //
+// # Parking
+//
+// A task that would only spin until some other component acts can Park
+// instead: it suspends with no resume event at all, and whatever it armed
+// before parking (a memory write watch, say) calls WakeAt from its event
+// callback to schedule the resume. Park takes the function that disarms
+// the waker, so Cancel of a parked task leaves nothing armed. A parked
+// task that is never woken is still live: the queue drains around it and
+// StallReport names it.
+//
 // Tasks never run concurrently with each other or the kernel: at any
 // instant exactly one frame Step or event callback is executing.
 type Task struct {
@@ -68,6 +78,10 @@ type Task struct {
 	done   bool
 	// pending is the scheduled start or resume event (for Cancel).
 	pending EventRef
+	// unpark, while the task is parked, disarms its waker; parkedAt is
+	// the task's clock when it parked, the earliest resume WakeAt takes.
+	unpark   func()
+	parkedAt Time
 }
 
 // taskStep is the shared continuation entry point: the task pointer rides in
@@ -101,15 +115,20 @@ func (t *Task) step() {
 // Name reports the name the task was spawned with.
 func (t *Task) Name() string { return t.name }
 
-// StallSite describes where a live task currently sits: its name, the type
-// of the frame on top of its stack (the pause site — frame types are
-// layer-specific, so %T names the blocked layer directly), and the stack
-// depth. The kernel's StallReport renders one StallSite per stuck task.
+// StallSite describes where a live task currently sits: its name, whether
+// it is paused or parked, the type of the frame on top of its stack (the
+// pause site — frame types are layer-specific, so %T names the blocked
+// layer directly), and the stack depth. The kernel's StallReport renders
+// one StallSite per stuck task.
 func (t *Task) StallSite() string {
 	if len(t.stack) == 0 {
 		return fmt.Sprintf("%s: empty frame stack", t.name)
 	}
-	return fmt.Sprintf("%s: paused in %T (stack depth %d)", t.name, t.stack[len(t.stack)-1], len(t.stack))
+	state := "paused"
+	if t.unpark != nil {
+		state = "parked"
+	}
+	return fmt.Sprintf("%s: %s in %T (stack depth %d)", t.name, state, t.stack[len(t.stack)-1], len(t.stack))
 }
 
 // Kernel returns the owning kernel.
@@ -150,6 +169,39 @@ func (t *Task) Pause() bool {
 	return true
 }
 
+// Park suspends the task with no resume event scheduled: it stays suspended
+// until an event callback calls WakeAt. The caller arms that waker before
+// parking and passes unpark, which disarms it; unpark runs only if the task
+// is cancelled while parked. Any pending lag is folded into the resume:
+// WakeAt must pick a time no earlier than the task's clock (Now) at Park.
+// Step must return immediately after Park.
+func (t *Task) Park(unpark func()) {
+	if unpark == nil {
+		panic(fmt.Sprintf("sim: task %q parked with no unpark", t.name))
+	}
+	t.parkedAt = t.Now()
+	t.lag = 0
+	t.paused = true
+	t.unpark = unpark
+}
+
+// Parked reports whether the task is parked (see Park).
+func (t *Task) Parked() bool { return t.unpark != nil }
+
+// WakeAt schedules a parked task to resume at absolute time at, as one
+// pooled event. The waker has disarmed itself; at must not precede the
+// task's clock at Park.
+func (t *Task) WakeAt(at Time) {
+	if t.unpark == nil {
+		panic(fmt.Sprintf("sim: WakeAt on task %q, which is not parked", t.name))
+	}
+	if at < t.parkedAt {
+		panic(fmt.Sprintf("sim: task %q woken at %v, before it parked at %v", t.name, at, t.parkedAt))
+	}
+	t.unpark = nil
+	t.pending = t.k.AtArg(at, taskStep, t)
+}
+
 // Call pushes f as a sub-frame; it begins executing before the caller's
 // Step is re-entered, and the caller resumes (at its updated pc) once f
 // Returns. Set the pc past the call site before calling, then return from
@@ -166,22 +218,28 @@ func (t *Task) Return() {
 	t.stack = t.stack[:len(t.stack)-1]
 }
 
-// Cancel terminates a task that has not finished — paused mid-chain or not
-// yet started: its scheduled start or resume event is cancelled and no
-// further frames run. Cancelling a finished task is a no-op.
+// Cancel terminates a task that has not finished — paused mid-chain,
+// parked, or not yet started: its scheduled start or resume event is
+// cancelled, a parked task's waker is disarmed, and no further frames run.
+// Cancelling a finished task is a no-op.
 func (t *Task) Cancel() {
 	if t.done {
 		return
 	}
 	t.done = true
 	t.pending.Cancel()
+	if t.unpark != nil {
+		unpark := t.unpark
+		t.unpark = nil
+		unpark()
+	}
 	t.stack = t.stack[:0]
 }
 
 // Shutdown cancels every task that has not finished. It must be called
 // outside Run (after the event loop returns). Tasks hold no goroutines, so
-// cancelling in place (dropping their pending start or resume events) is
-// the whole cleanup.
+// cancelling in place (dropping their pending start or resume events and
+// disarming parked tasks' wakers) is the whole cleanup.
 func (k *Kernel) Shutdown() {
 	for _, t := range k.tasks {
 		t.Cancel()

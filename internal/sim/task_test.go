@@ -182,3 +182,80 @@ func (f *stepsFrame) Step(t *Task) {
 	}
 	t.Return()
 }
+
+// parkFrame advances lag, parks with unpark, and records when it resumes.
+type parkFrame struct {
+	pc      int
+	lag     Time
+	unpark  func()
+	resumed Time
+}
+
+func (f *parkFrame) Step(t *Task) {
+	switch f.pc {
+	case 0:
+		t.Advance(f.lag)
+		f.pc = 1
+		t.Park(f.unpark)
+	case 1:
+		f.resumed = t.Now()
+		t.Return()
+	}
+}
+
+// TestParkWakeAt: a parked task schedules nothing; WakeAt resumes it at
+// exactly the chosen instant with its lag folded in, and refuses an
+// instant before the task's clock at Park.
+func TestParkWakeAt(t *testing.T) {
+	k := NewKernel()
+	f := &parkFrame{lag: 30, unpark: func() { t.Error("unpark ran for a woken task") }}
+	task := k.SpawnTask("parker", f)
+	k.At(10, func() {
+		if !task.Parked() || k.Pending() != 0 {
+			t.Errorf("at 10: parked %v with %d events pending; want parked and none", task.Parked(), k.Pending())
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("WakeAt before the park clock did not panic")
+				}
+			}()
+			task.WakeAt(29)
+		}()
+		task.WakeAt(45)
+	})
+	k.Run()
+	if f.resumed != 45 || !task.Done() || task.Parked() {
+		t.Errorf("resumed at %v (done %v, parked %v), want 45", f.resumed, task.Done(), task.Parked())
+	}
+	// Spawn, the waker, and the one resume event.
+	if k.Fired() != 3 {
+		t.Errorf("fired %d events, want 3", k.Fired())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("WakeAt on a task that is not parked did not panic")
+		}
+	}()
+	task.WakeAt(100)
+}
+
+// TestCancelParkedTask: cancelling a parked task runs its unpark once and
+// leaves a finished task behind.
+func TestCancelParkedTask(t *testing.T) {
+	k := NewKernel()
+	unparked := 0
+	task := k.SpawnTask("parker", &parkFrame{lag: 5, unpark: func() { unparked++ }})
+	k.Run()
+	if !task.Parked() || task.Done() {
+		t.Fatalf("after the drain: parked %v, done %v; want a parked live task", task.Parked(), task.Done())
+	}
+	task.Cancel()
+	task.Cancel()
+	if unparked != 1 || task.Parked() || !task.Done() {
+		t.Errorf("after Cancel: unpark ran %d times, parked %v, done %v", unparked, task.Parked(), task.Done())
+	}
+	if rep := k.StallReport(); rep != "" {
+		t.Errorf("stall report after cancelling the parked task:\n%s", rep)
+	}
+}

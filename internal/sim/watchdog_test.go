@@ -104,3 +104,21 @@ func TestWatchdogCleanAfterDrain(t *testing.T) {
 		t.Fatalf("%d stuck tasks after clean drain", n)
 	}
 }
+
+// TestWatchdogNamesParkedTask: a task parked on a wake-up that never comes
+// lets the queue drain, and the stall report names it as parked.
+func TestWatchdogNamesParkedTask(t *testing.T) {
+	k := NewKernel()
+	k.SpawnTask("parked.waiter", &parkFrame{lag: 5, unpark: func() {}})
+	k.Run()
+	if k.Pending() != 0 {
+		t.Fatalf("%d events pending after Run", k.Pending())
+	}
+	rep := k.StallReport()
+	for _, want := range []string{"parked.waiter", "parked in *sim.parkFrame", "stack depth 1"} {
+		if !strings.Contains(rep, want) {
+			t.Errorf("stall report lacks %q:\n%s", want, rep)
+		}
+	}
+	k.Shutdown()
+}

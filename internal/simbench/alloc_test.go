@@ -6,6 +6,7 @@ import (
 
 	"breakband/internal/config"
 	"breakband/internal/fabric"
+	"breakband/internal/memsim"
 	"breakband/internal/node"
 	"breakband/internal/perftest"
 	"breakband/internal/sim"
@@ -45,6 +46,59 @@ func TestSchedulePathZeroAlloc(t *testing.T) {
 		k.Run()
 	}); allocs != 0 {
 		t.Errorf("AfterArg/Run allocates %.2f per event, want 0", allocs)
+	}
+}
+
+// watchParkFrame parks its task on a memory write watch, forever: each
+// wake re-arms the watch and parks again — the shape of a uct poll loop
+// waiting on its completion slots.
+type watchParkFrame struct {
+	mem    *memsim.Memory
+	addr   uint64
+	t      *sim.Task
+	unpark func()
+}
+
+func (f *watchParkFrame) Step(t *sim.Task) {
+	f.t = t
+	f.mem.Watch(f.addr, 8, wakeWatchPark, f)
+	t.Park(f.unpark)
+}
+
+// wakeWatchPark is the watch callback: disarm, then wake the task now.
+func wakeWatchPark(a any) {
+	f := a.(*watchParkFrame)
+	f.mem.Unwatch(f)
+	f.t.WakeAt(f.t.Kernel().Now())
+}
+
+// TestParkWakeZeroAlloc pins the park/wake cycle at zero allocations: a
+// write fires the watch, the callback disarms and wakes the task, and the
+// task re-arms and parks again.
+func TestParkWakeZeroAlloc(t *testing.T) {
+	k := sim.NewKernel()
+	mem := memsim.New(1 << 12)
+	f := &watchParkFrame{mem: mem, addr: 64}
+	f.unpark = func() { mem.Unwatch(f) }
+	k.SpawnTask("parker", f)
+	write := func(any) { mem.Write(64, []byte{1}) }
+	// Warm the slot pool and the watch table.
+	for i := 0; i < 8; i++ {
+		k.AfterArg(1, write, nil)
+		k.Run()
+	}
+	if allocs := testing.AllocsPerRun(500, func() {
+		k.AfterArg(1, write, nil)
+		k.Run()
+	}); allocs != 0 {
+		t.Errorf("park/wake allocates %.2f per cycle, want 0", allocs)
+	}
+	if mem.Watches() != 1 {
+		t.Errorf("%d watches armed, want the parked task's one", mem.Watches())
+	}
+	k.Shutdown()
+	if mem.Watches() != 0 {
+		t.Errorf("Shutdown left %d watches armed", mem.Watches())
 	}
 }
 

@@ -44,7 +44,7 @@ func Schedule(b *testing.B) {
 	}
 	k.Run()
 	b.StopTimer()
-	reportEventsPerSec(b, float64(fired))
+	reportEvents(b, float64(fired))
 }
 
 // stepLoopFrame runs one Advance+Pause suspend/resume round trip per
@@ -84,7 +84,7 @@ func HandoffFreeStep(b *testing.B) {
 	k.Run()
 	b.StopTimer()
 	k.Shutdown()
-	reportEventsPerSec(b, float64(b.N))
+	reportEvents(b, float64(b.N))
 }
 
 // pauseOnceFrame advances one tick, pauses once, and returns to its caller.
@@ -145,7 +145,7 @@ func HandoffFreeCall(b *testing.B) {
 	k.Run()
 	b.StopTimer()
 	k.Shutdown()
-	reportEventsPerSec(b, float64(b.N))
+	reportEvents(b, float64(b.N))
 }
 
 // PutBwEndToEnd measures the whole stack: b.N RDMA-write injections through
@@ -169,7 +169,7 @@ func putBw(b *testing.B, noise config.NoiseLevel) {
 	if res.Messages != b.N {
 		b.Fatalf("put_bw ran %d messages, want %d", res.Messages, b.N)
 	}
-	reportEventsPerSec(b, float64(sys.K.Fired()))
+	reportEvents(b, float64(sys.K.Fired()))
 }
 
 // WindowedPutBw measures the windowed device path: post a window of RDMA
@@ -192,7 +192,7 @@ func WindowedPutBw(b *testing.B) {
 	if res.PerMsgNs <= 0 {
 		b.Fatalf("windowed put_bw reported %v ns/msg", res.PerMsgNs)
 	}
-	reportEventsPerSec(b, float64(sys.K.Fired()))
+	reportEvents(b, float64(sys.K.Fired()))
 }
 
 // IncastPutBw measures the contended switch path: four senders funnel
@@ -215,7 +215,7 @@ func IncastPutBw(b *testing.B) {
 	if res.Messages != senders*iters {
 		b.Fatalf("incast ran %d messages, want %d", res.Messages, senders*iters)
 	}
-	reportEventsPerSec(b, float64(sys.K.Fired()))
+	reportEvents(b, float64(sys.K.Fired()))
 }
 
 // OversubscribedPutBw measures the receiver-overload path with bounded rx
@@ -239,7 +239,7 @@ func OversubscribedPutBw(b *testing.B) {
 	if res.Messages != senders*iters {
 		b.Fatalf("oversubscribed incast ran %d messages, want %d", res.Messages, senders*iters)
 	}
-	reportEventsPerSec(b, float64(sys.K.Fired()))
+	reportEvents(b, float64(sys.K.Fired()))
 }
 
 // benchWorkloadSpec compiles the canonical open-loop Poisson incast sized to
@@ -283,12 +283,14 @@ func WorkloadInject(b *testing.B) {
 	if res.Cohorts[0].Delivered == 0 {
 		b.Fatal("workload delivered nothing")
 	}
-	reportEventsPerSec(b, float64(sys.K.Fired()))
+	reportEvents(b, float64(sys.K.Fired()))
 }
 
-// reportEventsPerSec attaches an events/sec custom metric.
-func reportEventsPerSec(b *testing.B, events float64) {
+// reportEvents attaches the kernel events the run fired as two custom
+// metrics: events/sec and events/op.
+func reportEvents(b *testing.B, events float64) {
 	if sec := b.Elapsed().Seconds(); sec > 0 {
 		b.ReportMetric(events/sec, "events/sec")
 	}
+	b.ReportMetric(events/float64(b.N), "events/op")
 }

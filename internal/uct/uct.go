@@ -16,6 +16,42 @@
 // by size, and retry a busy post after one worker progress. The explicit
 // StartPutShort/StartAmShort/StartPutBcopy/StartAmBcopy calls stay for
 // callers that pick the path and handle busy posts themselves (ucp).
+// StartFlush progresses a worker until no endpoint has a send in flight,
+// as UCX's uct_iface_flush does; the benchmarks drain their tails with it.
+//
+// # Parked polling
+//
+// The busy-post retry and the flush are spin loops: poll, and while the
+// poll comes back empty (and, in the retry, the transmit queue stays
+// full), pay the busy post and poll again. Each empty round takes
+// P = BusyPost (retry only) + LLPProgBarrier + LLPProgFailChk of virtual
+// time (37 ns in the calibrated retry, 28 ns in the flush), and spinning
+// through it costs one kernel event. Instead, after an empty poll the
+// loop parks its task (sim.Task.Park) and arms a memory write watch on
+// each endpoint's next send-CQ and receive-CQ slot. The first write that
+// makes one of those slots valid wakes the task at the first skipped poll
+// instant at or after the write: p1 + (j-1)*P, where p1 is the first poll
+// the loop skipped. On wake the worker adds j to Progresses (and to
+// BusyPosts in the retry) and j-1 to EmptyPolls, and the j-th poll reads
+// the CQs for real. Every simulated time and counter is therefore the
+// spin's, with one event per wait instead of one per poll.
+//
+// A loop parks only when all of these hold, each read from its inputs:
+//
+//   - the worker draws no jitter (no rand stream: NoiseOff), so every
+//     skipped cost is its mean. Under NoiseOn every poll draws from the
+//     stream, so the loop keeps spinning and the draws stay in order;
+//   - no stage is profiled (ProfStage == StNone);
+//   - the empty poll reposted no receive credits, so it paused nothing
+//     after its CQ reads and no write can have slipped in unwatched;
+//   - the tie rule: P is shorter than the shortest lead with which any CQ
+//     write is scheduled — RCToMem(CQESize) for the Root Complex's DMA
+//     commits, the PCIe link Prop for a dead NIC's flush CQEs. A write
+//     landing exactly on a poll instant was then scheduled before the
+//     spin's resume event for that poll, so the spin sees it, and the
+//     parked loop, woken from inside the write, resumes after it and sees
+//     it too. A configuration with a shorter lead (an integrated NIC's
+//     10 ns Prop) keeps the spin.
 //
 // # Execution model
 //
@@ -173,9 +209,17 @@ type Worker struct {
 	// the receive pool (too large for CQE inline scatter).
 	recvBuf []byte
 
+	// idle is the parked poll loop's state while its task is parked or
+	// just woken (see park).
+	idle idlePoll
+	// unpark disarms the worker's completion-slot watches when its parked
+	// task is cancelled; bound once so parking allocates nothing.
+	unpark func()
+
 	// Preallocated frames (one progress chain per worker at a time).
-	progF progressFrame
-	replF replenishFrame
+	progF  progressFrame
+	replF  replenishFrame
+	flushF flushFrame
 }
 
 // NewWorker builds an LLP worker on a node. The worker draws its software
@@ -184,6 +228,8 @@ type Worker struct {
 func NewWorker(n *node.Node, cfg *config.Config) *Worker {
 	w := &Worker{Node: n, Cfg: cfg, amHandlers: make(map[uint8]AmHandler), rand: n.Rand}
 	w.progF.w = w
+	w.flushF.w = w
+	w.unpark = func() { w.Node.Mem.Unwatch(w) }
 	return w
 }
 
@@ -265,6 +311,14 @@ const (
 // replenishBatch forces a repost even on a busy worker once this many
 // receive credits are owed.
 const replenishBatch = 64
+
+// EpBytes reports the host memory NewEp reserves on its worker's node under
+// cfg: the QP (nic.QPBytes), one MaxBcopy staging slot per send-queue entry
+// and the receive pool. A node's memory (cfg.MemBytes) bounds how many
+// endpoints it can hold.
+func EpBytes(cfg *config.Config) uint64 {
+	return nic.QPBytes(cfg.Bench.SQDepth, cfg.Bench.CQDepth) + MaxBcopy*uint64(cfg.Bench.SQDepth) + MaxBcopy*recvPoolSlots
+}
 
 // NewEp creates an endpoint with its own QP.
 func (w *Worker) NewEp(mode PostMode, signalPeriod int) *Ep {
@@ -387,6 +441,8 @@ func (e *Ep) StartAmBcopy(t *sim.Task, id uint8, data []byte) {
 // bytes, the buffered-copy path above it. A busy post progresses the worker
 // and posts again, so LastPost never reports ErrNoResource; any other error
 // (a payload above MaxBcopy, a failed QP) is left there for the caller.
+// While the queue stays full the retry parks on an empty poll (see the
+// package documentation).
 func (e *Ep) StartPut(t *sim.Task, data []byte) {
 	e.startSized(t, mlx.OpRDMAWrite, 0, data)
 }
@@ -408,7 +464,7 @@ func (e *Ep) startSized(t *sim.Task, op mlx.Opcode, amID uint8, data []byte) {
 
 // sizedPostFrame is the benchmark post loop behind StartPut and StartAm:
 // post on the short or bcopy path by size and, while the transmit queue is
-// full, progress the worker and post again.
+// full, progress the worker and post again, parking on an empty poll.
 type sizedPostFrame struct {
 	e    *Ep
 	pc   int
@@ -419,26 +475,40 @@ type sizedPostFrame struct {
 
 func (f *sizedPostFrame) Step(t *sim.Task) {
 	e := f.e
-	switch f.pc {
-	case 0:
-		f.pc = 1
-		var raddr uint64
-		if f.op == mlx.OpRDMAWrite {
-			raddr = e.RemoteBuf
-		}
-		if len(f.data) <= mlx.InlineMax {
-			e.startPost(t, f.op, f.amID, raddr, f.data)
-		} else {
-			e.startGather(t, f.op, f.amID, raddr, f.data)
-		}
-	case 1:
-		if e.lastPost == ErrNoResource {
-			f.pc = 0
+	for {
+		switch f.pc {
+		case 0:
+			f.pc = 1
+			var raddr uint64
+			if f.op == mlx.OpRDMAWrite {
+				raddr = e.RemoteBuf
+			}
+			if len(f.data) <= mlx.InlineMax {
+				e.startPost(t, f.op, f.amID, raddr, f.data)
+			} else {
+				e.startGather(t, f.op, f.amID, raddr, f.data)
+			}
+			return
+		case 1:
+			if e.lastPost != ErrNoResource {
+				f.data = nil
+				t.Return()
+				return
+			}
+			f.pc = 2
 			e.w.StartProgress(t)
 			return
+		case 2: // polled: park on an empty CQ, or post again
+			if e.w.park(t, true) {
+				f.pc = 3
+				return
+			}
+			f.pc = 0
+		case 3: // woken: the poll that sees the completion
+			f.pc = 2
+			e.w.startWokenProgress(t)
+			return
 		}
-		f.data = nil
-		t.Return()
 	}
 }
 
@@ -759,6 +829,139 @@ func (e *Ep) nextSignaled() bool {
 	return false
 }
 
+// StartFlush begins progressing the worker until no endpoint has a send in
+// flight (UCX's uct_iface_flush). It polls exactly when some endpoint still
+// has a send in flight, and parks on an empty poll like StartPut's retry
+// (see the package documentation). Failed sends retire through their error
+// CQEs, so a flush also ends on a failed endpoint.
+func (w *Worker) StartFlush(t *sim.Task) {
+	w.flushF.pc = 0
+	t.Call(&w.flushF)
+}
+
+// flushFrame is the flush loop behind StartFlush.
+type flushFrame struct {
+	w  *Worker
+	pc int
+}
+
+func (f *flushFrame) Step(t *sim.Task) {
+	w := f.w
+	for {
+		switch f.pc {
+		case 0:
+			if !w.sending() {
+				t.Return()
+				return
+			}
+			f.pc = 1
+			w.StartProgress(t)
+			return
+		case 1: // polled: park on an empty CQ, or check again
+			if w.park(t, false) {
+				f.pc = 2
+				return
+			}
+			f.pc = 0
+		case 2: // woken: the poll that sees the completion
+			f.pc = 1
+			w.startWokenProgress(t)
+			return
+		}
+	}
+}
+
+// sending reports whether any endpoint has a send in flight.
+func (w *Worker) sending() bool {
+	for _, e := range w.Eps {
+		if e.InFlight() > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// idlePoll is a parked poll loop. The polls it skips read the CQs at
+// first + (j-1)*period for j = 1, 2, ...; the wake records in polls the j
+// of the poll that sees the completion.
+type idlePoll struct {
+	t             *sim.Task
+	first, period units.Time
+	busy          bool // the busy-post retry: a busy post precedes each poll
+	polls         uint64
+}
+
+// park parks t, which runs this worker's busy-post retry (busy) or flush,
+// right after an empty poll, when the conditions in the package
+// documentation hold. It reports whether t parked; the caller's Step must
+// then return, and call startWokenProgress when t resumes.
+func (w *Worker) park(t *sim.Task, busy bool) bool {
+	if f := &w.progF; f.n != 0 || !f.quiet || w.rand != nil || w.ProfStage != StNone {
+		return false
+	}
+	sw := &w.Cfg.SW
+	var toRead units.Time // from here to the first skipped poll's CQ read
+	if busy {
+		toRead = sw.BusyPost.Sample(nil)
+	}
+	toRead += sw.LLPProgBarrier.Sample(nil)
+	period := toRead + sw.LLPProgFailChk.Sample(nil)
+	if period <= 0 || period >= min(w.Cfg.RC.RCToMem(mlx.CQESize), w.Cfg.Link.Prop) {
+		return false
+	}
+	mem := w.Node.Mem
+	for _, e := range w.Eps {
+		mem.Watch(e.qp.SendCQ.EntryAddr(e.sendCI), mlx.CQESize, cqWritten, w)
+		mem.Watch(e.qp.RecvCQ.EntryAddr(e.recvCI), mlx.CQESize, cqWritten, w)
+	}
+	w.idle = idlePoll{t: t, first: t.Now() + toRead, period: period, busy: busy}
+	t.Park(w.unpark)
+	return true
+}
+
+// cqWritten is the watch on a parked worker's completion slots. Once a
+// write makes one of them valid, it disarms the watches and wakes the
+// loop at the first skipped poll at or after the write.
+func cqWritten(a any) {
+	w := a.(*Worker)
+	ready := false
+	for _, e := range w.Eps {
+		if e.cqValid(e.qp.SendCQ, e.sendCI) || e.cqValid(e.qp.RecvCQ, e.recvCI) {
+			ready = true
+			break
+		}
+	}
+	if !ready {
+		return
+	}
+	w.Node.Mem.Unwatch(w)
+	id := &w.idle
+	j := units.Time(1)
+	if now := id.t.Kernel().Now(); now > id.first {
+		j += (now - id.first + id.period - 1) / id.period
+	}
+	id.polls = uint64(j)
+	id.t.WakeAt(id.first + (j-1)*id.period)
+}
+
+// startWokenProgress accounts the polls a parked loop skipped — j
+// progresses, j-1 of them empty, each after a busy post in the retry — and
+// begins the j-th at its CQ read, where the spin would stand.
+func (w *Worker) startWokenProgress(t *sim.Task) {
+	id := &w.idle
+	w.Stats.Progresses += id.polls
+	w.Stats.EmptyPolls += id.polls - 1
+	if id.busy {
+		w.Stats.BusyPosts += id.polls
+	}
+	id.t = nil
+	f := &w.progF
+	f.pc = 1
+	f.i = 0
+	f.tok = profTok{}
+	t.Call(f)
+}
+
 // StartProgress begins one completion-queue poll, dequeuing at most one
 // entry (the paper's LLP_prog is "dequeuing one entry of the completion
 // queue"). The number of operations retired — one CQE can retire several
@@ -782,6 +985,9 @@ type progressFrame struct {
 	pc int
 	i  int // endpoint scan index
 	n  int // result: operations retired
+	// quiet: the last poll was empty and reposted no receive credits, so
+	// it paused nothing after its CQ reads.
+	quiet bool
 
 	tok profTok
 	// Recv-path locals preserved across the large-payload pause.
@@ -965,6 +1171,7 @@ func (f *progressFrame) Step(t *sim.Task) {
 			w.Stats.EmptyPolls++
 			w.profEndAs(t, f.tok, "empty_poll")
 			f.n = 0
+			f.quiet = true
 			f.i = 0
 			f.pc = 9
 		case 9:
@@ -977,6 +1184,7 @@ func (f *progressFrame) Step(t *sim.Task) {
 			if e.owedRecvCredits == 0 {
 				continue
 			}
+			f.quiet = false
 			w.replF.e = e
 			w.replF.pc = 0
 			t.Call(&w.replF)
@@ -1014,14 +1222,20 @@ func (f *replenishFrame) Step(t *sim.Task) {
 	}
 }
 
+// cqValid reads the CQ slot for consumer counter ci into the worker's
+// scratch and reports whether its generation marks it valid.
+func (e *Ep) cqValid(ring mlx.Ring, ci uint16) bool {
+	e.w.Node.Mem.ReadInto(ring.EntryAddr(ci), e.w.scratch[:])
+	return e.w.scratch[mlx.CQESize-1] == ring.Gen(ci)
+}
+
 // readCQ reads the CQ slot for consumer counter ci and returns the decoded
 // CQE if its generation marks it valid. The caller must have paused
 // immediately beforehand: the read must observe every completion DMA-written
 // up to the task's current virtual time. The returned CQE is the worker's
 // scratch: it (and its payload) is only valid until the next read.
 func (e *Ep) readCQ(ring mlx.Ring, ci uint16) *mlx.CQE {
-	e.w.Node.Mem.ReadInto(ring.EntryAddr(ci), e.w.scratch[:])
-	if e.w.scratch[mlx.CQESize-1] != ring.Gen(ci) {
+	if !e.cqValid(ring, ci) {
 		return nil
 	}
 	if err := e.w.cqe.DecodeFrom(e.w.scratch[:]); err != nil {

@@ -3,9 +3,11 @@ package uct
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"breakband/internal/config"
+	"breakband/internal/mlx"
 	"breakband/internal/node"
 	"breakband/internal/sim"
 	"breakband/internal/simtest"
@@ -14,7 +16,12 @@ import (
 
 func harness(t *testing.T) (*node.System, *Worker, *Worker, *Ep, *Ep) {
 	t.Helper()
-	cfg := config.TX2CX4(config.NoiseOff, 1, true)
+	return harnessWith(t, config.TX2CX4(config.NoiseOff, 1, true))
+}
+
+// harnessWith is harness over cfg.
+func harnessWith(t *testing.T, cfg *config.Config) (*node.System, *Worker, *Worker, *Ep, *Ep) {
+	t.Helper()
 	sys := node.NewSystem(cfg, 2)
 	w0 := NewWorker(sys.Nodes[0], cfg)
 	w1 := NewWorker(sys.Nodes[1], cfg)
@@ -317,6 +324,22 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestEpBytesMatchesAllocation: EpBytes is what each NewEp takes from its
+// node's memory, so a node's size bounds its endpoints exactly.
+func TestEpBytesMatchesAllocation(t *testing.T) {
+	sys, w0, _, _, _ := harness(t)
+	defer sys.Shutdown()
+	mem := sys.Nodes[0].Mem
+	end := func() uint64 { regs := mem.Regions(); return regs[len(regs)-1].End() }
+	before := end()
+	for i := 0; i < 3; i++ {
+		w0.NewEp(PIOInline, 1)
+	}
+	if got, want := end()-before, 3*EpBytes(sys.Cfg); got != want {
+		t.Errorf("3 endpoints took %d bytes, EpBytes says %d", got, want)
+	}
+}
+
 func TestModeString(t *testing.T) {
 	if PIOInline.String() != "pio-inline" || DoorbellInline.String() != "doorbell-inline" ||
 		DoorbellGather.String() != "doorbell-gather" {
@@ -324,95 +347,392 @@ func TestModeString(t *testing.T) {
 	}
 }
 
-// postStream sends n messages from node 0 with post and drains the
-// completions; with am set, node 1 posts receives and polls until every
-// message arrived. It reports the sender's stats, the time its last
-// completion was polled, and how many posts left an error in LastPost.
-func postStream(t *testing.T, n int, am bool, post func(w *Worker, e *Ep) simtest.Step) (Stats, units.Time, int) {
+// stream is one postStream run: n messages from node 0 posted with post at
+// the given noise level and profiled stage, over a PCIe link with
+// propagation prop when it is set; with am set, node 1 posts receives and
+// polls until every message arrived. The sender drains its tail with the
+// drain loop, or with StartFlush when flush is set.
+type stream struct {
+	noise config.NoiseLevel
+	stage Stage
+	prop  units.Time
+	n     int
+	am    bool
+	post  func(w *Worker, e *Ep) simtest.Step
+	flush bool
+}
+
+// streamRun is what a stream run observed: the sender's stats, the time
+// its last completion was polled, how many posts left an error in
+// LastPost, and the kernel events the whole run fired.
+type streamRun struct {
+	stats  Stats
+	end    units.Time
+	failed int
+	events uint64
+}
+
+func postStream(t *testing.T, s stream) streamRun {
 	t.Helper()
-	sys, w0, w1, e0, e1 := harness(t)
+	cfg := config.TX2CX4(s.noise, 1, true)
+	if s.prop != 0 {
+		cfg.Link.Prop = s.prop
+	}
+	sys, w0, w1, e0, e1 := harnessWith(t, cfg)
 	defer sys.Shutdown()
+	w0.ProfStage = s.stage
 	dst := sys.Nodes[1].Mem.Alloc("dst", MaxBcopy, 64)
 	e0.RemoteBuf = dst.Base
-	if am {
+	if s.am {
 		got := 0
 		w1.SetAmHandler(7, func(*sim.Task, []byte) { got++ })
 		simtest.Start(sys.K, "rx",
 			func(tk *sim.Task) { e1.StartPostRecvs(tk, 64) },
-			simtest.While(func() bool { return got < n }, w1.StartProgress),
+			simtest.While(func() bool { return got < s.n }, w1.StartProgress),
 		)
 	}
-	var end units.Time
-	posted, failed := 0, 0
+	tail := drain(w0, e0)
+	if s.flush {
+		tail = w0.StartFlush
+	}
+	var r streamRun
+	posted := 0
 	simtest.Start(sys.K, "tx",
 		func(tk *sim.Task) { tk.Advance(units.Microsecond) }, // let receives post
-		simtest.While(func() bool { return posted < n },
-			post(w0, e0),
+		simtest.While(func() bool { return posted < s.n },
+			s.post(w0, e0),
 			func(*sim.Task) {
 				if e0.LastPost() != nil {
-					failed++
+					r.failed++
 				}
 				posted++
 			}),
-		drain(w0, e0),
-		func(tk *sim.Task) { end = tk.Now() },
+		tail,
+		func(tk *sim.Task) { r.end = tk.Now() },
 	)
 	sys.Run()
-	return w0.Stats, end, failed
+	r.stats, r.events = w0.Stats, sys.K.Fired()
+	return r
 }
 
-// retried wraps an explicit-path post in a busy-post retry loop: progress
-// the worker and post again while the transmit queue is full.
+// retryFrame is the busy-post retry spelled out over an explicit-path post:
+// post, and while the transmit queue is full, progress the worker and post
+// again, with no pause in between — StartPut's loop without its parking.
+type retryFrame struct {
+	w    *Worker
+	e    *Ep
+	post simtest.Step
+	pc   int
+}
+
+func (f *retryFrame) Step(t *sim.Task) {
+	switch f.pc {
+	case 0:
+		f.pc = 1
+		f.post(t)
+	case 1:
+		if f.e.LastPost() != ErrNoResource {
+			t.Return()
+			return
+		}
+		f.pc = 0
+		f.w.StartProgress(t)
+	}
+}
+
+// retried wraps an explicit-path post in the busy-post retry loop.
 func retried(w *Worker, e *Ep, post simtest.Step) simtest.Step {
-	return simtest.Seq(post,
-		simtest.While(func() bool { return e.LastPost() == ErrNoResource }, w.StartProgress, post))
+	return func(tk *sim.Task) { tk.Call(&retryFrame{w: w, e: e, post: post}) }
 }
 
 // TestSizedPostMatchesExplicitPaths: StartPut and StartAm post exactly
 // what the explicit path their size selects posts — short up to
 // mlx.InlineMax (32) bytes, bcopy above — with busy posts retried, so a
 // stream long enough to fill the transmit queue gives the same posts, busy
-// posts and completion times either way.
+// posts, polls and completion times either way. Under NoiseOff the sized
+// retry parks on its empty polls and fires fewer kernel events; under
+// NoiseOn, with the busy post profiled, or over a PCIe link whose 10 ns
+// propagation is shorter than a poll period (the tie rule), it spins like
+// the explicit loop and fires the same events.
 func TestSizedPostMatchesExplicitPaths(t *testing.T) {
 	const n = 300 // > SQDepth: the queue fills and busy posts retry
-	for _, size := range []int{8, 32, 33, 4096} {
-		payload := make([]byte, size)
-		short := size <= 32
-		for _, am := range []bool{false, true} {
-			explicit := func(w *Worker, e *Ep) simtest.Step {
-				var post simtest.Step
-				switch {
-				case am && short:
-					post = func(tk *sim.Task) { e.StartAmShort(tk, 7, payload) }
-				case am:
-					post = func(tk *sim.Task) { e.StartAmBcopy(tk, 7, payload) }
-				case short:
-					post = func(tk *sim.Task) { e.StartPutShort(tk, 0, payload) }
-				default:
-					post = func(tk *sim.Task) { e.StartPutBcopy(tk, 0, payload) }
+	for _, v := range []struct {
+		name  string
+		noise config.NoiseLevel
+		stage Stage
+		prop  units.Time
+		parks bool
+	}{
+		{"noiseoff", config.NoiseOff, StNone, 0, true},
+		{"noiseon", config.NoiseOn, StNone, 0, false},
+		{"busy-post-profiled", config.NoiseOff, StBusyPost, 0, false},
+		{"short-pcie-prop", config.NoiseOff, StNone, units.Nanoseconds(10), false},
+	} {
+		for _, size := range []int{8, 32, 33, 4096} {
+			payload := make([]byte, size)
+			short := size <= 32
+			for _, am := range []bool{false, true} {
+				explicit := func(w *Worker, e *Ep) simtest.Step {
+					var post simtest.Step
+					switch {
+					case am && short:
+						post = func(tk *sim.Task) { e.StartAmShort(tk, 7, payload) }
+					case am:
+						post = func(tk *sim.Task) { e.StartAmBcopy(tk, 7, payload) }
+					case short:
+						post = func(tk *sim.Task) { e.StartPutShort(tk, 0, payload) }
+					default:
+						post = func(tk *sim.Task) { e.StartPutBcopy(tk, 0, payload) }
+					}
+					return retried(w, e, post)
 				}
-				return retried(w, e, post)
-			}
-			sized := func(_ *Worker, e *Ep) simtest.Step {
-				if am {
-					return func(tk *sim.Task) { e.StartAm(tk, 7, payload) }
+				sized := func(_ *Worker, e *Ep) simtest.Step {
+					if am {
+						return func(tk *sim.Task) { e.StartAm(tk, 7, payload) }
+					}
+					return func(tk *sim.Task) { e.StartPut(tk, payload) }
 				}
-				return func(tk *sim.Task) { e.StartPut(tk, payload) }
-			}
-			want, wantEnd, wantFailed := postStream(t, n, am, explicit)
-			got, gotEnd, gotFailed := postStream(t, n, am, sized)
-			if got.Posts != want.Posts || got.BusyPosts != want.BusyPosts || gotEnd != wantEnd {
-				t.Errorf("%dB am=%v: sized post gave %d posts, %d busy, done at %v; explicit path %d, %d, %v",
-					size, am, got.Posts, got.BusyPosts, gotEnd, want.Posts, want.BusyPosts, wantEnd)
-			}
-			if got.Posts != n || got.BusyPosts == 0 {
-				t.Errorf("%dB am=%v: %d posts, %d busy; want %d posts after busy retries", size, am, got.Posts, got.BusyPosts, n)
-			}
-			if gotFailed != 0 || wantFailed != 0 {
-				t.Errorf("%dB am=%v: %d sized and %d explicit posts left an error in LastPost", size, am, gotFailed, wantFailed)
+				want := postStream(t, stream{noise: v.noise, stage: v.stage, prop: v.prop, n: n, am: am, post: explicit})
+				got := postStream(t, stream{noise: v.noise, stage: v.stage, prop: v.prop, n: n, am: am, post: sized})
+				ws, gs := want.stats, got.stats
+				if gs.Posts != ws.Posts || gs.BusyPosts != ws.BusyPosts || gs.Progresses != ws.Progresses ||
+					gs.EmptyPolls != ws.EmptyPolls || got.end != want.end {
+					t.Errorf("%s %dB am=%v: sized post gave %d posts, %d busy, %d polls (%d empty), done at %v; explicit path %d, %d, %d (%d), %v",
+						v.name, size, am, gs.Posts, gs.BusyPosts, gs.Progresses, gs.EmptyPolls, got.end,
+						ws.Posts, ws.BusyPosts, ws.Progresses, ws.EmptyPolls, want.end)
+				}
+				if gs.Posts != n || gs.BusyPosts == 0 {
+					t.Errorf("%s %dB am=%v: %d posts, %d busy; want %d posts after busy retries", v.name, size, am, gs.Posts, gs.BusyPosts, n)
+				}
+				if !short && gs.EmptyPolls == 0 {
+					t.Errorf("%s %dB am=%v: no empty poll; the bcopy stream should outrun its completions", v.name, size, am)
+				}
+				if got.failed != 0 || want.failed != 0 {
+					t.Errorf("%s %dB am=%v: %d sized and %d explicit posts left an error in LastPost", v.name, size, am, got.failed, want.failed)
+				}
+				// Short posts complete faster than the queue refills: with no
+				// empty poll there is nothing to park on.
+				if v.parks && gs.EmptyPolls > 0 {
+					if got.events >= want.events {
+						t.Errorf("%s %dB am=%v: sized post fired %d kernel events, explicit %d; want fewer", v.name, size, am, got.events, want.events)
+					}
+				} else if got.events != want.events {
+					t.Errorf("%s %dB am=%v: sized post fired %d kernel events, explicit %d; want the same", v.name, size, am, got.events, want.events)
+				}
 			}
 		}
 	}
+}
+
+// TestFlushMatchesDrain: StartFlush polls exactly where the drain loop
+// polls, so the sender's stats and the time its last completion is polled
+// are the drain loop's; under NoiseOff it parks on its empty polls and
+// fires fewer kernel events.
+func TestFlushMatchesDrain(t *testing.T) {
+	for _, noise := range []config.NoiseLevel{config.NoiseOff, config.NoiseOn} {
+		for _, size := range []int{64, 4096} {
+			payload := make([]byte, size)
+			post := func(_ *Worker, e *Ep) simtest.Step {
+				return func(tk *sim.Task) { e.StartPut(tk, payload) }
+			}
+			want := postStream(t, stream{noise: noise, n: 200, post: post})
+			got := postStream(t, stream{noise: noise, n: 200, post: post, flush: true})
+			if got.stats != want.stats || got.end != want.end {
+				t.Errorf("noise %v %dB: flush gave %+v done at %v; drain loop %+v done at %v",
+					noise, size, got.stats, got.end, want.stats, want.end)
+			}
+			if want.stats.EmptyPolls == 0 {
+				t.Errorf("noise %v %dB: the drain saw no empty poll; the case exercises nothing", noise, size)
+			}
+			if noise == config.NoiseOff && got.events >= want.events {
+				t.Errorf("%dB: flush fired %d kernel events, drain loop %d; want fewer", size, got.events, want.events)
+			}
+		}
+	}
+}
+
+// writeCQE returns an event that writes a valid completion into slot 0 of
+// ring, the first one the endpoint will poll: a send completion retiring
+// WQE 0, or an 8-byte active message with id 7.
+func writeCQE(e *Ep, ring mlx.Ring, op mlx.CQEOp) func() {
+	return func() {
+		cqe := mlx.CQE{Op: op, QPN: e.qp.QPN, Gen: ring.Gen(0)}
+		if op == mlx.CQERecv {
+			cqe.AmID, cqe.ByteCnt, cqe.Payload = 7, 8, make([]byte, 8)
+		}
+		enc, err := cqe.Encode()
+		if err != nil {
+			panic(err)
+		}
+		e.w.Node.Mem.Write(ring.EntryAddr(0), enc[:])
+	}
+}
+
+// waitCQE runs one send that the NIC never completes (e0's counter moves
+// without a doorbell) and completes it with a CQE written at tw. With
+// flush set the sender waits in StartFlush, otherwise in the drain loop.
+// It reports the sender's stats, the time the flush returned and the
+// kernel events the run fired.
+func waitCQE(t *testing.T, tw units.Time, flush bool) (Stats, units.Time, uint64) {
+	t.Helper()
+	sys, w0, _, e0, _ := harness(t)
+	defer sys.Shutdown()
+	e0.pi = 1
+	sys.K.At(tw, writeCQE(e0, e0.qp.SendCQ, mlx.CQEReq))
+	tail := drain(w0, e0)
+	if flush {
+		tail = w0.StartFlush
+	}
+	var end units.Time
+	simtest.Start(sys.K, "flush", tail, func(tk *sim.Task) { end = tk.Now() })
+	sys.Run()
+	return w0.Stats, end, sys.K.Fired()
+}
+
+// TestParkedCQETiming: a CQE that commits exactly on a skipped poll
+// instant is seen by that poll, and one that commits 1 ps later by the
+// next, in the closed form and in the spinning drain loop alike. The flush
+// starts at 0 and polls first at the barrier's end, r1; its skipped polls
+// read at r1 + j*P with P = barrier + failed check.
+func TestParkedCQETiming(t *testing.T) {
+	cfg := config.TX2CX4(config.NoiseOff, 1, true)
+	sw := &cfg.SW
+	barrier := sw.LLPProgBarrier.Mean()
+	period := barrier + sw.LLPProgFailChk.Mean()
+	done := sw.LLPProgCQERead.Mean() + sw.LLPProgMisc.Mean()
+	const k = 3
+	pollAt := func(j int) units.Time { return barrier + units.Time(j)*period }
+	for _, c := range []struct {
+		name string
+		tw   units.Time
+		j    int // the poll that sees the CQE, counted from the first skipped
+	}{
+		{"on a poll instant", pollAt(k), k},
+		{"1ps after a poll instant", pollAt(k) + 1, k + 1},
+	} {
+		got, gotEnd, gotEvents := waitCQE(t, c.tw, true)
+		want := Stats{Progresses: uint64(1 + c.j), EmptyPolls: uint64(c.j), SendCQEs: 1, SendsFreed: 1}
+		if got != want || gotEnd != pollAt(c.j)+done {
+			t.Errorf("CQE %s: flush ended at %v with %+v; want %v and %+v", c.name, gotEnd, got, pollAt(c.j)+done, want)
+		}
+		spin, spinEnd, spinEvents := waitCQE(t, c.tw, false)
+		if spin != got || spinEnd != gotEnd {
+			t.Errorf("CQE %s: drain loop ended at %v with %+v; flush at %v with %+v", c.name, spinEnd, spin, gotEnd, got)
+		}
+		if gotEvents >= spinEvents {
+			t.Errorf("CQE %s: flush fired %d kernel events, drain loop %d; want it parked", c.name, gotEvents, spinEvents)
+		}
+	}
+}
+
+// TestParkedWakeBySecondEndpoint: a worker with two endpoints, waiting in
+// a flush on the first's send, is woken by an active message landing in
+// the second's receive CQ. It handles the message at the first skipped
+// poll after the write, then parks again (after reposting the credit) until
+// the send completes — all as the spinning drain loop does.
+func TestParkedWakeBySecondEndpoint(t *testing.T) {
+	cfg := config.TX2CX4(config.NoiseOff, 1, true)
+	sw := &cfg.SW
+	barrier := sw.LLPProgBarrier.Mean()
+	period := barrier + sw.LLPProgFailChk.Mean()
+	tw := barrier + 5*period - 7 // inside the 5th skipped period
+	run := func(flush bool) (Stats, units.Time, units.Time, int) {
+		sys, w0, _, e0, _ := harness(t)
+		defer sys.Shutdown()
+		e0b := w0.NewEp(PIOInline, 1)
+		e0b.postOneRecv()
+		e0.pi = 1
+		var handled units.Time
+		w0.SetAmHandler(7, func(tk *sim.Task, _ []byte) { handled = tk.Now() })
+		mem := sys.Nodes[0].Mem
+		watches := 0
+		sys.K.At(tw, func() {
+			watches = mem.Watches()
+			writeCQE(e0b, e0b.qp.RecvCQ, mlx.CQERecv)()
+		})
+		sys.K.At(tw+20*period, writeCQE(e0, e0.qp.SendCQ, mlx.CQEReq))
+		tail := drain(w0, e0)
+		if flush {
+			tail = w0.StartFlush
+		}
+		var end units.Time
+		simtest.Start(sys.K, "flush", tail, func(tk *sim.Task) { end = tk.Now() })
+		sys.Run()
+		if mem.Watches() != 0 {
+			t.Errorf("flush=%v: %d watches still armed after the run", flush, mem.Watches())
+		}
+		return w0.Stats, handled, end, watches
+	}
+	got, gotAt, gotEnd, watches := run(true)
+	if watches != 4 {
+		t.Errorf("parked two-endpoint worker armed %d watches, want 4 (a send and a receive slot each)", watches)
+	}
+	wantAt := barrier + 5*period + sw.LLPProgCQERead.Mean() + sw.LLPProgMisc.Mean() + sw.AmRxHandle.Mean()
+	if gotAt != wantAt || got.RecvCQEs != 1 || got.SendCQEs != 1 {
+		t.Errorf("handler ran at %v with %+v; want %v, one receive and one send CQE", gotAt, got, wantAt)
+	}
+	spin, spinAt, spinEnd, _ := run(false)
+	if spin != got || spinAt != gotAt || spinEnd != gotEnd {
+		t.Errorf("drain loop: %+v, handler at %v, done at %v; flush: %+v, %v, %v", spin, spinAt, spinEnd, got, gotAt, gotEnd)
+	}
+}
+
+// TestNoParkAfterRepost: an empty poll that reposts a receive credit pauses
+// after its CQ reads, so the loop must not park on it: a send CQE landing
+// during the repost is seen by the next poll, as in the spinning drain.
+func TestNoParkAfterRepost(t *testing.T) {
+	cfg := config.TX2CX4(config.NoiseOff, 1, true)
+	sw := &cfg.SW
+	barrier := sw.LLPProgBarrier.Mean()
+	period := barrier + sw.LLPProgFailChk.Mean()
+	woken := barrier + 3*period // the poll that reads the active message
+	// The next poll reads the CQs empty at this instant and then reposts
+	// the consumed credit.
+	emptyRead := woken + sw.LLPProgCQERead.Mean() + sw.LLPProgMisc.Mean() + sw.AmRxHandle.Mean() + barrier
+	run := func(flush bool) (Stats, units.Time) {
+		sys, w0, _, e0, _ := harness(t)
+		defer sys.Shutdown()
+		e0b := w0.NewEp(PIOInline, 1)
+		e0b.postOneRecv()
+		e0.pi = 1
+		sys.K.At(woken-1, writeCQE(e0b, e0b.qp.RecvCQ, mlx.CQERecv))
+		sys.K.At(emptyRead+sw.LLPProgFailChk.Mean()+sw.PostRecv.Mean()/2, writeCQE(e0, e0.qp.SendCQ, mlx.CQEReq))
+		tail := drain(w0, e0)
+		if flush {
+			tail = w0.StartFlush
+		}
+		var end units.Time
+		simtest.Start(sys.K, "flush", tail, func(tk *sim.Task) { end = tk.Now() })
+		sys.Run()
+		return w0.Stats, end
+	}
+	got, gotEnd := run(true)
+	want, wantEnd := run(false)
+	if got != want || gotEnd != wantEnd || gotEnd == 0 {
+		t.Errorf("flush: %+v, done at %v; drain loop: %+v, done at %v", got, gotEnd, want, wantEnd)
+	}
+}
+
+// TestCancelParkedFlush: a flush parked on a completion that never comes
+// lets the queue drain; cancelling its task disarms every watch.
+func TestCancelParkedFlush(t *testing.T) {
+	sys, w0, _, e0, _ := harness(t)
+	defer sys.Shutdown()
+	e0.pi = 1
+	task := simtest.Start(sys.K, "flush", w0.StartFlush)
+	sys.Run()
+	mem := sys.Nodes[0].Mem
+	if !task.Parked() || mem.Watches() != 2 {
+		t.Fatalf("after the drain: parked %v with %d watches; want parked on 2", task.Parked(), mem.Watches())
+	}
+	if rep := sys.K.StallReport(); !strings.Contains(rep, "parked in *uct.flushFrame") {
+		t.Errorf("stall report does not name the parked flush:\n%s", rep)
+	}
+	task.Cancel()
+	if mem.Watches() != 0 || !task.Done() {
+		t.Errorf("after Cancel: %d watches armed, done %v", mem.Watches(), task.Done())
+	}
+	mem.Write(e0.qp.SendCQ.EntryAddr(0), make([]byte, mlx.CQESize)) // nothing may wake
 }
 
 // TestSizedPostOversizedErrors: a payload above MaxBcopy fits neither path;

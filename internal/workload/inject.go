@@ -408,12 +408,10 @@ func (f *injectFrame) Step(t *sim.Task) {
 		case 2:
 			f.pc = 0
 		case 3: // drain the in-flight tail
-			for _, ep := range f.eps {
-				if ep.InFlight() > 0 {
-					f.w.StartProgress(t)
-					return
-				}
-			}
+			f.pc = 4
+			f.w.StartFlush(t)
+			return
+		case 4:
 			f.done = true
 			f.b.finished++
 			t.Return()
