@@ -26,8 +26,9 @@ type PutBwSummary struct {
 func RunPutBw(opts Options, iters int) PutBwSummary {
 	sys := opts.NewSystem()
 	defer sys.Shutdown()
-	res := perftest.PutBw(sys, perftest.Options{Iters: iters, ClearTrace: true})
-	down := sys.Nodes[0].Tap.TLPs(pcieDown, pcieMWr, 64, 64)
+	tap := sys.Nodes[0].AttachTap()
+	res := perftest.PutBw(sys, perftest.Options{Iters: iters})
+	down := tap.TLPs(pcieDown, pcieMWr, 64, 64)
 	sample := deltasSample(down)
 	return PutBwSummary{
 		MeanInjNs: res.MeanInjNs,

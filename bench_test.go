@@ -61,8 +61,9 @@ func BenchmarkFig4LLPPost(b *testing.B) {
 func BenchmarkFig6Trace(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sys := mkSys()
-		perftest.PutBw(sys, perftest.Options{Iters: 256, Warmup: 300, ClearTrace: true})
-		recs := sys.Nodes[0].Tap.Records()
+		tap := sys.Nodes[0].AttachTap()
+		perftest.PutBw(sys, perftest.Options{Iters: 256, Warmup: 300})
+		recs := tap.Records()
 		b.ReportMetric(float64(len(recs)), "trace_records")
 		sys.Shutdown()
 	}

@@ -371,11 +371,11 @@ func checkFlags(test string) error {
 }
 
 // checkEndpoints rejects a system whose busiest node would open more
-// endpoints than its memory holds: each reserves uct.EpBytes, plus the
-// message-sized target its peer writes into.
+// endpoints than its memory holds: each takes uct.EpTargetBytes, the
+// endpoint plus the message-sized target its peer writes into.
 func checkEndpoints(test string) error {
 	cfg := config.TX2CX4(config.NoiseOff, *flagSeed, true)
-	perEp := uct.EpBytes(cfg) + (uint64(max(msgSize(test), 64))+63)&^63
+	perEp := uct.EpTargetBytes(cfg, msgSize(test))
 	fit := cfg.MemBytes / perEp
 	flagName, flagVal := "-nodes", nodeCount(test)
 	var eps int

@@ -126,10 +126,11 @@ func main() {
 func fig6() {
 	sys := opts().NewSystem()
 	defer sys.Shutdown()
+	tap := sys.Nodes[0].AttachTap()
 	// Warmup past the transmit-queue depth so the trace shows the busy-post
 	// steady state the paper's Figure 6 captures.
-	perftest.PutBw(sys, perftest.Options{Iters: 64, Warmup: 300, ClearTrace: true})
-	recs := sys.Nodes[0].Tap.TLPs(pcieDown(), pcieMWr(), 64, 64)
+	perftest.PutBw(sys, perftest.Options{Iters: 64, Warmup: 300})
+	recs := tap.TLPs(pcieDown(), pcieMWr(), 64, 64)
 	fmt.Println("Fig 6: PCIe trace of downstream transactions (put_bw, 8B payload PIO posts)")
 	fmt.Printf("%-6s %-14s %-6s %-9s %-10s\n", "#", "TIME", "KIND", "PAYLOAD", "DELTA(ns)")
 	for i, r := range recs {

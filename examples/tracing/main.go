@@ -24,10 +24,10 @@ func main() {
 
 	// --- Step 1: put_bw and the injection overhead (Figures 6 and 7) ---
 	sys := node.NewSystem(cfg, 2)
-	perftest.PutBw(sys, perftest.Options{Iters: 1000, Warmup: 300, ClearTrace: true})
-	tap := sys.Nodes[0].Tap
+	tap := sys.Nodes[0].AttachTap()
+	perftest.PutBw(sys, perftest.Options{Iters: 1000, Warmup: 300})
 
-	fmt.Println("Step 1: the analyzer sits just before the NIC (paper Figure 3).")
+	fmt.Println("Step 1: the analyzer sits just before node 0's NIC (paper Figure 3).")
 	fmt.Println("Downstream 64-byte MWr transactions are the PIO posts; their deltas")
 	fmt.Println("are the injection overhead the NIC observes:")
 	down := tap.TLPs(pcie.Down, pcie.MWr, 64, 64)
@@ -45,8 +45,9 @@ func main() {
 		c := config.TX2CX4(config.NoiseOff, 1, useSwitch)
 		s := node.NewSystem(c, 2)
 		defer s.Shutdown()
-		perftest.AmLat(s, perftest.Options{Iters: 400, Warmup: 50, ClearTrace: true})
-		d := s.Nodes[0].Tap.PairDeltas(
+		tap := s.Nodes[0].AttachTap()
+		perftest.AmLat(s, perftest.Options{Iters: 400, Warmup: 50})
+		d := tap.PairDeltas(
 			func(r analyzer.Record) bool {
 				return r.IsTLP && r.Dir == pcie.Down && r.TLPType == pcie.MWr && r.Payload == 64
 			},
@@ -64,9 +65,10 @@ func main() {
 
 	// --- Step 4: RC-to-MEM(8B) from the pong->ping window (Figure 9) ---
 	sys2 := node.NewSystem(cfg, 2)
-	res := perftest.AmLat(sys2, perftest.Options{Iters: 400, Warmup: 50, ClearTrace: true})
+	tap2 := sys2.Nodes[0].AttachTap()
+	res := perftest.AmLat(sys2, perftest.Options{Iters: 400, Warmup: 50})
 	rcq := res.Ep0.QP().RecvCQ.Region
-	pongPing := sys2.Nodes[0].Tap.PairDeltas(
+	pongPing := tap2.PairDeltas(
 		func(r analyzer.Record) bool {
 			return r.IsTLP && r.Dir == pcie.Up && r.TLPType == pcie.MWr && rcq.Contains(r.Addr, r.Payload)
 		},
@@ -83,5 +85,5 @@ func main() {
 	sys2.Shutdown()
 
 	fmt.Println("Step 5: a raw trace snippet (paper Figure 6):")
-	fmt.Print(sys2.Nodes[0].Tap.FormatTrace(10))
+	fmt.Print(tap2.FormatTrace(10))
 }

@@ -1,6 +1,9 @@
 // Package analyzer models the Lecroy PCIe protocol analyzer from the paper's
 // evaluation setup (its Figure 3): a passive instrument sitting on the link
-// just before the NIC, timestamping every TLP and DLLP that passes.
+// just before the NIC, timestamping every TLP and DLLP that passes. Like
+// the paper's single analyzer, one sits only where a run reads it:
+// node.Node.AttachTap puts it on a link, and an untapped link records
+// nothing and fires no event for it.
 //
 // All of the paper's hardware-side measurements are derived from trace
 // queries implemented here: downstream deltas (injection overhead, Figure 7),
@@ -84,26 +87,18 @@ type Analyzer struct {
 	// chunks hold the trace in capture order; chunks[:active] are full,
 	// chunks[active] is the append target. Cleared chunks keep their
 	// capacity for reuse.
-	chunks  [][]capture
-	active  int
-	n       int
-	enabled bool
+	chunks [][]capture
+	active int
+	n      int
 }
 
 var _ pcie.Tap = (*Analyzer)(nil)
 
-// New returns an enabled analyzer.
-func New(name string) *Analyzer {
-	return &Analyzer{name: name, enabled: true}
-}
+// New returns an analyzer with an empty trace.
+func New(name string) *Analyzer { return &Analyzer{name: name} }
 
 // Name reports the analyzer's label.
 func (a *Analyzer) Name() string { return a.name }
-
-// SetEnabled starts or stops capture. A disabled analyzer records nothing,
-// and — because taps are passive — has zero effect on timing either way
-// (asserted by test).
-func (a *Analyzer) SetEnabled(on bool) { a.enabled = on }
 
 // Clear discards the captured trace, retaining chunk capacity for reuse.
 func (a *Analyzer) Clear() {
@@ -114,8 +109,14 @@ func (a *Analyzer) Clear() {
 	a.n = 0
 }
 
-// Len reports the number of records currently held.
-func (a *Analyzer) Len() int { return a.n }
+// Len reports the number of records currently held: 0 on a nil analyzer,
+// the Tap of a node that never attached one.
+func (a *Analyzer) Len() int {
+	if a == nil {
+		return 0
+	}
+	return a.n
+}
 
 // add appends one capture to the chunked store.
 func (a *Analyzer) add(c capture) {
@@ -142,9 +143,6 @@ func (a *Analyzer) each(fn func(Record)) {
 // ObserveTLP implements pcie.Tap. The TLP is borrowed; the fields the trace
 // keeps are copied here.
 func (a *Analyzer) ObserveTLP(at units.Time, dir pcie.Dir, t *pcie.TLP) {
-	if !a.enabled {
-		return
-	}
 	a.add(capture{
 		at: at, dir: dir, tlp: true,
 		typ: uint8(t.Type), addr: t.Addr, payload: uint32(t.PayloadBytes()), seq: t.Seq,
@@ -153,9 +151,6 @@ func (a *Analyzer) ObserveTLP(at units.Time, dir pcie.Dir, t *pcie.TLP) {
 
 // ObserveDLLP implements pcie.Tap. The DLLP is borrowed; see ObserveTLP.
 func (a *Analyzer) ObserveDLLP(at units.Time, dir pcie.Dir, d *pcie.DLLP) {
-	if !a.enabled {
-		return
-	}
 	a.add(capture{at: at, dir: dir, typ: uint8(d.Type), seq: d.AckSeq})
 }
 

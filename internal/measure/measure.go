@@ -346,10 +346,11 @@ func (s *state) measureDirectCosts() {
 
 func (s *state) measurePCIe() {
 	sys := s.sys("pcie")
-	perftest.PutBw(sys, perftest.Options{Iters: s.o.Samples, Warmup: 100, ClearTrace: true})
+	tap := sys.Nodes[0].AttachTap()
+	perftest.PutBw(sys, perftest.Options{Iters: s.o.Samples, Warmup: 100})
 	// The NIC's completion DMA-writes are upstream MWr transactions; each
 	// is matched with its ACK DLLP from the RC.
-	rt := sys.Nodes[0].Tap.AckRoundTrips(pcie.Up, pcie.MWr)
+	rt := tap.AckRoundTrips(pcie.Up, pcie.MWr)
 	s.pcie = meanN{rt.Mean(), rt.N()}
 	sys.Shutdown()
 }
@@ -381,16 +382,18 @@ func (s *state) measureWire() {
 	cfg := s.cfg("network/wire")
 	cfg.Topology.Kind = topo.BackToBack
 	sys := node.NewSystem(cfg, 2)
-	perftest.AmLat(sys, perftest.Options{Iters: s.o.Samples, Warmup: 50, ClearTrace: true})
-	wire := networkFromTrace(sys.Nodes[0].Tap)
+	tap := sys.Nodes[0].AttachTap()
+	perftest.AmLat(sys, perftest.Options{Iters: s.o.Samples, Warmup: 50})
+	wire := networkFromTrace(tap)
 	s.wire = meanN{wire.Mean(), wire.N()}
 	sys.Shutdown()
 }
 
 func (s *state) measureSwitched() {
 	sys := s.sys("network/switched")
-	perftest.AmLat(sys, perftest.Options{Iters: s.o.Samples, Warmup: 50, ClearTrace: true})
-	network := networkFromTrace(sys.Nodes[0].Tap)
+	tap := sys.Nodes[0].AttachTap()
+	perftest.AmLat(sys, perftest.Options{Iters: s.o.Samples, Warmup: 50})
+	network := networkFromTrace(tap)
 	s.network = meanN{network.Mean(), network.N()}
 	sys.Shutdown()
 }
@@ -400,11 +403,12 @@ func (s *state) measureSwitched() {
 
 func (s *state) measureRCToMem() {
 	sys := s.sys("rc_to_mem")
+	tap := sys.Nodes[0].AttachTap()
 	// One pong->ping pair per iteration boundary: run a margin past the
 	// sample target so the trace yields at least o.Samples pairs.
-	res := perftest.AmLat(sys, perftest.Options{Iters: s.o.Samples + 20, Warmup: 50, ClearTrace: true})
+	res := perftest.AmLat(sys, perftest.Options{Iters: s.o.Samples + 20, Warmup: 50})
 	rcq := res.Ep0.QP().RecvCQ.Region
-	deltas := sys.Nodes[0].Tap.PairDeltas(
+	deltas := tap.PairDeltas(
 		// Inbound pong: the upstream DMA write into the initiator's
 		// receive completion queue.
 		func(rec analyzer.Record) bool {
@@ -630,8 +634,9 @@ func (s *state) measureObservedPutBw() {
 	// put_bw: injection overhead observed by the NIC = deltas of
 	// consecutive downstream PIO posts on the analyzer (Figures 6 and 7).
 	sys := s.sys("observed/put_bw")
-	perftest.PutBw(sys, perftest.Options{Iters: 4 * s.o.Samples, Warmup: 200, ClearTrace: true})
-	down := sys.Nodes[0].Tap.TLPs(pcie.Down, pcie.MWr, 64, 64)
+	tap := sys.Nodes[0].AttachTap()
+	perftest.PutBw(sys, perftest.Options{Iters: 4 * s.o.Samples, Warmup: 200})
+	down := tap.TLPs(pcie.Down, pcie.MWr, 64, 64)
 	s.obsInj = analyzer.Deltas(down).Summarize()
 	sys.Shutdown()
 }

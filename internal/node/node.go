@@ -1,10 +1,13 @@
 // Package node composes the hardware substrates into complete nodes and
 // N-node systems: per node a host memory, a PCIe link with its Root
-// Complex and NIC endpoint, a passive PCIe analyzer tap (the paper's
-// Figure 3 places one before node 1's NIC; we give every node one), a
-// virtual timer and a profiler; plus the shared network fabric — a
-// compiled internal/topo topology selected by Config.Topology (two nodes
-// default to the paper's calibrated two-endpoint path, bit for bit).
+// Complex and NIC endpoint, a virtual timer and a profiler; plus the shared
+// network fabric — a compiled internal/topo topology selected by
+// Config.Topology (two nodes default to the paper's calibrated two-endpoint
+// path, bit for bit).
+//
+// A node carries no PCIe analyzer until a run that reads one attaches it
+// with Node.AttachTap. The paper's Figure 3 places a single analyzer
+// before node 1's NIC; every consumer here reads node 0's.
 package node
 
 import (
@@ -32,7 +35,7 @@ type Node struct {
 	Link  *pcie.Link
 	RC    *pcie.RootComplex
 	NIC   *nic.NIC
-	Tap   *analyzer.Analyzer
+	Tap   *analyzer.Analyzer // PCIe analyzer on Link (nil until AttachTap)
 	Timer *vtimer.Timer
 	Prof  *profile.Profiler
 	Rand  *rng.Rand // software-cost noise stream (nil when noise is off)
@@ -146,8 +149,6 @@ func newNode(k *sim.Kernel, net *topo.Fabric, cfg *config.Config, id int) *Node 
 		nc.AckTimeout = nic.DefaultAckTimeout
 	}
 	dev := nic.New(k, id, mem, link, net, nc)
-	tap := analyzer.New(fmt.Sprintf("node%d", id))
-	link.AddTap(tap)
 	r := cfg.Rand(fmt.Sprintf("node%d", id))
 	tmr := vtimer.New(k, cfg.Prof.TimerHz, cfg.Prof.Isb, cfg.Prof.Read, r)
 	return &Node{
@@ -156,11 +157,24 @@ func newNode(k *sim.Kernel, net *topo.Fabric, cfg *config.Config, id int) *Node 
 		Link:  link,
 		RC:    rc,
 		NIC:   dev,
-		Tap:   tap,
 		Timer: tmr,
 		Prof:  profile.New(tmr),
 		Rand:  r,
 	}
+}
+
+// AttachTap puts a passive PCIe analyzer on the node's link, just before
+// its NIC, and returns it; a second call returns the same analyzer. Attach
+// it right after building the system, before any traffic. The analyzer
+// keeps every capture until Clear. The perftest benchmarks treat a tapped
+// initiator as a request for the measured window alone: they settle the
+// link and clear the analyzer when warmup ends.
+func (n *Node) AttachTap() *analyzer.Analyzer {
+	if n.Tap == nil {
+		n.Tap = analyzer.New(fmt.Sprintf("node%d", n.ID))
+		n.Link.SetTap(n.Tap)
+	}
+	return n.Tap
 }
 
 // Run executes the simulation until the event queue drains.

@@ -58,6 +58,27 @@ func TestMessageRateWaitallAccounting(t *testing.T) {
 	}
 }
 
+// TestMessageRateEventsPerMessage gates the kernel events the NoiseOff
+// message rate (bench's osu_mr) fires per delivered message, warmup window
+// included. With no analyzer attached the PCIe links fire no tap-only
+// events and no ACK arrivals: the run fires about 20.6 events per message,
+// against 25.6 when every link fed a tap.
+func TestMessageRateEventsPerMessage(t *testing.T) {
+	const maxPerMsg = 22
+	sys := newSys(t, config.NoiseOff)
+	defer sys.Shutdown()
+	MessageRate(sys, Options{Windows: 30})
+	delivered := sys.Nodes[1].NIC.Stats().RxFrames
+	if want := uint64(31 * sys.Cfg.Bench.Window); delivered != want {
+		t.Fatalf("receiver took %d messages, want %d", delivered, want)
+	}
+	perMsg := float64(sys.K.Fired()) / float64(delivered)
+	t.Logf("%d events for %d messages: %.2f per message (gate %d)", sys.K.Fired(), delivered, perMsg, maxPerMsg)
+	if perMsg > maxPerMsg {
+		t.Errorf("%.2f kernel events per delivered message, gate %d: does an untapped link fire tap-only events again?", perMsg, maxPerMsg)
+	}
+}
+
 func TestLatencyNearModel(t *testing.T) {
 	sys := newSys(t, config.NoiseOff)
 	defer sys.Shutdown()

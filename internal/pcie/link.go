@@ -78,7 +78,7 @@ type channel struct {
 
 	// Continuations, bound once at link construction so the steady-state
 	// per-packet path schedules events without allocating closures.
-	arriveTLPFn  func(any) // arrival: taps (Down only) + deliver
+	arriveTLPFn  func(any) // arrival: tap (Down only) + deliver
 	tapTLPFn     func(any) // Up only: tap as the packet leaves the endpoint
 	arriveDLLPFn func(any)
 	tapDLLPFn    func(any) // Up only
@@ -94,7 +94,11 @@ type Link struct {
 	// receivers
 	rcSide Receiver // handles Up TLPs (the Root Complex)
 	epSide Receiver // handles Down TLPs (the NIC)
-	taps   []Tap
+	// tap is the passive observer just before the endpoint, nil when none
+	// is attached. An untapped link fires no event that exists only to feed
+	// it: no departure event for an upstream packet, and no arrival for a
+	// DLLP whose arrival changes no state (an ACK).
+	tap Tap
 	// onUpIssued, when set, observes each previously credit-blocked
 	// upstream TLP at the moment it finally transmits, in pend-FIFO order.
 	// The endpoint uses it to defer resource hand-back (fabric frame
@@ -121,37 +125,27 @@ func NewLink(k *sim.Kernel, cfg LinkConfig) *Link {
 	// The analyzer tap sits just before the endpoint, so the two
 	// directions wire their continuations differently: downstream packets
 	// pass the tap at arrival (folded into the arrive continuation);
-	// upstream packets pass it at departure (a separate tap event) and
-	// arrive untapped.
+	// upstream packets pass it at departure (a separate tap event, scheduled
+	// only on a tapped link) and arrive untapped.
 	down, up := l.down, l.up
 	down.arriveTLPFn = func(a any) {
 		t := a.(*TLP)
-		for _, tap := range l.taps {
-			tap.ObserveTLP(l.k.Now(), Down, t)
+		if l.tap != nil {
+			l.tap.ObserveTLP(l.k.Now(), Down, t)
 		}
 		down.deliver(t)
 	}
 	down.arriveDLLPFn = func(a any) {
 		d := a.(*DLLP)
-		for _, tap := range l.taps {
-			tap.ObserveDLLP(l.k.Now(), Down, d)
+		if l.tap != nil {
+			l.tap.ObserveDLLP(l.k.Now(), Down, d)
 		}
 		down.deliverDLLP(d)
 		d.Release()
 	}
 	down.sendDLLPFn = func(a any) { down.sendDLLP(a.(*DLLP)) }
-	up.tapTLPFn = func(a any) {
-		t := a.(*TLP)
-		for _, tap := range l.taps {
-			tap.ObserveTLP(l.k.Now(), Up, t)
-		}
-	}
-	up.tapDLLPFn = func(a any) {
-		d := a.(*DLLP)
-		for _, tap := range l.taps {
-			tap.ObserveDLLP(l.k.Now(), Up, d)
-		}
-	}
+	up.tapTLPFn = func(a any) { l.tap.ObserveTLP(l.k.Now(), Up, a.(*TLP)) }
+	up.tapDLLPFn = func(a any) { l.tap.ObserveDLLP(l.k.Now(), Up, a.(*DLLP)) }
 	up.arriveTLPFn = func(a any) { up.deliver(a.(*TLP)) }
 	up.arriveDLLPFn = func(a any) {
 		d := a.(*DLLP)
@@ -176,8 +170,10 @@ func (l *Link) SetRCSide(r Receiver) { l.rcSide = r }
 // SetEndpointSide attaches the downstream receiver (the NIC).
 func (l *Link) SetEndpointSide(r Receiver) { l.epSide = r }
 
-// AddTap registers a passive observer positioned just before the endpoint.
-func (l *Link) AddTap(t Tap) { l.taps = append(l.taps, t) }
+// SetTap attaches the link's one passive observer, positioned just before
+// the endpoint, replacing any earlier one. Attach it before traffic flows:
+// packets already in flight when it attaches may pass it unseen.
+func (l *Link) SetTap(t Tap) { l.tap = t }
 
 // SetTraceNode tags this link's trace events with the owning node's
 // identity. The system builder calls it once at construction; without it
@@ -312,7 +308,7 @@ func (c *channel) transmit(t *TLP) {
 	// The analyzer tap sits just before the endpoint: downstream packets
 	// pass it at arrival (folded into arriveTLPFn); upstream packets pass
 	// it as they leave the endpoint.
-	if c.dir == Up {
+	if c.dir == Up && c.link.tap != nil {
 		k.AtArg(txDone, c.tapTLPFn, t)
 	}
 	k.AtArg(arrival, c.arriveTLPFn, t)
@@ -362,24 +358,32 @@ func (c *channel) reverse() *channel {
 
 // sendDLLP transmits a DLLP on this channel. DLLPs share the wire with TLPs
 // (they occupy the serializer) and pass the tap under the same placement
-// rules.
+// rules. On an untapped link a DLLP that deliverDLLP would ignore (an ACK)
+// still takes its serializer time, but ends here: its arrival would change
+// nothing, so it gets no event.
 func (c *channel) sendDLLP(d *DLLP) {
-	k := c.link.k
+	l := c.link
+	k := l.k
 	c.sentDLLP++
 	start := units.Max(k.Now(), c.busyUntil)
-	txDone := start + c.serialize(c.link.cfg.DLLPBytes)
+	txDone := start + c.serialize(l.cfg.DLLPBytes)
 	c.busyUntil = txDone
-	arrival := txDone + c.link.cfg.Prop
+	arrival := txDone + l.cfg.Prop
 
-	if c.dir == Up {
+	if l.tap == nil && d.Type != UpdateFC {
+		d.Release()
+		return
+	}
+	if l.tap != nil && c.dir == Up {
 		k.AtArg(txDone, c.tapDLLPFn, d)
 	}
 	k.AtArg(arrival, c.arriveDLLPFn, d)
 }
 
 // deliverDLLP applies a DLLP at the receiving side. ACKs retire the replay
-// buffer (not modelled beyond accounting); UpdateFC restores the *opposite*
-// channel's sender credits and unblocks pending TLPs.
+// buffer (not modelled beyond accounting, so they change nothing here);
+// UpdateFC restores the *opposite* channel's sender credits and unblocks
+// pending TLPs.
 func (c *channel) deliverDLLP(d *DLLP) {
 	if d.Type != UpdateFC {
 		return

@@ -7,7 +7,11 @@
 // The link serializes packets (bandwidth contention is modelled, which the
 // multi-core ablation exercises) and preserves per-direction ordering, as
 // PCIe does. A passive tap interface lets internal/analyzer observe traffic
-// "just before the NIC", matching the paper's Lecroy analyzer placement.
+// "just before the NIC", matching the paper's Lecroy analyzer placement. A
+// link carries at most one tap (Link.SetTap), and an untapped link
+// schedules no event whose only job is to feed one: upstream packets get
+// no departure event, and ACK DLLPs, whose arrival changes no state, get no
+// arrival. Every simulated instant is the same either way.
 //
 // # Pooled packets and the borrow contract
 //

@@ -70,10 +70,10 @@ func runPutLoops(sys *node.System, snd []*sender, opt Options, name string) *win
 }
 
 // putLoopFrame is the put_bw loop of one sender: the optional profiler
-// calibration, warmup posts, the optional trace clear, the measured
-// injection loop with batched polling, then an in-flight drain outside the
-// measured window. The calibration and the trace clear act on the sender's
-// own node.
+// calibration, warmup posts, the trace clear when the sender's node is
+// tapped, the measured injection loop with batched polling, then an
+// in-flight drain outside the measured window. The calibration and the
+// trace clear act on the sender's own node.
 type putLoopFrame struct {
 	cfg *config.Config
 	s   *sender
@@ -115,11 +115,11 @@ func (f *putLoopFrame) Step(t *sim.Task) {
 			// so every TLP up to the task's current time is recorded (and
 			// cleared) before the measured window opens.
 			f.pc = 4
-			if f.opt.ClearTrace && t.Pause() {
+			if s.n.Tap != nil && t.Pause() {
 				return
 			}
 		case 4:
-			if f.opt.ClearTrace {
+			if s.n.Tap != nil {
 				s.n.Tap.Clear()
 			}
 			if t.Now() > f.st.start {

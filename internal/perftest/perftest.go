@@ -10,6 +10,12 @@
 //     semantics; the benchmark reports half the round-trip time and performs
 //     its measurement update inside the round trip.
 //
+// A tapped initiator (node.Node.AttachTap) asks for the measured window
+// alone: at the end of warmup, put_bw and am_lat settle the initiator's
+// link so every packet up to that instant reaches the analyzer, then clear
+// it. An untapped initiator skips both, and every simulated value is the
+// same either way.
+//
 // Every scenario that talks to uct directly posts through one path,
 // uct.Ep.StartPut/StartAm: the inline short path up to 32 bytes, buffered
 // copy above it, busy posts retried after a progress. A post error aborts
@@ -59,10 +65,6 @@ type Options struct {
 	Mode uct.PostMode
 	// SignalPeriod: 1 = every message signaled (the perftest behaviour).
 	SignalPeriod int
-	// ClearTrace, when true, clears the initiator's PCIe analyzer at the
-	// start of the measured phase so the captured trace covers steady
-	// state only.
-	ClearTrace bool
 	// ProfStage selects one LLP region to profile on the initiator
 	// (paper §3: one component at a time).
 	ProfStage uct.Stage
@@ -261,7 +263,7 @@ func (f *amLatPingFrame) Step(t *sim.Task) {
 				return
 			}
 			if f.i == f.opt.Warmup {
-				if f.opt.ClearTrace {
+				if f.n0.Tap != nil {
 					// See putLoopFrame: settle the trace before clearing.
 					f.pc = 11
 					if t.Pause() {

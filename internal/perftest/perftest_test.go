@@ -36,8 +36,9 @@ func TestPutBwMatchesInjectionModel(t *testing.T) {
 func TestPutBwAnalyzerAgreesWithLoop(t *testing.T) {
 	sys := newSys(t, config.NoiseOff, 1)
 	defer sys.Shutdown()
-	res := PutBw(sys, Options{Iters: 1000, ClearTrace: true})
-	down := sys.Nodes[0].Tap.TLPs(pcieDown(), pcieMWr(), 64, 64)
+	tap := sys.Nodes[0].AttachTap()
+	res := PutBw(sys, Options{Iters: 1000})
+	down := tap.TLPs(pcieDown(), pcieMWr(), 64, 64)
 	if len(down) < 1000 {
 		t.Fatalf("trace captured %d posts", len(down))
 	}

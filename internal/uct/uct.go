@@ -320,6 +320,13 @@ func EpBytes(cfg *config.Config) uint64 {
 	return nic.QPBytes(cfg.Bench.SQDepth, cfg.Bench.CQDepth) + MaxBcopy*uint64(cfg.Bench.SQDepth) + MaxBcopy*recvPoolSlots
 }
 
+// EpTargetBytes reports the host memory a node gives one endpoint that a
+// peer writes into: the endpoint (EpBytes) plus the max(msgBytes, 64)-byte
+// target buffer, which takes a whole number of 64-byte lines.
+func EpTargetBytes(cfg *config.Config, msgBytes int) uint64 {
+	return EpBytes(cfg) + (uint64(max(msgBytes, 64))+63)&^63
+}
+
 // NewEp creates an endpoint with its own QP.
 func (w *Worker) NewEp(mode PostMode, signalPeriod int) *Ep {
 	if signalPeriod < 1 {

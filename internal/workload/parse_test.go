@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -56,6 +57,14 @@ func TestParseSpecErrors(t *testing.T) {
 		}
 		return strings.Replace(validYAML, old, new, 1)
 	}
+	// 299 senders into node 0: its receive endpoints and targets overflow
+	// its host memory.
+	srcs := make([]string, 299)
+	for i := range srcs {
+		srcs[i] = strconv.Itoa(i + 1)
+	}
+	overfull := strings.NewReplacer("nodes: 8", "nodes: 300",
+		"src: [1, 2, 3, 4, 5, 6, 7]", "src: ["+strings.Join(srcs, ", ")+"]").Replace(validYAML)
 	cases := []struct {
 		name string
 		doc  string
@@ -81,6 +90,7 @@ func TestParseSpecErrors(t *testing.T) {
 		{"unknown size dist", mut("dist: fixed", "dist: zipf"), "distribution"},
 		{"src out of range", mut("dst: [0]", "dst: [8]"), "out of range"},
 		{"self send", mut("dst: [0]", "dst: [1]"), "itself"},
+		{"endpoints overflow memory", overfull, "memory"},
 		{"negative start", mut("start: 0", "start: -5us"), "start"},
 		{"zero duration", mut("duration: 200us", "duration: 0"), "duration"},
 		{"bad time suffix", mut("duration: 200us", "duration: 200parsecs"), "duration"},

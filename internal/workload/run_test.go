@@ -2,10 +2,12 @@ package workload
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"breakband/internal/config"
 	"breakband/internal/node"
+	"breakband/internal/uct"
 	"breakband/internal/units"
 )
 
@@ -102,4 +104,29 @@ func TestTraceEncodeDecodeRoundTrip(t *testing.T) {
 	if err := dec.CompatibleWith(incastSpec()); err != nil {
 		t.Fatalf("CompatibleWith: %v", err)
 	}
+}
+
+// TestValidateMemoryBound: Validate's per-node memory check is exact. The
+// most senders node 0's memory holds pass and run without panicking; one
+// more is rejected.
+func TestValidateMemoryBound(t *testing.T) {
+	spec := func(senders int) *Spec {
+		s := incastSpec()
+		s.Nodes = senders + 1
+		s.Topology = ""
+		c := &s.Cohorts[0]
+		c.Clients = senders
+		c.Duration = units.Microsecond
+		c.Src = make([]int, senders)
+		for i := range c.Src {
+			c.Src[i] = i + 1
+		}
+		return s
+	}
+	cfg := incastSpec().BuildConfig(config.NoiseOff, 1)
+	fit := int(cfg.MemBytes / uct.EpTargetBytes(cfg, 64))
+	if err := spec(fit + 1).Validate(); err == nil || !strings.Contains(err.Error(), "memory") {
+		t.Fatalf("%d senders into one node: Validate = %v, want a memory error", fit+1, err)
+	}
+	runSpec(t, spec(fit), config.NoiseOff, 1, RunOpt{})
 }

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"breakband/internal/config"
 	"breakband/internal/faults"
@@ -221,7 +222,8 @@ func (s *Spec) Cohort(name string) *Cohort {
 
 // Validate checks the whole spec up front and reports the first problem
 // found, or nil. A validated spec is guaranteed to compile into injectors
-// without panicking.
+// without panicking, on the system BuildConfig and node.NewSystem build for
+// it: no node opens more endpoints than its memory holds.
 func (s *Spec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("workload: spec needs a name")
@@ -257,6 +259,48 @@ func (s *Spec) Validate() error {
 		seen[c.Name] = true
 		if err := c.validate(s.Nodes); err != nil {
 			return fmt.Errorf("workload %q: cohort %q: %v", s.Name, c.Name, err)
+		}
+	}
+	return s.checkMemory()
+}
+
+// checkMemory rejects a spec with a node that would need more host memory
+// for endpoints than it has. It counts what build allocates: per cohort,
+// each distinct source opens one endpoint (uct.EpBytes) to every distinct
+// destination, and each destination holds a receive endpoint plus a target
+// for every distinct source (uct.EpTargetBytes).
+func (s *Spec) checkMemory() error {
+	cfg := s.BuildConfig(config.NoiseOff, 0)
+	type hold struct {
+		eps   int
+		bytes uint64
+	}
+	held := make(map[int]hold)
+	add := func(node, eps int, per uint64) {
+		h := held[node]
+		h.eps += eps
+		h.bytes += uint64(eps) * per
+		held[node] = h
+	}
+	for i := range s.Cohorts {
+		c := &s.Cohorts[i]
+		srcs, dsts := distinctInts(c.Src), distinctInts(c.Dst)
+		for _, src := range srcs {
+			add(src, len(dsts), uct.EpBytes(cfg))
+		}
+		for _, dst := range dsts {
+			add(dst, len(srcs), uct.EpTargetBytes(cfg, c.Size.MaxBytes()))
+		}
+	}
+	nodes := make([]int, 0, len(held))
+	for n := range held {
+		nodes = append(nodes, n)
+	}
+	slices.Sort(nodes)
+	for _, n := range nodes {
+		if h := held[n]; h.bytes > cfg.MemBytes {
+			return fmt.Errorf("workload %q: node %d would open %d endpoints taking %d MiB, but its memory holds %d MiB",
+				s.Name, n, h.eps, h.bytes>>20, cfg.MemBytes>>20)
 		}
 	}
 	return nil
