@@ -1,7 +1,9 @@
 package breakband
 
 import (
+	"breakband/internal/analyzer"
 	"breakband/internal/osu"
+	"breakband/internal/pcie"
 	"breakband/internal/perftest"
 	"breakband/internal/stats"
 )
@@ -28,8 +30,7 @@ func RunPutBw(opts Options, iters int) PutBwSummary {
 	defer sys.Shutdown()
 	tap := sys.Nodes[0].AttachTap()
 	res := perftest.PutBw(sys, perftest.Options{Iters: iters})
-	down := tap.TLPs(pcieDown, pcieMWr, 64, 64)
-	sample := deltasSample(down)
+	sample := analyzer.Deltas(tap.TLPs(pcie.Down, pcie.MWr, 64, 64))
 	return PutBwSummary{
 		MeanInjNs: res.MeanInjNs,
 		MsgRate:   res.MsgRate,

@@ -186,6 +186,7 @@ func main() {
 		sys := mkSys()
 		defer sys.Shutdown()
 		res := perftest.PutBw(sys, opt)
+		exitOnErr(test, res.Err)
 		fmt.Println(res)
 		fmt.Printf("paper model (Equation 1): %.2f ns between messages\n", config.TabLLPInjModel)
 		report(sys)
@@ -193,6 +194,7 @@ func main() {
 		sys := mkSys()
 		defer sys.Shutdown()
 		res := perftest.AmLat(sys, opt)
+		exitOnErr(test, res.Err)
 		fmt.Println(res)
 		s := res.RTTs.Summarize()
 		fmt.Printf("round trips: %s\n", s)
@@ -202,6 +204,7 @@ func main() {
 		sys := mkSys()
 		defer sys.Shutdown()
 		res := perftest.MultiPutBw(sys, *flagCores, opt)
+		exitOnErr(test, res.Err)
 		fmt.Println(res)
 		report(sys)
 	case "sweep":
@@ -212,12 +215,14 @@ func main() {
 			coreCounts = append(coreCounts, c)
 		}
 		for _, res := range perftest.MultiCoreSweep(mkSys, coreCounts, opt, *flagParallel) {
+			exitOnErr(test, res.Err)
 			fmt.Println(res)
 		}
 	case "incast":
 		sys := mkSys()
 		defer sys.Shutdown()
 		res := perftest.OversubscribedPutBw(sys, 0, opt)
+		exitOnErr(test, res.Err)
 		fmt.Println(res)
 		fmt.Printf("receiver PCIe service model: %.1f ns/msg (%.0f msg/s aggregate ceiling)\n",
 			res.ModelCycleNs, 1e9/res.ModelCycleNs)
@@ -227,6 +232,7 @@ func main() {
 		sys := mkSys()
 		defer sys.Shutdown()
 		res := perftest.AllToAllPutBw(sys, opt)
+		exitOnErr(test, res.Err)
 		fmt.Println(res)
 		printHotPorts(sys)
 		report(sys)
@@ -251,6 +257,7 @@ func main() {
 		// nodes-2 symmetric cross-leaf senders: the receiver's leaf-mate
 		// stays idle so pre/dip/post rates compare like for like.
 		res := perftest.FlapIncastPutBw(sys, nodes-2, opt)
+		exitOnErr(test, res.Err)
 		fmt.Println(res)
 		printFaultPorts(sys)
 		printHotPorts(sys)
@@ -273,10 +280,12 @@ func main() {
 				fmt.Fprintln(os.Stderr, "bbperftest:", err)
 				os.Exit(2)
 			}
+			exitOnErr(test, res.Err)
 			fmt.Print(res.Format())
 			break
 		}
 		res := perftest.SaturationSweep(mkSys, 0, loads, opt, *flagParallel)
+		exitOnErr(test, res.Err)
 		fmt.Print(res.Format())
 	case "workload":
 		if *flagWorkload == "" {
@@ -341,6 +350,15 @@ func main() {
 	default:
 		fmt.Fprintf(os.Stderr, "bbperftest: unknown test %q\n", test)
 		os.Exit(2)
+	}
+}
+
+// exitOnErr ends a run the transport failed (a QP exhausted its retries):
+// one line on stderr, exit status 1.
+func exitOnErr(test string, err error) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "bbperftest: %s: %v\n", test, err)
+		os.Exit(1)
 	}
 }
 

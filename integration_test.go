@@ -4,9 +4,11 @@ import (
 	"math"
 	"testing"
 
+	"breakband/internal/analyzer"
 	"breakband/internal/config"
 	"breakband/internal/nic"
 	"breakband/internal/node"
+	"breakband/internal/pcie"
 	"breakband/internal/perftest"
 	"breakband/internal/units"
 )
@@ -81,8 +83,12 @@ func TestGenCompletionEmergent(t *testing.T) {
 	// the RC-to-MEM commit lie outside the tap window. This is the same
 	// geometry the paper's Network measurement exploits.
 	deltas := tap.PairDeltas(
-		func(r record) bool { return r.IsTLP && r.Dir == pcieDown && r.TLPType == pcieMWr && r.Payload == 64 },
-		func(r record) bool { return r.IsTLP && r.Dir == pcieUp && r.TLPType == pcieMWr && r.Payload == 64 },
+		func(r analyzer.Record) bool {
+			return r.IsTLP && r.Dir == pcie.Down && r.TLPType == pcie.MWr && r.Payload == 64
+		},
+		func(r analyzer.Record) bool {
+			return r.IsTLP && r.Dir == pcie.Up && r.TLPType == pcie.MWr && r.Payload == 64
+		},
 	)
 	got := deltas.Mean()
 	want := 2 * config.TabNetwork

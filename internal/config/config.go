@@ -223,12 +223,6 @@ type Config struct {
 	// behaviour. node.NewSystem copies a nonzero value into NIC.RxBudget.
 	NICRxBudget int
 
-	// NICRxBudgetPerQP additionally bounds the held frames any single QP
-	// may account for, so one overloaded QP cannot monopolize the NIC-wide
-	// budget and starve sibling QPs. Zero disables the per-QP bound.
-	// node.NewSystem copies a nonzero value into NIC.RxBudgetPerQP.
-	NICRxBudgetPerQP int
-
 	// Faults is the deterministic fault-injection schedule: link faults
 	// (drop/corrupt rates, scripted drops, link flaps) and endpoint faults
 	// (scheduled NIC crashes with optional restart, host pause windows

@@ -9,7 +9,8 @@
 //     mean overhead is subtracted from every measurement.
 //   - Only one component is measured per run ("we do not simultaneously
 //     measure time in any other component"); each sub-measurement below
-//     builds a fresh system.
+//     builds a fresh system, and a timed one selects its single scope on
+//     node 0's profiler before its workload runs (scopedTasks).
 //   - Each reported value is a mean of at least 100 samples.
 //   - Hardware components (PCIe, Wire, Switch, RC-to-MEM) are derived from
 //     PCIe-analyzer trace deltas, never from software timers.
@@ -34,6 +35,7 @@ import (
 	"breakband/internal/osu"
 	"breakband/internal/pcie"
 	"breakband/internal/perftest"
+	"breakband/internal/profile"
 	"breakband/internal/rng"
 	"breakband/internal/sim"
 	"breakband/internal/stats"
@@ -118,7 +120,7 @@ type state struct {
 	signalPeriod int
 
 	calibration stats.Summary
-	stageMeans  [len(llpStages)]float64
+	llpMeans    [len(llpScopes)]float64
 	measUpdate  float64
 
 	pcie    meanN
@@ -146,10 +148,10 @@ type state struct {
 	obsE2E        float64
 }
 
-// llpStages are the §4.1 LLP regions, one profiled per run.
-var llpStages = [...]uct.Stage{
-	uct.StMDSetup, uct.StBarrierMD, uct.StBarrierDBC, uct.StPIOCopy,
-	uct.StLLPPost, uct.StLLPProg, uct.StBusyPost,
+// llpScopes are the §4.1 LLP regions, one timed per run.
+var llpScopes = [...]profile.Scope{
+	profile.MDSetup, profile.BarrierMD, profile.BarrierDBC, profile.PIOCopy,
+	profile.LLPPost, profile.LLPProg, profile.BusyPost,
 }
 
 // cfg builds one fresh config for the named task, with the task's noise
@@ -170,30 +172,90 @@ func (s *state) sys(task string) *node.System {
 func (s *state) tasks() []campaign.Task {
 	t := []campaign.Task{
 		{Name: "calibration", Run: s.measureCalibration},
-		{Name: "direct_costs", Run: s.measureDirectCosts},
 		{Name: "pcie", Run: s.measurePCIe},
 		{Name: "network/wire", Run: s.measureWire},
 		{Name: "network/switched", Run: s.measureSwitched},
 		{Name: "rc_to_mem", Run: s.measureRCToMem},
-		{Name: "hlp/mpi_isend", Run: s.measureHLPTask("hlp/mpi_isend", "mpi_isend",
-			func(r0 *mpi.Rank) { r0.ProfIsend = true }, &s.hlpIsend)},
-		{Name: "hlp/ucp_tag_send_nb", Run: s.measureHLPTask("hlp/ucp_tag_send_nb", "ucp_tag_send_nb",
-			func(r0 *mpi.Rank) { r0.ProfUcpSend = true }, &s.hlpUcp)},
-		{Name: "hlp/llp_post", Run: s.measureHLPTask("hlp/llp_post", "llp_post",
-			func(r0 *mpi.Rank) { r0.Worker.Uct.ProfStage = uct.StLLPPost }, &s.hlpUct)},
 		{Name: "tx_progress", Run: s.measureTxProgress},
 		{Name: "observed/put_bw", Run: s.measureObservedPutBw},
 		{Name: "observed/am_lat", Run: s.measureObservedAmLat},
 		{Name: "observed/osu_mr", Run: s.measureObservedMessageRate},
 		{Name: "observed/osu_lat", Run: s.measureObservedLatency},
 	}
-	for i, st := range llpStages {
-		i, st := i, st
-		name := "llp/" + st.Name()
-		t = append(t, campaign.Task{Name: name, Run: func() { s.measureLLPStage(name, i, st) }})
+	for _, sc := range s.scopedTasks() {
+		t = append(t, campaign.Task{Name: sc.name, Run: func() { s.runScoped(sc) }})
 	}
-	t = append(t, s.waitTasks()...)
 	return t
+}
+
+// scoped is a campaign task that times one software component: on the
+// task's fresh system it selects scope on node 0's profiler, runs the
+// workload, and collects from the profiler. workload returns rank 0 when
+// it runs MPI, for the wait tasks' loop counts.
+type scoped struct {
+	name     string
+	scope    profile.Scope
+	workload func(sys *node.System) *mpi.Rank
+	collect  func(pr *profile.Profiler, r0 *mpi.Rank)
+}
+
+func (s *state) runScoped(sc scoped) {
+	sys := s.sys(sc.name)
+	pr := sys.Nodes[0].Prof
+	pr.Select(sc.scope)
+	r0 := sc.workload(sys)
+	sys.Shutdown()
+	sc.collect(pr, r0)
+}
+
+// mean is the scoped task that stores scope's mean in slot.
+func mean(name string, scope profile.Scope, workload func(*node.System) *mpi.Rank, slot *float64) scoped {
+	return scoped{name, scope, workload, func(pr *profile.Profiler, _ *mpi.Rank) { *slot = pr.MeanNs(scope) }}
+}
+
+// scopedTasks lists the campaign's timed tasks, one scope each: the
+// measurement update, the §5 HLP initiation scopes over OSU latency, the
+// §4.1 LLP regions over put_bw, and the §5 receive-wait breakdown (d)..(i).
+func (s *state) scopedTasks() []scoped {
+	t := []scoped{
+		mean("direct_costs", profile.MeasUpdate, s.measUpdateLoop, &s.measUpdate),
+		mean("hlp/mpi_isend", profile.MPIIsend, s.hlpWorkload, &s.hlpIsend),
+		mean("hlp/ucp_tag_send_nb", profile.UCPTagSendNB, s.hlpWorkload, &s.hlpUcp),
+		mean("hlp/llp_post", profile.LLPPost, s.hlpWorkload, &s.hlpUct),
+	}
+	for i, sc := range llpScopes {
+		t = append(t, mean("llp/"+string(sc), sc, s.llpWorkload, &s.llpMeans[i]))
+	}
+	return append(t,
+		// (d) Total successful MPI_Wait for a receive.
+		mean("wait/total", profile.MPIWaitRecv, s.waitWorkload, &s.waitTotal),
+		// (e) ucp_worker_progress per call inside receive waits, with the
+		// loops-per-wait count from the same run.
+		scoped{"wait/ucp_progress", profile.UCPWorkerProgress, s.waitWorkload,
+			func(pr *profile.Profiler, r0 *mpi.Rank) {
+				s.ucpProgPerCall = pr.MeanNs(profile.UCPWorkerProgress)
+				s.waitLoops = float64(r0.Stats.RecvWaitLoops) / float64(r0.Stats.RecvWaits)
+			}},
+		// (f) uct_worker_progress inside receive waits: successful dequeues
+		// and empty polls are separate scopes; totals reconstruct from
+		// counts.
+		scoped{"wait/uct_progress", profile.LLPProg, s.waitWorkload,
+			func(pr *profile.Profiler, r0 *mpi.Rank) {
+				waits := float64(r0.Stats.RecvWaits)
+				success := pr.Sample(profile.LLPProg)
+				total := success.Mean() * float64(success.N()) / waits
+				if empty := pr.Sample(profile.EmptyPoll); empty != nil && empty.N() > 0 {
+					total += empty.Mean() * float64(empty.N()) / waits
+				}
+				s.uctProgTotal = total
+			}},
+		// (g) MPICH receive callback.
+		mean("wait/mpich_cb", profile.MPICHRecvCB, s.waitWorkload, &s.mpichCB),
+		// (h) UCP receive callback including the nested MPICH callback.
+		mean("wait/ucp_cb", profile.UCPRecvCB, s.waitWorkload, &s.ucpCBTotal),
+		// (i) MPICH work after a successful progress.
+		mean("wait/after_progress", profile.MPICHAfterProgress, s.waitWorkload, &s.afterProg),
+	)
 }
 
 // assemble combines the task slots into the Result. All arithmetic that
@@ -221,13 +283,13 @@ func (s *state) assemble() *Result {
 	r.CalibrationNs = s.calibration
 
 	// --- LLP component times (§4.1) and the benchmark-owned region ---
-	c.MDSetup = s.stageMeans[0]
-	c.BarrierMD = s.stageMeans[1]
-	c.BarrierDBC = s.stageMeans[2]
-	c.PIOCopy = s.stageMeans[3]
-	c.LLPPost = s.stageMeans[4]
-	c.LLPProg = s.stageMeans[5]
-	c.BusyPost = s.stageMeans[6]
+	c.MDSetup = s.llpMeans[0]
+	c.BarrierMD = s.llpMeans[1]
+	c.BarrierDBC = s.llpMeans[2]
+	c.PIOCopy = s.llpMeans[3]
+	c.LLPPost = s.llpMeans[4]
+	c.LLPProg = s.llpMeans[5]
+	c.BusyPost = s.llpMeans[6]
 	c.MeasUpdate = s.measUpdate
 
 	// --- trace-derived hardware components (§4.3) ---
@@ -310,36 +372,30 @@ func (f oneStep) Step(t *sim.Task) {
 	t.Return()
 }
 
-// --- LLP component times (§4.1), one profiled stage per run ---
+// --- LLP component times (§4.1), one timed scope per run ---
 
-func (s *state) measureLLPStage(task string, slot int, st uct.Stage) {
-	sys := s.sys(task)
-	res := perftest.PutBw(sys, perftest.Options{
-		Iters: s.o.Samples + s.o.Samples/4, Warmup: 100,
-		ProfStage: st, Calibrate: true,
-	})
-	s.stageMeans[slot] = res.Worker.Node.Prof.MeanNs(st.Name())
-	sys.Shutdown()
+// llpWorkload is put_bw from node 0, which calibrates its profiler first.
+func (s *state) llpWorkload(sys *node.System) *mpi.Rank {
+	perftest.PutBw(sys, perftest.Options{Iters: s.o.Samples + s.o.Samples/4, Warmup: 100})
+	return nil
 }
 
-// measureDirectCosts profiles the benchmark-owned region (the measurement
-// update) the same way the paper wraps it with UCS profiling.
-func (s *state) measureDirectCosts() {
-	sys := s.sys("direct_costs")
+// measUpdateLoop times the benchmark-owned region (the measurement update)
+// the same way the paper wraps it with UCS profiling.
+func (s *state) measUpdateLoop(sys *node.System) *mpi.Rank {
 	cfg := sys.Cfg
 	n0 := sys.Nodes[0]
 	sys.K.SpawnTask("direct_costs", oneStep(func(t *sim.Task) {
 		prof := n0.Prof
 		prof.Calibrate(t, cfg.Prof.CalibrationSamples)
 		for i := 0; i < s.o.Samples; i++ {
-			tok := prof.Begin(t, "meas_update")
+			tok := prof.Begin(t, profile.MeasUpdate)
 			t.Advance(cfg.SW.MeasUpdate.Sample(n0.Rand))
 			prof.End(t, tok)
 		}
-		s.measUpdate = prof.MeanNs("meas_update")
 	}))
 	sys.Run()
-	sys.Shutdown()
+	return nil
 }
 
 // --- PCIe (§4.3): half the TLP->ACK round trip at the analyzer ---
@@ -424,18 +480,12 @@ func (s *state) measureRCToMem() {
 	sys.Shutdown()
 }
 
-// --- HLP initiation (§5): one profiled scope per run ---
+// --- HLP initiation (§5): one timed scope per run ---
 
-func (s *state) measureHLPTask(task, scope string, setup func(r0 *mpi.Rank), slot *float64) func() {
-	return func() {
-		sys := s.sys(task)
-		res := osu.Latency(sys, osu.Options{
-			Iters: s.o.Samples, Warmup: 50, Calibrate: true,
-			Setup: func(r0, r1 *mpi.Rank) { setup(r0) },
-		})
-		*slot = res.Rank0.Node.Prof.MeanNs(scope)
-		sys.Shutdown()
-	}
+// hlpWorkload is OSU latency from rank 0, which calibrates its profiler
+// first.
+func (s *state) hlpWorkload(sys *node.System) *mpi.Rank {
+	return osu.Latency(sys, osu.Options{Iters: s.o.Samples, Warmup: 50}).Rank0
 }
 
 // --- MPI_Wait breakdown (§5): totals and callbacks across runs, combined
@@ -553,67 +603,13 @@ func (f *waitWaiterFrame) Step(t *sim.Task) {
 // (§5): rank 1 sends on a fixed schedule; rank 0 posts the receive before
 // each message arrives and calls MPI_Wait only after it has landed, so every
 // wait completes on its first progress pass.
-func waitWorkload(sys *node.System, samples int, setup func(r0 *mpi.Rank)) *mpi.Rank {
+func (s *state) waitWorkload(sys *node.System) *mpi.Rank {
 	comm := mpi.NewComm(sys.Nodes[:2], sys.Cfg, uct.PIOInline)
 	r0, r1 := comm.Ranks[0], comm.Ranks[1]
-	setup(r0)
-	sys.K.SpawnTask("wait_workload.sender", &waitSenderFrame{r: r1, samples: samples, data: make([]byte, 8)})
-	sys.K.SpawnTask("wait_workload.waiter", &waitWaiterFrame{r: r0, samples: samples, calib: sys.Cfg.Prof.CalibrationSamples})
+	sys.K.SpawnTask("wait_workload.sender", &waitSenderFrame{r: r1, samples: s.o.Samples, data: make([]byte, 8)})
+	sys.K.SpawnTask("wait_workload.waiter", &waitWaiterFrame{r: r0, samples: s.o.Samples, calib: sys.Cfg.Prof.CalibrationSamples})
 	sys.Run()
-	sys.Shutdown()
 	return r0
-}
-
-// waitTasks builds the six §5 runs (d)..(i), each an isolated workload with
-// one profiled scope.
-func (s *state) waitTasks() []campaign.Task {
-	run := func(task string, setup func(r0 *mpi.Rank), collect func(r0 *mpi.Rank)) campaign.Task {
-		return campaign.Task{Name: task, Run: func() {
-			r0 := waitWorkload(s.sys(task), s.o.Samples, setup)
-			collect(r0)
-		}}
-	}
-	return []campaign.Task{
-		// (d) Total successful MPI_Wait for a receive.
-		run("wait/total",
-			func(r0 *mpi.Rank) { r0.ProfWait = true },
-			func(r0 *mpi.Rank) { s.waitTotal = r0.Node.Prof.MeanNs("mpi_wait_recv") }),
-		// (e) ucp_worker_progress per call inside receive waits, with the
-		// loops-per-wait count from the same run.
-		run("wait/ucp_progress",
-			func(r0 *mpi.Rank) { r0.ProfUcpProg = true },
-			func(r0 *mpi.Rank) {
-				s.ucpProgPerCall = r0.Node.Prof.MeanNs("ucp_worker_progress")
-				s.waitLoops = float64(r0.Stats.RecvWaitLoops) / float64(r0.Stats.RecvWaits)
-			}),
-		// (f) uct_worker_progress inside receive waits: successful dequeues
-		// and empty polls are separate scopes; totals reconstruct from
-		// counts.
-		run("wait/uct_progress",
-			func(r0 *mpi.Rank) { r0.ProfUctInWait = uct.StLLPProg },
-			func(r0 *mpi.Rank) {
-				prof := r0.Node.Prof
-				waits := float64(r0.Stats.RecvWaits)
-				success := prof.Sample(uct.StLLPProg.Name())
-				total := success.Mean() * float64(success.N()) / waits
-				if empty := prof.Sample("empty_poll"); empty != nil && empty.N() > 0 {
-					total += empty.Mean() * float64(empty.N()) / waits
-				}
-				s.uctProgTotal = total
-			}),
-		// (g) MPICH receive callback.
-		run("wait/mpich_cb",
-			func(r0 *mpi.Rank) { r0.ProfMpichCB = true },
-			func(r0 *mpi.Rank) { s.mpichCB = r0.Node.Prof.MeanNs("mpich_recv_cb") }),
-		// (h) UCP receive callback including the nested MPICH callback.
-		run("wait/ucp_cb",
-			func(r0 *mpi.Rank) { r0.Worker.ProfRecvCB = true },
-			func(r0 *mpi.Rank) { s.ucpCBTotal = r0.Node.Prof.MeanNs("ucp_recv_cb") }),
-		// (i) MPICH work after a successful progress.
-		run("wait/after_progress",
-			func(r0 *mpi.Rank) { r0.ProfAfterProg = true },
-			func(r0 *mpi.Rank) { s.afterProg = r0.Node.Prof.MeanNs("mpich_after_progress") }),
-	}
 }
 
 // --- Send-side progress (§6): MPI_Waitall totals; the busy-post LLP_post

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"breakband/internal/config"
+	"breakband/internal/profile"
 )
 
 // sharedCampaign runs a reduced-size measurement campaign once per noise
@@ -218,5 +219,39 @@ func TestExtraDiagnosticsPresent(t *testing.T) {
 	// The §5 no-busy-wait workload must complete every wait in one pass.
 	if res.Extra["wait_loops_per_wait"] != 1 {
 		t.Errorf("wait loops per wait = %v, want 1 (successful MPI_Wait)", res.Extra["wait_loops_per_wait"])
+	}
+}
+
+// TestOneScopePerRun checks the §3 rule on every timed task: with only the
+// task's scope selected on node 0, its workload records samples under that
+// scope or its outcome partner, and under no other scope.
+func TestOneScopePerRun(t *testing.T) {
+	t.Parallel()
+	s := &state{mk: func() *config.Config { return config.TX2CX4(config.NoiseOff, 1, true) }, o: Opts{Samples: 20}}
+	tasks := s.scopedTasks()
+	read := map[profile.Scope]bool{} // every scope the campaign reads
+	for _, sc := range tasks {
+		read[sc.scope], read[sc.scope.Partner()] = true, true
+	}
+	for _, sc := range tasks {
+		sys := s.sys(sc.name)
+		pr := sys.Nodes[0].Prof
+		pr.Select(sc.scope)
+		sc.workload(sys)
+		sys.Shutdown()
+		own := 0
+		for other := range read {
+			smp := pr.Sample(other)
+			switch {
+			case smp == nil:
+			case other == sc.scope || other == sc.scope.Partner():
+				own += smp.N()
+			default:
+				t.Errorf("%s selects %v but recorded %d samples under %v", sc.name, sc.scope, smp.N(), other)
+			}
+		}
+		if own == 0 {
+			t.Errorf("%s recorded no samples under %v", sc.name, sc.scope)
+		}
 	}
 }

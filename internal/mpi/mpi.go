@@ -11,6 +11,14 @@
 // Like the layers below, the blocking operations are resumable sim.Frame
 // state machines: callers use the Start*/Last* forms. One task drives a
 // Rank at a time.
+//
+// The §5 regions are scopes on the node's profiler (internal/profile),
+// timed when the run selects them: mpi_isend and the nested
+// ucp_tag_send_nb, the MPICH receive callback (mpich_recv_cb), and three
+// scopes of MPI_Wait (mpi_wait_recv, each ucp_worker_progress call inside
+// it, and the MPICH work after the successful one, mpich_after_progress).
+// The wait scopes time receive waits only, so per-wait totals reconstruct
+// from means and loop counts.
 package mpi
 
 import (
@@ -85,22 +93,6 @@ type Rank struct {
 	epList []*ucp.Ep
 
 	Stats Stats
-
-	// Instrumentation knobs used by the measurement methodology: when
-	// set, the named regions are profiled with the node's profiler. The
-	// Wait-related scopes apply to receive waits only (the paper's §5
-	// receive-side analysis); ProfUcpProg and ProfUctInWait are gated to
-	// the interior of a receive wait so that per-wait totals can be
-	// reconstructed from means and loop counts.
-	ProfIsend     bool      // "mpi_isend" scope
-	ProfUcpSend   bool      // "ucp_tag_send_nb" scope
-	ProfWait      bool      // "mpi_wait_recv" scope
-	ProfUcpProg   bool      // "ucp_worker_progress" scope (inside recv waits)
-	ProfMpichCB   bool      // "mpich_recv_cb" scope
-	ProfAfterProg bool      // "mpich_after_progress" scope
-	ProfUctInWait uct.Stage // LLP stage profiled inside recv waits
-
-	inRecvWait bool
 
 	prepF    prepFrame
 	isendF   isendFrame
@@ -205,13 +197,14 @@ type isendFrame struct {
 
 	ep       *ucp.Ep
 	req      *Request
-	isendTok profTok
-	ucpTok   profTok
+	isendTok profile.Token
+	ucpTok   profile.Token
 	res      *Request
 }
 
 func (f *isendFrame) Step(t *sim.Task) {
 	r := f.r
+	prof := r.Node.Prof
 	switch f.pc {
 	case 0:
 		ep, ok := r.eps[f.dst]
@@ -223,15 +216,10 @@ func (f *isendFrame) Step(t *sim.Task) {
 		req := &Request{rank: r}
 		f.req = req
 
-		f.isendTok, f.ucpTok = profTok{}, profTok{}
-		if r.ProfIsend {
-			f.isendTok = r.profBegin(t)
-		}
+		f.isendTok = prof.Begin(t, profile.MPIIsend)
 		// MPICH-side work: datatype/contiguity checks, choosing the path.
 		t.Advance(r.Cfg.SW.MpiIsend.Sample(r.Node.Rand))
-		if r.ProfUcpSend {
-			f.ucpTok = r.profBegin(t)
-		}
+		f.ucpTok = prof.Begin(t, profile.UCPTagSendNB)
 		f.pc = 1
 		ep.StartTagSend(t, tagFor(r.ID, f.tag), f.data, func(ct *sim.Task) {
 			// MPICH send-completion callback.
@@ -249,8 +237,8 @@ func (f *isendFrame) Step(t *sim.Task) {
 			f.req.done = true
 		}
 		f.req.ucpReq = ucpReq
-		r.profEndAs(t, f.ucpTok, r.ProfUcpSend, "ucp_tag_send_nb")
-		r.profEndAs(t, f.isendTok, r.ProfIsend, "mpi_isend")
+		prof.End(t, f.ucpTok)
+		prof.End(t, f.isendTok)
 		f.res = f.req
 		f.req = nil
 		f.data = nil
@@ -266,14 +254,11 @@ func (r *Rank) Irecv(t *sim.Task, src int, tag int) *Request {
 	t.Advance(r.Cfg.SW.MpiIrecv.Sample(r.Node.Rand))
 	req.ucpReq = r.Worker.TagRecvNB(t, tagFor(src, tag), func(ct *sim.Task) {
 		// MPICH receive callback (paper Table 1: 47.99 ns).
-		var tok profTok
-		if r.ProfMpichCB {
-			tok = r.profBegin(ct)
-		}
+		tok := r.Node.Prof.Begin(ct, profile.MPICHRecvCB)
 		ct.Advance(r.Cfg.SW.MpichRecvCB.Sample(r.Node.Rand))
 		r.Stats.RecvCallbacks++
 		req.done = true
-		r.profEndAs(ct, tok, r.ProfMpichCB, "mpich_recv_cb")
+		r.Node.Prof.End(ct, tok)
 	})
 	// An unexpected message may have completed it synchronously.
 	if req.ucpReq.Completed() {
@@ -350,10 +335,19 @@ type waitFrame struct {
 	pc  int
 	req *Request
 
+	// measured: a receive wait, the only kind the wait scopes time.
 	measured bool
-	waitTok  profTok
-	progTok  profTok
-	progProf bool
+	waitTok  profile.Token
+	progTok  profile.Token
+}
+
+// begin opens scope s on a receive wait; on any other wait it returns the
+// zero Token.
+func (f *waitFrame) begin(t *sim.Task, s profile.Scope) profile.Token {
+	if !f.measured {
+		return profile.Token{}
+	}
+	return f.r.Node.Prof.Begin(t, s)
 }
 
 func (f *waitFrame) Step(t *sim.Task) {
@@ -365,15 +359,8 @@ func (f *waitFrame) Step(t *sim.Task) {
 			f.measured = f.req.isRecv
 			if f.measured {
 				r.Stats.RecvWaits++
-				r.inRecvWait = true
-				if r.ProfUctInWait != uct.StNone {
-					r.Worker.Uct.ProfStage = r.ProfUctInWait
-				}
 			}
-			f.waitTok = profTok{}
-			if r.ProfWait && f.measured {
-				f.waitTok = r.profBegin(t)
-			}
+			f.waitTok = f.begin(t, profile.MPIWaitRecv)
 			// Entry/exit bookkeeping (request inspection, state machine).
 			t.Advance(r.Cfg.SW.MpichWaitEnt.Sample(r.Node.Rand))
 			f.pc = 1
@@ -387,44 +374,24 @@ func (f *waitFrame) Step(t *sim.Task) {
 				r.Stats.RecvWaitLoops++
 			}
 			t.Advance(r.Cfg.SW.MpichWaitLoop.Sample(r.Node.Rand))
-			f.beginProgress(t)
+			f.progTok = f.begin(t, profile.UCPWorkerProgress)
 			f.pc = 2
 			r.Worker.StartProgress(t)
 			return
 		case 2:
-			r.profEndAs(t, f.progTok, f.progProf, "ucp_worker_progress")
+			r.Node.Prof.End(t, f.progTok)
 			f.pc = 1
 		case 3:
 			// MPICH work after the successful ucp_worker_progress (paper
 			// §6: 36.89 ns).
-			afterTok := profTok{}
-			if r.ProfAfterProg && f.measured {
-				afterTok = r.profBegin(t)
-			}
+			afterTok := f.begin(t, profile.MPICHAfterProgress)
 			t.Advance(r.Cfg.SW.MpichAfterPrg.Sample(r.Node.Rand))
-			r.profEndAs(t, afterTok, r.ProfAfterProg && f.measured, "mpich_after_progress")
-			r.profEndAs(t, f.waitTok, r.ProfWait && f.measured, "mpi_wait_recv")
-			if f.measured {
-				r.inRecvWait = false
-				if r.ProfUctInWait != uct.StNone {
-					r.Worker.Uct.ProfStage = uct.StNone
-				}
-			}
+			r.Node.Prof.End(t, afterTok)
+			r.Node.Prof.End(t, f.waitTok)
 			f.req = nil
 			t.Return()
 			return
 		}
-	}
-}
-
-// beginProgress opens the optionally-profiled ucp_worker_progress scope
-// (inside receive waits only, so per-wait totals reconstruct cleanly).
-func (f *waitFrame) beginProgress(t *sim.Task) {
-	r := f.r
-	f.progProf = r.ProfUcpProg && r.inRecvWait
-	f.progTok = profTok{}
-	if f.progProf {
-		f.progTok = r.profBegin(t)
 	}
 }
 
@@ -440,9 +407,6 @@ type waitallFrame struct {
 	r    *Rank
 	pc   int
 	reqs []*Request
-
-	progTok  profTok
-	progProf bool
 }
 
 func (f *waitallFrame) Step(t *sim.Task) {
@@ -467,17 +431,9 @@ func (f *waitallFrame) Step(t *sim.Task) {
 			r.Stats.WaitLoops++
 			// Per-operation bookkeeping share of the waitall loop.
 			t.Advance(r.Cfg.SW.MpichWaitallOp.Sample(r.Node.Rand))
-			f.progProf = r.ProfUcpProg && r.inRecvWait
-			f.progTok = profTok{}
-			if f.progProf {
-				f.progTok = r.profBegin(t)
-			}
-			f.pc = 2
+			f.pc = 1
 			r.Worker.StartProgress(t)
 			return
-		case 2:
-			r.profEndAs(t, f.progTok, f.progProf, "ucp_worker_progress")
-			f.pc = 1
 		}
 	}
 }
@@ -546,22 +502,5 @@ func (f *recvFrame) Step(t *sim.Task) {
 		f.data = f.req.Data()
 		f.req = nil
 		t.Return()
-	}
-}
-
-// --- profiling helpers ---
-
-type profTok struct {
-	tok  profile.Token
-	real bool
-}
-
-func (r *Rank) profBegin(t *sim.Task) profTok {
-	return profTok{tok: r.Node.Prof.BeginAnon(t), real: true}
-}
-
-func (r *Rank) profEndAs(t *sim.Task, tk profTok, enabled bool, name string) {
-	if tk.real && enabled {
-		r.Node.Prof.EndAs(t, tk.tok, name)
 	}
 }

@@ -1,9 +1,9 @@
 // Package node composes the hardware substrates into complete nodes and
 // N-node systems: per node a host memory, a PCIe link with its Root
-// Complex and NIC endpoint, a virtual timer and a profiler; plus the shared
-// network fabric — a compiled internal/topo topology selected by
-// Config.Topology (two nodes default to the paper's calibrated two-endpoint
-// path, bit for bit).
+// Complex and NIC endpoint, and a profiler over the node's virtual timer;
+// plus the shared network fabric — a compiled internal/topo topology
+// selected by Config.Topology (two nodes default to the paper's calibrated
+// two-endpoint path, bit for bit).
 //
 // A node carries no PCIe analyzer until a run that reads one attaches it
 // with Node.AttachTap. The paper's Figure 3 places a single analyzer
@@ -27,18 +27,18 @@ import (
 	"breakband/internal/vtimer"
 )
 
-// Node is one server: CPU-side facilities (timer, profiler, RNG stream for
-// software costs), host memory, and the I/O subsystem.
+// Node is one server: CPU-side facilities (the profiler, which owns the
+// node's timer, and the RNG stream for software costs), host memory, and
+// the I/O subsystem.
 type Node struct {
-	ID    int
-	Mem   *memsim.Memory
-	Link  *pcie.Link
-	RC    *pcie.RootComplex
-	NIC   *nic.NIC
-	Tap   *analyzer.Analyzer // PCIe analyzer on Link (nil until AttachTap)
-	Timer *vtimer.Timer
-	Prof  *profile.Profiler
-	Rand  *rng.Rand // software-cost noise stream (nil when noise is off)
+	ID   int
+	Mem  *memsim.Memory
+	Link *pcie.Link
+	RC   *pcie.RootComplex
+	NIC  *nic.NIC
+	Tap  *analyzer.Analyzer // PCIe analyzer on Link (nil until AttachTap)
+	Prof *profile.Profiler
+	Rand *rng.Rand // software-cost noise stream (nil when noise is off)
 }
 
 // System is a set of nodes on a common fabric, driven by one simulation
@@ -138,9 +138,6 @@ func newNode(k *sim.Kernel, net *topo.Fabric, cfg *config.Config, id int) *Node 
 		// set, so configs that tune cfg.NIC directly keep working.
 		nc.RxBudget = cfg.NICRxBudget
 	}
-	if cfg.NICRxBudgetPerQP > 0 {
-		nc.RxBudgetPerQP = cfg.NICRxBudgetPerQP
-	}
 	if cfg.Faults.Enabled() && nc.AckTimeout == 0 {
 		// A lossy fabric needs the timeout recovery armed; a config that
 		// sets NIC.AckTimeout explicitly keeps its value. Without faults
@@ -150,16 +147,14 @@ func newNode(k *sim.Kernel, net *topo.Fabric, cfg *config.Config, id int) *Node 
 	}
 	dev := nic.New(k, id, mem, link, net, nc)
 	r := cfg.Rand(fmt.Sprintf("node%d", id))
-	tmr := vtimer.New(k, cfg.Prof.TimerHz, cfg.Prof.Isb, cfg.Prof.Read, r)
 	return &Node{
-		ID:    id,
-		Mem:   mem,
-		Link:  link,
-		RC:    rc,
-		NIC:   dev,
-		Timer: tmr,
-		Prof:  profile.New(tmr),
-		Rand:  r,
+		ID:   id,
+		Mem:  mem,
+		Link: link,
+		RC:   rc,
+		NIC:  dev,
+		Prof: profile.New(vtimer.New(k, cfg.Prof.TimerHz, cfg.Prof.Isb, cfg.Prof.Read, r)),
+		Rand: r,
 	}
 }
 

@@ -39,8 +39,7 @@ func TestNewSystem(t *testing.T) {
 		if n.ID != i {
 			t.Errorf("node %d has ID %d", i, n.ID)
 		}
-		if n.Mem == nil || n.Link == nil || n.RC == nil || n.NIC == nil ||
-			n.Timer == nil || n.Prof == nil {
+		if n.Mem == nil || n.Link == nil || n.RC == nil || n.NIC == nil || n.Prof == nil {
 			t.Errorf("node %d incompletely wired", i)
 		}
 		if n.Tap != nil {

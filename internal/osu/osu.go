@@ -10,7 +10,9 @@
 //     reports half the round trip, the observed end-to-end latency.
 //
 // Both drivers run as continuation tasks (sim.SpawnTask), each rank a
-// resumable frame machine over the frame-based MPI layer.
+// resumable frame machine over the frame-based MPI layer. A run that times
+// one software component selects its scope on node 0's profiler before it
+// starts (internal/profile); rank 0 then calibrates that profiler first.
 package osu
 
 import (
@@ -37,13 +39,6 @@ type Options struct {
 	Warmup int
 	// MsgSize is the user payload (8 bytes by default).
 	MsgSize int
-	// Setup, if set, runs after the communicator is built and before any
-	// task starts — the measurement methodology uses it to arm exactly
-	// one profiling scope per run (paper §3).
-	Setup func(r0, r1 *mpi.Rank)
-	// Calibrate runs profiler overhead calibration on rank 0's node
-	// before the benchmark.
-	Calibrate bool
 }
 
 func (o *Options) defaults(cfg *config.Config) {
@@ -133,9 +128,7 @@ func (f *mrSendFrame) Step(t *sim.Task) {
 	for {
 		switch f.pc {
 		case 0:
-			if f.opt.Calibrate {
-				f.r.Node.Prof.Calibrate(t, f.cfg.Prof.CalibrationSamples)
-			}
+			f.r.Node.Prof.CalibrateIfSelected(t, f.cfg.Prof.CalibrationSamples)
 			f.pc = 10
 			f.r.StartPreparePostedRecvs(t, 512)
 			return
@@ -189,9 +182,6 @@ func MessageRate(sys *node.System, opt Options) *MessageRateResult {
 	cfg := sys.Cfg
 	comm := mpi.NewComm(sys.Nodes[:2], cfg, uct.PIOInline)
 	r0, r1 := comm.Ranks[0], comm.Ranks[1]
-	if opt.Setup != nil {
-		opt.Setup(r0, r1)
-	}
 	res := &MessageRateResult{Sender: r0, Receiver: r1}
 
 	totalMsgs := (opt.Windows + 1) * opt.Window // +1 warmup window
@@ -273,9 +263,7 @@ func (f *latPingFrame) Step(t *sim.Task) {
 	for {
 		switch f.pc {
 		case 0:
-			if f.opt.Calibrate {
-				f.r.Node.Prof.Calibrate(t, f.cfg.Prof.CalibrationSamples)
-			}
+			f.r.Node.Prof.CalibrateIfSelected(t, f.cfg.Prof.CalibrationSamples)
 			f.pc = 1
 			f.r.StartPreparePostedRecvs(t, 64)
 			return
@@ -316,9 +304,6 @@ func Latency(sys *node.System, opt Options) *LatencyResult {
 	cfg.Bench.SignalPeriod = 1
 	comm := mpi.NewComm(sys.Nodes[:2], &cfg, uct.PIOInline)
 	r0, r1 := comm.Ranks[0], comm.Ranks[1]
-	if opt.Setup != nil {
-		opt.Setup(r0, r1)
-	}
 	res := &LatencyResult{Iters: opt.Iters, RTTs: &stats.Sample{}, Rank0: r0, Rank1: r1}
 
 	total := opt.Warmup + opt.Iters

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"breakband/internal/config"
-	"breakband/internal/mpi"
 	"breakband/internal/node"
 )
 
@@ -97,21 +96,6 @@ func TestLatencyNoisyWithinTolerance(t *testing.T) {
 	res := Latency(sys, Options{Iters: 500})
 	if math.Abs(res.ReportedNs-config.TabE2ELatencyModel)/config.TabE2ELatencyModel > 0.07 {
 		t.Errorf("noisy latency %.2f vs model %.2f", res.ReportedNs, config.TabE2ELatencyModel)
-	}
-}
-
-func TestSetupHookRuns(t *testing.T) {
-	sys := newSys(t, config.NoiseOff)
-	defer sys.Shutdown()
-	called := false
-	Latency(sys, Options{Iters: 50, Setup: func(r0, r1 *mpi.Rank) {
-		called = true
-		if r0 == nil || r1 == nil {
-			t.Error("nil ranks in setup")
-		}
-	}})
-	if !called {
-		t.Error("setup hook not invoked")
 	}
 }
 

@@ -28,11 +28,6 @@ type RCConfig struct {
 	// MemReadLatency is the DRAM access time for servicing an MRd (DMA
 	// read) request.
 	MemReadLatency units.Time
-	// GenDelay is the hardware pipeline delay for the RC to turn an MMIO
-	// write into a TLP. The paper argues it is a few cycles and excludes
-	// it from the models; it defaults to zero but remains configurable so
-	// the assumption can be tested.
-	GenDelay units.Time
 }
 
 // RCToMem reports the commit latency for an n-byte inbound write.
@@ -64,7 +59,6 @@ type RootComplex struct {
 	// work fires.
 	commitFn func(any) // commit an inbound DMA write to memory
 	mrdFn    func(any) // service an inbound DMA read from memory
-	genFn    func(any) // GenDelay'd downstream injection
 }
 
 // NewRootComplex builds an RC bound to a kernel, host memory and link. It
@@ -87,7 +81,6 @@ func NewRootComplex(k *sim.Kernel, mem *memsim.Memory, link *Link, cfg RCConfig)
 		rc.link.SendDown(cpl)
 		t.Release()
 	}
-	rc.genFn = func(a any) { rc.link.SendDown(a.(*TLP)) }
 	link.SetRCSide(rc)
 	return rc
 }
@@ -107,10 +100,6 @@ func (rc *RootComplex) MMIOWrite(addr uint64, data []byte) {
 	tlp.Type = MWr
 	tlp.Addr = addr
 	tlp.SetData(data)
-	if rc.cfg.GenDelay > 0 {
-		rc.k.AfterArg(rc.cfg.GenDelay, rc.genFn, tlp)
-		return
-	}
 	rc.link.SendDown(tlp)
 }
 

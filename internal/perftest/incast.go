@@ -13,10 +13,24 @@ import (
 
 // winShared is the measured-window state shared by the concurrent senders
 // of a scenario: the window opens when the last sender finishes warmup and
-// closes when the last sender finishes posting.
+// closes when the last sender finishes posting. err is the first transport
+// error any sender's post returned.
 type winShared struct {
 	start, end units.Time
 	done       int
+	err        error
+}
+
+// postFailed reports whether the post that just returned on ep failed, and
+// records the first such error. Busy posts never get here (StartPut
+// retries them), so an error is a transport failure: the sender stops
+// posting and drains.
+func (st *winShared) postFailed(ep *uct.Ep) bool {
+	err := ep.LastPost()
+	if err != nil && st.err == nil {
+		st.err = err
+	}
+	return err != nil
 }
 
 // sender is one put_bw source: its own worker and QP into the receiver, the
@@ -44,7 +58,6 @@ func connectSenders(sys *node.System, srcs []*node.Node, dst *node.Node, opt Opt
 	snd := make([]*sender, len(srcs))
 	for i, n := range srcs {
 		w := uct.NewWorker(n, cfg)
-		w.ProfStage = opt.ProfStage
 		ep := w.NewEp(opt.Mode, opt.SignalPeriod)
 		uct.Connect(ep, recvW.NewEp(opt.Mode, opt.SignalPeriod))
 		tgt := dst.Mem.Alloc(fmt.Sprintf("%s.target%d", name, i), uint64(max(opt.MsgSize, 64)), 64)
@@ -69,11 +82,12 @@ func runPutLoops(sys *node.System, snd []*sender, opt Options, name string) *win
 	return st
 }
 
-// putLoopFrame is the put_bw loop of one sender: the optional profiler
-// calibration, warmup posts, the trace clear when the sender's node is
-// tapped, the measured injection loop with batched polling, then an
-// in-flight drain outside the measured window. The calibration and the
-// trace clear act on the sender's own node.
+// putLoopFrame is the put_bw loop of one sender: the profiler calibration
+// when a scope is selected, warmup posts, the trace clear when the
+// sender's node is tapped, the measured injection loop with batched
+// polling, then an in-flight drain outside the measured window (at once
+// after a failed post). The calibration and the trace clear act on the
+// sender's own node.
 type putLoopFrame struct {
 	cfg *config.Config
 	s   *sender
@@ -90,9 +104,7 @@ func (f *putLoopFrame) Step(t *sim.Task) {
 	for {
 		switch f.pc {
 		case 0:
-			if f.opt.Calibrate {
-				s.n.Prof.Calibrate(t, cfg.Prof.CalibrationSamples)
-			}
+			s.n.Prof.CalibrateIfSelected(t, cfg.Prof.CalibrationSamples)
 			f.pc = 1
 		case 1: // warmup loop head
 			if f.i >= f.opt.Warmup {
@@ -103,7 +115,10 @@ func (f *putLoopFrame) Step(t *sim.Task) {
 			s.ep.StartPut(t, s.msg)
 			return
 		case 2: // after a warmup post: batched poll
-			mustPost(s.ep)
+			if f.st.postFailed(s.ep) {
+				f.pc = 8
+				continue
+			}
 			f.i++
 			f.pc = 1
 			if f.i%cfg.Bench.PollBatch == 0 {
@@ -140,7 +155,10 @@ func (f *putLoopFrame) Step(t *sim.Task) {
 			s.ep.StartPut(t, s.msg)
 			return
 		case 6: // after a measured post: batched poll
-			mustPost(s.ep)
+			if f.st.postFailed(s.ep) {
+				f.pc = 8
+				continue
+			}
 			f.pc = 7
 			if (f.i+1)%cfg.Bench.PollBatch == 0 {
 				s.w.StartProgress(t)
@@ -190,6 +208,9 @@ type AllToAllResult struct {
 	PerNodeMsgRate float64
 	MaxSwitchQueue int
 	CreditStalls   uint64
+	// Err is the first transport error a post returned, nil on a complete
+	// run; the other fields are partial when it is set.
+	Err error
 }
 
 // AllToAllPutBw runs opt.Iters rounds in which every node RDMA-writes one
@@ -238,6 +259,7 @@ func AllToAllPutBw(sys *node.System, opt Options) *AllToAllResult {
 		panic(fmt.Sprintf("perftest: only %d of %d all-to-all nodes finished", st.done, n))
 	}
 
+	res.Err = st.err
 	res.Messages = n * (n - 1) * opt.Iters
 	res.Elapsed = st.end - st.start
 	res.AggMsgRate = float64(res.Messages) / res.Elapsed.Seconds()
@@ -248,7 +270,8 @@ func AllToAllPutBw(sys *node.System, opt Options) *AllToAllResult {
 }
 
 // a2aNodeFrame is one node of the all-to-all: rounds of one put to every
-// peer with batched polling, then an in-flight drain across every peer.
+// peer with batched polling, then an in-flight drain across every peer (at
+// once after a failed post).
 type a2aNodeFrame struct {
 	cfg  *config.Config
 	rand *rng.Rand
@@ -315,7 +338,10 @@ func (f *a2aNodeFrame) Step(t *sim.Task) {
 			f.eps[f.me][f.j].StartPut(t, f.msg)
 			return
 		case 3:
-			mustPost(f.eps[f.me][f.j])
+			if f.st.postFailed(f.eps[f.me][f.j]) {
+				f.pc = 6
+				continue
+			}
 			f.posts++
 			if f.posts%cfg.Bench.PollBatch == 0 {
 				f.pc = 31

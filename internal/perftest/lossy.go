@@ -79,7 +79,8 @@ func (sh *lossyShared) verify(t *sim.Task, data []byte) {
 
 // lossySendFrame streams sh.total sequence-stamped active messages with
 // batched polling, aborting when the QP fails (retry exhaustion under
-// heavy loss), then drains its in-flight tail.
+// heavy loss), then drains its in-flight tail with StartFlush, which also
+// ends on a failed QP: its sends retire through their error completions.
 type lossySendFrame struct {
 	cfg *config.Config
 	w   *uct.Worker
@@ -117,16 +118,11 @@ func (f *lossySendFrame) Step(t *sim.Task) {
 			f.i++
 			f.pc = 0
 		case 2: // drain the in-flight tail
-			if f.ep.Err != nil {
-				f.sh.failed = true
-				f.sh.senderDone = true
-				t.Return()
-				return
-			}
-			if f.ep.InFlight() > 0 {
-				f.w.StartProgress(t)
-				return
-			}
+			f.pc = 3
+			f.w.StartFlush(t)
+			return
+		case 3:
+			f.sh.failed = f.ep.Err != nil
 			f.sh.senderDone = true
 			t.Return()
 			return
@@ -291,6 +287,9 @@ type FlapIncastResult struct {
 	AckTimeouts, SeqNaks, Retransmits uint64
 	WireDropped                       uint64
 	Flaps                             uint64
+	// Err is the first transport error a post returned, nil on a complete
+	// run; the other fields are partial when it is set.
+	Err error
 }
 
 // FlapIncastPutBw runs the incast put_bw loop over a fault schedule that
@@ -323,6 +322,7 @@ func FlapIncastPutBw(sys *node.System, senders int, opt Options) *FlapIncastResu
 		Senders: senders, MsgSize: opt.MsgSize,
 		Down: fl.Down, Up: fl.Up,
 		Elapsed: st.end - st.start,
+		Err:     st.err,
 	}
 	// The pre and post windows are interior so the rates compare like
 	// with like: the pre window opens halfway to the flap (past the

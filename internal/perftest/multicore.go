@@ -24,6 +24,9 @@ type MultiPutBwResult struct {
 	// zero for a single core (the paper's §4.2 observation), nonzero
 	// once enough cores gang up on the link.
 	LinkBlocked uint64
+	// Err is the first transport error a post returned, nil on a complete
+	// run; the other fields are partial when it is set.
+	Err error
 }
 
 // MultiPutBw runs the put_bw loop on cores simulated cores concurrently.
@@ -45,7 +48,7 @@ func MultiPutBw(sys *node.System, cores int, opt Options) *MultiPutBwResult {
 	}
 	st := runPutLoops(sys, snd, opt, "multi")
 
-	res := &MultiPutBwResult{Cores: cores, Messages: cores * opt.Iters, Elapsed: st.end - st.start}
+	res := &MultiPutBwResult{Cores: cores, Messages: cores * opt.Iters, Elapsed: st.end - st.start, Err: st.err}
 	res.PerMsgNs = res.Elapsed.Ns() / float64(res.Messages)
 	res.AggMsgRate = float64(res.Messages) / res.Elapsed.Seconds()
 	res.LinkBlocked, _ = n0.Link.Blocked()

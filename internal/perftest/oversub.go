@@ -64,6 +64,9 @@ type OversubscribedResult struct {
 	// (PCIeWriteCycle): under saturation the per-sender injection
 	// interval converges to Senders x this.
 	ModelCycleNs float64
+	// Err is the first transport error a post returned, nil on a complete
+	// run; the other fields are partial when it is set.
+	Err error
 }
 
 // OversubscribedPutBw runs the incast: `senders` nodes
@@ -92,6 +95,7 @@ func OversubscribedPutBw(sys *node.System, senders int, opt Options) *Oversubscr
 	snd, recvW := connectSenders(sys, sys.Nodes[1:senders+1], recv, opt, "incast")
 	st := runPutLoops(sys, snd, opt, "incast")
 
+	res.Err = st.err
 	res.Messages = senders * opt.Iters
 	res.Elapsed = st.end - st.start
 	res.AggMsgRate = float64(res.Messages) / res.Elapsed.Seconds()

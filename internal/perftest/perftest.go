@@ -18,19 +18,27 @@
 //
 // Every scenario that talks to uct directly posts through one path,
 // uct.Ep.StartPut/StartAm: the inline short path up to 32 bytes, buffered
-// copy above it, busy posts retried after a progress. A post error aborts
-// the benchmark (mustPost); only the lossy stream reads it, because it
-// reports failures.
+// copy above it, busy posts retried after a progress. A post error is
+// therefore a transport failure (the QP exhausted its retries): the sender
+// stops posting at its first one and drains, and the driver's result
+// carries the first such error in its Err field, nil on a complete run.
+// AmLat's two sides also stop waiting once either endpoint has failed.
+// The lossy stream and the chaos soak report failures in their own
+// results.
 //
-// The closed-loop senders drain their in-flight tail, outside the measured
-// window, with one call, uct.Worker.StartFlush: putLoopFrame, the
-// all-to-all node frame and the saturation sweep's paced senders (the
+// The senders drain their in-flight tail, outside the measured window,
+// with one call, uct.Worker.StartFlush: putLoopFrame, the all-to-all node
+// frame, the saturation sweep's paced senders and the lossy stream (the
 // workload injectors do the same). Like StartPut's busy-post retry, the
 // flush polls exactly when some endpoint still has a send in flight, and
 // under NoiseOff it parks on an empty completion queue instead of firing
-// one kernel event per poll; every simulated value is the spin's.
-// LossyPutBw keeps its own drain, which stops on Ep.Err, and AmLat polls
-// for its pong itself.
+// one kernel event per poll; every simulated value is the spin's. Failed
+// sends retire through their error completions, so a flush ends on a
+// failed endpoint too. AmLat polls for its pong itself.
+//
+// A run that times one software component selects its scope on the
+// initiator node's profiler before it starts (internal/profile); the
+// initiator then calibrates that profiler first.
 //
 // One put_bw loop (putLoopFrame) runs every closed-loop sender: PutBw is one
 // sender, MultiPutBw (and MultiCoreSweep over it) one per core on the same
@@ -65,12 +73,6 @@ type Options struct {
 	Mode uct.PostMode
 	// SignalPeriod: 1 = every message signaled (the perftest behaviour).
 	SignalPeriod int
-	// ProfStage selects one LLP region to profile on the initiator
-	// (paper §3: one component at a time).
-	ProfStage uct.Stage
-	// Calibrate runs the profiler's overhead calibration before the
-	// benchmark (required when ProfStage is set).
-	Calibrate bool
 }
 
 // Defaults fills unset fields from cfg.
@@ -99,6 +101,9 @@ type PutBwResult struct {
 	MeanInjNs float64
 	Stats     uct.Stats
 	Worker    *uct.Worker
+	// Err is the first transport error a post returned, nil on a complete
+	// run; the other fields are partial when it is set.
+	Err error
 }
 
 // PutBw runs the RDMA-write injection benchmark from node 0 to node 1 of
@@ -109,19 +114,10 @@ func PutBw(sys *node.System, opt Options) *PutBwResult {
 	st := runPutLoops(sys, snd, opt, "put_bw")
 
 	w0 := snd[0].w
-	res := &PutBwResult{Messages: opt.Iters, Elapsed: st.end - st.start, Stats: w0.Stats, Worker: w0}
+	res := &PutBwResult{Messages: opt.Iters, Elapsed: st.end - st.start, Stats: w0.Stats, Worker: w0, Err: st.err}
 	res.MeanInjNs = res.Elapsed.Ns() / float64(opt.Iters)
 	res.MsgRate = float64(opt.Iters) / res.Elapsed.Seconds()
 	return res
-}
-
-// mustPost panics when the post that just returned on ep failed. Busy posts
-// never get here (StartPut and StartAm retry them), so an error is a
-// transport failure a benchmark cannot measure through.
-func mustPost(ep *uct.Ep) {
-	if err := ep.LastPost(); err != nil {
-		panic(fmt.Sprintf("perftest: post: %v", err))
-	}
 }
 
 // AmLatResult reports an am_lat run.
@@ -140,6 +136,9 @@ type AmLatResult struct {
 	// Ep0 and Ep1 expose the endpoints (trace queries filter by their
 	// ring addresses).
 	Ep0, Ep1 *uct.Ep
+	// Err is the first transport error of the ping-pong, nil on a
+	// complete run; the other fields are partial when it is set.
+	Err error
 }
 
 // Active-message ids of the am_lat ping-pong.
@@ -167,16 +166,32 @@ func AmLat(sys *node.System, opt Options) *AmLatResult {
 	total := opt.Warmup + opt.Iters
 
 	// Responder: wait for each ping, answer with a pong.
-	sys.K.SpawnTask("am_lat.responder", &amLatEchoFrame{w: w1, ep: ep1, msg: msg, total: total, gotPing: &gotPing})
+	sys.K.SpawnTask("am_lat.responder", &amLatEchoFrame{w: w1, ep: ep1, msg: msg, total: total, gotPing: &gotPing, res: res})
 
 	// Initiator: ping, update measurement, spin for the pong.
-	w0.ProfStage = opt.ProfStage
 	sys.K.SpawnTask("am_lat.initiator", &amLatPingFrame{cfg: cfg, n0: n0, w0: w0, ep0: ep0, msg: msg,
 		opt: &opt, res: res, total: total, gotPong: &gotPong})
 	sys.Run()
 
 	res.AdjustedNs = res.ReportedNs - cfg.SW.MeasUpdate.Mean().Ns()/2
 	return res
+}
+
+// failed records the first transport error of the ping-pong: a post that
+// returned one, or either endpoint failing while its side waits (the peer
+// of a failed side would otherwise poll forever). It reports whether the
+// run has failed.
+func (r *AmLatResult) failed(err error) bool {
+	switch {
+	case r.Err != nil:
+	case err != nil:
+		r.Err = err
+	case r.Ep0.Err != nil:
+		r.Err = r.Ep0.Err
+	case r.Ep1.Err != nil:
+		r.Err = r.Ep1.Err
+	}
+	return r.Err != nil
 }
 
 // amLatEchoFrame is the ping-pong responder: wait for each ping, answer
@@ -187,6 +202,7 @@ type amLatEchoFrame struct {
 	msg     []byte
 	total   int
 	gotPing *bool
+	res     *AmLatResult
 
 	pc int
 	i  int
@@ -206,6 +222,10 @@ func (f *amLatEchoFrame) Step(t *sim.Task) {
 			}
 			f.pc = 2
 		case 2: // spin for the ping
+			if f.res.failed(nil) {
+				t.Return()
+				return
+			}
 			if !*f.gotPing {
 				f.pc = 3
 				f.w.StartProgress(t)
@@ -218,7 +238,10 @@ func (f *amLatEchoFrame) Step(t *sim.Task) {
 		case 3:
 			f.pc = 2
 		case 4:
-			mustPost(f.ep)
+			if f.res.failed(f.ep.LastPost()) {
+				t.Return()
+				return
+			}
 			f.i++
 			f.pc = 1
 		}
@@ -249,9 +272,7 @@ func (f *amLatPingFrame) Step(t *sim.Task) {
 	for {
 		switch f.pc {
 		case 0:
-			if f.opt.Calibrate {
-				f.n0.Prof.Calibrate(t, cfg.Prof.CalibrationSamples)
-			}
+			f.n0.Prof.CalibrateIfSelected(t, cfg.Prof.CalibrationSamples)
 			f.pc = 1
 			f.ep0.StartPostRecvs(t, 64)
 			return
@@ -284,13 +305,20 @@ func (f *amLatPingFrame) Step(t *sim.Task) {
 			f.ep0.StartAm(t, amPing, f.msg)
 			return
 		case 3:
-			mustPost(f.ep0)
+			if f.res.failed(f.ep0.LastPost()) {
+				t.Return()
+				return
+			}
 			// The measurement update happens inside the round trip
 			// (paper §4.3: half of it is deducted when comparing to
 			// the model).
 			t.Advance(cfg.SW.MeasUpdate.Sample(f.n0.Rand))
 			f.pc = 4
 		case 4: // spin for the pong
+			if f.res.failed(nil) {
+				t.Return()
+				return
+			}
 			if !*f.gotPong {
 				f.pc = 5
 				f.w0.StartProgress(t)

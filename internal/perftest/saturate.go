@@ -56,7 +56,8 @@ func SaturationBottleneck(cfg *config.Config, msgSize int) units.Time {
 // pacedPutFrame is one open-loop sender of the saturation sweep: it posts
 // one RDMA write every period (posting immediately, back to back, when the
 // fabric's backpressure has pushed it past a deadline), polling a
-// completion after each post, then drains its in-flight tail. The measured
+// completion after each post, then drains its in-flight tail (at once after
+// a failed post). The measured
 // window opens when the last sender finishes warmup and closes when the
 // last sender has drained — so under saturation the window stretches past
 // iters*period and the delivered rate falls below the offered rate.
@@ -94,7 +95,10 @@ func (f *pacedPutFrame) Step(t *sim.Task) {
 			s.ep.StartPut(t, s.msg)
 			return
 		case 2:
-			mustPost(s.ep)
+			if f.st.postFailed(s.ep) {
+				f.pc = 4
+				continue
+			}
 			f.next += f.period
 			f.i++
 			f.pc = 3
@@ -143,6 +147,9 @@ type SaturationPoint struct {
 	// (warmup is paced at the same load, so the run approximates steady
 	// state).
 	HotUtilization float64
+	// Err is the first transport error a post returned, nil on a complete
+	// point; the other fields are partial when it is set.
+	Err error
 }
 
 // SaturationResult is the full sweep: offered load stepped across the
@@ -159,6 +166,9 @@ type SaturationResult struct {
 	// KneeIndex locates the first saturated point (-1 when the sweep never
 	// saturated). The model predicts the knee at Load 1.0.
 	KneeIndex int
+	// Err is the first point's transport error in load order, nil when
+	// every point completed.
+	Err error
 }
 
 // kneeFrac is the delivered/offered ratio below which a point counts as
@@ -201,6 +211,11 @@ func SaturationSweep(mkSys func() *node.System, senders int, loads []float64, op
 		return saturationPoint(sys, res.Senders, load, res.Bottleneck, opt)
 	})
 	for i := range res.Points {
+		if res.Err = res.Points[i].Err; res.Err != nil {
+			return res
+		}
+	}
+	for i := range res.Points {
 		p := &res.Points[i]
 		if p.Delivered < kneeFrac*p.Offered {
 			res.KneeIndex = i
@@ -237,6 +252,7 @@ func saturationPoint(sys *node.System, senders int, load float64, bottleneck uni
 		panic(fmt.Sprintf("perftest: only %d of %d saturation senders finished", st.done, senders))
 	}
 
+	pt.Err = st.err
 	pt.Elapsed = st.end - st.start
 	pt.Delivered = float64(senders*opt.Iters) / pt.Elapsed.Seconds()
 

@@ -48,6 +48,9 @@ type WindowedResult struct {
 	// ModelMin is the paper's §4.2 lower bound on the window: below
 	// MinPollPeriod the sender stalls on completion generation.
 	ModelMin int
+	// Err is the first transport error a post returned, nil on a complete
+	// run; PerMsgNs stays zero when Err is set.
+	Err error
 }
 
 // WindowedPutBw posts p messages then polls p completions per window — the
@@ -69,7 +72,8 @@ func WindowedPutBw(sys *node.System, window, iters int) *WindowedResult {
 }
 
 // windowedFrame drives the poll-window ablation: post a window, poll the
-// window's completions before reusing it.
+// window's completions before reusing it. A failed post ends the run after
+// a flush of the in-flight tail.
 type windowedFrame struct {
 	cfg     *config.Config
 	s       *sender
@@ -112,7 +116,12 @@ func (f *windowedFrame) Step(t *sim.Task) {
 			f.s.ep.StartPut(t, f.s.msg)
 			return
 		case 2:
-			mustPost(f.s.ep)
+			if err := f.s.ep.LastPost(); err != nil {
+				f.res.Err = err
+				f.pc = 5
+				f.s.w.StartFlush(t)
+				return
+			}
 			f.i++
 			f.pc = 1
 		case 3: // poll loop head
@@ -127,6 +136,9 @@ func (f *windowedFrame) Step(t *sim.Task) {
 		case 4:
 			f.completed += f.s.w.LastProgress()
 			f.pc = 3
+		case 5:
+			t.Return()
+			return
 		}
 	}
 }

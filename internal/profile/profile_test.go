@@ -17,6 +17,19 @@ func harness() (*sim.Kernel, *Profiler) {
 	return k, New(tm)
 }
 
+// timed runs body from a task and returns the simulated time it took.
+func timed(k *sim.Kernel, body func(tk *sim.Task)) units.Time {
+	var d units.Time
+	simtest.Start(k, "m", func(tk *sim.Task) {
+		t0 := tk.Now()
+		body(tk)
+		d = tk.Now() - t0
+	})
+	k.Run()
+	k.Shutdown()
+	return d
+}
+
 func TestCalibration(t *testing.T) {
 	k, pr := harness()
 	simtest.Start(k, "cal", func(tk *sim.Task) {
@@ -30,9 +43,6 @@ func TestCalibration(t *testing.T) {
 	})
 	k.Run()
 	k.Shutdown()
-	if pr.Overhead() != units.Nanoseconds(49.69) {
-		t.Errorf("stored overhead = %v", pr.Overhead())
-	}
 }
 
 func TestCalibrationNoisy(t *testing.T) {
@@ -56,83 +66,136 @@ func TestCalibrationNoisy(t *testing.T) {
 
 func TestOverheadRemoval(t *testing.T) {
 	k, pr := harness()
-	simtest.Start(k, "m", func(tk *sim.Task) {
+	pr.Select(LLPPost)
+	timed(k, func(tk *sim.Task) {
 		pr.Calibrate(tk, 10)
-		d := pr.Measure(tk, "region", func() {
-			tk.Advance(units.Nanoseconds(175.42))
-		})
-		if math.Abs(d.Ns()-175.42) > 1e-9 {
-			t.Errorf("measured %v, want 175.42 after overhead removal", d.Ns())
-		}
+		tok := pr.Begin(tk, LLPPost)
+		tk.Advance(units.Nanoseconds(175.42))
+		pr.End(tk, tok)
 	})
-	k.Run()
-	k.Shutdown()
-	if got := pr.MeanNs("region"); math.Abs(got-175.42) > 1e-9 {
-		t.Errorf("recorded mean = %v", got)
+	if got := pr.MeanNs(LLPPost); math.Abs(got-175.42) > 1e-9 {
+		t.Errorf("recorded mean = %v, want 175.42 after overhead removal", got)
 	}
 }
 
 func TestWithoutCalibrationIncludesOverhead(t *testing.T) {
 	k, pr := harness()
-	simtest.Start(k, "m", func(tk *sim.Task) {
-		d := pr.Measure(tk, "raw", func() { tk.Advance(100 * units.Nanosecond) })
-		want := 100 + 49.69
-		if math.Abs(d.Ns()-want) > 1e-9 {
-			t.Errorf("uncalibrated measurement = %v, want %v", d.Ns(), want)
-		}
+	pr.Select(MDSetup)
+	timed(k, func(tk *sim.Task) {
+		tok := pr.Begin(tk, MDSetup)
+		tk.Advance(100 * units.Nanosecond)
+		pr.End(tk, tok)
 	})
-	k.Run()
-	k.Shutdown()
+	if got, want := pr.MeanNs(MDSetup), 100+49.69; math.Abs(got-want) > 1e-9 {
+		t.Errorf("uncalibrated measurement = %v, want %v", got, want)
+	}
 }
 
 func TestNegativeClamp(t *testing.T) {
 	k, pr := harness()
-	simtest.Start(k, "m", func(tk *sim.Task) {
+	pr.Select(PIOCopy)
+	timed(k, func(tk *sim.Task) {
 		pr.Calibrate(tk, 10)
 		// An empty region measures ~0 after subtraction, never negative.
-		d := pr.Measure(tk, "empty", func() {})
-		if d < 0 {
-			t.Errorf("measured negative duration %v", d)
+		pr.End(tk, pr.Begin(tk, PIOCopy))
+	})
+	if got := pr.Sample(PIOCopy).Min(); got < 0 {
+		t.Errorf("measured negative duration %v", got)
+	}
+}
+
+// TestEndAs: a site that begins one scope of an outcome pair is
+// timed when either scope is selected, and records under the outcome.
+func TestEndAs(t *testing.T) {
+	for _, sel := range []Scope{LLPProg, EmptyPoll} {
+		k, pr := harness()
+		pr.Select(sel)
+		timed(k, func(tk *sim.Task) {
+			pr.Calibrate(tk, 10)
+			tok := pr.Begin(tk, LLPProg)
+			tk.Advance(50 * units.Nanosecond)
+			pr.EndAs(tk, tok, EmptyPoll)
+		})
+		if got := pr.MeanNs(EmptyPoll); math.Abs(got-50) > 1e-9 {
+			t.Errorf("selected %v: EndAs mean = %v, want 50", sel, got)
+		}
+		if pr.Sample(LLPProg) != nil {
+			t.Errorf("selected %v: the begun scope recorded too", sel)
+		}
+	}
+}
+
+// TestUnselectedScopeIsFree: beginning and ending a scope that is not
+// selected reads no timer, so the task clock only moves by the region,
+// allocates nothing and records nothing; the selected scope records.
+func TestUnselectedScopeIsFree(t *testing.T) {
+	k, pr := harness()
+	pr.Select(MPIIsend)
+	unselected := []Scope{MDSetup, LLPPost, LLPProg, UCPTagSendNB}
+	var allocs float64
+	d := timed(k, func(tk *sim.Task) {
+		for _, s := range unselected {
+			tok := pr.Begin(tk, s)
+			tk.Advance(10 * units.Nanosecond)
+			pr.EndAs(tk, tok, s.Partner())
+		}
+		allocs = testing.AllocsPerRun(100, func() { pr.End(tk, pr.Begin(tk, LLPPost)) })
+	})
+	if d != 40*units.Nanosecond {
+		t.Errorf("four unselected 10 ns regions took %v, want 40ns", d)
+	}
+	if allocs != 0 {
+		t.Errorf("an unselected scope allocates %v times per Begin/End", allocs)
+	}
+	for _, s := range unselected {
+		if pr.Sample(s) != nil || pr.Sample(s.Partner()) != nil {
+			t.Errorf("unselected scope %v recorded", s)
+		}
+	}
+
+	k, pr = harness()
+	pr.Select(MPIIsend)
+	d = timed(k, func(tk *sim.Task) {
+		pr.End(tk, pr.Begin(tk, MPIIsend))
+	})
+	if d != 2*units.Nanoseconds(49.69) || pr.Sample(MPIIsend).N() != 1 {
+		t.Errorf("selected scope took %v with %v, want two timer reads and one sample", d, pr.Sample(MPIIsend))
+	}
+}
+
+// TestSelectReplaces: a profiler times one scope; selecting another
+// replaces the first, and None times nothing.
+func TestSelectReplaces(t *testing.T) {
+	k, pr := harness()
+	if pr.Selected() != None {
+		t.Fatalf("new profiler selects %v", pr.Selected())
+	}
+	timed(k, func(tk *sim.Task) {
+		for _, sel := range []Scope{MPIWaitRecv, UCPRecvCB, None} {
+			pr.Select(sel)
+			for _, s := range []Scope{MPIWaitRecv, UCPRecvCB} {
+				pr.End(tk, pr.Begin(tk, s))
+			}
 		}
 	})
-	k.Run()
-	k.Shutdown()
-}
-
-func TestEndAs(t *testing.T) {
-	k, pr := harness()
-	simtest.Start(k, "m", func(tk *sim.Task) {
-		pr.Calibrate(tk, 10)
-		tok := pr.BeginAnon(tk)
-		tk.Advance(50 * units.Nanosecond)
-		pr.EndAs(tk, tok, "late_named")
-	})
-	k.Run()
-	k.Shutdown()
-	if math.Abs(pr.MeanNs("late_named")-50) > 1e-9 {
-		t.Errorf("EndAs mean = %v", pr.MeanNs("late_named"))
+	if pr.Selected() != None {
+		t.Errorf("selected %v after selecting None", pr.Selected())
+	}
+	for _, s := range []Scope{MPIWaitRecv, UCPRecvCB} {
+		if n := pr.Sample(s).N(); n != 1 {
+			t.Errorf("%v recorded %d samples, want 1 (only while selected)", s, n)
+		}
 	}
 }
 
-func TestNamesAndReset(t *testing.T) {
-	k, pr := harness()
-	simtest.Start(k, "m", func(tk *sim.Task) {
-		pr.Measure(tk, "a", func() {})
-		pr.Measure(tk, "b", func() {})
-		pr.Measure(tk, "a", func() {})
-	})
-	k.Run()
-	k.Shutdown()
-	names := pr.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Errorf("names = %v", names)
+func TestPartnersPairBack(t *testing.T) {
+	for _, s := range []Scope{LLPPost, BusyPost, LLPProg, EmptyPoll, MDSetup, MPIWaitRecv} {
+		if p := s.Partner(); p.Partner() != s {
+			t.Errorf("%v's partner %v does not pair back", s, p)
+		}
 	}
-	if pr.Sample("a").N() != 2 {
-		t.Errorf("scope a has %d samples", pr.Sample("a").N())
-	}
-	pr.Reset()
-	if pr.Sample("a") != nil || len(pr.Names()) != 0 {
-		t.Error("Reset did not clear samples")
+	if LLPPost.Partner() != BusyPost || LLPProg.Partner() != EmptyPoll || MDSetup.Partner() != MDSetup {
+		t.Error("outcome pairs changed")
 	}
 }
 
@@ -143,7 +206,7 @@ func TestMeanNsPanicsOnUnknown(t *testing.T) {
 			t.Error("MeanNs on unknown scope did not panic")
 		}
 	}()
-	pr.MeanNs("nope")
+	pr.MeanNs(LLPPost)
 }
 
 func TestCalibrateRequiresSamples(t *testing.T) {

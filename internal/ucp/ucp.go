@@ -14,6 +14,10 @@
 //     from inside the progress call chain, before uct_worker_progress
 //     returns.
 //
+// The receive callback, the nested upper-layer callback included, is the
+// ucp_recv_cb scope on the node's profiler (internal/profile), timed when
+// the run selects it.
+//
 // Like internal/uct, the data path is written as resumable sim.Frame state
 // machines: callers use StartTagSend/StartProgress plus the Last* getters.
 // One task may drive a Worker (and each Ep) at a time.
@@ -116,11 +120,6 @@ type Worker struct {
 
 	expected   []*Request
 	unexpected []unexpMsg
-
-	// ProfRecvCB, when set, profiles the UCP receive callback (including
-	// the nested upper-layer callback, as real instrumentation wrapping
-	// the registered callback would) under scope "ucp_recv_cb".
-	ProfRecvCB bool
 
 	Stats Stats
 
@@ -422,12 +421,11 @@ func (w *Worker) onEager(t *sim.Task, payload []byte) {
 
 // completeRecv runs the UCP receive callback (its cost is the paper's
 // "Callback for a completed MPI_Irecv in UCP") and then the registered
-// upper-layer callback.
+// upper-layer callback. The ucp_recv_cb scope wraps both, as real
+// instrumentation wrapping the registered callback would.
 func (w *Worker) completeRecv(t *sim.Task, req *Request, data []byte) {
-	var tok profile.Token
-	if w.ProfRecvCB {
-		tok = w.Uct.Node.Prof.BeginAnon(t)
-	}
+	prof := w.Uct.Node.Prof
+	tok := prof.Begin(t, profile.UCPRecvCB)
 	t.Advance(w.Cfg.SW.UcpRecvCB.Sample(w.Uct.Node.Rand))
 	req.data = data
 	req.completed = true
@@ -435,7 +433,5 @@ func (w *Worker) completeRecv(t *sim.Task, req *Request, data []byte) {
 	if req.cb != nil {
 		req.cb(t)
 	}
-	if w.ProfRecvCB {
-		w.Uct.Node.Prof.EndAs(t, tok, "ucp_recv_cb")
-	}
+	prof.End(t, tok)
 }

@@ -19,6 +19,12 @@
 // StartFlush progresses a worker until no endpoint has a send in flight,
 // as UCX's uct_iface_flush does; the benchmarks drain their tails with it.
 //
+// Every post attempt, its §4.1 stages (md_setup, barrier_md, barrier_dbc,
+// pio_copy) and every poll begin their scope on the node's profiler
+// (internal/profile), which times only the scope selected for the run. A
+// post attempt records as llp_post or busy_post, a poll as llp_prog or
+// empty_poll.
+//
 // # Parked polling
 //
 // The busy-post retry and the flush are spin loops: poll, and while the
@@ -41,7 +47,9 @@
 //   - the worker draws no jitter (no rand stream: NoiseOff), so every
 //     skipped cost is its mean. Under NoiseOn every poll draws from the
 //     stream, so the loop keeps spinning and the draws stay in order;
-//   - no stage is profiled (ProfStage == StNone);
+//   - its node's profiler has no scope selected (profile.Profiler.Selected
+//     is None): a timed poll reads the timer, which the skipped polls
+//     would have to replay;
 //   - the empty poll reposted no receive credits, so it paused nothing
 //     after its CQ reads and no write can have slipped in unwatched;
 //   - the tie rule: P is shorter than the shortest lead with which any CQ
@@ -117,36 +125,6 @@ func (m PostMode) String() string {
 	}
 }
 
-// Stage identifies an instrumentable region for the measurement methodology
-// (one stage is profiled at a time, per paper §3).
-type Stage int
-
-// Stages.
-const (
-	StNone Stage = iota
-	StMDSetup
-	StBarrierMD
-	StBarrierDBC
-	StPIOCopy
-	StLLPPost // the whole successful post
-	StLLPProg // a successful progress (one CQE dequeued)
-	StBusyPost
-)
-
-// Stage scope names as recorded in the profiler.
-var stageNames = map[Stage]string{
-	StMDSetup:    "md_setup",
-	StBarrierMD:  "barrier_md",
-	StBarrierDBC: "barrier_dbc",
-	StPIOCopy:    "pio_copy",
-	StLLPPost:    "llp_post",
-	StLLPProg:    "llp_prog",
-	StBusyPost:   "busy_post",
-}
-
-// Name reports the profiler scope name for a stage.
-func (s Stage) Name() string { return stageNames[s] }
-
 // AmHandler is an active-message receive callback, invoked during Progress
 // on the node that received the message. data is borrowed from the worker's
 // reusable receive scratch and is only valid for the duration of the call:
@@ -187,10 +165,6 @@ type Worker struct {
 
 	amHandlers map[uint8]AmHandler
 	onSend     SendCompletion
-
-	// Instrumentation: when ProfStage is set, the corresponding region is
-	// wrapped with the node's profiler.
-	ProfStage Stage
 
 	Stats Stats
 
@@ -548,7 +522,7 @@ type postFrame struct {
 	amID  uint8
 	raddr uint64
 	data  []byte
-	tok   profTok
+	tok   profile.Token
 	wqe   mlx.WQE
 	enc   [mlx.WQESize]byte
 }
@@ -565,6 +539,7 @@ func (f *postFrame) Step(t *sim.Task) {
 	w := e.w
 	sw := &w.Cfg.SW
 	r := w.rand
+	prof := w.Node.Prof
 	for {
 		switch f.pc {
 		case 0:
@@ -579,16 +554,14 @@ func (f *postFrame) Step(t *sim.Task) {
 				return
 			}
 
-			f.tok = profTok{}
-			if w.ProfStage == StLLPPost || w.ProfStage == StBusyPost {
-				f.tok = w.profBegin(t)
-			}
+			// The attempt is timed as a whole and recorded by outcome.
+			f.tok = prof.Begin(t, profile.LLPPost)
 
 			if e.FreeSlots() == 0 {
 				// Busy post: fail fast; the caller must progress first.
 				t.Advance(sw.BusyPost.Sample(r))
 				w.Stats.BusyPosts++
-				w.profEndAs(t, f.tok, StBusyPost.Name())
+				prof.EndAs(t, f.tok, profile.BusyPost)
 				f.finish(t, ErrNoResource)
 				return
 			}
@@ -600,7 +573,7 @@ func (f *postFrame) Step(t *sim.Task) {
 			// payload). The WQE and its 64-byte encoding live in the
 			// preallocated frame, so the steady-state post allocates
 			// nothing.
-			stTok := w.stageBegin(t, StMDSetup)
+			stTok := prof.Begin(t, profile.MDSetup)
 			f.wqe = mlx.WQE{
 				Opcode:     f.op,
 				Signaled:   e.nextSignaled(),
@@ -617,13 +590,13 @@ func (f *postFrame) Step(t *sim.Task) {
 			}
 			f.enc = enc
 			t.Advance(sw.MDSetup.Sample(r))
-			w.stageEnd(t, StMDSetup, stTok)
+			prof.End(t, stTok)
 
 			// (2) Store barrier: the MD must be fully written before
 			// signalling.
-			stTok = w.stageBegin(t, StBarrierMD)
+			stTok = prof.Begin(t, profile.BarrierMD)
 			t.Advance(sw.BarrierMD.Sample(r))
-			w.stageEnd(t, StBarrierMD, stTok)
+			prof.End(t, stTok)
 
 			// (3) DoorBell-counter increment in host memory (enables the
 			// NIC's speculative reads). No Pause: the doorbell record is
@@ -638,17 +611,17 @@ func (f *postFrame) Step(t *sim.Task) {
 
 			// (4) Store barrier: the DBC update must be visible before the
 			// device write.
-			stTok = w.stageBegin(t, StBarrierDBC)
+			stTok = prof.Begin(t, profile.BarrierDBC)
 			t.Advance(sw.BarrierDBC.Sample(r))
-			w.stageEnd(t, StBarrierDBC, stTok)
+			prof.End(t, stTok)
 
 			// (5) Hand the descriptor to the NIC.
 			switch e.Mode {
 			case PIOInline:
 				// PIO copy to Device-GRE memory, in 64-byte chunks.
-				stTok = w.stageBegin(t, StPIOCopy)
+				stTok = prof.Begin(t, profile.PIOCopy)
 				t.Advance(sw.PIOCopy.Sample(r))
-				w.stageEnd(t, StPIOCopy, stTok)
+				prof.End(t, stTok)
 				f.pc = 1
 				if t.Pause() {
 					return
@@ -709,7 +682,7 @@ func (f *postFrame) Step(t *sim.Task) {
 			t.Advance(sw.LLPPostExit.Sample(r))
 			e.pi++
 			w.Stats.Posts++
-			w.profEndAs(t, f.tok, StLLPPost.Name())
+			prof.End(t, f.tok)
 			f.finish(t, nil)
 			return
 		}
@@ -726,7 +699,7 @@ type gatherFrame struct {
 	amID  uint8
 	raddr uint64
 	data  []byte
-	tok   profTok
+	tok   profile.Token
 	wqe   mlx.WQE
 	enc   [mlx.WQESize]byte
 }
@@ -742,6 +715,7 @@ func (f *gatherFrame) Step(t *sim.Task) {
 	w := e.w
 	sw := &w.Cfg.SW
 	r := w.rand
+	prof := w.Node.Prof
 	for {
 		switch f.pc {
 		case 0:
@@ -754,14 +728,11 @@ func (f *gatherFrame) Step(t *sim.Task) {
 				return
 			}
 
-			f.tok = profTok{}
-			if w.ProfStage == StLLPPost || w.ProfStage == StBusyPost {
-				f.tok = w.profBegin(t)
-			}
+			f.tok = prof.Begin(t, profile.LLPPost)
 			if e.FreeSlots() == 0 {
 				t.Advance(sw.BusyPost.Sample(r))
 				w.Stats.BusyPosts++
-				w.profEndAs(t, f.tok, StBusyPost.Name())
+				prof.EndAs(t, f.tok, profile.BusyPost)
 				f.finish(t, ErrNoResource)
 				return
 			}
@@ -819,7 +790,7 @@ func (f *gatherFrame) Step(t *sim.Task) {
 			t.Advance(sw.LLPPostExit.Sample(r))
 			e.pi++
 			w.Stats.Posts++
-			w.profEndAs(t, f.tok, StLLPPost.Name())
+			prof.End(t, f.tok)
 			f.finish(t, nil)
 			return
 		}
@@ -903,7 +874,7 @@ type idlePoll struct {
 // documentation hold. It reports whether t parked; the caller's Step must
 // then return, and call startWokenProgress when t resumes.
 func (w *Worker) park(t *sim.Task, busy bool) bool {
-	if f := &w.progF; f.n != 0 || !f.quiet || w.rand != nil || w.ProfStage != StNone {
+	if f := &w.progF; f.n != 0 || !f.quiet || w.rand != nil || w.Node.Prof.Selected() != profile.None {
 		return false
 	}
 	sw := &w.Cfg.SW
@@ -965,7 +936,7 @@ func (w *Worker) startWokenProgress(t *sim.Task) {
 	f := &w.progF
 	f.pc = 1
 	f.i = 0
-	f.tok = profTok{}
+	f.tok = profile.Token{}
 	t.Call(f)
 }
 
@@ -996,7 +967,7 @@ type progressFrame struct {
 	// it paused nothing after its CQ reads.
 	quiet bool
 
-	tok profTok
+	tok profile.Token
 	// Recv-path locals preserved across the large-payload pause.
 	amID    uint8
 	byteCnt uint32
@@ -1008,14 +979,12 @@ func (f *progressFrame) Step(t *sim.Task) {
 	w := f.w
 	sw := &w.Cfg.SW
 	r := w.rand
+	prof := w.Node.Prof
 	for {
 		switch f.pc {
 		case 0:
 			w.Stats.Progresses++
-			f.tok = profTok{}
-			if w.ProfStage == StLLPProg {
-				f.tok = w.profBegin(t)
-			}
+			f.tok = prof.Begin(t, profile.LLPProg)
 			// Load barrier: the CQE read must not be reordered with
 			// subsequent data-structure updates (paper §4.1, aarch64 weak
 			// memory model).
@@ -1070,7 +1039,7 @@ func (f *progressFrame) Step(t *sim.Task) {
 			if w.onSend != nil {
 				w.onSend(t, e, n, cqErr)
 			}
-			w.profEndAs(t, f.tok, StLLPProg.Name())
+			prof.End(t, f.tok)
 			f.n = n
 			t.Return()
 			return
@@ -1109,7 +1078,7 @@ func (f *progressFrame) Step(t *sim.Task) {
 					e.recvOrder = e.recvOrder[1:]
 				}
 				t.Advance(sw.LLPProgMisc.Sample(r))
-				w.profEndAs(t, f.tok, StLLPProg.Name())
+				prof.End(t, f.tok)
 				f.n = 1
 				t.Return()
 				return
@@ -1155,7 +1124,7 @@ func (f *progressFrame) Step(t *sim.Task) {
 			if h := w.amHandlers[f.amID]; h != nil {
 				h(t, f.data)
 			}
-			w.profEndAs(t, f.tok, StLLPProg.Name())
+			prof.End(t, f.tok)
 			e.owedRecvCredits++
 			f.n = 1
 			f.data = nil
@@ -1176,7 +1145,7 @@ func (f *progressFrame) Step(t *sim.Task) {
 			// repost owed receive credits.
 			t.Advance(sw.LLPProgFailChk.Sample(r))
 			w.Stats.EmptyPolls++
-			w.profEndAs(t, f.tok, "empty_poll")
+			prof.EndAs(t, f.tok, profile.EmptyPoll)
 			f.n = 0
 			f.quiet = true
 			f.i = 0
@@ -1249,38 +1218,4 @@ func (e *Ep) readCQ(ring mlx.Ring, ci uint16) *mlx.CQE {
 		panic(fmt.Sprintf("uct: corrupt CQE at ci=%d: %v", ci, err))
 	}
 	return &e.w.cqe
-}
-
-// --- profiling helpers ---
-
-// profTok wraps an open measurement. Instrumentation wraps whole calls and
-// names the scope by outcome (a post attempt records as llp_post on success
-// and busy_post on failure), so every begun scope is ended, as real UCS
-// instrumentation does.
-type profTok struct {
-	tok  profile.Token
-	real bool
-}
-
-func (w *Worker) profBegin(t *sim.Task) profTok {
-	return profTok{tok: w.Node.Prof.BeginAnon(t), real: true}
-}
-
-func (w *Worker) profEndAs(t *sim.Task, tk profTok, name string) {
-	if tk.real {
-		w.Node.Prof.EndAs(t, tk.tok, name)
-	}
-}
-
-func (w *Worker) stageBegin(t *sim.Task, st Stage) profTok {
-	if w.ProfStage != st {
-		return profTok{}
-	}
-	return w.profBegin(t)
-}
-
-func (w *Worker) stageEnd(t *sim.Task, st Stage, tk profTok) {
-	if w.ProfStage == st {
-		w.profEndAs(t, tk, st.Name())
-	}
 }

@@ -9,6 +9,7 @@ import (
 	"breakband/internal/config"
 	"breakband/internal/mlx"
 	"breakband/internal/node"
+	"breakband/internal/profile"
 	"breakband/internal/sim"
 	"breakband/internal/simtest"
 	"breakband/internal/units"
@@ -269,11 +270,11 @@ func TestDoorbellModesDeliver(t *testing.T) {
 }
 
 func TestStageProfiling(t *testing.T) {
-	for _, st := range []Stage{StMDSetup, StBarrierMD, StBarrierDBC, StPIOCopy, StLLPPost} {
+	for _, st := range []profile.Scope{profile.MDSetup, profile.BarrierMD, profile.BarrierDBC, profile.PIOCopy, profile.LLPPost} {
 		sys, w0, _, e0, _ := harness(t)
 		dst := sys.Nodes[1].Mem.Alloc("dst", 64, 8)
 		e0.RemoteBuf = dst.Base
-		w0.ProfStage = st
+		sys.Nodes[0].Prof.Select(st)
 		posted := 0
 		simtest.Start(sys.K, "test",
 			func(tk *sim.Task) { sys.Nodes[0].Prof.Calibrate(tk, 100) },
@@ -283,14 +284,14 @@ func TestStageProfiling(t *testing.T) {
 				func(*sim.Task) { posted++ }),
 		)
 		sys.Run()
-		want := map[Stage]float64{
-			StMDSetup:    config.TabMDSetup,
-			StBarrierMD:  config.TabBarrierMD,
-			StBarrierDBC: config.TabBarrierDBC,
-			StPIOCopy:    config.TabPIOCopy,
-			StLLPPost:    config.TabLLPPost,
+		want := map[profile.Scope]float64{
+			profile.MDSetup:    config.TabMDSetup,
+			profile.BarrierMD:  config.TabBarrierMD,
+			profile.BarrierDBC: config.TabBarrierDBC,
+			profile.PIOCopy:    config.TabPIOCopy,
+			profile.LLPPost:    config.TabLLPPost,
 		}[st]
-		got := sys.Nodes[0].Prof.MeanNs(st.Name())
+		got := sys.Nodes[0].Prof.MeanNs(st)
 		if math.Abs(got-want) > 0.01 {
 			t.Errorf("stage %v measured %v, want %v", st, got, want)
 		}
@@ -348,13 +349,13 @@ func TestModeString(t *testing.T) {
 }
 
 // stream is one postStream run: n messages from node 0 posted with post at
-// the given noise level and profiled stage, over a PCIe link with
+// the given noise level and profiled scope, over a PCIe link with
 // propagation prop when it is set; with am set, node 1 posts receives and
 // polls until every message arrived. The sender drains its tail with the
 // drain loop, or with StartFlush when flush is set.
 type stream struct {
 	noise config.NoiseLevel
-	stage Stage
+	scope profile.Scope
 	prop  units.Time
 	n     int
 	am    bool
@@ -380,7 +381,7 @@ func postStream(t *testing.T, s stream) streamRun {
 	}
 	sys, w0, w1, e0, e1 := harnessWith(t, cfg)
 	defer sys.Shutdown()
-	w0.ProfStage = s.stage
+	sys.Nodes[0].Prof.Select(s.scope)
 	dst := sys.Nodes[1].Mem.Alloc("dst", MaxBcopy, 64)
 	e0.RemoteBuf = dst.Base
 	if s.am {
@@ -459,14 +460,14 @@ func TestSizedPostMatchesExplicitPaths(t *testing.T) {
 	for _, v := range []struct {
 		name  string
 		noise config.NoiseLevel
-		stage Stage
+		scope profile.Scope
 		prop  units.Time
 		parks bool
 	}{
-		{"noiseoff", config.NoiseOff, StNone, 0, true},
-		{"noiseon", config.NoiseOn, StNone, 0, false},
-		{"busy-post-profiled", config.NoiseOff, StBusyPost, 0, false},
-		{"short-pcie-prop", config.NoiseOff, StNone, units.Nanoseconds(10), false},
+		{"noiseoff", config.NoiseOff, profile.None, 0, true},
+		{"noiseon", config.NoiseOn, profile.None, 0, false},
+		{"busy-post-profiled", config.NoiseOff, profile.BusyPost, 0, false},
+		{"short-pcie-prop", config.NoiseOff, profile.None, units.Nanoseconds(10), false},
 	} {
 		for _, size := range []int{8, 32, 33, 4096} {
 			payload := make([]byte, size)
@@ -492,8 +493,8 @@ func TestSizedPostMatchesExplicitPaths(t *testing.T) {
 					}
 					return func(tk *sim.Task) { e.StartPut(tk, payload) }
 				}
-				want := postStream(t, stream{noise: v.noise, stage: v.stage, prop: v.prop, n: n, am: am, post: explicit})
-				got := postStream(t, stream{noise: v.noise, stage: v.stage, prop: v.prop, n: n, am: am, post: sized})
+				want := postStream(t, stream{noise: v.noise, scope: v.scope, prop: v.prop, n: n, am: am, post: explicit})
+				got := postStream(t, stream{noise: v.noise, scope: v.scope, prop: v.prop, n: n, am: am, post: sized})
 				ws, gs := want.stats, got.stats
 				if gs.Posts != ws.Posts || gs.BusyPosts != ws.BusyPosts || gs.Progresses != ws.Progresses ||
 					gs.EmptyPolls != ws.EmptyPolls || got.end != want.end {

@@ -6,8 +6,10 @@ import (
 	"breakband/internal/config"
 	"breakband/internal/core/model"
 	"breakband/internal/core/whatif"
+	"breakband/internal/node"
 	"breakband/internal/osu"
 	"breakband/internal/rng"
+	"breakband/internal/units"
 )
 
 // Metric selects which overall quantity a simulated optimization is
@@ -79,6 +81,11 @@ func (w WhatIfCheck) String() string {
 // scale wraps a distribution to run at (1 - r) of its base cost.
 func scale(d rng.Dist, r float64) rng.Dist {
 	return rng.Scaled{Base: d, Factor: 1 - r}
+}
+
+// scaleTime applies a (1-r) factor to a fixed hardware latency.
+func scaleTime(t units.Time, r float64) units.Time {
+	return units.Time(float64(t) * (1 - r))
 }
 
 // applyOptimization rewrites cfg so that the component runs r (0..1) faster.
@@ -181,7 +188,7 @@ func SimulateOptimization(opts Options, comp Component, metric Metric, reduction
 		if optimize {
 			applyOptimization(cfg, comp, r)
 		}
-		sys := systemFromConfig(cfg)
+		sys := node.NewSystem(cfg, 2)
 		defer sys.Shutdown()
 		switch metric {
 		case Injection:
