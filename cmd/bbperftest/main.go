@@ -368,10 +368,10 @@ func checkFlags(test string) error {
 	switch {
 	case *flagSize < 1 || *flagSize > uct.MaxBcopy:
 		return fmt.Errorf("-size %d outside [1, %d]", *flagSize, uct.MaxBcopy)
-	case *flagIters < 0:
-		return fmt.Errorf("-iters %d is negative", *flagIters)
-	case *flagWarmup < 0:
-		return fmt.Errorf("-warmup %d is negative", *flagWarmup)
+	case *flagIters < 1:
+		return fmt.Errorf("-iters %d: a run needs at least 1 measured iteration (0 would select the default count)", *flagIters)
+	case *flagWarmup < 1:
+		return fmt.Errorf("-warmup %d: the shortest warmup is 1 (0 would select the default count)", *flagWarmup)
 	case *flagSeeds < 0:
 		return fmt.Errorf("-seeds %d is negative", *flagSeeds)
 	case *flagRxBudget < 0:

@@ -23,8 +23,10 @@ func TestCheckFlags(t *testing.T) {
 		{[]string{"-size", "5000", "lossy"}, false},
 		{[]string{"-size", "4097", "incast"}, false},
 		{[]string{"-iters", "-5", "put_bw"}, false},
-		{[]string{"-iters", "0", "put_bw"}, true},
+		{[]string{"-iters", "0", "put_bw"}, false},
 		{[]string{"-warmup", "-1", "am_lat"}, false},
+		{[]string{"-warmup", "0", "am_lat"}, false},
+		{[]string{"-warmup", "1", "put_bw"}, true},
 		{[]string{"-cores", "0", "multi"}, false},
 		{[]string{"-cores", "-2", "multi"}, false},
 		{[]string{"-cores", "1", "multi"}, true},

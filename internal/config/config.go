@@ -219,7 +219,7 @@ type Config struct {
 	// number of inbound data frames a NIC may hold while their host-memory
 	// writes wait for PCIe posted credits. Beyond the budget the NIC
 	// refuses frames with RNR NAKs and senders retry after a backoff
-	// (retry shape per NIC.Rnr*). Zero keeps the unbounded legacy
+	// (internal/nic's fixed retry policy). Zero keeps the unbounded legacy
 	// behaviour. node.NewSystem copies a nonzero value into NIC.RxBudget.
 	NICRxBudget int
 
@@ -378,7 +378,6 @@ func TX2CX4(noise NoiseLevel, seed uint64, useSwitch bool) *Config {
 	fab.WireProp = units.Nanoseconds(TabWire - (dataSerNs+ackSerNs+cqeSerNs)/2)
 	c.Fabric = fab
 
-	c.NIC = nic.DefaultConfig()
 	if !useSwitch {
 		c.Topology.Kind = topo.BackToBack
 	}

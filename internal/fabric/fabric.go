@@ -121,14 +121,11 @@ type TxOp struct {
 // outstanding WQE up to and including it, so a lost ACK is absorbed by the
 // next one. For an RnrNak, Counter is the refused WQE; for a SeqNak it is
 // the target's expected PSN (everything before it is implicitly acked).
+// An RnrNak advertises no retry delay: the initiator's backoff is fixed
+// (see internal/nic).
 type AckInfo struct {
 	QPN     uint32
 	Counter uint16
-	// Timer is the RNR NAK's advertised minimum retry delay — IB's 5-bit
-	// RNR timer field, carried as a duration. Zero means unadvertised: the
-	// initiator falls back to its configured RnrBackoff base. Only RnrNak
-	// frames set it.
-	Timer units.Time
 }
 
 // Frame is a link-layer unit travelling between NICs.

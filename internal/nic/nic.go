@@ -34,11 +34,13 @@
 // posted) is refused with an RNR NAK carrying the refused WQE's counter;
 // the target QP then discards every data frame until that counter is
 // retransmitted (go-back-N: the trailing in-flight frames are out of
-// protocol). The initiator backs off exponentially
-// (Config.RnrBackoff..RnrBackoffMax), replays its whole outstanding tail
-// from the fixed per-QP retransmit ring, and — after Config.RnrRetryLimit
-// consecutive NAKs for the same WQE — fails the QP with an error CQE
-// (mlx.CQERnrRetryExc) that retires every outstanding WQE as undelivered.
+// protocol). The initiator backs off exponentially (2 us doubling to a
+// 32 us cap), replays its whole outstanding tail from the fixed per-QP
+// retransmit ring, and — once consecutive NAKs for the same WQE exceed
+// RnrRetryLimit — fails the QP with an error CQE (mlx.CQERnrRetryExc) that
+// retires every outstanding WQE as undelivered. The retry budgets are IB's
+// fixed per-QP policy, package constants (RnrRetryLimit, RetryCnt) rather
+// than Config fields.
 // With RxBudget zero there is no buffering NAK — held frames are bounded
 // only by the fabric's link credits — but a send arriving with no receive
 // posted is still RNR-NAKed and retried (that case used to drop silently
@@ -73,11 +75,9 @@ import (
 	"breakband/internal/units"
 )
 
-// Config parameterizes the device.
+// Config parameterizes the device: the two values a run chooses. The retry
+// policy is fixed (see RnrRetryLimit and RetryCnt).
 type Config struct {
-	// BARStride is the device-memory span reserved per QP.
-	BARStride uint64
-
 	// RxBudget bounds receive-side pend buffering: the number of inbound
 	// data frames the NIC may hold while their host-memory writes wait for
 	// PCIe posted credits. A delivered frame is only released back to the
@@ -89,83 +89,52 @@ type Config struct {
 	// behaviour: the NIC buffers everything and the PCIe pend queue grows
 	// with overload).
 	RxBudget int
-	// RxBudgetPerQP additionally bounds how many of the held frames may
-	// belong to a single QP. A frame that would push its target QP past
-	// the per-QP budget is refused with an RNR NAK even while the NIC-wide
-	// budget has room, so one overloaded QP cannot monopolize the shared
-	// pend buffering and starve its siblings. Zero disables the per-QP
-	// bound (the default; per-QP held counts are still tracked).
-	RxBudgetPerQP int
-	// RnrRetryLimit is how many RNR retransmit attempts a QP may make for
-	// the same head-of-queue WQE before the NIC gives up and writes an
-	// error CQE (mlx.CQERnrRetryExc) retiring the whole outstanding tail.
-	// The counter resets whenever the QP makes forward progress (an ACK
-	// arrives). Zero selects DefaultRnrRetryLimit; negative retries
-	// forever (IB's rnr_retry=7 semantics).
-	RnrRetryLimit int
-	// RnrBackoff is the base sender-side backoff after an RNR NAK; each
-	// consecutive NAK for the same WQE doubles it up to RnrBackoffMax.
-	// Zero selects DefaultRnrBackoff (zero backoff is not representable —
-	// real RNR timers are microseconds, and an instant retry would spin
-	// the simulation).
-	RnrBackoff units.Time
-	// RnrBackoffMax caps the exponential backoff. Zero selects
-	// DefaultRnrBackoffMax.
-	RnrBackoffMax units.Time
-	// RnrNakTimer is the IB-style advertised retry delay the target stamps
-	// into the RNR NAKs it sends (AckInfo.Timer). Initiators receiving an
-	// advertised timer use it as their backoff base in place of their own
-	// RnrBackoff. Zero advertises nothing — initiators fall back to
-	// RnrBackoff, bit-identical with the pre-adaptive behaviour.
-	RnrNakTimer units.Time
 
 	// AckTimeout is the per-QP local ACK-timeout: how long the initiator
 	// waits without transport progress before assuming its unacked tail
 	// (or the ACKs for it) was lost and replaying it. Consecutive
-	// unanswered timeouts double the wait up to AckTimeoutMax, and each
-	// counts against RetryCnt. Zero disables the timer entirely — the
-	// lossless-fabric default: no timer events are ever scheduled and
-	// behaviour is identical to the pre-reliability NIC.
+	// unanswered timeouts double the wait up to ackTimeoutCap times
+	// AckTimeout, and each counts against RetryCnt. Zero disables the
+	// timer entirely — the lossless-fabric default: no timer events are
+	// ever scheduled and behaviour is identical to the pre-reliability NIC.
 	AckTimeout units.Time
-	// AckTimeoutMax caps the exponential timeout backoff. Zero selects
-	// 16 x AckTimeout.
-	AckTimeoutMax units.Time
+}
+
+// The RC retry policy: IB's fixed per-QP budgets, the same on every QP.
+const (
+	// RnrRetryLimit is how many RNR retransmit rounds a QP may spend on
+	// the same head-of-queue WQE (IB's rnr_retry=7); one more RNR NAK
+	// fails the QP with an error CQE (mlx.CQERnrRetryExc) retiring the
+	// whole outstanding tail. The count resets whenever an ACK makes
+	// forward progress.
+	RnrRetryLimit = 7
 	// RetryCnt is how many transport retries (ACK timeouts plus sequence
-	// NAKs) a QP may spend on the same head WQE before the NIC gives up
-	// and fails the QP with an error CQE (mlx.CQERetryExc). Resets on any
-	// forward progress. Zero selects DefaultRetryCnt; negative retries
-	// forever.
-	RetryCnt int
-}
+	// NAKs) a QP may spend on the same head WQE (IB's retry_cnt=7); one
+	// more fails the QP with mlx.CQERetryExc. Resets on forward progress.
+	RetryCnt = 7
 
-// RNR retry defaults, applied by New when the Config fields are zero.
-const (
-	DefaultRnrRetryLimit = 7
-	// DefaultRetryCnt mirrors IB's retry_cnt=7.
-	DefaultRetryCnt = 7
+	// rnrBackoff is the sender-side backoff after the first RNR NAK for a
+	// WQE (~2 us: the smallest nonzero IB RNR NAK timer class is in that
+	// range); each consecutive NAK doubles it up to rnrBackoffMax.
+	rnrBackoff    = 2 * units.Microsecond
+	rnrBackoffMax = 32 * units.Microsecond
+	// ackTimeoutCap caps the doubling ACK timeout at this multiple of
+	// Config.AckTimeout.
+	ackTimeoutCap = 16
 )
 
-// Default RNR backoff window: ~2 us base (the smallest nonzero IB RNR NAK
-// timer class is in that range), doubling to a 32 us cap.
-var (
-	DefaultRnrBackoff    = units.Microseconds(2)
-	DefaultRnrBackoffMax = units.Microseconds(32)
-	// DefaultAckTimeout is the ACK-timeout base a lossy-fabric run should
-	// start from (internal/node applies it when fault injection is on):
-	// comfortably above a healthy round trip, far below a human-visible
-	// stall. Note the zero Config value means disabled, not this default.
-	DefaultAckTimeout = units.Microseconds(100)
-)
+// DefaultAckTimeout is the ACK-timeout base a lossy-fabric run should start
+// from (internal/node applies it when fault injection is on): comfortably
+// above a healthy round trip, far below a human-visible stall. Note the
+// zero Config value means disabled, not this default.
+const DefaultAckTimeout = 100 * units.Microsecond
 
-// DefaultConfig returns the calibration-neutral configuration.
-func DefaultConfig() Config {
-	return Config{BARStride: 0x1000}
-}
-
-// Register offsets inside a QP's BAR window.
+// A QP's BAR window: the device-memory span reserved per QP and the
+// register offsets inside it.
 const (
-	dbOffset = 0x000 // 8-byte DoorBell register
-	bfOffset = 0x100 // 64-byte BlueFlame PIO buffer
+	barStride = 0x1000
+	dbOffset  = 0x000 // 8-byte DoorBell register
+	bfOffset  = 0x100 // 64-byte BlueFlame PIO buffer
 )
 
 // txRec tracks an executed, not-yet-acknowledged WQE. It doubles as the
@@ -239,7 +208,7 @@ type QP struct {
 	rnrRetries    int
 	// Initiator-side loss-recovery state (all dormant with AckTimeout
 	// zero): retries counts transport retries — ACK timeouts plus sequence
-	// NAKs — charged against Config.RetryCnt, resetting on progress.
+	// NAKs — charged against RetryCnt, resetting on progress.
 	// ackArmed marks the QP's single lazy timeout event as scheduled;
 	// ackWait is when the QP last saw transport progress (the timeout
 	// deadline is ackWait plus the current effective timeout); tmoStreak
@@ -262,13 +231,6 @@ type QP struct {
 	// when the local NIC crashed.
 	QPFails      uint64
 	FlushedRecvs uint64
-
-	// Receive-side pend accounting for this QP: rxHeld counts the NIC's
-	// held frames that target this QP (its share of NIC.RxHeld), rxHeldMax
-	// the per-QP high-water mark. With Config.RxBudgetPerQP > 0 admission
-	// refuses frames that would push rxHeld past the per-QP budget.
-	rxHeld    int
-	rxHeldMax int
 
 	// Target-side recovery state: after refusing a frame (RNR) or seeing
 	// a sequence gap the QP discards every data frame until the expected
@@ -432,24 +394,6 @@ var (
 // New creates a NIC with the given fabric identity, attaching it to the PCIe
 // link's endpoint side and to the network, a compiled internal/topo fabric.
 func New(k *sim.Kernel, id int, mem *memsim.Memory, link *pcie.Link, net *topo.Fabric, cfg Config) *NIC {
-	if cfg.BARStride == 0 {
-		cfg.BARStride = 0x1000
-	}
-	if cfg.RnrRetryLimit == 0 {
-		cfg.RnrRetryLimit = DefaultRnrRetryLimit
-	}
-	if cfg.RnrBackoff == 0 {
-		cfg.RnrBackoff = DefaultRnrBackoff
-	}
-	if cfg.RnrBackoffMax == 0 {
-		cfg.RnrBackoffMax = DefaultRnrBackoffMax
-	}
-	if cfg.RetryCnt == 0 {
-		cfg.RetryCnt = DefaultRetryCnt
-	}
-	if cfg.AckTimeoutMax == 0 {
-		cfg.AckTimeoutMax = 16 * cfg.AckTimeout
-	}
 	n := &NIC{
 		k: k, id: id, mem: mem, link: link, net: net, cfg: cfg, tr: k.Tracer(),
 		qps:     make(map[uint32]*QP),
@@ -475,17 +419,6 @@ func (n *NIC) RxHeldMax() int { return n.rxHeldMax }
 
 // RxBudget reports the configured receive-side pend budget (0 = unbounded).
 func (n *NIC) RxBudget() int { return n.cfg.RxBudget }
-
-// RxBudgetPerQP reports the configured per-QP pend budget (0 = disabled).
-func (n *NIC) RxBudgetPerQP() int { return n.cfg.RxBudgetPerQP }
-
-// RxHeld reports the held data frames currently targeting this QP — its
-// share of the NIC-wide NIC.RxHeld.
-func (q *QP) RxHeld() int { return q.rxHeld }
-
-// RxHeldMax reports the QP's held-frame high-water mark. With
-// Config.RxBudgetPerQP > 0 it never exceeds the per-QP budget.
-func (q *QP) RxHeldMax() int { return q.rxHeldMax }
 
 // ID reports the NIC's fabric identity.
 func (n *NIC) ID() int { return n.id }
@@ -563,7 +496,7 @@ func (n *NIC) CreateQP(sqDepth, cqDepth int) *QP {
 	qpn := n.nextQPN
 	n.nextQPN++
 	base := n.barNext
-	n.barNext += n.cfg.BARStride
+	n.barNext += barStride
 
 	dbr := n.mem.Alloc(fmt.Sprintf("nic%d.qp%d.dbr", n.id, qpn), 8, 8)
 	qp := &QP{
@@ -642,7 +575,7 @@ func (n *NIC) RxTLP(t *pcie.TLP) {
 // rxMMIO decodes a device-memory write: an 8-byte DoorBell ring or a 64-byte
 // BlueFlame PIO descriptor.
 func (n *NIC) rxMMIO(t *pcie.TLP) {
-	base := pcie.BARBase + (t.Addr-pcie.BARBase)/n.cfg.BARStride*n.cfg.BARStride
+	base := pcie.BARBase + (t.Addr-pcie.BARBase)/barStride*barStride
 	qp, ok := n.byBAR[base]
 	if !ok {
 		panic(fmt.Sprintf("nic%d: MWr to unmapped BAR %#x", n.id, t.Addr))
@@ -704,11 +637,6 @@ func (n *NIC) upIssued(*pcie.TLP) {
 	f.RxPendWrites--
 	if f.RxPendWrites == 0 {
 		n.rxHeld--
-		// The frame is still alive here, so its target QP is recoverable
-		// the same way rxData resolved it at admission.
-		if qp, ok := n.qps[f.Op.DstQPN]; ok {
-			qp.rxHeld--
-		}
 		if n.tr != nil && f.TID != 0 {
 			n.tr.Emit(trace.Event{At: n.k.Now(), Kind: trace.EvRelease, TID: f.TID, Node: int16(n.id)})
 		}
@@ -980,9 +908,7 @@ func (n *NIC) rxData(f *fabric.Frame) (held bool) {
 		return false
 	}
 	needsRecv := mlx.Opcode(op.Opcode) == mlx.OpSend
-	if (n.cfg.RxBudget > 0 && n.rxHeld >= n.cfg.RxBudget) ||
-		(n.cfg.RxBudgetPerQP > 0 && qp.rxHeld >= n.cfg.RxBudgetPerQP) ||
-		(needsRecv && qp.recvPosted == 0) {
+	if (n.cfg.RxBudget > 0 && n.rxHeld >= n.cfg.RxBudget) || (needsRecv && qp.recvPosted == 0) {
 		n.refuse(qp, f)
 		return false
 	}
@@ -1051,10 +977,6 @@ func (n *NIC) rxData(f *fabric.Frame) (held bool) {
 		if n.rxHeld > n.rxHeldMax {
 			n.rxHeldMax = n.rxHeld
 		}
-		qp.rxHeld++
-		if qp.rxHeld > qp.rxHeldMax {
-			qp.rxHeldMax = qp.rxHeld
-		}
 	}
 	// Transport-level acknowledgement back to the initiator (paper §2
 	// step 4).
@@ -1073,8 +995,7 @@ func (n *NIC) traceDrop(f *fabric.Frame) {
 
 // refuse answers a data frame the NIC cannot buffer with an RNR NAK and
 // puts the target QP into recovery: every later frame is discarded until
-// the refused counter is retransmitted. The NAK advertises
-// Config.RnrNakTimer (when set) as the initiator's backoff base.
+// the refused counter is retransmitted.
 func (n *NIC) refuse(qp *QP, f *fabric.Frame) {
 	qp.RNRNaksSent++
 	if n.tr != nil && f.TID != 0 {
@@ -1083,7 +1004,7 @@ func (n *NIC) refuse(qp *QP, f *fabric.Frame) {
 	}
 	qp.rxRecovery = true
 	qp.rxResume = f.Op.Counter
-	nak := n.net.AckFor(f, fabric.AckInfo{QPN: f.Op.SrcQPN, Counter: f.Op.Counter, Timer: n.cfg.RnrNakTimer})
+	nak := n.net.AckFor(f, fabric.AckInfo{QPN: f.Op.SrcQPN, Counter: f.Op.Counter})
 	nak.Kind = fabric.RnrNak
 	n.net.Send(nak)
 }
@@ -1181,12 +1102,9 @@ func (n *NIC) writeSendCQE(qp *QP, counter uint16, status uint8) {
 // NAK implicitly acknowledges everything before the refused counter, and
 // one whose counter is no longer the head — its replay round was
 // superseded while the NAK travelled — is stale and ignored. The QP backs
-// off exponentially before replaying the whole outstanding tail: the base
-// is the NAK's advertised IB-style timer field when the target set one,
-// else Config.RnrBackoff (bit-identical with the pre-adaptive default),
-// doubling per consecutive NAK up to Config.RnrBackoffMax (but never below
-// the advertised base). When consecutive NAKs for the same WQE exceed
-// Config.RnrRetryLimit the QP fails with an error CQE instead.
+// off exponentially before replaying the whole outstanding tail: 2 us,
+// doubling per consecutive NAK up to 32 us. When consecutive NAKs for the
+// same WQE exceed RnrRetryLimit the QP fails with an error CQE instead.
 func (n *NIC) rxNak(c fabric.AckInfo) {
 	qp, ok := n.qps[c.QPN]
 	if !ok {
@@ -1205,25 +1123,13 @@ func (n *NIC) rxNak(c fabric.AckInfo) {
 	}
 	qp.RNRNaksRecv++
 	qp.rnrRetries++
-	if n.cfg.RnrRetryLimit >= 0 && qp.rnrRetries > n.cfg.RnrRetryLimit {
+	if qp.rnrRetries > RnrRetryLimit {
 		n.failQP(qp, mlx.CQERnrRetryExc)
 		return
 	}
-	shift := qp.rnrRetries - 1
-	if shift > 16 {
-		shift = 16
-	}
-	base := n.cfg.RnrBackoff
-	if c.Timer > 0 {
-		base = c.Timer
-	}
-	backoff := base << uint(shift)
-	if backoff > n.cfg.RnrBackoffMax {
-		backoff = n.cfg.RnrBackoffMax
-	}
-	if backoff < base {
-		backoff = base
-	}
+	// rnrRetries is at most RnrRetryLimit here, so the shift cannot
+	// overflow.
+	backoff := min(rnrBackoff<<(qp.rnrRetries-1), rnrBackoffMax)
 	qp.awaitingRetry = true
 	qp.RnrStall += backoff
 	if n.tr != nil {
@@ -1239,7 +1145,7 @@ func (n *NIC) rxNak(c fabric.AckInfo) {
 // lost on the wire. Unlike RNR there is no receiver-not-ready condition to
 // wait out — the tail replays immediately. A SeqNak whose counter is not
 // the (post-retirement) head is stale: a newer replay round already
-// covered the loss. Each accepted SeqNak counts against Config.RetryCnt.
+// covered the loss. Each accepted SeqNak counts against RetryCnt.
 func (n *NIC) rxSeqNak(c fabric.AckInfo) {
 	qp, ok := n.qps[c.QPN]
 	if !ok {
@@ -1262,7 +1168,7 @@ func (n *NIC) rxSeqNak(c fabric.AckInfo) {
 		n.tr.Emit(trace.Event{At: n.k.Now(), Kind: trace.EvSeqNakRx,
 			Node: int16(n.id), Arg: trace.ArgQP(qp.QPN, uint64(c.Counter))})
 	}
-	if n.cfg.RetryCnt >= 0 && qp.retries > n.cfg.RetryCnt {
+	if qp.retries > RetryCnt {
 		n.failQP(qp, mlx.CQERetryExc)
 		return
 	}
@@ -1321,11 +1227,12 @@ func (n *NIC) armAckTimer(qp *QP) {
 
 // effTimeout is the QP's current effective ACK timeout: the configured
 // base doubling per consecutive unanswered timeout, capped at
-// AckTimeoutMax.
+// ackTimeoutCap times the base.
 func (n *NIC) effTimeout(qp *QP) units.Time {
+	limit := ackTimeoutCap * n.cfg.AckTimeout
 	eff := n.cfg.AckTimeout << uint(qp.tmoStreak)
-	if eff > n.cfg.AckTimeoutMax || eff <= 0 {
-		eff = n.cfg.AckTimeoutMax
+	if eff > limit || eff <= 0 {
+		eff = limit
 	}
 	return eff
 }
@@ -1335,7 +1242,7 @@ func (n *NIC) effTimeout(qp *QP) units.Time {
 // with WQEs still outstanding: the unacked tail — or every acknowledgement
 // for it — was lost, so replay the tail (go-back-N; the target's PSN check
 // suppresses any duplicates this creates) and charge a retry. Exhausting
-// Config.RetryCnt fails the QP with mlx.CQERetryExc. A QP sitting in an
+// RetryCnt fails the QP with mlx.CQERetryExc. A QP sitting in an
 // RNR backoff is not timed out — the backoff owns the tail — but the timer
 // keeps watching in case the NAKed replay itself is lost.
 func (n *NIC) ackTimeout(qp *QP) {
@@ -1360,7 +1267,7 @@ func (n *NIC) ackTimeout(qp *QP) {
 		n.tr.Emit(trace.Event{At: n.k.Now(), Kind: trace.EvAckTimeout,
 			Node: int16(n.id), Arg: trace.ArgQP(qp.QPN, uint64(eff))})
 	}
-	if n.cfg.RetryCnt >= 0 && qp.retries > n.cfg.RetryCnt {
+	if qp.retries > RetryCnt {
 		n.failQP(qp, mlx.CQERetryExc)
 		return
 	}

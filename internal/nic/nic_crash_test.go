@@ -33,9 +33,9 @@ func TestCrashMidRnrBackoffCancelsTimers(t *testing.T) {
 		t.Fatalf("errored=%v qpfails=%d, want errored QP", r.qp0.Errored, r.qp0.QPFails)
 	}
 	// The crash hit mid-ladder, not after natural exhaustion.
-	if r.qp0.RnrRetransmits == 0 || r.qp0.RnrRetransmits >= uint64(DefaultRnrRetryLimit) {
+	if r.qp0.RnrRetransmits == 0 || r.qp0.RnrRetransmits >= uint64(RnrRetryLimit) {
 		t.Errorf("retransmit rounds = %d, want mid-ladder (0 < n < %d)",
-			r.qp0.RnrRetransmits, DefaultRnrRetryLimit)
+			r.qp0.RnrRetransmits, RnrRetryLimit)
 	}
 	if r.qp0.RetryExhausted != 0 {
 		t.Errorf("RetryExhausted = %d, want 0 (crash, not budget exhaustion)", r.qp0.RetryExhausted)

@@ -52,9 +52,7 @@ func lossyRig(t *testing.T, cfg Config, fcfg faults.Config) *rig {
 // lossyConfig is the rig NIC config with a short ACK timeout so retry
 // rounds fit in microseconds of simulated time.
 func lossyConfig() Config {
-	cfg := DefaultConfig()
-	cfg.AckTimeout = units.Microseconds(3)
-	return cfg
+	return Config{AckTimeout: units.Microseconds(3)}
 }
 
 // TestAckLossDuplicateSuppressed drops the responder's first ACK: the
@@ -204,11 +202,11 @@ func TestTotalLossRetryExhaustion(t *testing.T) {
 	if !r.qp0.Errored {
 		t.Fatal("QP survived a 100% lossy link")
 	}
-	if want := uint64(DefaultRetryCnt + 1); r.qp0.AckTimeouts != want {
+	if want := uint64(RetryCnt + 1); r.qp0.AckTimeouts != want {
 		t.Errorf("ACK timeouts = %d, want %d (budget + the failing round)", r.qp0.AckTimeouts, want)
 	}
-	if r.qp0.Retransmits != uint64(DefaultRetryCnt) {
-		t.Errorf("retransmit rounds = %d, want %d", r.qp0.Retransmits, DefaultRetryCnt)
+	if r.qp0.Retransmits != uint64(RetryCnt) {
+		t.Errorf("retransmit rounds = %d, want %d", r.qp0.Retransmits, RetryCnt)
 	}
 	if r.qp1.RxFrames != 0 {
 		t.Errorf("receiver processed %d frames over a dead link", r.qp1.RxFrames)
@@ -226,11 +224,10 @@ func TestTotalLossRetryExhaustion(t *testing.T) {
 }
 
 // TestTimeoutBackoffExponential checks the timeout streak doubles the
-// wait: with every frame dropped, round N fires no earlier than
-// AckTimeout << N after the previous one.
+// wait up to its cap: with every frame dropped, round N fires
+// min(AckTimeout << N, 16 x AckTimeout) after the previous one.
 func TestTimeoutBackoffExponential(t *testing.T) {
 	cfg := lossyConfig()
-	cfg.RetryCnt = 3
 	r := lossyRig(t, cfg, faults.Config{DropRate: 1.0})
 	r.k.At(0, func() {
 		r.pioPost(t, &mlx.WQE{
@@ -239,79 +236,18 @@ func TestTimeoutBackoffExponential(t *testing.T) {
 		})
 	})
 	r.k.Run()
-	// Rounds at ~3, +6, +12, +24 µs: the run must outlast the sum of the
-	// exponential ladder but stay under a flat-times-rounds regime's
-	// worst case plus slack.
+	// Rounds at ~3, +6, +12, +24, +48 µs, then every 48 µs at the 16x
+	// cap until the RetryCnt+1st: 237 µs in all. A flat 3 µs timeout
+	// would end by 24 µs, an uncapped ladder at 765 µs.
 	base := cfg.AckTimeout
-	minEnd := base + 2*base + 4*base // first three gaps, each doubled
-	if r.k.Now() < minEnd {
-		t.Errorf("run ended at %v, want >= %v (backoff not exponential)", r.k.Now(), minEnd)
+	var minEnd units.Time
+	for i := 0; i <= RetryCnt; i++ {
+		minEnd += min(base<<i, 16*base)
 	}
-	if want := uint64(cfg.RetryCnt + 1); r.qp0.AckTimeouts != want {
+	if now := r.k.Now(); now < minEnd || now >= minEnd+base {
+		t.Errorf("run ended at %v, want within [%v, %v) (backoff not exponential up to its cap)", now, minEnd, minEnd+base)
+	}
+	if want := uint64(RetryCnt + 1); r.qp0.AckTimeouts != want {
 		t.Errorf("ACK timeouts = %d, want %d", r.qp0.AckTimeouts, want)
-	}
-}
-
-// TestAdaptiveRnrTimer checks the initiator honors the responder's
-// advertised RNR timer field instead of its own configured backoff base.
-func TestAdaptiveRnrTimer(t *testing.T) {
-	run := func(advertised units.Time) units.Time {
-		k := sim.NewKernel()
-		net := topo.NewFabric(k, fabric.Config{
-			WireProp:      units.Nanoseconds(270),
-			WirePerByte:   units.Time(80),
-			FrameOverhead: 30,
-			SwitchLatency: units.Nanoseconds(108),
-		}, topo.Spec{Kind: topo.SingleSwitch}, 2)
-		linkCfg := pcie.DefaultLinkConfig()
-		rcCfg := pcie.RCConfig{
-			RCToMemBase:      units.Nanoseconds(240),
-			RCToMemBaseBytes: 64,
-			MemReadLatency:   units.Nanoseconds(150),
-		}
-		mem0 := memsim.New(1 << 20)
-		link0 := pcie.NewLink(k, linkCfg)
-		rc0 := pcie.NewRootComplex(k, mem0, link0, rcCfg)
-		nic0 := New(k, 0, mem0, link0, net, DefaultConfig())
-
-		respCfg := DefaultConfig()
-		respCfg.RnrNakTimer = advertised
-		mem1 := memsim.New(1 << 20)
-		link1 := pcie.NewLink(k, linkCfg)
-		pcie.NewRootComplex(k, mem1, link1, rcCfg)
-		nic1 := New(k, 1, mem1, link1, net, respCfg)
-
-		qp0 := nic0.CreateQP(64, 256)
-		qp1 := nic1.CreateQP(64, 256)
-		Connect(qp0, qp1)
-
-		k.At(0, func() {
-			enc, err := (&mlx.WQE{
-				Opcode: mlx.OpSend, Inline: true, Signaled: true,
-				WQEIdx: 0, QPN: qp0.QPN, AmID: 1, Payload: []byte{1},
-			}).Encode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			rc0.MMIOWrite(qp0.BFAddr, enc[:])
-		})
-		// Post the receive immediately after the first refusal would have
-		// been seen; completion time then tracks the backoff base.
-		k.At(units.Microseconds(2), func() { qp1.PostRecv(0) })
-		k.Run()
-		if qp0.Errored {
-			t.Fatal("QP errored")
-		}
-		return k.Now()
-	}
-
-	deflt := run(0)
-	slow := run(units.Microseconds(40))
-	if slow <= deflt {
-		t.Errorf("advertised 40us RNR timer finished at %v, default at %v; the initiator ignored the timer field",
-			slow, deflt)
-	}
-	if slow < units.Microseconds(40) {
-		t.Errorf("retry landed at %v, before the advertised 40us RNR delay elapsed", slow)
 	}
 }

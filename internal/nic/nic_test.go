@@ -42,12 +42,12 @@ func newRig(t *testing.T) *rig {
 	mem0 := memsim.New(1 << 20)
 	link0 := pcie.NewLink(k, linkCfg)
 	rc0 := pcie.NewRootComplex(k, mem0, link0, rcCfg)
-	nic0 := New(k, 0, mem0, link0, net, DefaultConfig())
+	nic0 := New(k, 0, mem0, link0, net, Config{})
 
 	mem1 := memsim.New(1 << 20)
 	link1 := pcie.NewLink(k, linkCfg)
 	pcie.NewRootComplex(k, mem1, link1, rcCfg)
-	nic1 := New(k, 1, mem1, link1, net, DefaultConfig())
+	nic1 := New(k, 1, mem1, link1, net, Config{})
 
 	qp0 := nic0.CreateQP(64, 256)
 	qp1 := nic1.CreateQP(64, 256)
@@ -235,11 +235,16 @@ func TestRNRRetryExhaustionErrorCQE(t *testing.T) {
 		t.Fatalf("QP not errored after exhaustion: errored=%v exhausted=%d",
 			r.qp0.Errored, r.qp0.RetryExhausted)
 	}
-	if want := uint64(DefaultRnrRetryLimit + 1); r.qp0.RNRNaksRecv != want {
+	if want := uint64(RnrRetryLimit + 1); r.qp0.RNRNaksRecv != want {
 		t.Errorf("NAKs received = %d, want %d (limit+1)", r.qp0.RNRNaksRecv, want)
 	}
-	if r.qp0.RnrRetransmits != uint64(DefaultRnrRetryLimit) {
-		t.Errorf("retransmit rounds = %d, want %d", r.qp0.RnrRetransmits, DefaultRnrRetryLimit)
+	if r.qp0.RnrRetransmits != uint64(RnrRetryLimit) {
+		t.Errorf("retransmit rounds = %d, want %d", r.qp0.RnrRetransmits, RnrRetryLimit)
+	}
+	// The fixed backoff doubles from 2 us to its 32 us cap, one wait per
+	// retransmit round: 2+4+8+16+32+32+32.
+	if want := units.Microseconds(126); r.qp0.RnrStall != want {
+		t.Errorf("RNR stall = %v, want %v", r.qp0.RnrStall, want)
 	}
 	// Exactly one CQE: the error completion retiring the failed WQE.
 	if r.qp0.CQEsWritten != 1 {
@@ -358,7 +363,7 @@ func newBudgetRig(t *testing.T, budget int) *rig {
 	mem0 := memsim.New(1 << 20)
 	link0 := pcie.NewLink(k, pcie.DefaultLinkConfig())
 	rc0 := pcie.NewRootComplex(k, mem0, link0, rcCfg)
-	nic0 := New(k, 0, mem0, link0, net, DefaultConfig())
+	nic0 := New(k, 0, mem0, link0, net, Config{})
 
 	// Receiver side: one posted header+data credit at a time, returned
 	// only after a long RxProcess, so MWr writes park in the pend queue.
@@ -368,9 +373,7 @@ func newBudgetRig(t *testing.T, budget int) *rig {
 	mem1 := memsim.New(1 << 20)
 	link1 := pcie.NewLink(k, linkCfg)
 	pcie.NewRootComplex(k, mem1, link1, rcCfg)
-	cfg := DefaultConfig()
-	cfg.RxBudget = budget
-	nic1 := New(k, 1, mem1, link1, net, cfg)
+	nic1 := New(k, 1, mem1, link1, net, Config{RxBudget: budget})
 
 	qp0 := nic0.CreateQP(64, 256)
 	qp1 := nic1.CreateQP(64, 256)
@@ -416,101 +419,6 @@ func TestRxBudgetBoundsHeldFramesAndPend(t *testing.T) {
 	}
 	if r.qp1.RxFrames != 6 {
 		t.Errorf("RxFrames = %d, want 6", r.qp1.RxFrames)
-	}
-}
-
-// TestRxBudgetPerQPIsolatesSiblingQP floods one QP past its per-QP pend
-// budget on a receiver with an unbounded NIC-wide budget: the flooded QP
-// must be refused with RNR NAKs while a sibling QP on the same NIC keeps
-// delivering untouched — the per-QP bound stops one connection from
-// monopolizing the shared pend buffering.
-func TestRxBudgetPerQPIsolatesSiblingQP(t *testing.T) {
-	k := sim.NewKernel()
-	net := topo.NewFabric(k, fabric.Config{
-		WireProp:      units.Nanoseconds(270),
-		WirePerByte:   units.Time(80),
-		FrameOverhead: 30,
-	}, topo.Spec{Kind: topo.BackToBack}, 2)
-	rcCfg := pcie.RCConfig{
-		RCToMemBase:      units.Nanoseconds(240),
-		RCToMemBaseBytes: 64,
-		MemReadLatency:   units.Nanoseconds(150),
-	}
-	mem0 := memsim.New(1 << 20)
-	link0 := pcie.NewLink(k, pcie.DefaultLinkConfig())
-	rc0 := pcie.NewRootComplex(k, mem0, link0, rcCfg)
-	nic0 := New(k, 0, mem0, link0, net, DefaultConfig())
-
-	// Receiver: starved posted credits and a slow credit return hold
-	// inbound frames, but only the per-QP budget bounds them.
-	linkCfg := pcie.DefaultLinkConfig()
-	linkCfg.PostedCredits = pcie.Credits{Hdr: 1, Data: 4}
-	linkCfg.RxProcess = units.Microseconds(3)
-	mem1 := memsim.New(1 << 20)
-	link1 := pcie.NewLink(k, linkCfg)
-	pcie.NewRootComplex(k, mem1, link1, rcCfg)
-	cfg := DefaultConfig()
-	cfg.RxBudgetPerQP = 1
-	nic1 := New(k, 1, mem1, link1, net, cfg)
-
-	qpA0 := nic0.CreateQP(64, 256)
-	qpA1 := nic1.CreateQP(64, 256)
-	Connect(qpA0, qpA1)
-	qpB0 := nic0.CreateQP(64, 256)
-	qpB1 := nic1.CreateQP(64, 256)
-	Connect(qpB0, qpB1)
-
-	dstA := mem1.Alloc("dstA", 256, 8)
-	dstB := mem1.Alloc("dstB", 64, 8)
-	post := func(qp *QP, w *mlx.WQE) {
-		enc, err := w.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		rc0.MMIOWrite(qp.BFAddr, enc[:])
-	}
-	k.At(0, func() {
-		// Six back-to-back writes gang up on QP A; QP B sends one.
-		for i := 0; i < 6; i++ {
-			post(qpA0, &mlx.WQE{
-				Opcode: mlx.OpRDMAWrite, Inline: true, Signaled: i == 5,
-				WQEIdx: uint16(i), QPN: qpA0.QPN,
-				Payload: []byte{byte(20 + i)}, RemoteAddr: dstA.Base + uint64(i),
-			})
-		}
-		post(qpB0, &mlx.WQE{
-			Opcode: mlx.OpRDMAWrite, Inline: true, Signaled: true,
-			WQEIdx: 0, QPN: qpB0.QPN,
-			Payload: []byte{77}, RemoteAddr: dstB.Base,
-		})
-	})
-	k.Run()
-
-	if qpA1.RNRNaksSent == 0 {
-		t.Error("flooded QP was never NAKed by the per-QP budget")
-	}
-	if qpA1.RxHeldMax() > cfg.RxBudgetPerQP {
-		t.Errorf("flooded QP held high-water %d exceeds per-QP budget %d",
-			qpA1.RxHeldMax(), cfg.RxBudgetPerQP)
-	}
-	if qpB1.RNRNaksSent != 0 {
-		t.Errorf("sibling QP was NAKed %d times", qpB1.RNRNaksSent)
-	}
-	if qpB1.RxFrames != 1 {
-		t.Errorf("sibling RxFrames = %d, want 1", qpB1.RxFrames)
-	}
-	if got := mem1.Read(dstB.Base, 1)[0]; got != 77 {
-		t.Errorf("sibling write = %d, want 77", got)
-	}
-	// The flooded QP's writes all land eventually, exactly once, in order.
-	for i := 0; i < 6; i++ {
-		if got := mem1.Read(dstA.Base+uint64(i), 1)[0]; got != byte(20+i) {
-			t.Errorf("write %d = %d, want %d", i, got, byte(20+i))
-		}
-	}
-	if nic1.RxHeld() != 0 || qpA1.RxHeld() != 0 || qpB1.RxHeld() != 0 {
-		t.Errorf("held counts after drain: nic=%d qpA=%d qpB=%d",
-			nic1.RxHeld(), qpA1.RxHeld(), qpB1.RxHeld())
 	}
 }
 
@@ -640,11 +548,11 @@ func TestDMATagExhaustionQueues(t *testing.T) {
 	mem0 := memsim.New(1 << 22)
 	link0 := pcie.NewLink(k, linkCfg)
 	pcie.NewRootComplex(k, mem0, link0, rcCfg)
-	nic0 := New(k, 0, mem0, link0, net, DefaultConfig())
+	nic0 := New(k, 0, mem0, link0, net, Config{})
 	mem1 := memsim.New(1 << 22)
 	link1 := pcie.NewLink(k, linkCfg)
 	pcie.NewRootComplex(k, mem1, link1, rcCfg)
-	nic1 := New(k, 1, mem1, link1, net, DefaultConfig())
+	nic1 := New(k, 1, mem1, link1, net, Config{})
 	dst := mem1.Alloc("dst", qps, 8)
 
 	var qs []*QP

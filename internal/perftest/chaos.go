@@ -31,53 +31,35 @@ var errChaosDeadline = errors.New("chaos: wait deadline expired with the peer un
 
 // ChaosOptions shapes a chaos soak run.
 type ChaosOptions struct {
-	// Nodes is the fat-tree host count; ranks pair up i <-> i+Nodes/2 so
-	// every stream crosses leaves. Must be even and >= 4.
-	Nodes int
-	// Total is the number of sequence-stamped messages per pair.
+	// Total is the number of sequence-stamped messages per pair; zero
+	// selects 240.
 	Total int
-	// Window bounds the sender's in-flight batch (Isend burst + Waitall).
-	Window int
-	// Gap paces the sender between windows so the stream spans the fault
-	// schedule instead of completing before the first fault fires.
-	Gap units.Time
-	// HbEvery is the failure-detector probe period: a waiting receiver
-	// keeps one heartbeat Isend outstanding toward its peer so a dead
-	// endpoint is discovered through the transport's ACK-timeout path.
-	HbEvery units.Time
-	// Deadline is the absolute give-up time: a wait still pending then
-	// cancels its receives and drains, guaranteeing termination even for
-	// failure shapes the transport cannot attribute.
-	Deadline units.Time
-	// Horizon bounds the simulation (RunUntil); anything still live at
-	// the horizon is a watchdog finding.
-	Horizon units.Time
 }
 
-// Defaults fills unset fields.
-func (o *ChaosOptions) Defaults() {
-	if o.Nodes == 0 {
-		o.Nodes = 8
-	}
-	if o.Total == 0 {
-		o.Total = 240
-	}
-	if o.Window == 0 {
-		o.Window = 12
-	}
-	if o.Gap == 0 {
-		o.Gap = 50 * units.Microsecond
-	}
-	if o.HbEvery == 0 {
-		o.HbEvery = 20 * units.Microsecond
-	}
-	if o.Deadline == 0 {
-		o.Deadline = 30 * units.Millisecond
-	}
-	if o.Horizon == 0 {
-		o.Horizon = 50 * units.Millisecond
-	}
-}
+// The fixed shape of every chaos soak.
+const (
+	// chaosNodes is the fat-tree host count; ranks pair up
+	// i <-> i+chaosNodes/2 so every stream crosses leaves.
+	chaosNodes = 8
+	// chaosWindow bounds the sender's in-flight batch (Isend burst +
+	// Waitall).
+	chaosWindow = 12
+	// chaosGap paces the sender between windows so the stream spans the
+	// fault schedule instead of completing before the first fault fires.
+	chaosGap = 50 * units.Microsecond
+	// chaosHbEvery is the failure-detector probe period: a waiting
+	// receiver keeps one heartbeat Isend outstanding toward its peer so a
+	// dead endpoint is discovered through the transport's ACK-timeout
+	// path.
+	chaosHbEvery = 20 * units.Microsecond
+	// chaosDeadline is the absolute give-up time: a wait still pending
+	// then cancels its receives and drains, guaranteeing termination even
+	// for failure shapes the transport cannot attribute.
+	chaosDeadline = 30 * units.Millisecond
+	// chaosHorizon bounds the simulation (RunUntil); anything still live
+	// at the horizon is a watchdog finding.
+	chaosHorizon = 50 * units.Millisecond
+)
 
 // ChaosSchedule derives a randomized fault schedule from the seed:
 // fabric-wide Bernoulli drop/corrupt rates, bounded flaps on redundantly
@@ -103,8 +85,8 @@ func ChaosSchedule(seed uint64, cfg *config.Config, nodes int) faults.Config {
 			redundant = append(redundant, p)
 		}
 	}
-	// Faults land inside the paced stream (which spans ~Total/Window
-	// windows x Gap): late enough that every pair moves data first.
+	// Faults land inside the paced stream (which spans ~Total/chaosWindow
+	// windows x chaosGap): late enough that every pair moves data first.
 	const faultLo, faultHi = 100, 900 // µs
 	window := func(lo, hi float64) (units.Time, units.Time) {
 		at := units.Microseconds(faultLo + r.Float64()*(faultHi-faultLo))
@@ -176,7 +158,6 @@ type hbWaitFrame struct {
 	peer int
 	reqs []*mpi.Request
 	hb   bool
-	opt  *ChaosOptions
 
 	err     error // first failure observed; nil on clean completion
 	cancels int   // receives abandoned at the deadline
@@ -188,8 +169,8 @@ type hbWaitFrame struct {
 	pc      int
 }
 
-func (f *hbWaitFrame) reset(r *mpi.Rank, peer int, reqs []*mpi.Request, hb bool, opt *ChaosOptions) {
-	f.r, f.peer, f.reqs, f.hb, f.opt = r, peer, reqs, hb, opt
+func (f *hbWaitFrame) reset(r *mpi.Rank, peer int, reqs []*mpi.Request, hb bool) {
+	f.r, f.peer, f.reqs, f.hb = r, peer, reqs, hb
 	f.err, f.cancels, f.hbReq, f.expired, f.pc = nil, 0, nil, false, 0
 	if hb && f.hbMsg == nil {
 		f.hbMsg = make([]byte, 8)
@@ -201,7 +182,7 @@ func (f *hbWaitFrame) Step(t *sim.Task) {
 	for {
 		switch f.pc {
 		case 0:
-			f.hbNext = t.Now() + f.opt.HbEvery
+			f.hbNext = t.Now() + chaosHbEvery
 			f.pc = 1
 		case 1: // poll-loop head
 			remaining := 0
@@ -222,7 +203,7 @@ func (f *hbWaitFrame) Step(t *sim.Task) {
 				t.Return()
 				return
 			}
-			if !f.expired && t.Now() >= f.opt.Deadline {
+			if !f.expired && t.Now() >= chaosDeadline {
 				f.expired = true
 				f.hbReq = nil // abandon the in-flight probe, if any
 				for _, q := range f.reqs {
@@ -246,7 +227,7 @@ func (f *hbWaitFrame) Step(t *sim.Task) {
 			return
 		case 2:
 			f.hbReq = r.LastIsend()
-			f.hbNext = t.Now() + f.opt.HbEvery
+			f.hbNext = t.Now() + chaosHbEvery
 			f.pc = 1
 		case 3:
 			f.pc = 1
@@ -255,12 +236,11 @@ func (f *hbWaitFrame) Step(t *sim.Task) {
 }
 
 // chaosSendFrame streams the pair's messages in paced windows: a burst of
-// Window Isends, a failure-aware wait, a Gap. A send error (the peer
-// crashed, or this rank's own NIC died under it) aborts the stream.
+// chaosWindow Isends, a failure-aware wait, a chaosGap. A send error (the
+// peer crashed, or this rank's own NIC died under it) aborts the stream.
 type chaosSendFrame struct {
 	r    *mpi.Rank
 	pair *chaosPair
-	opt  *ChaosOptions
 
 	wait hbWaitFrame
 	msg  []byte
@@ -283,14 +263,14 @@ func (f *chaosSendFrame) Step(t *sim.Task) {
 				return
 			}
 			f.w = f.pair.total - f.i
-			if f.w > f.opt.Window {
-				f.w = f.opt.Window
+			if f.w > chaosWindow {
+				f.w = chaosWindow
 			}
 			f.reqs = f.reqs[:0]
 			f.pc = 2
 		case 2: // post one window message
 			if len(f.reqs) == f.w {
-				f.wait.reset(f.r, f.pair.dst, f.reqs, false, f.opt)
+				f.wait.reset(f.r, f.pair.dst, f.reqs, false)
 				f.pc = 4
 				t.Call(&f.wait)
 				return
@@ -313,7 +293,7 @@ func (f *chaosSendFrame) Step(t *sim.Task) {
 			}
 			f.i += f.w
 			if f.pair.sendErr == nil && f.i < f.pair.total {
-				t.Advance(f.opt.Gap)
+				t.Advance(chaosGap)
 			}
 			f.pc = 1
 		}
@@ -327,7 +307,6 @@ func (f *chaosSendFrame) Step(t *sim.Task) {
 type chaosRecvFrame struct {
 	r    *mpi.Rank
 	pair *chaosPair
-	opt  *ChaosOptions
 
 	wait hbWaitFrame
 	reqs []*mpi.Request
@@ -345,7 +324,7 @@ func (f *chaosRecvFrame) Step(t *sim.Task) {
 			for j := 0; j < f.pair.total; j++ {
 				f.reqs = append(f.reqs, f.r.Irecv(t, f.pair.src, chaosStreamTag))
 			}
-			f.wait.reset(f.r, f.pair.src, f.reqs, true, f.opt)
+			f.wait.reset(f.r, f.pair.src, f.reqs, true)
 			f.pc = 2
 			t.Call(&f.wait)
 			return
@@ -434,7 +413,9 @@ func (r *ChaosResult) Passed() bool { return len(r.Violations) == 0 }
 //     whole stream error-free, and every pair moved data before its
 //     fault window hit.
 func ChaosSoak(base *config.Config, seed uint64, opt ChaosOptions) *ChaosResult {
-	opt.Defaults()
+	if opt.Total == 0 {
+		opt.Total = 240
+	}
 	cfg := *base
 	cfg.Seed = seed
 	cfg.Topology = topo.Spec{Kind: topo.FatTree}
@@ -442,9 +423,9 @@ func ChaosSoak(base *config.Config, seed uint64, opt ChaosOptions) *ChaosResult 
 	// failure detector's single outstanding heartbeat) need every send to
 	// produce a CQE, like the mpi tests run.
 	cfg.Bench.SignalPeriod = 1
-	cfg.Faults = ChaosSchedule(seed, &cfg, opt.Nodes)
+	cfg.Faults = ChaosSchedule(seed, &cfg, chaosNodes)
 
-	sys := node.NewSystem(&cfg, opt.Nodes)
+	sys := node.NewSystem(&cfg, chaosNodes)
 	defer sys.Shutdown()
 	comm := mpi.NewComm(sys.Nodes, &cfg, uct.PIOInline)
 
@@ -454,19 +435,19 @@ func ChaosSoak(base *config.Config, seed uint64, opt ChaosOptions) *ChaosResult 
 	}
 
 	tr := rng.Stream(seed, "chaos/traffic")
-	half := opt.Nodes / 2
+	half := chaosNodes / 2
 	pairs := make([]*chaosPair, half)
 	for i := 0; i < half; i++ {
 		p := &chaosPair{seqCheck: seqCheck{msgSize: 8 + 8*tr.Intn(3)}, src: i, dst: i + half, total: opt.Total}
 		pairs[i] = p
-		send := &chaosSendFrame{r: comm.Ranks[p.src], pair: p, opt: &opt, msg: make([]byte, p.msgSize)}
-		recv := &chaosRecvFrame{r: comm.Ranks[p.dst], pair: p, opt: &opt}
+		send := &chaosSendFrame{r: comm.Ranks[p.src], pair: p, msg: make([]byte, p.msgSize)}
+		recv := &chaosRecvFrame{r: comm.Ranks[p.dst], pair: p}
 		sys.K.SpawnTask(fmt.Sprintf("chaos.send%d-%d", p.src, p.dst), send)
 		sys.K.SpawnTask(fmt.Sprintf("chaos.recv%d-%d", p.src, p.dst), recv)
 	}
 
-	res := &ChaosResult{Seed: seed, Nodes: opt.Nodes, Schedule: cfg.Faults}
-	res.Events = sys.K.RunUntil(opt.Horizon)
+	res := &ChaosResult{Seed: seed, Nodes: chaosNodes, Schedule: cfg.Faults}
+	res.Events = sys.K.RunUntil(chaosHorizon)
 	res.EndTime = sys.K.Now()
 	res.StallReport = sys.K.StallReport()
 

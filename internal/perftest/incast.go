@@ -58,8 +58,8 @@ func connectSenders(sys *node.System, srcs []*node.Node, dst *node.Node, opt Opt
 	snd := make([]*sender, len(srcs))
 	for i, n := range srcs {
 		w := uct.NewWorker(n, cfg)
-		ep := w.NewEp(opt.Mode, opt.SignalPeriod)
-		uct.Connect(ep, recvW.NewEp(opt.Mode, opt.SignalPeriod))
+		ep := w.NewEp(opt.Mode, signalPeriod)
+		uct.Connect(ep, recvW.NewEp(opt.Mode, signalPeriod))
 		tgt := dst.Mem.Alloc(fmt.Sprintf("%s.target%d", name, i), uint64(max(opt.MsgSize, 64)), 64)
 		ep.RemoteBuf = tgt.Base
 		snd[i] = &sender{n: n, w: w, ep: ep, msg: make([]byte, opt.MsgSize), rand: n.Rand}
@@ -234,7 +234,7 @@ func AllToAllPutBw(sys *node.System, opt Options) *AllToAllResult {
 		eps[i] = make([]*uct.Ep, n)
 		for j := range eps[i] {
 			if i != j {
-				eps[i][j] = workers[i].NewEp(opt.Mode, opt.SignalPeriod)
+				eps[i][j] = workers[i].NewEp(opt.Mode, signalPeriod)
 			}
 		}
 	}

@@ -204,8 +204,8 @@ func LossyPutBw(sys *node.System, opt Options) *LossyResult {
 
 	w0 := uct.NewWorker(n0, cfg)
 	w1 := uct.NewWorker(n1, cfg)
-	ep0 := w0.NewEp(opt.Mode, opt.SignalPeriod)
-	ep1 := w1.NewEp(opt.Mode, opt.SignalPeriod)
+	ep0 := w0.NewEp(opt.Mode, signalPeriod)
+	ep1 := w1.NewEp(opt.Mode, signalPeriod)
 	uct.Connect(ep0, ep1)
 
 	sh := &lossyShared{seqCheck: seqCheck{msgSize: opt.MsgSize}, total: opt.Iters}

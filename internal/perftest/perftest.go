@@ -71,9 +71,11 @@ type Options struct {
 	MsgSize int
 	// Mode selects the descriptor path (PIO+inline by default).
 	Mode uct.PostMode
-	// SignalPeriod: 1 = every message signaled (the perftest behaviour).
-	SignalPeriod int
 }
+
+// signalPeriod is every perftest endpoint's uct signaling period: each
+// message is signaled, the ucx_perftest behaviour.
+const signalPeriod = 1
 
 // Defaults fills unset fields from cfg.
 func (o *Options) Defaults(cfg *config.Config) {
@@ -85,9 +87,6 @@ func (o *Options) Defaults(cfg *config.Config) {
 	}
 	if o.MsgSize == 0 {
 		o.MsgSize = 8 // "Each message is 8 bytes, the size of a double."
-	}
-	if o.SignalPeriod == 0 {
-		o.SignalPeriod = 1
 	}
 }
 
@@ -153,8 +152,8 @@ func AmLat(sys *node.System, opt Options) *AmLatResult {
 
 	w0 := uct.NewWorker(n0, cfg)
 	w1 := uct.NewWorker(n1, cfg)
-	ep0 := w0.NewEp(opt.Mode, opt.SignalPeriod)
-	ep1 := w1.NewEp(opt.Mode, opt.SignalPeriod)
+	ep0 := w0.NewEp(opt.Mode, signalPeriod)
+	ep1 := w1.NewEp(opt.Mode, signalPeriod)
 	uct.Connect(ep0, ep1)
 
 	gotPong, gotPing := false, false

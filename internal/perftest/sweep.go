@@ -62,7 +62,7 @@ func WindowedPutBw(sys *node.System, window, iters int) *WindowedResult {
 	// The target endpoint exists only to terminate the QP: put_bw is
 	// one-sided, so the target CPU never progresses its worker and no
 	// responder task is spawned.
-	snd, _ := connectSenders(sys, sys.Nodes[:1], sys.Nodes[1], Options{MsgSize: 8, SignalPeriod: 1}, "windowed")
+	snd, _ := connectSenders(sys, sys.Nodes[:1], sys.Nodes[1], Options{MsgSize: 8}, "windowed")
 	res := &WindowedResult{Window: window}
 	f := &windowedFrame{cfg: sys.Cfg, s: snd[0], res: res, windows: iters / window, window: window, warmup: 2}
 	sys.K.SpawnTask("windowed_put_bw", f)
