@@ -17,7 +17,6 @@ package config
 import (
 	"breakband/internal/fabric"
 	"breakband/internal/faults"
-	"breakband/internal/nic"
 	"breakband/internal/pcie"
 	"breakband/internal/rng"
 	"breakband/internal/topo"
@@ -206,7 +205,6 @@ type Config struct {
 	Link   pcie.LinkConfig
 	RC     pcie.RCConfig
 	Fabric fabric.Config
-	NIC    nic.Config
 
 	// Topology selects the compiled fabric shape (see internal/topo), and
 	// with it whether the two-node path crosses a switch. The zero Spec is
@@ -220,7 +218,8 @@ type Config struct {
 	// writes wait for PCIe posted credits. Beyond the budget the NIC
 	// refuses frames with RNR NAKs and senders retry after a backoff
 	// (internal/nic's fixed retry policy). Zero keeps the unbounded legacy
-	// behaviour. node.NewSystem copies a nonzero value into NIC.RxBudget.
+	// behaviour. node.NewSystem copies a positive value into each NIC's
+	// nic.Config.RxBudget.
 	NICRxBudget int
 
 	// Faults is the deterministic fault-injection schedule: link faults
@@ -230,9 +229,9 @@ type Config struct {
 	// internal/faults. The zero value injects nothing and adds no cost
 	// anywhere. When any fault is enabled, node.NewSystem compiles the
 	// schedule against Seed, adopts link faults into the fabric, arms the
-	// endpoint faults as kernel events, and — unless NIC.AckTimeout is
-	// already set — arms the NICs' ACK-timeout recovery with
-	// nic.DefaultAckTimeout (peers discover a dead NIC through it).
+	// endpoint faults as kernel events, and arms the NICs' ACK-timeout
+	// recovery with nic.DefaultAckTimeout (peers discover a dead NIC
+	// through it).
 	Faults faults.Config
 
 	// MemBytes is each node's host memory size.

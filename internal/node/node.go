@@ -132,15 +132,12 @@ func newNode(k *sim.Kernel, net *topo.Fabric, cfg *config.Config, id int) *Node 
 	link := pcie.NewLink(k, cfg.Link)
 	link.SetTraceNode(id)
 	rc := pcie.NewRootComplex(k, mem, link, cfg.RC)
-	nc := cfg.NIC
+	var nc nic.Config
 	if cfg.NICRxBudget > 0 {
-		// The system-level knob wins over a per-NIC setting only when
-		// set, so configs that tune cfg.NIC directly keep working.
 		nc.RxBudget = cfg.NICRxBudget
 	}
-	if cfg.Faults.Enabled() && nc.AckTimeout == 0 {
-		// A lossy fabric needs the timeout recovery armed; a config that
-		// sets NIC.AckTimeout explicitly keeps its value. Without faults
+	if cfg.Faults.Enabled() {
+		// A lossy fabric needs the timeout recovery armed. Without faults
 		// the timer stays disabled and the NIC is byte-identical with the
 		// pre-reliability model.
 		nc.AckTimeout = nic.DefaultAckTimeout

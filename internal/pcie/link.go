@@ -23,9 +23,6 @@ type LinkConfig struct {
 	DLLPBytes int
 	// AckDelay is the receiver's ACK turnaround time.
 	AckDelay units.Time
-	// FlowControl enables credit accounting. When disabled the link is an
-	// infinite-credit ideal, useful for isolating effects in tests.
-	FlowControl bool
 	// PostedCredits and NonPostedCredits are the receiver-advertised
 	// pools per direction.
 	PostedCredits    Credits
@@ -45,7 +42,6 @@ func DefaultLinkConfig() LinkConfig {
 		TLPHeader:        24,
 		DLLPBytes:        8,
 		AckDelay:         units.Nanoseconds(2),
-		FlowControl:      true,
 		PostedCredits:    Credits{Hdr: 32, Data: 256},
 		NonPostedCredits: Credits{Hdr: 16},
 	}
@@ -211,17 +207,11 @@ func (l *Link) ResumeUp() {
 	l.up.retryPending()
 }
 
-// UpPaused reports whether the endpoint→RC issue path is currently frozen.
-func (l *Link) UpPaused() bool { return l.up.stalled }
-
 // Blocked reports how many TLP sends stalled on credits, per direction.
 func (l *Link) Blocked() (down, up uint64) { return l.down.blocked, l.up.blocked }
 
 // Sent reports TLPs transmitted per direction.
 func (l *Link) Sent() (down, up uint64) { return l.down.sentTLP, l.up.sentTLP }
-
-// PendDepth reports the TLPs currently credit-blocked, per direction.
-func (l *Link) PendDepth() (down, up int) { return len(l.down.pend), len(l.up.pend) }
 
 // MaxPend reports the deepest credit-blocked pend queue each direction
 // reached — the headline number for receiver-side overload: with the NIC's
@@ -252,13 +242,11 @@ func (c *channel) send(t *TLP) bool {
 		c.park(t)
 		return false
 	}
-	if c.link.cfg.FlowControl {
-		kind, need := creditsFor(t)
-		ordered := c.pendPosted > 0 || (t.Type == MRd && len(c.pend) > 0)
-		if ordered || (need.Hdr > 0 && !c.take(kind, need)) {
-			c.park(t)
-			return false
-		}
+	kind, need := creditsFor(t)
+	ordered := c.pendPosted > 0 || (t.Type == MRd && len(c.pend) > 0)
+	if ordered || (need.Hdr > 0 && !c.take(kind, need)) {
+		c.park(t)
+		return false
 	}
 	c.transmit(t)
 	return true
@@ -326,15 +314,12 @@ func (c *channel) deliver(t *TLP) {
 	l.k.AfterArg(l.cfg.AckDelay, c.reverse().sendDLLPFn, ack)
 
 	// Credit return after the receiver has processed the TLP.
-	if l.cfg.FlowControl {
-		kind, need := creditsFor(t)
-		if need.Hdr > 0 {
-			upd := l.dllps.Alloc()
-			upd.Type = UpdateFC
-			upd.Kind = kind
-			upd.Credit = need
-			l.k.AfterArg(l.cfg.RxProcess+l.cfg.AckDelay, c.reverse().sendDLLPFn, upd)
-		}
+	if kind, need := creditsFor(t); need.Hdr > 0 {
+		upd := l.dllps.Alloc()
+		upd.Type = UpdateFC
+		upd.Kind = kind
+		upd.Credit = need
+		l.k.AfterArg(l.cfg.RxProcess+l.cfg.AckDelay, c.reverse().sendDLLPFn, upd)
 	}
 
 	var rx Receiver
@@ -408,12 +393,6 @@ func (c *channel) retryPending() {
 	}
 	for len(c.pend) > 0 {
 		t := c.pend[0]
-		if !c.link.cfg.FlowControl {
-			// Stall-parked TLPs on an ideal (no flow control) link need no
-			// credits; taking some here would leak them forever.
-			c.popTransmit(t)
-			continue
-		}
 		kind, need := creditsFor(t)
 		if need.Hdr > 0 && !c.take(kind, need) {
 			return

@@ -36,14 +36,18 @@ func testLink(cfg LinkConfig) (*sim.Kernel, *Link, *collector, *collector) {
 	return k, l, rc, ep
 }
 
+// simpleCfg has DefaultLinkConfig's credit pools, which the timing tests'
+// few TLPs never exhaust.
 func simpleCfg() LinkConfig {
+	d := DefaultLinkConfig()
 	return LinkConfig{
-		Prop:        units.Nanoseconds(100),
-		PerByte:     units.Time(64),
-		TLPHeader:   24,
-		DLLPBytes:   8,
-		AckDelay:    units.Nanoseconds(2),
-		FlowControl: false,
+		Prop:             units.Nanoseconds(100),
+		PerByte:          units.Time(64),
+		TLPHeader:        24,
+		DLLPBytes:        8,
+		AckDelay:         units.Nanoseconds(2),
+		PostedCredits:    d.PostedCredits,
+		NonPostedCredits: d.NonPostedCredits,
 	}
 }
 
@@ -110,7 +114,6 @@ func TestSeqAssignedInOrder(t *testing.T) {
 
 func TestCreditBlockingAndUnblock(t *testing.T) {
 	cfg := simpleCfg()
-	cfg.FlowControl = true
 	cfg.PostedCredits = Credits{Hdr: 2, Data: 8}
 	cfg.NonPostedCredits = Credits{Hdr: 2}
 	k, l, _, ep := testLink(cfg)
@@ -142,7 +145,6 @@ func TestSmallMWrCannotPassBlockedLargeMWr(t *testing.T) {
 	// MWr announcing a completion must not reach host memory before the
 	// payload MWr it describes.
 	cfg := simpleCfg()
-	cfg.FlowControl = true
 	cfg.PostedCredits = Credits{Hdr: 4, Data: 8} // 8B fits, 4 KiB (256) never does at once
 	cfg.RxProcess = units.Nanoseconds(50)
 	k, l, _, ep := testLink(cfg)
@@ -168,7 +170,6 @@ func TestPostedMayPassBlockedNonPosted(t *testing.T) {
 	// The converse allowance (PCIe deadlock avoidance): a posted write may
 	// pass non-posted reads blocked on their own credit pool.
 	cfg := simpleCfg()
-	cfg.FlowControl = true
 	cfg.PostedCredits = Credits{Hdr: 4, Data: 64}
 	cfg.NonPostedCredits = Credits{Hdr: 1}
 	cfg.RxProcess = units.Nanoseconds(50)
@@ -196,7 +197,6 @@ func TestQuickCreditConservation(t *testing.T) {
 	f := func(nRaw uint8, sizeSel []uint8) bool {
 		n := int(nRaw%40) + 1
 		cfg := simpleCfg()
-		cfg.FlowControl = true
 		cfg.PostedCredits = Credits{Hdr: 3, Data: 12}
 		cfg.NonPostedCredits = Credits{Hdr: 2}
 		k, l, _, ep := testLink(cfg)

@@ -49,8 +49,8 @@
 // defer its own resource hand-back — the NIC holds a received fabric frame
 // until its host-memory writes have issued, see internal/nic — instead of
 // letting the pend queue absorb unbounded overload. With the NIC's rx
-// budget enabled, the upstream pend depth (Link.PendDepth / Link.MaxPend)
-// is bounded by that budget rather than growing with offered load.
+// budget enabled, the deepest upstream pend queue (Link.MaxPend) is
+// bounded by that budget rather than growing with offered load.
 //
 // ARCHITECTURE.md (repo root) places this package in the full layer map
 // and summarizes how the PCIe credit loop composes with the fabric's.

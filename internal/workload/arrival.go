@@ -108,8 +108,8 @@ func (a *arrivalClock) next(prev units.Time, r *rng.Rand) units.Time {
 		rel = wt
 	}
 	rel += R // past the last window: factor 1 forever
-	if rel > float64(math.MaxInt64) {
-		return units.MaxTime
+	if rel >= float64(units.MaxTime-a.start) {
+		return units.MaxTime // past the clock's end, so past the cohort's
 	}
 	return a.start + units.Time(math.Round(rel))
 }

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"math"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -24,6 +26,40 @@ cohorts:
     size: {dist: fixed, bytes: 64}
 `
 
+// everyKeyYAML sets every key of every spec struct, so each decodes into its
+// field; the choice distribution ignores the other size keys.
+const everyKeyYAML = `name: every
+nodes: 8
+topology: fattree
+radix: 4
+credits: 16
+rxbudget: 8
+seed: 18446744073709551615
+faults: {droprate: 1e-4, corruptrate: 2e-5}
+cohorts:
+  - name: tenant
+    clients: 4
+    src: [1, 2]
+    dst: [0]
+    start: 5us
+    duration: 200us
+    arrival: {process: gamma, rate: 40e3, shape: 2.5}
+    size:
+      dist: choice
+      bytes: 64
+      min: 8
+      max: 128
+      mean: 512
+      cv: 0.5
+      choices:
+        - {bytes: 32, weight: 3}
+        - bytes: 256
+          weight: 1
+    envelope:
+      - {from: 10us, to: 150us, factor: 2}
+      - {from: 0, to: 1500ns, factor: 0.5}
+`
+
 func TestParseSpecValid(t *testing.T) {
 	spec, err := ParseSpec([]byte(validYAML))
 	if err != nil {
@@ -45,6 +81,35 @@ func TestParseSpecValid(t *testing.T) {
 	if c.Size.Dist != SizeDistFixed || c.Size.Bytes != 64 {
 		t.Fatalf("size mismatch: %+v", c.Size)
 	}
+
+	// A "- key:" list item may hold a nested block under its first key.
+	nested := strings.Replace(validYAML, "  - name: storm\n",
+		"  - arrival:\n      process: poisson\n      rate: 40e3\n    name: storm\n", 1)
+	nested = strings.Replace(nested, "    arrival: {process: poisson, rate: 40e3}\n", "", 1)
+	if got, err := ParseSpec([]byte(nested)); err != nil || !reflect.DeepEqual(got, spec) {
+		t.Errorf("nested first key: got %+v, %v; want %+v", got, err, spec)
+	}
+
+	// Every key of every spec struct decodes into its field.
+	want := &Spec{
+		Name: "every", Nodes: 8, Topology: "fattree", Radix: 4, Credits: 16, RxBudget: 8,
+		Seed:   math.MaxUint64,
+		Faults: FaultSpec{DropRate: 1e-4, CorruptRate: 2e-5},
+		Cohorts: []Cohort{{
+			Name: "tenant", Clients: 4, Src: []int{1, 2}, Dst: []int{0},
+			Start: 5 * units.Microsecond, Duration: 200 * units.Microsecond,
+			Arrival: ArrivalSpec{Process: ProcGamma, Rate: 40e3, Shape: 2.5},
+			Size: SizeSpec{Dist: SizeDistChoice, Bytes: 64, Min: 8, Max: 128, Mean: 512, CV: 0.5,
+				Choices: []SizeChoice{{Bytes: 32, Weight: 3}, {Bytes: 256, Weight: 1}}},
+			Envelope: []EnvelopeWindow{
+				{From: 10 * units.Microsecond, To: 150 * units.Microsecond, Factor: 2},
+				{From: 0, To: 1500 * units.Nanosecond, Factor: 0.5},
+			},
+		}},
+	}
+	if got, err := ParseSpec([]byte(everyKeyYAML)); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("every key: got %+v, %v; want %+v", got, err, want)
+	}
 }
 
 // TestParseSpecErrors is the negative battery: every malformed document must
@@ -65,6 +130,13 @@ func TestParseSpecErrors(t *testing.T) {
 	}
 	overfull := strings.NewReplacer("nodes: 8", "nodes: 300",
 		"src: [1, 2, 3, 4, 5, 6, 7]", "src: ["+strings.Join(srcs, ", ")+"]").Replace(validYAML)
+	// pico is a 2-node spec with one 8-byte cohort, for the bounds the
+	// picosecond arrival clock sets.
+	pico := func(arrival, window string) string {
+		return "name: pico\nnodes: 2\ncohorts:\n  - name: c\n    clients: 1\n    src: [0]\n    dst: [1]\n" +
+			"    size: {dist: fixed, bytes: 8}\n    arrival: " + arrival + "\n" + window
+	}
+	const ms = "    duration: 1ms\n"
 	cases := []struct {
 		name string
 		doc  string
@@ -105,6 +177,18 @@ func TestParseSpecErrors(t *testing.T) {
 		{"unclosed inline list", mut("dst: [0]", "dst: [0"), ""},
 		{"scalar where map expected", mut("arrival: {process: poisson, rate: 40e3}", "arrival: soon"), ""},
 		{"list where map expected", "name: x\nnodes: 8\ntopology: fattree\ncohorts:\n  - name: c\n    clients: 1\n    src: [1]\n    dst: [0]\n    duration: 1us\n    arrival:\n      - poisson\n    size: {dist: fixed, bytes: 8}\n", ""},
+		// A 0 * Inf unit draw rounds to a negative instant: the run panicked.
+		{"weibull shape 1e-9", pico("{process: weibull, rate: 1e3, shape: 1e-9}", ms), "shape"},
+		// Draws under 1 ps: the clock never reached the window end.
+		{"weibull shape 0.01", pico("{process: weibull, rate: 1e3, shape: 0.01}", ms), "shape"},
+		{"weibull shape 0.02", pico("{process: weibull, rate: 1e3, shape: 0.02}", ms), "shape"},
+		{"gamma shape 1e-300", pico("{process: gamma, rate: 1e3, shape: 1e-300}", ms), "shape"},
+		{"rate above one per ps", pico("{process: poisson, rate: 1e15}", ms), "picosecond"},
+		{"envelope above one per ps", pico("{process: poisson, rate: 1e9}",
+			ms+"    envelope:\n      - {from: 0, to: 1us, factor: 1e4}\n"), "picosecond"},
+		// Start+Duration wrapped negative: the run offered nothing.
+		{"window overflows clock", pico("{process: poisson, rate: 1e3}",
+			"    start: 5000000s\n    duration: 5000000s\n"), "overflows"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -114,6 +198,43 @@ func TestParseSpecErrors(t *testing.T) {
 			}
 			if tc.want != "" && !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
+			}
+		})
+	}
+
+	// The decoder's errors in full: path, line and message.
+	withSize := func(size string) string { return mut("size: {dist: fixed, bytes: 64}", size) }
+	exact := []struct{ name, doc, want string }{
+		{"unknown key: spec", mut("topology: fattree", "topolgy: fattree"),
+			`spec: unknown key "topolgy" (allowed: name, nodes, topology, radix, credits, rxbudget, seed, faults, cohorts)`},
+		{"unknown key: faults", mut("nodes: 8", "nodes: 8\nfaults: {droprate: 0, bogus: 1}"),
+			`spec.faults: unknown key "bogus" (allowed: droprate, corruptrate)`},
+		{"unknown key: cohort", mut("clients: 64", "clints: 64"),
+			`spec.cohorts[0]: unknown key "clints" (allowed: name, clients, src, dst, start, duration, arrival, size, envelope)`},
+		{"unknown key: arrival", mut("rate: 40e3", "rat: 40e3"),
+			`spec.cohorts[0].arrival: unknown key "rat" (allowed: process, rate, shape)`},
+		{"unknown key: size", withSize("size: {dist: fixed, byte: 64}"),
+			`spec.cohorts[0].size: unknown key "byte" (allowed: dist, bytes, min, max, mean, cv, choices)`},
+		{"unknown key: choice", withSize("size: {dist: choice, choices: [{bytes: 8, wieght: 1}]}"),
+			`spec.cohorts[0].size.choices[0]: unknown key "wieght" (allowed: bytes, weight)`},
+		{"unknown key: envelope", withSize("size: {dist: fixed, bytes: 64}\n    envelope:\n      - {from: 0, to: 1us, factr: 2}"),
+			`spec.cohorts[0].envelope[0]: unknown key "factr" (allowed: from, to, factor)`},
+		{"not an integer", mut("nodes: 8", "nodes: eight"), `spec.nodes: line 3: "eight" is not an integer`},
+		{"not an unsigned integer", mut("nodes: 8", "nodes: 8\nseed: -1"), `spec.seed: line 4: "-1" is not an unsigned integer`},
+		{"not a number", mut("rate: 40e3", "rate: fast"), `spec.cohorts[0].arrival.rate: line 12: "fast" is not a number`},
+		{"expected a mapping", mut("arrival: {process: poisson, rate: 40e3}", "arrival: soon"),
+			`spec.cohorts[0].arrival: expected a mapping`},
+		{"expected a list", mut("src: [1, 2, 3, 4, 5, 6, 7]", "src: 1"), `spec.cohorts[0].src: expected a list`},
+		{"expected a scalar", mut("name: incast8", "name: [incast8]"), `spec.name: expected a scalar value`},
+		{"list element path", mut("src: [1, 2, 3, 4, 5, 6, 7]", "src: [1, x]"),
+			`spec.cohorts[0].src[1]: line 8: "x" is not an integer`},
+		{"bad duration", mut("duration: 200us", "duration: 200"),
+			`spec.cohorts[0].duration: line 11: duration "200" needs a unit suffix (ps, ns, us, ms or s)`},
+	}
+	for _, tc := range exact {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := ParseSpec([]byte(tc.doc)); err == nil || err.Error() != tc.want {
+				t.Errorf("error %v, want %s", err, tc.want)
 			}
 		})
 	}
@@ -177,6 +298,22 @@ func FuzzParseSpec(f *testing.F) {
 		spec, err := ParseSpec(data)
 		if err == nil && spec == nil {
 			t.Error("nil spec with nil error")
+		}
+	})
+}
+
+// FuzzDecodeTrace drives the trace decoder with arbitrary bytes: any outcome
+// but a panic is acceptable. The header's record count is input too, so a
+// huge one must fail as a truncated trace, not size an allocation.
+func FuzzDecodeTrace(f *testing.F) {
+	const head = "bbwktrace v1\nspec incast8\nseed 3\nnodes 8\ncohorts 1\ncohort storm 64\n"
+	f.Add([]byte(head + "records 2\n0 1 1000 64 0\n0 2 2500 64 0\n"))
+	f.Add([]byte(head + "records 100000000000000\n"))
+	f.Add([]byte(head + "records 1000000000\n0 1 1000 64 0\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := DecodeTrace(data)
+		if err == nil && tr == nil {
+			t.Error("nil trace with nil error")
 		}
 	})
 }

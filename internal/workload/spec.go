@@ -31,6 +31,16 @@ const (
 // bcopy ceiling posts as one put.
 const MaxMsgBytes = uct.MaxBcopy
 
+// Bounds the picosecond arrival clock sets on a cohort's arrival process.
+const (
+	// minShape is the smallest gamma or weibull shape: below it most
+	// draws fall under one picosecond and the clock stops advancing.
+	minShape = 0.1
+	// maxRate is the highest per-client arrival rate, after envelope
+	// scaling: one arrival per picosecond.
+	maxRate = 1e12
+)
+
 // Spec is a declarative workload: a topology plus a set of client cohorts.
 // Specs are plain data — parse one with ParseSpec/LoadSpec or build it
 // directly — and must pass Validate before compiling into injectors.
@@ -189,18 +199,6 @@ func (s *Spec) TopoSpec() (topo.Spec, error) {
 // End reports the cohort-absolute end of the offered-traffic window.
 func (c *Cohort) End() units.Time { return c.Start + c.Duration }
 
-// Horizon reports the latest cohort end across the spec — the time by which
-// all offered traffic has been generated.
-func (s *Spec) Horizon() units.Time {
-	var h units.Time
-	for i := range s.Cohorts {
-		if e := s.Cohorts[i].End(); e > h {
-			h = e
-		}
-	}
-	return h
-}
-
 // TotalClients reports the client count summed over cohorts.
 func (s *Spec) TotalClients() int {
 	n := 0
@@ -208,16 +206,6 @@ func (s *Spec) TotalClients() int {
 		n += s.Cohorts[i].Clients
 	}
 	return n
-}
-
-// Cohort returns the named cohort, or nil.
-func (s *Spec) Cohort(name string) *Cohort {
-	for i := range s.Cohorts {
-		if s.Cohorts[i].Name == name {
-			return &s.Cohorts[i]
-		}
-	}
-	return nil
 }
 
 // Validate checks the whole spec up front and reports the first problem
@@ -349,21 +337,34 @@ func (c *Cohort) validate(nodes int) error {
 	if c.Duration <= 0 {
 		return fmt.Errorf("duration must be positive, got %v", c.Duration)
 	}
+	if c.Duration > units.MaxTime-c.Start {
+		return fmt.Errorf("start %v plus duration %v overflows the picosecond clock", c.Start, c.Duration)
+	}
 	if err := c.Arrival.validate(); err != nil {
 		return err
 	}
 	if err := c.Size.validate(); err != nil {
 		return err
 	}
-	return validateEnvelope(c.Envelope)
+	if err := validateEnvelope(c.Envelope); err != nil {
+		return err
+	}
+	factor := 1.0
+	for _, w := range c.Envelope {
+		factor = max(factor, w.Factor)
+	}
+	if peak := c.Arrival.Rate * factor; peak > maxRate {
+		return fmt.Errorf("peak arrival rate %v per second exceeds %v, one arrival per picosecond", peak, maxRate)
+	}
+	return nil
 }
 
 func (a *ArrivalSpec) validate() error {
 	switch a.Process {
 	case ProcPoisson:
 	case ProcGamma, ProcWeibull:
-		if a.Shape <= 0 || math.IsNaN(a.Shape) || math.IsInf(a.Shape, 0) {
-			return fmt.Errorf("%s shape must be positive and finite, got %v", a.Process, a.Shape)
+		if !(a.Shape >= minShape) || math.IsInf(a.Shape, 0) {
+			return fmt.Errorf("%s shape must be finite and at least %v, got %v", a.Process, minShape, a.Shape)
 		}
 	default:
 		return fmt.Errorf("unknown arrival process %q (want poisson, gamma or weibull)", a.Process)

@@ -75,6 +75,24 @@ func TestInterarrivalMoments(t *testing.T) {
 	}
 }
 
+// TestArrivalClockSaturates: a draw that would land past the end of the
+// picosecond clock saturates at units.MaxTime, which retires the client,
+// instead of wrapping to a negative instant inside the window.
+func TestArrivalClockSaturates(t *testing.T) {
+	c := &Cohort{
+		Start:    9e6 * units.Second,
+		Duration: units.Second,
+		Arrival:  ArrivalSpec{Process: ProcPoisson, Rate: 1e-6},
+	}
+	clock := newArrivalClock(c)
+	r := rng.Stream(1, "saturate")
+	for i := 0; i < 100; i++ {
+		if at := clock.next(c.Start, r); at < c.End() {
+			t.Fatalf("draw %d: arrival at %v inside [%v, %v)", i, at, c.Start, c.End())
+		}
+	}
+}
+
 // TestEnvelopeWindowRates checks the operational time change: within a
 // factor-F window the realized arrival rate is F times the base rate, and
 // outside every window it is the base rate.

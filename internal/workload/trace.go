@@ -223,7 +223,9 @@ func DecodeTrace(data []byte) (*Trace, error) {
 	if err != nil || nr < 0 {
 		return nil, fmt.Errorf("line %d: bad record count %q", ln, nrS)
 	}
-	tr.Recs = make([]Rec, 0, nr)
+	// The header's count is input too: preallocate no more records than
+	// the lines left could hold.
+	tr.Recs = make([]Rec, 0, min(nr, len(lines)-ln))
 	for i := 0; i < nr; i++ {
 		s, ok := nextLine()
 		if !ok {

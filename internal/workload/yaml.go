@@ -6,7 +6,8 @@ package workload
 //
 //   - maps as "key: value" lines, nested by indentation (spaces only)
 //   - lists as "- item" lines, including the "- key: value" map-item
-//     shorthand with the remaining keys indented to align
+//     shorthand with the remaining keys indented to align; the first key
+//     may hold an inline value or a nested block
 //   - inline maps {k: v, ...} and inline lists [a, b, ...]
 //   - scalars: numbers (including exponents), booleans, bare and
 //     single/double-quoted strings, durations like "150us"
@@ -15,11 +16,18 @@ package workload
 // Anchors, multi-document streams, flow folding and block scalars are out of
 // scope and rejected with errors. The parser never panics on any input
 // (fuzz-enforced); every error carries a line number.
+//
+// The Go spec structs are the schema: a struct decodes from a mapping whose
+// keys are its exported field names in lower case, a slice from a list, and
+// a scalar by the field's type. A new spec field is a new key with no
+// decoder change.
 
 import (
 	"fmt"
 	"math"
 	"os"
+	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -46,8 +54,8 @@ func ParseSpec(data []byte) (*Spec, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := decodeSpec(tree)
-	if err != nil {
+	s := &Spec{}
+	if err := decode(tree, reflect.ValueOf(s).Elem(), "spec"); err != nil {
 		return nil, err
 	}
 	if err := s.Validate(); err != nil {
@@ -165,10 +173,12 @@ func parseListBlock(lines []yamlLine, i, indent int) (any, int, error) {
 			i = next
 			continue
 		}
-		if key, val, ok := splitKey(rest); ok {
-			// "- key: value" map-item shorthand: remaining keys align
-			// under the key (indent of '-' + 2).
-			item, next, err := parseMapItem(lines, i+1, indent+2, key, val, ln.num)
+		if _, _, ok := splitKey(rest); ok {
+			// "- key: value" map-item shorthand: the item is a map whose
+			// keys align under the first one (indent of '-' + 2), so the
+			// item's line becomes that map's first entry.
+			lines[i] = yamlLine{indent: indent + 2, text: rest, num: ln.num}
+			item, next, err := parseMapBlock(lines, i, indent+2)
 			if err != nil {
 				return nil, i, err
 			}
@@ -218,50 +228,6 @@ func parseMapBlock(lines []yamlLine, i, indent int) (any, int, error) {
 	}
 	if i < len(lines) && lines[i].indent > indent {
 		return nil, i, fmt.Errorf("line %d: unexpected indentation", lines[i].num)
-	}
-	return m, i, nil
-}
-
-// parseMapItem parses a map started inline by a "- key: value" list item:
-// the first entry is given, the rest follow at itemIndent.
-func parseMapItem(lines []yamlLine, i, itemIndent int, key, val string, num int) (any, int, error) {
-	m := map[string]any{}
-	var v any
-	var err error
-	if val == "" {
-		v, i, err = parseNested(lines, i, itemIndent-2, num)
-		// The nested block of the first key sits deeper than the item
-		// body; parseNested anchored at the '-' indent handles it only
-		// when no sibling keys follow. Keep it simple: require a value.
-		if err == nil {
-			return nil, i, fmt.Errorf("line %d: %q: a \"- key:\" item needs an inline value for its first key", num, key)
-		}
-		return nil, i, err
-	}
-	v, err = parseValue(val, num)
-	if err != nil {
-		return nil, i, err
-	}
-	m[key] = v
-	for i < len(lines) && lines[i].indent == itemIndent && !isListItem(lines[i].text) {
-		ln := lines[i]
-		k, val, ok := splitKey(ln.text)
-		if !ok {
-			return nil, i, fmt.Errorf("line %d: expected \"key: value\", got %q", ln.num, ln.text)
-		}
-		if _, dup := m[k]; dup {
-			return nil, i, fmt.Errorf("line %d: duplicate key %q", ln.num, k)
-		}
-		if val == "" {
-			v, i, err = parseNested(lines, i+1, itemIndent, ln.num)
-		} else {
-			v, err = parseValue(val, ln.num)
-			i++
-		}
-		if err != nil {
-			return nil, i, err
-		}
-		m[k] = v
 	}
 	return m, i, nil
 }
@@ -399,161 +365,104 @@ func unquote(s string) string {
 // ---------------------------------------------------------------------------
 // Decode layer: generic tree -> Spec, with strict unknown-key checking.
 
-type decodeError struct {
-	path string
-	msg  string
-}
-
-func (e *decodeError) Error() string { return fmt.Sprintf("%s: %s", e.path, e.msg) }
-
 func errAt(path, format string, args ...any) error {
-	return &decodeError{path: path, msg: fmt.Sprintf(format, args...)}
+	return fmt.Errorf("%s: %s", path, fmt.Sprintf(format, args...))
 }
 
-func asMap(v any, path string) (map[string]any, error) {
-	m, ok := v.(map[string]any)
-	if !ok {
-		return nil, errAt(path, "expected a mapping")
+// specKeys maps every struct type reachable from Spec to its keys: its
+// field names in lower case, by field index. Every spec field is exported.
+// Filled once at start-up; read-only after.
+var specKeys = map[reflect.Type][]string{}
+
+var timeType = reflect.TypeOf(units.Time(0))
+
+func init() { collectKeys(reflect.TypeOf(Spec{})) }
+
+func collectKeys(t reflect.Type) {
+	switch t.Kind() {
+	case reflect.Slice:
+		collectKeys(t.Elem())
+	case reflect.Struct:
+		keys := make([]string, t.NumField())
+		for i := range keys {
+			keys[i] = strings.ToLower(t.Field(i).Name)
+			collectKeys(t.Field(i).Type)
+		}
+		specKeys[t] = keys
 	}
-	return m, nil
 }
 
-func asList(v any, path string) ([]any, error) {
-	l, ok := v.([]any)
-	if !ok {
-		return nil, errAt(path, "expected a list")
-	}
-	return l, nil
-}
-
-func asScalar(v any, path string) (scalar, error) {
-	s, ok := v.(scalar)
-	if !ok {
-		return scalar{}, errAt(path, "expected a scalar value")
-	}
-	return s, nil
-}
-
-func checkKeys(m map[string]any, path string, allowed ...string) error {
-	for k := range m {
-		found := false
-		for _, a := range allowed {
-			if k == a {
-				found = true
-				break
+// decode stores the tree value v into dst, naming path in errors. Unknown
+// keys are errors; an absent key leaves its field at the zero value.
+func decode(v any, dst reflect.Value, path string) error {
+	switch dst.Kind() {
+	case reflect.Struct:
+		m, ok := v.(map[string]any)
+		if !ok {
+			return errAt(path, "expected a mapping")
+		}
+		keys := specKeys[dst.Type()]
+		for k := range m {
+			if !slices.Contains(keys, k) {
+				return errAt(path, "unknown key %q (allowed: %s)", k, strings.Join(keys, ", "))
 			}
 		}
-		if !found {
-			return errAt(path, "unknown key %q (allowed: %s)", k, strings.Join(allowed, ", "))
+		for i, k := range keys {
+			if e, ok := m[k]; ok {
+				if err := decode(e, dst.Field(i), path+"."+k); err != nil {
+					return err
+				}
+			}
 		}
-	}
-	return nil
-}
-
-func decStr(m map[string]any, key, path string, dst *string) error {
-	v, ok := m[key]
-	if !ok {
+		return nil
+	case reflect.Slice:
+		l, ok := v.([]any)
+		if !ok {
+			return errAt(path, "expected a list")
+		}
+		out := reflect.MakeSlice(dst.Type(), len(l), len(l))
+		for i, e := range l {
+			if err := decode(e, out.Index(i), fmt.Sprintf("%s[%d]", path, i)); err != nil {
+				return err
+			}
+		}
+		dst.Set(out)
 		return nil
 	}
-	s, err := asScalar(v, path+"."+key)
-	if err != nil {
-		return err
-	}
-	*dst = s.text
-	return nil
-}
-
-func decInt(m map[string]any, key, path string, dst *int) error {
-	v, ok := m[key]
+	s, ok := v.(scalar)
 	if !ok {
-		return nil
+		return errAt(path, "expected a scalar value")
 	}
-	s, err := asScalar(v, path+"."+key)
-	if err != nil {
-		return err
-	}
-	n, err := strconv.ParseInt(s.text, 10, 64)
-	if err != nil || n != int64(int(n)) {
-		return errAt(path+"."+key, "line %d: %q is not an integer", s.line, s.text)
-	}
-	*dst = int(n)
-	return nil
-}
-
-func decUint(m map[string]any, key, path string, dst *uint64) error {
-	v, ok := m[key]
-	if !ok {
-		return nil
-	}
-	s, err := asScalar(v, path+"."+key)
-	if err != nil {
-		return err
-	}
-	n, err := strconv.ParseUint(s.text, 10, 64)
-	if err != nil {
-		return errAt(path+"."+key, "line %d: %q is not an unsigned integer", s.line, s.text)
-	}
-	*dst = n
-	return nil
-}
-
-func decFloat(m map[string]any, key, path string, dst *float64) error {
-	v, ok := m[key]
-	if !ok {
-		return nil
-	}
-	s, err := asScalar(v, path+"."+key)
-	if err != nil {
-		return err
-	}
-	f, err := strconv.ParseFloat(s.text, 64)
-	if err != nil || math.IsNaN(f) {
-		return errAt(path+"."+key, "line %d: %q is not a number", s.line, s.text)
-	}
-	*dst = f
-	return nil
-}
-
-func decTime(m map[string]any, key, path string, dst *units.Time) error {
-	v, ok := m[key]
-	if !ok {
-		return nil
-	}
-	s, err := asScalar(v, path+"."+key)
-	if err != nil {
-		return err
-	}
-	d, err := parseTime(s.text)
-	if err != nil {
-		return errAt(path+"."+key, "line %d: %v", s.line, err)
-	}
-	*dst = d
-	return nil
-}
-
-func decIntList(m map[string]any, key, path string, dst *[]int) error {
-	v, ok := m[key]
-	if !ok {
-		return nil
-	}
-	l, err := asList(v, path+"."+key)
-	if err != nil {
-		return err
-	}
-	out := make([]int, 0, len(l))
-	for i, e := range l {
-		p := fmt.Sprintf("%s.%s[%d]", path, key, i)
-		s, err := asScalar(e, p)
+	switch {
+	case dst.Type() == timeType:
+		d, err := parseTime(s.text)
 		if err != nil {
-			return err
+			return errAt(path, "line %d: %v", s.line, err)
 		}
-		n, err := strconv.ParseInt(s.text, 10, 64)
-		if err != nil || n != int64(int(n)) {
-			return errAt(p, "line %d: %q is not an integer", s.line, s.text)
+		dst.SetInt(int64(d))
+	case dst.Kind() == reflect.String:
+		dst.SetString(s.text)
+	case dst.CanInt():
+		n, err := strconv.ParseInt(s.text, 10, dst.Type().Bits())
+		if err != nil {
+			return errAt(path, "line %d: %q is not an integer", s.line, s.text)
 		}
-		out = append(out, int(n))
+		dst.SetInt(n)
+	case dst.CanUint():
+		n, err := strconv.ParseUint(s.text, 10, dst.Type().Bits())
+		if err != nil {
+			return errAt(path, "line %d: %q is not an unsigned integer", s.line, s.text)
+		}
+		dst.SetUint(n)
+	case dst.CanFloat():
+		f, err := strconv.ParseFloat(s.text, dst.Type().Bits())
+		if err != nil || math.IsNaN(f) {
+			return errAt(path, "line %d: %q is not a number", s.line, s.text)
+		}
+		dst.SetFloat(f)
+	default:
+		panic(fmt.Sprintf("workload: spec field %s has type %s, which no scalar decodes to", path, dst.Type()))
 	}
-	*dst = out
 	return nil
 }
 
@@ -588,180 +497,4 @@ func parseTime(s string) (units.Time, error) {
 		return 0, fmt.Errorf("duration %q overflows the picosecond clock", s)
 	}
 	return units.Time(math.Round(ps)), nil
-}
-
-func decodeSpec(tree any) (*Spec, error) {
-	m, err := asMap(tree, "spec")
-	if err != nil {
-		return nil, err
-	}
-	if err := checkKeys(m, "spec", "name", "nodes", "topology", "radix",
-		"credits", "rxbudget", "seed", "faults", "cohorts"); err != nil {
-		return nil, err
-	}
-	s := &Spec{}
-	for _, step := range []func() error{
-		func() error { return decStr(m, "name", "spec", &s.Name) },
-		func() error { return decInt(m, "nodes", "spec", &s.Nodes) },
-		func() error { return decStr(m, "topology", "spec", &s.Topology) },
-		func() error { return decInt(m, "radix", "spec", &s.Radix) },
-		func() error { return decInt(m, "credits", "spec", &s.Credits) },
-		func() error { return decInt(m, "rxbudget", "spec", &s.RxBudget) },
-		func() error { return decUint(m, "seed", "spec", &s.Seed) },
-	} {
-		if err := step(); err != nil {
-			return nil, err
-		}
-	}
-	if v, ok := m["faults"]; ok {
-		fm, err := asMap(v, "spec.faults")
-		if err != nil {
-			return nil, err
-		}
-		if err := checkKeys(fm, "spec.faults", "droprate", "corruptrate"); err != nil {
-			return nil, err
-		}
-		if err := decFloat(fm, "droprate", "spec.faults", &s.Faults.DropRate); err != nil {
-			return nil, err
-		}
-		if err := decFloat(fm, "corruptrate", "spec.faults", &s.Faults.CorruptRate); err != nil {
-			return nil, err
-		}
-	}
-	if v, ok := m["cohorts"]; ok {
-		list, err := asList(v, "spec.cohorts")
-		if err != nil {
-			return nil, err
-		}
-		for i, e := range list {
-			c, err := decodeCohort(e, fmt.Sprintf("spec.cohorts[%d]", i))
-			if err != nil {
-				return nil, err
-			}
-			s.Cohorts = append(s.Cohorts, *c)
-		}
-	}
-	return s, nil
-}
-
-func decodeCohort(v any, path string) (*Cohort, error) {
-	m, err := asMap(v, path)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkKeys(m, path, "name", "clients", "src", "dst", "start",
-		"duration", "arrival", "size", "envelope"); err != nil {
-		return nil, err
-	}
-	c := &Cohort{}
-	for _, step := range []func() error{
-		func() error { return decStr(m, "name", path, &c.Name) },
-		func() error { return decInt(m, "clients", path, &c.Clients) },
-		func() error { return decIntList(m, "src", path, &c.Src) },
-		func() error { return decIntList(m, "dst", path, &c.Dst) },
-		func() error { return decTime(m, "start", path, &c.Start) },
-		func() error { return decTime(m, "duration", path, &c.Duration) },
-	} {
-		if err := step(); err != nil {
-			return nil, err
-		}
-	}
-	if v, ok := m["arrival"]; ok {
-		am, err := asMap(v, path+".arrival")
-		if err != nil {
-			return nil, err
-		}
-		if err := checkKeys(am, path+".arrival", "process", "rate", "shape"); err != nil {
-			return nil, err
-		}
-		if err := decStr(am, "process", path+".arrival", &c.Arrival.Process); err != nil {
-			return nil, err
-		}
-		if err := decFloat(am, "rate", path+".arrival", &c.Arrival.Rate); err != nil {
-			return nil, err
-		}
-		if err := decFloat(am, "shape", path+".arrival", &c.Arrival.Shape); err != nil {
-			return nil, err
-		}
-	}
-	if v, ok := m["size"]; ok {
-		if err := decodeSize(v, path+".size", &c.Size); err != nil {
-			return nil, err
-		}
-	}
-	if v, ok := m["envelope"]; ok {
-		list, err := asList(v, path+".envelope")
-		if err != nil {
-			return nil, err
-		}
-		for i, e := range list {
-			p := fmt.Sprintf("%s.envelope[%d]", path, i)
-			em, err := asMap(e, p)
-			if err != nil {
-				return nil, err
-			}
-			if err := checkKeys(em, p, "from", "to", "factor"); err != nil {
-				return nil, err
-			}
-			var w EnvelopeWindow
-			if err := decTime(em, "from", p, &w.From); err != nil {
-				return nil, err
-			}
-			if err := decTime(em, "to", p, &w.To); err != nil {
-				return nil, err
-			}
-			if err := decFloat(em, "factor", p, &w.Factor); err != nil {
-				return nil, err
-			}
-			c.Envelope = append(c.Envelope, w)
-		}
-	}
-	return c, nil
-}
-
-func decodeSize(v any, path string, s *SizeSpec) error {
-	m, err := asMap(v, path)
-	if err != nil {
-		return err
-	}
-	if err := checkKeys(m, path, "dist", "bytes", "min", "max", "mean", "cv", "choices"); err != nil {
-		return err
-	}
-	for _, step := range []func() error{
-		func() error { return decStr(m, "dist", path, &s.Dist) },
-		func() error { return decInt(m, "bytes", path, &s.Bytes) },
-		func() error { return decInt(m, "min", path, &s.Min) },
-		func() error { return decInt(m, "max", path, &s.Max) },
-		func() error { return decFloat(m, "mean", path, &s.Mean) },
-		func() error { return decFloat(m, "cv", path, &s.CV) },
-	} {
-		if err := step(); err != nil {
-			return err
-		}
-	}
-	if v, ok := m["choices"]; ok {
-		list, err := asList(v, path+".choices")
-		if err != nil {
-			return err
-		}
-		for i, e := range list {
-			p := fmt.Sprintf("%s.choices[%d]", path, i)
-			cm, err := asMap(e, p)
-			if err != nil {
-				return err
-			}
-			if err := checkKeys(cm, p, "bytes", "weight"); err != nil {
-				return err
-			}
-			var c SizeChoice
-			if err := decInt(cm, "bytes", p, &c.Bytes); err != nil {
-				return err
-			}
-			if err := decFloat(cm, "weight", p, &c.Weight); err != nil {
-				return err
-			}
-			s.Choices = append(s.Choices, c)
-		}
-	}
-	return nil
 }
