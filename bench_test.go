@@ -269,7 +269,7 @@ func BenchmarkAblationUnsignaled(b *testing.B) {
 		b.Run("c="+itoa(c), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := config.TX2CX4(config.NoiseOff, 1, true)
-				cfg.Bench.SignalPeriod = c
+				cfg.SignalPeriod = c
 				sys := node.NewSystem(cfg, 2)
 				res := osu.MessageRate(sys, osu.Options{Windows: 8})
 				b.ReportMetric(res.MeanInjNs, "ns_per_msg")

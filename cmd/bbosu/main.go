@@ -6,6 +6,9 @@
 // Usage:
 //
 //	bbosu [flags] mr|latency
+//
+// A flag value no run can use exits 2 with one line on stderr before any
+// system is built.
 package main
 
 import (
@@ -16,13 +19,14 @@ import (
 	"breakband/internal/config"
 	"breakband/internal/node"
 	"breakband/internal/osu"
+	"breakband/internal/ucp"
 )
 
 var (
-	flagWindows = flag.Int("windows", 20, "isend windows (mr)")
-	flagWindow  = flag.Int("window", 0, "isends per window (default: calibrated config)")
-	flagIters   = flag.Int("iters", 1000, "ping-pong iterations (latency)")
-	flagSize    = flag.Int("size", 8, "message size in bytes")
+	flagWindows = flag.Int("windows", 20, "isend windows (mr), at least 1")
+	flagWindow  = flag.Int("window", osu.DefaultWindow, "isends per window (mr), a multiple of the signal period")
+	flagIters   = flag.Int("iters", 1000, "ping-pong iterations (latency), at least 1")
+	flagSize    = flag.Int("size", 8, fmt.Sprintf("message size in bytes, 1 to %d (ucp's eager limit)", ucp.MaxBcopy))
 	flagNoise   = flag.Bool("noise", false, "enable the stochastic timing model")
 	flagSeed    = flag.Uint64("seed", 1, "random seed")
 	flagDirect  = flag.Bool("direct", false, "no switch between the NICs")
@@ -39,7 +43,12 @@ func main() {
 	if *flagNoise {
 		noise = config.NoiseOn
 	}
-	sys := node.NewSystem(config.TX2CX4(noise, *flagSeed, !*flagDirect), 2)
+	cfg := config.TX2CX4(noise, *flagSeed, !*flagDirect)
+	if err := checkFlags(cfg); err != nil {
+		fmt.Fprintln(os.Stderr, "bbosu:", err)
+		os.Exit(2)
+	}
+	sys := node.NewSystem(cfg, 2)
 	defer sys.Shutdown()
 
 	switch flag.Arg(0) {
@@ -57,4 +66,21 @@ func main() {
 		fmt.Fprintf(os.Stderr, "bbosu: unknown test %q\n", flag.Arg(0))
 		os.Exit(2)
 	}
+}
+
+// checkFlags rejects flag values no run can use: a count below 1 (osu reads
+// 0 as its default), a window MPI_Waitall would spin on forever (not a
+// multiple of cfg's signal period), a message the eager path cannot send.
+func checkFlags(cfg *config.Config) error {
+	switch {
+	case *flagWindows < 1:
+		return fmt.Errorf("-windows %d: a run needs at least 1 window", *flagWindows)
+	case *flagWindow < 1 || *flagWindow%cfg.SignalPeriod != 0:
+		return fmt.Errorf("-window %d: need a positive multiple of the signal period %d", *flagWindow, cfg.SignalPeriod)
+	case *flagIters < 1:
+		return fmt.Errorf("-iters %d: a run needs at least 1 iteration", *flagIters)
+	case *flagSize < 1 || *flagSize > ucp.MaxBcopy:
+		return fmt.Errorf("-size %d outside [1, %d]", *flagSize, ucp.MaxBcopy)
+	}
+	return nil
 }

@@ -392,9 +392,8 @@ func checkFlags(test string) error {
 // endpoints than its memory holds: each takes uct.EpTargetBytes, the
 // endpoint plus the message-sized target its peer writes into.
 func checkEndpoints(test string) error {
-	cfg := config.TX2CX4(config.NoiseOff, *flagSeed, true)
-	perEp := uct.EpTargetBytes(cfg, msgSize(test))
-	fit := cfg.MemBytes / perEp
+	perEp := uct.EpTargetBytes(msgSize(test))
+	fit := node.MemBytes / perEp
 	flagName, flagVal := "-nodes", nodeCount(test)
 	var eps int
 	switch test {
@@ -413,7 +412,7 @@ func checkEndpoints(test string) error {
 	}
 	if uint64(eps) > fit {
 		return fmt.Errorf("%s %d: %s opens %d endpoints on one node, but its %d MiB hold %d (%d KiB each)",
-			flagName, flagVal, test, eps, cfg.MemBytes>>20, fit, perEp>>10)
+			flagName, flagVal, test, eps, node.MemBytes>>20, fit, perEp>>10)
 	}
 	return nil
 }

@@ -43,8 +43,8 @@ var (
 	flagSeed     = flag.Uint64("seed", 1, "random seed (with -noise)")
 	flagDirect   = flag.Bool("direct", false, "cable the NICs back to back (no switch)")
 	flagSamples  = flag.Int("samples", 400, "samples per measured component (>=100)")
-	flagWindows  = flag.Int("windows", 20, "message-rate windows")
-	flagFig7N    = flag.Int("fig7-iters", 20000, "put_bw iterations for the Figure-7 histogram")
+	flagWindows  = flag.Int("windows", 20, "message-rate windows, at least 1")
+	flagFig7N    = flag.Int("fig7-iters", 20000, "put_bw iterations for the Figure-7 histogram, at least 1")
 	flagParallel = flag.Int("parallel", 0, "campaign/sweep worker pool (0 = GOMAXPROCS, 1 = serial)")
 )
 
@@ -67,6 +67,10 @@ func main() {
 	flag.Parse()
 	if flag.NArg() < 1 {
 		flag.Usage()
+		os.Exit(2)
+	}
+	if err := checkFlags(); err != nil {
+		fmt.Fprintln(os.Stderr, "breakband:", err)
 		os.Exit(2)
 	}
 	cmd := strings.ToLower(flag.Arg(0))
@@ -119,6 +123,22 @@ func main() {
 		fmt.Fprintf(os.Stderr, "breakband: unknown command %q\n", cmd)
 		os.Exit(2)
 	}
+}
+
+// checkFlags rejects flag values the library would silently replace with
+// its defaults or turn into an empty result.
+func checkFlags() error {
+	switch {
+	case *flagSamples < 100:
+		return fmt.Errorf("-samples %d: the paper's methodology needs at least 100", *flagSamples)
+	case *flagWindows < 1:
+		return fmt.Errorf("-windows %d: a message-rate run needs at least 1 window", *flagWindows)
+	case *flagFig7N < 1:
+		return fmt.Errorf("-fig7-iters %d: the histogram needs at least 1 iteration", *flagFig7N)
+	case *flagParallel < 0:
+		return fmt.Errorf("-parallel %d is negative (0 selects GOMAXPROCS)", *flagParallel)
+	}
+	return nil
 }
 
 // fig6 prints a PCIe trace snippet of downstream transactions during put_bw,
@@ -204,7 +224,7 @@ func ablate() {
 	periods := []int{1, 4, 16, 64}
 	for i, res := range campaign.Map(par, periods, func(_, c int) *osu.MessageRateResult {
 		cfg := config.TX2CX4(noiseLevel(o), seedOf(o), !o.DirectCable)
-		cfg.Bench.SignalPeriod = c
+		cfg.SignalPeriod = c
 		sys := systemOf(cfg)
 		defer sys.Shutdown()
 		return osu.MessageRate(sys, osu.Options{Windows: 12})

@@ -48,7 +48,7 @@ func main() {
 	fmt.Println()
 
 	cfg := config.TX2CX4(config.NoiseOff, seed, true)
-	cfg.Bench.SignalPeriod = 1
+	cfg.SignalPeriod = 1
 	cfg.Faults.Crashes = []faults.Crash{{Node: 1, At: units.Microseconds(5)}}
 	sys := node.NewSystem(cfg, 2)
 	defer sys.Shutdown()

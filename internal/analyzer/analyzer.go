@@ -10,15 +10,11 @@
 // TLP-to-ACK round trips (the PCIe component), downstream-to-upstream deltas
 // (the Network component) and inbound-pong to outbound-ping deltas (the
 // RC-to-MEM component, Figure 9).
-//
-// The analyzer stores each capture in a packed 32-byte form, not as the
-// 56-byte public Record: a long capture then holds little more than half
-// the host memory. Every query expands the stored form back into the
-// Record it was captured as, so callers never see the difference.
 package analyzer
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"breakband/internal/pcie"
@@ -49,47 +45,13 @@ func (r Record) Kind() string {
 	return r.DLLPType.String()
 }
 
-// capture is the stored form of one Record, 32 bytes against the Record's
-// 56. A TLP's Seq and a DLLP's AckSeq share seq, and typ holds the
-// TLPType or the DLLPType as tlp says. The fields a Record leaves zero for
-// the other packet kind need no storage. A uint32 payload length holds up
-// to 4 GiB, far beyond the kilobyte payloads the simulator moves.
-type capture struct {
-	at      units.Time
-	addr    uint64
-	seq     uint64
-	payload uint32
-	dir     pcie.Dir
-	tlp     bool
-	typ     uint8
-}
-
-// record expands c into the Record it was captured as.
-func (c *capture) record() Record {
-	if c.tlp {
-		return Record{At: c.at, Dir: c.dir, IsTLP: true, TLPType: pcie.TLPType(c.typ),
-			Addr: c.addr, Payload: int(c.payload), Seq: c.seq}
-	}
-	return Record{At: c.at, Dir: c.dir, DLLPType: pcie.DLLPType(c.typ), AckSeq: c.seq}
-}
-
-// recChunk is the record count of one trace chunk. Chunked storage keeps
-// long captures append-cheap: a benchmark-length trace grows by adding
-// chunks instead of repeatedly re-copying one giant slice.
-const recChunk = 4096
-
 // Analyzer is a passive trace recorder implementing pcie.Tap. Because link
 // packets are pooled (see the pcie package borrow contract), the analyzer
-// copies the fields it keeps into its own captures at observation time and
+// copies the fields it keeps into its own records at observation time and
 // never retains the packets themselves.
 type Analyzer struct {
 	name string
-	// chunks hold the trace in capture order; chunks[:active] are full,
-	// chunks[active] is the append target. Cleared chunks keep their
-	// capacity for reuse.
-	chunks [][]capture
-	active int
-	n      int
+	recs []Record // the trace in capture order
 }
 
 var _ pcie.Tap = (*Analyzer)(nil)
@@ -100,14 +62,8 @@ func New(name string) *Analyzer { return &Analyzer{name: name} }
 // Name reports the analyzer's label.
 func (a *Analyzer) Name() string { return a.name }
 
-// Clear discards the captured trace, retaining chunk capacity for reuse.
-func (a *Analyzer) Clear() {
-	for i := range a.chunks {
-		a.chunks[i] = a.chunks[i][:0]
-	}
-	a.active = 0
-	a.n = 0
-}
+// Clear discards the captured trace, retaining its capacity for reuse.
+func (a *Analyzer) Clear() { a.recs = a.recs[:0] }
 
 // Len reports the number of records currently held: 0 on a nil analyzer,
 // the Tap of a node that never attached one.
@@ -115,61 +71,33 @@ func (a *Analyzer) Len() int {
 	if a == nil {
 		return 0
 	}
-	return a.n
-}
-
-// add appends one capture to the chunked store.
-func (a *Analyzer) add(c capture) {
-	if a.active == len(a.chunks) {
-		a.chunks = append(a.chunks, make([]capture, 0, recChunk))
-	}
-	chunk := append(a.chunks[a.active], c)
-	a.chunks[a.active] = chunk
-	if len(chunk) == recChunk {
-		a.active++
-	}
-	a.n++
-}
-
-// each calls fn for every held record in capture order.
-func (a *Analyzer) each(fn func(Record)) {
-	for _, c := range a.chunks {
-		for i := range c {
-			fn(c[i].record())
-		}
-	}
+	return len(a.recs)
 }
 
 // ObserveTLP implements pcie.Tap. The TLP is borrowed; the fields the trace
 // keeps are copied here.
 func (a *Analyzer) ObserveTLP(at units.Time, dir pcie.Dir, t *pcie.TLP) {
-	a.add(capture{
-		at: at, dir: dir, tlp: true,
-		typ: uint8(t.Type), addr: t.Addr, payload: uint32(t.PayloadBytes()), seq: t.Seq,
-	})
+	a.recs = append(a.recs, Record{At: at, Dir: dir, IsTLP: true, TLPType: t.Type,
+		Addr: t.Addr, Payload: t.PayloadBytes(), Seq: t.Seq})
 }
 
 // ObserveDLLP implements pcie.Tap. The DLLP is borrowed; see ObserveTLP.
 func (a *Analyzer) ObserveDLLP(at units.Time, dir pcie.Dir, d *pcie.DLLP) {
-	a.add(capture{at: at, dir: dir, typ: uint8(d.Type), seq: d.AckSeq})
+	a.recs = append(a.recs, Record{At: at, Dir: dir, DLLPType: d.Type, AckSeq: d.AckSeq})
 }
 
-// Records returns the captured trace in time order (capture order), as one
-// freshly assembled slice.
-func (a *Analyzer) Records() []Record {
-	out := make([]Record, 0, a.n)
-	a.each(func(r Record) { out = append(out, r) })
-	return out
-}
+// Records returns a copy of the captured trace in time order (capture
+// order).
+func (a *Analyzer) Records() []Record { return slices.Clone(a.recs) }
 
 // Filter returns the records matching keep.
 func (a *Analyzer) Filter(keep func(Record) bool) []Record {
 	var out []Record
-	a.each(func(r Record) {
+	for _, r := range a.recs {
 		if keep(r) {
 			out = append(out, r)
 		}
-	})
+	}
 	return out
 }
 
@@ -212,7 +140,7 @@ func (a *Analyzer) AckRoundTrips(dir pcie.Dir, typ pcie.TLPType) *stats.Sample {
 	}
 	var s stats.Sample
 	pending := map[uint64]units.Time{}
-	a.each(func(r Record) {
+	for _, r := range a.recs {
 		switch {
 		case r.IsTLP && r.Dir == dir && r.TLPType == typ:
 			pending[r.Seq] = r.At
@@ -222,7 +150,7 @@ func (a *Analyzer) AckRoundTrips(dir pcie.Dir, typ pcie.TLPType) *stats.Sample {
 				delete(pending, r.AckSeq)
 			}
 		}
-	})
+	}
 	return &s
 }
 
@@ -235,19 +163,19 @@ func (a *Analyzer) PairDeltas(first, second func(Record) bool) *stats.Sample {
 	var s stats.Sample
 	var t0 units.Time
 	armed := false
-	a.each(func(r Record) {
+	for _, r := range a.recs {
 		if !armed {
 			if first(r) {
 				t0 = r.At
 				armed = true
 			}
-			return
+			continue
 		}
 		if second(r) {
 			s.Add((r.At - t0).Ns())
 			armed = false
 		}
-	})
+	}
 	return &s
 }
 
@@ -256,22 +184,17 @@ func (a *Analyzer) PairDeltas(first, second func(Record) bool) *stats.Sample {
 func (a *Analyzer) FormatTrace(n int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-14s %-6s %-6s %-8s %-16s %s\n", "TIME", "DIR", "KIND", "PAYLOAD", "ADDR", "SEQ")
-	i := 0
-	a.each(func(r Record) {
-		if n > 0 && i >= n {
-			if i == n {
-				fmt.Fprintf(&b, "... (%d more records)\n", a.n-n)
-			}
-			i++
-			return
+	for i, r := range a.recs {
+		if n > 0 && i == n {
+			fmt.Fprintf(&b, "... (%d more records)\n", len(a.recs)-n)
+			break
 		}
-		i++
 		addr := ""
 		if r.IsTLP {
 			addr = fmt.Sprintf("%#x", r.Addr)
 		}
 		fmt.Fprintf(&b, "%-14s %-6s %-6s %-8d %-16s %d\n",
 			r.At.String(), r.Dir.String(), r.Kind(), r.Payload, addr, r.Seq)
-	})
+	}
 	return b.String()
 }

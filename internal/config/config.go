@@ -1,7 +1,8 @@
 // Package config holds the calibrated parameter set for the simulated
 // system: an Arm ThunderX2-class server with a ConnectX-4-class adapter
-// (the paper's evaluation platform), plus the noise model and benchmark
-// defaults.
+// (the paper's evaluation platform), plus the noise model and UCP's
+// signal period, the one benchmark shape runs vary. Shapes no run varies
+// are constants beside their reader (perftest, osu, uct, node, profile).
 //
 // Calibration philosophy: the paper's Table 1 reports component times
 // *measured through its methodology* (CPU timers with overhead subtraction,
@@ -168,29 +169,6 @@ type SW struct {
 type Prof struct {
 	Isb  rng.Dist
 	Read rng.Dist
-	// TimerHz is the virtual counter frequency; 1 THz models the "precise
-	// CPU timers" the methodology requires.
-	TimerHz uint64
-	// CalibrationSamples is how many empty scopes calibration averages
-	// (the paper used 1000).
-	CalibrationSamples int
-}
-
-// Bench holds benchmark shape parameters.
-type Bench struct {
-	// PollBatch: put_bw polls one completion every PollBatch posts
-	// (paper §4.2: 16).
-	PollBatch int
-	// SignalPeriod is UCP's unsignaled-completion period c (paper §6: 64).
-	SignalPeriod int
-	// Window is the OSU message-rate isend window. Chosen (with SQDepth)
-	// so a realistic share of posts go busy, reproducing the paper's
-	// Misc term.
-	Window int
-	// SQDepth and CQDepth are the queue sizes (powers of two).
-	SQDepth, CQDepth int
-	// Warmup and Iters are default benchmark iteration counts.
-	Warmup, Iters int
 }
 
 // Config is the complete parameter set for a simulated system.
@@ -198,9 +176,12 @@ type Config struct {
 	Seed  uint64
 	Noise NoiseLevel
 
-	SW    SW
-	Prof  Prof
-	Bench Bench
+	SW   SW
+	Prof Prof
+
+	// SignalPeriod is UCP's unsignaled-completion period c (paper §6: 64).
+	// Latency runs, the chaos soak and blocking sends set 1.
+	SignalPeriod int
 
 	Link   pcie.LinkConfig
 	RC     pcie.RCConfig
@@ -234,9 +215,6 @@ type Config struct {
 	// through it).
 	Faults faults.Config
 
-	// MemBytes is each node's host memory size.
-	MemBytes uint64
-
 	// TraceCapacity, when positive, enables fabric-wide event tracing:
 	// node.NewSystem installs a trace.Tracer whose ring holds this many
 	// events on the kernel before any layer is built, so every layer
@@ -259,7 +237,7 @@ func dist(noise NoiseLevel, ns, cv float64) rng.Dist {
 // paper's main numbers include the switch); without it the two nodes are
 // cabled back to back (Topology.Kind = topo.BackToBack).
 func TX2CX4(noise NoiseLevel, seed uint64, useSwitch bool) *Config {
-	c := &Config{Seed: seed, Noise: noise, MemBytes: 256 << 20}
+	c := &Config{Seed: seed, Noise: noise, SignalPeriod: 64}
 
 	// ---- software costs ----
 	// LLP_post stages: Table 1 directly; Misc (14.99) split across
@@ -319,19 +297,6 @@ func TX2CX4(noise NoiseLevel, seed uint64, useSwitch bool) *Config {
 	// UCS overhead (sigma 1.48 over 1000 samples).
 	c.Prof.Isb = dist(noise, 15.00, timerCV)
 	c.Prof.Read = dist(noise, 34.69, timerCV)
-	c.Prof.TimerHz = 1_000_000_000_000 // 1 THz: precise timers
-	c.Prof.CalibrationSamples = 1000
-
-	// ---- benchmark shapes ----
-	c.Bench = Bench{
-		PollBatch:    16,
-		SignalPeriod: 64,
-		Window:       192,
-		SQDepth:      128,
-		CQDepth:      4096,
-		Warmup:       100,
-		Iters:        1000,
-	}
 
 	// ---- PCIe ----
 	// The trace methodology measures PCIe as half the TLP->ACK round trip

@@ -113,32 +113,16 @@ func TestSwitchFlagged(t *testing.T) {
 	}
 }
 
-func TestBenchDefaults(t *testing.T) {
-	cfg := TX2CX4(NoiseOff, 1, true)
-	if cfg.Bench.PollBatch != 16 {
-		t.Error("poll batch must match the paper's put_bw (16)")
-	}
-	if cfg.Bench.SignalPeriod != 64 {
-		t.Error("unsignaled period must match UCX's c=64")
-	}
-	if cfg.Bench.SQDepth&(cfg.Bench.SQDepth-1) != 0 {
-		t.Error("SQ depth must be a power of two")
-	}
-	if cfg.Bench.Window <= cfg.Bench.SQDepth {
-		t.Error("message-rate window should exceed the queue depth so busy posts occur (paper §6)")
-	}
-}
-
 func TestProfCalibrationTargets(t *testing.T) {
 	cfg := TX2CX4(NoiseOff, 1, true)
 	total := cfg.Prof.Isb.Mean().Ns() + cfg.Prof.Read.Mean().Ns()
 	if math.Abs(total-TabMeasUpdate) > 1e-9 {
 		t.Errorf("profiling overhead = %v, want %v", total, TabMeasUpdate)
 	}
-	if cfg.Prof.TimerHz != 1e12 {
-		t.Error("default timer must be 1 THz (precise timers)")
-	}
-	if cfg.Prof.CalibrationSamples != 1000 {
-		t.Error("the paper calibrates with 1000 samples")
+}
+
+func TestSignalPeriod(t *testing.T) {
+	if c := TX2CX4(NoiseOff, 1, true).SignalPeriod; c != 64 {
+		t.Errorf("unsignaled period %d, want UCX's c=64", c)
 	}
 }

@@ -98,7 +98,7 @@ func Run(mk func() *config.Config, o Opts) *Result {
 	if o.Windows <= 0 {
 		o.Windows = 20
 	}
-	s := &state{mk: mk, o: o, signalPeriod: mk().Bench.SignalPeriod}
+	s := &state{mk: mk, o: o, signalPeriod: mk().SignalPeriod}
 	campaign.Run(o.Parallelism, s.tasks())
 	return s.assemble()
 }
@@ -357,7 +357,7 @@ func (s *state) assemble() *Result {
 func (s *state) measureCalibration() {
 	sys := s.sys("calibration")
 	sys.K.SpawnTask("calibrate", oneStep(func(t *sim.Task) {
-		s.calibration = sys.Nodes[0].Prof.Calibrate(t, sys.Cfg.Prof.CalibrationSamples)
+		s.calibration = sys.Nodes[0].Prof.Calibrate(t)
 	}))
 	sys.Run()
 	sys.Shutdown()
@@ -387,7 +387,7 @@ func (s *state) measUpdateLoop(sys *node.System) *mpi.Rank {
 	n0 := sys.Nodes[0]
 	sys.K.SpawnTask("direct_costs", oneStep(func(t *sim.Task) {
 		prof := n0.Prof
-		prof.Calibrate(t, cfg.Prof.CalibrationSamples)
+		prof.Calibrate(t)
 		for i := 0; i < s.o.Samples; i++ {
 			tok := prof.Begin(t, profile.MeasUpdate)
 			t.Advance(cfg.SW.MeasUpdate.Sample(n0.Rand))
@@ -558,7 +558,6 @@ func (f *waitSenderFrame) Step(t *sim.Task) {
 type waitWaiterFrame struct {
 	r       *mpi.Rank
 	samples int
-	calib   int
 	pc, i   int
 	req     *mpi.Request
 }
@@ -568,7 +567,7 @@ func (f *waitWaiterFrame) Step(t *sim.Task) {
 		at := waitStart + units.Time(f.i)*waitPeriod
 		switch f.pc {
 		case 0:
-			f.r.Node.Prof.Calibrate(t, f.calib)
+			f.r.Node.Prof.Calibrate(t)
 			f.pc = 1
 			f.r.StartPreparePostedRecvs(t, 512)
 			return
@@ -607,7 +606,7 @@ func (s *state) waitWorkload(sys *node.System) *mpi.Rank {
 	comm := mpi.NewComm(sys.Nodes[:2], sys.Cfg, uct.PIOInline)
 	r0, r1 := comm.Ranks[0], comm.Ranks[1]
 	sys.K.SpawnTask("wait_workload.sender", &waitSenderFrame{r: r1, samples: s.o.Samples, data: make([]byte, 8)})
-	sys.K.SpawnTask("wait_workload.waiter", &waitWaiterFrame{r: r0, samples: s.o.Samples, calib: sys.Cfg.Prof.CalibrationSamples})
+	sys.K.SpawnTask("wait_workload.waiter", &waitWaiterFrame{r: r0, samples: s.o.Samples})
 	sys.Run()
 	return r0
 }

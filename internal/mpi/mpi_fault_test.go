@@ -17,7 +17,7 @@ import (
 func faultHarness(t *testing.T, crashAt units.Time) (*node.System, *Comm) {
 	t.Helper()
 	cfg := config.TX2CX4(config.NoiseOff, 1, true)
-	cfg.Bench.SignalPeriod = 1 // blocking sends complete via per-message CQEs
+	cfg.SignalPeriod = 1 // blocking sends complete via per-message CQEs
 	cfg.Faults.Crashes = []faults.Crash{{Node: 1, At: crashAt}}
 	sys := node.NewSystem(cfg, 2)
 	comm := NewComm(sys.Nodes[:2], cfg, uct.PIOInline)

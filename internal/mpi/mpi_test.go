@@ -15,7 +15,7 @@ import (
 func harness(t *testing.T) (*node.System, *Comm) {
 	t.Helper()
 	cfg := config.TX2CX4(config.NoiseOff, 1, true)
-	cfg.Bench.SignalPeriod = 1 // blocking sends complete via per-message CQEs
+	cfg.SignalPeriod = 1 // blocking sends complete via per-message CQEs
 	sys := node.NewSystem(cfg, 2)
 	comm := NewComm(sys.Nodes[:2], cfg, uct.PIOInline)
 	return sys, comm
@@ -217,7 +217,7 @@ func TestCommFullyConnected(t *testing.T) {
 
 func TestThreeRankRing(t *testing.T) {
 	cfg := config.TX2CX4(config.NoiseOff, 1, true)
-	cfg.Bench.SignalPeriod = 1
+	cfg.SignalPeriod = 1
 	sys := node.NewSystem(cfg, 3)
 	defer sys.Shutdown()
 	comm := NewComm(sys.Nodes, cfg, uct.PIOInline)

@@ -1,9 +1,9 @@
 // Package node composes the hardware substrates into complete nodes and
-// N-node systems: per node a host memory, a PCIe link with its Root
-// Complex and NIC endpoint, and a profiler over the node's virtual timer;
-// plus the shared network fabric — a compiled internal/topo topology
-// selected by Config.Topology (two nodes default to the paper's calibrated
-// two-endpoint path, bit for bit).
+// N-node systems: per node a host memory of MemBytes, a PCIe link with its
+// Root Complex and NIC endpoint, and a profiler whose timer is the reading
+// task's clock; plus the shared network fabric — a compiled internal/topo
+// topology selected by Config.Topology (two nodes default to the paper's
+// calibrated two-endpoint path, bit for bit).
 //
 // A node carries no PCIe analyzer until a run that reads one attaches it
 // with Node.AttachTap. The paper's Figure 3 places a single analyzer
@@ -24,12 +24,14 @@ import (
 	"breakband/internal/sim"
 	"breakband/internal/topo"
 	"breakband/internal/trace"
-	"breakband/internal/vtimer"
 )
 
-// Node is one server: CPU-side facilities (the profiler, which owns the
-// node's timer, and the RNG stream for software costs), host memory, and
-// the I/O subsystem.
+// MemBytes is each node's host memory size. It bounds how many endpoints
+// one node can hold (uct.EpBytes).
+const MemBytes = 256 << 20
+
+// Node is one server: CPU-side facilities (the profiler and the RNG
+// stream for software costs), host memory, and the I/O subsystem.
 type Node struct {
 	ID   int
 	Mem  *memsim.Memory
@@ -128,7 +130,7 @@ func (s *System) Topo() *topo.Fabric { return s.Net }
 func (s *System) Tracer() *trace.Tracer { return s.K.Tracer() }
 
 func newNode(k *sim.Kernel, net *topo.Fabric, cfg *config.Config, id int) *Node {
-	mem := memsim.New(cfg.MemBytes)
+	mem := memsim.New(MemBytes)
 	link := pcie.NewLink(k, cfg.Link)
 	link.SetTraceNode(id)
 	rc := pcie.NewRootComplex(k, mem, link, cfg.RC)
@@ -150,7 +152,7 @@ func newNode(k *sim.Kernel, net *topo.Fabric, cfg *config.Config, id int) *Node 
 		Link: link,
 		RC:   rc,
 		NIC:  dev,
-		Prof: profile.New(vtimer.New(k, cfg.Prof.TimerHz, cfg.Prof.Isb, cfg.Prof.Read, r)),
+		Prof: profile.New(cfg.Prof.Isb, cfg.Prof.Read, r),
 		Rand: r,
 	}
 }

@@ -13,6 +13,11 @@
 // resumable frame machine over the frame-based MPI layer. A run that times
 // one software component selects its scope on node 0's profiler before it
 // starts (internal/profile); rank 0 then calibrates that profiler first.
+//
+// A message-rate window must be a multiple of the configured UCP signal
+// period (config.Config.SignalPeriod): MPI_Waitall completes a window only
+// through its signaled sends, so a window that ends on unsignaled isends
+// would wait forever. Messages are eager, at most ucp.MaxBcopy bytes.
 package osu
 
 import (
@@ -23,39 +28,60 @@ import (
 	"breakband/internal/node"
 	"breakband/internal/sim"
 	"breakband/internal/stats"
+	"breakband/internal/ucp"
 	"breakband/internal/uct"
 	"breakband/internal/units"
 )
 
-// Options shapes an OSU run.
+// DefaultWindow is the message-rate isends per window. It exceeds
+// uct.SQDepth, so a realistic share of posts go busy, reproducing the
+// paper's Misc term (§6), and is a multiple of the default signal period.
+const DefaultWindow = 192
+
+// Options shapes an OSU run. A zero field takes its default.
 type Options struct {
-	// Windows is the number of isend windows (message rate).
+	// Windows is the number of isend windows (message rate, default 20).
 	Windows int
-	// Window is the isends per window; defaults from config (chosen with
-	// the queue depth so a realistic share of posts go busy).
+	// Window is the isends per window (default DefaultWindow).
 	Window int
-	// Iters is the ping-pong count (latency).
+	// Iters is the ping-pong count (latency, default 1000), after Warmup
+	// (default 100) unmeasured ones.
 	Iters  int
 	Warmup int
 	// MsgSize is the user payload (8 bytes by default).
 	MsgSize int
 }
 
-func (o *Options) defaults(cfg *config.Config) {
+func (o *Options) defaults() {
 	if o.Windows == 0 {
 		o.Windows = 20
 	}
 	if o.Window == 0 {
-		o.Window = cfg.Bench.Window
+		o.Window = DefaultWindow
 	}
 	if o.Iters == 0 {
-		o.Iters = cfg.Bench.Iters
+		o.Iters = 1000
 	}
 	if o.Warmup == 0 {
-		o.Warmup = cfg.Bench.Warmup
+		o.Warmup = 100
 	}
 	if o.MsgSize == 0 {
 		o.MsgSize = 8
+	}
+}
+
+// check panics, naming the rule, on options a run could only spin on or
+// garble: a window that ends on unsignaled isends, a payload above the
+// eager limit (the receiver would wait for sends that failed), or a count
+// below one.
+func (o *Options) check(signalPeriod int) {
+	switch {
+	case o.Window < 1 || o.Window%signalPeriod != 0:
+		panic(fmt.Sprintf("osu: window %d is not a positive multiple of the signal period %d", o.Window, signalPeriod))
+	case o.MsgSize < 1 || o.MsgSize > ucp.MaxBcopy:
+		panic(fmt.Sprintf("osu: message size %d outside [1, %d], ucp's eager limit", o.MsgSize, ucp.MaxBcopy))
+	case o.Windows < 1 || o.Iters < 1 || o.Warmup < 0:
+		panic(fmt.Sprintf("osu: %d windows, %d iterations after %d warmup: need at least one", o.Windows, o.Iters, o.Warmup))
 	}
 }
 
@@ -128,7 +154,7 @@ func (f *mrSendFrame) Step(t *sim.Task) {
 	for {
 		switch f.pc {
 		case 0:
-			f.r.Node.Prof.CalibrateIfSelected(t, f.cfg.Prof.CalibrationSamples)
+			f.r.Node.Prof.CalibrateIfSelected(t)
 			f.pc = 10
 			f.r.StartPreparePostedRecvs(t, 512)
 			return
@@ -178,8 +204,9 @@ func (f *mrSendFrame) Step(t *sim.Task) {
 
 // MessageRate runs the message-rate benchmark from rank 0 to rank 1.
 func MessageRate(sys *node.System, opt Options) *MessageRateResult {
-	opt.defaults(sys.Cfg)
+	opt.defaults()
 	cfg := sys.Cfg
+	opt.check(cfg.SignalPeriod)
 	comm := mpi.NewComm(sys.Nodes[:2], cfg, uct.PIOInline)
 	r0, r1 := comm.Ranks[0], comm.Ranks[1]
 	res := &MessageRateResult{Sender: r0, Receiver: r1}
@@ -263,7 +290,7 @@ func (f *latPingFrame) Step(t *sim.Task) {
 	for {
 		switch f.pc {
 		case 0:
-			f.r.Node.Prof.CalibrateIfSelected(t, f.cfg.Prof.CalibrationSamples)
+			f.r.Node.Prof.CalibrateIfSelected(t)
 			f.pc = 1
 			f.r.StartPreparePostedRecvs(t, 64)
 			return
@@ -299,9 +326,10 @@ func (f *latPingFrame) Step(t *sim.Task) {
 // signaled every message here (the latency path does not batch completions),
 // while the message-rate test keeps the configured unsignaled period.
 func Latency(sys *node.System, opt Options) *LatencyResult {
-	opt.defaults(sys.Cfg)
+	opt.defaults()
 	cfg := *sys.Cfg // shallow copy: per-run signal period tweak
-	cfg.Bench.SignalPeriod = 1
+	cfg.SignalPeriod = 1
+	opt.check(cfg.SignalPeriod)
 	comm := mpi.NewComm(sys.Nodes[:2], &cfg, uct.PIOInline)
 	r0, r1 := comm.Ranks[0], comm.Ranks[1]
 	res := &LatencyResult{Iters: opt.Iters, RTTs: &stats.Sample{}, Rank0: r0, Rank1: r1}

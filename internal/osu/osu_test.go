@@ -2,10 +2,13 @@ package osu
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"breakband/internal/config"
 	"breakband/internal/node"
+	"breakband/internal/ucp"
+	"breakband/internal/uct"
 )
 
 func newSys(t *testing.T, noise config.NoiseLevel) *node.System {
@@ -21,7 +24,7 @@ func TestMessageRateNearModel(t *testing.T) {
 	if math.Abs(res.MeanInjNs-264.97)/264.97 > 0.05 {
 		t.Errorf("message-rate inverse %.2f vs 264.97", res.MeanInjNs)
 	}
-	if res.Messages != 12*sys.Cfg.Bench.Window {
+	if res.Messages != 12*DefaultWindow {
 		t.Errorf("messages = %d", res.Messages)
 	}
 }
@@ -31,7 +34,7 @@ func TestMessageRateBusyPosts(t *testing.T) {
 	defer sys.Shutdown()
 	res := MessageRate(sys, Options{Windows: 10})
 	// Window (192) beyond queue depth (128): 64 busy posts per window.
-	wantPerWindow := sys.Cfg.Bench.Window - sys.Cfg.Bench.SQDepth
+	wantPerWindow := DefaultWindow - uct.SQDepth
 	if int(res.BusyPosts) != 10*wantPerWindow {
 		t.Errorf("busy posts = %d, want %d", res.BusyPosts, 10*wantPerWindow)
 	}
@@ -68,7 +71,7 @@ func TestMessageRateEventsPerMessage(t *testing.T) {
 	defer sys.Shutdown()
 	MessageRate(sys, Options{Windows: 30})
 	delivered := sys.Nodes[1].NIC.Stats().RxFrames
-	if want := uint64(31 * sys.Cfg.Bench.Window); delivered != want {
+	if want := uint64(31 * DefaultWindow); delivered != want {
 		t.Fatalf("receiver took %d messages, want %d", delivered, want)
 	}
 	perMsg := float64(sys.K.Fired()) / float64(delivered)
@@ -96,6 +99,50 @@ func TestLatencyNoisyWithinTolerance(t *testing.T) {
 	res := Latency(sys, Options{Iters: 500})
 	if math.Abs(res.ReportedNs-config.TabE2ELatencyModel)/config.TabE2ELatencyModel > 0.07 {
 		t.Errorf("noisy latency %.2f vs model %.2f", res.ReportedNs, config.TabE2ELatencyModel)
+	}
+}
+
+// TestDefaultWindow: the message-rate window exceeds the send-queue depth,
+// so busy posts occur (§6), and ends on a signaled isend at the default
+// signal period.
+func TestDefaultWindow(t *testing.T) {
+	if DefaultWindow <= uct.SQDepth {
+		t.Errorf("window %d does not exceed the queue depth %d: no busy posts", DefaultWindow, uct.SQDepth)
+	}
+	if c := config.TX2CX4(config.NoiseOff, 1, true).SignalPeriod; DefaultWindow%c != 0 {
+		t.Errorf("window %d is not a multiple of the signal period %d", DefaultWindow, c)
+	}
+}
+
+// TestBadOptionsPanic: options the benchmarks could only spin on or
+// garble panic with a message naming the rule, before any task runs.
+func TestBadOptionsPanic(t *testing.T) {
+	cases := []struct {
+		name string
+		run  func(*node.System)
+		rule string
+	}{
+		{"window 100", func(s *node.System) { MessageRate(s, Options{Window: 100}) }, "signal period"},
+		{"window 32", func(s *node.System) { MessageRate(s, Options{Window: 32}) }, "signal period"},
+		{"window -1", func(s *node.System) { MessageRate(s, Options{Window: -1}) }, "signal period"},
+		{"windows -3", func(s *node.System) { MessageRate(s, Options{Windows: -3}) }, "at least one"},
+		{"mr size 4089", func(s *node.System) { MessageRate(s, Options{MsgSize: ucp.MaxBcopy + 1}) }, "eager limit"},
+		{"latency size 4089", func(s *node.System) { Latency(s, Options{MsgSize: ucp.MaxBcopy + 1}) }, "eager limit"},
+		{"latency size -1", func(s *node.System) { Latency(s, Options{MsgSize: -1}) }, "eager limit"},
+		{"latency iters -4", func(s *node.System) { Latency(s, Options{Iters: -4}) }, "at least one"},
+	}
+	for _, c := range cases {
+		sys := newSys(t, config.NoiseOff)
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, c.rule) {
+					t.Errorf("%s: panic %q, want one naming %q", c.name, msg, c.rule)
+				}
+			}()
+			c.run(sys)
+		}()
+		sys.Shutdown()
 	}
 }
 

@@ -422,7 +422,7 @@ func ChaosSoak(base *config.Config, seed uint64, opt ChaosOptions) *ChaosResult 
 	// Per-message signaled completions: the windowed waits (and the
 	// failure detector's single outstanding heartbeat) need every send to
 	// produce a CQE, like the mpi tests run.
-	cfg.Bench.SignalPeriod = 1
+	cfg.SignalPeriod = 1
 	cfg.Faults = ChaosSchedule(seed, &cfg, chaosNodes)
 
 	sys := node.NewSystem(&cfg, chaosNodes)

@@ -104,7 +104,7 @@ func (f *putLoopFrame) Step(t *sim.Task) {
 	for {
 		switch f.pc {
 		case 0:
-			s.n.Prof.CalibrateIfSelected(t, cfg.Prof.CalibrationSamples)
+			s.n.Prof.CalibrateIfSelected(t)
 			f.pc = 1
 		case 1: // warmup loop head
 			if f.i >= f.opt.Warmup {
@@ -121,7 +121,7 @@ func (f *putLoopFrame) Step(t *sim.Task) {
 			}
 			f.i++
 			f.pc = 1
-			if f.i%cfg.Bench.PollBatch == 0 {
+			if f.i%pollBatch == 0 {
 				s.w.StartProgress(t)
 				return
 			}
@@ -160,7 +160,7 @@ func (f *putLoopFrame) Step(t *sim.Task) {
 				continue
 			}
 			f.pc = 7
-			if (f.i+1)%cfg.Bench.PollBatch == 0 {
+			if (f.i+1)%pollBatch == 0 {
 				s.w.StartProgress(t)
 				return
 			}
@@ -214,12 +214,12 @@ type AllToAllResult struct {
 }
 
 // AllToAllPutBw runs opt.Iters rounds in which every node RDMA-writes one
-// message to every other node, polling a completion every
-// Bench.PollBatch posts — the uniform traffic matrix that loads every
-// tier of a multi-switch topology (cross-leaf flows share leaf-spine
-// links in the fat-tree).
+// message to every other node, polling a completion every pollBatch
+// posts — the uniform traffic matrix that loads every tier of a
+// multi-switch topology (cross-leaf flows share leaf-spine links in the
+// fat-tree).
 func AllToAllPutBw(sys *node.System, opt Options) *AllToAllResult {
-	opt.Defaults(sys.Cfg)
+	opt.Defaults()
 	cfg := sys.Cfg
 	n := len(sys.Nodes)
 	res := &AllToAllResult{Nodes: n, MsgSize: opt.MsgSize}
@@ -343,7 +343,7 @@ func (f *a2aNodeFrame) Step(t *sim.Task) {
 				continue
 			}
 			f.posts++
-			if f.posts%cfg.Bench.PollBatch == 0 {
+			if f.posts%pollBatch == 0 {
 				f.pc = 31
 				f.w.StartProgress(t)
 				return

@@ -82,10 +82,9 @@ func (sh *lossyShared) verify(t *sim.Task, data []byte) {
 // heavy loss), then drains its in-flight tail with StartFlush, which also
 // ends on a failed QP: its sends retire through their error completions.
 type lossySendFrame struct {
-	cfg *config.Config
-	w   *uct.Worker
-	ep  *uct.Ep
-	sh  *lossyShared
+	w  *uct.Worker
+	ep *uct.Ep
+	sh *lossyShared
 
 	msg []byte
 	pc  int
@@ -109,7 +108,7 @@ func (f *lossySendFrame) Step(t *sim.Task) {
 				f.pc = 2
 				continue
 			}
-			if (f.i+1)%f.cfg.Bench.PollBatch == 0 {
+			if (f.i+1)%pollBatch == 0 {
 				f.i++
 				f.pc = 0
 				f.w.StartProgress(t)
@@ -195,7 +194,7 @@ type LossyResult struct {
 // every injected drop and corruption. Goodput degrades with the loss rate;
 // integrity must not.
 func LossyPutBw(sys *node.System, opt Options) *LossyResult {
-	opt.Defaults(sys.Cfg)
+	opt.Defaults()
 	if opt.MsgSize < 8 {
 		opt.MsgSize = 8
 	}
@@ -211,7 +210,7 @@ func LossyPutBw(sys *node.System, opt Options) *LossyResult {
 	sh := &lossyShared{seqCheck: seqCheck{msgSize: opt.MsgSize}, total: opt.Iters}
 	w1.SetAmHandler(amLossy, sh.verify)
 
-	sys.K.SpawnTask("lossy.sender", &lossySendFrame{cfg: cfg, w: w0, ep: ep0, sh: sh, msg: make([]byte, opt.MsgSize)})
+	sys.K.SpawnTask("lossy.sender", &lossySendFrame{w: w0, ep: ep0, sh: sh, msg: make([]byte, opt.MsgSize)})
 	sys.K.SpawnTask("lossy.receiver", &lossyRecvFrame{w: w1, ep: ep1, sh: sh})
 	sys.Run()
 
@@ -305,7 +304,7 @@ type FlapIncastResult struct {
 // must return to the pre-fault steady state. Per-iteration completion
 // timestamps split the run into pre/dip/post windows.
 func FlapIncastPutBw(sys *node.System, senders int, opt Options) *FlapIncastResult {
-	opt.Defaults(sys.Cfg)
+	opt.Defaults()
 	cfg := sys.Cfg
 	if len(cfg.Faults.Flaps) == 0 {
 		panic("perftest: FlapIncastPutBw needs a cfg.Faults.Flaps schedule")

@@ -31,7 +31,7 @@ type MultiPutBwResult struct {
 
 // MultiPutBw runs the put_bw loop on cores simulated cores concurrently.
 func MultiPutBw(sys *node.System, cores int, opt Options) *MultiPutBwResult {
-	opt.Defaults(sys.Cfg)
+	opt.Defaults()
 	n0 := sys.Nodes[0]
 	srcs := make([]*node.Node, cores)
 	for c := range srcs {

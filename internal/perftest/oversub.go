@@ -83,7 +83,7 @@ type OversubscribedResult struct {
 // with one sender the uncontended baseline on the identical path. senders
 // <= 0 selects every node but the receiver.
 func OversubscribedPutBw(sys *node.System, senders int, opt Options) *OversubscribedResult {
-	opt.Defaults(sys.Cfg)
+	opt.Defaults()
 	senders = clampSenders(sys, senders)
 	recv := sys.Nodes[0]
 	res := &OversubscribedResult{

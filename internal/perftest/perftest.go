@@ -3,7 +3,7 @@
 //
 //   - put_bw: single-threaded RDMA-write injection-rate test. Every message
 //     generates a completion; the benchmark polls one completion every
-//     PollBatch (16) posts, so once the transmit queue's depth is exhausted
+//     pollBatch (16) posts, so once the transmit queue's depth is exhausted
 //     each successful post is preceded by a busy post on average — the
 //     steady state the paper's injection model describes.
 //   - am_lat: ping-pong latency with send-receive (active message)
@@ -77,13 +77,18 @@ type Options struct {
 // message is signaled, the ucx_perftest behaviour.
 const signalPeriod = 1
 
-// Defaults fills unset fields from cfg.
-func (o *Options) Defaults(cfg *config.Config) {
+// pollBatch is put_bw's poll cadence: one completion poll every pollBatch
+// posts (paper §4.2: 16).
+const pollBatch = 16
+
+// Defaults fills unset fields: 1000 measured iterations after 100 warmup
+// ones, of 8-byte messages.
+func (o *Options) Defaults() {
 	if o.Iters == 0 {
-		o.Iters = cfg.Bench.Iters
+		o.Iters = 1000
 	}
 	if o.Warmup == 0 {
-		o.Warmup = cfg.Bench.Warmup
+		o.Warmup = 100
 	}
 	if o.MsgSize == 0 {
 		o.MsgSize = 8 // "Each message is 8 bytes, the size of a double."
@@ -108,7 +113,7 @@ type PutBwResult struct {
 // PutBw runs the RDMA-write injection benchmark from node 0 to node 1 of
 // sys. The target's CPU is not involved (one-sided writes).
 func PutBw(sys *node.System, opt Options) *PutBwResult {
-	opt.Defaults(sys.Cfg)
+	opt.Defaults()
 	snd, _ := connectSenders(sys, sys.Nodes[:1], sys.Nodes[1], opt, "put_bw")
 	st := runPutLoops(sys, snd, opt, "put_bw")
 
@@ -146,7 +151,7 @@ const amPing, amPong = 2, 3
 // AmLat runs the send-receive ping-pong between node 0 (initiator) and
 // node 1 (responder).
 func AmLat(sys *node.System, opt Options) *AmLatResult {
-	opt.Defaults(sys.Cfg)
+	opt.Defaults()
 	cfg := sys.Cfg
 	n0, n1 := sys.Nodes[0], sys.Nodes[1]
 
@@ -271,7 +276,7 @@ func (f *amLatPingFrame) Step(t *sim.Task) {
 	for {
 		switch f.pc {
 		case 0:
-			f.n0.Prof.CalibrateIfSelected(t, cfg.Prof.CalibrationSamples)
+			f.n0.Prof.CalibrateIfSelected(t)
 			f.pc = 1
 			f.ep0.StartPostRecvs(t, 64)
 			return

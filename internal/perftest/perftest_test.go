@@ -16,6 +16,17 @@ func newSys(t *testing.T, noise config.NoiseLevel, seed uint64) *node.System {
 	return node.NewSystem(config.TX2CX4(noise, seed, true), 2)
 }
 
+// TestPollBatch: put_bw polls every 16 posts, as the paper's perftest
+// does (§4.2), which clears the §4.2 lower bound on the poll period.
+func TestPollBatch(t *testing.T) {
+	if pollBatch != 16 {
+		t.Errorf("put_bw polls every %d posts, the paper's every 16", pollBatch)
+	}
+	if p := minPollPeriod(config.TX2CX4(config.NoiseOff, 1, true)); pollBatch < p {
+		t.Errorf("poll batch %d below the §4.2 bound %d", pollBatch, p)
+	}
+}
+
 func TestPutBwMatchesInjectionModel(t *testing.T) {
 	sys := newSys(t, config.NoiseOff, 1)
 	defer sys.Shutdown()

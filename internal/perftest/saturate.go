@@ -18,13 +18,7 @@ import (
 // (topo.Fabric.UncontendedWire), so on an uncontended run every component
 // but Ideal attributes to exactly zero — the conservation tests pin this.
 func NewCalib(sys *node.System) trace.Calib {
-	return trace.Calib{
-		WireIdeal: sys.Net.UncontendedWire,
-		// With PCIe credits available the delivered frame's MWr issues
-		// synchronously, so the uncontended receiver hold is zero;
-		// anything beyond it is PCIe pend time.
-		RxHold: func(int) units.Time { return 0 },
-	}
+	return trace.Calib{WireIdeal: sys.Net.UncontendedWire}
 }
 
 // StallReport attributes the system's captured trace window (nil when
@@ -195,7 +189,7 @@ func (r *SaturationResult) Knee() *SaturationPoint {
 // per-point latency attribution in the result.
 func SaturationSweep(mkSys func() *node.System, senders int, loads []float64, opt Options, parallelism int) *SaturationResult {
 	probe := mkSys()
-	opt.Defaults(probe.Cfg)
+	opt.Defaults()
 	res := &SaturationResult{
 		Senders:    clampSenders(probe, senders),
 		MsgSize:    opt.MsgSize,

@@ -1,11 +1,14 @@
 // Package profile reimplements the UCS-style scoped profiling the paper uses
 // to attribute time to software components.
 //
-// A measurement wraps a region of simulated software with two timer reads.
-// The raw delta includes part of the timer infrastructure's own cost; the
-// profiler calibrates that overhead with empty regions (the paper reports
-// 49.69 ns, sigma 1.48 over 1000 samples) and subtracts the calibrated mean
-// from every subsequent measurement, exactly as the paper describes.
+// A measurement wraps a region of simulated software with two timer reads,
+// each an "isb; mrs cntvct_el0". The paper asks for precise CPU timers: at
+// 1 THz the counter is the reading task's virtual time in picoseconds, so
+// the profiler's timer is the task clock. The raw delta includes part of
+// the timer infrastructure's own cost; the profiler calibrates that
+// overhead with empty regions (the paper reports 49.69 ns, sigma 1.48 over
+// 1000 samples) and subtracts the calibrated mean from every subsequent
+// measurement, exactly as the paper describes.
 //
 // Every timer read costs simulated time and perturbs what it measures, so
 // the paper times one software component per run ("we do not
@@ -21,10 +24,10 @@ package profile
 import (
 	"fmt"
 
+	"breakband/internal/rng"
 	"breakband/internal/sim"
 	"breakband/internal/stats"
 	"breakband/internal/units"
-	"breakband/internal/vtimer"
 )
 
 // Scope names a timed region of simulated software; its value is the key
@@ -75,20 +78,36 @@ func (s Scope) Partner() Scope {
 	return s
 }
 
-// Profiler collects scoped measurements of its selected scope on top of a
-// virtual timer.
+// CalibrationSamples is how many empty scopes Calibrate averages (the
+// paper used 1000).
+const CalibrationSamples = 1000
+
+// Profiler collects scoped measurements of its selected scope.
 type Profiler struct {
-	timer    *vtimer.Timer
+	isb      rng.Dist // the barrier before each counter read
+	read     rng.Dist // the register read plus recording the sample
+	r        *rng.Rand
 	sel      Scope
 	overhead units.Time // calibrated mean overhead, subtracted per sample
 	samples  map[Scope]*stats.Sample
 }
 
-// New returns a profiler with no scope selected and zero calibrated
-// overhead. Call Calibrate before taking measurements that should match the
-// paper's methodology.
-func New(t *vtimer.Timer) *Profiler {
-	return &Profiler{timer: t, samples: make(map[Scope]*stats.Sample)}
+// New returns a profiler whose timer reads cost isb then read, drawn from
+// r (nil when both are deterministic), with no scope selected and zero
+// calibrated overhead. Call Calibrate before taking measurements that
+// should match the paper's methodology.
+func New(isb, read rng.Dist, r *rng.Rand) *Profiler {
+	return &Profiler{isb: isb, read: read, r: r, samples: make(map[Scope]*stats.Sample)}
+}
+
+// readTimer reads the counter from task t: it pays the isb, samples t's
+// clock, then pays the register read plus recording the sample. Both
+// costs are pure delays, so a read costs simulated time but no suspension.
+func (pr *Profiler) readTimer(t *sim.Task) units.Time {
+	t.Advance(pr.isb.Sample(pr.r))
+	v := t.Now()
+	t.Advance(pr.read.Sample(pr.r))
+	return v
 }
 
 // Select makes s the one scope the profiler times, replacing any earlier
@@ -98,19 +117,16 @@ func (pr *Profiler) Select(s Scope) { pr.sel = s }
 // Selected reports the selected scope, None when nothing is timed.
 func (pr *Profiler) Selected() Scope { return pr.sel }
 
-// Calibrate measures n empty regions back to back from task t and stores the
-// mean raw delta as the overhead to subtract. It returns the calibration
-// summary in nanoseconds (mean ~= the paper's 49.69 ns for the default
-// configuration).
-func (pr *Profiler) Calibrate(t *sim.Task, n int) stats.Summary {
-	if n <= 0 {
-		panic("profile: calibration needs at least one sample")
-	}
+// Calibrate measures CalibrationSamples empty regions back to back from
+// task t and stores the mean raw delta as the overhead to subtract. It
+// returns the calibration summary in nanoseconds (mean ~= the paper's
+// 49.69 ns for the default configuration).
+func (pr *Profiler) Calibrate(t *sim.Task) stats.Summary {
 	var s stats.Sample
-	for i := 0; i < n; i++ {
-		t1 := pr.timer.Read(t)
-		t2 := pr.timer.Read(t)
-		s.Add(pr.timer.TicksToTime(t2 - t1).Ns())
+	for i := 0; i < CalibrationSamples; i++ {
+		t1 := pr.readTimer(t)
+		t2 := pr.readTimer(t)
+		s.Add((t2 - t1).Ns())
 	}
 	calib := s.Summarize()
 	pr.overhead = units.Nanoseconds(calib.Mean)
@@ -120,9 +136,9 @@ func (pr *Profiler) Calibrate(t *sim.Task, n int) stats.Summary {
 // CalibrateIfSelected runs Calibrate when a scope is selected. Every
 // benchmark calls it at start on its initiator's profiler, so a run that
 // times nothing reads no timer.
-func (pr *Profiler) CalibrateIfSelected(t *sim.Task, n int) {
+func (pr *Profiler) CalibrateIfSelected(t *sim.Task) {
 	if pr.sel != None {
-		pr.Calibrate(t, n)
+		pr.Calibrate(t)
 	}
 }
 
@@ -130,7 +146,7 @@ func (pr *Profiler) CalibrateIfSelected(t *sim.Task, n int) {
 // scope that was not selected.
 type Token struct {
 	s  Scope
-	t1 uint64
+	t1 units.Time
 }
 
 // Begin opens scope s when s or its partner is selected. The timer read
@@ -141,7 +157,7 @@ func (pr *Profiler) Begin(t *sim.Task, s Scope) Token {
 	if pr.sel == None || (pr.sel != s && pr.sel != s.Partner()) {
 		return Token{}
 	}
-	return Token{s: s, t1: pr.timer.Read(t)}
+	return Token{s: s, t1: pr.readTimer(t)}
 }
 
 // End closes tok, recording the overhead-corrected duration under the scope
@@ -154,8 +170,7 @@ func (pr *Profiler) EndAs(t *sim.Task, tok Token, s Scope) {
 	if tok.s == None {
 		return
 	}
-	t2 := pr.timer.Read(t)
-	d := pr.timer.TicksToTime(t2-tok.t1) - pr.overhead
+	d := pr.readTimer(t) - tok.t1 - pr.overhead
 	if d < 0 {
 		d = 0
 	}

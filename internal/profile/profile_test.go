@@ -3,18 +3,16 @@ package profile
 import (
 	"math"
 	"testing"
+	"testing/quick"
 
 	"breakband/internal/rng"
 	"breakband/internal/sim"
 	"breakband/internal/simtest"
 	"breakband/internal/units"
-	"breakband/internal/vtimer"
 )
 
 func harness() (*sim.Kernel, *Profiler) {
-	k := sim.NewKernel()
-	tm := vtimer.New(k, 1e12, rng.FixedNs(15), rng.FixedNs(34.69), nil)
-	return k, New(tm)
+	return sim.NewKernel(), New(rng.FixedNs(15), rng.FixedNs(34.69), nil)
 }
 
 // timed runs body from a task and returns the simulated time it took.
@@ -33,7 +31,10 @@ func timed(k *sim.Kernel, body func(tk *sim.Task)) units.Time {
 func TestCalibration(t *testing.T) {
 	k, pr := harness()
 	simtest.Start(k, "cal", func(tk *sim.Task) {
-		sum := pr.Calibrate(tk, 100)
+		sum := pr.Calibrate(tk)
+		if sum.N != CalibrationSamples {
+			t.Errorf("calibrated over %d samples, want %d", sum.N, CalibrationSamples)
+		}
 		if math.Abs(sum.Mean-49.69) > 1e-9 {
 			t.Errorf("calibrated overhead = %v, want 49.69", sum.Mean)
 		}
@@ -47,11 +48,9 @@ func TestCalibration(t *testing.T) {
 
 func TestCalibrationNoisy(t *testing.T) {
 	k := sim.NewKernel()
-	r := rng.New(7)
-	tm := vtimer.New(k, 1e12, rng.LogNormalNs(15, 0.03), rng.LogNormalNs(34.69, 0.03), r)
-	pr := New(tm)
+	pr := New(rng.LogNormalNs(15, 0.03), rng.LogNormalNs(34.69, 0.03), rng.New(7))
 	simtest.Start(k, "cal", func(tk *sim.Task) {
-		sum := pr.Calibrate(tk, 1000)
+		sum := pr.Calibrate(tk)
 		// The paper reports 49.69 mean, sigma 1.48 over 1000 samples.
 		if math.Abs(sum.Mean-49.69) > 0.5 {
 			t.Errorf("noisy calibration mean = %v", sum.Mean)
@@ -68,7 +67,7 @@ func TestOverheadRemoval(t *testing.T) {
 	k, pr := harness()
 	pr.Select(LLPPost)
 	timed(k, func(tk *sim.Task) {
-		pr.Calibrate(tk, 10)
+		pr.Calibrate(tk)
 		tok := pr.Begin(tk, LLPPost)
 		tk.Advance(units.Nanoseconds(175.42))
 		pr.End(tk, tok)
@@ -95,7 +94,7 @@ func TestNegativeClamp(t *testing.T) {
 	k, pr := harness()
 	pr.Select(PIOCopy)
 	timed(k, func(tk *sim.Task) {
-		pr.Calibrate(tk, 10)
+		pr.Calibrate(tk)
 		// An empty region measures ~0 after subtraction, never negative.
 		pr.End(tk, pr.Begin(tk, PIOCopy))
 	})
@@ -111,7 +110,7 @@ func TestEndAs(t *testing.T) {
 		k, pr := harness()
 		pr.Select(sel)
 		timed(k, func(tk *sim.Task) {
-			pr.Calibrate(tk, 10)
+			pr.Calibrate(tk)
 			tok := pr.Begin(tk, LLPProg)
 			tk.Advance(50 * units.Nanosecond)
 			pr.EndAs(tk, tok, EmptyPoll)
@@ -209,16 +208,99 @@ func TestMeanNsPanicsOnUnknown(t *testing.T) {
 	pr.MeanNs(LLPPost)
 }
 
-func TestCalibrateRequiresSamples(t *testing.T) {
+// TestReadCostsTime: between the counter values of two back-to-back reads
+// lie one read/record (34.69) and one isb (15), the paper's 49.69 ns
+// infrastructure overhead, and the pair costs its task two whole reads.
+func TestReadCostsTime(t *testing.T) {
 	k, pr := harness()
-	simtest.Start(k, "m", func(tk *sim.Task) {
-		defer func() {
-			if recover() == nil {
-				t.Error("Calibrate(0) did not panic")
-			}
-		}()
-		pr.Calibrate(tk, 0)
+	var delta units.Time
+	d := timed(k, func(tk *sim.Task) {
+		t1 := pr.readTimer(tk)
+		delta = pr.readTimer(tk) - t1
 	})
-	k.Run()
-	k.Shutdown()
+	if delta != units.Nanoseconds(49.69) {
+		t.Errorf("back-to-back read delta = %v, want 49.69ns", delta)
+	}
+	if d != 2*units.Nanoseconds(49.69) {
+		t.Errorf("two reads took %v, want 99.38ns", d)
+	}
+}
+
+// readAt returns what a timer read begun at at-isb samples, which is
+// the task clock at at once the 15 ns isb has retired.
+func readAt(at units.Time) units.Time {
+	k, pr := harness()
+	var v units.Time
+	timed(k, func(tk *sim.Task) {
+		tk.Advance(at - units.Nanoseconds(15))
+		v = pr.readTimer(tk)
+	})
+	return v
+}
+
+// TestReadIsTaskClock: a read samples the reading task's virtual time in
+// picoseconds, after the isb.
+func TestReadIsTaskClock(t *testing.T) {
+	if v := readAt(12345 * units.Nanosecond); v != 12345*units.Nanosecond {
+		t.Errorf("read at 12345ns returned %v", v)
+	}
+}
+
+// TestReadPastOneSecond: reads stay exact and in order past one second,
+// where a counter scaled by its frequency needs 128-bit arithmetic, and
+// hours in.
+func TestReadPastOneSecond(t *testing.T) {
+	var prev units.Time
+	for _, at := range []units.Time{
+		units.Second - 1, units.Second, units.Second + 1,
+		5 * units.Second, 27577 * units.Second,
+	} {
+		v := readAt(at)
+		if v != at {
+			t.Errorf("read at %v returned %v", at, v)
+		}
+		if v < prev {
+			t.Errorf("read at %v went backwards: %v < %v", at, v, prev)
+		}
+		prev = v
+	}
+}
+
+// TestLongScopeIsExact: a scope records its region to the picosecond at
+// any length. A 36,843,799 ps measurement update has a raw delta of
+// 36,893,489 ps, which a float64 conversion through a counter frequency
+// (ticks * 1e12 / 1e12) rounds down by one picosecond.
+func TestLongScopeIsExact(t *testing.T) {
+	k, pr := harness()
+	pr.Select(MeasUpdate)
+	timed(k, func(tk *sim.Task) {
+		pr.Calibrate(tk)
+		tok := pr.Begin(tk, MeasUpdate)
+		tk.Advance(36_843_799)
+		pr.End(tk, tok)
+	})
+	if got := pr.MeanNs(MeasUpdate); got != 36843.799 {
+		t.Errorf("a 36843.799 ns scope recorded %.3f ns", got)
+	}
+}
+
+// TestQuickScopeExact: an uncalibrated scope of any length, begun at any
+// instant, records its region plus one read's overhead exactly.
+func TestQuickScopeExact(t *testing.T) {
+	f := func(startRaw, lenRaw uint64) bool {
+		start := units.Time(startRaw % uint64(1000*units.Second))
+		d := units.Time(lenRaw % uint64(1000*units.Second))
+		k, pr := harness()
+		pr.Select(LLPPost)
+		timed(k, func(tk *sim.Task) {
+			tk.Advance(start)
+			tok := pr.Begin(tk, LLPPost)
+			tk.Advance(d)
+			pr.End(tk, tok)
+		})
+		return pr.MeanNs(LLPPost) == (d + units.Nanoseconds(49.69)).Ns()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
 }

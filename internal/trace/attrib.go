@@ -8,19 +8,17 @@ import (
 	"breakband/internal/units"
 )
 
-// Calib supplies the analytically calibrated ideal times the attribution
+// Calib supplies the analytically calibrated ideal time the attribution
 // subtracts from measured spans. perftest builds one from a built system
-// (the fabric's uncontended wire time, the NIC pipeline delays); the
-// conservation tests pin that these formulas match the simulator exactly.
+// (the fabric's uncontended wire time); the conservation tests pin that
+// the formula matches the simulator exactly. The receiver's ideal hold is
+// zero: with PCIe credits available a delivered frame's host-memory write
+// starts at once, so the whole deliver-to-release hold is Pend.
 type Calib struct {
 	// WireIdeal reports the uncontended inject-to-deliver time of a data
 	// frame of the given payload size crossing the given number of
 	// serialization ports.
 	WireIdeal func(bytes, hops int) units.Time
-	// RxHold reports the uncontended deliver-to-release time at the
-	// receiver: NIC receive processing plus issuing the frame's host-memory
-	// writes on an idle PCIe link.
-	RxHold func(bytes int) units.Time
 }
 
 // Msg is the stall attribution of one message: where the span between its
@@ -38,10 +36,10 @@ type Msg struct {
 	Inject units.Time // first injection into the fabric
 	Done   units.Time // receiver released the delivered frame
 
-	Ideal   units.Time // calibrated uncontended path time (wire + rx hold)
+	Ideal   units.Time // calibrated uncontended wire time
 	Queue   units.Time // waiting behind other frames in switch-port FIFOs
 	Stall   units.Time // head-of-queue waits for downstream link credits
-	Pend    units.Time // receiver PCIe hold beyond the calibrated rx ideal
+	Pend    units.Time // receiver hold from delivery to release (PCIe pend)
 	Backoff units.Time // RNR backoff windows between first and final inject
 	Waste   units.Time // remaining retransmission time (NAK return, replay)
 }
@@ -239,8 +237,6 @@ func Attribute(events []Event, calib Calib) *Report {
 				break // inject fell off the ring
 			}
 			delete(msgs, f.key)
-			rxHold := e.At - f.deliver
-			rxIdeal := calib.RxHold(f.bytes)
 			msg := Msg{
 				Src:     int(uint16(f.key >> 48)),
 				QPN:     uint32(f.key >> 24 & 0xffffff),
@@ -250,10 +246,10 @@ func Attribute(events []Event, calib Calib) *Report {
 				Flights: m.flights,
 				Inject:  m.inject,
 				Done:    e.At,
-				Ideal:   calib.WireIdeal(f.bytes, f.hops) + rxIdeal,
+				Ideal:   calib.WireIdeal(f.bytes, f.hops),
 				Queue:   f.queue,
 				Stall:   f.stall,
-				Pend:    rxHold - rxIdeal,
+				Pend:    e.At - f.deliver,
 			}
 			// Retransmission time: the span from the first inject to the
 			// final flight's inject splits into RNR backoff windows and

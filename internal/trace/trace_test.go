@@ -62,7 +62,7 @@ func synthEvents() []Event {
 		{At: us(2), Kind: EvStall, TID: 1, Port: 0},   // queued 2us behind others
 		{At: us(3), Kind: EvTxStart, TID: 1, Port: 0}, // stalled 1us on credits
 		{At: us(5), Kind: EvDeliver, TID: 1, Node: 1}, // ser+flight 2us
-		{At: us(9), Kind: EvRelease, TID: 1, Node: 1}, // rx hold 4us (ideal 3us -> pend 1us)
+		{At: us(9), Kind: EvRelease, TID: 1, Node: 1}, // rx hold 4us, all pend
 		// message B (qpn 1, psn 1): first flight refused, replay delivered.
 		{At: us(10), Kind: EvInject, TID: 2, Node: 0, Arg: ArgMsg(1, 100, 1)},
 		{At: us(10), Kind: EvQueue, TID: 2, Port: 0},
@@ -83,7 +83,6 @@ func synthEvents() []Event {
 func synthCalib() Calib {
 	return Calib{
 		WireIdeal: func(bytes, hops int) units.Time { return 2 * units.Microsecond },
-		RxHold:    func(bytes int) units.Time { return 3 * units.Microsecond },
 	}
 }
 
@@ -96,16 +95,17 @@ func TestAttributeConservesSynthetic(t *testing.T) {
 	if a.PSN != 0 || b.PSN != 1 {
 		t.Fatalf("order: %v %v", a.PSN, b.PSN)
 	}
-	// A: measured 9us = ideal 5 + queue 2 + stall 1 + pend 1.
-	if a.Measured() != 9*units.Microsecond || a.Queue != 2*units.Microsecond ||
-		a.Stall != 1*units.Microsecond || a.Pend != 1*units.Microsecond {
+	// A: measured 9us = ideal 2 + queue 2 + stall 1 + pend 4.
+	if a.Measured() != 9*units.Microsecond || a.Ideal != 2*units.Microsecond || a.Queue != 2*units.Microsecond ||
+		a.Stall != 1*units.Microsecond || a.Pend != 4*units.Microsecond {
 		t.Fatalf("msg A attribution: %+v", a)
 	}
 	if a.Residual() != 0 {
 		t.Fatalf("msg A residual %v", a.Residual())
 	}
-	// B: measured 12us = ideal 5 + backoff 3 + waste 4 (nak return + replay gap).
-	if b.Flights != 2 || b.Backoff != 3*units.Microsecond || b.Waste != 4*units.Microsecond {
+	// B: measured 12us = ideal 2 + pend 3 + backoff 3 + waste 4 (nak
+	// return + replay gap).
+	if b.Flights != 2 || b.Pend != 3*units.Microsecond || b.Backoff != 3*units.Microsecond || b.Waste != 4*units.Microsecond {
 		t.Fatalf("msg B attribution: %+v", b)
 	}
 	if b.Residual() != 0 {

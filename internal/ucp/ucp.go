@@ -147,7 +147,7 @@ type Ep struct {
 // NewEp creates a UCP endpoint over a fresh uct endpoint using the
 // configured unsignaled-completion period.
 func (w *Worker) NewEp(mode uct.PostMode) *Ep {
-	e := &Ep{W: w, UctEp: w.Uct.NewEp(mode, w.Cfg.Bench.SignalPeriod)}
+	e := &Ep{W: w, UctEp: w.Uct.NewEp(mode, w.Cfg.SignalPeriod)}
 	e.sendF.e = e
 	return e
 }

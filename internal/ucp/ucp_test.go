@@ -16,7 +16,7 @@ import (
 func harness(t *testing.T, signalPeriod int) (*node.System, *Worker, *Worker, *Ep, *Ep) {
 	t.Helper()
 	cfg := config.TX2CX4(config.NoiseOff, 1, true)
-	cfg.Bench.SignalPeriod = signalPeriod
+	cfg.SignalPeriod = signalPeriod
 	sys := node.NewSystem(cfg, 2)
 	u0 := uct.NewWorker(sys.Nodes[0], cfg)
 	u1 := uct.NewWorker(sys.Nodes[1], cfg)

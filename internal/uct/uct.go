@@ -286,19 +286,27 @@ const (
 // receive credits are owed.
 const replenishBatch = 64
 
-// EpBytes reports the host memory NewEp reserves on its worker's node under
-// cfg: the QP (nic.QPBytes), one MaxBcopy staging slot per send-queue entry
-// and the receive pool. A node's memory (cfg.MemBytes) bounds how many
-// endpoints it can hold.
-func EpBytes(cfg *config.Config) uint64 {
-	return nic.QPBytes(cfg.Bench.SQDepth, cfg.Bench.CQDepth) + MaxBcopy*uint64(cfg.Bench.SQDepth) + MaxBcopy*recvPoolSlots
+// Queue sizes of every endpoint's QP (powers of two). The send queue is
+// shallower than the OSU message-rate window, so a realistic share of that
+// benchmark's posts go busy, reproducing the paper's Misc term (§6).
+const (
+	SQDepth = 128
+	CQDepth = 4096
+)
+
+// EpBytes reports the host memory NewEp reserves on its worker's node: the
+// QP (nic.QPBytes), one MaxBcopy staging slot per send-queue entry and the
+// receive pool. A node's memory (node.MemBytes) bounds how many endpoints
+// it can hold.
+func EpBytes() uint64 {
+	return nic.QPBytes(SQDepth, CQDepth) + MaxBcopy*SQDepth + MaxBcopy*recvPoolSlots
 }
 
 // EpTargetBytes reports the host memory a node gives one endpoint that a
 // peer writes into: the endpoint (EpBytes) plus the max(msgBytes, 64)-byte
 // target buffer, which takes a whole number of 64-byte lines.
-func EpTargetBytes(cfg *config.Config, msgBytes int) uint64 {
-	return EpBytes(cfg) + (uint64(max(msgBytes, 64))+63)&^63
+func EpTargetBytes(msgBytes int) uint64 {
+	return EpBytes() + (uint64(max(msgBytes, 64))+63)&^63
 }
 
 // NewEp creates an endpoint with its own QP.
@@ -306,8 +314,8 @@ func (w *Worker) NewEp(mode PostMode, signalPeriod int) *Ep {
 	if signalPeriod < 1 {
 		signalPeriod = 1
 	}
-	qp := w.Node.NIC.CreateQP(w.Cfg.Bench.SQDepth, w.Cfg.Bench.CQDepth)
-	st := w.Node.Mem.Alloc(fmt.Sprintf("uct.ep%d.staging", qp.QPN), MaxBcopy*uint64(w.Cfg.Bench.SQDepth), 64)
+	qp := w.Node.NIC.CreateQP(SQDepth, CQDepth)
+	st := w.Node.Mem.Alloc(fmt.Sprintf("uct.ep%d.staging", qp.QPN), MaxBcopy*SQDepth, 64)
 	pool := w.Node.Mem.Alloc(fmt.Sprintf("uct.ep%d.rxpool", qp.QPN), MaxBcopy*recvPoolSlots, 64)
 	ep := &Ep{w: w, qp: qp, Mode: mode, SignalPeriod: signalPeriod, staging: st.Base, recvPool: pool.Base}
 	ep.postF.e = ep

@@ -277,7 +277,7 @@ func TestStageProfiling(t *testing.T) {
 		sys.Nodes[0].Prof.Select(st)
 		posted := 0
 		simtest.Start(sys.K, "test",
-			func(tk *sim.Task) { sys.Nodes[0].Prof.Calibrate(tk, 100) },
+			func(tk *sim.Task) { sys.Nodes[0].Prof.Calibrate(tk) },
 			simtest.While(func() bool { return posted < 50 },
 				putShort(e0, []byte{1}),
 				drain(w0, e0),
@@ -336,8 +336,16 @@ func TestEpBytesMatchesAllocation(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		w0.NewEp(PIOInline, 1)
 	}
-	if got, want := end()-before, 3*EpBytes(sys.Cfg); got != want {
+	if got, want := end()-before, 3*EpBytes(); got != want {
 		t.Errorf("3 endpoints took %d bytes, EpBytes says %d", got, want)
+	}
+}
+
+// TestSQDepthIsPowerOfTwo: the QP rings (mlx.Ring) index their slots by
+// masking a producer counter.
+func TestSQDepthIsPowerOfTwo(t *testing.T) {
+	if SQDepth&(SQDepth-1) != 0 || CQDepth&(CQDepth-1) != 0 {
+		t.Errorf("queue depths %d and %d must be powers of two", SQDepth, CQDepth)
 	}
 }
 

@@ -227,7 +227,7 @@ func (b *builder) newInjector(ci int32, c *Cohort, src int, opt RunOpt, rec *Tra
 		f.dstToEp[dst] = int32(len(f.eps))
 		f.eps = append(f.eps, ep)
 		f.dstOf = append(f.dstOf, int32(dst))
-		f.rings = append(f.rings, compRing{buf: make([]compEntry, b.cfg.Bench.SQDepth)})
+		f.rings = append(f.rings, compRing{buf: make([]compEntry, uct.SQDepth)})
 	}
 	f.buf = make([]byte, bufBytes)
 

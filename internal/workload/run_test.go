@@ -123,8 +123,7 @@ func TestValidateMemoryBound(t *testing.T) {
 		}
 		return s
 	}
-	cfg := incastSpec().BuildConfig(config.NoiseOff, 1)
-	fit := int(cfg.MemBytes / uct.EpTargetBytes(cfg, 64))
+	fit := int(node.MemBytes / uct.EpTargetBytes(64))
 	if err := spec(fit + 1).Validate(); err == nil || !strings.Contains(err.Error(), "memory") {
 		t.Fatalf("%d senders into one node: Validate = %v, want a memory error", fit+1, err)
 	}

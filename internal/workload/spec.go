@@ -7,6 +7,7 @@ import (
 
 	"breakband/internal/config"
 	"breakband/internal/faults"
+	"breakband/internal/node"
 	"breakband/internal/topo"
 	"breakband/internal/uct"
 	"breakband/internal/units"
@@ -258,7 +259,6 @@ func (s *Spec) Validate() error {
 // destination, and each destination holds a receive endpoint plus a target
 // for every distinct source (uct.EpTargetBytes).
 func (s *Spec) checkMemory() error {
-	cfg := s.BuildConfig(config.NoiseOff, 0)
 	type hold struct {
 		eps   int
 		bytes uint64
@@ -274,10 +274,10 @@ func (s *Spec) checkMemory() error {
 		c := &s.Cohorts[i]
 		srcs, dsts := distinctInts(c.Src), distinctInts(c.Dst)
 		for _, src := range srcs {
-			add(src, len(dsts), uct.EpBytes(cfg))
+			add(src, len(dsts), uct.EpBytes())
 		}
 		for _, dst := range dsts {
-			add(dst, len(srcs), uct.EpTargetBytes(cfg, c.Size.MaxBytes()))
+			add(dst, len(srcs), uct.EpTargetBytes(c.Size.MaxBytes()))
 		}
 	}
 	nodes := make([]int, 0, len(held))
@@ -286,9 +286,9 @@ func (s *Spec) checkMemory() error {
 	}
 	slices.Sort(nodes)
 	for _, n := range nodes {
-		if h := held[n]; h.bytes > cfg.MemBytes {
+		if h := held[n]; h.bytes > node.MemBytes {
 			return fmt.Errorf("workload %q: node %d would open %d endpoints taking %d MiB, but its memory holds %d MiB",
-				s.Name, n, h.eps, h.bytes>>20, cfg.MemBytes>>20)
+				s.Name, n, h.eps, h.bytes>>20, node.MemBytes>>20)
 		}
 	}
 	return nil
