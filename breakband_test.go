@@ -189,8 +189,8 @@ func TestApplyOptimizationCoversAllComponents(t *testing.T) {
 			base.SW.MDSetup.Mean() != mod.SW.MDSetup.Mean() ||
 			base.SW.MpiIsend.Mean() != mod.SW.MpiIsend.Mean() ||
 			base.SW.UcpRecvCB.Mean() != mod.SW.UcpRecvCB.Mean() ||
-			base.Link.Prop != mod.Link.Prop ||
-			base.RC.RCToMemBase != mod.RC.RCToMemBase ||
+			base.PCIeProp != mod.PCIeProp ||
+			base.RCToMemBase != mod.RCToMemBase ||
 			base.Fabric.WireProp != mod.Fabric.WireProp ||
 			base.Fabric.SwitchLatency != mod.Fabric.SwitchLatency
 		if !changed {

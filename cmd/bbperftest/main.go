@@ -173,15 +173,6 @@ func main() {
 	opt := perftest.Options{Iters: *flagIters, Warmup: *flagWarmup, MsgSize: msgSize(test), Mode: mode}
 
 	switch test {
-	case "sweep", "chaos", "saturate":
-		if *flagTrace != "" {
-			// These commands build many systems internally; there is no
-			// single run to export.
-			fmt.Fprintf(os.Stderr, "bbperftest: -trace applies to single-system commands; ignored for %s\n", test)
-		}
-	}
-
-	switch test {
 	case "put_bw":
 		sys := mkSys()
 		defer sys.Shutdown()
@@ -362,8 +353,8 @@ func exitOnErr(test string, err error) {
 	}
 }
 
-// checkFlags rejects flag values no command can run, before any system is
-// built.
+// checkFlags rejects flag values no command can run, and flags test
+// cannot honour, before any system is built.
 func checkFlags(test string) error {
 	switch {
 	case *flagSize < 1 || *flagSize > uct.MaxBcopy:
@@ -380,6 +371,18 @@ func checkFlags(test string) error {
 		return fmt.Errorf("-cores %d: multi needs at least one core", *flagCores)
 	case *flagParallel < 0:
 		return fmt.Errorf("-parallel %d is negative (0 selects GOMAXPROCS)", *flagParallel)
+	case test == "lossy" && *flagSize < 8:
+		return fmt.Errorf("-size %d: lossy stamps an 8-byte sequence number in every message, so it needs at least 8", *flagSize)
+	case *flagRecord != "" && test != "workload":
+		return fmt.Errorf("-record applies only to the workload command, not %s", test)
+	case *flagReplay != "" && test != "workload":
+		return fmt.Errorf("-replay applies only to the workload command, not %s", test)
+	case *flagWorkload != "" && test != "workload" && test != "saturate":
+		return fmt.Errorf("-workload drives only the workload and saturate commands, not %s", test)
+	case *flagTrace != "" && (test == "sweep" || test == "chaos" || test == "saturate"):
+		return fmt.Errorf("-trace exports one system's run, but %s builds a fresh system for each point", test)
+	case *flagTrace != "" && test == "lossy" && *flagDropRate == 0 && *flagCorrupt == 0:
+		return fmt.Errorf("-trace exports one system's run, but lossy with no -droprate or -corruptrate sweeps a system per rate")
 	}
 	if err := checkEndpoints(test); err != nil {
 		return err

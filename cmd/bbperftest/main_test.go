@@ -54,19 +54,47 @@ func TestCheckFlags(t *testing.T) {
 		{[]string{"-nodes", "300", "alltoall"}, false},
 		{[]string{"-parallel", "-1", "sweep"}, false},
 		{[]string{"-parallel", "0", "sweep"}, true},
+		// lossy stamps an 8-byte sequence number in every message.
+		{[]string{"-size", "7", "lossy"}, false},
+		{[]string{"-size", "8", "lossy"}, true},
+		// A flag the command cannot honour is an error, not ignored.
+		{[]string{"-record", "/tmp/t.trace", "put_bw"}, false},
+		{[]string{"-replay", "/tmp/t.trace", "am_lat"}, false},
+		{[]string{"-workload", "spec.yaml", "-record", "/tmp/t.trace", "workload"}, true},
+		{[]string{"-workload", "spec.yaml", "-replay", "/tmp/t.trace", "workload"}, true},
+		{[]string{"-workload", "spec.yaml", "put_bw"}, false},
+		{[]string{"-workload", "spec.yaml", "saturate"}, true},
+		// -trace exports one system's run.
+		{[]string{"-trace", "/tmp/t.json", "lossy"}, false},
+		{[]string{"-trace", "/tmp/t.json", "sweep"}, false},
+		{[]string{"-trace", "/tmp/t.json", "chaos"}, false},
+		{[]string{"-trace", "/tmp/t.json", "saturate"}, false},
+		{[]string{"-trace", "/tmp/t.json", "-droprate", "1e-3", "lossy"}, true},
+		{[]string{"-trace", "/tmp/t.json", "incast"}, true},
+		{[]string{"-trace", "/tmp/t.json", "workload"}, true},
 	}
+	// A rejected flag the command cannot honour is named with the command.
+	scoped := map[string]bool{"-record": true, "-replay": true, "-workload": true, "-trace": true}
 	defer resetFlags(t)
 	for _, c := range cases {
 		resetFlags(t)
 		if err := flag.CommandLine.Parse(c.args); err != nil {
 			t.Fatalf("%v: %v", c.args, err)
 		}
-		err := checkFlags(flag.Arg(0))
+		test := flag.Arg(0)
+		err := checkFlags(test)
 		if (err == nil) != c.ok {
 			t.Errorf("%v: checkFlags = %v, want ok=%v", c.args, err, c.ok)
 		}
-		if err != nil && strings.Contains(err.Error(), "\n") {
+		if err == nil {
+			continue
+		}
+		msg := err.Error()
+		if strings.Contains(msg, "\n") {
 			t.Errorf("%v: error spans lines: %q", c.args, err)
+		}
+		if scoped[c.args[0]] && (!strings.Contains(msg, c.args[0]) || !strings.Contains(msg, test)) {
+			t.Errorf("%v: error %q should name %s and the %s command", c.args, msg, c.args[0], test)
 		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"breakband/internal/config"
+	"breakband/internal/fabric"
 	"breakband/internal/node"
 	"breakband/internal/perftest"
 	"breakband/internal/topo"
@@ -57,7 +58,7 @@ func main() {
 	fmt.Println("The ramp is the senders' send queues filling; the plateau is the")
 	fmt.Println("steady state. For 4 KiB writes the receiver's PCIe credit round")
 	fmt.Printf("trip (%.2fns per MWr) is slower than the port's %v wire\n",
-		perftest.PCIeWriteCycle(cfg, msgSize).Ns(), cfg.Fabric.SerTime(msgSize))
+		perftest.PCIeWriteCycle(cfg, msgSize).Ns(), fabric.SerTime(msgSize))
 	fmt.Println("serialization, so the receiving NIC holds delivered frames until")
 	fmt.Println("their host writes issue, final-hop credits stay pinned, and the")
 	fmt.Println("queue sits at the credit ceiling while backpressure paces every")

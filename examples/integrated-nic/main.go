@@ -26,8 +26,8 @@ func main() {
 	// die-to-die hop replaces the PCIe slot (a few ns), and the
 	// coherent-fabric write replaces the RC's long commit path.
 	integrated := config.TX2CX4(config.NoiseOff, 1, true)
-	integrated.Link.Prop = units.Nanoseconds(10)
-	integrated.RC.RCToMemBase = units.Nanoseconds(60)
+	integrated.PCIeProp = units.Nanoseconds(10)
+	integrated.RCToMemBase = units.Nanoseconds(60)
 
 	run := func(name string, cfg *config.Config) (float64, float64) {
 		sysA := node.NewSystem(cfg, 2)

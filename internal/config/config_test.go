@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"breakband/internal/fabric"
+	"breakband/internal/pcie"
 	"breakband/internal/rng"
 	"breakband/internal/topo"
 )
@@ -84,8 +86,8 @@ func TestPCIeCalibrationSolvesMethodology(t *testing.T) {
 	cfg := TX2CX4(NoiseOff, 1, true)
 	// The ACK-round-trip methodology: RT = 2*Prop + serialize(DLLP) +
 	// AckDelay, and half of it must equal Table 1's PCIe value.
-	ser := float64(cfg.Link.DLLPBytes) * float64(cfg.Link.PerByte) / 1000
-	rtHalf := (2*cfg.Link.Prop.Ns() + ser + cfg.Link.AckDelay.Ns()) / 2
+	ser := pcie.SerTime(pcie.DLLPBytes).Ns()
+	rtHalf := (2*cfg.PCIeProp.Ns() + ser + pcie.AckDelay.Ns()) / 2
 	if math.Abs(rtHalf-TabPCIe) > 0.01 {
 		t.Errorf("methodology would measure PCIe = %v, want %v", rtHalf, TabPCIe)
 	}
@@ -93,9 +95,9 @@ func TestPCIeCalibrationSolvesMethodology(t *testing.T) {
 
 func TestWireCalibrationSolvesMethodology(t *testing.T) {
 	cfg := TX2CX4(NoiseOff, 1, false)
-	dataSer := float64(8+cfg.Fabric.FrameOverhead) * float64(cfg.Fabric.WirePerByte) / 1000
-	ackSer := float64(cfg.Fabric.FrameOverhead) * float64(cfg.Fabric.WirePerByte) / 1000
-	cqeSer := float64(64+cfg.Link.TLPHeader) * float64(cfg.Link.PerByte) / 1000
+	dataSer := fabric.SerTime(8).Ns()
+	ackSer := fabric.SerTime(0).Ns()
+	cqeSer := pcie.SerTime(64 + pcie.TLPHeader).Ns()
 	measured := (2*cfg.Fabric.WireProp.Ns() + dataSer + ackSer + cqeSer) / 2
 	if math.Abs(measured-TabWire) > 0.01 {
 		t.Errorf("methodology would measure Wire = %v, want %v", measured, TabWire)

@@ -1,8 +1,9 @@
 // Package fabric defines what travels between NICs and the wire it travels
 // on: the link-layer Frame with its pool and borrow contract, the transport
 // acknowledgement that drives completion generation on the initiator (paper
-// §2 step 4), and the wire and switch parameters of the paper's Network =
-// Wire + Switch decomposition (Config).
+// §2 step 4), and the wire: its serialization (SerTime, one EDR link's
+// constants) and the two latencies of the paper's Network = Wire + Switch
+// decomposition (Config).
 //
 // # Pooled frames and the borrow contract
 //
@@ -223,38 +224,33 @@ type Port interface {
 	RxFrame(f *Frame)
 }
 
-// Config parameterizes the fabric.
+// The wire is the paper's one EDR link (§3), so its serialization is a
+// constant: the §7 what-if varies only the latencies in Config.
+const (
+	// wirePerByte is the serialization cost per byte: 80 ps/B, 100 Gb/s.
+	wirePerByte units.Time = 80
+	// frameOverhead is the per-frame header bytes (LRH/BTH-style).
+	frameOverhead = 30
+)
+
+// Config holds the two network latencies of the paper's Network = Wire +
+// Switch decomposition.
 type Config struct {
 	// WireProp is the total one-way cable propagation of the two-endpoint
 	// path (calibrated so the paper's trace methodology measures its Wire
 	// value). A switched path splits it over two cables of WireProp/2.
 	WireProp units.Time
-	// WirePerByte is the serialization cost per byte (~80 ps/B at
-	// 100 Gb/s).
-	WirePerByte units.Time
-	// FrameOverhead is per-frame header bytes (LRH/BTH-style).
-	FrameOverhead int
 	// SwitchLatency is the added forwarding latency of the switch. Whether
 	// a path crosses a switch at all is the topology's choice (topo.Spec).
 	SwitchLatency units.Time
-}
-
-// DefaultConfig returns an EDR-flavoured configuration.
-func DefaultConfig() Config {
-	return Config{
-		WireProp:      units.Nanoseconds(270),
-		WirePerByte:   units.Time(80),
-		FrameOverhead: 30,
-		SwitchLatency: units.Nanoseconds(108),
-	}
 }
 
 // SerTime reports the wire serialization time of a frame carrying b payload
 // bytes (header overhead included). It is the single source of the
 // serialization arithmetic shared by every port of internal/topo and its
 // calibration view, so the model and the attribution cannot drift.
-func (c Config) SerTime(b int) units.Time {
-	return units.Time(b+c.FrameOverhead) * c.WirePerByte
+func SerTime(b int) units.Time {
+	return units.Time(b+frameOverhead) * wirePerByte
 }
 
 // EgressName is the compiled port name of NIC id's injection egress — the

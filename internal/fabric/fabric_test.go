@@ -2,6 +2,8 @@ package fabric
 
 import (
 	"testing"
+
+	"breakband/internal/units"
 )
 
 func TestFrameKindString(t *testing.T) {
@@ -10,10 +12,14 @@ func TestFrameKindString(t *testing.T) {
 	}
 }
 
-func TestDefaultConfig(t *testing.T) {
-	cfg := DefaultConfig()
-	if cfg.WireProp <= 0 || cfg.SwitchLatency <= 0 || cfg.SerTime(0) <= 0 {
-		t.Error("default config implausible")
+// TestSerTime pins the EDR wire's serialization: 30 bytes of frame
+// overhead at 80 ps/B, so a bare ACK takes 2.4 ns and an 8-byte put 3.04.
+func TestSerTime(t *testing.T) {
+	if got := SerTime(0); got != units.Nanoseconds(2.4) {
+		t.Errorf("SerTime(0) = %v, want 2.40ns", got)
+	}
+	if got := SerTime(8); got != units.Nanoseconds(3.04) {
+		t.Errorf("SerTime(8) = %v, want 3.04ns", got)
 	}
 }
 

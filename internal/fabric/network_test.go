@@ -51,8 +51,6 @@ func build(kind topo.Kind) (*sim.Kernel, *topo.Fabric, *port, *port) {
 func cfgDirect() fabric.Config {
 	return fabric.Config{
 		WireProp:      units.Nanoseconds(270),
-		WirePerByte:   units.Time(80),
-		FrameOverhead: 30,
 		SwitchLatency: units.Nanoseconds(108),
 	}
 }

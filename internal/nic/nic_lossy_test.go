@@ -21,24 +21,16 @@ func lossyRig(t *testing.T, cfg Config, fcfg faults.Config) *rig {
 	k := sim.NewKernel()
 	net := topo.NewFabric(k, fabric.Config{
 		WireProp:      units.Nanoseconds(270),
-		WirePerByte:   units.Time(80),
-		FrameOverhead: 30,
 		SwitchLatency: units.Nanoseconds(108),
 	}, topo.Spec{Kind: topo.SingleSwitch}, 2)
-	linkCfg := pcie.DefaultLinkConfig()
-	rcCfg := pcie.RCConfig{
-		RCToMemBase:      units.Nanoseconds(240),
-		RCToMemBaseBytes: 64,
-		MemReadLatency:   units.Nanoseconds(150),
-	}
 	mem0 := memsim.New(1 << 20)
-	link0 := pcie.NewLink(k, linkCfg)
-	rc0 := pcie.NewRootComplex(k, mem0, link0, rcCfg)
+	link0 := pcie.NewLink(k, rigProp)
+	rc0 := pcie.NewRootComplex(k, mem0, link0, rigRCToMem)
 	nic0 := New(k, 0, mem0, link0, net, cfg)
 
 	mem1 := memsim.New(1 << 20)
-	link1 := pcie.NewLink(k, linkCfg)
-	pcie.NewRootComplex(k, mem1, link1, rcCfg)
+	link1 := pcie.NewLink(k, rigProp)
+	pcie.NewRootComplex(k, mem1, link1, rigRCToMem)
 	nic1 := New(k, 1, mem1, link1, net, cfg)
 
 	net.InjectFaults(faults.MustInjector(1, fcfg))

@@ -14,6 +14,13 @@ import (
 	"breakband/internal/units"
 )
 
+// The rigs' PCIe propagation and Root Complex commit latency, round
+// numbers near the calibrated ones.
+const (
+	rigProp    = 134 * units.Nanosecond
+	rigRCToMem = 240 * units.Nanosecond
+)
+
 // rig is a two-node hardware harness without any software stack.
 type rig struct {
 	k          *sim.Kernel
@@ -29,24 +36,16 @@ func newRig(t *testing.T) *rig {
 	k := sim.NewKernel()
 	net := topo.NewFabric(k, fabric.Config{
 		WireProp:      units.Nanoseconds(270),
-		WirePerByte:   units.Time(80),
-		FrameOverhead: 30,
 		SwitchLatency: units.Nanoseconds(108),
 	}, topo.Spec{Kind: topo.SingleSwitch}, 2)
-	linkCfg := pcie.DefaultLinkConfig()
-	rcCfg := pcie.RCConfig{
-		RCToMemBase:      units.Nanoseconds(240),
-		RCToMemBaseBytes: 64,
-		MemReadLatency:   units.Nanoseconds(150),
-	}
 	mem0 := memsim.New(1 << 20)
-	link0 := pcie.NewLink(k, linkCfg)
-	rc0 := pcie.NewRootComplex(k, mem0, link0, rcCfg)
+	link0 := pcie.NewLink(k, rigProp)
+	rc0 := pcie.NewRootComplex(k, mem0, link0, rigRCToMem)
 	nic0 := New(k, 0, mem0, link0, net, Config{})
 
 	mem1 := memsim.New(1 << 20)
-	link1 := pcie.NewLink(k, linkCfg)
-	pcie.NewRootComplex(k, mem1, link1, rcCfg)
+	link1 := pcie.NewLink(k, rigProp)
+	pcie.NewRootComplex(k, mem1, link1, rigRCToMem)
 	nic1 := New(k, 1, mem1, link1, net, Config{})
 
 	qp0 := nic0.CreateQP(64, 256)
@@ -344,35 +343,22 @@ func TestRNRNakRacedWithInFlightFrames(t *testing.T) {
 	}
 }
 
-// newBudgetRig builds a rig whose receiver link has almost no posted
-// credits and a slow credit return, so host writes block and frames are
-// held against the rx budget.
+// newBudgetRig builds a back-to-back rig whose receiver NIC holds at most
+// budget frames while their host writes wait to issue.
 func newBudgetRig(t *testing.T, budget int) *rig {
 	t.Helper()
 	k := sim.NewKernel()
 	net := topo.NewFabric(k, fabric.Config{
-		WireProp:      units.Nanoseconds(270),
-		WirePerByte:   units.Time(80),
-		FrameOverhead: 30,
+		WireProp: units.Nanoseconds(270),
 	}, topo.Spec{Kind: topo.BackToBack}, 2)
-	rcCfg := pcie.RCConfig{
-		RCToMemBase:      units.Nanoseconds(240),
-		RCToMemBaseBytes: 64,
-		MemReadLatency:   units.Nanoseconds(150),
-	}
 	mem0 := memsim.New(1 << 20)
-	link0 := pcie.NewLink(k, pcie.DefaultLinkConfig())
-	rc0 := pcie.NewRootComplex(k, mem0, link0, rcCfg)
+	link0 := pcie.NewLink(k, rigProp)
+	rc0 := pcie.NewRootComplex(k, mem0, link0, rigRCToMem)
 	nic0 := New(k, 0, mem0, link0, net, Config{})
 
-	// Receiver side: one posted header+data credit at a time, returned
-	// only after a long RxProcess, so MWr writes park in the pend queue.
-	linkCfg := pcie.DefaultLinkConfig()
-	linkCfg.PostedCredits = pcie.Credits{Hdr: 1, Data: 4}
-	linkCfg.RxProcess = units.Microseconds(3)
 	mem1 := memsim.New(1 << 20)
-	link1 := pcie.NewLink(k, linkCfg)
-	pcie.NewRootComplex(k, mem1, link1, rcCfg)
+	link1 := pcie.NewLink(k, rigProp)
+	pcie.NewRootComplex(k, mem1, link1, rigRCToMem)
 	nic1 := New(k, 1, mem1, link1, net, Config{RxBudget: budget})
 
 	qp0 := nic0.CreateQP(64, 256)
@@ -385,9 +371,12 @@ func TestRxBudgetBoundsHeldFramesAndPend(t *testing.T) {
 	const budget = 1
 	r := newBudgetRig(t, budget)
 	dst := r.mem1.Alloc("dst", 256, 8)
-	// Six back-to-back RDMA writes: the first one's MWr consumes the only
-	// posted credit, the second is held (budget 1), the rest must be
-	// NAKed and replayed — never buffered past the budget.
+	// The receiver's host stops issuing writes for the first 3 us, so the
+	// first write's MWr pends and its frame is held (budget 1). The other
+	// five of the six back-to-back RDMA writes must be NAKed and replayed
+	// — never buffered past the budget.
+	r.link1.PauseUp()
+	r.k.At(units.Microseconds(3), r.link1.ResumeUp)
 	r.k.At(0, func() {
 		for i := 0; i < 6; i++ {
 			r.pioPost(t, &mlx.WQE{
@@ -402,8 +391,8 @@ func TestRxBudgetBoundsHeldFramesAndPend(t *testing.T) {
 	if r.nic1.RxHeldMax() > budget {
 		t.Errorf("rx held high-water %d exceeds budget %d", r.nic1.RxHeldMax(), budget)
 	}
-	if _, up := r.link1.MaxPend(); up > budget {
-		t.Errorf("receiver pend queue reached %d, budget %d", up, budget)
+	if _, up := r.link1.MaxPend(); up != budget {
+		t.Errorf("receiver pend queue reached %d, want the budget %d", up, budget)
 	}
 	if r.qp1.RNRNaksSent == 0 {
 		t.Error("budget overflow never NAKed")
@@ -536,22 +525,15 @@ func TestDMATagExhaustionQueues(t *testing.T) {
 	const qps = 300
 	k := sim.NewKernel()
 	net := topo.NewFabric(k, fabric.Config{
-		WireProp:    units.Nanoseconds(270),
-		WirePerByte: units.Time(80),
+		WireProp: units.Nanoseconds(270),
 	}, topo.Spec{Kind: topo.BackToBack}, 2)
-	linkCfg := pcie.DefaultLinkConfig()
-	rcCfg := pcie.RCConfig{
-		RCToMemBase:      units.Nanoseconds(240),
-		RCToMemBaseBytes: 64,
-		MemReadLatency:   units.Nanoseconds(150),
-	}
 	mem0 := memsim.New(1 << 22)
-	link0 := pcie.NewLink(k, linkCfg)
-	pcie.NewRootComplex(k, mem0, link0, rcCfg)
+	link0 := pcie.NewLink(k, rigProp)
+	pcie.NewRootComplex(k, mem0, link0, rigRCToMem)
 	nic0 := New(k, 0, mem0, link0, net, Config{})
 	mem1 := memsim.New(1 << 22)
-	link1 := pcie.NewLink(k, linkCfg)
-	pcie.NewRootComplex(k, mem1, link1, rcCfg)
+	link1 := pcie.NewLink(k, rigProp)
+	pcie.NewRootComplex(k, mem1, link1, rigRCToMem)
 	nic1 := New(k, 1, mem1, link1, net, Config{})
 	dst := mem1.Alloc("dst", qps, 8)
 

@@ -131,9 +131,9 @@ func (s *System) Tracer() *trace.Tracer { return s.K.Tracer() }
 
 func newNode(k *sim.Kernel, net *topo.Fabric, cfg *config.Config, id int) *Node {
 	mem := memsim.New(MemBytes)
-	link := pcie.NewLink(k, cfg.Link)
+	link := pcie.NewLink(k, cfg.PCIeProp)
 	link.SetTraceNode(id)
-	rc := pcie.NewRootComplex(k, mem, link, cfg.RC)
+	rc := pcie.NewRootComplex(k, mem, link, cfg.RCToMemBase)
 	var nc nic.Config
 	if cfg.NICRxBudget > 0 {
 		nc.RxBudget = cfg.NICRxBudget

@@ -9,43 +9,34 @@ import (
 	"breakband/internal/units"
 )
 
-// LinkConfig parameterizes a PCIe link.
-type LinkConfig struct {
-	// Prop is the one-way propagation latency of the link (flight time
-	// through the slot, retimers and PHY).
-	Prop units.Time
-	// PerByte is the serialization cost per byte (e.g. ~63.5 ps/B for
-	// Gen3 x16).
-	PerByte units.Time
-	// TLPHeader is the per-TLP header+framing overhead in bytes.
-	TLPHeader int
+// The link is the paper's one Gen3 x16 port (§3), so everything but its
+// one-way propagation, which NewLink takes, is a constant.
+const (
+	// perByte is the serialization cost per byte: 64 ps/B, ~15.75 GB/s.
+	perByte units.Time = 64
+	// TLPHeader is the per-TLP header and framing overhead in bytes.
+	TLPHeader = 24
 	// DLLPBytes is the on-wire size of a DLLP.
-	DLLPBytes int
-	// AckDelay is the receiver's ACK turnaround time.
-	AckDelay units.Time
-	// PostedCredits and NonPostedCredits are the receiver-advertised
-	// pools per direction.
-	PostedCredits    Credits
-	NonPostedCredits Credits
-	// RxProcess is how long the receiver holds a TLP's credits before
-	// returning them via UpdateFC.
-	RxProcess units.Time
-}
+	DLLPBytes = 8
+	// AckDelay is the receiver's turnaround before it sends a TLP's ACK
+	// and, for a flow-controlled TLP, the UpdateFC returning its credits.
+	AckDelay = 2 * units.Nanosecond
+)
 
-// DefaultLinkConfig returns a Gen3 x16-flavoured configuration. Credit pools
-// are sized so that one posting core never exhausts them (the paper's
-// observation) while a many-core burst can (our ablation X3).
-func DefaultLinkConfig() LinkConfig {
-	return LinkConfig{
-		Prop:             units.Nanoseconds(134),
-		PerByte:          units.Time(64), // 64 ps/B ~ 15.75 GB/s
-		TLPHeader:        24,
-		DLLPBytes:        8,
-		AckDelay:         units.Nanoseconds(2),
-		PostedCredits:    Credits{Hdr: 32, Data: 256},
-		NonPostedCredits: Credits{Hdr: 16},
-	}
-}
+// The receiver-advertised credit pools, per direction. One posting core
+// never exhausts them (the paper's observation) while a many-core burst
+// can (ablation X3): a 4 KiB write takes every posted data credit, the
+// 33rd small write finds no posted header and the 17th read no
+// non-posted one.
+const (
+	postedHdrCredits    = 32
+	postedDataCredits   = 256 // 16-byte units: 4 KiB
+	nonPostedHdrCredits = 16
+)
+
+// SerTime reports how long n on-wire bytes occupy a direction's
+// serializer.
+func SerTime(n int) units.Time { return units.Time(n) * perByte }
 
 // channel is one direction of the link.
 type channel struct {
@@ -84,9 +75,9 @@ type channel struct {
 // Link is the full-duplex RC<->endpoint link.
 type Link struct {
 	k    *sim.Kernel
-	cfg  LinkConfig
-	down *channel // RC -> endpoint
-	up   *channel // endpoint -> RC
+	prop units.Time // one-way propagation (slot, retimers, PHY)
+	down *channel   // RC -> endpoint
+	up   *channel   // endpoint -> RC
 	// receivers
 	rcSide Receiver // handles Up TLPs (the Root Complex)
 	epSide Receiver // handles Down TLPs (the NIC)
@@ -111,11 +102,14 @@ type Link struct {
 	dllps *arena.Arena[DLLP]
 }
 
-// NewLink builds a link; attach receivers with SetRCSide/SetEndpointSide
-// before sending.
-func NewLink(k *sim.Kernel, cfg LinkConfig) *Link {
-	l := &Link{k: k, cfg: cfg, tlps: newTLPArena(), dllps: newDLLPArena(), tr: k.Tracer()}
-	pools := [2]Credits{Posted: cfg.PostedCredits, NonPosted: cfg.NonPostedCredits}
+// NewLink builds a link whose packets fly prop one way; attach receivers
+// with SetRCSide/SetEndpointSide before sending.
+func NewLink(k *sim.Kernel, prop units.Time) *Link {
+	l := &Link{k: k, prop: prop, tlps: newTLPArena(), dllps: newDLLPArena(), tr: k.Tracer()}
+	pools := [2]Credits{
+		Posted:    {Hdr: postedHdrCredits, Data: postedDataCredits},
+		NonPosted: {Hdr: nonPostedHdrCredits},
+	}
 	l.down = &channel{link: l, dir: Down, avail: pools}
 	l.up = &channel{link: l, dir: Up, avail: pools}
 	// The analyzer tap sits just before the endpoint, so the two
@@ -156,9 +150,6 @@ func NewLink(k *sim.Kernel, cfg LinkConfig) *Link {
 // SendDown/SendUp. Fields are zeroed and Data is empty with its previous
 // capacity retained.
 func (l *Link) NewTLP() *TLP { return l.tlps.Alloc() }
-
-// Config reports the link configuration.
-func (l *Link) Config() LinkConfig { return l.cfg }
 
 // SetRCSide attaches the upstream receiver (the Root Complex).
 func (l *Link) SetRCSide(r Receiver) { l.rcSide = r }
@@ -226,10 +217,6 @@ func (l *Link) InUsePackets() (tlps, dllps int) {
 	return l.tlps.InUse(), l.dllps.InUse()
 }
 
-func (c *channel) serialize(bytes int) units.Time {
-	return units.Time(bytes) * c.link.cfg.PerByte
-}
-
 // send enqueues t for transmission, blocking it on credits — or on
 // ordering — if necessary. It reports whether the TLP was issued
 // immediately (false: parked in the pend queue). Ordering follows the
@@ -289,9 +276,9 @@ func (c *channel) transmit(t *TLP) {
 	c.seq++
 	c.sentTLP++
 	start := units.Max(k.Now(), c.busyUntil)
-	txDone := start + c.serialize(t.WireBytes(c.link.cfg.TLPHeader))
+	txDone := start + SerTime(t.WireBytes())
 	c.busyUntil = txDone
-	arrival := txDone + c.link.cfg.Prop
+	arrival := txDone + c.link.prop
 
 	// The analyzer tap sits just before the endpoint: downstream packets
 	// pass it at arrival (folded into arriveTLPFn); upstream packets pass
@@ -311,15 +298,15 @@ func (c *channel) deliver(t *TLP) {
 	ack := l.dllps.Alloc()
 	ack.Type = Ack
 	ack.AckSeq = t.Seq
-	l.k.AfterArg(l.cfg.AckDelay, c.reverse().sendDLLPFn, ack)
+	l.k.AfterArg(AckDelay, c.reverse().sendDLLPFn, ack)
 
-	// Credit return after the receiver has processed the TLP.
+	// The credit return follows the ACK after the same turnaround.
 	if kind, need := creditsFor(t); need.Hdr > 0 {
 		upd := l.dllps.Alloc()
 		upd.Type = UpdateFC
 		upd.Kind = kind
 		upd.Credit = need
-		l.k.AfterArg(l.cfg.RxProcess+l.cfg.AckDelay, c.reverse().sendDLLPFn, upd)
+		l.k.AfterArg(AckDelay, c.reverse().sendDLLPFn, upd)
 	}
 
 	var rx Receiver
@@ -351,9 +338,9 @@ func (c *channel) sendDLLP(d *DLLP) {
 	k := l.k
 	c.sentDLLP++
 	start := units.Max(k.Now(), c.busyUntil)
-	txDone := start + c.serialize(l.cfg.DLLPBytes)
+	txDone := start + SerTime(DLLPBytes)
 	c.busyUntil = txDone
-	arrival := txDone + l.cfg.Prop
+	arrival := txDone + l.prop
 
 	if l.tap == nil && d.Type != UpdateFC {
 		d.Release()

@@ -26,9 +26,16 @@ func (c *collector) RxTLP(t *TLP) {
 	}
 }
 
-func testLink(cfg LinkConfig) (*sim.Kernel, *Link, *collector, *collector) {
+// testProp and testRCToMem are the test links' one-way propagation and
+// the test Root Complexes' commit latency, round numbers.
+const (
+	testProp    = 100 * units.Nanosecond
+	testRCToMem = 240 * units.Nanosecond
+)
+
+func testLink() (*sim.Kernel, *Link, *collector, *collector) {
 	k := sim.NewKernel()
-	l := NewLink(k, cfg)
+	l := NewLink(k, testProp)
 	rc := &collector{k: k}
 	ep := &collector{k: k}
 	l.SetRCSide(rc)
@@ -36,23 +43,8 @@ func testLink(cfg LinkConfig) (*sim.Kernel, *Link, *collector, *collector) {
 	return k, l, rc, ep
 }
 
-// simpleCfg has DefaultLinkConfig's credit pools, which the timing tests'
-// few TLPs never exhaust.
-func simpleCfg() LinkConfig {
-	d := DefaultLinkConfig()
-	return LinkConfig{
-		Prop:             units.Nanoseconds(100),
-		PerByte:          units.Time(64),
-		TLPHeader:        24,
-		DLLPBytes:        8,
-		AckDelay:         units.Nanoseconds(2),
-		PostedCredits:    d.PostedCredits,
-		NonPostedCredits: d.NonPostedCredits,
-	}
-}
-
 func TestMWrDeliveryLatency(t *testing.T) {
-	k, l, _, ep := testLink(simpleCfg())
+	k, l, _, ep := testLink()
 	k.At(0, func() {
 		l.SendDown(&TLP{Type: MWr, Addr: 1, Data: make([]byte, 64)})
 	})
@@ -68,7 +60,7 @@ func TestMWrDeliveryLatency(t *testing.T) {
 }
 
 func TestOrderingPreserved(t *testing.T) {
-	k, l, _, ep := testLink(simpleCfg())
+	k, l, _, ep := testLink()
 	k.At(0, func() {
 		l.SendDown(&TLP{Type: MWr, Addr: 1, Data: make([]byte, 256)}) // big first
 		l.SendDown(&TLP{Type: MWr, Addr: 2, Data: make([]byte, 8)})   // small second
@@ -85,7 +77,7 @@ func TestOrderingPreserved(t *testing.T) {
 func TestSerializationContention(t *testing.T) {
 	// Two same-size TLPs sent at the same instant arrive one
 	// serialization apart: the link is a shared serial resource.
-	k, l, _, ep := testLink(simpleCfg())
+	k, l, _, ep := testLink()
 	k.At(0, func() {
 		l.SendDown(&TLP{Type: MWr, Addr: 1, Data: make([]byte, 64)})
 		l.SendDown(&TLP{Type: MWr, Addr: 2, Data: make([]byte, 64)})
@@ -98,7 +90,7 @@ func TestSerializationContention(t *testing.T) {
 }
 
 func TestSeqAssignedInOrder(t *testing.T) {
-	k, l, _, ep := testLink(simpleCfg())
+	k, l, _, ep := testLink()
 	k.At(0, func() {
 		for i := 0; i < 5; i++ {
 			l.SendDown(&TLP{Type: MWr, Addr: uint64(i), Data: make([]byte, 8)})
@@ -113,22 +105,20 @@ func TestSeqAssignedInOrder(t *testing.T) {
 }
 
 func TestCreditBlockingAndUnblock(t *testing.T) {
-	cfg := simpleCfg()
-	cfg.PostedCredits = Credits{Hdr: 2, Data: 8}
-	cfg.NonPostedCredits = Credits{Hdr: 2}
-	k, l, _, ep := testLink(cfg)
+	// 40 small writes at once: the 33rd finds no posted header credit.
+	const n = 40
+	k, l, _, ep := testLink()
 	k.At(0, func() {
-		for i := 0; i < 6; i++ {
+		for i := 0; i < n; i++ {
 			l.SendDown(&TLP{Type: MWr, Addr: uint64(i), Data: make([]byte, 64)})
 		}
 	})
 	k.Run()
-	if len(ep.got) != 6 {
-		t.Fatalf("only %d of 6 TLPs delivered; credits never returned?", len(ep.got))
+	if len(ep.got) != n {
+		t.Fatalf("only %d of %d TLPs delivered; credits never returned?", len(ep.got), n)
 	}
-	down, _ := l.Blocked()
-	if down == 0 {
-		t.Error("expected credit-blocked sends with tiny credit pool")
+	if down, _ := l.Blocked(); down != n-postedHdrCredits {
+		t.Errorf("%d sends blocked on credits, want the %d past the posted header pool", down, n-postedHdrCredits)
 	}
 	// Order must survive blocking.
 	for i, tlp := range ep.got {
@@ -144,15 +134,14 @@ func TestSmallMWrCannotPassBlockedLargeMWr(t *testing.T) {
 	// producer-consumer guarantee the NIC's recv path relies on — the CQE
 	// MWr announcing a completion must not reach host memory before the
 	// payload MWr it describes.
-	cfg := simpleCfg()
-	cfg.PostedCredits = Credits{Hdr: 4, Data: 8} // 8B fits, 4 KiB (256) never does at once
-	cfg.RxProcess = units.Nanoseconds(50)
-	k, l, _, ep := testLink(cfg)
+	k, l, _, ep := testLink()
 	k.At(0, func() {
-		// Consume the data pool so the big write pends.
-		l.SendDown(&TLP{Type: MWr, Addr: 0, Data: make([]byte, 128)})
-		l.SendDown(&TLP{Type: MWr, Addr: 1, Data: make([]byte, 128)}) // pends
-		l.SendDown(&TLP{Type: MWr, Addr: 2, Data: make([]byte, 8)})   // must wait behind it
+		// A 4 KiB write takes the whole posted data pool, so the second
+		// pends and the 8-byte third, whose header credit is free, must
+		// wait behind it.
+		l.SendDown(&TLP{Type: MWr, Addr: 0, Data: make([]byte, 4096)})
+		l.SendDown(&TLP{Type: MWr, Addr: 1, Data: make([]byte, 4096)}) // pends
+		l.SendDown(&TLP{Type: MWr, Addr: 2, Data: make([]byte, 8)})    // must wait behind it
 	})
 	k.Run()
 	if len(ep.got) != 3 {
@@ -166,45 +155,79 @@ func TestSmallMWrCannotPassBlockedLargeMWr(t *testing.T) {
 	}
 }
 
+// TestUpdateFCIssuesBlockedWrite pins the credit-return instant: a 4 KiB
+// MWr blocked behind another 4 KiB MWr, which took every posted data
+// credit, issues exactly when the first write's UpdateFC arrives. That is
+// the first TLP's delivery, plus AckDelay, plus the 8-byte serializations
+// of the ACK and the UpdateFC queued behind it, plus the flight back: the
+// terms perftest.PCIeWriteCycle sums.
+func TestUpdateFCIssuesBlockedWrite(t *testing.T) {
+	k, l, rc, _ := testLink()
+	var issued []units.Time
+	l.SetOnUpIssued(func(*TLP) { issued = append(issued, k.Now()) })
+	k.At(0, func() {
+		if !l.SendUp(&TLP{Type: MWr, Addr: 0, Data: make([]byte, 4096)}) {
+			t.Error("the first 4 KiB write did not issue at once")
+		}
+		if l.SendUp(&TLP{Type: MWr, Addr: 1, Data: make([]byte, 4096)}) {
+			t.Error("the second 4 KiB write issued without data credits")
+		}
+	})
+	k.Run()
+	if len(rc.at) != 2 || len(issued) != 1 {
+		t.Fatalf("%d writes delivered and %d issued from the pend queue, want 2 and 1", len(rc.at), len(issued))
+	}
+	// (4096+24) B at 64 ps/B is 263.68 ns, so the first write lands at
+	// 363.68 ns and its UpdateFC 2 + 2*0.512 + 100 ns later.
+	want := rc.at[0] + AckDelay + 2*SerTime(DLLPBytes) + testProp
+	if rc.at[0] != units.Nanoseconds(363.68) || want != units.Nanoseconds(466.704) {
+		t.Errorf("first write delivered at %v, so its UpdateFC arrives at %v; want 363.68ns and 466.70ns", rc.at[0], want)
+	}
+	if issued[0] != want {
+		t.Errorf("blocked write issued at %v, want %v when the UpdateFC arrives", issued[0], want)
+	}
+	if rc.at[1] != want+SerTime(4096+TLPHeader)+testProp {
+		t.Errorf("blocked write delivered at %v, want one serialization and flight after %v", rc.at[1], want)
+	}
+}
+
 func TestPostedMayPassBlockedNonPosted(t *testing.T) {
 	// The converse allowance (PCIe deadlock avoidance): a posted write may
 	// pass non-posted reads blocked on their own credit pool.
-	cfg := simpleCfg()
-	cfg.PostedCredits = Credits{Hdr: 4, Data: 64}
-	cfg.NonPostedCredits = Credits{Hdr: 1}
-	cfg.RxProcess = units.Nanoseconds(50)
-	k, l, rc, _ := testLink(cfg)
+	// 17 reads: the last finds no non-posted header credit and pends.
+	const reads = nonPostedHdrCredits + 1
+	k, l, rc, _ := testLink()
 	k.At(0, func() {
-		l.SendUp(&TLP{Type: MRd, Addr: 0, ReadLen: 8, Tag: 0})
-		l.SendUp(&TLP{Type: MRd, Addr: 1, ReadLen: 8, Tag: 1}) // pends (1 NP header credit)
-		l.SendUp(&TLP{Type: MWr, Addr: 2, Data: make([]byte, 8)})
+		for i := 0; i < reads; i++ {
+			l.SendUp(&TLP{Type: MRd, Addr: uint64(i), ReadLen: 8, Tag: uint8(i)})
+		}
+		l.SendUp(&TLP{Type: MWr, Addr: reads, Data: make([]byte, 8)})
 	})
 	k.Run()
-	if len(rc.got) != 3 {
-		t.Fatalf("delivered %d of 3 TLPs", len(rc.got))
+	if len(rc.got) != reads+1 {
+		t.Fatalf("delivered %d of %d TLPs", len(rc.got), reads+1)
 	}
-	// The posted write (addr 2) must arrive before the blocked read
-	// (addr 1) rather than queueing behind it.
-	if rc.got[1].Addr != 2 || rc.got[2].Addr != 1 {
-		t.Fatalf("posted write queued behind a blocked non-posted read: order %v %v %v",
-			rc.got[0].Addr, rc.got[1].Addr, rc.got[2].Addr)
+	// The posted write (addr 17) must arrive before the blocked read
+	// (addr 16) rather than queueing behind it.
+	if rc.got[reads-1].Addr != reads || rc.got[reads].Addr != reads-1 {
+		t.Fatalf("posted write queued behind a blocked non-posted read: last two %v %v",
+			rc.got[reads-1].Addr, rc.got[reads].Addr)
 	}
 }
 
 func TestQuickCreditConservation(t *testing.T) {
 	// Property: any number of MWr posts eventually all deliver (credits
-	// are always returned), in order.
+	// are always returned), in order. A 4 KiB write takes every posted
+	// data credit and a 33rd write finds no posted header, so both pools
+	// run dry.
 	f := func(nRaw uint8, sizeSel []uint8) bool {
 		n := int(nRaw%40) + 1
-		cfg := simpleCfg()
-		cfg.PostedCredits = Credits{Hdr: 3, Data: 12}
-		cfg.NonPostedCredits = Credits{Hdr: 2}
-		k, l, _, ep := testLink(cfg)
+		k, l, _, ep := testLink()
 		k.At(0, func() {
 			for i := 0; i < n; i++ {
-				size := 8
+				size := 64
 				if len(sizeSel) > 0 && sizeSel[i%len(sizeSel)]%2 == 0 {
-					size = 64
+					size = 4096
 				}
 				l.SendDown(&TLP{Type: MWr, Addr: uint64(i), Data: make([]byte, size)})
 			}
@@ -228,16 +251,11 @@ func TestQuickCreditConservation(t *testing.T) {
 
 func TestMRdGetsCplD(t *testing.T) {
 	k := sim.NewKernel()
-	cfg := simpleCfg()
-	l := NewLink(k, cfg)
+	l := NewLink(k, testProp)
 	mem := memsim.New(4096)
 	reg := mem.Alloc("data", 64, 8)
 	mem.Write(reg.Base, []byte{0xAA, 0xBB, 0xCC, 0xDD})
-	rc := NewRootComplex(k, mem, l, RCConfig{
-		RCToMemBase: units.Nanoseconds(240), RCToMemBaseBytes: 64,
-		MemReadLatency: units.Nanoseconds(150),
-	})
-	_ = rc
+	NewRootComplex(k, mem, l, testRCToMem)
 	ep := &collector{k: k}
 	l.SetEndpointSide(ep)
 	k.At(0, func() {
@@ -254,12 +272,10 @@ func TestMRdGetsCplD(t *testing.T) {
 
 func TestRCCommitDelay(t *testing.T) {
 	k := sim.NewKernel()
-	l := NewLink(k, simpleCfg())
+	l := NewLink(k, testProp)
 	mem := memsim.New(4096)
 	buf := mem.Alloc("buf", 64, 8)
-	rc := NewRootComplex(k, mem, l, RCConfig{
-		RCToMemBase: units.Nanoseconds(240.96), RCToMemBaseBytes: 64,
-	})
+	rc := NewRootComplex(k, mem, l, units.Nanoseconds(240.96))
 	var commitAt units.Time
 	mem.Watch(buf.Base, int(buf.Size), func(any) { commitAt = k.Now() }, rc)
 	ep := &collector{k: k}
@@ -283,9 +299,9 @@ func TestRCCommitDelay(t *testing.T) {
 
 func TestMMIOWriteRequiresBAR(t *testing.T) {
 	k := sim.NewKernel()
-	l := NewLink(k, simpleCfg())
+	l := NewLink(k, testProp)
 	mem := memsim.New(4096)
-	rc := NewRootComplex(k, mem, l, RCConfig{})
+	rc := NewRootComplex(k, mem, l, testRCToMem)
 	defer func() {
 		if recover() == nil {
 			t.Error("MMIO write to DRAM address did not panic")
@@ -296,9 +312,9 @@ func TestMMIOWriteRequiresBAR(t *testing.T) {
 
 func TestMMIOWriteCopiesData(t *testing.T) {
 	k := sim.NewKernel()
-	l := NewLink(k, simpleCfg())
+	l := NewLink(k, testProp)
 	mem := memsim.New(4096)
-	rc := NewRootComplex(k, mem, l, RCConfig{})
+	rc := NewRootComplex(k, mem, l, testRCToMem)
 	ep := &collector{k: k}
 	l.SetEndpointSide(ep)
 	buf := []byte{1, 2, 3}
@@ -313,16 +329,12 @@ func TestMMIOWriteCopiesData(t *testing.T) {
 }
 
 func TestRCToMemSizing(t *testing.T) {
-	cfg := RCConfig{
-		RCToMemBase:      units.Nanoseconds(240),
-		RCToMemPerByte:   units.Time(500),
-		RCToMemBaseBytes: 64,
+	if RCToMem(testRCToMem, 8) != testRCToMem || RCToMem(testRCToMem, 64) != testRCToMem {
+		t.Error("a write of up to one cache line should cost the base")
 	}
-	if cfg.RCToMem(8) != units.Nanoseconds(240) {
-		t.Error("sub-baseline write should cost the base")
-	}
-	if cfg.RCToMem(128) != units.Nanoseconds(240)+64*500 {
-		t.Error("per-byte slope not applied")
+	// 64 bytes past the cache line at 50 ps/B.
+	if got := RCToMem(testRCToMem, 128); got != testRCToMem+units.Nanoseconds(3.2) {
+		t.Errorf("RCToMem(128) = %v, want the base plus 3.20ns", got)
 	}
 }
 
@@ -355,18 +367,18 @@ func TestStringers(t *testing.T) {
 
 func TestWireBytes(t *testing.T) {
 	tlp := &TLP{Type: MWr, Data: make([]byte, 64)}
-	if tlp.WireBytes(24) != 88 {
-		t.Errorf("WireBytes = %d", tlp.WireBytes(24))
+	if tlp.WireBytes() != 88 {
+		t.Errorf("WireBytes = %d", tlp.WireBytes())
 	}
 	rd := &TLP{Type: MRd, ReadLen: 64}
-	if rd.WireBytes(24) != 24 {
-		t.Errorf("MRd WireBytes = %d", rd.WireBytes(24))
+	if rd.WireBytes() != 24 {
+		t.Errorf("MRd WireBytes = %d", rd.WireBytes())
 	}
 }
 
 func TestTLPPoolReuse(t *testing.T) {
 	k := sim.NewKernel()
-	l := NewLink(k, simpleCfg())
+	l := NewLink(k, testProp)
 	tlp := l.NewTLP()
 	tlp.Type = MWr
 	tlp.SetData([]byte{1, 2, 3})
@@ -395,7 +407,7 @@ func TestTLPPoolReuse(t *testing.T) {
 
 func TestTLPDoubleReleasePanics(t *testing.T) {
 	k := sim.NewKernel()
-	l := NewLink(k, simpleCfg())
+	l := NewLink(k, testProp)
 	tlp := l.NewTLP()
 	tlp.Release()
 	defer func() {
@@ -416,7 +428,7 @@ func TestUnpooledTLPReleaseIsNoop(t *testing.T) {
 
 func TestSetDataCopiesAndGrowDataReuses(t *testing.T) {
 	k := sim.NewKernel()
-	l := NewLink(k, simpleCfg())
+	l := NewLink(k, testProp)
 	tlp := l.NewTLP()
 	src := []byte{1, 2, 3, 4}
 	tlp.SetData(src)
@@ -438,7 +450,7 @@ func TestSetDataCopiesAndGrowDataReuses(t *testing.T) {
 func TestPooledTLPRoundTripThroughLink(t *testing.T) {
 	// A pooled TLP delivered to a test receiver stays valid as long as the
 	// receiver (its owner) has not released it.
-	k, l, _, ep := testLink(simpleCfg())
+	k, l, _, ep := testLink()
 	_ = k
 	tlp := l.NewTLP()
 	tlp.Type = MWr

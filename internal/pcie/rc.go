@@ -15,28 +15,26 @@ const BARBase uint64 = 0xD000_0000_0000
 // IsBAR reports whether addr targets device memory.
 func IsBAR(addr uint64) bool { return addr >= BARBase }
 
-// RCConfig parameterizes the Root Complex.
-type RCConfig struct {
-	// RCToMemBase is the latency for the RC to commit an inbound write's
-	// first byte to memory (the paper's RC-to-MEM component, measured
-	// 240.96 ns for 8 bytes).
-	RCToMemBase units.Time
-	// RCToMemPerByte extends the commit latency for larger writes.
-	RCToMemPerByte units.Time
-	// RCToMemBaseBytes is the payload size RCToMemBase corresponds to.
-	RCToMemBaseBytes int
-	// MemReadLatency is the DRAM access time for servicing an MRd (DMA
+// The Root Complex's commit slope and DMA read time are constants. Only
+// the commit latency of a short write varies, the base NewRootComplex
+// takes (the paper's RC-to-MEM component, measured 240.96 ns for 8
+// bytes).
+const (
+	// rcToMemBaseBytes is the write size the base latency covers: one
+	// cache line.
+	rcToMemBaseBytes = 64
+	// rcToMemPerByte extends the commit past it at streaming DDR write
+	// bandwidth: 50 ps/B, ~20 GB/s.
+	rcToMemPerByte units.Time = 50
+	// memReadLatency is the DRAM access time for servicing an MRd (DMA
 	// read) request.
-	MemReadLatency units.Time
-}
+	memReadLatency = 150 * units.Nanosecond
+)
 
-// RCToMem reports the commit latency for an n-byte inbound write.
-func (c RCConfig) RCToMem(n int) units.Time {
-	extra := n - c.RCToMemBaseBytes
-	if extra < 0 {
-		extra = 0
-	}
-	return c.RCToMemBase + units.Time(extra)*c.RCToMemPerByte
+// RCToMem reports the commit latency of an n-byte inbound write on a Root
+// Complex whose one-cache-line commit takes base.
+func RCToMem(base units.Time, n int) units.Time {
+	return base + units.Time(max(n-rcToMemBaseBytes, 0))*rcToMemPerByte
 }
 
 // RootComplex connects the processor and memory to the PCIe fabric
@@ -47,7 +45,7 @@ type RootComplex struct {
 	k    *sim.Kernel
 	mem  *memsim.Memory
 	link *Link
-	cfg  RCConfig
+	base units.Time // RCToMem's one-cache-line commit latency
 
 	// Commits counts inbound MWr commits, a test hook. To observe a
 	// commit's address and time, watch the memory (memsim.Memory.Watch).
@@ -61,10 +59,11 @@ type RootComplex struct {
 	mrdFn    func(any) // service an inbound DMA read from memory
 }
 
-// NewRootComplex builds an RC bound to a kernel, host memory and link. It
-// registers itself as the link's RC-side receiver.
-func NewRootComplex(k *sim.Kernel, mem *memsim.Memory, link *Link, cfg RCConfig) *RootComplex {
-	rc := &RootComplex{k: k, mem: mem, link: link, cfg: cfg}
+// NewRootComplex builds an RC bound to a kernel, host memory and link,
+// committing a write of up to one cache line rcToMemBase after it arrives.
+// It registers itself as the link's RC-side receiver.
+func NewRootComplex(k *sim.Kernel, mem *memsim.Memory, link *Link, rcToMemBase units.Time) *RootComplex {
+	rc := &RootComplex{k: k, mem: mem, link: link, base: rcToMemBase}
 	rc.commitFn = func(a any) {
 		t := a.(*TLP)
 		rc.mem.Write(t.Addr, t.Data)
@@ -84,9 +83,6 @@ func NewRootComplex(k *sim.Kernel, mem *memsim.Memory, link *Link, cfg RCConfig)
 	link.SetRCSide(rc)
 	return rc
 }
-
-// Config reports the RC configuration.
-func (rc *RootComplex) Config() RCConfig { return rc.cfg }
 
 // MMIOWrite issues a posted write from the CPU to device memory. The data is
 // copied (into the pooled TLP's reusable buffer), so callers may reuse their
@@ -111,10 +107,10 @@ func (rc *RootComplex) RxTLP(t *TLP) {
 	case MWr:
 		// DMA write to host memory: visible to the CPU after the
 		// RC-to-MEM latency.
-		rc.k.AfterArg(rc.cfg.RCToMem(len(t.Data)), rc.commitFn, t)
+		rc.k.AfterArg(RCToMem(rc.base, len(t.Data)), rc.commitFn, t)
 	case MRd:
 		// DMA read: fetch from memory, then complete downstream.
-		rc.k.AfterArg(rc.cfg.MemReadLatency, rc.mrdFn, t)
+		rc.k.AfterArg(memReadLatency, rc.mrdFn, t)
 	case CplD:
 		panic("pcie: RC received unexpected CplD (no outstanding host reads are modelled)")
 	}

@@ -37,9 +37,7 @@ type tapRun struct {
 // on a flow-controlled link with or without an analyzer.
 func tapTraffic(tapped bool, nDown, nUp int) tapRun {
 	k := sim.NewKernel()
-	cfg := pcie.DefaultLinkConfig()
-	cfg.RxProcess = units.Nanoseconds(20)
-	l := pcie.NewLink(k, cfg)
+	l := pcie.NewLink(k, units.Nanoseconds(134))
 	rc, ep := &sink{k: k}, &sink{k: k}
 	l.SetRCSide(rc)
 	l.SetEndpointSide(ep)
@@ -119,10 +117,10 @@ func TestUntappedLinkSkipsTapOnlyEvents(t *testing.T) {
 	// The upstream writes' round trips as the link measured them before
 	// untapped links dropped their tap-only events. Uncontended, one is
 	// (2*Prop + AckDelay + DLLP serialization)/2 = 135.256 ns; the first
-	// three queue behind the downstream burst.
+	// two and the fifth queue behind the downstream burst.
 	rt := on.tap.AckRoundTrips(pcie.Up, pcie.MWr)
-	if rt.N() != nUp || math.Abs(rt.Mean()-136.25888) > 1e-9 {
-		t.Errorf("upstream ACK round trips: n=%d mean=%v, want n=%d mean=136.25888", rt.N(), rt.Mean(), nUp)
+	if rt.N() != nUp || math.Abs(rt.Mean()-136.2552) > 1e-9 {
+		t.Errorf("upstream ACK round trips: n=%d mean=%v, want n=%d mean=136.2552", rt.N(), rt.Mean(), nUp)
 	}
 	if q := rt.Quantile(0.5); q != 135.256 {
 		t.Errorf("median upstream ACK round trip %v, want the uncontended 135.256", q)

@@ -13,6 +13,20 @@
 // no departure event, and ACK DLLPs, whose arrival changes no state, get no
 // arrival. Every simulated instant is the same either way.
 //
+// # One calibrated link
+//
+// The link is the paper's one Gen3 x16 port and its Root Complex (§3), so
+// their parameters are constants: 64 ps/B serialization (SerTime), a
+// 24-byte TLP header, 8-byte DLLPs, and a 2 ns turnaround (AckDelay) after
+// which the receiver sends a TLP's ACK and, for a flow-controlled TLP,
+// right behind it the UpdateFC returning its credits. The credit pools
+// hold 32 posted headers, 256 posted data credits (4 KiB) and 16
+// non-posted headers per direction. The RC's commit grows by 50 ps/B past
+// one cache line (RCToMem), and a DMA read takes 150 ns. The two
+// latencies the paper's §7 what-if varies are what a system passes in:
+// the link's one-way propagation (NewLink) and the RC's commit latency for
+// up to one cache line (NewRootComplex).
+//
 // # Pooled packets and the borrow contract
 //
 // TLPs and DLLPs on the hot path are pooled: each Link owns a
@@ -175,9 +189,8 @@ func (t *TLP) PayloadBytes() int {
 	}
 }
 
-// WireBytes reports the on-wire size given the configured TLP header size
-// (header + framing + payload).
-func (t *TLP) WireBytes(header int) int { return header + t.PayloadBytes() }
+// WireBytes reports the on-wire size: header and framing plus payload.
+func (t *TLP) WireBytes() int { return TLPHeader + t.PayloadBytes() }
 
 // DLLPType enumerates Data Link Layer Packet types.
 type DLLPType uint8

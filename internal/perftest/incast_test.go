@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"breakband/internal/config"
+	"breakband/internal/fabric"
 	"breakband/internal/faults"
 	"breakband/internal/node"
 	"breakband/internal/topo"
@@ -68,7 +69,7 @@ func TestIncastContention(t *testing.T) {
 	// message per N cycles, not per N serializations.
 	cfg := incastConfig(0)
 	cycleNs := PCIeWriteCycle(cfg, size).Ns()
-	if serNs := cfg.Fabric.SerTime(size).Ns(); cycleNs <= serNs {
+	if serNs := fabric.SerTime(size).Ns(); cycleNs <= serNs {
 		t.Fatalf("scenario mis-sized: PCIe cycle %.1f ns not slower than wire serialization %.1f ns", cycleNs, serNs)
 	}
 	for _, c := range []struct {

@@ -192,11 +192,12 @@ type LossyResult struct {
 // at the application layer that delivery is bit-exact, exactly-once and
 // in-order — the transport's PSN/ACK-timeout/NAK machinery has to absorb
 // every injected drop and corruption. Goodput degrades with the loss rate;
-// integrity must not.
+// integrity must not. Every message carries an 8-byte sequence stamp, so
+// opt.MsgSize must be at least 8; a smaller one panics.
 func LossyPutBw(sys *node.System, opt Options) *LossyResult {
 	opt.Defaults()
 	if opt.MsgSize < 8 {
-		opt.MsgSize = 8
+		panic(fmt.Sprintf("perftest: lossy message size %d: every message carries an 8-byte sequence stamp, so it needs at least 8 bytes", opt.MsgSize))
 	}
 	cfg := sys.Cfg
 	n0, n1 := sys.Nodes[0], sys.Nodes[1]

@@ -1,6 +1,7 @@
 package perftest
 
 import (
+	"strings"
 	"testing"
 
 	"breakband/internal/config"
@@ -84,6 +85,20 @@ func TestLossyTotalLossFailsCleanly(t *testing.T) {
 	if res.SenderStats.AckTimeouts == 0 {
 		t.Error("no ACK timeouts before giving up")
 	}
+}
+
+// TestLossyRejectsShortMessages: a message too small for the 8-byte
+// sequence stamp panics naming the rule instead of running as 8 bytes.
+func TestLossyRejectsShortMessages(t *testing.T) {
+	sys := node.NewSystem(config.TX2CX4(config.NoiseOff, 1, true), 2)
+	defer sys.Shutdown()
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "size 7") || !strings.Contains(msg, "8-byte sequence stamp") {
+			t.Errorf("panic %q, want one naming the size and the 8-byte sequence stamp", msg)
+		}
+	}()
+	LossyPutBw(sys, Options{Iters: 50, MsgSize: 7})
 }
 
 // flapConfig builds the fat-tree flap scenario config: 6 hosts at radix

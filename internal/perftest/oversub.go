@@ -5,22 +5,20 @@ import (
 
 	"breakband/internal/config"
 	"breakband/internal/node"
+	"breakband/internal/pcie"
 	"breakband/internal/units"
 )
 
 // PCIeWriteCycle reports the modelled receiver-side PCIe service time per
 // inbound message of msgSize bytes when the message's MWr fills the posted
-// data credit pool (one write in flight at a time, which holds for
-// msgSize > 16*PostedCredits.Data/2 — e.g. 4 KiB against the default 256
-// data credits): TLP serialization, flight to the Root Complex, the ACK
-// turnaround, and the two back-to-back DLLPs (Ack + UpdateFC) flying the
-// credit back. Under a saturating incast this cycle — not the wire — is
-// the receiver's drain rate, so aggregate goodput converges to one message
-// per cycle.
+// data credit pool, so one write is in flight at a time (which holds above
+// 2048 B: two such writes need more than the pool's 4 KiB): TLP
+// serialization, flight to the Root Complex, the ACK turnaround, and the
+// two back-to-back DLLPs (Ack + UpdateFC) flying the credit back. Under a
+// saturating incast this cycle — not the wire — is the receiver's drain
+// rate, so aggregate goodput converges to one message per cycle.
 func PCIeWriteCycle(cfg *config.Config, msgSize int) units.Time {
-	l := cfg.Link
-	ser := func(b int) units.Time { return units.Time(b) * l.PerByte }
-	return ser(msgSize+l.TLPHeader) + l.Prop + l.AckDelay + 2*ser(l.DLLPBytes) + l.RxProcess + l.Prop
+	return pcie.SerTime(msgSize+pcie.TLPHeader) + cfg.PCIeProp + pcie.AckDelay + 2*pcie.SerTime(pcie.DLLPBytes) + cfg.PCIeProp
 }
 
 // OversubscribedResult reports the incast: N senders into one receiver,

@@ -6,6 +6,7 @@ import (
 
 	"breakband/internal/campaign"
 	"breakband/internal/config"
+	"breakband/internal/fabric"
 	"breakband/internal/node"
 	"breakband/internal/sim"
 	"breakband/internal/stats"
@@ -40,7 +41,7 @@ func StallReport(sys *node.System) *trace.Report {
 // inverse is the analytic saturation rate the sweep's knee is validated
 // against.
 func SaturationBottleneck(cfg *config.Config, msgSize int) units.Time {
-	b := cfg.Fabric.SerTime(msgSize)
+	b := fabric.SerTime(msgSize)
 	if p := PCIeWriteCycle(cfg, msgSize); p > b {
 		b = p
 	}

@@ -159,7 +159,7 @@ func (releasePort) RxFrame(f *fabric.Frame) { f.Release() }
 // pool to its steady-state working set.
 func TestSwitchPathZeroAlloc(t *testing.T) {
 	k := sim.NewKernel()
-	fab := topo.NewFabric(k, fabric.DefaultConfig(), topo.Spec{Kind: topo.SingleSwitch}, 5)
+	fab := topo.NewFabric(k, config.TX2CX4(config.NoiseOff, 1, true).Fabric, topo.Spec{Kind: topo.SingleSwitch}, 5)
 	for i := 0; i < 5; i++ {
 		fab.Attach(i, releasePort{})
 	}
@@ -380,7 +380,7 @@ func TestTracedSwitchPathZeroAlloc(t *testing.T) {
 	k := sim.NewKernel()
 	tr := trace.New(1 << 12)
 	k.SetTracer(tr)
-	fab := topo.NewFabric(k, fabric.DefaultConfig(), topo.Spec{Kind: topo.SingleSwitch}, 5)
+	fab := topo.NewFabric(k, config.TX2CX4(config.NoiseOff, 1, true).Fabric, topo.Spec{Kind: topo.SingleSwitch}, 5)
 	for i := 0; i < 5; i++ {
 		fab.Attach(i, releasePort{})
 	}

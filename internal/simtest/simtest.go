@@ -10,7 +10,7 @@
 // followed by a step that observes every event up to the new instant.
 //
 //	simtest.Start(sys.K, "tx",
-//		func(t *sim.Task) { ep.StartPutShort(t, 0, payload) },
+//		func(t *sim.Task) { ep.StartPut(t, payload) },
 //		func(t *sim.Task) { check(ep.LastPost()) },
 //		simtest.While(func() bool { return ep.InFlight() > 0 }, w.StartProgress),
 //	)

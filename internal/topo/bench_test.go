@@ -15,7 +15,7 @@ import (
 func benchmarkForward(b *testing.B, spec Spec, hosts, src, dst int) {
 	b.ReportAllocs()
 	k := sim.NewKernel()
-	fab := NewFabric(k, fabric.DefaultConfig(), spec, hosts)
+	fab := NewFabric(k, testCfg(), spec, hosts)
 	const window = 32
 	sent, delivered := 0, 0
 	send := func() {

@@ -232,7 +232,7 @@ func (p *outPort) kick() {
 	p.link.credits--
 	p.busy = true
 	p.cur = e
-	ser := p.fab.cfg.SerTime(e.f.Bytes)
+	ser := fabric.SerTime(e.f.Bytes)
 	p.busyTime += ser
 	p.fab.k.At(p.fab.k.Now()+ser, p.txDoneFn)
 }
@@ -687,7 +687,7 @@ func (t *Fabric) Spec() Spec { return t.spec }
 // hops ports, fly WireProp/2 on each cable, and add SwitchLatency at each
 // of the hops-1 switches.
 func (t *Fabric) UncontendedWire(bytes, hops int) units.Time {
-	ser := t.cfg.SerTime(bytes)
+	ser := fabric.SerTime(bytes)
 	if t.ideal {
 		return ser + t.flight
 	}
@@ -746,7 +746,7 @@ func (t *Fabric) Send(f *fabric.Frame) {
 		// Calibrated two-endpoint path: egress serialization, then the
 		// constant flight.
 		start := units.Max(t.k.Now(), t.busyUntil[f.Src])
-		txDone := start + t.cfg.SerTime(f.Bytes)
+		txDone := start + fabric.SerTime(f.Bytes)
 		t.busyUntil[f.Src] = txDone
 		if t.flts != nil {
 			if fl := t.flts[f.Src]; fl != nil {

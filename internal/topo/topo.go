@@ -32,7 +32,7 @@
 //
 // Each directed link is driven by exactly one output port (a host NIC's
 // injection egress or a switch output port). A port serializes frames one
-// at a time (fabric.Config.SerTime — the same arithmetic the two-endpoint
+// at a time (fabric.SerTime — the same arithmetic the two-endpoint
 // tier uses) and owns a FIFO of frames waiting for the wire. The
 // downstream end of every link advertises Spec.Credits buffer slots: a
 // frame consumes one credit when its transmission starts and returns it

@@ -10,13 +10,12 @@ import (
 	"breakband/internal/units"
 )
 
-// testCfg mirrors the calibration shape with round numbers: 80 ps/B
-// serialization, 30 B frame overhead, 270 ns total wire, 108 ns switch.
+// testCfg mirrors the calibration shape with round numbers: 270 ns total
+// wire, 108 ns switch. Frames serialize at fabric.SerTime's 80 ps/B with
+// 30 B of frame overhead.
 func testCfg() fabric.Config {
 	return fabric.Config{
 		WireProp:      units.Nanoseconds(270),
-		WirePerByte:   units.Time(80),
-		FrameOverhead: 30,
 		SwitchLatency: units.Nanoseconds(108),
 	}
 }
@@ -154,7 +153,7 @@ func TestIdealTierMatchesNetwork(t *testing.T) {
 		var busy [2]units.Time
 		want := make([][]units.Time, 2)
 		for _, s := range sched {
-			busy[s.src] = units.Max(s.at, busy[s.src]) + cfg.SerTime(s.bytes)
+			busy[s.src] = units.Max(s.at, busy[s.src]) + fabric.SerTime(s.bytes)
 			want[s.dst] = append(want[s.dst], busy[s.src]+flight)
 		}
 

@@ -13,9 +13,9 @@
 // StartPut and StartAm are the one post path of the perftest benchmarks
 // and the workload injector: they take the inline short path up to
 // mlx.InlineMax bytes and the buffered-copy path above it, as UCX selects
-// by size, and retry a busy post after one worker progress. The explicit
-// StartPutShort/StartAmShort/StartPutBcopy/StartAmBcopy calls stay for
-// callers that pick the path and handle busy posts themselves (ucp).
+// by size, and retry a busy post after one worker progress. StartAmShort
+// and StartAmBcopy pick the path explicitly and leave a busy post to the
+// caller, for ucp, which queues its own.
 // StartFlush progresses a worker until no endpoint has a send in flight,
 // as UCX's uct_iface_flush does; the benchmarks drain their tails with it.
 //
@@ -53,13 +53,14 @@
 //   - the empty poll reposted no receive credits, so it paused nothing
 //     after its CQ reads and no write can have slipped in unwatched;
 //   - the tie rule: P is shorter than the shortest lead with which any CQ
-//     write is scheduled — RCToMem(CQESize) for the Root Complex's DMA
-//     commits, the PCIe link Prop for a dead NIC's flush CQEs. A write
+//     write is scheduled — pcie.RCToMem of a CQESize write for the Root
+//     Complex's DMA commits, the PCIe link's propagation
+//     (config.Config.PCIeProp) for a dead NIC's flush CQEs. A write
 //     landing exactly on a poll instant was then scheduled before the
 //     spin's resume event for that poll, so the spin sees it, and the
 //     parked loop, woken from inside the write, resumes after it and sees
 //     it too. A configuration with a shorter lead (an integrated NIC's
-//     10 ns Prop) keeps the spin.
+//     10 ns PCIeProp) keeps the spin.
 //
 // # Execution model
 //
@@ -82,6 +83,7 @@ import (
 	"breakband/internal/mlx"
 	"breakband/internal/nic"
 	"breakband/internal/node"
+	"breakband/internal/pcie"
 	"breakband/internal/profile"
 	"breakband/internal/rng"
 	"breakband/internal/sim"
@@ -395,32 +397,22 @@ func (e *Ep) InFlight() int { return int(e.pi - e.completed) }
 func (e *Ep) FreeSlots() int { return e.qp.SQ.Depth - e.InFlight() }
 
 // LastPost reports the outcome of the most recently completed post frame
-// (StartPut/StartAm or one of the explicit-path posts). Valid once the frame
-// has returned to its caller.
+// (StartPut/StartAm or one of the explicit-path active messages). Valid once
+// the frame has returned to its caller.
 func (e *Ep) LastPost() error { return e.lastPost }
 
-// StartPutShort begins an RDMA write of data (<= mlx.InlineMax bytes) to the
-// peer's RemoteBuf + off. The outcome is reported by LastPost:
-// ErrNoResource on a full queue (a busy post costing SW.BusyPost, per
-// Table 1).
-func (e *Ep) StartPutShort(t *sim.Task, off uint64, data []byte) {
-	e.startPost(t, mlx.OpRDMAWrite, 0, e.RemoteBuf+off, data)
-}
-
-// StartAmShort begins sending an active message (send-receive semantics).
+// StartAmShort begins sending an active message (send-receive semantics)
+// of data (<= mlx.InlineMax bytes) on the short path. The outcome is
+// reported by LastPost: ErrNoResource on a full queue (a busy post costing
+// SW.BusyPost, per Table 1).
 func (e *Ep) StartAmShort(t *sim.Task, id uint8, data []byte) {
 	e.startPost(t, mlx.OpSend, id, 0, data)
 }
 
-// StartPutBcopy begins an RDMA write of a payload too large for the inline
-// path (up to MaxBcopy bytes): the payload is copied into registered staging
-// memory and the NIC gathers it by DMA — UCX's buffered-copy protocol.
-func (e *Ep) StartPutBcopy(t *sim.Task, off uint64, data []byte) {
-	e.startGather(t, mlx.OpRDMAWrite, 0, e.RemoteBuf+off, data)
-}
-
-// StartAmBcopy begins sending a large active message through the
-// buffered-copy path.
+// StartAmBcopy begins sending an active message too large for the inline
+// path (up to MaxBcopy bytes): the payload is copied into registered
+// staging memory and the NIC gathers it by DMA — UCX's buffered-copy
+// protocol. LastPost reports the outcome as for StartAmShort.
 func (e *Ep) StartAmBcopy(t *sim.Task, id uint8, data []byte) {
 	e.startGather(t, mlx.OpSend, id, 0, data)
 }
@@ -892,7 +884,7 @@ func (w *Worker) park(t *sim.Task, busy bool) bool {
 	}
 	toRead += sw.LLPProgBarrier.Sample(nil)
 	period := toRead + sw.LLPProgFailChk.Sample(nil)
-	if period <= 0 || period >= min(w.Cfg.RC.RCToMem(mlx.CQESize), w.Cfg.Link.Prop) {
+	if period <= 0 || period >= min(pcie.RCToMem(w.Cfg.RCToMemBase, mlx.CQESize), w.Cfg.PCIeProp) {
 		return false
 	}
 	mem := w.Node.Mem

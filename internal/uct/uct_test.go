@@ -39,7 +39,7 @@ func drain(w *Worker, e *Ep) simtest.Step {
 
 // putShort posts data to offset 0 of e's remote buffer.
 func putShort(e *Ep, data []byte) simtest.Step {
-	return func(tk *sim.Task) { e.StartPutShort(tk, 0, data) }
+	return func(tk *sim.Task) { e.startPost(tk, mlx.OpRDMAWrite, 0, e.RemoteBuf, data) }
 }
 
 func TestPutShortDeliversPayload(t *testing.T) {
@@ -157,7 +157,7 @@ func TestBusyPostCost(t *testing.T) {
 			func(*sim.Task) { posted++ }),
 		func(tk *sim.Task) {
 			t0 = tk.Now()
-			e0.StartPutShort(tk, 0, []byte{1})
+			e0.startPost(tk, mlx.OpRDMAWrite, 0, e0.RemoteBuf, []byte{1})
 		},
 		func(tk *sim.Task) {
 			if d := tk.Now() - t0; d != cfg.SW.BusyPost.Mean() {
@@ -177,7 +177,7 @@ func TestLLPPostCostMatchesTable(t *testing.T) {
 	simtest.Start(sys.K, "test",
 		func(tk *sim.Task) {
 			t0 = tk.Now()
-			e0.StartPutShort(tk, 0, []byte{1, 2, 3, 4, 5, 6, 7, 8})
+			e0.startPost(tk, mlx.OpRDMAWrite, 0, e0.RemoteBuf, []byte{1, 2, 3, 4, 5, 6, 7, 8})
 		},
 		func(tk *sim.Task) {
 			got := (tk.Now() - t0).Ns()
@@ -385,7 +385,7 @@ func postStream(t *testing.T, s stream) streamRun {
 	t.Helper()
 	cfg := config.TX2CX4(s.noise, 1, true)
 	if s.prop != 0 {
-		cfg.Link.Prop = s.prop
+		cfg.PCIeProp = s.prop
 	}
 	sys, w0, w1, e0, e1 := harnessWith(t, cfg)
 	defer sys.Shutdown()
@@ -489,9 +489,9 @@ func TestSizedPostMatchesExplicitPaths(t *testing.T) {
 					case am:
 						post = func(tk *sim.Task) { e.StartAmBcopy(tk, 7, payload) }
 					case short:
-						post = func(tk *sim.Task) { e.StartPutShort(tk, 0, payload) }
+						post = func(tk *sim.Task) { e.startPost(tk, mlx.OpRDMAWrite, 0, e.RemoteBuf, payload) }
 					default:
-						post = func(tk *sim.Task) { e.StartPutBcopy(tk, 0, payload) }
+						post = func(tk *sim.Task) { e.startGather(tk, mlx.OpRDMAWrite, 0, e.RemoteBuf, payload) }
 					}
 					return retried(w, e, post)
 				}

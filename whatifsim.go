@@ -109,12 +109,12 @@ func applyOptimization(cfg *config.Config, comp Component, r float64) {
 		cfg.SW.MpichRecvCB = scale(cfg.SW.MpichRecvCB, r)
 		cfg.SW.MpichAfterPrg = scale(cfg.SW.MpichAfterPrg, r)
 	case CompPCIe:
-		cfg.Link.Prop = scaleTime(cfg.Link.Prop, r)
+		cfg.PCIeProp = scaleTime(cfg.PCIeProp, r)
 	case CompRCToMem:
-		cfg.RC.RCToMemBase = scaleTime(cfg.RC.RCToMemBase, r)
+		cfg.RCToMemBase = scaleTime(cfg.RCToMemBase, r)
 	case CompIO:
-		cfg.Link.Prop = scaleTime(cfg.Link.Prop, r)
-		cfg.RC.RCToMemBase = scaleTime(cfg.RC.RCToMemBase, r)
+		cfg.PCIeProp = scaleTime(cfg.PCIeProp, r)
+		cfg.RCToMemBase = scaleTime(cfg.RCToMemBase, r)
 	case CompWire:
 		cfg.Fabric.WireProp = scaleTime(cfg.Fabric.WireProp, r)
 	case CompSwitch:
