@@ -67,6 +67,7 @@ import (
 	"fmt"
 	"os"
 	"slices"
+	"strings"
 
 	"breakband/internal/config"
 	"breakband/internal/fabric"
@@ -115,7 +116,7 @@ func main() {
 		os.Exit(2)
 	}
 	test := flag.Arg(0)
-	if err := checkFlags(test); err != nil {
+	if err := checkFlags(flag.CommandLine); err != nil {
 		fmt.Fprintln(os.Stderr, "bbperftest:", err)
 		os.Exit(2)
 	}
@@ -135,14 +136,10 @@ func main() {
 	if *flagNoise {
 		noise = config.NoiseOn
 	}
-	kind, err := topo.ParseKind(*flagTopology)
+	kind, err := topoKind(test)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bbperftest:", err)
 		os.Exit(2)
-	}
-	if test == "flap" && kind == topo.Auto {
-		// A flap needs redundant paths to fail over across.
-		kind = topo.FatTree
 	}
 	nodes := nodeCount(test)
 	spec := topo.Spec{Kind: kind, Radix: *flagRadix, Credits: *flagCredits}
@@ -353,9 +350,61 @@ func exitOnErr(test string, err error) {
 	}
 }
 
-// checkFlags rejects flag values no command can run, and flags test
-// cannot honour, before any system is built.
-func checkFlags(test string) error {
+// The flags each command reads. Every command reads -noise and -seed; the
+// commands that build their systems from the flags read the system flags,
+// and the perftest drivers the post flags.
+const (
+	sysFlags  = "noise seed topology nodes radix credits rxbudget droprate corruptrate "
+	postFlags = "iters warmup size mode "
+)
+
+// commandFlags maps each command to the flags it reads. An explicitly set
+// flag outside its command's row exits 2, naming the flag and the command.
+// saturate driven by a -workload spec has a row of its own: the spec
+// supplies the system and the message size.
+var commandFlags = map[string]string{
+	"put_bw":             sysFlags + postFlags + "trace",
+	"am_lat":             sysFlags + postFlags + "trace",
+	"multi":              sysFlags + postFlags + "cores trace",
+	"sweep":              sysFlags + postFlags + "cores parallel",
+	"incast":             sysFlags + postFlags + "trace",
+	"alltoall":           sysFlags + postFlags + "trace",
+	"saturate":           sysFlags + postFlags + "parallel workload",
+	"saturate -workload": "noise seed iters warmup mode parallel workload",
+	"lossy":              sysFlags + "iters size mode trace",
+	"flap":               sysFlags + postFlags + "flapport flapdown flapup trace",
+	"chaos":              "noise seed seeds",
+	"workload":           "noise seed workload record replay trace",
+}
+
+// unreadFlag reports the first flag set explicitly on fs that its command
+// does not read, and the command as its row spells it.
+func unreadFlag(fs *flag.FlagSet) (name, row string) {
+	row = fs.Arg(0)
+	if row == "saturate" && *flagWorkload != "" {
+		row = "saturate -workload"
+	}
+	reads, ok := commandFlags[row]
+	if !ok {
+		return "", "" // main reports the unknown command
+	}
+	fs.Visit(func(f *flag.Flag) {
+		if name == "" && !slices.Contains(strings.Fields(reads), f.Name) {
+			name = f.Name
+		}
+	})
+	return name, row
+}
+
+// checkFlags rejects flag values no command can run, and flags the command
+// does not read, before any system is built. fs holds the parsed command
+// line: the command and the flags set on it.
+func checkFlags(fs *flag.FlagSet) error {
+	test := fs.Arg(0)
+	if name, row := unreadFlag(fs); name != "" {
+		return fmt.Errorf("-%s does not apply to %s", name, row)
+	}
+	kind, kindErr := topoKind(test)
 	switch {
 	case *flagSize < 1 || *flagSize > uct.MaxBcopy:
 		return fmt.Errorf("-size %d outside [1, %d]", *flagSize, uct.MaxBcopy)
@@ -373,14 +422,8 @@ func checkFlags(test string) error {
 		return fmt.Errorf("-parallel %d is negative (0 selects GOMAXPROCS)", *flagParallel)
 	case test == "lossy" && *flagSize < 8:
 		return fmt.Errorf("-size %d: lossy stamps an 8-byte sequence number in every message, so it needs at least 8", *flagSize)
-	case *flagRecord != "" && test != "workload":
-		return fmt.Errorf("-record applies only to the workload command, not %s", test)
-	case *flagReplay != "" && test != "workload":
-		return fmt.Errorf("-replay applies only to the workload command, not %s", test)
-	case *flagWorkload != "" && test != "workload" && test != "saturate":
-		return fmt.Errorf("-workload drives only the workload and saturate commands, not %s", test)
-	case *flagTrace != "" && (test == "sweep" || test == "chaos" || test == "saturate"):
-		return fmt.Errorf("-trace exports one system's run, but %s builds a fresh system for each point", test)
+	case *flagRadix != 0 && kindErr == nil && kind != topo.FatTree:
+		return fmt.Errorf("-radix sizes a fat-tree, but %s runs on -topology %s", test, *flagTopology)
 	case *flagTrace != "" && test == "lossy" && *flagDropRate == 0 && *flagCorrupt == 0:
 		return fmt.Errorf("-trace exports one system's run, but lossy with no -droprate or -corruptrate sweeps a system per rate")
 	}
@@ -418,6 +461,16 @@ func checkEndpoints(test string) error {
 			flagName, flagVal, test, eps, node.MemBytes>>20, fit, perEp>>10)
 	}
 	return nil
+}
+
+// topoKind resolves -topology for test: auto is a single switch, except
+// for flap, which needs redundant paths to fail over across.
+func topoKind(test string) (topo.Kind, error) {
+	kind, err := topo.ParseKind(*flagTopology)
+	if test == "flap" && kind == topo.Auto {
+		kind = topo.FatTree
+	}
+	return kind, err
 }
 
 // nodeCount resolves -nodes for test: 0 selects 2 nodes, or 5 for incast

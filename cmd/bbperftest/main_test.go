@@ -8,81 +8,105 @@ import (
 	"breakband/internal/topo"
 )
 
-// TestCheckFlags: every flag value no command can run is rejected before a
-// system is built, and in-range values pass.
+// TestCheckFlags: every flag value no command can run, and every flag the
+// command does not read, is rejected before a system is built; in-range
+// values of the command's own flags pass.
 func TestCheckFlags(t *testing.T) {
 	cases := []struct {
 		args []string
 		ok   bool
+		// flag, when set, is the flag a rejection must name, with the
+		// command, because the command does not read it.
+		flag string
 	}{
-		{[]string{"put_bw"}, true},
-		{[]string{"-size", "1", "put_bw"}, true},
-		{[]string{"-size", "4096", "am_lat"}, true},
-		{[]string{"-size", "-5", "put_bw"}, false},
-		{[]string{"-size", "0", "put_bw"}, false},
-		{[]string{"-size", "5000", "lossy"}, false},
-		{[]string{"-size", "4097", "incast"}, false},
-		{[]string{"-iters", "-5", "put_bw"}, false},
-		{[]string{"-iters", "0", "put_bw"}, false},
-		{[]string{"-warmup", "-1", "am_lat"}, false},
-		{[]string{"-warmup", "0", "am_lat"}, false},
-		{[]string{"-warmup", "1", "put_bw"}, true},
-		{[]string{"-cores", "0", "multi"}, false},
-		{[]string{"-cores", "-2", "multi"}, false},
-		{[]string{"-cores", "1", "multi"}, true},
-		{[]string{"-cores", "0", "sweep"}, true}, // an empty sweep
-		{[]string{"-seeds", "-1", "chaos"}, false},
-		{[]string{"-seeds", "0", "chaos"}, true},
-		{[]string{"-rxbudget", "-4", "incast"}, false},
-		{[]string{"-rxbudget", "8", "-size", "4096", "incast"}, true},
-		{[]string{"-droprate", "2", "lossy"}, false},
-		{[]string{"-droprate", "0.6", "-corruptrate", "0.6", "lossy"}, false},
-		{[]string{"-droprate", "1e-3", "-corruptrate", "1e-3", "lossy"}, true},
-		{[]string{"-flapdown", "300", "-flapup", "200", "flap"}, false},
-		{[]string{"-flapdown", "100", "-flapup", "200", "flap"}, true},
+		{args: []string{"put_bw"}, ok: true},
+		{args: []string{"-size", "1", "put_bw"}, ok: true},
+		{args: []string{"-size", "4096", "am_lat"}, ok: true},
+		{args: []string{"-size", "-5", "put_bw"}},
+		{args: []string{"-size", "0", "put_bw"}},
+		{args: []string{"-size", "5000", "lossy"}},
+		{args: []string{"-size", "4097", "incast"}},
+		{args: []string{"-iters", "-5", "put_bw"}},
+		{args: []string{"-iters", "0", "put_bw"}},
+		{args: []string{"-warmup", "-1", "am_lat"}},
+		{args: []string{"-warmup", "0", "am_lat"}},
+		{args: []string{"-warmup", "1", "put_bw"}, ok: true},
+		{args: []string{"-cores", "0", "multi"}},
+		{args: []string{"-cores", "-2", "multi"}},
+		{args: []string{"-cores", "1", "multi"}, ok: true},
+		{args: []string{"-cores", "0", "sweep"}, ok: true}, // an empty sweep
+		{args: []string{"-seeds", "-1", "chaos"}},
+		{args: []string{"-seeds", "0", "chaos"}, ok: true},
+		{args: []string{"-rxbudget", "-4", "incast"}},
+		{args: []string{"-rxbudget", "8", "-size", "4096", "incast"}, ok: true},
+		{args: []string{"-droprate", "2", "lossy"}},
+		{args: []string{"-droprate", "0.6", "-corruptrate", "0.6", "lossy"}},
+		{args: []string{"-droprate", "1e-3", "-corruptrate", "1e-3", "lossy"}, ok: true},
+		{args: []string{"-flapdown", "300", "-flapup", "200", "flap"}},
+		{args: []string{"-flapdown", "100", "-flapup", "200", "flap"}, ok: true},
 		// One node holds 203 endpoints of the default memory: an incast
 		// receiver takes one per sender, a multi receiver one per core,
 		// and an all-to-all node one per peer.
-		{[]string{"-nodes", "204", "incast"}, true},
-		{[]string{"-nodes", "205", "incast"}, false},
-		{[]string{"-nodes", "250", "incast"}, false},
-		{[]string{"-cores", "203", "multi"}, true},
-		{[]string{"-cores", "204", "multi"}, false},
-		{[]string{"-cores", "250", "multi"}, false},
-		{[]string{"-cores", "255", "sweep"}, true}, // the sweep stops at 128
-		{[]string{"-cores", "256", "sweep"}, false},
-		{[]string{"-nodes", "300", "alltoall"}, false},
-		{[]string{"-parallel", "-1", "sweep"}, false},
-		{[]string{"-parallel", "0", "sweep"}, true},
+		{args: []string{"-nodes", "204", "incast"}, ok: true},
+		{args: []string{"-nodes", "205", "incast"}},
+		{args: []string{"-nodes", "250", "incast"}},
+		{args: []string{"-cores", "203", "multi"}, ok: true},
+		{args: []string{"-cores", "204", "multi"}},
+		{args: []string{"-cores", "250", "multi"}},
+		{args: []string{"-cores", "255", "sweep"}, ok: true}, // the sweep stops at 128
+		{args: []string{"-cores", "256", "sweep"}},
+		{args: []string{"-nodes", "300", "alltoall"}},
+		{args: []string{"-parallel", "-1", "sweep"}},
+		{args: []string{"-parallel", "0", "sweep"}, ok: true},
 		// lossy stamps an 8-byte sequence number in every message.
-		{[]string{"-size", "7", "lossy"}, false},
-		{[]string{"-size", "8", "lossy"}, true},
-		// A flag the command cannot honour is an error, not ignored.
-		{[]string{"-record", "/tmp/t.trace", "put_bw"}, false},
-		{[]string{"-replay", "/tmp/t.trace", "am_lat"}, false},
-		{[]string{"-workload", "spec.yaml", "-record", "/tmp/t.trace", "workload"}, true},
-		{[]string{"-workload", "spec.yaml", "-replay", "/tmp/t.trace", "workload"}, true},
-		{[]string{"-workload", "spec.yaml", "put_bw"}, false},
-		{[]string{"-workload", "spec.yaml", "saturate"}, true},
-		// -trace exports one system's run.
-		{[]string{"-trace", "/tmp/t.json", "lossy"}, false},
-		{[]string{"-trace", "/tmp/t.json", "sweep"}, false},
-		{[]string{"-trace", "/tmp/t.json", "chaos"}, false},
-		{[]string{"-trace", "/tmp/t.json", "saturate"}, false},
-		{[]string{"-trace", "/tmp/t.json", "-droprate", "1e-3", "lossy"}, true},
-		{[]string{"-trace", "/tmp/t.json", "incast"}, true},
-		{[]string{"-trace", "/tmp/t.json", "workload"}, true},
+		{args: []string{"-size", "7", "lossy"}},
+		{args: []string{"-size", "8", "lossy"}, ok: true},
+		// A flag the command does not read is an error, not ignored.
+		{args: []string{"-record", "/tmp/t.trace", "put_bw"}, flag: "-record"},
+		{args: []string{"-replay", "/tmp/t.trace", "am_lat"}, flag: "-replay"},
+		{args: []string{"-workload", "spec.yaml", "put_bw"}, flag: "-workload"},
+		{args: []string{"-trace", "/tmp/t.json", "sweep"}, flag: "-trace"},
+		{args: []string{"-trace", "/tmp/t.json", "chaos"}, flag: "-trace"},
+		{args: []string{"-trace", "/tmp/t.json", "saturate"}, flag: "-trace"},
+		{args: []string{"-seeds", "3", "put_bw"}, flag: "-seeds"},
+		{args: []string{"-flapdown", "50", "put_bw"}, flag: "-flapdown"},
+		{args: []string{"-flapport", "nosuch", "put_bw"}, flag: "-flapport"},
+		{args: []string{"-cores", "8", "am_lat"}, flag: "-cores"},
+		{args: []string{"-warmup", "999", "lossy"}, flag: "-warmup"},
+		{args: []string{"-seeds", "1", "-warmup", "7", "-iters", "33", "chaos"}, flag: "-iters"},
+		{args: []string{"-workload", "spec.yaml", "-nodes", "4", "saturate"}, flag: "-nodes"},
+		{args: []string{"-workload", "spec.yaml", "-size", "64", "saturate"}, flag: "-size"},
+		// -radix sizes a fat-tree, and -trace exports one system's run.
+		{args: []string{"-radix", "8", "-topology", "switch", "put_bw"}, flag: "-radix"},
+		{args: []string{"-radix", "8", "alltoall"}, flag: "-radix"},
+		{args: []string{"-trace", "/tmp/t.json", "lossy"}, flag: "-trace"},
+		// Each command accepts its own flags.
+		{args: []string{"-iters", "10", "-warmup", "5", "-size", "64", "-mode", "doorbell-gather",
+			"-noise", "-seed", "3", "-topology", "backtoback", "-nodes", "2", "-credits", "4",
+			"-rxbudget", "8", "-droprate", "1e-3", "-corruptrate", "1e-3", "-trace", "/tmp/t.json", "put_bw"}, ok: true},
+		{args: []string{"-iters", "10", "-warmup", "5", "-size", "64", "-mode", "doorbell-inline", "am_lat"}, ok: true},
+		{args: []string{"-cores", "8", "-iters", "10", "-trace", "/tmp/t.json", "multi"}, ok: true},
+		{args: []string{"-cores", "8", "-parallel", "2", "-warmup", "5", "sweep"}, ok: true},
+		{args: []string{"-nodes", "5", "-rxbudget", "8", "-size", "4096", "-credits", "2", "incast"}, ok: true},
+		{args: []string{"-topology", "fattree", "-radix", "4", "-nodes", "8", "alltoall"}, ok: true},
+		{args: []string{"-nodes", "5", "-parallel", "1", "-size", "4096", "-droprate", "1e-3", "saturate"}, ok: true},
+		{args: []string{"-workload", "spec.yaml", "-iters", "10", "-warmup", "5", "-mode", "pio-inline",
+			"-parallel", "1", "-seed", "2", "saturate"}, ok: true},
+		{args: []string{"-iters", "100", "-size", "64", "-mode", "doorbell-inline", "-droprate", "1e-3", "-trace", "/tmp/t.json", "lossy"}, ok: true},
+		{args: []string{"-flapport", "leaf1.up0", "-flapdown", "50", "-flapup", "150", "-radix", "4",
+			"-nodes", "6", "-iters", "10", "flap"}, ok: true},
+		{args: []string{"-seeds", "3", "-seed", "7", "-noise", "chaos"}, ok: true},
+		{args: []string{"-workload", "spec.yaml", "-record", "/tmp/t.trace", "-trace", "/tmp/t.json", "-noise", "workload"}, ok: true},
+		{args: []string{"-workload", "spec.yaml", "-replay", "/tmp/t.trace", "workload"}, ok: true},
 	}
-	// A rejected flag the command cannot honour is named with the command.
-	scoped := map[string]bool{"-record": true, "-replay": true, "-workload": true, "-trace": true}
 	defer resetFlags(t)
 	for _, c := range cases {
-		resetFlags(t)
-		if err := flag.CommandLine.Parse(c.args); err != nil {
+		fs := commandLine(t)
+		if err := fs.Parse(c.args); err != nil {
 			t.Fatalf("%v: %v", c.args, err)
 		}
-		test := flag.Arg(0)
-		err := checkFlags(test)
+		test := fs.Arg(0)
+		err := checkFlags(fs)
 		if (err == nil) != c.ok {
 			t.Errorf("%v: checkFlags = %v, want ok=%v", c.args, err, c.ok)
 		}
@@ -93,10 +117,30 @@ func TestCheckFlags(t *testing.T) {
 		if strings.Contains(msg, "\n") {
 			t.Errorf("%v: error spans lines: %q", c.args, err)
 		}
-		if scoped[c.args[0]] && (!strings.Contains(msg, c.args[0]) || !strings.Contains(msg, test)) {
-			t.Errorf("%v: error %q should name %s and the %s command", c.args, msg, c.args[0], test)
+		if c.flag != "" && (!strings.Contains(msg, c.flag+" ") || !strings.Contains(msg, test)) {
+			t.Errorf("%v: error %q should name %s and the %s command", c.args, msg, c.flag, test)
 		}
 	}
+}
+
+// TestCommandFlagsNameRealFlags keeps the table honest: every flag a
+// command row names is a flag of the command line, and every flag of the
+// command line is read by some command.
+func TestCommandFlagsNameRealFlags(t *testing.T) {
+	read := map[string]bool{}
+	for row, names := range commandFlags {
+		for _, name := range strings.Fields(names) {
+			if flag.Lookup(name) == nil {
+				t.Errorf("%s reads -%s, which is not a flag", row, name)
+			}
+			read[name] = true
+		}
+	}
+	flag.VisitAll(func(f *flag.Flag) {
+		if !strings.HasPrefix(f.Name, "test.") && !read[f.Name] {
+			t.Errorf("no command reads -%s", f.Name)
+		}
+	})
 }
 
 // TestCheckFlapPort: a flap on a port the topology does not compile is an
@@ -130,6 +174,20 @@ func TestCheckFlapPort(t *testing.T) {
 			t.Errorf("%s on %v x%d: error %q should be one line naming the port and topology", c.port, c.kind, c.nodes, msg)
 		}
 	}
+}
+
+// commandLine resets the command's flags to their defaults and returns a
+// fresh flag set over them, so each case starts with no flag set.
+func commandLine(t *testing.T) *flag.FlagSet {
+	t.Helper()
+	resetFlags(t)
+	fs := flag.NewFlagSet("bbperftest", flag.ContinueOnError)
+	flag.VisitAll(func(f *flag.Flag) {
+		if !strings.HasPrefix(f.Name, "test.") {
+			fs.Var(f.Value, f.Name, f.Usage)
+		}
+	})
+	return fs
 }
 
 // resetFlags restores the command's flags (not the test binary's) to their

@@ -146,3 +146,80 @@ func TestOnReleaseHook(t *testing.T) {
 		t.Error("hook ran for an unpooled object")
 	}
 }
+
+// TestBufSharedUntilLastDrop checks the payload buffer's reference count:
+// every holder reads the one copy, and the buffer returns to its pool only
+// when the last holder drops it.
+func TestBufSharedUntilLastDrop(t *testing.T) {
+	p := NewBufPool()
+	src := []byte{1, 2, 3}
+	b := p.Fill(src)
+	src[0] = 9
+	if string(b.Bytes()) != "\x01\x02\x03" {
+		t.Fatalf("Fill did not copy its source: %v", b.Bytes())
+	}
+	frame := b.Hold()
+	tlp := frame.Hold()
+	if &frame.Bytes()[0] != &b.Bytes()[0] || &tlp.Bytes()[0] != &b.Bytes()[0] {
+		t.Error("holders do not share the one buffer")
+	}
+	b.Drop()
+	frame.Drop()
+	if p.InUse() != 1 || string(tlp.Bytes()) != "\x01\x02\x03" {
+		t.Fatalf("buffer left the pool while a holder remained (InUse %d)", p.InUse())
+	}
+	tlp.Drop()
+	if p.InUse() != 0 {
+		t.Errorf("InUse %d after the last drop", p.InUse())
+	}
+	var zero Buf
+	if zero.Bytes() != nil || zero.Hold() != zero {
+		t.Error("the zero Buf is not the empty payload")
+	}
+	zero.Drop() // no-op
+}
+
+// TestBufStaleHandlePanics resolves a handle after its last drop: a
+// use-after-release must fail loudly, never read the recycled buffer.
+func TestBufStaleHandlePanics(t *testing.T) {
+	p := NewBufPool()
+	b := p.Fill([]byte{7})
+	b.Drop()
+	p.Fill([]byte{8}) // recycles the slot under a new generation
+	for name, use := range map[string]func(){
+		"Bytes": func() { b.Bytes() },
+		"Hold":  func() { b.Hold() },
+		"Drop":  func() { b.Drop() },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a stale handle did not panic", name)
+				}
+			}()
+			use()
+		}()
+	}
+}
+
+// TestBufPoolHighWaterAndWarmFill checks that a warm pool fills without
+// allocating and that HighWater counts the most buffers held at once.
+func TestBufPoolHighWaterAndWarmFill(t *testing.T) {
+	p := NewBufPool()
+	payload := make([]byte, 4096)
+	a, b := p.Fill(payload), p.Fill(payload)
+	a.Drop()
+	b.Drop()
+	if allocs := testing.AllocsPerRun(200, func() {
+		x := p.Fill(payload)
+		y := p.Fill(payload[:8])
+		x.Hold().Drop()
+		x.Drop()
+		y.Drop()
+	}); allocs != 0 {
+		t.Errorf("warm fill allocates %.2f per op, want 0", allocs)
+	}
+	if p.HighWater() != 2 || p.InUse() != 0 {
+		t.Errorf("HighWater %d, InUse %d; want 2, 0", p.HighWater(), p.InUse())
+	}
+}

@@ -42,4 +42,19 @@
 //
 // Grow is the shared reusable-buffer idiom: resize to n bytes reusing
 // capacity, contents undefined — for read-into fills like DMA completions.
+//
+// # Shared payload buffers
+//
+// BufPool and Buf carry one copy of a message payload through every layer
+// that holds it. Fill takes a buffer from the pool and copies the bytes in
+// once; each further holder takes its own reference with Hold, and each
+// holder calls Drop exactly once. The buffer returns to the pool when the
+// last reference drops, keeping its capacity, so a warm pool fills without
+// allocating. A Buf is a generation-checked handle over an Arena slot:
+// resolving it after the last Drop panics, so a use-after-release fails a
+// test instead of reading bytes that belong to a later message. Holders
+// read the bytes and never write through them. A pooled type that holds a
+// Buf drops it when the object is released (see internal/fabric and
+// internal/pcie), never keeps the shared bytes as its own reusable buffer,
+// and so retains no payload bytes between uses.
 package arena

@@ -12,10 +12,19 @@
 // simulated-message path recycles frames instead of allocating them. The
 // rules mirror the PCIe packet pool (see internal/pcie):
 //
-//   - The sending NIC allocates with the network's NewFrame, fills it
-//     (payload bytes go in via Frame.SetPayload, which copies into the
-//     slot's reusable buffer), and hands it to Send. The network owns the
+//   - The sending NIC allocates with the network's NewFrame, fills its
+//     header fields, attaches the message's payload with
+//     Frame.AttachPayload, and hands it to Send. The network owns the
 //     frame in flight.
+//   - The payload is not copied into the frame: it is a reference to the
+//     sender's pooled payload buffer (arena.Buf, from the network's
+//     BufPool), shared with the sender's retransmit ring, with every
+//     other frame carrying the same WQE and with the receiver's MWr TLPs.
+//     A frame holds its own reference from AttachPayload until it is
+//     released, which drops it, so every release path — delivery, a
+//     refused or discarded frame, a fault drop — returns the buffer
+//     once its last holder is done. Nothing writes through a frame's
+//     payload, and a released frame keeps no payload bytes.
 //   - Delivery transfers ownership to the Port: RxFrame must eventually
 //     call Frame.Release — synchronously, or from a later event if receive
 //     processing is deferred. The NIC exploits the deferred form for
@@ -24,7 +33,8 @@
 //     overload keeps frames (and, where links carry credits, their
 //     final-hop buffer credits) until its host link catches up.
 //   - Anything that wants to keep frame contents past its ownership window
-//     must copy them; Payload() aliases the pooled buffer.
+//     must copy them or hold the buffer (PayloadBuf().Hold()); Payload()
+//     aliases the shared buffer.
 //
 // Frames constructed directly (&Frame{...}, as tests do) are not pooled and
 // Release on them is a no-op.
@@ -158,9 +168,10 @@ type Frame struct {
 	// a new flight.
 	TID uint32
 
-	// payload aliases the pooled slot's reusable buffer; fill through
-	// SetPayload.
-	payload []byte
+	// payload is the frame's reference to the sender's pooled payload
+	// buffer (zero for ACK-class frames): taken by AttachPayload, dropped
+	// when the frame is released.
+	payload arena.Buf
 
 	// HopRef is the network's bookkeeping: internal/topo records the
 	// final-hop link (index+1; 0 = none) whose buffer credit a delivered
@@ -180,14 +191,17 @@ type Frame struct {
 	arena.Slot
 }
 
-// Payload returns the frame's payload bytes. The slice aliases the pooled
-// buffer: copy what you keep.
-func (f *Frame) Payload() []byte { return f.payload }
+// Payload returns the frame's payload bytes. The slice aliases the shared
+// pooled buffer: read it, never write it, and copy what you keep.
+func (f *Frame) Payload() []byte { return f.payload.Bytes() }
 
-// SetPayload copies b into the frame's reusable payload buffer.
-func (f *Frame) SetPayload(b []byte) {
-	f.payload = append(f.payload[:0], b...)
-}
+// PayloadBuf returns the handle of the frame's payload buffer, for a holder
+// that takes its own reference (a TLP carrying the payload on).
+func (f *Frame) PayloadBuf() arena.Buf { return f.payload }
+
+// AttachPayload makes the frame carry b: the frame takes its own reference,
+// which its release drops. Attach at most once per frame.
+func (f *Frame) AttachPayload(b arena.Buf) { f.payload = b.Hold() }
 
 // FrameRef is a generation-checked handle to a pooled frame; see
 // pcie.TLPRef for the pattern. The zero FrameRef resolves to nil.
@@ -197,9 +211,11 @@ type FrameRef = arena.Ref[Frame]
 func (f *Frame) Ref() FrameRef { return arena.MakeRef(f, &f.Slot) }
 
 // NewFrameArena builds a pool of value-typed frame slots (see
-// internal/arena). The network (internal/topo's Fabric) owns one.
-func NewFrameArena() *arena.Arena[Frame] {
-	return arena.New(
+// internal/arena). The network (internal/topo's Fabric) owns one. A
+// released frame drops its payload reference, then runs released (nil for
+// none), the network's hook for the credit the frame held.
+func NewFrameArena(released func(*Frame)) *arena.Arena[Frame] {
+	a := arena.New(
 		func(f *Frame) *arena.Slot { return &f.Slot },
 		func(f *Frame) {
 			f.Kind = 0
@@ -213,8 +229,15 @@ func NewFrameArena() *arena.Arena[Frame] {
 			f.TID = 0
 			f.HopRef = 0
 			f.RxPendWrites = 0
-			f.payload = f.payload[:0]
 		})
+	a.SetOnRelease(func(f *Frame) {
+		f.payload.Drop()
+		f.payload = arena.Buf{}
+		if released != nil {
+			released(f)
+		}
+	})
+	return a
 }
 
 // Port receives frames delivered by the network. Delivery transfers

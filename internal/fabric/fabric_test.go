@@ -3,6 +3,7 @@ package fabric
 import (
 	"testing"
 
+	"breakband/internal/arena"
 	"breakband/internal/units"
 )
 
@@ -24,11 +25,13 @@ func TestSerTime(t *testing.T) {
 }
 
 func TestFramePoolReuse(t *testing.T) {
-	frames := NewFrameArena()
+	frames := NewFrameArena(nil)
 	f := frames.Alloc()
 	f.Kind = Data
 	f.Dst = 1
-	f.SetPayload([]byte{1, 2, 3})
+	payload := arena.NewBufPool().Fill([]byte{1, 2, 3})
+	f.AttachPayload(payload)
+	payload.Drop()
 	ref := f.Ref()
 	if ref.Get() != f || string(f.Payload()) != "\x01\x02\x03" {
 		t.Fatalf("pooled frame not intact: %+v", f)
@@ -55,7 +58,7 @@ func TestFramePoolReuse(t *testing.T) {
 }
 
 func TestFrameDoubleReleasePanics(t *testing.T) {
-	f := NewFrameArena().Alloc()
+	f := NewFrameArena(nil).Alloc()
 	f.Release()
 	defer func() {
 		if recover() == nil {
@@ -73,12 +76,35 @@ func TestUnpooledFrameReleaseIsNoop(t *testing.T) {
 	}
 }
 
-func TestSetPayloadCopies(t *testing.T) {
-	f := NewFrameArena().Alloc()
-	src := []byte{5, 6}
-	f.SetPayload(src)
-	src[0] = 99
-	if f.Payload()[0] != 5 {
-		t.Error("SetPayload aliased the caller's buffer")
+// TestAttachPayloadShares pins the frame's side of the payload contract:
+// frames share the sender's buffer instead of copying it, each holds its
+// own reference, and release drops it before the network's hook runs.
+func TestAttachPayloadShares(t *testing.T) {
+	pool := arena.NewBufPool()
+	var hooked int
+	frames := NewFrameArena(func(f *Frame) {
+		hooked++
+		if f.PayloadBuf() != (arena.Buf{}) {
+			t.Error("network hook ran before the payload reference dropped")
+		}
+	})
+	payload := pool.Fill([]byte{5, 6})
+	f, g := frames.Alloc(), frames.Alloc()
+	f.AttachPayload(payload)
+	g.AttachPayload(payload)
+	payload.Drop() // the sender lets go; the frames keep the bytes
+	if &f.Payload()[0] != &g.Payload()[0] || string(f.Payload()) != "\x05\x06" {
+		t.Fatalf("frames do not share the one buffer: %v, %v", f.Payload(), g.Payload())
+	}
+	f.Release()
+	if pool.InUse() != 1 || string(g.Payload()) != "\x05\x06" {
+		t.Fatalf("first release freed a buffer another frame holds (in use %d)", pool.InUse())
+	}
+	g.Release()
+	if pool.InUse() != 0 || hooked != 2 {
+		t.Errorf("after both releases: %d buffers in use, hook ran %d times", pool.InUse(), hooked)
+	}
+	if h := frames.Alloc(); h.Payload() != nil || h.PayloadBuf() != (arena.Buf{}) {
+		t.Error("a recycled frame slot kept a payload")
 	}
 }

@@ -1,0 +1,64 @@
+// Package fifo provides Queue, the first-in first-out queue the simulated
+// software stack and the NIC keep their in-order bookkeeping in: posted
+// sends awaiting completion, busy posts awaiting a send slot, receive
+// buffers in the order the NIC consumes them.
+//
+// A queue that pops by reslicing (q = q[1:]) never reuses the space in
+// front of its head, so each append past the shrinking capacity copies the
+// queue into a new array, forever. Queue pops by advancing a head index
+// instead and reuses its backing array: an empty queue rewinds to the
+// start, and a full one slides its live entries down when at least half of
+// the array is spent, growing only when more than half is live. Capacity
+// therefore stays within a small multiple of the deepest the queue gets,
+// and a queue in steady state allocates nothing.
+package fifo
+
+// Queue is a FIFO queue of T. The zero Queue is empty and ready to use.
+type Queue[T any] struct {
+	buf  []T
+	head int
+}
+
+// Len reports the number of queued entries.
+func (q *Queue[T]) Len() int { return len(q.buf) - q.head }
+
+// Push appends v at the back.
+func (q *Queue[T]) Push(v T) {
+	if len(q.buf) == cap(q.buf) && q.head > 0 && q.head >= len(q.buf)/2 {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf = q.buf[:n]
+		q.head = 0
+	}
+	q.buf = append(q.buf, v)
+}
+
+// At returns the i-th entry from the front; At(0) is the front. It panics
+// when i is out of range.
+func (q *Queue[T]) At(i int) T { return q.buf[q.head:][i] }
+
+// Pop removes and returns the front entry. It panics on an empty queue.
+func (q *Queue[T]) Pop() T {
+	v := q.buf[q.head:][0]
+	var zero T
+	q.buf[q.head] = zero // drop the reference for the collector
+	if q.head++; q.head == len(q.buf) {
+		q.buf = q.buf[:0]
+		q.head = 0
+	}
+	return v
+}
+
+// Remove deletes the i-th entry from the front, keeping the order of the
+// rest. It panics when i is out of range.
+func (q *Queue[T]) Remove(i int) {
+	if i == 0 {
+		q.Pop()
+		return
+	}
+	live := q.buf[q.head:]
+	copy(live[i:], live[i+1:])
+	var zero T
+	live[len(live)-1] = zero
+	q.buf = q.buf[:len(q.buf)-1]
+}

@@ -122,9 +122,10 @@ func (w *WQE) Encode() ([WQESize]byte, error) {
 }
 
 // DecodeFrom parses a 64-byte descriptor into w, overwriting every field.
-// The inline payload is copied into w's reusable Payload buffer, so a
-// caller-owned scratch WQE decodes messages without allocating in steady
-// state. On error w is left partially overwritten and must not be used.
+// The inline payload is not copied: w.Payload aliases it inside b, valid
+// for as long as b is, so a caller-owned scratch WQE decodes messages
+// without copying or allocating. On error w is left partially overwritten
+// and must not be used.
 func (w *WQE) DecodeFrom(b []byte) error {
 	if len(b) < WQESize {
 		return fmt.Errorf("mlx: short WQE (%d bytes)", len(b))
@@ -145,16 +146,17 @@ func (w *WQE) DecodeFrom(b []byte) error {
 			return fmt.Errorf("mlx: inline length %d exceeds %d", n, InlineMax)
 		}
 		w.GatherAddr, w.GatherLen = 0, 0
-		w.Payload = append(w.Payload[:0], b[offPayload:offPayload+int(n)]...)
+		w.Payload = b[offPayload : offPayload+int(n)]
 	} else {
 		w.GatherLen = n
 		w.GatherAddr = binary.LittleEndian.Uint64(b[offGather:])
-		w.Payload = w.Payload[:0]
+		w.Payload = nil
 	}
 	return nil
 }
 
-// DecodeWQE parses a 64-byte descriptor into a fresh WQE.
+// DecodeWQE parses a 64-byte descriptor into a fresh WQE, whose inline
+// payload aliases b (see DecodeFrom).
 func DecodeWQE(b []byte) (*WQE, error) {
 	w := &WQE{}
 	if err := w.DecodeFrom(b); err != nil {

@@ -48,16 +48,32 @@
 // ARCHITECTURE.md for how this composes with the PCIe and topology credit
 // loops.
 //
-// The device datapath is allocation-free in steady state: TLPs and frames
-// come from the link/network pools (the NIC releases everything delivered
-// to it, per the pcie/fabric borrow contracts), DMA-read completions
-// dispatch through typed continuation records instead of closures (with
-// reads past the 256-tag space queued FIFO rather than failing), and
-// descriptors decode into per-QP scratch WQEs whose payload buffers are
-// reused. The overload path recycles too: NAK frames and backoff timer
+// # One copy of each payload
+//
+// A message's bytes are copied once on the device: where the NIC first
+// holds them — out of the gather DMA read's CplD, or out of the inline
+// descriptor, whether BlueFlame wrote it or a DMA fetch read it — into one
+// pooled, reference-counted buffer per WQE (arena.Buf, from the network's
+// pool). Every later holder shares that buffer instead of copying it: the
+// retransmit ring record, every frame that carries the WQE (the first
+// transmission and each go-back-N replay), and on the target the MWr TLPs
+// that write the payload to host memory. Each holder drops its reference
+// exactly once — ring retirement or a ring wipe on QP failure, frame
+// release, TLP release after the Root Complex's commit — and the buffer
+// returns to the pool at zero. The only other copies are the modelled
+// ones: the Root Complex's DMA read and its commit into simulated memory,
+// and the CQE image that inline-scatters a small send.
+//
+// The device datapath is allocation-free in steady state: TLPs, frames and
+// payload buffers come from the link/network pools (the NIC releases
+// everything delivered to it, per the pcie/fabric borrow contracts),
+// DMA-read completions dispatch through typed continuation records instead
+// of closures (with reads past the 256-tag space queued FIFO rather than
+// failing), and descriptors decode into per-QP scratch WQEs that borrow
+// their bytes. The overload path recycles too: NAK frames and backoff timer
 // events are pooled, the retransmit ring and the pend-mirror FIFO reuse
-// their buffers, so NAK/retry stays inside the same allocation budget as
-// the uncontended path (enforced by internal/simbench).
+// their slots, so NAK/retry stays inside the same allocation budget as the
+// uncontended path (enforced by internal/simbench).
 package nic
 
 import (
@@ -65,7 +81,9 @@ import (
 	"fmt"
 	"sort"
 
+	"breakband/internal/arena"
 	"breakband/internal/fabric"
+	"breakband/internal/fifo"
 	"breakband/internal/memsim"
 	"breakband/internal/mlx"
 	"breakband/internal/pcie"
@@ -143,13 +161,15 @@ const (
 // re-reads the WQE from the send queue; the model keeps the equivalent
 // state in the ring so the PIO path — whose descriptors never touch host
 // memory — replays identically). Records live in a fixed ring sized by the
-// send queue depth; payload buffers are reused across ring passes, so the
-// steady-state path allocates nothing.
+// send queue depth. payload is the record's reference to the WQE's pooled
+// buffer, dropped when the record retires or the ring is wiped; a frame
+// still in flight keeps its own reference, so the slot's next WQE always
+// takes a fresh buffer.
 type txRec struct {
 	counter  uint16
 	signaled bool
 	op       fabric.TxOp
-	payload  []byte
+	payload  arena.Buf
 }
 
 // QP is a queue pair: a send queue, its completion queues, and a reliable
@@ -196,7 +216,7 @@ type QP struct {
 	sendCQPI   uint16 // producer counter of SendCQ
 	recvCQPI   uint16 // producer counter of RecvCQ
 	recvPosted int    // receive credits posted by software
-	rqAddrs    []uint64
+	rqAddrs    fifo.Queue[uint64]
 
 	// Initiator-side RNR state: awaitingRetry is set between an RNR NAK
 	// and its backoff timer firing (new WQEs executed meanwhile are parked
@@ -331,7 +351,7 @@ type NIC struct {
 	nextTag       uint8
 	inflight      [256]dmaCont
 	inflightReads int
-	dmaPending    []dmaReq
+	dmaPending    fifo.Queue[dmaReq]
 
 	// bfWQE is the scratch descriptor BlueFlame PIO writes decode into
 	// (consumed synchronously by execWQE).
@@ -346,44 +366,12 @@ type NIC struct {
 	// is (nil for TLPs not tied to a frame, e.g. descriptor-fetch MRds).
 	rxHeld    int
 	rxHeldMax int
-	upPendQ   frameFIFO
+	upPendQ   fifo.Queue[*fabric.Frame]
 
 	// Continuations, bound once so the RNR backoff / ACK-timeout timers
 	// schedule without closures.
 	retransmitFn func(any)
 	ackTimeoutFn func(any)
-}
-
-// frameFIFO is a growable ring of frame pointers (nil entries allowed). Its
-// capacity reaches a high-water mark bounded by the rx budget and is reused
-// thereafter, keeping the overload path allocation-free in steady state.
-type frameFIFO struct {
-	buf  []*fabric.Frame
-	head int
-	n    int
-}
-
-func (q *frameFIFO) push(f *fabric.Frame) {
-	if q.n == len(q.buf) {
-		nb := make([]*fabric.Frame, max(8, 2*len(q.buf)))
-		for i := 0; i < q.n; i++ {
-			nb[i] = q.buf[(q.head+i)%len(q.buf)]
-		}
-		q.buf, q.head = nb, 0
-	}
-	q.buf[(q.head+q.n)%len(q.buf)] = f
-	q.n++
-}
-
-func (q *frameFIFO) pop() *fabric.Frame {
-	if q.n == 0 {
-		panic("nic: pend FIFO underflow (issue notification without a pended TLP)")
-	}
-	f := q.buf[q.head]
-	q.buf[q.head] = nil
-	q.head = (q.head + 1) % len(q.buf)
-	q.n--
-	return f
 }
 
 var (
@@ -528,7 +516,7 @@ func Connect(a, b *QP) {
 // payloads too large for CQE inline scatter).
 func (qp *QP) PostRecv(addr uint64) {
 	qp.recvPosted++
-	qp.rqAddrs = append(qp.rqAddrs, addr)
+	qp.rqAddrs.Push(addr)
 }
 
 // RecvPosted reports available receive credits.
@@ -558,12 +546,8 @@ func (n *NIC) RxTLP(t *pcie.TLP) {
 		}
 		// The freed tag (and any the continuation released) goes to the
 		// oldest queued reads, preserving issue order.
-		for n.inflightReads < len(n.inflight) && len(n.dmaPending) > 0 {
-			rq := n.dmaPending[0]
-			n.dmaPending = n.dmaPending[1:]
-			if len(n.dmaPending) == 0 {
-				n.dmaPending = nil
-			}
+		for n.inflightReads < len(n.inflight) && n.dmaPending.Len() > 0 {
+			rq := n.dmaPending.Pop()
 			n.issueDMARead(rq.addr, rq.n, rq.kind, rq.qp)
 		}
 	default:
@@ -618,7 +602,7 @@ func (n *NIC) sendUp(t *pcie.TLP, f *fabric.Frame) {
 	if n.link.SendUp(t) {
 		return
 	}
-	n.upPendQ.push(f)
+	n.upPendQ.Push(f)
 	if f != nil {
 		f.RxPendWrites++
 	}
@@ -630,7 +614,10 @@ func (n *NIC) sendUp(t *pcie.TLP, f *fabric.Frame) {
 // final-hop fabric buffer credit, which is what makes receiver overload
 // backpressure the network instead of accumulating in the PCIe pend queue.
 func (n *NIC) upIssued(*pcie.TLP) {
-	f := n.upPendQ.pop()
+	if n.upPendQ.Len() == 0 {
+		panic("nic: pend FIFO underflow (issue notification without a pended TLP)")
+	}
+	f := n.upPendQ.Pop()
 	if f == nil {
 		return
 	}
@@ -648,8 +635,8 @@ func (n *NIC) upIssued(*pcie.TLP) {
 // request when the 256-entry tag space is exhausted (or older requests are
 // already queued — FIFO order is preserved either way).
 func (n *NIC) dmaRead(addr uint64, ln int, kind dmaKind, qp *QP) {
-	if n.inflightReads == len(n.inflight) || len(n.dmaPending) > 0 {
-		n.dmaPending = append(n.dmaPending, dmaReq{addr: addr, n: ln, kind: kind, qp: qp})
+	if n.inflightReads == len(n.inflight) || n.dmaPending.Len() > 0 {
+		n.dmaPending.Push(dmaReq{addr: addr, n: ln, kind: kind, qp: qp})
 		return
 	}
 	n.issueDMARead(addr, ln, kind, qp)
@@ -710,8 +697,9 @@ func (qp *QP) fetchNextWQE() {
 }
 
 // onWQEFetched continues the fetch chain when the descriptor CplD arrives.
-// data is borrowed from the delivered TLP; DecodeFrom copies what the WQE
-// keeps.
+// data is borrowed from the delivered TLP, and so is the inline payload
+// DecodeFrom leaves in the WQE: execWQE consumes it before the TLP is
+// released.
 func (qp *QP) onWQEFetched(data []byte) {
 	if err := qp.fetchWQE.DecodeFrom(data); err != nil {
 		panic(fmt.Sprintf("nic%d: bad DMA WQE at counter %d: %v", qp.nic.id, qp.fetchCounter, err))
@@ -736,10 +724,11 @@ func (qp *QP) onWQEFetched(data []byte) {
 	qp.nic.dmaRead(qp.fetchWQE.GatherAddr, int(qp.fetchWQE.GatherLen), dmaPayloadFetch, qp)
 }
 
-// onPayloadFetched completes a gather descriptor: the payload is copied out
-// of the borrowed CplD data into the scratch WQE, which is then executed.
+// onPayloadFetched completes a gather descriptor: the scratch WQE borrows
+// the CplD data as its payload, and execWQE copies it out into the WQE's
+// pooled buffer before the TLP is released.
 func (qp *QP) onPayloadFetched(data []byte) {
-	qp.fetchWQE.Payload = append(qp.fetchWQE.Payload[:0], data...)
+	qp.fetchWQE.Payload = data
 	qp.nic.execWQE(qp, &qp.fetchWQE)
 	qp.fetching = false
 	qp.fetchNextWQE()
@@ -747,9 +736,10 @@ func (qp *QP) onPayloadFetched(data []byte) {
 
 // execWQE records a decoded descriptor in the retransmit ring and transmits
 // it onto the fabric. The WQE (often a scratch) is consumed synchronously:
-// its payload is copied into the ring record and from there into the pooled
-// frame. While the QP is waiting out an RNR backoff the frame is not
-// transmitted: the record rides the go-back-N replay instead.
+// its payload, borrowed from the CplD or the inline descriptor, is copied
+// once into a pooled buffer the ring record holds, and every frame carrying
+// the WQE shares it. While the QP is waiting out an RNR backoff the frame
+// is not transmitted: the record rides the go-back-N replay instead.
 func (n *NIC) execWQE(qp *QP, w *mlx.WQE) {
 	if w.QPN != qp.QPN {
 		panic(fmt.Sprintf("nic%d: WQE qpn %d posted to qp %d", n.id, w.QPN, qp.QPN))
@@ -784,7 +774,7 @@ func (n *NIC) execWQE(qp *QP, w *mlx.WQE) {
 		AmID:    w.AmID,
 		Counter: w.WQEIdx,
 	}
-	rec.payload = append(rec.payload[:0], w.Payload...)
+	rec.payload = n.net.Payloads().Fill(w.Payload)
 	qp.TxFrames++
 	if n.cfg.AckTimeout > 0 {
 		if qp.txN == 1 {
@@ -800,20 +790,21 @@ func (n *NIC) execWQE(qp *QP, w *mlx.WQE) {
 }
 
 // txRecFrame builds the wire frame for a ring record and transmits it (the
-// shared tail of first transmission and RNR replay).
+// shared tail of first transmission and RNR replay). The frame carries the
+// record's payload buffer under its own reference.
 func (n *NIC) txRecFrame(qp *QP, rec *txRec) {
 	f := n.net.NewFrame()
 	f.Kind = fabric.Data
 	f.Src = n.id
 	f.Dst = qp.remoteNIC
-	f.Bytes = len(rec.payload)
+	f.AttachPayload(rec.payload)
+	f.Bytes = len(f.Payload())
 	f.Op = rec.op
 	f.PSN = rec.counter
-	f.SetPayload(rec.payload)
 	if n.tr != nil {
 		f.TID = n.tr.NextTID()
 		n.tr.Emit(trace.Event{At: n.k.Now(), Kind: trace.EvInject, TID: f.TID,
-			Node: int16(n.id), Arg: trace.ArgMsg(qp.QPN, len(rec.payload), uint32(rec.counter))})
+			Node: int16(n.id), Arg: trace.ArgMsg(qp.QPN, f.Bytes, uint32(rec.counter))})
 	}
 	n.net.Send(f)
 }
@@ -860,9 +851,10 @@ func (n *NIC) RxFrame(f *fabric.Frame) {
 }
 
 // rxData handles an inbound data frame on the target NIC, reporting whether
-// the frame is held for deferred release. The frame's payload is borrowed;
-// everything the NIC forwards is copied into pooled TLPs before rxData
-// returns.
+// the frame is held for deferred release. The MWr TLPs that write the
+// payload to host memory carry the frame's shared buffer under their own
+// references; only a small send's CQE image copies the payload, by
+// inline-scattering it.
 //
 // Sequence checking runs first (IB RC BTH PSN semantics): a frame below
 // the expected PSN is a duplicate — already delivered, replayed because an
@@ -923,12 +915,11 @@ func (n *NIC) rxData(f *fabric.Frame) (held bool) {
 		t := n.link.NewTLP()
 		t.Type = pcie.MWr
 		t.Addr = op.RAddr
-		t.SetData(payload)
+		t.AttachData(f.PayloadBuf())
 		n.sendUp(t, f)
 	case mlx.OpSend:
 		qp.recvPosted--
-		bufAddr := qp.rqAddrs[0]
-		qp.rqAddrs = qp.rqAddrs[1:]
+		bufAddr := qp.rqAddrs.Pop()
 		inline := len(payload) <= mlx.ScatterMax
 		cqe := mlx.CQE{
 			Op:         mlx.CQERecv,
@@ -948,7 +939,7 @@ func (n *NIC) rxData(f *fabric.Frame) (held bool) {
 			t := n.link.NewTLP()
 			t.Type = pcie.MWr
 			t.Addr = bufAddr
-			t.SetData(payload)
+			t.AttachData(f.PayloadBuf())
 			n.sendUp(t, f)
 		}
 		enc, err := cqe.Encode()
@@ -1052,6 +1043,8 @@ func (n *NIC) retireThrough(qp *QP, counter uint16) int {
 			break
 		}
 		cnt, signaled := rec.counter, rec.signaled
+		rec.payload.Drop()
+		rec.payload = arena.Buf{}
 		qp.txHead = (qp.txHead + 1) % len(qp.txRing)
 		qp.txN--
 		retired++
@@ -1312,9 +1305,20 @@ func (n *NIC) failQP(qp *QP, status uint8) {
 			Node: int16(n.id), Arg: trace.ArgQP(qp.QPN, uint64(qp.txN))})
 	}
 	n.cancelQPTimers(qp)
-	last := qp.txRing[(qp.txHead+qp.txN-1)%len(qp.txRing)]
-	qp.txN = 0
-	n.writeSendCQE(qp, last.counter, status)
+	n.writeSendCQE(qp, wipeRing(qp), status)
+}
+
+// wipeRing empties the QP's retransmit ring on failure, dropping every
+// outstanding record's payload reference, and reports the newest counter.
+func wipeRing(qp *QP) (last uint16) {
+	for ; qp.txN > 0; qp.txN-- {
+		rec := &qp.txRing[qp.txHead]
+		last = rec.counter
+		rec.payload.Drop()
+		rec.payload = arena.Buf{}
+		qp.txHead = (qp.txHead + 1) % len(qp.txRing)
+	}
+	return last
 }
 
 // ---------- endpoint failure model ----------
@@ -1371,9 +1375,7 @@ func (n *NIC) crashQP(qp *QP) {
 		qp.QPFails++
 		n.cancelQPTimers(qp)
 		if qp.txN > 0 {
-			last := qp.txRing[(qp.txHead+qp.txN-1)%len(qp.txRing)]
-			qp.txN = 0
-			n.hostWriteSendCQE(qp, last.counter, mlx.CQEFatalErr)
+			n.hostWriteSendCQE(qp, wipeRing(qp), mlx.CQEFatalErr)
 		}
 	} else {
 		n.cancelQPTimers(qp)
@@ -1387,12 +1389,9 @@ func (n *NIC) crashQP(qp *QP) {
 	}
 	for qp.recvPosted > 0 {
 		qp.recvPosted--
-		qp.rqAddrs = qp.rqAddrs[1:]
+		qp.rqAddrs.Pop()
 		qp.FlushedRecvs++
 		n.hostWriteRecvFlushCQE(qp)
-	}
-	if len(qp.rqAddrs) == 0 {
-		qp.rqAddrs = nil
 	}
 }
 

@@ -559,7 +559,7 @@ func TestDMATagExhaustionQueues(t *testing.T) {
 		for _, q := range qs {
 			q.ringDoorbell(1)
 		}
-		sawQueued = len(nic0.dmaPending) > 0 && nic0.inflightReads == 256
+		sawQueued = nic0.dmaPending.Len() > 0 && nic0.inflightReads == 256
 	})
 	k.SetEventLimit(1_000_000)
 	k.Run()
@@ -571,9 +571,9 @@ func TestDMATagExhaustionQueues(t *testing.T) {
 	if !sawQueued {
 		t.Error("tag space never saturated: the test did not exercise queueing")
 	}
-	if nic0.inflightReads != 0 || len(nic0.dmaPending) != 0 {
+	if nic0.inflightReads != 0 || nic0.dmaPending.Len() != 0 {
 		t.Errorf("DMA engine not drained: %d in flight, %d queued",
-			nic0.inflightReads, len(nic0.dmaPending))
+			nic0.inflightReads, nic0.dmaPending.Len())
 	}
 }
 
@@ -591,5 +591,38 @@ func TestQPAccounting(t *testing.T) {
 	}
 	if qpB.BFAddr == r.qp0.BFAddr {
 		t.Error("second QP reuses BAR window")
+	}
+}
+
+// TestSendPathAllocFree sends inline PIO messages into posted receives
+// until the pools are warm. From then on a message allocates nothing on
+// the device path: the receive queue reuses its array, and the payload
+// pool its buffers, which every send returns once it is acknowledged.
+func TestSendPathAllocFree(t *testing.T) {
+	r := newRig(t)
+	w := mlx.WQE{Opcode: mlx.OpSend, Inline: true, Signaled: true,
+		QPN: r.qp0.QPN, AmID: 5, Payload: []byte{1, 2, 3, 4, 5, 6, 7, 8}}
+	post := func() {
+		enc, _ := w.Encode()
+		r.rc0.MMIOWrite(r.qp0.BFAddr, enc[:])
+	}
+	send := func() {
+		r.qp1.PostRecv(0)
+		r.qp1.PostRecv(0)
+		r.k.After(0, post)
+		r.k.Run()
+		w.WQEIdx++
+		r.k.After(0, post)
+		r.k.Run()
+		w.WQEIdx++
+	}
+	for i := 0; i < 100; i++ {
+		send()
+	}
+	if allocs := testing.AllocsPerRun(300, send); allocs != 0 {
+		t.Errorf("steady-state sends allocate %.2f times per pair, want 0", allocs)
+	}
+	if pool := r.nic0.net.Payloads(); pool.InUse() != 0 || pool.HighWater() != 1 {
+		t.Errorf("payload pool: %d in use, high-water %d; want 0 and 1", pool.InUse(), pool.HighWater())
 	}
 }

@@ -34,10 +34,16 @@
 // simulated-message path recycles descriptors instead of allocating them.
 // The ownership rules are:
 //
-//   - The sender allocates a TLP with Link.NewTLP, fills it (payloads go in
-//     via TLP.SetData / TLP.GrowData, which copy into the slot's reusable
-//     buffer), and hands it to SendDown/SendUp. From that point the link
-//     owns the packet.
+//   - The sender allocates a TLP with Link.NewTLP, fills it, and hands it
+//     to SendDown/SendUp. From that point the link owns the packet. The
+//     data goes in one of two ways. A message payload is shared, not
+//     copied: TLP.AttachData makes the TLP hold a reference to the pooled
+//     payload buffer (arena.Buf) the NIC filled once, which the TLP drops
+//     when it is released. The NIC's own 64-byte images (descriptors,
+//     doorbells, CQEs) and DMA-read completions are copied into the slot's
+//     reusable buffer (TLP.SetData / TLP.GrowData). Nothing writes
+//     through a shared buffer, and a released TLP never keeps one as its
+//     own reusable buffer.
 //   - At delivery the link transfers ownership to the Receiver: RxTLP must
 //     eventually call TLP.Release — synchronously, or from a later event if
 //     the receiver needs the packet beyond delivery (the Root Complex holds
@@ -113,15 +119,21 @@ type TLP struct {
 	Type TLPType
 	// Addr is the target address (bus address for MWr/MRd).
 	Addr uint64
-	// Data is the payload for MWr and CplD. On pooled TLPs it aliases the
-	// slot's reusable buffer: fill it through SetData/GrowData (which
-	// copy) rather than assigning a foreign slice, or the arena would
-	// recycle memory it does not own.
+	// Data is the payload for MWr and CplD: read it, never write through
+	// it. On pooled TLPs it is either the slot's reusable buffer, filled
+	// through SetData/GrowData (which copy), or a shared payload buffer
+	// attached with AttachData. Never assign a foreign slice, or the arena
+	// would recycle memory it does not own.
 	Data []byte
 	// ReadLen is the requested byte count for MRd.
 	ReadLen int
 	// Tag matches an MRd to its CplD.
 	Tag uint8
+
+	// own is the slot's reusable buffer, kept across recycles; shared is
+	// the attached payload buffer's reference, dropped at release.
+	own    []byte
+	shared arena.Buf
 
 	// Slot is the pool bookkeeping (zero for TLPs constructed directly);
 	// it provides Release.
@@ -131,7 +143,8 @@ type TLP struct {
 // SetData copies b into the TLP's reusable payload buffer. The wire carries
 // a copy, so the caller may reuse b immediately.
 func (t *TLP) SetData(b []byte) {
-	t.Data = append(t.Data[:0], b...)
+	t.own = append(t.own[:0], b...)
+	t.Data = t.own
 }
 
 // GrowData resizes the payload buffer to n bytes (previous contents
@@ -139,8 +152,17 @@ func (t *TLP) SetData(b []byte) {
 // completions. The underlying buffer is reused across pool recycles, so
 // steady-state growth is free.
 func (t *TLP) GrowData(n int) []byte {
-	t.Data = arena.Grow(t.Data, n)
+	t.own = arena.Grow(t.own, n)
+	t.Data = t.own
 	return t.Data
+}
+
+// AttachData makes the TLP carry the shared payload buffer b as its Data
+// without copying it: the TLP takes its own reference, which its release
+// drops. Attach at most once per TLP.
+func (t *TLP) AttachData(b arena.Buf) {
+	t.shared = b.Hold()
+	t.Data = t.shared.Bytes()
 }
 
 // TLPRef is a generation-checked handle to a pooled TLP, for holders that
@@ -152,9 +174,10 @@ type TLPRef = arena.Ref[TLP]
 func (t *TLP) Ref() TLPRef { return arena.MakeRef(t, &t.Slot) }
 
 // newTLPArena builds the shared pool of value-typed TLP slots, mirroring
-// the kernel's event-slot pool (see internal/arena).
+// the kernel's event-slot pool (see internal/arena). A released TLP drops
+// its shared payload reference, so only its own buffer survives recycling.
 func newTLPArena() *arena.Arena[TLP] {
-	return arena.New(
+	a := arena.New(
 		func(t *TLP) *arena.Slot { return &t.Slot },
 		func(t *TLP) {
 			t.Seq = 0
@@ -162,8 +185,15 @@ func newTLPArena() *arena.Arena[TLP] {
 			t.Addr = 0
 			t.ReadLen = 0
 			t.Tag = 0
-			t.Data = t.Data[:0]
+			t.own = t.own[:0]
+			t.Data = t.own
 		})
+	a.SetOnRelease(func(t *TLP) {
+		t.shared.Drop()
+		t.shared = arena.Buf{}
+		t.Data = nil
+	})
+	return a
 }
 
 // newDLLPArena builds the DLLP pool; DLLPs are allocated and released by

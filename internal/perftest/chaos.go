@@ -408,7 +408,8 @@ func (r *ChaosResult) Passed() bool { return len(r.Violations) == 0 }
 //     (every request completed with success or error — no hang);
 //  3. watchdog-clean — the kernel's quiescence watchdog reports no stuck
 //     task at the horizon;
-//  4. pools drained — no fabric frame or PCIe packet leaked;
+//  4. pools drained — no fabric frame, payload buffer or PCIe packet
+//     leaked;
 //  5. survivor goodput — pairs with no crashed endpoint delivered their
 //     whole stream error-free, and every pair moved data before its
 //     fault window hit.
@@ -509,6 +510,9 @@ func ChaosSoak(base *config.Config, seed uint64, opt ChaosOptions) *ChaosResult 
 	}
 	if n := sys.Topo().InUseFrames(); n != 0 { // invariant 4
 		fail("pools: %d fabric frame(s) leaked", n)
+	}
+	if n := sys.Topo().Payloads().InUse(); n != 0 {
+		fail("pools: %d payload buffer(s) leaked", n)
 	}
 	for _, n := range sys.Nodes {
 		if tlps, dllps := n.Link.InUsePackets(); tlps != 0 || dllps != 0 {

@@ -142,13 +142,17 @@ func TestAllToAllFatTree(t *testing.T) {
 }
 
 // TestScenarioPoolsDrained asserts the arena live-slot counters return to
-// zero after each perftest scenario: a frame or TLP held past delivery is
-// a borrow-contract violation that must fail tests, not grow pools.
+// zero after each perftest scenario: a frame, TLP or payload buffer held
+// past delivery is a borrow-contract violation that must fail tests, not
+// grow pools.
 func TestScenarioPoolsDrained(t *testing.T) {
 	check := func(t *testing.T, sys *node.System) {
 		t.Helper()
 		if n := sys.Net.InUseFrames(); n != 0 {
 			t.Errorf("fabric frame pool: %d frames still live after the run", n)
+		}
+		if n := sys.Net.Payloads().InUse(); n != 0 {
+			t.Errorf("payload pool: %d buffers still held after the run", n)
 		}
 		for _, nd := range sys.Nodes {
 			if tlps, dllps := nd.Link.InUsePackets(); tlps != 0 || dllps != 0 {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"breakband/internal/config"
+	"breakband/internal/fabric"
 	"breakband/internal/node"
 	"breakband/internal/topo"
 )
@@ -203,5 +204,42 @@ func TestZeroBudgetNeverNaks(t *testing.T) {
 	}
 	if res.MaxUpPend > credits {
 		t.Errorf("pend queue reached %d, want <= the credit budget %d", res.MaxUpPend, credits)
+	}
+}
+
+// TestOversubscribedPayloadPool pins the payload buffer pool on the 8-node
+// fat-tree incast (seven 4 KiB senders, rx budget 8). Each WQE holds one
+// pooled buffer from execution until its acknowledgement and the release
+// of its last frame and MWr TLP, which share it, so the pool peaks near the
+// seven 128-entry send queues full: 828 buffers in this run (900 at the
+// bench's 1100 messages per sender, when every queue fills and a few
+// replayed frames outlive their ring records). Frame slots keep no payload
+// bytes of their own, and every buffer returns to the pool.
+func TestOversubscribedPayloadPool(t *testing.T) {
+	const wantHighWater = 828
+	cfg := config.TX2CX4(config.NoiseOff, 1, true)
+	cfg.Topology = topo.Spec{Kind: topo.FatTree}
+	cfg.NICRxBudget = 8
+	sys := node.NewSystem(cfg, 8)
+	defer sys.Shutdown()
+	OversubscribedPutBw(sys, 7, Options{Iters: 200, Warmup: 20, MsgSize: 4096})
+	pool := sys.Net.Payloads()
+	if hw := pool.HighWater(); hw != wantHighWater {
+		t.Errorf("payload pool high-water %d buffers, want %d", hw, wantHighWater)
+	}
+	if n := pool.InUse(); n != 0 {
+		t.Errorf("%d payload buffers still held after the run", n)
+	}
+	// Recycled frame slots come back first, so these cover every slot the
+	// run used.
+	frames := make([]*fabric.Frame, 4096)
+	for i := range frames {
+		frames[i] = sys.Net.NewFrame()
+		if p := frames[i].Payload(); cap(p) != 0 {
+			t.Fatalf("frame slot %d retains %d bytes of payload capacity", i, cap(p))
+		}
+	}
+	for _, f := range frames {
+		f.Release()
 	}
 }

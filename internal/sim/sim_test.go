@@ -621,3 +621,81 @@ func TestAfterArgInterleavesWithAfter(t *testing.T) {
 		}
 	}
 }
+
+// TestCancelPurgeKeepsOrder cancels most of a randomized schedule, up front
+// and from inside callbacks as ACK timers are cancelled, and checks two
+// things. Right after every Cancel, cancelled heap entries never outnumber
+// live ones. And the events fire exactly as in a run that never scheduled
+// the cancelled ones: same order, same times, same Fired count.
+func TestCancelPurgeKeepsOrder(t *testing.T) {
+	const n = 3000
+	rnd := rng.New(7)
+	at := make([]Time, n)
+	// role 0 is cancelled up front, role 1 may be cancelled by a keeper, and
+	// role 2 is a keeper. Most events are cancelled, as ACK timers are.
+	role := make([]int, n)
+	for i := range at {
+		at[i] = Time(rnd.Intn(2000)) // many co-timed events
+		role[i] = min(2, max(0, rnd.Intn(5)-2))
+	}
+	cancelled := make([]bool, n)
+	victim := make([]int, n) // the event a keeper cancels when it fires, or -1
+	for i := range victim {
+		victim[i] = -1
+		switch role[i] {
+		case 0:
+			cancelled[i] = true
+		case 2:
+			// Only a later event qualifies, so the victim is still queued.
+			if j := rnd.Intn(n); role[j] == 1 && !cancelled[j] && at[j] > at[i] {
+				victim[i] = j
+				cancelled[j] = true
+			}
+		}
+	}
+	checkDead := func(k *Kernel, when string) {
+		if dead := len(k.heap) - k.live; dead > k.live {
+			t.Fatalf("%s: %d cancelled entries queued beside %d live ones", when, dead, k.live)
+		}
+	}
+
+	var got, want [][2]int
+	k := NewKernel()
+	refs := make([]EventRef, n)
+	for i := range at {
+		refs[i] = k.At(at[i], func() {
+			got = append(got, [2]int{i, int(k.Now())})
+			if v := victim[i]; v >= 0 {
+				refs[v].Cancel()
+				checkDead(k, "after an in-callback Cancel")
+			}
+		})
+	}
+	for step := 0; step < n; step++ {
+		// Cancel in a scattered order: i runs through every index once.
+		if i := step * 1031 % n; role[i] == 0 {
+			refs[i].Cancel()
+			checkDead(k, "after an up-front Cancel")
+		}
+	}
+	k.Run()
+
+	ref := NewKernel()
+	for i := range at {
+		if !cancelled[i] {
+			ref.At(at[i], func() { want = append(want, [2]int{i, int(ref.Now())}) })
+		}
+	}
+	ref.Run()
+
+	if len(got) != len(want) || k.Fired() != ref.Fired() {
+		t.Fatalf("fired %d events (Fired %d), the run without cancelled events fired %d (Fired %d)",
+			len(got), k.Fired(), len(want), ref.Fired())
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("fire order diverged at %d: got event %d at %d, want event %d at %d",
+				i, got[i][0], got[i][1], want[i][0], want[i][1])
+		}
+	}
+}

@@ -24,6 +24,9 @@ type Fabric struct {
 
 	ports  map[int]fabric.Port
 	frames *arena.Arena[fabric.Frame]
+	// payloads is the system's one pool of message payload buffers, which
+	// frames, retransmit rings and TLPs share (see fabric.Frame).
+	payloads *arena.BufPool
 	// attached[id] is the sendable fast path: id is routed and has a
 	// port. Attached-but-unrouted ids live only in the ports map.
 	attached []bool
@@ -340,7 +343,7 @@ func NewFabric(k *sim.Kernel, cfg fabric.Config, spec Spec, hosts int) *Fabric {
 		cfg:      cfg,
 		spec:     spec,
 		ports:    make(map[int]fabric.Port),
-		frames:   fabric.NewFrameArena(),
+		payloads: arena.NewBufPool(),
 		attached: make([]bool, hosts),
 		hopProp:  cfg.WireProp / 2,
 		tr:       k.Tracer(),
@@ -363,7 +366,7 @@ func NewFabric(k *sim.Kernel, cfg fabric.Config, spec Spec, hosts int) *Fabric {
 		t.Delivered[f.Kind]++
 		t.ports[f.Dst].RxFrame(f)
 	}
-	t.frames.SetOnRelease(t.frameReleased)
+	t.frames = fabric.NewFrameArena(t.frameReleased)
 
 	if hosts == 2 && spec.Kind != FatTree {
 		// Calibrated ideal tier: the paper's two-endpoint model, with the
@@ -715,6 +718,11 @@ func (t *Fabric) NewFrame() *fabric.Frame { return t.frames.Alloc() }
 // return to zero once every in-flight frame has been delivered and
 // released.
 func (t *Fabric) InUseFrames() int { return t.frames.InUse() }
+
+// Payloads reports the system's payload buffer pool: the NICs fill one
+// buffer per WQE from it, and its InUse must return to zero once every
+// ring record, frame and TLP holding a payload has let go.
+func (t *Fabric) Payloads() *arena.BufPool { return t.payloads }
 
 // routed reports whether host id has a compiled route.
 func (t *Fabric) routed(id int) bool { return id >= 0 && id < t.spec.hosts }

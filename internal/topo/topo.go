@@ -71,8 +71,9 @@
 //
 // # Pooled frames and the borrow contract
 //
-// The fabric owns a generation-checked frame arena (fabric.NewFrameArena)
-// and obeys the borrow contract documented in internal/fabric: senders
+// The fabric owns a generation-checked frame arena (fabric.NewFrameArena),
+// beside it the system's one pool of payload buffers (Payloads), and obeys
+// the borrow contract documented in internal/fabric: senders
 // allocate with NewFrame and hand ownership to Send; the fabric owns
 // frames across every hop (switch queues hold borrowed pointers, never
 // copies); delivery transfers ownership to the receiving port, which must

@@ -29,6 +29,7 @@ import (
 	"slices"
 
 	"breakband/internal/config"
+	"breakband/internal/fifo"
 	"breakband/internal/profile"
 	"breakband/internal/sim"
 	"breakband/internal/uct"
@@ -115,8 +116,8 @@ type Worker struct {
 	// inflight tracks successfully posted, uncompleted sends in post
 	// order (the reliable connection completes in order), each tagged
 	// with its carrying endpoint for error attribution.
-	inflight []inflightSend
-	pending  []pendingPost
+	inflight fifo.Queue[inflightSend]
+	pending  fifo.Queue[pendingPost]
 
 	expected   []*Request
 	unexpected []unexpMsg
@@ -223,13 +224,13 @@ func (f *tagSendFrame) Step(t *sim.Task) {
 		case 1:
 			switch err := e.UctEp.LastPost(); err {
 			case nil:
-				w.inflight = append(w.inflight, inflightSend{req: f.req, ep: e.UctEp})
+				w.inflight.Push(inflightSend{req: f.req, ep: e.UctEp})
 			case uct.ErrNoResource:
 				// Busy post: schedule for execution during progress
 				// (paper §6 caveat one).
 				w.Stats.BusyPosts++
 				t.Advance(w.Cfg.SW.UcpPending.Sample(w.Uct.Node.Rand))
-				w.pending = append(w.pending, pendingPost{ep: e, payload: f.payload, req: f.req})
+				w.pending.Push(pendingPost{ep: e, payload: f.payload, req: f.req})
 			default:
 				f.res, f.err = nil, err
 				t.Return()
@@ -291,11 +292,11 @@ func (f *progressFrame) Step(t *sim.Task) {
 			t.Advance(w.Cfg.SW.UcpProgress.Sample(w.Uct.Node.Rand))
 			f.pc = 1
 		case 1:
-			if len(w.pending) == 0 || w.pending[0].ep.UctEp.FreeSlots() == 0 {
+			if w.pending.Len() == 0 || w.pending.At(0).ep.UctEp.FreeSlots() == 0 {
 				f.pc = 3
 				continue
 			}
-			pp := w.pending[0]
+			pp := w.pending.At(0)
 			f.pc = 2
 			if len(pp.payload) > tagHeaderBytes+MaxEager {
 				pp.ep.UctEp.StartAmBcopy(t, amEager, pp.payload)
@@ -304,11 +305,11 @@ func (f *progressFrame) Step(t *sim.Task) {
 			}
 			return
 		case 2:
-			pp := w.pending[0]
+			pp := w.pending.At(0)
 			switch err := pp.ep.UctEp.LastPost(); {
 			case err == nil:
-				w.pending = w.pending[1:]
-				w.inflight = append(w.inflight, inflightSend{req: pp.req, ep: pp.ep.UctEp})
+				w.pending.Pop()
+				w.inflight.Push(inflightSend{req: pp.req, ep: pp.ep.UctEp})
 				w.Stats.PendingExecuted++
 				f.pc = 1
 			case err == uct.ErrNoResource:
@@ -318,7 +319,7 @@ func (f *progressFrame) Step(t *sim.Task) {
 				// The endpoint failed while the post sat in the pending
 				// queue; it will never be transmitted. Terminate the
 				// request with the error instead of retrying forever.
-				w.pending = w.pending[1:]
+				w.pending.Pop()
 				w.failSend(t, pp.req, err)
 				f.pc = 1
 			}
@@ -342,24 +343,25 @@ func (f *progressFrame) Step(t *sim.Task) {
 // other endpoints' in-flight sends are unaffected.
 func (w *Worker) onSendComplete(t *sim.Task, ep *uct.Ep, n int, err error) {
 	if err != nil {
-		for i := 0; i < len(w.inflight) && n > 0; {
-			if w.inflight[i].ep != ep {
+		for i := 0; i < w.inflight.Len() && n > 0; {
+			if w.inflight.At(i).ep != ep {
 				i++
 				continue
 			}
-			req := w.inflight[i].req
-			w.inflight = slices.Delete(w.inflight, i, i+1)
+			req := w.inflight.At(i).req
+			w.inflight.Remove(i)
 			n--
 			w.failSend(t, req, err)
 		}
 		return
 	}
-	if n > len(w.inflight) {
-		panic(fmt.Sprintf("ucp: completion for %d sends with only %d in flight", n, len(w.inflight)))
+	if n > w.inflight.Len() {
+		panic(fmt.Sprintf("ucp: completion for %d sends with only %d in flight", n, w.inflight.Len()))
 	}
-	done := w.inflight[:n]
-	w.inflight = w.inflight[n:]
-	for _, s := range done {
+	// The callbacks are pause-free and never touch the queue, so popping
+	// each send just before its callback retires the same n.
+	for ; n > 0; n-- {
+		s := w.inflight.Pop()
 		t.Advance(w.Cfg.SW.UcpSendCB.Sample(w.Uct.Node.Rand))
 		s.req.completed = true
 		w.Stats.SendCompletions++

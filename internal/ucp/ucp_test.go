@@ -246,3 +246,40 @@ func TestBcopyPathSendRecv(t *testing.T) {
 	)
 	sys.Run()
 }
+
+// TestSendQueuesReuseArrays cycles the worker's two send queues the way a
+// message-rate window does: 192 sends posted, retired by three signaled
+// completions of 64, and busy posts parked and drained. In steady state
+// neither queue allocates: they reuse their backing arrays instead of
+// reslicing their heads away.
+func TestSendQueuesReuseArrays(t *testing.T) {
+	sys, w0, _, e0, _ := harness(t, 64)
+	defer sys.Shutdown()
+	req := &Request{}
+	var allocs float64
+	simtest.Start(sys.K, "cycle", func(tk *sim.Task) {
+		window := func() {
+			for i := 0; i < 192; i++ {
+				w0.inflight.Push(inflightSend{req: req, ep: e0.UctEp})
+			}
+			for i := 0; i < 3; i++ {
+				w0.onSendComplete(tk, e0.UctEp, 64, nil)
+			}
+			for i := 0; i < 64; i++ {
+				w0.pending.Push(pendingPost{ep: e0, req: req})
+			}
+			for w0.pending.Len() > 0 {
+				w0.pending.Pop()
+			}
+		}
+		window()
+		allocs = testing.AllocsPerRun(100, window)
+	})
+	sys.K.Run()
+	if allocs != 0 {
+		t.Errorf("a steady-state window allocates %.2f times, want 0", allocs)
+	}
+	if w0.inflight.Len() != 0 || w0.Stats.SendCompletions != 192*102 {
+		t.Errorf("%d sends left in flight, %d completions", w0.inflight.Len(), w0.Stats.SendCompletions)
+	}
+}

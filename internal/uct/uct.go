@@ -80,6 +80,7 @@ import (
 
 	"breakband/internal/arena"
 	"breakband/internal/config"
+	"breakband/internal/fifo"
 	"breakband/internal/mlx"
 	"breakband/internal/nic"
 	"breakband/internal/node"
@@ -254,7 +255,7 @@ type Ep struct {
 	// read back from the right slot.
 	recvPool  uint64
 	recvSlot  int
-	recvOrder []uint64
+	recvOrder fifo.Queue[uint64]
 
 	// owedRecvCredits counts consumed receives not yet reposted.
 	// Replenishment is batched and runs on empty polls (idle time) or
@@ -386,7 +387,7 @@ func (f *recvsFrame) Step(t *sim.Task) {
 func (e *Ep) postOneRecv() {
 	addr := e.recvPool + uint64(e.recvSlot%recvPoolSlots)*MaxBcopy
 	e.recvSlot++
-	e.recvOrder = append(e.recvOrder, addr)
+	e.recvOrder.Push(addr)
 	e.qp.PostRecv(addr)
 }
 
@@ -1074,8 +1075,8 @@ func (f *progressFrame) Step(t *sim.Task) {
 					e.Err = fmt.Errorf("uct: qp %d recv flushed with completion status %d",
 						cqe.QPN, cqe.Status)
 				}
-				if len(e.recvOrder) > 0 {
-					e.recvOrder = e.recvOrder[1:]
+				if e.recvOrder.Len() > 0 {
+					e.recvOrder.Pop()
 				}
 				t.Advance(sw.LLPProgMisc.Sample(r))
 				prof.End(t, f.tok)
@@ -1086,11 +1087,10 @@ func (f *progressFrame) Step(t *sim.Task) {
 			t.Advance(sw.LLPProgMisc.Sample(r))
 			// Every inbound send consumed one posted receive; retire
 			// its pool slot in FIFO order.
-			if len(e.recvOrder) == 0 {
+			if e.recvOrder.Len() == 0 {
 				panic("uct: recv CQE with no posted receive tracked")
 			}
-			f.bufAddr = e.recvOrder[0]
-			e.recvOrder = e.recvOrder[1:]
+			f.bufAddr = e.recvOrder.Pop()
 			f.amID = cqe.AmID
 			f.byteCnt = cqe.ByteCnt
 			f.data = cqe.Payload

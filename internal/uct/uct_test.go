@@ -769,3 +769,35 @@ func TestSizedPostOversizedErrors(t *testing.T) {
 		t.Errorf("oversized posts reached the queue: %+v", w0.Stats)
 	}
 }
+
+// TestRecvOrderReusesArray cycles an endpoint's receive-order queue the way
+// a receiver does: a pool of posted receives, each consumed by an inbound
+// send and reposted behind the others. In steady state the queue allocates
+// nothing: it reuses its backing array instead of reslicing its head away.
+func TestRecvOrderReusesArray(t *testing.T) {
+	sys, _, _, _, e1 := harness(t)
+	defer sys.Shutdown()
+	for i := 0; i < recvPoolSlots; i++ {
+		e1.recvOrder.Push(e1.recvPool + uint64(i)*MaxBcopy)
+	}
+	posted := make([]uint64, e1.recvOrder.Len())
+	for i := range posted {
+		posted[i] = e1.recvOrder.At(i)
+	}
+	// Four laps of the pool: a queue that reslices reallocates at least
+	// once a lap.
+	laps := func() {
+		for i := 0; i < 4*len(posted); i++ {
+			e1.recvOrder.Push(e1.recvOrder.Pop())
+		}
+	}
+	laps()
+	if allocs := testing.AllocsPerRun(50, laps); allocs != 0 {
+		t.Errorf("four laps of the receive pool allocate %.2f times, want 0", allocs)
+	}
+	for i, want := range posted {
+		if got := e1.recvOrder.At(i); got != want {
+			t.Fatalf("receive %d is %#x, want %#x: FIFO order lost", i, got, want)
+		}
+	}
+}
