@@ -10,7 +10,11 @@
 //
 // The host memory a Memory costs follows the bytes a run writes, not the
 // span its regions cover: the backing is a table of 4 KiB pages, each
-// allocated on its first write.
+// allocated on its first write. Resident and ResidentIn report it. A
+// region's owner keeps that cost down by reusing the addresses it wrote
+// last: the uct endpoints hand out their bcopy staging slots from a LIFO
+// free list, so an endpoint backs as many slots as it ever had gather
+// sends in flight, not every slot of its send queue.
 //
 // # Write watches
 //
@@ -103,10 +107,17 @@ func (m *Memory) Writes() uint64 { return m.writes }
 
 // Resident reports the host bytes backing the memory: 4 KiB for every page
 // a write has touched.
-func (m *Memory) Resident() uint64 {
+func (m *Memory) Resident() uint64 { return m.ResidentIn(Region{Size: m.size}) }
+
+// ResidentIn reports the host bytes backing region r: 4 KiB for every page
+// that overlaps r and that a write has touched.
+func (m *Memory) ResidentIn(r Region) uint64 {
+	if r.Size == 0 {
+		return 0
+	}
 	var n uint64
-	for _, p := range m.pages {
-		if p != nil {
+	for i := r.Base >> pageShift; i <= (r.End()-1)>>pageShift && i < uint64(len(m.pages)); i++ {
+		if m.pages[i] != nil {
 			n += pageSize
 		}
 	}

@@ -274,6 +274,20 @@ func TestPageBoundaries(t *testing.T) {
 	if got := m.Resident(); got != 3*pageSize {
 		t.Errorf("resident %d bytes after touching the partial top page, want %d", got, 3*pageSize)
 	}
+	for _, c := range []struct {
+		r    Region
+		want uint64
+	}{
+		{Region{Base: 0, Size: pageSize}, pageSize},
+		{Region{Base: pageSize - 1, Size: 2}, 2 * pageSize},
+		{Region{Base: pageSize, Size: pageSize - 6}, pageSize},
+		{Region{Base: 2 * pageSize, Size: 10000 - 2*pageSize}, pageSize},
+		{Region{Base: 100, Size: 0}, 0},
+	} {
+		if got := m.ResidentIn(c.r); got != c.want {
+			t.Errorf("ResidentIn(%+v) = %d, want %d", c.r, got, c.want)
+		}
+	}
 	want := make([]byte, 10000)
 	copy(want[pageSize-6:], straddle)
 	copy(want[9996:], top)

@@ -32,14 +32,44 @@ import (
 	"breakband/internal/uct"
 )
 
-// Request is an MPI request handle.
+// Request is an MPI request handle. It holds the ucp request it wraps,
+// as MPICH keeps its request in the space UCX reserves in each ucp
+// request, and it is the MPICH completion callback ucp runs (sendCallback,
+// recvCallback): an operation allocates one object across both layers.
 type Request struct {
-	rank   *Rank
-	ucpReq *ucp.Request
+	ucp  ucp.Request
+	rank *Rank
+	// ep is a receive's source endpoint, which the wait loops check for
+	// failure; nil when the rank has no connection to the source.
+	ep     *ucp.Ep
 	done   bool
 	isRecv bool
-	src    int // receive source rank (error attribution)
 	err    error
+}
+
+// sendCallback and recvCallback are an MPI request as the MPICH callback
+// that ucp runs when its send or receive completes.
+type (
+	sendCallback Request
+	recvCallback Request
+)
+
+// Complete is the MPICH send-completion callback.
+func (q *sendCallback) Complete(t *sim.Task) {
+	r := q.rank
+	t.Advance(r.Cfg.SW.MpichSendCB.Sample(r.Node.Rand))
+	r.Stats.SendCallbacks++
+	q.done = true
+}
+
+// Complete is the MPICH receive callback (paper Table 1: 47.99 ns).
+func (q *recvCallback) Complete(t *sim.Task) {
+	r := q.rank
+	tok := r.Node.Prof.Begin(t, profile.MPICHRecvCB)
+	t.Advance(r.Cfg.SW.MpichRecvCB.Sample(r.Node.Rand))
+	r.Stats.RecvCallbacks++
+	q.done = true
+	r.Node.Prof.End(t, tok)
 }
 
 // Done reports completion (for test assertions; applications use Wait).
@@ -54,10 +84,7 @@ func (r *Request) Err() error {
 	if r.err != nil {
 		return r.err
 	}
-	if r.ucpReq != nil {
-		return r.ucpReq.Err()
-	}
-	return nil
+	return r.ucp.Err()
 }
 
 // Data returns the payload of a completed receive.
@@ -65,7 +92,7 @@ func (r *Request) Data() []byte {
 	if !r.done || !r.isRecv {
 		return nil
 	}
-	return r.ucpReq.Data()
+	return r.ucp.Data()
 }
 
 // Stats counts MPI-level events.
@@ -221,22 +248,15 @@ func (f *isendFrame) Step(t *sim.Task) {
 		t.Advance(r.Cfg.SW.MpiIsend.Sample(r.Node.Rand))
 		f.ucpTok = prof.Begin(t, profile.UCPTagSendNB)
 		f.pc = 1
-		ep.StartTagSend(t, tagFor(r.ID, f.tag), f.data, func(ct *sim.Task) {
-			// MPICH send-completion callback.
-			ct.Advance(r.Cfg.SW.MpichSendCB.Sample(r.Node.Rand))
-			r.Stats.SendCallbacks++
-			req.done = true
-		})
+		ep.StartTagSend(t, &req.ucp, tagFor(r.ID, f.tag), f.data, (*sendCallback)(req))
 	case 1:
-		ucpReq, err := f.ep.LastSend()
-		if err != nil {
+		if err := f.ep.LastSend(); err != nil {
 			// Initiation failed (the endpoint's QP is in the error
 			// state): the request terminates immediately with the error
 			// instead of panicking — MPI_Wait reports it as a status.
 			f.req.err = err
 			f.req.done = true
 		}
-		f.req.ucpReq = ucpReq
 		prof.End(t, f.ucpTok)
 		prof.End(t, f.isendTok)
 		f.res = f.req
@@ -250,18 +270,11 @@ func (f *isendFrame) Step(t *sim.Task) {
 // so it needs no Start form.
 func (r *Rank) Irecv(t *sim.Task, src int, tag int) *Request {
 	r.Stats.Irecvs++
-	req := &Request{rank: r, isRecv: true, src: src}
+	req := &Request{rank: r, isRecv: true, ep: r.eps[src]}
 	t.Advance(r.Cfg.SW.MpiIrecv.Sample(r.Node.Rand))
-	req.ucpReq = r.Worker.TagRecvNB(t, tagFor(src, tag), func(ct *sim.Task) {
-		// MPICH receive callback (paper Table 1: 47.99 ns).
-		tok := r.Node.Prof.Begin(ct, profile.MPICHRecvCB)
-		ct.Advance(r.Cfg.SW.MpichRecvCB.Sample(r.Node.Rand))
-		r.Stats.RecvCallbacks++
-		req.done = true
-		r.Node.Prof.End(ct, tok)
-	})
+	r.Worker.TagRecvNB(t, &req.ucp, tagFor(src, tag), (*recvCallback)(req))
 	// An unexpected message may have completed it synchronously.
-	if req.ucpReq.Completed() {
+	if req.ucp.Completed() {
 		req.done = true
 		return req
 	}
@@ -269,10 +282,7 @@ func (r *Rank) Irecv(t *sim.Task, src int, tag int) *Request {
 	// instead of waiting for a match that will never arrive (mirrors the
 	// CQEFlushErr contract for posts against an errored QP). A message
 	// already delivered before the failure still matches above.
-	if ep, ok := r.eps[src]; ok && ep.Err() != nil {
-		r.Worker.CancelRecv(t, req.ucpReq, ep.Err())
-		req.done = true
-	}
+	r.checkFailed(t, req)
 	return req
 }
 
@@ -280,20 +290,16 @@ func (r *Rank) Irecv(t *sim.Task, src int, tag int) *Request {
 // terminates it if the transport has failed: a posted receive whose source
 // endpoint errored is cancelled (the MPICH receive callback still runs, so
 // the request machinery observes completion). It reports whether the
-// request terminated. Healthy endpoints cost one map lookup and schedule
-// nothing.
+// request terminated. A healthy endpoint costs a pointer test and
+// schedules nothing.
 func (r *Rank) checkFailed(t *sim.Task, req *Request) bool {
 	if req.done {
 		return true
 	}
-	if !req.isRecv {
+	if !req.isRecv || req.ep == nil || req.ep.Err() == nil {
 		return false
 	}
-	ep, ok := r.eps[req.src]
-	if !ok || ep.Err() == nil {
-		return false
-	}
-	r.Worker.CancelRecv(t, req.ucpReq, ep.Err())
+	r.Worker.CancelRecv(t, &req.ucp, req.ep.Err())
 	req.done = true
 	return true
 }
@@ -315,7 +321,7 @@ func (r *Rank) CancelRecv(t *sim.Task, req *Request, err error) bool {
 	if req.done || !req.isRecv {
 		return false
 	}
-	if !r.Worker.CancelRecv(t, req.ucpReq, err) {
+	if !r.Worker.CancelRecv(t, &req.ucp, err) {
 		return false
 	}
 	req.done = true

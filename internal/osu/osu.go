@@ -158,8 +158,7 @@ func (f *mrSendFrame) Step(t *sim.Task) {
 			f.pc = 10
 			f.r.StartPreparePostedRecvs(t, 512)
 			return
-		case 10: // window start
-			f.reqs = make([]*mpi.Request, f.opt.Window)
+		case 10: // window start: every window refills reqs
 			f.i = 0
 			f.pc = 11
 		case 11: // post loop head
@@ -215,7 +214,8 @@ func MessageRate(sys *node.System, opt Options) *MessageRateResult {
 	data := make([]byte, opt.MsgSize)
 
 	sys.K.SpawnTask("osu_mr.recv", &mrRecvFrame{r: r1, total: totalMsgs})
-	sys.K.SpawnTask("osu_mr.send", &mrSendFrame{r: r0, cfg: cfg, opt: &opt, res: res, data: data})
+	sys.K.SpawnTask("osu_mr.send", &mrSendFrame{r: r0, cfg: cfg, opt: &opt, res: res, data: data,
+		reqs: make([]*mpi.Request, opt.Window)})
 	sys.Run()
 
 	res.Messages = opt.Windows * opt.Window

@@ -2,6 +2,7 @@ package osu
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -149,5 +150,36 @@ func TestBadOptionsPanic(t *testing.T) {
 func TestStringers(t *testing.T) {
 	if (&MessageRateResult{}).String() == "" || (&LatencyResult{}).String() == "" {
 		t.Error("stringers broken")
+	}
+}
+
+// TestMessageRateAllocs gates what one more message of the NoiseOff
+// message rate (bench's osu_mr) allocates on the host: the difference
+// between a 150-window and a 50-window run, per message. An Isend
+// allocates one object, the MPI request that holds its ucp request and
+// is its completion callback; the eager header goes into a buffer the
+// endpoint reuses, and the receiver packs each message it holds into the
+// unexpected queue. Only a busy post, a third of the messages, copies its
+// bytes out. A closure, a ucp request and an eager payload per Isend, and
+// a heap slice per held message, cost 5 objects and 313 B per message.
+func TestMessageRateAllocs(t *testing.T) {
+	const maxObjects, maxBytes = 2, 160
+	run := func(windows int) (objects, bytes uint64) {
+		sys := newSys(t, config.NoiseOff)
+		defer sys.Shutdown()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		MessageRate(sys, Options{Windows: windows})
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+	}
+	run(5) // warm the runtime and the config's lazily built state
+	o1, b1 := run(50)
+	o2, b2 := run(150)
+	msgs := float64(100 * DefaultWindow)
+	objects, bytes := float64(o2-o1)/msgs, float64(b2-b1)/msgs
+	t.Logf("%.3f objects, %.1f B per message", objects, bytes)
+	if objects > maxObjects || bytes > maxBytes {
+		t.Errorf("a message allocates %.3f objects and %.1f B, gate %d and %d B", objects, bytes, maxObjects, maxBytes)
 	}
 }

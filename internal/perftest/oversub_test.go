@@ -119,9 +119,11 @@ func TestOversubscribedBudgetOneLockstep(t *testing.T) {
 
 // TestOversubscribedResidentBytes measures host bytes per node on the
 // 8-node fat-tree incast. The endpoints allocate a 4 KiB staging slot per
-// send-queue entry and 64 receive slots each, but a run writes only the
-// slots it cycles through, the rings and the doorbell records, so the
-// resident pages must stay below a quarter of the allocated span.
+// send-queue entry and 64 receive slots each, but a run backs only the
+// staging slots an endpoint had in flight at once (all of them here: each
+// sender keeps its send queue full), the receive slots it cycles through,
+// the rings and the doorbell records, so the resident pages must stay
+// below a quarter of the allocated span.
 func TestOversubscribedResidentBytes(t *testing.T) {
 	cfg := config.TX2CX4(config.NoiseOff, 1, true)
 	cfg.Topology = topo.Spec{Kind: topo.FatTree}

@@ -21,6 +21,14 @@
 // Like internal/uct, the data path is written as resumable sim.Frame state
 // machines: callers use StartTagSend/StartProgress plus the Last* getters.
 // One task may drive a Worker (and each Ep) at a time.
+//
+// The caller provides each operation's Request and its Callback, so an
+// upper layer can keep the ucp request inside its own and be its callback
+// (internal/mpi does): an operation then allocates one object across both
+// layers. A send encodes its eager header into a buffer its endpoint
+// reuses; only a busy post, which waits in the pending queue, copies its
+// bytes out. An eager message that arrives before its receive is posted
+// waits in the unexpected queue, packed (see unexpQueue).
 package ucp
 
 import (
@@ -49,18 +57,21 @@ const MaxEager = 32 - tagHeaderBytes
 // paper's small-message analysis).
 const MaxBcopy = uct.MaxBcopy - tagHeaderBytes
 
-// Callback is an upper-layer completion callback, invoked from inside
-// progress. It must be pause-free (Advance only).
-type Callback func(t *sim.Task)
+// Callback is an upper-layer completion callback, run from inside progress
+// when its request completes. It must be pause-free (Advance only).
+type Callback interface {
+	Complete(t *sim.Task)
+}
 
-// Request is a nonblocking operation handle.
+// Request is a nonblocking operation handle. The caller provides it and
+// must not reuse it while the operation is in flight.
 type Request struct {
-	completed bool
-	err       error
-	cb        Callback
+	err error
+	cb  Callback
 	// recv-side fields
-	tag  uint64
-	data []byte
+	data      []byte
+	tag       uint64
+	completed bool
 }
 
 // Completed reports whether the operation has finished — successfully or
@@ -83,15 +94,12 @@ type inflightSend struct {
 	ep  *uct.Ep
 }
 
+// pendingPost is a busy post waiting for a send slot. Its payload is its
+// own copy, since the sending endpoint reuses its eager buffer at once.
 type pendingPost struct {
 	ep      *Ep
 	payload []byte
 	req     *Request
-}
-
-type unexpMsg struct {
-	tag  uint64
-	data []byte
 }
 
 // Stats counts UCP-level events.
@@ -120,7 +128,7 @@ type Worker struct {
 	pending  fifo.Queue[pendingPost]
 
 	expected   []*Request
-	unexpected []unexpMsg
+	unexpected unexpQueue
 
 	Stats Stats
 
@@ -158,45 +166,53 @@ func (w *Worker) NewEp(mode uct.PostMode) *Ep {
 // posted receives from this peer can be cancelled — see CancelRecv.
 func (e *Ep) Err() error { return e.UctEp.Err }
 
-// encodeEager builds the eager wire payload: 8-byte tag header + data.
-func encodeEager(tag uint64, data []byte) []byte {
-	buf := make([]byte, tagHeaderBytes+len(data))
-	binary.LittleEndian.PutUint64(buf, tag)
-	copy(buf[tagHeaderBytes:], data)
-	return buf
+// appendEager appends the eager wire payload, the 8-byte tag header and
+// then data, to buf.
+func appendEager(buf []byte, tag uint64, data []byte) []byte {
+	return append(binary.LittleEndian.AppendUint64(buf, tag), data...)
 }
 
-// StartTagSend initiates a nonblocking tagged send (ucp_tag_send_nb). cb
-// runs when the operation completes. A full transmit queue does not fail the
-// operation: it is queued as pending and posted during progress. Payloads up
-// to MaxEager go through the inline short path; larger ones (to MaxBcopy)
-// through the buffered-copy path, as UCX selects by size. The request and
-// initiation error are reported by LastSend once the frame returns.
-func (e *Ep) StartTagSend(t *sim.Task, tag uint64, data []byte, cb Callback) {
+// StartTagSend initiates a nonblocking tagged send (ucp_tag_send_nb),
+// tracked in req; cb runs when the operation completes. The payload is
+// copied before the frame returns, so the caller may reuse data. A full
+// transmit queue does not fail the operation: it is queued as pending and
+// posted during progress. Payloads up to MaxEager go through the inline
+// short path; larger ones (to MaxBcopy) through the buffered-copy path, as
+// UCX selects by size. The initiation error is reported by LastSend once
+// the frame returns; after one, req never completes.
+func (e *Ep) StartTagSend(t *sim.Task, req *Request, tag uint64, data []byte, cb Callback) {
 	f := &e.sendF
 	f.pc = 0
+	f.req = req
 	f.tag = tag
 	f.data = data
 	f.cb = cb
 	t.Call(f)
 }
 
-// LastSend reports the outcome of the most recently completed tag-send
-// frame.
-func (e *Ep) LastSend() (*Request, error) { return e.sendF.res, e.sendF.err }
+// LastSend reports the initiation error of the most recently completed
+// tag-send frame.
+func (e *Ep) LastSend() error { return e.sendF.err }
 
 // tagSendFrame runs the eager tagged-send initiation.
 type tagSendFrame struct {
 	e    *Ep
 	pc   int
+	req  *Request
 	tag  uint64
 	data []byte
 	cb   Callback
 
+	// payload is the endpoint's eager buffer, reused by every send.
 	payload []byte
-	req     *Request
-	res     *Request
 	err     error
+}
+
+// finish records the initiation outcome and pops the frame.
+func (f *tagSendFrame) finish(t *sim.Task, err error) {
+	f.err = err
+	f.req, f.data, f.cb = nil, nil, nil
+	t.Return()
 }
 
 func (f *tagSendFrame) Step(t *sim.Task) {
@@ -205,15 +221,14 @@ func (f *tagSendFrame) Step(t *sim.Task) {
 	for {
 		switch f.pc {
 		case 0:
+			*f.req = Request{cb: f.cb}
 			if len(f.data) > MaxBcopy {
-				f.res, f.err = nil, fmt.Errorf("ucp: eager send limited to %d bytes, got %d", MaxBcopy, len(f.data))
-				t.Return()
+				f.finish(t, fmt.Errorf("ucp: eager send limited to %d bytes, got %d", MaxBcopy, len(f.data)))
 				return
 			}
 			t.Advance(w.Cfg.SW.UcpIsend.Sample(w.Uct.Node.Rand))
 			w.Stats.Sends++
-			f.req = &Request{cb: f.cb}
-			f.payload = encodeEager(f.tag, f.data)
+			f.payload = appendEager(f.payload[:0], f.tag, f.data)
 			f.pc = 1
 			if len(f.data) <= MaxEager {
 				e.UctEp.StartAmShort(t, amEager, f.payload)
@@ -230,38 +245,29 @@ func (f *tagSendFrame) Step(t *sim.Task) {
 				// (paper §6 caveat one).
 				w.Stats.BusyPosts++
 				t.Advance(w.Cfg.SW.UcpPending.Sample(w.Uct.Node.Rand))
-				w.pending.Push(pendingPost{ep: e, payload: f.payload, req: f.req})
+				w.pending.Push(pendingPost{ep: e, payload: slices.Clone(f.payload), req: f.req})
 			default:
-				f.res, f.err = nil, err
-				t.Return()
+				f.finish(t, err)
 				return
 			}
-			f.res, f.err = f.req, nil
-			f.req = nil
-			f.data = nil
-			f.payload = nil
-			t.Return()
+			f.finish(t, nil)
 			return
 		}
 	}
 }
 
-// TagRecvNB posts a nonblocking tagged receive (matching is exact-tag; the
-// benchmarks and examples do not use wildcards). It is pause-free, so it
-// needs no Start form.
-func (w *Worker) TagRecvNB(t *sim.Task, tag uint64, cb Callback) *Request {
+// TagRecvNB posts a nonblocking tagged receive into req (matching is
+// exact-tag; the benchmarks and examples do not use wildcards). A message
+// already in the unexpected queue completes it at once, the oldest with
+// the tag first. It is pause-free, so it needs no Start form.
+func (w *Worker) TagRecvNB(t *sim.Task, req *Request, tag uint64, cb Callback) {
 	w.Stats.Recvs++
-	req := &Request{cb: cb, tag: tag}
-	// Check the unexpected queue first.
-	for i, m := range w.unexpected {
-		if m.tag == tag {
-			w.unexpected = slices.Delete(w.unexpected, i, i+1)
-			w.completeRecv(t, req, m.data)
-			return req
-		}
+	*req = Request{cb: cb, tag: tag}
+	if data, ok := w.unexpected.take(tag); ok {
+		w.completeRecv(t, req, data)
+		return
 	}
 	w.expected = append(w.expected, req)
-	return req
 }
 
 // StartProgress begins one ucp_worker_progress: drive the pending queue,
@@ -366,7 +372,7 @@ func (w *Worker) onSendComplete(t *sim.Task, ep *uct.Ep, n int, err error) {
 		s.req.completed = true
 		w.Stats.SendCompletions++
 		if s.req.cb != nil {
-			s.req.cb(t)
+			s.req.cb.Complete(t)
 		}
 	}
 }
@@ -378,7 +384,7 @@ func (w *Worker) failSend(t *sim.Task, req *Request, err error) {
 	req.completed = true
 	w.Stats.SendFailures++
 	if req.cb != nil {
-		req.cb(t)
+		req.cb.Complete(t)
 	}
 }
 
@@ -395,7 +401,7 @@ func (w *Worker) CancelRecv(t *sim.Task, req *Request, err error) bool {
 			req.completed = true
 			w.Stats.RecvFailures++
 			if req.cb != nil {
-				req.cb(t)
+				req.cb.Complete(t)
 			}
 			return true
 		}
@@ -403,22 +409,24 @@ func (w *Worker) CancelRecv(t *sim.Task, req *Request, err error) bool {
 	return false
 }
 
-// onEager handles an arriving eager message inside uct progress.
+// onEager handles an arriving eager message inside uct progress. The
+// payload is uct's receive scratch: a matched receive gets its own copy,
+// and an unmatched message is packed into the unexpected queue.
 func (w *Worker) onEager(t *sim.Task, payload []byte) {
 	if len(payload) < tagHeaderBytes {
 		panic("ucp: short eager payload")
 	}
 	tag := binary.LittleEndian.Uint64(payload)
-	data := append([]byte(nil), payload[tagHeaderBytes:]...)
+	data := payload[tagHeaderBytes:]
 	for i, req := range w.expected {
 		if req.tag == tag {
 			w.expected = slices.Delete(w.expected, i, i+1)
-			w.completeRecv(t, req, data)
+			w.completeRecv(t, req, append([]byte(nil), data...))
 			return
 		}
 	}
 	w.Stats.UnexpectedMsgs++
-	w.unexpected = append(w.unexpected, unexpMsg{tag: tag, data: data})
+	w.unexpected.push(tag, data)
 }
 
 // completeRecv runs the UCP receive callback (its cost is the paper's
@@ -433,7 +441,7 @@ func (w *Worker) completeRecv(t *sim.Task, req *Request, data []byte) {
 	req.completed = true
 	w.Stats.RecvCompletions++
 	if req.cb != nil {
-		req.cb(t)
+		req.cb.Complete(t)
 	}
 	prof.End(t, tok)
 }

@@ -19,6 +19,15 @@
 // StartFlush progresses a worker until no endpoint has a send in flight,
 // as UCX's uct_iface_flush does; the benchmarks drain their tails with it.
 //
+// A bcopy post memcpy's its payload into a staging slot of registered
+// memory, from which the NIC DMA-reads it (paper §2, steps 2-3). Each
+// endpoint reserves one slot per send-queue entry and hands them out from
+// a LIFO free list, like UCX's bounce-buffer mpool: a post owns its slot
+// until the CQE that retires it is polled, and the next post reuses the
+// slot freed last. The host backs a slot's page only once it is written
+// (internal/memsim), so an endpoint costs the pages of the most gather
+// sends it ever had in flight at once.
+//
 // Every post attempt, its §4.1 stages (md_setup, barrier_md, barrier_dbc,
 // pio_copy) and every poll begin their scope on the node's profiler
 // (internal/profile), which times only the scope selected for the run. A
@@ -242,12 +251,20 @@ type Ep struct {
 	// RemoteBuf is the peer buffer targeted by PutShort.
 	RemoteBuf uint64
 
-	// staging holds payloads for the gather (bcopy) paths: one MaxBcopy
-	// bounce buffer per send-queue slot, mirroring UCX's bounce-buffer
-	// mpool. A slot's buffer is owned from post until its completion is
-	// polled, so concurrent in-flight bcopy sends — and NIC retransmit
-	// re-gathers after loss — each read their own stable payload.
+	// staging is the base of the endpoint's SQDepth bcopy staging slots,
+	// MaxBcopy bytes each (see the package documentation). A gather post
+	// takes a slot (takeStaging) and owns it until the CQE that retires
+	// the post is polled (freeStaging), success or error, so the NIC reads
+	// a stable payload.
 	staging uint64
+	// stagingOf is the slot plus one of the gather post in each send-queue
+	// entry, 0 for a post that took none (a uint8 holds it while SQDepth
+	// is below 256). stagingFree[:nFree] is the LIFO of freed slots, and
+	// nStaged counts the slots ever taken: the next never-used one.
+	stagingOf   [SQDepth]uint8
+	stagingFree [SQDepth]uint8
+	nFree       int
+	nStaged     int
 
 	// Receive buffer pool: posted receives rotate through fixed slots;
 	// recvOrder mirrors the NIC's FIFO consumption so large payloads
@@ -300,7 +317,9 @@ const (
 // EpBytes reports the host memory NewEp reserves on its worker's node: the
 // QP (nic.QPBytes), one MaxBcopy staging slot per send-queue entry and the
 // receive pool. A node's memory (node.MemBytes) bounds how many endpoints
-// it can hold.
+// it can hold. Of the staging slots, the host backs only as many as the
+// endpoint ever had gather sends in flight at once (see the package
+// documentation).
 func EpBytes() uint64 {
 	return nic.QPBytes(SQDepth, CQDepth) + MaxBcopy*SQDepth + MaxBcopy*recvPoolSlots
 }
@@ -336,10 +355,34 @@ func (e *Ep) QP() *nic.QP { return e.qp }
 // cohort): recovery breakdowns group by it.
 func (e *Ep) SetLabel(s string) { e.qp.Label = s }
 
-// stagingSlot is the bounce buffer owned by the send-queue slot about to
-// be posted (e.pi has not been advanced yet).
-func (e *Ep) stagingSlot() uint64 {
-	return e.staging + uint64(int(e.pi)%e.qp.SQ.Depth)*MaxBcopy
+// takeStaging takes a staging slot for the gather post about to be posted
+// (e.pi has not been advanced yet) and returns its address: the slot freed
+// last, or the next never-used one. A free send-queue entry guarantees a
+// slot, since only in-flight posts hold one.
+func (e *Ep) takeStaging() uint64 {
+	var s uint8
+	if e.nFree > 0 {
+		e.nFree--
+		s = e.stagingFree[e.nFree]
+	} else {
+		s = uint8(e.nStaged)
+		e.nStaged++
+	}
+	e.stagingOf[e.pi%SQDepth] = s + 1
+	return e.staging + uint64(s)*MaxBcopy
+}
+
+// freeStaging returns the staging slots of the n posts from counter first
+// on, which one CQE retired, to the free list.
+func (e *Ep) freeStaging(first uint16, n int) {
+	for i := 0; i < n; i++ {
+		held := &e.stagingOf[(first+uint16(i))%SQDepth]
+		if *held != 0 {
+			e.stagingFree[e.nFree] = *held - 1
+			e.nFree++
+			*held = 0
+		}
+	}
 }
 
 // Connect wires two endpoints' QPs into a reliable connection.
@@ -650,9 +693,9 @@ func (f *postFrame) Step(t *sim.Task) {
 			w.Node.RC.MMIOWrite(e.qp.BFAddr, f.enc[:])
 			f.pc = 5
 		case 2: // Gather: stage the payload, rebuild the descriptor.
-			w.Node.Mem.Write(e.stagingSlot(), f.data)
+			f.wqe.GatherAddr = e.takeStaging()
+			w.Node.Mem.Write(f.wqe.GatherAddr, f.data)
 			f.wqe.Inline = false
-			f.wqe.GatherAddr = e.stagingSlot()
 			f.wqe.GatherLen = uint32(len(f.data))
 			f.wqe.Payload = nil
 			enc, err := f.wqe.Encode()
@@ -746,7 +789,8 @@ func (f *gatherFrame) Step(t *sim.Task) {
 				return
 			}
 		case 1:
-			w.Node.Mem.Write(e.stagingSlot(), f.data)
+			staged := e.takeStaging()
+			w.Node.Mem.Write(staged, f.data)
 			// Build and store the gather descriptor.
 			f.wqe = mlx.WQE{
 				Opcode:     f.op,
@@ -755,7 +799,7 @@ func (f *gatherFrame) Step(t *sim.Task) {
 				WQEIdx:     e.pi,
 				QPN:        e.qp.QPN,
 				AmID:       f.amID,
-				GatherAddr: e.stagingSlot(),
+				GatherAddr: staged,
 				GatherLen:  uint32(len(f.data)),
 				RemoteAddr: f.raddr,
 			}
@@ -1013,6 +1057,7 @@ func (f *progressFrame) Step(t *sim.Task) {
 			t.Advance(sw.LLPProgCQERead.Sample(r))
 			e.sendCI++
 			n := int(cqe.WQECounter - e.completed + 1)
+			e.freeStaging(e.completed, n)
 			e.completed = cqe.WQECounter + 1
 			w.Stats.SendCQEs++
 			w.Stats.SendsFreed += uint64(n)

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"breakband/internal/config"
+	"breakband/internal/faults"
+	"breakband/internal/memsim"
 	"breakband/internal/mlx"
 	"breakband/internal/node"
 	"breakband/internal/profile"
@@ -342,10 +344,14 @@ func TestEpBytesMatchesAllocation(t *testing.T) {
 }
 
 // TestSQDepthIsPowerOfTwo: the QP rings (mlx.Ring) index their slots by
-// masking a producer counter.
+// masking a producer counter, and an endpoint numbers its staging slots,
+// one per send-queue entry, plus one in a uint8.
 func TestSQDepthIsPowerOfTwo(t *testing.T) {
 	if SQDepth&(SQDepth-1) != 0 || CQDepth&(CQDepth-1) != 0 {
 		t.Errorf("queue depths %d and %d must be powers of two", SQDepth, CQDepth)
+	}
+	if SQDepth >= 256 {
+		t.Errorf("send-queue depth %d: staging slot numbers overflow a uint8", SQDepth)
 	}
 }
 
@@ -799,5 +805,98 @@ func TestRecvOrderReusesArray(t *testing.T) {
 		if got := e1.recvOrder.At(i); got != want {
 			t.Fatalf("receive %d is %#x, want %#x: FIFO order lost", i, got, want)
 		}
+	}
+}
+
+// TestStagingPagesFollowInFlight: a gather post takes the staging slot
+// freed last, so an endpoint backs as many 4 KiB staging pages as it ever
+// had bcopy sends in flight at once, not one per send-queue entry; and a
+// CQE frees the slot of every post it retires, an error CQE included.
+func TestStagingPagesFollowInFlight(t *testing.T) {
+	bcopy := func(t *testing.T, e *Ep) simtest.Step {
+		data := make([]byte, 64)
+		return simtest.Seq(
+			func(tk *sim.Task) { e.startGather(tk, mlx.OpRDMAWrite, 0, e.RemoteBuf, data) },
+			func(*sim.Task) {
+				if err := e.LastPost(); err != nil {
+					t.Fatalf("bcopy post: %v", err)
+				}
+			})
+	}
+	// stagingPages counts the 4 KiB pages of e's staging region the run
+	// backed; each 64-byte payload touches one page of its slot.
+	stagingPages := func(e *Ep) uint64 {
+		region := memsim.Region{Base: e.staging, Size: MaxBcopy * SQDepth}
+		return e.w.Node.Mem.ResidentIn(region) / MaxBcopy
+	}
+	setup := func(t *testing.T, crashes ...faults.Crash) (*node.System, *Worker, *Ep) {
+		cfg := config.TX2CX4(config.NoiseOff, 1, true)
+		cfg.Faults.Crashes = crashes
+		sys, w0, _, e0, _ := harnessWith(t, cfg)
+		e0.RemoteBuf = sys.Nodes[1].Mem.Alloc("dst", 64, 64).Base
+		return sys, w0, e0
+	}
+
+	t.Run("one in flight", func(t *testing.T) {
+		sys, w0, e0 := setup(t)
+		defer sys.Shutdown()
+		sent := 0
+		simtest.Start(sys.K, "tx", simtest.While(func() bool { return sent < 500 },
+			bcopy(t, e0), drain(w0, e0), func(*sim.Task) { sent++ }))
+		sys.Run()
+		if got := stagingPages(e0); got != 1 {
+			t.Errorf("500 bcopy sends, one in flight at a time, backed %d staging pages, want 1", got)
+		}
+	})
+
+	t.Run("full queue", func(t *testing.T) {
+		sys, w0, e0 := setup(t)
+		defer sys.Shutdown()
+		simtest.Start(sys.K, "tx",
+			simtest.While(func() bool { return e0.FreeSlots() > 0 }, bcopy(t, e0)),
+			drain(w0, e0),
+			// A second lap of the queue reuses the same slots.
+			simtest.While(func() bool { return e0.FreeSlots() > 0 }, bcopy(t, e0)),
+			drain(w0, e0))
+		sys.Run()
+		if got := stagingPages(e0); got != SQDepth {
+			t.Errorf("a send queue filled to %d backed %d staging pages, want %d", SQDepth, got, SQDepth)
+		}
+		if e0.nFree != SQDepth || e0.nStaged != SQDepth {
+			t.Errorf("drained: %d of %d staging slots free, want all %d", e0.nFree, e0.nStaged, SQDepth)
+		}
+	})
+
+	for _, c := range []struct {
+		name  string
+		crash int // the node whose NIC dies
+	}{
+		{"peer crash, retry exhaustion", 1},
+		{"local crash, fatal error CQE", 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			const inFlight = 8
+			// A crash arms the peers' ACK timeouts, through which a
+			// surviving sender fails its QP.
+			sys, w0, e0 := setup(t, faults.Crash{Node: c.crash, At: units.Nanoseconds(300)})
+			defer sys.Shutdown()
+			posted := 0
+			simtest.Start(sys.K, "tx",
+				simtest.While(func() bool { return posted < inFlight },
+					bcopy(t, e0), func(*sim.Task) { posted++ }),
+				w0.StartFlush)
+			sys.Run()
+			if e0.Err == nil || e0.InFlight() != 0 {
+				t.Fatalf("after the crash: Err %v, %d sends in flight; want an error CQE that retired all", e0.Err, e0.InFlight())
+			}
+			if e0.nStaged != inFlight || e0.nFree != inFlight {
+				t.Errorf("%d of %d staging slots free after the error flush, want all %d", e0.nFree, e0.nStaged, inFlight)
+			}
+			// The next gather post takes the slot freed last: the last
+			// post's, since one CQE frees its posts in order.
+			if got, want := e0.takeStaging(), e0.staging+(inFlight-1)*MaxBcopy; got != want || e0.nStaged != inFlight {
+				t.Errorf("next post staged at %#x (%d slots used), want the freed slot %#x", got, e0.nStaged, want)
+			}
+		})
 	}
 }
