@@ -57,9 +57,6 @@
 //	bbperftest -workload spec.yaml -record t.trace workload
 //	                                  # record every offered message; replay
 //	                                  # it bit-identically with -replay
-//	bbperftest -workload spec.yaml saturate
-//	                                  # the spec's first cohort drives the
-//	                                  # saturation knee-finder
 package main
 
 import (
@@ -103,7 +100,7 @@ var (
 	flagFlapUp   = flag.Float64("flapup", 200, "flap: link-restore time in microseconds")
 	flagSeeds    = flag.Int("seeds", 5, "chaos: seed-ladder length (seeds -seed .. -seed+N-1)")
 	flagTrace    = flag.String("trace", "", "write the run's event trace as Chrome trace-event JSON to this file (enables tracing)")
-	flagWorkload = flag.String("workload", "", "workload: YAML spec file describing cohorts and arrival processes (also drives saturate)")
+	flagWorkload = flag.String("workload", "", "workload: YAML spec file describing cohorts and arrival processes")
 	flagRecord   = flag.String("record", "", "workload: record every offered message to this trace file")
 	flagReplay   = flag.String("replay", "", "workload: replay a recorded trace instead of generating arrivals")
 )
@@ -255,23 +252,6 @@ func main() {
 		// analytic saturation point); each step is a fresh system fanned
 		// out on the -parallel pool.
 		loads := []float64{0.6, 0.8, 1.0, 1.2, 1.4}
-		if *flagWorkload != "" {
-			// A workload spec drives the knee-finder: its first cohort's
-			// source population and mean message size shape the incast.
-			wspec, err := workload.LoadSpec(*flagWorkload)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "bbperftest:", err)
-				os.Exit(2)
-			}
-			res, err := perftest.WorkloadSaturation(wspec, noise, *flagSeed, loads, opt, *flagParallel)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "bbperftest:", err)
-				os.Exit(2)
-			}
-			exitOnErr(test, res.Err)
-			fmt.Print(res.Format())
-			break
-		}
 		res := perftest.SaturationSweep(mkSys, 0, loads, opt, *flagParallel)
 		exitOnErr(test, res.Err)
 		fmt.Print(res.Format())
@@ -360,40 +340,33 @@ const (
 
 // commandFlags maps each command to the flags it reads. An explicitly set
 // flag outside its command's row exits 2, naming the flag and the command.
-// saturate driven by a -workload spec has a row of its own: the spec
-// supplies the system and the message size.
 var commandFlags = map[string]string{
-	"put_bw":             sysFlags + postFlags + "trace",
-	"am_lat":             sysFlags + postFlags + "trace",
-	"multi":              sysFlags + postFlags + "cores trace",
-	"sweep":              sysFlags + postFlags + "cores parallel",
-	"incast":             sysFlags + postFlags + "trace",
-	"alltoall":           sysFlags + postFlags + "trace",
-	"saturate":           sysFlags + postFlags + "parallel workload",
-	"saturate -workload": "noise seed iters warmup mode parallel workload",
-	"lossy":              sysFlags + "iters size mode trace",
-	"flap":               sysFlags + postFlags + "flapport flapdown flapup trace",
-	"chaos":              "noise seed seeds",
-	"workload":           "noise seed workload record replay trace",
+	"put_bw":   sysFlags + postFlags + "trace",
+	"am_lat":   sysFlags + postFlags + "trace",
+	"multi":    sysFlags + postFlags + "cores trace",
+	"sweep":    sysFlags + postFlags + "cores parallel",
+	"incast":   sysFlags + postFlags + "trace",
+	"alltoall": sysFlags + postFlags + "trace",
+	"saturate": sysFlags + postFlags + "parallel",
+	"lossy":    sysFlags + "iters size mode trace",
+	"flap":     sysFlags + postFlags + "flapport flapdown flapup trace",
+	"chaos":    "noise seed seeds",
+	"workload": "noise seed workload record replay trace",
 }
 
 // unreadFlag reports the first flag set explicitly on fs that its command
-// does not read, and the command as its row spells it.
-func unreadFlag(fs *flag.FlagSet) (name, row string) {
-	row = fs.Arg(0)
-	if row == "saturate" && *flagWorkload != "" {
-		row = "saturate -workload"
-	}
-	reads, ok := commandFlags[row]
+// does not read.
+func unreadFlag(fs *flag.FlagSet) (name string) {
+	reads, ok := commandFlags[fs.Arg(0)]
 	if !ok {
-		return "", "" // main reports the unknown command
+		return "" // main reports the unknown command
 	}
 	fs.Visit(func(f *flag.Flag) {
 		if name == "" && !slices.Contains(strings.Fields(reads), f.Name) {
 			name = f.Name
 		}
 	})
-	return name, row
+	return name
 }
 
 // checkFlags rejects flag values no command can run, and flags the command
@@ -401,8 +374,8 @@ func unreadFlag(fs *flag.FlagSet) (name, row string) {
 // line: the command and the flags set on it.
 func checkFlags(fs *flag.FlagSet) error {
 	test := fs.Arg(0)
-	if name, row := unreadFlag(fs); name != "" {
-		return fmt.Errorf("-%s does not apply to %s", name, row)
+	if name := unreadFlag(fs); name != "" {
+		return fmt.Errorf("-%s does not apply to %s", name, test)
 	}
 	kind, kindErr := topoKind(test)
 	switch {
@@ -422,6 +395,8 @@ func checkFlags(fs *flag.FlagSet) error {
 		return fmt.Errorf("-parallel %d is negative (0 selects GOMAXPROCS)", *flagParallel)
 	case test == "lossy" && *flagSize < 8:
 		return fmt.Errorf("-size %d: lossy stamps an 8-byte sequence number in every message, so it needs at least 8", *flagSize)
+	case test == "saturate" && msgSize(test) <= 2048:
+		return fmt.Errorf("-size %d: saturate's bottleneck model holds only above 2048 B, where one write fills the posted PCIe credits", msgSize(test))
 	case *flagRadix != 0 && kindErr == nil && kind != topo.FatTree:
 		return fmt.Errorf("-radix sizes a fat-tree, but %s runs on -topology %s", test, *flagTopology)
 	case *flagTrace != "" && test == "lossy" && *flagDropRate == 0 && *flagCorrupt == 0:

@@ -61,6 +61,9 @@ func TestCheckFlags(t *testing.T) {
 		// lossy stamps an 8-byte sequence number in every message.
 		{args: []string{"-size", "7", "lossy"}},
 		{args: []string{"-size", "8", "lossy"}, ok: true},
+		// saturate's bottleneck model holds only above 2048 B.
+		{args: []string{"-size", "2048", "saturate"}},
+		{args: []string{"-size", "2049", "saturate"}, ok: true},
 		// A flag the command does not read is an error, not ignored.
 		{args: []string{"-record", "/tmp/t.trace", "put_bw"}, flag: "-record"},
 		{args: []string{"-replay", "/tmp/t.trace", "am_lat"}, flag: "-replay"},
@@ -74,8 +77,7 @@ func TestCheckFlags(t *testing.T) {
 		{args: []string{"-cores", "8", "am_lat"}, flag: "-cores"},
 		{args: []string{"-warmup", "999", "lossy"}, flag: "-warmup"},
 		{args: []string{"-seeds", "1", "-warmup", "7", "-iters", "33", "chaos"}, flag: "-iters"},
-		{args: []string{"-workload", "spec.yaml", "-nodes", "4", "saturate"}, flag: "-nodes"},
-		{args: []string{"-workload", "spec.yaml", "-size", "64", "saturate"}, flag: "-size"},
+		{args: []string{"-workload", "spec.yaml", "saturate"}, flag: "-workload"},
 		// -radix sizes a fat-tree, and -trace exports one system's run.
 		{args: []string{"-radix", "8", "-topology", "switch", "put_bw"}, flag: "-radix"},
 		{args: []string{"-radix", "8", "alltoall"}, flag: "-radix"},
@@ -90,8 +92,6 @@ func TestCheckFlags(t *testing.T) {
 		{args: []string{"-nodes", "5", "-rxbudget", "8", "-size", "4096", "-credits", "2", "incast"}, ok: true},
 		{args: []string{"-topology", "fattree", "-radix", "4", "-nodes", "8", "alltoall"}, ok: true},
 		{args: []string{"-nodes", "5", "-parallel", "1", "-size", "4096", "-droprate", "1e-3", "saturate"}, ok: true},
-		{args: []string{"-workload", "spec.yaml", "-iters", "10", "-warmup", "5", "-mode", "pio-inline",
-			"-parallel", "1", "-seed", "2", "saturate"}, ok: true},
 		{args: []string{"-iters", "100", "-size", "64", "-mode", "doorbell-inline", "-droprate", "1e-3", "-trace", "/tmp/t.json", "lossy"}, ok: true},
 		{args: []string{"-flapport", "leaf1.up0", "-flapdown", "50", "-flapup", "150", "-radix", "4",
 			"-nodes", "6", "-iters", "10", "flap"}, ok: true},

@@ -18,7 +18,7 @@
 //     frame in flight.
 //   - The payload is not copied into the frame: it is a reference to the
 //     sender's pooled payload buffer (arena.Buf, from the network's
-//     BufPool), shared with the sender's retransmit ring, with every
+//     BufPool), shared with the sender's retransmit queue, with every
 //     other frame carrying the same WQE and with the receiver's MWr TLPs.
 //     A frame holds its own reference from AttachPayload until it is
 //     released, which drops it, so every release path — delivery, a

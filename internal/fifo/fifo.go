@@ -1,7 +1,10 @@
-// Package fifo provides Queue, the first-in first-out queue the simulated
-// software stack and the NIC keep their in-order bookkeeping in: posted
-// sends awaiting completion, busy posts awaiting a send slot, receive
-// buffers in the order the NIC consumes them.
+// Package fifo provides Queue, the one first-in first-out queue of the
+// simulator: the software stack's posted sends awaiting completion, busy
+// posts awaiting a send slot and receive buffers in the order the NIC
+// consumes them; the NIC's retransmit queue, its DMA reads waiting for a
+// tag and its mirror of the PCIe pend queue; the TLPs blocked on PCIe
+// credits; the frames queued at every switch and host egress port; and the
+// workload injector's messages awaiting completion.
 //
 // A queue that pops by reslicing (q = q[1:]) never reuses the space in
 // front of its head, so each append past the shrinking capacity copies the

@@ -35,8 +35,8 @@
 // the target QP then discards every data frame until that counter is
 // retransmitted (go-back-N: the trailing in-flight frames are out of
 // protocol). The initiator backs off exponentially (2 us doubling to a
-// 32 us cap), replays its whole outstanding tail from the fixed per-QP
-// retransmit ring, and — once consecutive NAKs for the same WQE exceed
+// 32 us cap), replays its whole outstanding tail from the per-QP
+// retransmit queue, and — once consecutive NAKs for the same WQE exceed
 // RnrRetryLimit — fails the QP with an error CQE (mlx.CQERnrRetryExc) that
 // retires every outstanding WQE as undelivered. The retry budgets are IB's
 // fixed per-QP policy, package constants (RnrRetryLimit, RetryCnt) rather
@@ -55,14 +55,14 @@
 // descriptor, whether BlueFlame wrote it or a DMA fetch read it — into one
 // pooled, reference-counted buffer per WQE (arena.Buf, from the network's
 // pool). Every later holder shares that buffer instead of copying it: the
-// retransmit ring record, every frame that carries the WQE (the first
+// retransmit queue's record, every frame that carries the WQE (the first
 // transmission and each go-back-N replay), and on the target the MWr TLPs
 // that write the payload to host memory. Each holder drops its reference
-// exactly once — ring retirement or a ring wipe on QP failure, frame
-// release, TLP release after the Root Complex's commit — and the buffer
-// returns to the pool at zero. The only other copies are the modelled
-// ones: the Root Complex's DMA read and its commit into simulated memory,
-// and the CQE image that inline-scatters a small send.
+// exactly once — the record's retirement or the queue's wipe on QP
+// failure, frame release, TLP release after the Root Complex's commit —
+// and the buffer returns to the pool at zero. The only other copies are
+// the modelled ones: the Root Complex's DMA read and its commit into
+// simulated memory, and the CQE image that inline-scatters a small send.
 //
 // The device datapath is allocation-free in steady state: TLPs, frames and
 // payload buffers come from the link/network pools (the NIC releases
@@ -71,8 +71,8 @@
 // of closures (with reads past the 256-tag space queued FIFO rather than
 // failing), and descriptors decode into per-QP scratch WQEs that borrow
 // their bytes. The overload path recycles too: NAK frames and backoff timer
-// events are pooled, the retransmit ring and the pend-mirror FIFO reuse
-// their slots, so NAK/retry stays inside the same allocation budget as the
+// events are pooled, the retransmit queue and the pend-mirror FIFO reuse
+// their arrays, so NAK/retry stays inside the same allocation budget as the
 // uncontended path (enforced by internal/simbench).
 package nic
 
@@ -159,12 +159,10 @@ const (
 // retransmission record: op and payload are everything needed to rebuild
 // the frame when an RNR NAK forces a go-back-N replay (real hardware
 // re-reads the WQE from the send queue; the model keeps the equivalent
-// state in the ring so the PIO path — whose descriptors never touch host
-// memory — replays identically). Records live in a fixed ring sized by the
-// send queue depth. payload is the record's reference to the WQE's pooled
-// buffer, dropped when the record retires or the ring is wiped; a frame
-// still in flight keeps its own reference, so the slot's next WQE always
-// takes a fresh buffer.
+// state in the QP's retransmit queue so the PIO path — whose descriptors
+// never touch host memory — replays identically). payload is the record's
+// reference to the WQE's pooled buffer, dropped when the record retires or
+// the queue is wiped; a frame still in flight keeps its own reference.
 type txRec struct {
 	counter  uint16
 	signaled bool
@@ -206,12 +204,10 @@ type QP struct {
 	// fetchWQE is the caller-owned scratch the fetch chain decodes into;
 	// the fetching flag serializes its use per QP.
 	fetchWQE mlx.WQE
-	// txRing is the ring of executed, awaiting-ACK WQEs (the retransmit
-	// buffer): txRing[txHead] is the oldest outstanding record and txN the
-	// live count. Sized to the send queue depth at CreateQP.
-	txRing []txRec
-	txHead int
-	txN    int
+	// tx is the retransmit queue: the executed, awaiting-ACK WQEs in
+	// order, tx.At(0) the oldest. Software cannot keep more than the send
+	// queue's depth in flight.
+	tx fifo.Queue[txRec]
 
 	sendCQPI   uint16 // producer counter of SendCQ
 	recvCQPI   uint16 // producer counter of RecvCQ
@@ -220,7 +216,7 @@ type QP struct {
 
 	// Initiator-side RNR state: awaitingRetry is set between an RNR NAK
 	// and its backoff timer firing (new WQEs executed meanwhile are parked
-	// in the ring and ride the replay); rnrEv is the pooled backoff event
+	// in tx and ride the replay); rnrEv is the pooled backoff event
 	// so QP death can cancel it; rnrRetries counts consecutive NAKs for
 	// the current head WQE and resets on any ACK.
 	awaitingRetry bool
@@ -496,9 +492,6 @@ func (n *NIC) CreateQP(sqDepth, cqDepth int) *QP {
 		DBRAddr: dbr.Base,
 		DBAddr:  base + dbOffset,
 		BFAddr:  base + bfOffset,
-		// The retransmit ring holds every executed-but-unacknowledged
-		// WQE; software cannot keep more than sqDepth in flight.
-		txRing: make([]txRec, sqDepth),
 	}
 	n.qps[qpn] = qp
 	n.byBAR[base] = qp
@@ -734,12 +727,13 @@ func (qp *QP) onPayloadFetched(data []byte) {
 	qp.fetchNextWQE()
 }
 
-// execWQE records a decoded descriptor in the retransmit ring and transmits
+// execWQE records a decoded descriptor in the retransmit queue and transmits
 // it onto the fabric. The WQE (often a scratch) is consumed synchronously:
 // its payload, borrowed from the CplD or the inline descriptor, is copied
-// once into a pooled buffer the ring record holds, and every frame carrying
-// the WQE shares it. While the QP is waiting out an RNR backoff the frame
-// is not transmitted: the record rides the go-back-N replay instead.
+// once into a pooled buffer the queue's record holds, and every frame
+// carrying the WQE shares it. While the QP is waiting out an RNR backoff
+// the frame is not transmitted: the record rides the go-back-N replay
+// instead.
 func (n *NIC) execWQE(qp *QP, w *mlx.WQE) {
 	if w.QPN != qp.QPN {
 		panic(fmt.Sprintf("nic%d: WQE qpn %d posted to qp %d", n.id, w.QPN, qp.QPN))
@@ -759,25 +753,26 @@ func (n *NIC) execWQE(qp *QP, w *mlx.WQE) {
 		}
 		return
 	}
-	if qp.txN == len(qp.txRing) {
-		panic(fmt.Sprintf("nic%d: qp %d outstanding ring overflow (%d WQEs unacknowledged)", n.id, qp.QPN, qp.txN))
+	if qp.tx.Len() == qp.SQ.Depth {
+		panic(fmt.Sprintf("nic%d: qp %d retransmit queue overflow (%d WQEs unacknowledged)", n.id, qp.QPN, qp.tx.Len()))
 	}
-	rec := &qp.txRing[(qp.txHead+qp.txN)%len(qp.txRing)]
-	qp.txN++
-	rec.counter = w.WQEIdx
-	rec.signaled = w.Signaled
-	rec.op = fabric.TxOp{
-		Opcode:  uint8(w.Opcode),
-		SrcQPN:  qp.QPN,
-		DstQPN:  qp.remoteQPN,
-		RAddr:   w.RemoteAddr,
-		AmID:    w.AmID,
-		Counter: w.WQEIdx,
+	rec := txRec{
+		counter:  w.WQEIdx,
+		signaled: w.Signaled,
+		op: fabric.TxOp{
+			Opcode:  uint8(w.Opcode),
+			SrcQPN:  qp.QPN,
+			DstQPN:  qp.remoteQPN,
+			RAddr:   w.RemoteAddr,
+			AmID:    w.AmID,
+			Counter: w.WQEIdx,
+		},
+		payload: n.net.Payloads().Fill(w.Payload),
 	}
-	rec.payload = n.net.Payloads().Fill(w.Payload)
+	qp.tx.Push(rec)
 	qp.TxFrames++
 	if n.cfg.AckTimeout > 0 {
-		if qp.txN == 1 {
+		if qp.tx.Len() == 1 {
 			// First outstanding WQE: the progress clock starts now.
 			qp.ackWait = n.k.Now()
 		}
@@ -789,10 +784,10 @@ func (n *NIC) execWQE(qp *QP, w *mlx.WQE) {
 	n.txRecFrame(qp, rec)
 }
 
-// txRecFrame builds the wire frame for a ring record and transmits it (the
-// shared tail of first transmission and RNR replay). The frame carries the
-// record's payload buffer under its own reference.
-func (n *NIC) txRecFrame(qp *QP, rec *txRec) {
+// txRecFrame builds the wire frame for a retransmit record and transmits it
+// (the shared tail of first transmission and RNR replay). The frame carries
+// the record's payload buffer under its own reference.
+func (n *NIC) txRecFrame(qp *QP, rec txRec) {
 	f := n.net.NewFrame()
 	f.Kind = fabric.Data
 	f.Src = n.id
@@ -1037,22 +1032,15 @@ func (n *NIC) rxAck(c fabric.AckInfo) {
 // the signaled ones, and reports how many records it retired.
 func (n *NIC) retireThrough(qp *QP, counter uint16) int {
 	retired := 0
-	for qp.txN > 0 {
-		rec := &qp.txRing[qp.txHead]
-		if int16(counter-rec.counter) < 0 {
-			break
-		}
-		cnt, signaled := rec.counter, rec.signaled
+	for qp.tx.Len() > 0 && int16(counter-qp.tx.At(0).counter) >= 0 {
+		rec := qp.tx.Pop()
 		rec.payload.Drop()
-		rec.payload = arena.Buf{}
-		qp.txHead = (qp.txHead + 1) % len(qp.txRing)
-		qp.txN--
 		retired++
-		if signaled {
-			n.writeSendCQE(qp, cnt, mlx.CQEOK)
+		if rec.signaled {
+			n.writeSendCQE(qp, rec.counter, mlx.CQEOK)
 		}
 	}
-	if qp.ackArmed && qp.txN == 0 {
+	if qp.ackArmed && qp.tx.Len() == 0 {
 		// The whole tail is acknowledged: nothing is left for the timer
 		// to watch, so cancel it rather than let a dead no-op event pin
 		// the simulation end-time a timeout into the future.
@@ -1090,7 +1078,7 @@ func (n *NIC) writeSendCQE(qp *QP, counter uint16, status uint8) {
 }
 
 // rxNak handles an RNR NAK on the initiator NIC. On a lossless fabric the
-// refused WQE is always the head of the outstanding ring (the transport is
+// refused WQE is always the head of the retransmit queue (the transport is
 // strictly ordered and the target NAKs at most once per replay round); a
 // NAK implicitly acknowledges everything before the refused counter, and
 // one whose counter is no longer the head — its replay round was
@@ -1111,7 +1099,7 @@ func (n *NIC) rxNak(c fabric.AckInfo) {
 		return
 	}
 	n.retireThrough(qp, c.Counter-1)
-	if qp.txN == 0 || qp.txRing[qp.txHead].counter != c.Counter {
+	if qp.tx.Len() == 0 || qp.tx.At(0).counter != c.Counter {
 		return
 	}
 	qp.RNRNaksRecv++
@@ -1152,7 +1140,7 @@ func (n *NIC) rxSeqNak(c fabric.AckInfo) {
 		return
 	}
 	n.retireThrough(qp, c.Counter-1)
-	if qp.txN == 0 || qp.txRing[qp.txHead].counter != c.Counter {
+	if qp.tx.Len() == 0 || qp.tx.At(0).counter != c.Counter {
 		return
 	}
 	qp.SeqNaksRecv++
@@ -1188,7 +1176,7 @@ func (n *NIC) retransmit(qp *QP) {
 	n.replayTail(qp)
 }
 
-// replayTail replays every outstanding ring record in order, the shared
+// replayTail replays every outstanding retransmit record in order, the shared
 // go-back-N tail of all three recovery paths (RNR backoff expiry, sequence
 // NAK, ACK timeout).
 func (n *NIC) replayTail(qp *QP) {
@@ -1197,11 +1185,11 @@ func (n *NIC) replayTail(qp *QP) {
 		// expiry, sequence NAK, ACK timeout); it also closes the open
 		// backoff window in the attribution.
 		n.tr.Emit(trace.Event{At: n.k.Now(), Kind: trace.EvRetx,
-			Node: int16(n.id), Arg: trace.ArgQP(qp.QPN, uint64(qp.txN))})
+			Node: int16(n.id), Arg: trace.ArgQP(qp.QPN, uint64(qp.tx.Len()))})
 	}
-	for i := 0; i < qp.txN; i++ {
+	for i := 0; i < qp.tx.Len(); i++ {
 		qp.Retransmits++
-		n.txRecFrame(qp, &qp.txRing[(qp.txHead+i)%len(qp.txRing)])
+		n.txRecFrame(qp, qp.tx.At(i))
 	}
 }
 
@@ -1240,7 +1228,7 @@ func (n *NIC) effTimeout(qp *QP) units.Time {
 // keeps watching in case the NAKed replay itself is lost.
 func (n *NIC) ackTimeout(qp *QP) {
 	qp.ackArmed = false
-	if qp.Errored || qp.txN == 0 {
+	if qp.Errored || qp.tx.Len() == 0 {
 		return
 	}
 	eff := n.effTimeout(qp)
@@ -1302,21 +1290,19 @@ func (n *NIC) failQP(qp *QP, status uint8) {
 	qp.RetryExhausted++
 	if n.tr != nil {
 		n.tr.Emit(trace.Event{At: n.k.Now(), Kind: trace.EvFlush,
-			Node: int16(n.id), Arg: trace.ArgQP(qp.QPN, uint64(qp.txN))})
+			Node: int16(n.id), Arg: trace.ArgQP(qp.QPN, uint64(qp.tx.Len()))})
 	}
 	n.cancelQPTimers(qp)
-	n.writeSendCQE(qp, wipeRing(qp), status)
+	n.writeSendCQE(qp, wipeTx(qp), status)
 }
 
-// wipeRing empties the QP's retransmit ring on failure, dropping every
+// wipeTx empties the QP's retransmit queue on failure, dropping every
 // outstanding record's payload reference, and reports the newest counter.
-func wipeRing(qp *QP) (last uint16) {
-	for ; qp.txN > 0; qp.txN-- {
-		rec := &qp.txRing[qp.txHead]
+func wipeTx(qp *QP) (last uint16) {
+	for qp.tx.Len() > 0 {
+		rec := qp.tx.Pop()
 		last = rec.counter
 		rec.payload.Drop()
-		rec.payload = arena.Buf{}
-		qp.txHead = (qp.txHead + 1) % len(qp.txRing)
 	}
 	return last
 }
@@ -1374,8 +1360,8 @@ func (n *NIC) crashQP(qp *QP) {
 		qp.Errored = true
 		qp.QPFails++
 		n.cancelQPTimers(qp)
-		if qp.txN > 0 {
-			n.hostWriteSendCQE(qp, wipeRing(qp), mlx.CQEFatalErr)
+		if qp.tx.Len() > 0 {
+			n.hostWriteSendCQE(qp, wipeTx(qp), mlx.CQEFatalErr)
 		}
 	} else {
 		n.cancelQPTimers(qp)

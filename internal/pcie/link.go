@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"breakband/internal/arena"
+	"breakband/internal/fifo"
 	"breakband/internal/sim"
 	"breakband/internal/trace"
 	"breakband/internal/units"
@@ -52,7 +53,7 @@ type channel struct {
 	// pass a blocked posted write (producer-consumer ordering), while
 	// posted writes and completions may pass blocked non-posted reads
 	// (deadlock avoidance).
-	pend       []*TLP
+	pend       fifo.Queue[*TLP]
 	pendPosted int
 	// stalled parks every send unconditionally — the host-pause fault
 	// model (the issue path is frozen; credits and ordering are evaluated
@@ -230,7 +231,7 @@ func (c *channel) send(t *TLP) bool {
 		return false
 	}
 	kind, need := creditsFor(t)
-	ordered := c.pendPosted > 0 || (t.Type == MRd && len(c.pend) > 0)
+	ordered := c.pendPosted > 0 || (t.Type == MRd && c.pend.Len() > 0)
 	if ordered || (need.Hdr > 0 && !c.take(kind, need)) {
 		c.park(t)
 		return false
@@ -253,19 +254,19 @@ func (c *channel) take(kind CreditKind, need Credits) bool {
 
 // park appends t to the pend queue.
 func (c *channel) park(t *TLP) {
-	c.pend = append(c.pend, t)
+	c.pend.Push(t)
 	if t.Type == MWr {
 		c.pendPosted++
 	}
 	c.blocked++
-	if len(c.pend) > c.maxPend {
-		c.maxPend = len(c.pend)
+	if c.pend.Len() > c.maxPend {
+		c.maxPend = c.pend.Len()
 	}
 	// Upstream pend is the receiver-overload signal the attribution cares
 	// about: a host write waiting out PCIe credits. Arg carries the depth.
 	if l := c.link; c.dir == Up && l.tr != nil {
 		l.tr.Emit(trace.Event{At: l.k.Now(), Kind: trace.EvPend,
-			Node: l.trNode, Arg: uint64(len(c.pend))})
+			Node: l.trNode, Arg: uint64(c.pend.Len())})
 	}
 }
 
@@ -378,8 +379,8 @@ func (c *channel) retryPending() {
 	if c.stalled {
 		return
 	}
-	for len(c.pend) > 0 {
-		t := c.pend[0]
+	for c.pend.Len() > 0 {
+		t := c.pend.At(0)
 		kind, need := creditsFor(t)
 		if need.Hdr > 0 && !c.take(kind, need) {
 			return
@@ -391,17 +392,14 @@ func (c *channel) retryPending() {
 // popTransmit removes the head pend entry (t) and puts it on the wire,
 // reporting upstream issues to the OnUpIssued hook.
 func (c *channel) popTransmit(t *TLP) {
-	c.pend = c.pend[1:]
-	if len(c.pend) == 0 {
-		c.pend = nil
-	}
+	c.pend.Pop()
 	if t.Type == MWr {
 		c.pendPosted--
 	}
 	c.transmit(t)
 	if l := c.link; c.dir == Up && l.tr != nil {
 		l.tr.Emit(trace.Event{At: l.k.Now(), Kind: trace.EvIssue,
-			Node: l.trNode, Arg: uint64(len(c.pend))})
+			Node: l.trNode, Arg: uint64(c.pend.Len())})
 	}
 	if c.dir == Up && c.link.onUpIssued != nil {
 		c.link.onUpIssued(t)

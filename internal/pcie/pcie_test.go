@@ -463,3 +463,40 @@ func TestPooledTLPRoundTripThroughLink(t *testing.T) {
 	}
 	ep.got[0].Release()
 }
+
+// releaser is an endpoint that releases every TLP delivered to it, as the
+// NIC and the Root Complex do.
+type releaser struct{}
+
+func (releaser) RxTLP(t *TLP) { t.Release() }
+
+// TestPendEpisodeAllocatesNothing: each episode sends two 4 KiB writes
+// upstream, so the second parks in the pend queue until the first's
+// UpdateFC returns the posted data credits. A link that goes through such
+// episodes over and over reuses the pend queue's array: an episode
+// allocates nothing.
+func TestPendEpisodeAllocatesNothing(t *testing.T) {
+	k := sim.NewKernel()
+	l := NewLink(k, testProp)
+	l.SetRCSide(releaser{})
+	l.SetEndpointSide(releaser{})
+	episode := func() {
+		for i := 0; i < 2; i++ {
+			tlp := l.NewTLP()
+			tlp.Type = MWr
+			tlp.GrowData(4096)
+			l.SendUp(tlp)
+		}
+		k.Run()
+	}
+	episode()
+	if _, up := l.Blocked(); up != 1 {
+		t.Fatalf("%d upstream writes blocked in an episode, want 1", up)
+	}
+	if allocs := testing.AllocsPerRun(100, episode); allocs != 0 {
+		t.Errorf("%.2f allocations per pend episode, want 0", allocs)
+	}
+	if tlps, dllps := l.InUsePackets(); tlps != 0 || dllps != 0 {
+		t.Errorf("%d TLPs and %d DLLPs still in use after the episodes", tlps, dllps)
+	}
+}

@@ -39,7 +39,9 @@ func TestDriversReportTransportErrors(t *testing.T) {
 		{"MultiPutBw", one(2, func(sys *node.System) error { return MultiPutBw(sys, 2, opt).Err })},
 		{"OversubscribedPutBw", one(4, func(sys *node.System) error { return OversubscribedPutBw(sys, 0, opt).Err })},
 		{"AllToAllPutBw", one(4, func(sys *node.System) error { return AllToAllPutBw(sys, opt).Err })},
-		{"SaturationSweep", func() error { return SaturationSweep(mk(3), 0, []float64{0.8, 1.2}, opt, 1).Err }},
+		{"SaturationSweep", func() error {
+			return SaturationSweep(mk(3), 0, []float64{0.8, 1.2}, Options{Iters: 300, Warmup: 50, MsgSize: 4096}, 1).Err
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {

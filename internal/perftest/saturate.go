@@ -39,7 +39,9 @@ func StallReport(sys *node.System) *trace.Report {
 // returns its link credit once its host-memory write has issued, so the
 // final hop's credit loop runs at the receiver's PCIe service rate. The
 // inverse is the analytic saturation rate the sweep's knee is validated
-// against.
+// against. It holds for messages above 2048 B only, as PCIeWriteCycle
+// does: two smaller writes fit in the posted data credits at once, so the
+// receiver drains faster than one cycle per message.
 func SaturationBottleneck(cfg *config.Config, msgSize int) units.Time {
 	b := fabric.SerTime(msgSize)
 	if p := PCIeWriteCycle(cfg, msgSize); p > b {
@@ -187,10 +189,14 @@ func (r *SaturationResult) Knee() *SaturationPoint {
 // point runs on a fresh system from mkSys (fanned out on a
 // parallelism-wide pool, <= 0 selects GOMAXPROCS; mkSys must be safe to
 // call concurrently); build the config with TraceCapacity set to get
-// per-point latency attribution in the result.
+// per-point latency attribution in the result. opt.MsgSize must exceed
+// 2048 B, where SaturationBottleneck holds; a smaller size panics.
 func SaturationSweep(mkSys func() *node.System, senders int, loads []float64, opt Options, parallelism int) *SaturationResult {
-	probe := mkSys()
 	opt.Defaults()
+	if opt.MsgSize <= 2048 {
+		panic(fmt.Sprintf("perftest: saturation message size %d: the bottleneck model holds only above 2048 B, where one write fills the posted PCIe credits", opt.MsgSize))
+	}
+	probe := mkSys()
 	res := &SaturationResult{
 		Senders:    clampSenders(probe, senders),
 		MsgSize:    opt.MsgSize,

@@ -1,6 +1,7 @@
 package perftest
 
 import (
+	"strings"
 	"testing"
 
 	"breakband/internal/config"
@@ -192,4 +193,18 @@ func TestSaturationKnee(t *testing.T) {
 	if last.HotPort == "" || last.MaxQueue == 0 {
 		t.Error("no hot port identified past the knee")
 	}
+}
+
+// TestSaturationRejectsSmallMessages: at 2048 B two writes fit in the
+// posted credits, so the bottleneck model does not hold and the sweep
+// panics naming the rule instead of reporting a capacity it cannot predict.
+func TestSaturationRejectsSmallMessages(t *testing.T) {
+	mkSys := func() *node.System { return node.NewSystem(tracedConfig(true, 0), 3) }
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "size 2048") || !strings.Contains(msg, "above 2048 B") {
+			t.Errorf("panic %q, want one naming the size and the 2048-byte rule", msg)
+		}
+	}()
+	SaturationSweep(mkSys, 0, []float64{1.0}, Options{Iters: 50, MsgSize: 2048}, 1)
 }

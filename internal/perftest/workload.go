@@ -2,10 +2,8 @@ package perftest
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
-	"breakband/internal/config"
 	"breakband/internal/node"
 	"breakband/internal/workload"
 )
@@ -54,38 +52,4 @@ func msgRate(c *workload.CohortResult) float64 {
 		return 0
 	}
 	return float64(c.Delivered) / span.Seconds()
-}
-
-// WorkloadSaturation connects a workload spec to the saturation knee-finder:
-// the spec's first cohort shapes the canonical incast — its distinct source
-// nodes set the sender count and its mean message size the sweep's size —
-// over the spec's topology, credits and rx budget. loads are offered-load
-// fractions of the predicted bottleneck (SaturationSweep semantics: paced
-// senders on nodes 1..senders into node 0).
-func WorkloadSaturation(spec *workload.Spec, noise config.NoiseLevel, seed uint64, loads []float64, opt Options, parallelism int) (*SaturationResult, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	c := &spec.Cohorts[0]
-	senders := 0
-	seen := map[int]bool{}
-	for _, s := range c.Src {
-		if s != 0 && !seen[s] {
-			seen[s] = true
-			senders++
-		}
-	}
-	if senders == 0 {
-		return nil, fmt.Errorf("perftest: workload %q cohort %q has no non-receiver source nodes", spec.Name, c.Name)
-	}
-	opt.MsgSize = int(math.Round(c.Size.MeanBytes()))
-	if opt.MsgSize < 1 {
-		opt.MsgSize = 1
-	}
-	mkSys := func() *node.System {
-		cfg := spec.BuildConfig(noise, seed)
-		cfg.TraceCapacity = 1 << 20
-		return node.NewSystem(cfg, spec.Nodes)
-	}
-	return SaturationSweep(mkSys, senders, loads, opt, parallelism), nil
 }

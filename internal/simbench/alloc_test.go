@@ -229,8 +229,8 @@ func TestIncastDevicePathAllocBudget(t *testing.T) {
 // RNR NAK / retry path: a bounded-receiver incast (rx budget below the
 // link credits) continuously defers frame releases, emits NAKs, runs
 // backoff timers and replays go-back-N windows. All of that must recycle —
-// pooled NAK frames, the NIC's pend-FIFO ring, the fixed retransmit ring
-// with reused payload buffers, and pooled timer events — so the marginal
+// pooled NAK frames, the NIC's pend FIFO, the retransmit queue with
+// reused payload buffers, and pooled timer events — so the marginal
 // per-message cost stays inside the same budget as the uncontended path.
 func TestOversubscribedDevicePathAllocBudget(t *testing.T) {
 	const senders = 4

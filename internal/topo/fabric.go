@@ -7,6 +7,7 @@ import (
 	"breakband/internal/arena"
 	"breakband/internal/fabric"
 	"breakband/internal/faults"
+	"breakband/internal/fifo"
 	"breakband/internal/sim"
 	"breakband/internal/trace"
 	"breakband/internal/units"
@@ -25,7 +26,7 @@ type Fabric struct {
 	ports  map[int]fabric.Port
 	frames *arena.Arena[fabric.Frame]
 	// payloads is the system's one pool of message payload buffers, which
-	// frames, retransmit rings and TLPs share (see fabric.Frame).
+	// frames, retransmit queues and TLPs share (see fabric.Frame).
 	payloads *arena.BufPool
 	// attached[id] is the sendable fast path: id is routed and has a
 	// port. Attached-but-unrouted ids live only in the ports map.
@@ -110,35 +111,6 @@ type qent struct {
 	in *link
 }
 
-// frameQ is a growable FIFO ring of queued frames. Its capacity reaches a
-// high-water mark bounded by the credit budget and is reused thereafter,
-// keeping the steady-state switch path allocation-free.
-type frameQ struct {
-	buf  []qent
-	head int
-	n    int
-}
-
-func (q *frameQ) push(e qent) {
-	if q.n == len(q.buf) {
-		nb := make([]qent, max(8, 2*len(q.buf)))
-		for i := 0; i < q.n; i++ {
-			nb[i] = q.buf[(q.head+i)%len(q.buf)]
-		}
-		q.buf, q.head = nb, 0
-	}
-	q.buf[(q.head+q.n)%len(q.buf)] = e
-	q.n++
-}
-
-func (q *frameQ) pop() qent {
-	e := q.buf[q.head]
-	q.buf[q.head] = qent{}
-	q.head = (q.head + 1) % len(q.buf)
-	q.n--
-	return e
-}
-
 // outPort is one serializing egress driving a link: a host NIC's injection
 // port or a switch output port. The port transmits one frame at a time;
 // everything else waits in q, so queue depth is the true congestion
@@ -147,7 +119,7 @@ type outPort struct {
 	fab  *Fabric
 	name string
 	link *link
-	q    frameQ
+	q    fifo.Queue[qent]
 	// cur is the frame on the wire while busy; txDoneFn is the bound
 	// transmission-complete continuation (one closure per port, none per
 	// frame).
@@ -188,12 +160,12 @@ func (p *outPort) push(e qent) {
 		p.drop(e)
 		return
 	}
-	p.q.push(e)
-	if p.q.n > p.maxQueue {
-		p.maxQueue = p.q.n
+	p.q.Push(e)
+	if p.q.Len() > p.maxQueue {
+		p.maxQueue = p.q.Len()
 	}
 	if p.fab.OnDepth != nil {
-		p.fab.OnDepth(p.fab.k.Now(), p.name, p.q.n)
+		p.fab.OnDepth(p.fab.k.Now(), p.name, p.q.Len())
 	}
 	if tr := p.fab.tr; tr != nil && e.f.TID != 0 {
 		at := p.fab.k.Now()
@@ -211,22 +183,22 @@ func (p *outPort) push(e qent) {
 // on the wire for its serialization time. Dead ports transmit nothing
 // (their credits sit quarantined until the link comes back).
 func (p *outPort) kick() {
-	if p.busy || p.down || p.q.n == 0 {
+	if p.busy || p.down || p.q.Len() == 0 {
 		return
 	}
 	if p.link.credits == 0 {
 		p.creditStalls++
 		if tr := p.fab.tr; tr != nil {
-			if f := p.q.buf[p.q.head].f; f.TID != 0 {
+			if f := p.q.At(0).f; f.TID != 0 {
 				tr.Emit(trace.Event{At: p.fab.k.Now(), Kind: trace.EvStall,
 					TID: f.TID, Port: p.trID, Node: -1})
 			}
 		}
 		return
 	}
-	e := p.q.pop()
+	e := p.q.Pop()
 	if p.fab.OnDepth != nil {
-		p.fab.OnDepth(p.fab.k.Now(), p.name, p.q.n)
+		p.fab.OnDepth(p.fab.k.Now(), p.name, p.q.Len())
 	}
 	if tr := p.fab.tr; tr != nil && e.f.TID != 0 {
 		tr.Emit(trace.Event{At: p.fab.k.Now(), Kind: trace.EvTxStart, TID: e.f.TID,
@@ -309,8 +281,8 @@ func (p *outPort) setDown() {
 	if p.flt != nil {
 		p.flt.CountFlap()
 	}
-	for p.q.n > 0 {
-		e := p.q.pop()
+	for p.q.Len() > 0 {
+		e := p.q.Pop()
 		if p.flt != nil {
 			p.flt.CountDrop()
 		}

@@ -77,10 +77,10 @@
 // allocate with NewFrame and hand ownership to Send; the fabric owns
 // frames across every hop (switch queues hold borrowed pointers, never
 // copies); delivery transfers ownership to the receiving port, which must
-// Release. The steady-state switch path allocates nothing: queue rings and
-// the event pool reach a high-water mark bounded by the credit budget and
-// recycle thereafter (pinned by internal/simbench's switch-path alloc
-// budget test).
+// Release. The steady-state switch path allocates nothing: the port queues
+// (fifo.Queue) and the event pool reach a high-water mark bounded by the
+// credit budget and recycle thereafter (pinned by internal/simbench's
+// switch-path alloc budget test).
 package topo
 
 import "fmt"

@@ -119,7 +119,9 @@ const (
 	// NIC DMA-reads the descriptor (one PCIe round trip).
 	DoorbellInline
 	// DoorbellGather: descriptor and payload are both fetched by the NIC
-	// (two PCIe round trips) — the paper's §2 steps (2) and (3).
+	// (two PCIe round trips) — the paper's §2 steps (2) and (3). Short
+	// posts too take the buffered-copy path: the payload is staged in
+	// registered memory and the NIC gathers it.
 	DoorbellGather
 )
 
@@ -537,7 +539,14 @@ func (f *sizedPostFrame) Step(t *sim.Task) {
 	}
 }
 
+// startPost begins a short post. A DoorbellGather endpoint has the NIC
+// fetch every payload by DMA, so its short posts take the buffered-copy
+// path; an oversized one still fails on the short path's size check.
 func (e *Ep) startPost(t *sim.Task, op mlx.Opcode, amID uint8, raddr uint64, data []byte) {
+	if e.Mode == DoorbellGather && len(data) <= mlx.InlineMax {
+		e.startGather(t, op, amID, raddr, data)
+		return
+	}
 	f := &e.postF
 	f.pc = 0
 	f.op = op
@@ -557,8 +566,9 @@ func (e *Ep) startGather(t *sim.Task, op mlx.Opcode, amID uint8, raddr uint64, d
 	t.Call(f)
 }
 
-// postFrame is the short (inline-capable) descriptor path: the paper's §4.1
-// LLP_post sequence as a resumable state machine.
+// postFrame is the inline descriptor path of PIOInline and DoorbellInline
+// endpoints: the paper's §4.1 LLP_post sequence as a resumable state
+// machine.
 type postFrame struct {
 	e     *Ep
 	pc    int
@@ -670,16 +680,9 @@ func (f *postFrame) Step(t *sim.Task) {
 				if t.Pause() {
 					return
 				}
-			case DoorbellGather:
-				// Stage the payload in registered memory for the NIC's
-				// second DMA read.
-				f.pc = 2
-				if t.Pause() {
-					return
-				}
 			case DoorbellInline:
 				t.Advance(sw.SQRingWrite.Sample(r))
-				f.pc = 3
+				f.pc = 2
 				if t.Pause() {
 					return
 				}
@@ -691,38 +694,22 @@ func (f *postFrame) Step(t *sim.Task) {
 			// still being fetched).
 			w.Node.Mem.Write(e.qp.SQ.EntryAddr(e.pi), f.enc[:])
 			w.Node.RC.MMIOWrite(e.qp.BFAddr, f.enc[:])
-			f.pc = 5
-		case 2: // Gather: stage the payload, rebuild the descriptor.
-			f.wqe.GatherAddr = e.takeStaging()
-			w.Node.Mem.Write(f.wqe.GatherAddr, f.data)
-			f.wqe.Inline = false
-			f.wqe.GatherLen = uint32(len(f.data))
-			f.wqe.Payload = nil
-			enc, err := f.wqe.Encode()
-			if err != nil {
-				panic(fmt.Sprintf("uct: WQE encode: %v", err))
-			}
-			f.enc = enc
-			t.Advance(sw.SQRingWrite.Sample(r))
-			f.pc = 3
-			if t.Pause() {
-				return
-			}
-		case 3: // Regular store of the WQE into the ring, then the
+			f.pc = 4
+		case 2: // Regular store of the WQE into the ring, then the
 			// 8-byte DoorBell MMIO write.
 			w.Node.Mem.Write(e.qp.SQ.EntryAddr(e.pi), f.enc[:])
 			t.Advance(sw.DBRecUpdate.Sample(r))
 			t.Advance(sw.DoorbellRing.Sample(r))
-			f.pc = 4
+			f.pc = 3
 			if t.Pause() {
 				return
 			}
-		case 4:
+		case 3:
 			var db [8]byte
 			binary.LittleEndian.PutUint16(db[:], e.pi+1)
 			w.Node.RC.MMIOWrite(e.qp.DBAddr, db[:])
-			f.pc = 5
-		case 5:
+			f.pc = 4
+		case 4:
 			t.Advance(sw.LLPPostExit.Sample(r))
 			e.pi++
 			w.Stats.Posts++

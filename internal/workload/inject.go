@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"breakband/internal/config"
+	"breakband/internal/fifo"
 	"breakband/internal/node"
 	"breakband/internal/rng"
 	"breakband/internal/sim"
@@ -227,8 +228,8 @@ func (b *builder) newInjector(ci int32, c *Cohort, src int, opt RunOpt, rec *Tra
 		f.dstToEp[dst] = int32(len(f.eps))
 		f.eps = append(f.eps, ep)
 		f.dstOf = append(f.dstOf, int32(dst))
-		f.rings = append(f.rings, compRing{buf: make([]compEntry, uct.SQDepth)})
 	}
+	f.pending = make([]fifo.Queue[compEntry], len(f.eps))
 	f.buf = make([]byte, bufBytes)
 
 	if opt.Replay != nil {
@@ -275,32 +276,6 @@ type compEntry struct {
 	size int32
 }
 
-// compRing is a fixed-capacity FIFO parallel to the NIC's per-QP completion
-// order. Capacity is the send-queue depth: the post path spins on a full
-// queue, so in-flight never exceeds it.
-type compRing struct {
-	buf     []compEntry
-	head, n int
-}
-
-func (r *compRing) push(e compEntry) {
-	if r.n == len(r.buf) {
-		panic("workload: completion ring overflow")
-	}
-	r.buf[(r.head+r.n)%len(r.buf)] = e
-	r.n++
-}
-
-func (r *compRing) pop() compEntry {
-	if r.n == 0 {
-		panic("workload: completion ring underflow")
-	}
-	e := r.buf[r.head]
-	r.head = (r.head + 1) % len(r.buf)
-	r.n--
-	return e
-}
-
 // injectFrame is one injector: the paced open-loop sender for all clients of
 // one cohort homed on one source node. It runs as a goroutine-free sim.Task
 // continuation; the steady-state loop allocates nothing.
@@ -312,13 +287,15 @@ type injectFrame struct {
 	w     *uct.Worker
 	eps   []*uct.Ep
 	dstOf []int32 // endpoint ordinal -> destination node
-	rings []compRing
 	clock arrivalClock
 	sizes sizeGen
 	heap  clientHeap
 	buf   []byte
 
 	dstToEp []int32 // node id -> endpoint ordinal (-1 when unused)
+	// pending holds each endpoint's in-flight messages in the order the
+	// NIC completes them.
+	pending []fifo.Queue[compEntry]
 
 	// Replay state (generate mode when recs is nil).
 	tr   *Trace
@@ -400,7 +377,7 @@ func (f *injectFrame) Step(t *sim.Task) {
 			if err := f.eps[f.pEp].LastPost(); err != nil {
 				f.res.Failed++
 			} else {
-				f.rings[f.pEp].push(compEntry{at: f.pAt, size: f.pSize})
+				f.pending[f.pEp].Push(compEntry{at: f.pAt, size: f.pSize})
 			}
 			f.pc = 2
 			f.w.StartProgress(t)
@@ -421,21 +398,24 @@ func (f *injectFrame) Step(t *sim.Task) {
 }
 
 // onComplete is the worker's send-completion callback: completions retire
-// FIFO per endpoint, so each pops its ring in order.
+// FIFO per endpoint, so each pops its endpoint's pending queue in order.
 func (f *injectFrame) onComplete(t *sim.Task, ep *uct.Ep, count int, err error) {
-	var ring *compRing
+	var q *fifo.Queue[compEntry]
 	for i, e := range f.eps {
 		if e == ep {
-			ring = &f.rings[i]
+			q = &f.pending[i]
 			break
 		}
 	}
-	if ring == nil {
+	if q == nil {
 		panic("workload: completion for unknown endpoint")
 	}
 	now := t.Now()
 	for i := 0; i < count; i++ {
-		e := ring.pop()
+		if q.Len() == 0 {
+			panic("workload: completion queue underflow")
+		}
+		e := q.Pop()
 		if err != nil {
 			f.res.Failed++
 			continue
