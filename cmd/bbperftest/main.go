@@ -81,8 +81,8 @@ import (
 
 var (
 	flagIters    = flag.Int("iters", 2000, "measured iterations")
-	flagWarmup   = flag.Int("warmup", 200, "warmup iterations")
-	flagSize     = flag.Int("size", 8, "message size in bytes, 1 to 4096 (inline short path up to 32, buffered copy above)")
+	flagWarmup   = flag.Int("warmup", 200, "warmup iterations (flap: 1 when unset)")
+	flagSize     = flag.Int("size", 8, "message size in bytes, 1 to 4096 (inline short path up to 32, buffered copy above; flap and saturate: 4096 when unset)")
 	flagMode     = flag.String("mode", "pio-inline", "descriptor path: pio-inline, doorbell-inline, doorbell-gather")
 	flagNoise    = flag.Bool("noise", false, "enable the stochastic timing model")
 	flagSeed     = flag.Uint64("seed", 1, "random seed")
@@ -164,7 +164,7 @@ func main() {
 	mkSys := func() *node.System {
 		return node.NewSystem(mkCfg(), nodes)
 	}
-	opt := perftest.Options{Iters: *flagIters, Warmup: *flagWarmup, MsgSize: msgSize(test), Mode: mode}
+	opt := perftest.Options{Iters: *flagIters, Warmup: warmup(flag.CommandLine), MsgSize: msgSize(flag.CommandLine), Mode: mode}
 
 	switch test {
 	case "put_bw":
@@ -243,6 +243,7 @@ func main() {
 		// stays idle so pre/dip/post rates compare like for like.
 		res := perftest.FlapIncastPutBw(sys, nodes-2, opt)
 		exitOnErr(test, res.Err)
+		exitOnErr(test, res.Unmeasured)
 		fmt.Println(res)
 		printFaultPorts(sys)
 		printHotPorts(sys)
@@ -395,14 +396,14 @@ func checkFlags(fs *flag.FlagSet) error {
 		return fmt.Errorf("-parallel %d is negative (0 selects GOMAXPROCS)", *flagParallel)
 	case test == "lossy" && *flagSize < 8:
 		return fmt.Errorf("-size %d: lossy stamps an 8-byte sequence number in every message, so it needs at least 8", *flagSize)
-	case test == "saturate" && msgSize(test) <= 2048:
-		return fmt.Errorf("-size %d: saturate's bottleneck model holds only above 2048 B, where one write fills the posted PCIe credits", msgSize(test))
+	case test == "saturate" && msgSize(fs) <= 2048:
+		return fmt.Errorf("-size %d: saturate's bottleneck model holds only above 2048 B, where one write fills the posted PCIe credits", msgSize(fs))
 	case *flagRadix != 0 && kindErr == nil && kind != topo.FatTree:
 		return fmt.Errorf("-radix sizes a fat-tree, but %s runs on -topology %s", test, *flagTopology)
 	case *flagTrace != "" && test == "lossy" && *flagDropRate == 0 && *flagCorrupt == 0:
 		return fmt.Errorf("-trace exports one system's run, but lossy with no -droprate or -corruptrate sweeps a system per rate")
 	}
-	if err := checkEndpoints(test); err != nil {
+	if err := checkEndpoints(fs); err != nil {
 		return err
 	}
 	fc := faultConfig(test)
@@ -412,8 +413,9 @@ func checkFlags(fs *flag.FlagSet) error {
 // checkEndpoints rejects a system whose busiest node would open more
 // endpoints than its memory holds: each takes uct.EpTargetBytes, the
 // endpoint plus the message-sized target its peer writes into.
-func checkEndpoints(test string) error {
-	perEp := uct.EpTargetBytes(msgSize(test))
+func checkEndpoints(fs *flag.FlagSet) error {
+	test := fs.Arg(0)
+	perEp := uct.EpTargetBytes(msgSize(fs))
 	fit := node.MemBytes / perEp
 	flagName, flagVal := "-nodes", nodeCount(test)
 	var eps int
@@ -465,14 +467,33 @@ func nodeCount(test string) int {
 	return 2
 }
 
-// msgSize resolves -size for test: flap and saturate turn the 8-byte
-// default into 4 KiB puts, like the incast family, so the shared port
+// msgSize resolves -size for the command of fs: flap and saturate run 4 KiB
+// puts when -size is unset, like the incast family, so the shared port
 // (flap) or the receiver path (saturate) is the contended stage.
-func msgSize(test string) int {
-	if *flagSize == 8 && (test == "flap" || test == "saturate") {
+func msgSize(fs *flag.FlagSet) int {
+	if test := fs.Arg(0); (test == "flap" || test == "saturate") && !isSet(fs, "size") {
 		return 4096
 	}
 	return *flagSize
+}
+
+// warmup resolves -warmup for the command of fs: flap warms up with one
+// iteration when -warmup is unset, so its measured phase opens before the
+// default flap's pre window (a 200-iteration warmup of 4 KiB incast puts
+// outlasts it).
+func warmup(fs *flag.FlagSet) int {
+	if fs.Arg(0) == "flap" && !isSet(fs, "warmup") {
+		return 1
+	}
+	return *flagWarmup
+}
+
+// isSet reports whether the command line fs set flag name explicitly.
+func isSet(fs *flag.FlagSet, name string) (set bool) {
+	fs.Visit(func(f *flag.Flag) {
+		set = set || f.Name == name
+	})
+	return set
 }
 
 // checkFlapPort rejects a flap on a port that spec, compiled for nodes

@@ -61,9 +61,12 @@ func TestCheckFlags(t *testing.T) {
 		// lossy stamps an 8-byte sequence number in every message.
 		{args: []string{"-size", "7", "lossy"}},
 		{args: []string{"-size", "8", "lossy"}, ok: true},
-		// saturate's bottleneck model holds only above 2048 B.
+		// saturate's bottleneck model holds only above 2048 B, and an
+		// explicit -size 8 is not its unset 4 KiB default.
 		{args: []string{"-size", "2048", "saturate"}},
 		{args: []string{"-size", "2049", "saturate"}, ok: true},
+		{args: []string{"-size", "8", "-iters", "100", "-warmup", "10", "-parallel", "1", "saturate"}},
+		{args: []string{"-size", "8", "flap"}, ok: true},
 		// A flag the command does not read is an error, not ignored.
 		{args: []string{"-record", "/tmp/t.trace", "put_bw"}, flag: "-record"},
 		{args: []string{"-replay", "/tmp/t.trace", "am_lat"}, flag: "-replay"},
@@ -119,6 +122,37 @@ func TestCheckFlags(t *testing.T) {
 		}
 		if c.flag != "" && (!strings.Contains(msg, c.flag+" ") || !strings.Contains(msg, test)) {
 			t.Errorf("%v: error %q should name %s and the %s command", c.args, msg, c.flag, test)
+		}
+	}
+}
+
+// TestCommandDefaults: flap and saturate run 4 KiB puts, and flap warms up
+// with one iteration, only when the command line leaves the flag unset; an
+// explicit value wins, the flag's own default included.
+func TestCommandDefaults(t *testing.T) {
+	cases := []struct {
+		args         []string
+		size, warmup int
+	}{
+		{[]string{"put_bw"}, 8, 200},
+		{[]string{"saturate"}, 4096, 200},
+		{[]string{"-size", "8", "saturate"}, 8, 200},
+		{[]string{"flap"}, 4096, 1},
+		{[]string{"-size", "8", "flap"}, 8, 1},
+		{[]string{"-warmup", "200", "flap"}, 4096, 200},
+		{[]string{"-size", "64", "-warmup", "5", "flap"}, 64, 5},
+	}
+	defer resetFlags(t)
+	for _, c := range cases {
+		fs := commandLine(t)
+		if err := fs.Parse(c.args); err != nil {
+			t.Fatalf("%v: %v", c.args, err)
+		}
+		if got := msgSize(fs); got != c.size {
+			t.Errorf("%v: msgSize = %d, want %d", c.args, got, c.size)
+		}
+		if got := warmup(fs); got != c.warmup {
+			t.Errorf("%v: warmup = %d, want %d", c.args, got, c.warmup)
 		}
 	}
 }

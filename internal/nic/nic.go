@@ -79,7 +79,6 @@ package nic
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"breakband/internal/arena"
 	"breakband/internal/fabric"
@@ -325,21 +324,18 @@ type NIC struct {
 	// distinguishable downstream.
 	tr *trace.Tracer
 
-	qps     map[uint32]*QP
-	byBAR   map[uint64]*QP // BAR window base -> QP
-	nextQPN uint32
-	barNext uint64
+	// qps is the QP table: every QP the NIC ever created, indexed by its
+	// QPN. QPNs never reuse, and a QP's BAR window is the QPN-th, so MMIO
+	// finds its QP by index too. live is the first QPN of the current
+	// generation: Restart moves it past every QP created so far, and a
+	// frame addressed below it is stale traffic for a wiped QP.
+	qps  []*QP
+	live uint32
 
 	// Endpoint-failure state. dead marks a crashed NIC (inbound frames
-	// discard, WQEs flush, nothing transmits); everCrashed stays set across
-	// a restart so frames addressed to a wiped pre-crash QP generation
-	// discard instead of panicking. retired accumulates the counters of
-	// QPs wiped by Restart so Stats survives the generation change;
-	// crashDiscards counts frames discarded because the NIC was dark (or
-	// addressed a wiped QP).
+	// discard, WQEs flush, nothing transmits); crashDiscards counts frames
+	// discarded because the NIC was dark (or addressed a wiped QP).
 	dead          bool
-	everCrashed   bool
-	retired       Stats
 	crashDiscards uint64
 
 	// DMA-read engine: typed continuations indexed by PCIe tag, plus the
@@ -380,9 +376,6 @@ var (
 func New(k *sim.Kernel, id int, mem *memsim.Memory, link *pcie.Link, net *topo.Fabric, cfg Config) *NIC {
 	n := &NIC{
 		k: k, id: id, mem: mem, link: link, net: net, cfg: cfg, tr: k.Tracer(),
-		qps:     make(map[uint32]*QP),
-		byBAR:   make(map[uint64]*QP),
-		barNext: pcie.BARBase,
 	}
 	n.retransmitFn = func(a any) { n.retransmit(a.(*QP)) }
 	n.ackTimeoutFn = func(a any) { n.ackTimeout(a.(*QP)) }
@@ -443,10 +436,11 @@ func (s *Stats) addQP(qp *QP) {
 	s.FlushedRecvs += qp.FlushedRecvs
 }
 
-// Stats sums the per-QP transport counters (including QP generations wiped
-// by a crash-restart) plus the NIC-level crash discards.
+// Stats sums the transport counters of every QP the NIC created
+// (including QP generations wiped by a crash-restart) plus the NIC-level
+// crash discards.
 func (n *NIC) Stats() Stats {
-	s := n.retired
+	var s Stats
 	for _, qp := range n.qps {
 		s.addQP(qp)
 	}
@@ -456,14 +450,25 @@ func (n *NIC) Stats() Stats {
 
 // QPs returns the live queue pairs in QPN order — the per-QP breakdown of
 // the transport counters the aggregate Stats sums. Generations wiped by a
-// crash-restart are only visible in the aggregate.
+// crash-restart are only visible in the aggregate. The slice is the NIC's
+// own table, capped so an append copies it.
 func (n *NIC) QPs() []*QP {
-	out := make([]*QP, 0, len(n.qps))
-	for _, qp := range n.qps {
-		out = append(out, qp)
+	return n.qps[n.live:len(n.qps):len(n.qps)]
+}
+
+// liveQP returns the live QP qpn names, or nil, counted in CrashDiscards,
+// when qpn belongs to a generation a restart wiped: stale traffic from
+// before the crash, which the caller discards. what names the frame kind
+// for the panic on a QPN the NIC never created.
+func (n *NIC) liveQP(qpn uint32, what string) *QP {
+	if int(qpn) >= len(n.qps) {
+		panic(fmt.Sprintf("nic%d: %s for unknown qp %d", n.id, what, qpn))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].QPN < out[j].QPN })
-	return out
+	if qpn < n.live {
+		n.crashDiscards++
+		return nil
+	}
+	return n.qps[qpn]
 }
 
 // QPBytes reports the host memory CreateQP reserves for one queue pair:
@@ -477,10 +482,8 @@ func QPBytes(sqDepth, cqDepth int) uint64 {
 // two). Ring memory and the doorbell record are allocated from host memory;
 // the DoorBell and BlueFlame registers from the device BAR.
 func (n *NIC) CreateQP(sqDepth, cqDepth int) *QP {
-	qpn := n.nextQPN
-	n.nextQPN++
-	base := n.barNext
-	n.barNext += barStride
+	qpn := uint32(len(n.qps))
+	base := pcie.BARBase + uint64(qpn)*barStride
 
 	dbr := n.mem.Alloc(fmt.Sprintf("nic%d.qp%d.dbr", n.id, qpn), 8, 8)
 	qp := &QP{
@@ -493,8 +496,7 @@ func (n *NIC) CreateQP(sqDepth, cqDepth int) *QP {
 		DBAddr:  base + dbOffset,
 		BFAddr:  base + bfOffset,
 	}
-	n.qps[qpn] = qp
-	n.byBAR[base] = qp
+	n.qps = append(n.qps, qp)
 	return qp
 }
 
@@ -550,13 +552,15 @@ func (n *NIC) RxTLP(t *pcie.TLP) {
 }
 
 // rxMMIO decodes a device-memory write: an 8-byte DoorBell ring or a 64-byte
-// BlueFlame PIO descriptor.
+// BlueFlame PIO descriptor. Every QP keeps its BAR window, so a write to a
+// QP a restart wiped reaches it and flushes on its error state.
 func (n *NIC) rxMMIO(t *pcie.TLP) {
-	base := pcie.BARBase + (t.Addr-pcie.BARBase)/barStride*barStride
-	qp, ok := n.byBAR[base]
-	if !ok {
+	qpn := (t.Addr - pcie.BARBase) / barStride
+	if t.Addr < pcie.BARBase || qpn >= uint64(len(n.qps)) {
 		panic(fmt.Sprintf("nic%d: MWr to unmapped BAR %#x", n.id, t.Addr))
 	}
+	qp := n.qps[qpn]
+	base := pcie.BARBase + qpn*barStride
 	switch t.Addr - base {
 	case dbOffset:
 		if len(t.Data) < 2 {
@@ -862,16 +866,10 @@ func (n *NIC) RxFrame(f *fabric.Frame) {
 // being buffered.
 func (n *NIC) rxData(f *fabric.Frame) (held bool) {
 	op := &f.Op
-	qp, ok := n.qps[op.DstQPN]
-	if !ok {
-		if n.everCrashed {
-			// A frame addressed to a QP generation wiped by crash-restart:
-			// stale traffic from before the death, silently discarded.
-			n.crashDiscards++
-			n.traceDrop(f)
-			return false
-		}
-		panic(fmt.Sprintf("nic%d: data frame for unknown qp %d", n.id, op.DstQPN))
+	qp := n.liveQP(op.DstQPN, "data frame")
+	if qp == nil {
+		n.traceDrop(f)
+		return false
 	}
 	if d := int16(f.PSN - qp.rxPSN); d != 0 {
 		if d < 0 {
@@ -1008,15 +1006,8 @@ func (n *NIC) refuse(qp *QP, f *fabric.Frame) {
 // accounting — the retry budgets are per head WQE, as on real RC
 // transports.
 func (n *NIC) rxAck(c fabric.AckInfo) {
-	qp, ok := n.qps[c.QPN]
-	if !ok {
-		if n.everCrashed {
-			n.crashDiscards++
-			return
-		}
-		panic(fmt.Sprintf("nic%d: ACK for unknown qp %d", n.id, c.QPN))
-	}
-	if qp.Errored {
+	qp := n.liveQP(c.QPN, "ACK")
+	if qp == nil || qp.Errored {
 		return
 	}
 	if n.retireThrough(qp, c.Counter) > 0 {
@@ -1087,15 +1078,8 @@ func (n *NIC) writeSendCQE(qp *QP, counter uint16, status uint8) {
 // doubling per consecutive NAK up to 32 us. When consecutive NAKs for the
 // same WQE exceed RnrRetryLimit the QP fails with an error CQE instead.
 func (n *NIC) rxNak(c fabric.AckInfo) {
-	qp, ok := n.qps[c.QPN]
-	if !ok {
-		if n.everCrashed {
-			n.crashDiscards++
-			return
-		}
-		panic(fmt.Sprintf("nic%d: RNR NAK for unknown qp %d", n.id, c.QPN))
-	}
-	if qp.Errored {
+	qp := n.liveQP(c.QPN, "RNR NAK")
+	if qp == nil || qp.Errored {
 		return
 	}
 	n.retireThrough(qp, c.Counter-1)
@@ -1128,15 +1112,8 @@ func (n *NIC) rxNak(c fabric.AckInfo) {
 // the (post-retirement) head is stale: a newer replay round already
 // covered the loss. Each accepted SeqNak counts against RetryCnt.
 func (n *NIC) rxSeqNak(c fabric.AckInfo) {
-	qp, ok := n.qps[c.QPN]
-	if !ok {
-		if n.everCrashed {
-			n.crashDiscards++
-			return
-		}
-		panic(fmt.Sprintf("nic%d: sequence NAK for unknown qp %d", n.id, c.QPN))
-	}
-	if qp.Errored {
+	qp := n.liveQP(c.QPN, "sequence NAK")
+	if qp == nil || qp.Errored {
 		return
 	}
 	n.retireThrough(qp, c.Counter-1)
@@ -1326,28 +1303,26 @@ func (n *NIC) Crash() {
 		return
 	}
 	n.dead = true
-	n.everCrashed = true
 	if n.tr != nil {
 		n.tr.Emit(trace.Event{At: n.k.Now(), Kind: trace.EvCrash, Node: int16(n.id)})
 	}
-	for _, qp := range n.qps {
+	for _, qp := range n.QPs() {
 		n.crashQP(qp)
 	}
 }
 
-// Restart brings a crashed NIC back up with its QP table wiped: the dead
-// generation's counters fold into the retired accumulator, frames still in
-// flight toward wiped QPNs discard on arrival, and recovery requires
-// fresh-epoch QPs (CreateQP/Connect again — QPNs and BAR windows never
-// reuse, so no stale frame can alias a new QP).
+// Restart brings a crashed NIC back up with its live generation wiped:
+// every QP created so far drops out of QPs, frames still in flight toward
+// its QPNs discard on arrival, and recovery requires fresh-epoch QPs
+// (CreateQP/Connect again — QPNs and BAR windows never reuse, so no stale
+// frame can alias a new QP). A wiped QP keeps its counters in Stats and
+// its BAR window: a post software still rings there flushes with
+// CQEFlushErr on the QP's error state.
 func (n *NIC) Restart() {
 	if !n.dead {
 		return
 	}
-	for _, qp := range n.qps {
-		n.retired.addQP(qp)
-	}
-	n.qps = make(map[uint32]*QP)
+	n.live = uint32(len(n.qps))
 	n.dead = false
 }
 

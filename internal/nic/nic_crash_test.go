@@ -146,3 +146,77 @@ func TestCrashFlushesPostedRecvs(t *testing.T) {
 		t.Errorf("retired FlushedRecvs = %d, want counters to survive restart", s.FlushedRecvs)
 	}
 }
+
+// TestRestartWipesLiveGeneration: a restart retires every QP created so
+// far. Frames and ACKs still in flight toward them are discarded and
+// counted in CrashDiscards, a new QP takes the next QPN and BAR window,
+// and a post software still rings on a wiped QP's BlueFlame window
+// reaches that QP and completes with CQEFlushErr.
+func TestRestartWipesLiveGeneration(t *testing.T) {
+	// write is QP qpn's idx-th one-byte RDMA write, to addr on node 1.
+	write := func(qpn uint32, idx uint16, addr uint64) *mlx.WQE {
+		return &mlx.WQE{
+			Opcode: mlx.OpRDMAWrite, Inline: true, Signaled: true,
+			WQEIdx: idx, QPN: qpn, Payload: []byte{byte(idx + 1)}, RemoteAddr: addr,
+		}
+	}
+	r := newRig(t)
+	dst := r.mem1.Alloc("dst", 64, 8)
+	// The first write is on the wire when the initiator crashes and comes
+	// back: the target accepts it, and its ACK reaches a wiped QP.
+	r.k.At(0, func() { r.pioPost(t, write(r.qp0.QPN, 0, dst.Base)) })
+	var fresh *QP
+	r.k.At(units.Nanoseconds(600), func() {
+		r.nic0.Crash()
+		r.nic0.Restart()
+		fresh = r.nic0.CreateQP(64, 256)
+	})
+	// Long after the stale ACK, software rings the wiped QP once more.
+	r.k.At(units.Microseconds(5), func() { r.pioPost(t, write(r.qp0.QPN, 1, dst.Base)) })
+	r.k.Run()
+
+	if r.qp1.RxFrames != 1 {
+		t.Fatalf("target received %d frames, want the write that left before the crash", r.qp1.RxFrames)
+	}
+	if s := r.nic0.Stats(); s.CrashDiscards != 1 {
+		t.Errorf("initiator CrashDiscards = %d, want 1 (the stale ACK)", s.CrashDiscards)
+	}
+	if fresh.QPN != r.qp0.QPN+1 || fresh.DBAddr != r.qp0.DBAddr+barStride || fresh.BFAddr != r.qp0.BFAddr+barStride {
+		t.Errorf("new QP %d at DB %#x BF %#x, want QPN %d and the next BAR window after %#x",
+			fresh.QPN, fresh.DBAddr, fresh.BFAddr, r.qp0.QPN+1, r.qp0.DBAddr)
+	}
+	if qps := r.nic0.QPs(); len(qps) != 1 || qps[0] != fresh {
+		t.Errorf("live QPs = %v, want only the new QP", qps)
+	}
+	// The wiped QP's completions: the crash's fatal CQE for the write in
+	// flight, then the flush of the post rung after the restart.
+	if r.qp0.Flushed != 1 || r.qp0.CQEsWritten != 2 {
+		t.Fatalf("wiped QP flushed %d, wrote %d CQEs; want 1 flush after the fatal CQE", r.qp0.Flushed, r.qp0.CQEsWritten)
+	}
+	for i, want := range []uint8{mlx.CQEFatalErr, mlx.CQEFlushErr} {
+		cqe, err := mlx.DecodeCQE(r.mem0.Read(r.qp0.SendCQ.EntryAddr(uint16(i)), mlx.CQESize))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cqe.Status != want || cqe.WQECounter != uint16(i) {
+			t.Errorf("CQE %d = %+v, want status %d counter %d", i, cqe, want, i)
+		}
+	}
+
+	// A data frame in flight toward a target that crashes and comes back
+	// addresses a wiped QP: it is discarded, not delivered.
+	r2 := newRig(t)
+	dst2 := r2.mem1.Alloc("dst", 64, 8)
+	r2.k.At(0, func() {
+		r2.nic1.Crash()
+		r2.nic1.Restart()
+		r2.pioPost(t, write(r2.qp0.QPN, 0, dst2.Base))
+	})
+	r2.k.Run()
+	if s := r2.nic1.Stats(); s.CrashDiscards != 1 || r2.qp1.RxFrames != 0 {
+		t.Errorf("target CrashDiscards = %d, RxFrames = %d; want the stale frame discarded", s.CrashDiscards, r2.qp1.RxFrames)
+	}
+	if got := r2.mem1.Read(dst2.Base, 1); got[0] != 0 {
+		t.Errorf("stale frame wrote %d into the target's memory", got[0])
+	}
+}

@@ -33,12 +33,14 @@ func (st *winShared) postFailed(ep *uct.Ep) bool {
 	return err != nil
 }
 
-// sender is one put_bw source: its own worker and QP into the receiver, the
-// payload it writes, and the jitter stream of its benchmark loop.
+// sender is one put_bw source: its own worker, the endpoints one iteration
+// of its loop writes to (one QP into the receiver, or an all-to-all node's
+// one QP per peer), the payload it writes, and the jitter stream of its
+// benchmark loop.
 type sender struct {
 	n    *node.Node
 	w    *uct.Worker
-	ep   *uct.Ep
+	eps  []*uct.Ep
 	msg  []byte
 	rand *rng.Rand
 	// mark, when set, collects each measured iteration's completion time
@@ -62,7 +64,7 @@ func connectSenders(sys *node.System, srcs []*node.Node, dst *node.Node, opt Opt
 		uct.Connect(ep, recvW.NewEp(opt.Mode, signalPeriod))
 		tgt := dst.Mem.Alloc(fmt.Sprintf("%s.target%d", name, i), uint64(max(opt.MsgSize, 64)), 64)
 		ep.RemoteBuf = tgt.Base
-		snd[i] = &sender{n: n, w: w, ep: ep, msg: make([]byte, opt.MsgSize), rand: n.Rand}
+		snd[i] = &sender{n: n, w: w, eps: []*uct.Ep{ep}, msg: make([]byte, opt.MsgSize), rand: n.Rand}
 	}
 	return snd, recvW
 }
@@ -83,19 +85,24 @@ func runPutLoops(sys *node.System, snd []*sender, opt Options, name string) *win
 }
 
 // putLoopFrame is the put_bw loop of one sender: the profiler calibration
-// when a scope is selected, warmup posts, the trace clear when the
-// sender's node is tapped, the measured injection loop with batched
-// polling, then an in-flight drain outside the measured window (at once
-// after a failed post). The calibration and the trace clear act on the
-// sender's own node.
+// when a scope is selected, warmup iterations, the trace clear when the
+// sender's node is tapped, the measured iterations, then an in-flight drain
+// outside the measured window (at once after a failed post). An iteration
+// posts once to each of the sender's endpoints in turn. The loop polls one
+// completion every pollBatch posts, counted from the start of each phase,
+// and pays the measurement update and loop overhead (and takes the flap
+// mark) once per measured iteration. The calibration and the trace clear
+// act on the sender's own node.
 type putLoopFrame struct {
 	cfg *config.Config
 	s   *sender
 	opt *Options
 	st  *winShared
 
-	pc int
-	i  int
+	pc    int
+	i     int // iteration within the phase
+	j     int // endpoint within the iteration
+	posts int // posts within the phase
 }
 
 func (f *putLoopFrame) Step(t *sim.Task) {
@@ -112,16 +119,19 @@ func (f *putLoopFrame) Step(t *sim.Task) {
 				continue
 			}
 			f.pc = 2
-			s.ep.StartPut(t, s.msg)
+			s.eps[f.j].StartPut(t, s.msg)
 			return
 		case 2: // after a warmup post: batched poll
-			if f.st.postFailed(s.ep) {
+			if f.st.postFailed(s.eps[f.j]) {
 				f.pc = 8
 				continue
 			}
-			f.i++
+			if f.j++; f.j == len(s.eps) {
+				f.j = 0
+				f.i++
+			}
 			f.pc = 1
-			if f.i%pollBatch == 0 {
+			if f.posts++; f.posts%pollBatch == 0 {
 				s.w.StartProgress(t)
 				return
 			}
@@ -141,7 +151,7 @@ func (f *putLoopFrame) Step(t *sim.Task) {
 				// The window opens when the last sender finishes warmup.
 				f.st.start = t.Now()
 			}
-			f.i = 0
+			f.i, f.posts = 0, 0
 			f.pc = 5
 		case 5: // measured loop head
 			if f.i >= f.opt.Iters {
@@ -152,15 +162,19 @@ func (f *putLoopFrame) Step(t *sim.Task) {
 				continue
 			}
 			f.pc = 6
-			s.ep.StartPut(t, s.msg)
+			s.eps[f.j].StartPut(t, s.msg)
 			return
 		case 6: // after a measured post: batched poll
-			if f.st.postFailed(s.ep) {
+			if f.st.postFailed(s.eps[f.j]) {
 				f.pc = 8
 				continue
 			}
-			f.pc = 7
-			if (f.i+1)%pollBatch == 0 {
+			f.pc = 5
+			if f.j++; f.j == len(s.eps) {
+				f.j = 0
+				f.pc = 7
+			}
+			if f.posts++; f.posts%pollBatch == 0 {
 				s.w.StartProgress(t)
 				return
 			}
@@ -214,27 +228,28 @@ type AllToAllResult struct {
 }
 
 // AllToAllPutBw runs opt.Iters rounds in which every node RDMA-writes one
-// message to every other node, polling a completion every pollBatch
-// posts — the uniform traffic matrix that loads every tier of a
-// multi-switch topology (cross-leaf flows share leaf-spine links in the
-// fat-tree).
+// message to every other node — the uniform traffic matrix that loads
+// every tier of a multi-switch topology (cross-leaf flows share leaf-spine
+// links in the fat-tree). Each node is one put_bw sender whose iteration
+// posts to its peers in node order, so it polls a completion every
+// pollBatch posts like every other sender.
 func AllToAllPutBw(sys *node.System, opt Options) *AllToAllResult {
 	opt.Defaults()
-	cfg := sys.Cfg
 	n := len(sys.Nodes)
 	res := &AllToAllResult{Nodes: n, MsgSize: opt.MsgSize}
 
-	workers := make([]*uct.Worker, n)
-	for i := range workers {
-		workers[i] = uct.NewWorker(sys.Nodes[i], cfg)
+	snd := make([]*sender, n)
+	for i, nd := range sys.Nodes {
+		snd[i] = &sender{n: nd, w: uct.NewWorker(nd, sys.Cfg), msg: make([]byte, opt.MsgSize), rand: nd.Rand}
 	}
 	// eps[i][j] is node i's endpoint towards node j.
 	eps := make([][]*uct.Ep, n)
-	for i := range eps {
+	for i, s := range snd {
 		eps[i] = make([]*uct.Ep, n)
 		for j := range eps[i] {
 			if i != j {
-				eps[i][j] = workers[i].NewEp(opt.Mode, signalPeriod)
+				eps[i][j] = s.w.NewEp(opt.Mode, signalPeriod)
+				s.eps = append(s.eps, eps[i][j])
 			}
 		}
 	}
@@ -247,17 +262,7 @@ func AllToAllPutBw(sys *node.System, opt Options) *AllToAllResult {
 			eps[j][i].RemoteBuf = tj.Base
 		}
 	}
-
-	st := &winShared{}
-	for i := 0; i < n; i++ {
-		f := &a2aNodeFrame{cfg: cfg, rand: sys.Nodes[i].Rand, w: workers[i], me: i, n: n, eps: eps,
-			msg: make([]byte, opt.MsgSize), opt: &opt, st: st}
-		sys.K.SpawnTask(fmt.Sprintf("a2a.node%d", i), f)
-	}
-	sys.Run()
-	if st.done != n {
-		panic(fmt.Sprintf("perftest: only %d of %d all-to-all nodes finished", st.done, n))
-	}
+	st := runPutLoops(sys, snd, opt, "a2a")
 
 	res.Err = st.err
 	res.Messages = n * (n - 1) * opt.Iters
@@ -267,102 +272,6 @@ func AllToAllPutBw(sys *node.System, opt Options) *AllToAllResult {
 	res.MaxSwitchQueue = sys.Topo().MaxSwitchQueue()
 	res.CreditStalls = sys.Topo().CreditStalls()
 	return res
-}
-
-// a2aNodeFrame is one node of the all-to-all: rounds of one put to every
-// peer with batched polling, then an in-flight drain across every peer (at
-// once after a failed post).
-type a2aNodeFrame struct {
-	cfg  *config.Config
-	rand *rng.Rand
-	w    *uct.Worker
-	me   int
-	n    int
-	eps  [][]*uct.Ep
-	msg  []byte
-	opt  *Options
-	st   *winShared
-
-	pc    int
-	r     int // round index (warmup, then measured)
-	j     int // peer index within a round
-	retPc int // state to resume after the current round
-	posts int
-}
-
-func (f *a2aNodeFrame) Step(t *sim.Task) {
-	cfg := f.cfg
-	for {
-		switch f.pc {
-		case 0: // warmup rounds head
-			if f.r >= f.opt.Warmup {
-				if t.Now() > f.st.start {
-					f.st.start = t.Now()
-				}
-				f.r = 0
-				f.pc = 4
-				continue
-			}
-			f.retPc = 1
-			f.j = 0
-			f.pc = 2
-		case 1:
-			f.r++
-			f.pc = 0
-		case 4: // measured rounds head
-			if f.r >= f.opt.Iters {
-				if t.Now() > f.st.end {
-					f.st.end = t.Now()
-				}
-				f.pc = 6
-				continue
-			}
-			f.retPc = 5
-			f.j = 0
-			f.pc = 2
-		case 5:
-			t.Advance(cfg.SW.MeasUpdate.Sample(f.rand))
-			t.Advance(cfg.SW.BenchLoop.Sample(f.rand))
-			f.r++
-			f.pc = 4
-		case 2: // one round: put to every peer
-			if f.j >= f.n {
-				f.pc = f.retPc
-				continue
-			}
-			if f.j == f.me {
-				f.j++
-				continue
-			}
-			f.pc = 3
-			f.eps[f.me][f.j].StartPut(t, f.msg)
-			return
-		case 3:
-			if f.st.postFailed(f.eps[f.me][f.j]) {
-				f.pc = 6
-				continue
-			}
-			f.posts++
-			if f.posts%pollBatch == 0 {
-				f.pc = 31
-				f.w.StartProgress(t)
-				return
-			}
-			f.j++
-			f.pc = 2
-		case 31:
-			f.j++
-			f.pc = 2
-		case 6: // drain every peer's in-flight tail
-			f.pc = 7
-			f.w.StartFlush(t)
-			return
-		case 7:
-			f.st.done++
-			t.Return()
-			return
-		}
-	}
 }
 
 // String renders the result.

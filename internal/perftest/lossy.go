@@ -3,6 +3,7 @@ package perftest
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 
 	"breakband/internal/config"
 	"breakband/internal/nic"
@@ -290,6 +291,13 @@ type FlapIncastResult struct {
 	// Err is the first transport error a post returned, nil on a complete
 	// run; the other fields are partial when it is set.
 	Err error
+	// Unmeasured, when set, names each window that falls outside the
+	// measured phase, which runs from the window start to the first
+	// sender's last mark: a rate over such a window counts iterations the
+	// run never measured, so it is not a measurement. A warmup that
+	// outlasts the pre window, or too few iterations to reach the post
+	// window, sets it.
+	Unmeasured error
 }
 
 // FlapIncastPutBw runs the incast put_bw loop over a fault schedule that
@@ -303,7 +311,8 @@ type FlapIncastResult struct {
 // the dead path and the ACK-timeout machinery replays what the flap
 // swallowed; after recovery the routes rehash back and the aggregate rate
 // must return to the pre-fault steady state. Per-iteration completion
-// timestamps split the run into pre/dip/post windows.
+// timestamps split the run into pre/dip/post windows, and Unmeasured
+// reports any window the measured phase does not cover.
 func FlapIncastPutBw(sys *node.System, senders int, opt Options) *FlapIncastResult {
 	opt.Defaults()
 	cfg := sys.Cfg
@@ -360,6 +369,19 @@ func FlapIncastPutBw(sys *node.System, senders int, opt Options) *FlapIncastResu
 	res.PreRate = rate(res.PreN, preHi-preLo)
 	res.DipRate = rate(res.DipN, fl.Up-fl.Down)
 	res.PostRate = rate(res.PostN, postEnd-postLo)
+	var outside []string
+	for _, w := range []struct {
+		name   string
+		lo, hi units.Time
+	}{{"pre", preLo, preHi}, {"dip", fl.Down, fl.Up}, {"post", postLo, postEnd}} {
+		if w.lo < st.start || w.hi > postEnd || w.lo >= w.hi {
+			outside = append(outside, fmt.Sprintf("%s %v..%v", w.name, w.lo, w.hi))
+		}
+	}
+	if outside != nil {
+		res.Unmeasured = fmt.Errorf("windows outside the measured phase %v..%v: %s",
+			st.start, postEnd, strings.Join(outside, ", "))
+	}
 	for _, s := range snd {
 		ns := s.n.NIC.Stats()
 		res.AckTimeouts += ns.AckTimeouts

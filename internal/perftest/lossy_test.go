@@ -159,4 +159,34 @@ func TestFlapIncastRecovery(t *testing.T) {
 		t.Errorf("post-recovery rate is %.0f%% of the pre-fault rate; the fabric did not return to steady state",
 			ratio*100)
 	}
+	if res.Unmeasured != nil {
+		t.Errorf("a run that measures all three windows reports %v", res.Unmeasured)
+	}
+}
+
+// TestFlapIncastUnmeasuredWindow: a run that ends before its post window
+// opens reports that window, and the dip it cuts short, as unmeasured
+// instead of passing their empty counts off as rates; the pre window it
+// did measure is not named.
+func TestFlapIncastUnmeasuredWindow(t *testing.T) {
+	sys := node.NewSystem(flapConfig([]faults.Flap{
+		{Port: "leaf1.up0", Down: units.Microseconds(100), Up: units.Microseconds(200)},
+	}), 6)
+	defer sys.Shutdown()
+	res := FlapIncastPutBw(sys, 4, Options{Iters: 200, Warmup: 1, MsgSize: 4096})
+	t.Logf("flap: %v", res)
+	if res.Err != nil {
+		t.Fatalf("transport error %v; Unmeasured must not stand in for Err", res.Err)
+	}
+	if res.Unmeasured == nil {
+		t.Fatalf("post window opens at 250us, past the run's end at %v, yet nothing is reported unmeasured", res.Elapsed)
+	}
+	msg := res.Unmeasured.Error()
+	if strings.Contains(msg, "\n") || !strings.Contains(msg, "post ") || !strings.Contains(msg, "dip ") ||
+		strings.Contains(msg, "pre ") {
+		t.Errorf("Unmeasured = %q, want one line naming the dip and post windows and not the measured pre window", msg)
+	}
+	if res.PostN != 0 || res.PreN == 0 {
+		t.Errorf("pre/post = %d/%d iterations, want a measured pre window and an empty post window", res.PreN, res.PostN)
+	}
 }

@@ -107,7 +107,7 @@ func OversubscribedPutBw(sys *node.System, senders int, opt Options) *Oversubscr
 		res.RNRNaks += e.QP().RNRNaksSent
 	}
 	for _, s := range snd {
-		qp := s.ep.QP()
+		qp := s.eps[0].QP()
 		res.Retransmits += qp.RnrRetransmits
 		res.RetryStall += qp.RnrStall
 	}

@@ -89,10 +89,10 @@ func (f *pacedPutFrame) Step(t *sim.Task) {
 				t.Advance(d)
 			}
 			f.pc = 2
-			s.ep.StartPut(t, s.msg)
+			s.eps[0].StartPut(t, s.msg)
 			return
 		case 2:
-			if f.st.postFailed(s.ep) {
+			if f.st.postFailed(s.eps[0]) {
 				f.pc = 4
 				continue
 			}

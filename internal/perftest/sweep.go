@@ -113,10 +113,10 @@ func (f *windowedFrame) Step(t *sim.Task) {
 				continue
 			}
 			f.pc = 2
-			f.s.ep.StartPut(t, f.s.msg)
+			f.s.eps[0].StartPut(t, f.s.msg)
 			return
 		case 2:
-			if err := f.s.ep.LastPost(); err != nil {
+			if err := f.s.eps[0].LastPost(); err != nil {
 				f.res.Err = err
 				f.pc = 5
 				f.s.w.StartFlush(t)

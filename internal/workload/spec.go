@@ -142,26 +142,6 @@ func (c *Cohort) ClientSrc(i int) int { return c.Src[i%len(c.Src)] }
 // ClientDst reports the destination node of the cohort's client i.
 func (c *Cohort) ClientDst(i int) int { return c.Dst[i%len(c.Dst)] }
 
-// MeanBytes reports the mean message size of the cohort's distribution.
-func (s *SizeSpec) MeanBytes() float64 {
-	switch s.Dist {
-	case SizeDistFixed:
-		return float64(s.Bytes)
-	case SizeDistUniform:
-		return float64(s.Min+s.Max) / 2
-	case SizeDistLogNormal:
-		return s.Mean
-	case SizeDistChoice:
-		var sum, w float64
-		for _, c := range s.Choices {
-			sum += float64(c.Bytes) * c.Weight
-			w += c.Weight
-		}
-		return sum / w
-	}
-	return 0
-}
-
 // MaxBytes reports an upper bound on the cohort's message size (the buffer
 // sizing bound; lognormal clamps at MaxMsgBytes).
 func (s *SizeSpec) MaxBytes() int {
