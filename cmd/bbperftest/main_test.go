@@ -44,18 +44,19 @@ func TestCheckFlags(t *testing.T) {
 		{args: []string{"-droprate", "1e-3", "-corruptrate", "1e-3", "lossy"}, ok: true},
 		{args: []string{"-flapdown", "300", "-flapup", "200", "flap"}},
 		{args: []string{"-flapdown", "100", "-flapup", "200", "flap"}, ok: true},
-		// One node holds 203 endpoints of the default memory: an incast
+		// One node holds 321 endpoints of the default memory: an incast
 		// receiver takes one per sender, a multi receiver one per core,
 		// and an all-to-all node one per peer.
-		{args: []string{"-nodes", "204", "incast"}, ok: true},
-		{args: []string{"-nodes", "205", "incast"}},
-		{args: []string{"-nodes", "250", "incast"}},
-		{args: []string{"-cores", "203", "multi"}, ok: true},
-		{args: []string{"-cores", "204", "multi"}},
-		{args: []string{"-cores", "250", "multi"}},
-		{args: []string{"-cores", "255", "sweep"}, ok: true}, // the sweep stops at 128
-		{args: []string{"-cores", "256", "sweep"}},
-		{args: []string{"-nodes", "300", "alltoall"}},
+		{args: []string{"-nodes", "322", "incast"}, ok: true},
+		{args: []string{"-nodes", "323", "incast"}},
+		{args: []string{"-nodes", "400", "incast"}},
+		{args: []string{"-cores", "321", "multi"}, ok: true},
+		{args: []string{"-cores", "322", "multi"}},
+		{args: []string{"-cores", "400", "multi"}},
+		{args: []string{"-cores", "511", "sweep"}, ok: true}, // the sweep stops at 256
+		{args: []string{"-cores", "512", "sweep"}},
+		{args: []string{"-nodes", "322", "alltoall"}, ok: true},
+		{args: []string{"-nodes", "323", "alltoall"}},
 		{args: []string{"-parallel", "-1", "sweep"}},
 		{args: []string{"-parallel", "0", "sweep"}, ok: true},
 		// lossy stamps an 8-byte sequence number in every message.

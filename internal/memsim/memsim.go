@@ -14,7 +14,11 @@
 // region's owner keeps that cost down by reusing the addresses it wrote
 // last: the uct endpoints hand out their bcopy staging slots from a LIFO
 // free list, so an endpoint backs as many slots as it ever had gather
-// sends in flight, not every slot of its send queue.
+// sends in flight, not every slot of its send queue. A ring, which writes
+// each slot in turn, costs its whole depth once a run laps it, so its
+// owner sizes it to what can be outstanding in it: each completion ring is
+// as deep as the completions software can leave unpolled (nic.CreateQP),
+// and backs no more however many completions a run writes.
 //
 // # Write watches
 //

@@ -296,10 +296,19 @@ type Ring struct {
 	EntrySize int
 }
 
-// NewRing allocates a ring in mem. Depth must be a power of two.
+// maxRingDepth is the deepest ring NewRing builds. The uint16 counters
+// wrap after 1<<16/depth passes over the ring, and Gen's owner bit
+// alternates across that wrap only when the count is even.
+const maxRingDepth = 1 << 15
+
+// NewRing allocates a ring in mem. Depth must be a power of two of at most
+// 1<<15.
 func NewRing(mem *memsim.Memory, name string, depth, entrySize int) Ring {
 	if depth <= 0 || depth&(depth-1) != 0 {
 		panic(fmt.Sprintf("mlx: ring depth %d not a power of two", depth))
+	}
+	if depth > maxRingDepth {
+		panic(fmt.Sprintf("mlx: ring depth %d above %d: the owner bit would repeat across the counter wrap", depth, maxRingDepth))
 	}
 	r := mem.Alloc(name, uint64(depth*entrySize), 64)
 	return Ring{Region: r, Depth: depth, EntrySize: entrySize}
@@ -313,10 +322,15 @@ func (r Ring) EntryAddr(i uint16) uint64 {
 	return r.Region.Base + uint64(r.Slot(i)*r.EntrySize)
 }
 
-// Gen reports the generation (ownership) value for counter i: the ring pass
-// number folded into 1..255. Zero is never produced, so freshly zeroed
-// memory is always invalid, and consecutive passes over a slot always carry
-// different generations.
+// Gen reports the generation (ownership) value for counter i: the mlx5
+// owner bit, the parity of the ring pass (the counter bit just above the
+// slot index), plus one. Zero is never produced, so freshly zeroed memory
+// is always invalid, and consecutive passes over a slot always carry
+// different generations, across the uint16 counter's wrap too (see
+// maxRingDepth).
 func (r Ring) Gen(i uint16) uint8 {
-	return uint8((int(i)/r.Depth)%255) + 1
+	if int(i)&r.Depth != 0 {
+		return 2
+	}
+	return 1
 }

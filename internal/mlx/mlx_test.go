@@ -2,6 +2,8 @@ package mlx
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -195,30 +197,49 @@ func TestRingGeometry(t *testing.T) {
 	}
 }
 
+// TestRingGen: the generation is never zero, and consecutive passes over a
+// slot always carry different generations, for every depth NewRing accepts
+// and across the uint16 counter's wrap, where a stale CQE from the last
+// pass before the wrap must not read as valid in the first pass after it.
 func TestRingGen(t *testing.T) {
-	mem := memsim.New(1 << 20)
-	r := NewRing(mem, "cq", 4, CQESize)
-	// Generation is never zero and consecutive passes over a slot always
-	// differ — including across the uint16 counter's full range.
-	for i := 0; i < 1<<16; i += 4 {
-		g := r.Gen(uint16(i))
-		if g == 0 {
-			t.Fatalf("generation 0 at counter %d", i)
-		}
-		if next := r.Gen(uint16(i + 4)); next == g && i+4 < 1<<16 {
-			t.Fatalf("consecutive passes share generation %d at counter %d", g, i)
+	mem := memsim.New(1 << 23)
+	for depth := 1; depth <= maxRingDepth; depth *= 2 {
+		r := NewRing(mem, fmt.Sprintf("cq%d", depth), depth, CQESize)
+		for i := 0; i < 1<<16; i++ {
+			g := r.Gen(uint16(i))
+			if g == 0 {
+				t.Fatalf("depth %d: generation 0 at counter %d", depth, i)
+			}
+			if next := r.Gen(uint16(i + depth)); next == g {
+				t.Fatalf("depth %d: counters %d and %d, one pass apart, share generation %d",
+					depth, i, uint16(i+depth), g)
+			}
 		}
 	}
 }
 
+// TestNewRingValidation: a depth that is not a power of two panics, and so
+// does one of 1<<16, where the uint16 counter wraps after one pass and
+// every pass would carry the same generation.
 func TestNewRingValidation(t *testing.T) {
-	mem := memsim.New(1 << 20)
-	defer func() {
-		if recover() == nil {
-			t.Error("non-power-of-two depth did not panic")
-		}
-	}()
-	NewRing(mem, "bad", 100, WQESize)
+	mem := memsim.New(1 << 23)
+	NewRing(mem, "deepest", maxRingDepth, CQESize)
+	for _, c := range []struct {
+		depth int
+		want  string
+	}{
+		{100, "power of two"},
+		{2 * maxRingDepth, "owner bit"},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), c.want) {
+					t.Errorf("depth %d panicked with %v, want %q", c.depth, r, c.want)
+				}
+			}()
+			NewRing(mem, "bad", c.depth, CQESize)
+		}()
+	}
 }
 
 func TestOpcodeStrings(t *testing.T) {

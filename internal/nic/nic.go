@@ -473,15 +473,25 @@ func (n *NIC) liveQP(qpn uint32, what string) *QP {
 
 // QPBytes reports the host memory CreateQP reserves for one queue pair:
 // the doorbell record, padded to the rings' 64-byte alignment, the send
-// queue ring and the two completion rings.
-func QPBytes(sqDepth, cqDepth int) uint64 {
-	return 64 + uint64(sqDepth)*mlx.WQESize + 2*uint64(cqDepth)*mlx.CQESize
+// queue ring, the send completion ring of the same depth and the receive
+// completion ring of rqDepth entries.
+func QPBytes(sqDepth, rqDepth int) uint64 {
+	return 64 + uint64(sqDepth)*(mlx.WQESize+mlx.CQESize) + uint64(rqDepth)*mlx.CQESize
 }
 
 // CreateQP allocates a queue pair with the given ring depths (powers of
 // two). Ring memory and the doorbell record are allocated from host memory;
 // the DoorBell and BlueFlame registers from the device BAR.
-func (n *NIC) CreateQP(sqDepth, cqDepth int) *QP {
+//
+// Each completion ring is as deep as the completions that can be
+// outstanding in it. Every send CQE retires at least one WQE, error and
+// flush CQEs included, and software frees a send-queue entry only when it
+// polls the CQE that retires it, so the send CQ takes the send queue's
+// depth. Every receive CQE, flushes included, consumes one receive credit,
+// so the receive CQ takes rqDepth, the most credits software holds posted
+// or consumed but unpolled. A CQE written past either bound would
+// overwrite one software has not polled yet.
+func (n *NIC) CreateQP(sqDepth, rqDepth int) *QP {
 	qpn := uint32(len(n.qps))
 	base := pcie.BARBase + uint64(qpn)*barStride
 
@@ -490,8 +500,8 @@ func (n *NIC) CreateQP(sqDepth, cqDepth int) *QP {
 		nic:     n,
 		QPN:     qpn,
 		SQ:      mlx.NewRing(n.mem, fmt.Sprintf("nic%d.qp%d.sq", n.id, qpn), sqDepth, mlx.WQESize),
-		SendCQ:  mlx.NewRing(n.mem, fmt.Sprintf("nic%d.qp%d.scq", n.id, qpn), cqDepth, mlx.CQESize),
-		RecvCQ:  mlx.NewRing(n.mem, fmt.Sprintf("nic%d.qp%d.rcq", n.id, qpn), cqDepth, mlx.CQESize),
+		SendCQ:  mlx.NewRing(n.mem, fmt.Sprintf("nic%d.qp%d.scq", n.id, qpn), sqDepth, mlx.CQESize),
+		RecvCQ:  mlx.NewRing(n.mem, fmt.Sprintf("nic%d.qp%d.rcq", n.id, qpn), rqDepth, mlx.CQESize),
 		DBRAddr: dbr.Base,
 		DBAddr:  base + dbOffset,
 		BFAddr:  base + bfOffset,
@@ -678,13 +688,16 @@ func (qp *QP) flushRungWQEs() {
 // fetchNextWQE starts the next descriptor fetch if none is in flight. The
 // drain is iterative: each completion event (onWQEFetched/onPayloadFetched)
 // executes the descriptor and calls back here to issue the next read, so a
-// deep doorbell batch costs constant stack regardless of depth.
+// deep doorbell batch costs constant stack regardless of depth. On a dead
+// NIC it flushes the rung descriptors instead, but only once no fetch is
+// in flight: the fetch's completion flushes its own descriptor first, so
+// the flush CQEs keep counter order.
 func (qp *QP) fetchNextWQE() {
-	if qp.nic.dead {
-		qp.flushRungWQEs()
+	if qp.fetching || qp.fetchNext == qp.doorbellPI {
 		return
 	}
-	if qp.fetching || qp.fetchNext == qp.doorbellPI {
+	if qp.nic.dead {
+		qp.flushRungWQEs()
 		return
 	}
 	qp.fetching = true

@@ -7,6 +7,7 @@ import (
 	"breakband/internal/fabric"
 	"breakband/internal/node"
 	"breakband/internal/topo"
+	"breakband/internal/uct"
 )
 
 // oversubConfig builds a single-switch NoiseOff configuration with the
@@ -118,30 +119,35 @@ func TestOversubscribedBudgetOneLockstep(t *testing.T) {
 }
 
 // TestOversubscribedResidentBytes measures host bytes per node on the
-// 8-node fat-tree incast. The endpoints allocate a 4 KiB staging slot per
-// send-queue entry and 64 receive slots each, but a run backs only the
-// staging slots an endpoint had in flight at once (all of them here: each
-// sender keeps its send queue full), the receive slots it cycles through,
-// the rings and the doorbell records, so the resident pages must stay
-// below a quarter of the allocated span.
+// 8-node fat-tree incast. Each sender keeps its send queue full, so its
+// endpoint backs all SQDepth of its 4 KiB staging slots. Beyond those the
+// run backs only the receive slots the receiver cycles through, its
+// targets, the doorbell records and the completion ring pages the
+// completions reached: 56 pages over the eight nodes. The allowance is 60
+// pages; with 4,096-entry completion rings, each backing one more page per
+// 64 completions written, the same run backed 63.
 func TestOversubscribedResidentBytes(t *testing.T) {
+	const (
+		senders    = 7
+		page       = 4096
+		allowPages = 60
+	)
 	cfg := config.TX2CX4(config.NoiseOff, 1, true)
 	cfg.Topology = topo.Spec{Kind: topo.FatTree}
 	cfg.NICRxBudget = 8
 	sys := node.NewSystem(cfg, 8)
 	defer sys.Shutdown()
-	OversubscribedPutBw(sys, 7, Options{Iters: 200, Warmup: 20, MsgSize: 4096})
-	var resident, span uint64
+	OversubscribedPutBw(sys, senders, Options{Iters: 200, Warmup: 20, MsgSize: 4096})
+	var resident uint64
 	for _, nd := range sys.Nodes {
 		resident += nd.Mem.Resident()
-		if regs := nd.Mem.Regions(); len(regs) > 0 {
-			span += regs[len(regs)-1].End()
-		}
 	}
-	t.Logf("resident %d B of a %d B allocated span over %d nodes (%d B/node)",
-		resident, span, len(sys.Nodes), resident/uint64(len(sys.Nodes)))
-	if resident == 0 || resident >= span/4 {
-		t.Errorf("resident %d B, want nonzero and below a quarter of the %d B allocated span", resident, span)
+	staging := uint64(senders * uct.SQDepth * uct.MaxBcopy)
+	t.Logf("resident %d B over %d nodes: %d B of staging slots in flight and %d pages more",
+		resident, len(sys.Nodes), staging, (resident-staging)/page)
+	if resident < staging || resident-staging > allowPages*page {
+		t.Errorf("resident %d B, want the %d B of staging slots in flight and at most %d pages more",
+			resident, staging, allowPages)
 	}
 }
 

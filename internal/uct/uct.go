@@ -26,7 +26,10 @@
 // until the CQE that retires it is polled, and the next post reuses the
 // slot freed last. The host backs a slot's page only once it is written
 // (internal/memsim), so an endpoint costs the pages of the most gather
-// sends it ever had in flight at once.
+// sends it ever had in flight at once. Its completion rings are as deep as
+// the completions that can be outstanding in them, SQDepth and RQDepth
+// entries (see nic.CreateQP), so however many completions a run writes
+// they back at most 8 and 32 KiB.
 //
 // Every post attempt, its §4.1 stages (md_setup, barrier_md, barrier_dbc,
 // pio_copy) and every poll begin their scope on the node's profiler
@@ -310,20 +313,28 @@ const replenishBatch = 64
 
 // Queue sizes of every endpoint's QP (powers of two). The send queue is
 // shallower than the OSU message-rate window, so a realistic share of that
-// benchmark's posts go busy, reproducing the paper's Misc term (§6).
+// benchmark's posts go busy, reproducing the paper's Misc term (§6). Its
+// completion ring takes the same depth (nic.CreateQP).
+//
+// RQDepth is the most receive credits an endpoint may hold, posted or
+// consumed but not yet polled, and the depth of its receive completion
+// ring: each receive CQE consumes one credit, so the ring never holds more
+// unpolled entries. The OSU message rate posts 512, the most of any
+// driver.
 const (
 	SQDepth = 128
-	CQDepth = 4096
+	RQDepth = 512
 )
 
 // EpBytes reports the host memory NewEp reserves on its worker's node: the
 // QP (nic.QPBytes), one MaxBcopy staging slot per send-queue entry and the
 // receive pool. A node's memory (node.MemBytes) bounds how many endpoints
 // it can hold. Of the staging slots, the host backs only as many as the
-// endpoint ever had gather sends in flight at once (see the package
+// endpoint ever had gather sends in flight at once, and of the completion
+// rings only the pages its completions reached (see the package
 // documentation).
 func EpBytes() uint64 {
-	return nic.QPBytes(SQDepth, CQDepth) + MaxBcopy*SQDepth + MaxBcopy*recvPoolSlots
+	return nic.QPBytes(SQDepth, RQDepth) + MaxBcopy*SQDepth + MaxBcopy*recvPoolSlots
 }
 
 // EpTargetBytes reports the host memory a node gives one endpoint that a
@@ -338,7 +349,7 @@ func (w *Worker) NewEp(mode PostMode, signalPeriod int) *Ep {
 	if signalPeriod < 1 {
 		signalPeriod = 1
 	}
-	qp := w.Node.NIC.CreateQP(SQDepth, CQDepth)
+	qp := w.Node.NIC.CreateQP(SQDepth, RQDepth)
 	st := w.Node.Mem.Alloc(fmt.Sprintf("uct.ep%d.staging", qp.QPN), MaxBcopy*SQDepth, 64)
 	pool := w.Node.Mem.Alloc(fmt.Sprintf("uct.ep%d.rxpool", qp.QPN), MaxBcopy*recvPoolSlots, 64)
 	ep := &Ep{w: w, qp: qp, Mode: mode, SignalPeriod: signalPeriod, staging: st.Base, recvPool: pool.Base}
@@ -429,7 +440,14 @@ func (f *recvsFrame) Step(t *sim.Task) {
 	}
 }
 
+// postOneRecv posts one receive credit, held until the CQE that consumes
+// it is polled. One past RQDepth could overwrite a completion not yet
+// polled, so it panics.
 func (e *Ep) postOneRecv() {
+	if e.recvOrder.Len() == RQDepth {
+		panic(fmt.Sprintf("uct: qp %d: receive credit %d past RQDepth (%d): an endpoint holds at most RQDepth credits, posted or consumed but unpolled",
+			e.qp.QPN, RQDepth+1, RQDepth))
+	}
 	addr := e.recvPool + uint64(e.recvSlot%recvPoolSlots)*MaxBcopy
 	e.recvSlot++
 	e.recvOrder.Push(addr)

@@ -2,6 +2,8 @@ package uct
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -347,8 +349,8 @@ func TestEpBytesMatchesAllocation(t *testing.T) {
 // masking a producer counter, and an endpoint numbers its staging slots,
 // one per send-queue entry, plus one in a uint8.
 func TestSQDepthIsPowerOfTwo(t *testing.T) {
-	if SQDepth&(SQDepth-1) != 0 || CQDepth&(CQDepth-1) != 0 {
-		t.Errorf("queue depths %d and %d must be powers of two", SQDepth, CQDepth)
+	if SQDepth&(SQDepth-1) != 0 || RQDepth&(RQDepth-1) != 0 {
+		t.Errorf("queue depths %d and %d must be powers of two", SQDepth, RQDepth)
 	}
 	if SQDepth >= 256 {
 		t.Errorf("send-queue depth %d: staging slot numbers overflow a uint8", SQDepth)
@@ -899,4 +901,205 @@ func TestStagingPagesFollowInFlight(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCompletionRingsBackOutstandingOnly: however many completions a run
+// writes, a send CQ backs at most SQDepth 64-byte entries and a receive CQ
+// at most RQDepth, the completions that can be outstanding in each, plus
+// one 4 KiB page: a ring need not start on a page boundary, so its span
+// may cover one page more than its size fills. A ring deeper than that
+// backs one more page per 64 completions until it is fully backed.
+func TestCompletionRingsBackOutstandingOnly(t *testing.T) {
+	const n = 4 * RQDepth
+	sys, w0, w1, e0, e1 := harness(t)
+	defer sys.Shutdown()
+	got := 0
+	w1.SetAmHandler(7, func(*sim.Task, []byte) { got++ })
+	simtest.Start(sys.K, "rx",
+		func(tk *sim.Task) { e1.StartPostRecvs(tk, 64) },
+		simtest.While(func() bool { return got < n }, w1.StartProgress))
+	sent := 0
+	simtest.Start(sys.K, "tx",
+		func(tk *sim.Task) { tk.Advance(units.Microsecond) }, // let receives post
+		simtest.While(func() bool { return sent < n },
+			func(tk *sim.Task) { e0.StartAm(tk, 7, make([]byte, 8)) },
+			func(*sim.Task) { sent++ }),
+		drain(w0, e0))
+	sys.Run()
+	if w0.Stats.SendCQEs != n || w1.Stats.RecvCQEs != n {
+		t.Fatalf("polled %d send and %d receive completions, want %d each", w0.Stats.SendCQEs, w1.Stats.RecvCQEs, n)
+	}
+	const page = 4096
+	if got, max := sys.Nodes[0].Mem.ResidentIn(e0.qp.SendCQ.Region), uint64(SQDepth*mlx.CQESize+page); got > max {
+		t.Errorf("after %d send completions the send CQ backs %d B, want at most %d (SQDepth entries)", n, got, max)
+	}
+	if got, max := sys.Nodes[1].Mem.ResidentIn(e1.qp.RecvCQ.Region), uint64(RQDepth*mlx.CQESize+page); got > max {
+		t.Errorf("after %d receive completions the receive CQ backs %d B, want at most %d (RQDepth entries)", n, got, max)
+	}
+}
+
+// sendRetireLog checks, from a worker's send completion callback, that
+// every send CQE retires at least one WQE and exactly the ones after those
+// already retired: no WQE retires twice or out of order.
+type sendRetireLog struct {
+	t       *testing.T
+	next    uint16 // the counter the next CQE must retire first
+	retired int
+	errs    int
+}
+
+func (l *sendRetireLog) onSend(_ *sim.Task, ep *Ep, n int, err error) {
+	if n < 1 || n > SQDepth || ep.completed-uint16(n) != l.next {
+		l.t.Errorf("a CQE retired %d WQEs through counter %d; the next to retire was %d", n, ep.completed-1, l.next)
+	}
+	l.next = ep.completed
+	l.retired += n
+	if err != nil {
+		l.errs++
+	}
+}
+
+// TestFullSendQueueRetiresInOrder fills the send queue with signaled posts
+// and leaves their completions unpolled, so the send CQ holds SQDepth
+// unpolled CQEs, its worst case. Polled, they retire every WQE once, in
+// order, over three laps of the ring; and so do they when the local NIC
+// crashes in the middle of a lap, with OK, fatal-error and flush CQEs in
+// the ring, on either post path (a doorbell post the NIC has not fetched
+// is flushed by the driver).
+func TestFullSendQueueRetiresInOrder(t *testing.T) {
+	for _, mode := range []PostMode{PIOInline, DoorbellGather} {
+		t.Run(mode.String(), func(t *testing.T) {
+			sys, w0, _, e0, _ := harness(t)
+			defer sys.Shutdown()
+			e0.Mode = mode
+			e0.RemoteBuf = sys.Nodes[1].Mem.Alloc("dst", 64, 64).Base
+			log := &sendRetireLog{t: t}
+			w0.SetSendCompletion(log.onSend)
+			qp := e0.QP()
+			data := make([]byte, 8)
+			post := func(k int) simtest.Step {
+				i := 0
+				return simtest.While(func() bool { return i < k },
+					putShort(e0, data),
+					func(*sim.Task) {
+						if err := e0.LastPost(); err != nil {
+							t.Fatalf("post %d: %v", i, err)
+						}
+						i++
+					})
+			}
+			wait := func(tk *sim.Task) { tk.Advance(units.Millisecond) }
+			// poll polls until every post is retired, at most SQDepth+1
+			// times, so a lost CQE ends the loop instead of spinning on it.
+			poll := func() simtest.Step {
+				polls := 0
+				return simtest.While(func() bool { return e0.InFlight() > 0 && polls <= SQDepth },
+					w0.StartProgress, func(*sim.Task) { polls++ })
+			}
+			full := func(*sim.Task) {
+				if unpolled := qp.CQEsWritten - w0.Stats.SendCQEs; unpolled != SQDepth || e0.FreeSlots() != 0 {
+					t.Errorf("%d CQEs unpolled with %d free slots, want a full queue's %d", unpolled, e0.FreeSlots(), SQDepth)
+				}
+			}
+			var steps []simtest.Step
+			for i := 0; i < 3; i++ {
+				steps = append(steps, post(SQDepth), wait, full, poll())
+			}
+			// The crash lap: half the queue completes OK, a quarter is in
+			// flight when the NIC dies (one fatal CQE, or flushes for what
+			// it never fetched), the last quarter is posted to the dead NIC.
+			crash := func(*sim.Task) { sys.Nodes[0].NIC.Crash() }
+			steps = append(steps, post(SQDepth/2), wait, post(SQDepth/4), crash, post(SQDepth/4), wait, poll(),
+				w0.StartProgress,
+				func(*sim.Task) {
+					if n := w0.LastProgress(); n != 0 {
+						t.Errorf("the poll after the last completion retired %d WQEs, want an empty poll", n)
+					}
+				})
+			simtest.Start(sys.K, "tx", steps...)
+			sys.Run()
+			if posted := 4 * SQDepth; log.retired != posted || e0.InFlight() != 0 {
+				t.Errorf("%d posts, %d retired, %d still in flight", posted, log.retired, e0.InFlight())
+			}
+			if log.errs == 0 || e0.Err == nil {
+				t.Error("the crash lap retired nothing with an error CQE")
+			}
+			if w0.Stats.SendCQEs != qp.CQEsWritten {
+				t.Errorf("polled %d send CQEs of the %d written", w0.Stats.SendCQEs, qp.CQEsWritten)
+			}
+		})
+	}
+}
+
+// TestRQDepthInboundUnpolled: with RQDepth receives posted, RQDepth
+// inbound active messages left unpolled fill the receive CQ. Polled, they
+// deliver in order, over two laps of the ring; and while the endpoint
+// holds RQDepth credits, posted or consumed but unpolled, one more panics.
+func TestRQDepthInboundUnpolled(t *testing.T) {
+	sys, w0, w1, e0, e1 := harness(t)
+	defer sys.Shutdown()
+	var got []uint64
+	w1.SetAmHandler(7, func(_ *sim.Task, data []byte) { got = append(got, binary.LittleEndian.Uint64(data)) })
+	sent := uint64(0)
+	// sendLap sends RQDepth active messages numbered on from the last lap
+	// and drains the sender; the receiver does not poll.
+	sendLap := func() {
+		end := sent + RQDepth
+		simtest.Start(sys.K, "tx",
+			simtest.While(func() bool { return sent < end },
+				func(tk *sim.Task) {
+					b := make([]byte, 8)
+					binary.LittleEndian.PutUint64(b, sent)
+					e0.StartAm(tk, 7, b)
+				},
+				func(*sim.Task) {
+					if err := e0.LastPost(); err != nil {
+						t.Fatalf("am %d: %v", sent, err)
+					}
+					sent++
+				}),
+			drain(w0, e0))
+		sys.Run()
+		if unpolled := e1.qp.CQEsWritten - w1.Stats.RecvCQEs; unpolled != RQDepth || e1.recvOrder.Len() != RQDepth {
+			t.Fatalf("%d receive CQEs unpolled, %d credits held; want RQDepth (%d) of each", unpolled, e1.recvOrder.Len(), RQDepth)
+		}
+	}
+	// pollLap polls the receiver until every message sent is delivered,
+	// at most RQDepth+1 times, so a lost CQE ends the loop.
+	pollLap := func() {
+		polls := 0
+		simtest.Start(sys.K, "rx", simtest.While(func() bool { return uint64(len(got)) < sent && polls <= RQDepth },
+			w1.StartProgress, func(*sim.Task) { polls++ }))
+		sys.Run()
+		for i, v := range got {
+			if v != uint64(i) {
+				t.Fatalf("delivery %d carried message %d: out of order", i, v)
+			}
+		}
+		if uint64(len(got)) != sent {
+			t.Fatalf("%d of %d messages delivered", len(got), sent)
+		}
+	}
+
+	simtest.Start(sys.K, "rx", func(tk *sim.Task) { e1.StartPostRecvs(tk, RQDepth) })
+	sys.Run()
+	sendLap()
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "RQDepth") {
+				t.Errorf("credit %d panicked with %v, want the RQDepth rule", RQDepth+1, r)
+			}
+		}()
+		e1.postOneRecv()
+	}()
+	pollLap()
+	sendLap()
+	pollLap()
+	// No CQE of the last lap reads as valid again: the next poll is empty.
+	simtest.Start(sys.K, "rx", w1.StartProgress, func(*sim.Task) {
+		if n := w1.LastProgress(); n != 0 {
+			t.Errorf("the poll after the last delivery retired %d, want an empty poll", n)
+		}
+	})
+	sys.Run()
 }

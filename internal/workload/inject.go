@@ -242,8 +242,15 @@ func (b *builder) newInjector(ci int32, c *Cohort, src int, opt RunOpt, rec *Tra
 	}
 
 	// Generate mode: seed one clientState per cohort client homed on this
-	// source. Each client's first arrival is its stream's first draw from
-	// the cohort start.
+	// source, in a slice sized once for them. Each client's first arrival
+	// is its stream's first draw from the cohort start.
+	homed := 0
+	for i := 0; i < c.Clients; i++ {
+		if c.ClientSrc(i) == src {
+			homed++
+		}
+	}
+	f.heap.clients = make([]clientState, 0, homed)
 	for i := 0; i < c.Clients; i++ {
 		if c.ClientSrc(i) != src {
 			continue

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"breakband/internal/config"
+	"breakband/internal/node"
+	"breakband/internal/uct"
 	"breakband/internal/units"
 )
 
@@ -122,13 +124,13 @@ func TestParseSpecErrors(t *testing.T) {
 		}
 		return strings.Replace(validYAML, old, new, 1)
 	}
-	// 299 senders into node 0: its receive endpoints and targets overflow
-	// its host memory.
-	srcs := make([]string, 299)
+	// One sender more into node 0 than its host memory holds receive
+	// endpoints and 64-byte targets for.
+	srcs := make([]string, node.MemBytes/uct.EpTargetBytes(64)+1)
 	for i := range srcs {
 		srcs[i] = strconv.Itoa(i + 1)
 	}
-	overfull := strings.NewReplacer("nodes: 8", "nodes: 300",
+	overfull := strings.NewReplacer("nodes: 8", "nodes: "+strconv.Itoa(len(srcs)+1),
 		"src: [1, 2, 3, 4, 5, 6, 7]", "src: ["+strings.Join(srcs, ", ")+"]").Replace(validYAML)
 	// pico is a 2-node spec with one 8-byte cohort, for the bounds the
 	// picosecond arrival clock sets.
