@@ -51,9 +51,10 @@
 //	                                  # fat-tree, five invariants per seed
 //	bbperftest -workload spec.yaml workload
 //	                                  # declarative open-loop traffic: client
-//	                                  # cohorts with Poisson/Gamma/Weibull
-//	                                  # arrivals, per-cohort goodput, latency
-//	                                  # percentiles and stall attribution
+//	                                  # cohorts with Poisson/Gamma/Weibull/
+//	                                  # periodic arrivals, per-cohort goodput,
+//	                                  # latency percentiles and stall
+//	                                  # attribution
 //	bbperftest -workload spec.yaml -record t.trace workload
 //	                                  # record every offered message; replay
 //	                                  # it bit-identically with -replay
@@ -80,7 +81,7 @@ import (
 )
 
 var (
-	flagIters    = flag.Int("iters", 2000, "measured iterations")
+	flagIters    = flag.Int("iters", 2000, "measured iterations (saturate: messages per sender at each load)")
 	flagWarmup   = flag.Int("warmup", 200, "warmup iterations (flap: 1 when unset)")
 	flagSize     = flag.Int("size", 8, "message size in bytes, 1 to 4096 (inline short path up to 32, buffered copy above; flap and saturate: 4096 when unset)")
 	flagMode     = flag.String("mode", "pio-inline", "descriptor path: pio-inline, doorbell-inline, doorbell-gather")
@@ -93,8 +94,8 @@ var (
 	flagRadix    = flag.Int("radix", 0, "fat-tree switch radix (0 = smallest that fits)")
 	flagCredits  = flag.Int("credits", 0, "per-link credit budget in frames (0 = default)")
 	flagRxBudget = flag.Int("rxbudget", 0, "NIC receive pend budget in frames; overflow is RNR-NAKed (0 = unbounded)")
-	flagDropRate = flag.Float64("droprate", 0, "lossy: per-frame Bernoulli drop probability (0 with -corruptrate 0 = sweep the default ladder)")
-	flagCorrupt  = flag.Float64("corruptrate", 0, "lossy: per-frame Bernoulli corruption probability")
+	flagDropRate = flag.Float64("droprate", 0, "per-frame Bernoulli drop probability on every link (lossy: 0 with -corruptrate 0 = sweep the default ladder)")
+	flagCorrupt  = flag.Float64("corruptrate", 0, "per-frame Bernoulli corruption probability on every link")
 	flagFlapPort = flag.String("flapport", "leaf1.up0", "flap: switch port to take down")
 	flagFlapDown = flag.Float64("flapdown", 100, "flap: link-down time in microseconds")
 	flagFlapUp   = flag.Float64("flapup", 200, "flap: link-restore time in microseconds")
@@ -253,7 +254,7 @@ func main() {
 		// analytic saturation point); each step is a fresh system fanned
 		// out on the -parallel pool.
 		loads := []float64{0.6, 0.8, 1.0, 1.2, 1.4}
-		res := perftest.SaturationSweep(mkSys, 0, loads, opt, *flagParallel)
+		res := perftest.SaturationSweep(mkSys, 0, loads, opt.MsgSize, opt.Iters, *flagParallel)
 		exitOnErr(test, res.Err)
 		fmt.Print(res.Format())
 	case "workload":
@@ -286,6 +287,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "bbperftest:", err)
 			os.Exit(1)
 		}
+		exitOnErr(test, res.Err())
 		fmt.Print(perftest.FormatWorkload(res, sys))
 		if *flagRecord != "" {
 			if err := res.Trace.WriteFile(*flagRecord); err != nil {
@@ -348,7 +350,7 @@ var commandFlags = map[string]string{
 	"sweep":    sysFlags + postFlags + "cores parallel",
 	"incast":   sysFlags + postFlags + "trace",
 	"alltoall": sysFlags + postFlags + "trace",
-	"saturate": sysFlags + postFlags + "parallel",
+	"saturate": sysFlags + "iters size parallel",
 	"lossy":    sysFlags + "iters size mode trace",
 	"flap":     sysFlags + postFlags + "flapport flapdown flapup trace",
 	"chaos":    "noise seed seeds",

@@ -66,7 +66,7 @@ func TestCheckFlags(t *testing.T) {
 		// explicit -size 8 is not its unset 4 KiB default.
 		{args: []string{"-size", "2048", "saturate"}},
 		{args: []string{"-size", "2049", "saturate"}, ok: true},
-		{args: []string{"-size", "8", "-iters", "100", "-warmup", "10", "-parallel", "1", "saturate"}},
+		{args: []string{"-size", "8", "-iters", "100", "-parallel", "1", "saturate"}},
 		{args: []string{"-size", "8", "flap"}, ok: true},
 		// A flag the command does not read is an error, not ignored.
 		{args: []string{"-record", "/tmp/t.trace", "put_bw"}, flag: "-record"},
@@ -82,6 +82,10 @@ func TestCheckFlags(t *testing.T) {
 		{args: []string{"-warmup", "999", "lossy"}, flag: "-warmup"},
 		{args: []string{"-seeds", "1", "-warmup", "7", "-iters", "33", "chaos"}, flag: "-iters"},
 		{args: []string{"-workload", "spec.yaml", "saturate"}, flag: "-workload"},
+		// saturate runs no warmup, and its bcopy-sized messages take the
+		// same path in every descriptor mode.
+		{args: []string{"-warmup", "100", "saturate"}, flag: "-warmup"},
+		{args: []string{"-mode", "doorbell-gather", "saturate"}, flag: "-mode"},
 		// -radix sizes a fat-tree, and -trace exports one system's run.
 		{args: []string{"-radix", "8", "-topology", "switch", "put_bw"}, flag: "-radix"},
 		{args: []string{"-radix", "8", "alltoall"}, flag: "-radix"},

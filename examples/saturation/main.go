@@ -1,17 +1,17 @@
 // Saturation: find the knee of a fat-tree incast and explain it.
 //
-// Five senders on a two-tier fat-tree aim 4 KiB RDMA writes at node 0
-// while the offered load steps across the predicted bottleneck — the
-// slower of the receiver downlink's wire serialization and its PCIe write
-// cycle (which gates the final hop's credit loop even without an rx
-// budget). The sweep (perftest.SaturationSweep) runs each load step on a
-// fresh traced system and reports delivered vs offered rate, the hot
-// port's utilization and queue-depth percentiles, and the per-layer stall
-// shares from trace attribution. The walkthrough then renders the knee
-// curve as an ASCII chart and deep-dives one saturating closed-loop run
-// with the full stall-attribution table, whose components must sum
-// exactly to the measured latency (the conservation invariant the tests
-// pin).
+// Five senders on a two-tier fat-tree aim 4 KiB RDMA writes at node 0 while
+// the offered load steps across the predicted bottleneck — the slower of
+// the receiver downlink's wire serialization and its PCIe write cycle
+// (which gates the final hop's credit loop even without an rx budget). The
+// sweep (perftest.SaturationSweep) runs each load step on a fresh traced
+// system, as one periodic cohort of the workload injector, and reports
+// delivered vs offered rate, the hot port's utilization and queue-depth
+// percentiles, and the per-layer stall shares from trace attribution. The
+// walkthrough then renders the knee curve as an ASCII chart and deep-dives
+// one saturating closed-loop run with the full stall-attribution table,
+// whose components must sum exactly to the measured latency (the
+// conservation invariant the tests pin).
 //
 //	go run ./examples/saturation
 package main
@@ -29,6 +29,7 @@ import (
 const (
 	nodes   = 6
 	msgSize = 4096
+	iters   = 500 // messages per sender at each load step
 )
 
 func mkSys() *node.System {
@@ -41,11 +42,10 @@ func mkSys() *node.System {
 }
 
 func main() {
-	opt := perftest.Options{Iters: 400, Warmup: 100, MsgSize: msgSize}
 	loads := []float64{0.5, 0.7, 0.9, 1.0, 1.1, 1.3, 1.5}
 
 	fmt.Println("== load sweep across the predicted bottleneck ==")
-	res := perftest.SaturationSweep(mkSys, 0, loads, opt, 0)
+	res := perftest.SaturationSweep(mkSys, 0, loads, msgSize, iters, 0)
 	fmt.Print(res.Format())
 	fmt.Println()
 
@@ -61,7 +61,7 @@ func main() {
 	fmt.Println("== deep dive: stall attribution of a saturating closed-loop incast ==")
 	sys := mkSys()
 	defer sys.Shutdown()
-	ires := perftest.OversubscribedPutBw(sys, 0, opt)
+	ires := perftest.OversubscribedPutBw(sys, 0, perftest.Options{Iters: 400, Warmup: 100, MsgSize: msgSize})
 	fmt.Println(ires)
 	rep := perftest.StallReport(sys)
 	fmt.Print(rep.Format())

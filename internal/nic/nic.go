@@ -680,7 +680,7 @@ func (qp *QP) ringDoorbell(newPI uint16) {
 func (qp *QP) flushRungWQEs() {
 	for qp.fetchNext != qp.doorbellPI {
 		qp.Flushed++
-		qp.nic.hostWriteSendCQE(qp, qp.fetchNext, mlx.CQEFlushErr)
+		qp.nic.writeSendCQE(qp, qp.fetchNext, mlx.CQEFlushErr)
 		qp.fetchNext++
 	}
 }
@@ -725,7 +725,7 @@ func (qp *QP) onWQEFetched(data []byte) {
 		// payload read is possible, so the driver flushes it (and whatever
 		// else was rung) instead of gathering.
 		qp.Flushed++
-		qp.nic.hostWriteSendCQE(qp, qp.fetchCounter, mlx.CQEFlushErr)
+		qp.nic.writeSendCQE(qp, qp.fetchCounter, mlx.CQEFlushErr)
 		qp.fetching = false
 		qp.flushRungWQEs()
 		return
@@ -763,11 +763,7 @@ func (n *NIC) execWQE(qp *QP, w *mlx.WQE) {
 		// software-side in-flight accounting consistent. On a dead NIC the
 		// flush CQE is driver-synthesized straight into host memory.
 		qp.Flushed++
-		if n.dead {
-			n.hostWriteSendCQE(qp, w.WQEIdx, mlx.CQEFlushErr)
-		} else {
-			n.writeSendCQE(qp, w.WQEIdx, mlx.CQEFlushErr)
-		}
+		n.writeSendCQE(qp, w.WQEIdx, mlx.CQEFlushErr)
 		return
 	}
 	if qp.tx.Len() == qp.SQ.Depth {
@@ -930,10 +926,8 @@ func (n *NIC) rxData(f *fabric.Frame) (held bool) {
 		cqe := mlx.CQE{
 			Op:         mlx.CQERecv,
 			WQECounter: qp.recvCQPI,
-			QPN:        qp.QPN,
 			ByteCnt:    uint32(len(payload)),
 			AmID:       op.AmID,
-			Gen:        qp.RecvCQ.Gen(qp.recvCQPI),
 		}
 		if inline {
 			// CQE inline scatter: payload and completion arrive in
@@ -948,21 +942,7 @@ func (n *NIC) rxData(f *fabric.Frame) (held bool) {
 			t.AttachData(f.PayloadBuf())
 			n.sendUp(t, f)
 		}
-		enc, err := cqe.Encode()
-		if err != nil {
-			panic(fmt.Sprintf("nic%d: CQE encode: %v", n.id, err))
-		}
-		t := n.link.NewTLP()
-		t.Type = pcie.MWr
-		t.Addr = qp.RecvCQ.EntryAddr(qp.recvCQPI)
-		t.SetData(enc[:])
-		qp.recvCQPI++
-		qp.CQEsWritten++
-		if n.tr != nil {
-			n.tr.Emit(trace.Event{At: n.k.Now(), Kind: trace.EvCQE,
-				Node: int16(n.id), Arg: trace.ArgQP(qp.QPN, uint64(cqe.WQECounter))})
-		}
-		n.sendUp(t, f)
+		n.writeCQE(qp, &qp.RecvCQ, &qp.recvCQPI, cqe, f)
 	default:
 		panic(fmt.Sprintf("nic%d: unexpected opcode %v", n.id, mlx.Opcode(op.Opcode)))
 	}
@@ -1054,31 +1034,40 @@ func (n *NIC) retireThrough(qp *QP, counter uint16) int {
 	return retired
 }
 
-// writeSendCQE DMA-writes a request completion with the given status to the
+// writeSendCQE writes a request completion with the given status to the
 // QP's send CQ.
 func (n *NIC) writeSendCQE(qp *QP, counter uint16, status uint8) {
-	cqe := mlx.CQE{
-		Op:         mlx.CQEReq,
-		WQECounter: counter,
-		QPN:        qp.QPN,
-		Status:     status,
-		Gen:        qp.SendCQ.Gen(qp.sendCQPI),
-	}
+	n.writeCQE(qp, &qp.SendCQ, &qp.sendCQPI, mlx.CQE{Op: mlx.CQEReq, WQECounter: counter, Status: status}, nil)
+}
+
+// writeCQE writes cqe, stamped with the QP and the slot's generation, into
+// ring's slot for the producer counter *pi and advances it. A live NIC
+// DMA-writes it up its PCIe link, held against the inbound frame f when f
+// is not nil; a dead one's driver writes it straight into host memory,
+// with no PCIe traffic and no EvCQE.
+func (n *NIC) writeCQE(qp *QP, ring *mlx.Ring, pi *uint16, cqe mlx.CQE, f *fabric.Frame) {
+	cqe.QPN = qp.QPN
+	cqe.Gen = ring.Gen(*pi)
 	enc, err := cqe.Encode()
 	if err != nil {
 		panic(fmt.Sprintf("nic%d: CQE encode: %v", n.id, err))
 	}
+	addr := ring.EntryAddr(*pi)
+	*pi++
+	qp.CQEsWritten++
+	if n.dead {
+		n.mem.Write(addr, enc[:])
+		return
+	}
 	t := n.link.NewTLP()
 	t.Type = pcie.MWr
-	t.Addr = qp.SendCQ.EntryAddr(qp.sendCQPI)
+	t.Addr = addr
 	t.SetData(enc[:])
-	qp.sendCQPI++
-	qp.CQEsWritten++
 	if n.tr != nil {
 		n.tr.Emit(trace.Event{At: n.k.Now(), Kind: trace.EvCQE,
-			Node: int16(n.id), Arg: trace.ArgQP(qp.QPN, uint64(counter))})
+			Node: int16(n.id), Arg: trace.ArgQP(qp.QPN, uint64(cqe.WQECounter))})
 	}
-	n.sendUp(t, nil)
+	n.sendUp(t, f)
 }
 
 // rxNak handles an RNR NAK on the initiator NIC. On a lossless fabric the
@@ -1349,7 +1338,7 @@ func (n *NIC) crashQP(qp *QP) {
 		qp.QPFails++
 		n.cancelQPTimers(qp)
 		if qp.tx.Len() > 0 {
-			n.hostWriteSendCQE(qp, wipeTx(qp), mlx.CQEFatalErr)
+			n.writeSendCQE(qp, wipeTx(qp), mlx.CQEFatalErr)
 		}
 	} else {
 		n.cancelQPTimers(qp)
@@ -1365,44 +1354,6 @@ func (n *NIC) crashQP(qp *QP) {
 		qp.recvPosted--
 		qp.rqAddrs.Pop()
 		qp.FlushedRecvs++
-		n.hostWriteRecvFlushCQE(qp)
+		n.writeCQE(qp, &qp.RecvCQ, &qp.recvCQPI, mlx.CQE{Op: mlx.CQERecv, WQECounter: qp.recvCQPI, Status: mlx.CQEFlushErr}, nil)
 	}
-}
-
-// hostWriteSendCQE writes a request completion straight into host memory,
-// bypassing the (dead) device's PCIe path.
-func (n *NIC) hostWriteSendCQE(qp *QP, counter uint16, status uint8) {
-	cqe := mlx.CQE{
-		Op:         mlx.CQEReq,
-		WQECounter: counter,
-		QPN:        qp.QPN,
-		Status:     status,
-		Gen:        qp.SendCQ.Gen(qp.sendCQPI),
-	}
-	enc, err := cqe.Encode()
-	if err != nil {
-		panic(fmt.Sprintf("nic%d: CQE encode: %v", n.id, err))
-	}
-	n.mem.Write(qp.SendCQ.EntryAddr(qp.sendCQPI), enc[:])
-	qp.sendCQPI++
-	qp.CQEsWritten++
-}
-
-// hostWriteRecvFlushCQE writes one flushed-receive error completion
-// straight into host memory.
-func (n *NIC) hostWriteRecvFlushCQE(qp *QP) {
-	cqe := mlx.CQE{
-		Op:         mlx.CQERecv,
-		WQECounter: qp.recvCQPI,
-		QPN:        qp.QPN,
-		Status:     mlx.CQEFlushErr,
-		Gen:        qp.RecvCQ.Gen(qp.recvCQPI),
-	}
-	enc, err := cqe.Encode()
-	if err != nil {
-		panic(fmt.Sprintf("nic%d: CQE encode: %v", n.id, err))
-	}
-	n.mem.Write(qp.RecvCQ.EntryAddr(qp.recvCQPI), enc[:])
-	qp.recvCQPI++
-	qp.CQEsWritten++
 }

@@ -40,7 +40,7 @@ func TestDriversReportTransportErrors(t *testing.T) {
 		{"OversubscribedPutBw", one(4, func(sys *node.System) error { return OversubscribedPutBw(sys, 0, opt).Err })},
 		{"AllToAllPutBw", one(4, func(sys *node.System) error { return AllToAllPutBw(sys, opt).Err })},
 		{"SaturationSweep", func() error {
-			return SaturationSweep(mk(3), 0, []float64{0.8, 1.2}, Options{Iters: 300, Warmup: 50, MsgSize: 4096}, 1).Err
+			return SaturationSweep(mk(3), 0, []float64{0.8, 1.2}, 4096, 350, 1).Err
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

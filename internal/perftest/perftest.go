@@ -26,15 +26,14 @@
 // The lossy stream and the chaos soak report failures in their own
 // results.
 //
-// The senders drain their in-flight tail, outside the measured window,
-// with one call, uct.Worker.StartFlush: putLoopFrame, the saturation
-// sweep's paced senders and the lossy stream (the workload injectors do
-// the same). Like StartPut's busy-post retry, the flush polls exactly when
-// some endpoint still has a send in flight, and under NoiseOff it parks
-// on an empty completion queue instead of firing one kernel event per
-// poll; every simulated value is the spin's. Failed sends retire through
-// their error completions, so a flush ends on a failed endpoint too.
-// AmLat polls for its pong itself.
+// The senders drain their in-flight tail, outside the measured window, with
+// one call, uct.Worker.StartFlush: putLoopFrame and the lossy stream (the
+// workload injectors do the same). Like StartPut's busy-post retry, the
+// flush polls exactly when some endpoint still has a send in flight, and
+// under NoiseOff it parks on an empty completion queue instead of firing
+// one kernel event per poll; every simulated value is the spin's. Failed
+// sends retire through their error completions, so a flush ends on a failed
+// endpoint too. AmLat polls for its pong itself.
 //
 // A run that times one software component selects its scope on the
 // initiator node's profiler before it starts (internal/profile); the
@@ -46,12 +45,13 @@
 // rx budget), FlapIncastPutBw the incast over a link flap, and
 // AllToAllPutBw one sender per node whose iteration posts to every peer.
 // connectSenders builds the one-endpoint sender sets and runPutLoops runs
-// any set against a shared measured window. The other scenarios keep their
-// own loops: AmLat (and LatencySizeSweep over it), WindowedPutBw (the
-// poll-window ablation), SaturationSweep (paced open-loop senders),
-// LossyPutBw and ChaosSoak (sequence-verified streams under faults).
-// ARCHITECTURE.md catalogs them with the bbperftest command that runs
-// each.
+// any set against a shared measured window. SaturationSweep keeps no
+// sender of its own: each load step is one periodic cohort of the workload
+// injector (internal/workload), the one open-loop paced sender. The other
+// scenarios keep their own loops: AmLat (and LatencySizeSweep over it),
+// WindowedPutBw (the poll-window ablation), LossyPutBw and ChaosSoak
+// (sequence-verified streams under faults). ARCHITECTURE.md catalogs them
+// with the bbperftest command that runs each.
 package perftest
 
 import (

@@ -8,10 +8,10 @@ import (
 	"breakband/internal/config"
 	"breakband/internal/fabric"
 	"breakband/internal/node"
-	"breakband/internal/sim"
 	"breakband/internal/stats"
 	"breakband/internal/trace"
 	"breakband/internal/units"
+	"breakband/internal/workload"
 )
 
 // NewCalib builds the stall-attribution calibration for sys. The wire
@@ -50,83 +50,18 @@ func SaturationBottleneck(cfg *config.Config, msgSize int) units.Time {
 	return b
 }
 
-// pacedPutFrame is one open-loop sender of the saturation sweep: it posts
-// one RDMA write every period (posting immediately, back to back, when the
-// fabric's backpressure has pushed it past a deadline), polling a
-// completion after each post, then drains its in-flight tail (at once after
-// a failed post). The measured
-// window opens when the last sender finishes warmup and closes when the
-// last sender has drained — so under saturation the window stretches past
-// iters*period and the delivered rate falls below the offered rate.
-type pacedPutFrame struct {
-	cfg    *config.Config
-	s      *sender
-	period units.Time
-	opt    *Options
-	st     *winShared
-
-	pc   int
-	i    int
-	next units.Time // next posting deadline
-}
-
-func (f *pacedPutFrame) Step(t *sim.Task) {
-	s := f.s
-	for {
-		switch f.pc {
-		case 0: // arm the pacing clock
-			f.next = t.Now()
-			f.pc = 1
-		case 1: // loop head
-			if f.i == f.opt.Warmup && t.Now() > f.st.start {
-				f.st.start = t.Now()
-			}
-			if f.i >= f.opt.Warmup+f.opt.Iters {
-				f.pc = 4
-				continue
-			}
-			if d := f.next - t.Now(); d > 0 {
-				t.Advance(d)
-			}
-			f.pc = 2
-			s.eps[0].StartPut(t, s.msg)
-			return
-		case 2:
-			if f.st.postFailed(s.eps[0]) {
-				f.pc = 4
-				continue
-			}
-			f.next += f.period
-			f.i++
-			f.pc = 3
-			s.w.StartProgress(t)
-			return
-		case 3:
-			t.Advance(f.cfg.SW.BenchLoop.Sample(s.rand))
-			f.pc = 1
-		case 4: // drain the in-flight tail; the window closes when empty
-			f.pc = 5
-			s.w.StartFlush(t)
-			return
-		case 5:
-			if t.Now() > f.st.end {
-				f.st.end = t.Now()
-			}
-			f.st.done++
-			t.Return()
-			return
-		}
-	}
-}
-
 // SaturationPoint is one offered-load step of the sweep.
 type SaturationPoint struct {
 	// Load is the offered load as a fraction of the predicted bottleneck
 	// service rate (1.0 = the analytic saturation point).
 	Load float64
 	// Offered and Delivered are aggregate message rates (msg/s) across all
-	// senders: Offered = senders/period, Delivered = messages over the
-	// measured window (posting plus drain).
+	// senders: Offered = senders/period, Delivered = the messages delivered
+	// over Elapsed, the span from the first arrival to the last message's
+	// end. Past the knee Delivered holds at the bottleneck rate, and may
+	// read up to one final-hop credit window of messages above Capacity: a
+	// send completes when the receiving NIC acknowledges it, ahead of the
+	// receiver's PCIe drain.
 	Offered, Delivered float64
 	Elapsed            units.Time
 	// MeanLatency and Shares come from stall attribution over the traced
@@ -140,12 +75,12 @@ type SaturationPoint struct {
 	HotPort            string
 	QueueP50, QueueP99 float64
 	MaxQueue           int
-	// HotUtilization is the hot port's wire occupancy over the whole run
-	// (warmup is paced at the same load, so the run approximates steady
-	// state).
+	// HotUtilization is the hot port's wire occupancy from time 0 to the
+	// last message's end (the senders offer the same load throughout).
 	HotUtilization float64
-	// Err is the first transport error a post returned, nil on a complete
-	// point; the other fields are partial when it is set.
+	// Err reports the point's failed messages, or a spec the workload
+	// injector refused, nil on a complete point; the other fields are
+	// partial when it is set.
 	Err error
 }
 
@@ -184,23 +119,27 @@ func (r *SaturationResult) Knee() *SaturationPoint {
 }
 
 // SaturationSweep steps offered load across the predicted saturation point
-// of an incast into node 0: at each load fraction, `senders` paced senders
-// (sys.Nodes[1..senders]) each post every senders*Bottleneck/load. Every
-// point runs on a fresh system from mkSys (fanned out on a
-// parallelism-wide pool, <= 0 selects GOMAXPROCS; mkSys must be safe to
-// call concurrently); build the config with TraceCapacity set to get
-// per-point latency attribution in the result. opt.MsgSize must exceed
-// 2048 B, where SaturationBottleneck holds; a smaller size panics.
-func SaturationSweep(mkSys func() *node.System, senders int, loads []float64, opt Options, parallelism int) *SaturationResult {
-	opt.Defaults()
-	if opt.MsgSize <= 2048 {
-		panic(fmt.Sprintf("perftest: saturation message size %d: the bottleneck model holds only above 2048 B, where one write fills the posted PCIe credits", opt.MsgSize))
+// of an incast into node 0: at each load fraction, `senders` nodes
+// (sys.Nodes[1..senders]) each offer iters msgSize-byte RDMA writes, one
+// every senders*Bottleneck/load, as one periodic cohort of the workload
+// injector (workload.Run). Every point runs on a fresh system from mkSys
+// (fanned out on a parallelism-wide pool, <= 0 selects GOMAXPROCS; mkSys
+// must be safe to call concurrently); build the config with TraceCapacity
+// set to get per-point latency attribution in the result. msgSize must
+// exceed 2048 B, where SaturationBottleneck holds, and iters be at least
+// 1; anything else panics.
+func SaturationSweep(mkSys func() *node.System, senders int, loads []float64, msgSize, iters, parallelism int) *SaturationResult {
+	if msgSize <= 2048 {
+		panic(fmt.Sprintf("perftest: saturation message size %d: the bottleneck model holds only above 2048 B, where one write fills the posted PCIe credits", msgSize))
+	}
+	if iters < 1 {
+		panic(fmt.Sprintf("perftest: saturation needs at least one message per sender, got %d", iters))
 	}
 	probe := mkSys()
 	res := &SaturationResult{
 		Senders:    clampSenders(probe, senders),
-		MsgSize:    opt.MsgSize,
-		Bottleneck: SaturationBottleneck(probe.Cfg, opt.MsgSize),
+		MsgSize:    msgSize,
+		Bottleneck: SaturationBottleneck(probe.Cfg, msgSize),
 		KneeIndex:  -1,
 	}
 	res.Capacity = 1 / res.Bottleneck.Seconds()
@@ -209,7 +148,7 @@ func SaturationSweep(mkSys func() *node.System, senders int, loads []float64, op
 	res.Points = campaign.Map(parallelism, loads, func(_ int, load float64) SaturationPoint {
 		sys := mkSys()
 		defer sys.Shutdown()
-		return saturationPoint(sys, res.Senders, load, res.Bottleneck, opt)
+		return saturationPoint(sys, res.Senders, load, res.Bottleneck, msgSize, iters)
 	})
 	for i := range res.Points {
 		if res.Err = res.Points[i].Err; res.Err != nil {
@@ -226,10 +165,10 @@ func SaturationSweep(mkSys func() *node.System, senders int, loads []float64, op
 	return res
 }
 
-// saturationPoint runs one load step: paced senders, queue-depth sampling
-// on every egress port, then rate and attribution accounting.
-func saturationPoint(sys *node.System, senders int, load float64, bottleneck units.Time, opt Options) SaturationPoint {
-	cfg := sys.Cfg
+// saturationPoint runs one load step: the senders' periodic cohort through
+// the workload injector, queue-depth sampling on every egress port, then
+// rate and attribution accounting.
+func saturationPoint(sys *node.System, senders int, load float64, bottleneck units.Time, msgSize, iters int) SaturationPoint {
 	period := units.Time(float64(senders) * float64(bottleneck) / load)
 	pt := SaturationPoint{Load: load, Offered: float64(senders) / period.Seconds()}
 
@@ -243,19 +182,37 @@ func saturationPoint(sys *node.System, senders int, load float64, bottleneck uni
 		s.Add(float64(depth))
 	}
 
-	snd, _ := connectSenders(sys, sys.Nodes[1:senders+1], sys.Nodes[0], opt, "sat")
-	st := &winShared{}
-	for i, s := range snd {
-		sys.K.SpawnTask(fmt.Sprintf("sat.sender%d", i), &pacedPutFrame{cfg: cfg, s: s, period: period, opt: &opt, st: st})
+	// The spec names only the traffic; workload.Run takes the fabric from
+	// sys. A periodic client's arrivals fall one period apart from one
+	// period after the start, so the window holds exactly iters of them.
+	src := make([]int, senders)
+	for i := range src {
+		src[i] = i + 1
 	}
-	sys.Run()
-	if st.done != senders {
-		panic(fmt.Sprintf("perftest: only %d of %d saturation senders finished", st.done, senders))
+	spec := &workload.Spec{
+		Name:  "saturate",
+		Nodes: len(sys.Nodes),
+		Cohorts: []workload.Cohort{{
+			Name:     "incast",
+			Clients:  senders,
+			Src:      src,
+			Dst:      []int{0},
+			Duration: units.Time(iters)*period + 1,
+			Arrival:  workload.ArrivalSpec{Process: workload.ProcPeriodic, Rate: 1 / period.Seconds()},
+			Size:     workload.SizeSpec{Dist: workload.SizeDistFixed, Bytes: msgSize},
+		}},
 	}
-
-	pt.Err = st.err
-	pt.Elapsed = st.end - st.start
-	pt.Delivered = float64(senders*opt.Iters) / pt.Elapsed.Seconds()
+	wres, err := workload.Run(spec, sys, workload.RunOpt{})
+	if err != nil {
+		pt.Err = fmt.Errorf("load %.2f: %w", load, err)
+		return pt
+	}
+	if err := wres.Err(); err != nil {
+		pt.Err = fmt.Errorf("load %.2f: %w", load, err)
+	}
+	c := &wres.Cohorts[0]
+	pt.Elapsed = c.LastDone - c.FirstAt
+	pt.Delivered = float64(c.Delivered) / pt.Elapsed.Seconds()
 
 	if rep := StallReport(sys); rep != nil && len(rep.Msgs) > 0 {
 		pt.MeanLatency = rep.Measured / units.Time(len(rep.Msgs))
@@ -267,7 +224,7 @@ func saturationPoint(sys *node.System, senders int, load float64, bottleneck uni
 		if ps.MaxQueue > pt.MaxQueue {
 			pt.MaxQueue = ps.MaxQueue
 			pt.HotPort = ps.Name
-			pt.HotUtilization = float64(ps.Busy) / float64(st.end)
+			pt.HotUtilization = float64(ps.Busy) / float64(c.LastDone)
 			if s := depths[ps.Name]; s != nil {
 				pt.QueueP50 = s.Quantile(0.5)
 				pt.QueueP99 = s.Quantile(0.99)

@@ -1,6 +1,7 @@
 package perftest
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -160,13 +161,12 @@ func TestConservationOversubscribedIncast(t *testing.T) {
 func TestSaturationKnee(t *testing.T) {
 	const senders, step = 4, 0.2
 	loads := []float64{0.6, 0.8, 1.0, 1.2, 1.4}
-	opt := Options{Iters: 150, Warmup: 50, MsgSize: 4096}
 	mkSys := func() *node.System {
 		cfg := tracedConfig(true, 1<<18)
 		cfg.Topology = topo.Spec{Kind: topo.SingleSwitch}
 		return node.NewSystem(cfg, senders+1)
 	}
-	res := SaturationSweep(mkSys, senders, loads, opt, 0)
+	res := SaturationSweep(mkSys, senders, loads, 4096, 200, 0)
 	t.Logf("\n%s", res.Format())
 
 	knee := res.Knee()
@@ -195,6 +195,20 @@ func TestSaturationKnee(t *testing.T) {
 	}
 }
 
+// TestSaturationOffersItersPerSender: a load step's periodic cohort offers
+// exactly iters messages per sender, and below the knee delivers them all.
+func TestSaturationOffersItersPerSender(t *testing.T) {
+	const senders, iters = 2, 37
+	mkSys := func() *node.System { return node.NewSystem(tracedConfig(true, 0), senders+1) }
+	p := SaturationSweep(mkSys, 0, []float64{0.5}, 4096, iters, 1).Points[0]
+	if p.Err != nil {
+		t.Fatal(p.Err)
+	}
+	if got := math.Round(p.Delivered * p.Elapsed.Seconds()); got != senders*iters {
+		t.Errorf("delivered %v messages at load 0.5, want %d", got, senders*iters)
+	}
+}
+
 // TestSaturationRejectsSmallMessages: at 2048 B two writes fit in the
 // posted credits, so the bottleneck model does not hold and the sweep
 // panics naming the rule instead of reporting a capacity it cannot predict.
@@ -206,5 +220,5 @@ func TestSaturationRejectsSmallMessages(t *testing.T) {
 			t.Errorf("panic %q, want one naming the size and the 2048-byte rule", msg)
 		}
 	}()
-	SaturationSweep(mkSys, 0, []float64{1.0}, Options{Iters: 50, MsgSize: 2048}, 1)
+	SaturationSweep(mkSys, 0, []float64{1.0}, 2048, 50, 1)
 }

@@ -85,19 +85,19 @@ const (
 	// replay immediately. Node = initiator, Arg = ArgQP(qpn, psn).
 	EvSeqNakRx
 	// EvAckTimeout: the initiator's ACK timer expired. Node = initiator,
-	// Arg = ArgQP(qpn, backoff picoseconds of the next timeout).
+	// Arg = ArgQP(qpn, picoseconds of the timeout that just expired).
 	EvAckTimeout
 	// EvRetx: go-back-N replay began (backoff, if any, is over). Node =
-	// initiator, Arg = ArgQP(qpn, first replayed psn).
+	// initiator, Arg = ArgQP(qpn, number of records replayed).
 	EvRetx
 	// EvCQE: a completion (success or error) was written to host memory.
-	// Node set, Arg = ArgQP(qpn, cqe opcode/status word).
+	// Node set, Arg = ArgQP(qpn, the CQE's WQE counter).
 	EvCQE
 	// EvPend: a PCIe TLP parked in the pend queue (credit-blocked, ordering
-	// or paused). Node set, Arg = payload bytes.
+	// or paused). Node set, Arg = the pend queue's depth after the park.
 	EvPend
 	// EvIssue: a previously parked PCIe TLP finally transmitted. Node set,
-	// Arg = payload bytes.
+	// Arg = the pend queue's depth after the issue.
 	EvIssue
 	// EvCrash: the node's NIC failed (endpoint fault). Node set.
 	EvCrash
@@ -105,7 +105,8 @@ const (
 	// flushed with error CQEs. Node set, Arg = ArgQP(qpn, flushed count).
 	EvFlush
 	// EvComp: an LLP-level (uct) operation completed. Node set,
-	// Arg = ArgQP(qpn, 0) when known.
+	// Arg = ArgQP(qpn, n): n is the number of sends one CQE retired, or 1
+	// for a receive.
 	EvComp
 
 	numKinds

@@ -18,6 +18,10 @@
 // caller, for ucp, which queues its own.
 // StartFlush progresses a worker until no endpoint has a send in flight,
 // as UCX's uct_iface_flush does; the benchmarks drain their tails with it.
+// StartPostRecvs posts receive credits one at a time, each visible to
+// deliveries from its own post instant; progress reposts the credits its
+// receives consumed through it, on an empty poll or once replenishBatch
+// are owed.
 //
 // A bcopy post memcpy's its payload into a staging slot of registered
 // memory, from which the NIC DMA-reads it (paper §2, steps 2-3). Each
@@ -209,7 +213,6 @@ type Worker struct {
 
 	// Preallocated frames (one progress chain per worker at a time).
 	progF  progressFrame
-	replF  replenishFrame
 	flushF flushFrame
 }
 
@@ -1179,10 +1182,8 @@ func (f *progressFrame) Step(t *sim.Task) {
 			f.n = 1
 			f.data = nil
 			if e.owedRecvCredits >= replenishBatch {
-				w.replF.e = e
-				w.replF.pc = 0
 				f.pc = 8
-				t.Call(&w.replF)
+				e.startRepost(t)
 				return
 			}
 			t.Return()
@@ -1211,41 +1212,19 @@ func (f *progressFrame) Step(t *sim.Task) {
 				continue
 			}
 			f.quiet = false
-			w.replF.e = e
-			w.replF.pc = 0
-			t.Call(&w.replF)
+			e.startRepost(t)
 			return
 		}
 	}
 }
 
-// replenishFrame reposts all owed receive credits of one endpoint;
-// visibility: each credit is posted at its own time (see recvsFrame).
-type replenishFrame struct {
-	e  *Ep
-	pc int
-}
-
-func (f *replenishFrame) Step(t *sim.Task) {
-	e := f.e
-	for {
-		switch f.pc {
-		case 0:
-			if e.owedRecvCredits == 0 {
-				t.Return()
-				return
-			}
-			t.Advance(e.w.Cfg.SW.PostRecv.Sample(e.w.rand))
-			f.pc = 1
-			if t.Pause() {
-				return
-			}
-		case 1:
-			e.postOneRecv()
-			e.owedRecvCredits--
-			f.pc = 0
-		}
-	}
+// startRepost reposts every owed receive credit of the endpoint, one at a
+// time (StartPostRecvs). Only the worker's own task changes the debt, so
+// clearing it up front leaves nothing to read it mid-repost.
+func (e *Ep) startRepost(t *sim.Task) {
+	n := e.owedRecvCredits
+	e.owedRecvCredits = 0
+	e.StartPostRecvs(t, n)
 }
 
 // cqValid reads the CQ slot for consumer counter ci into the worker's

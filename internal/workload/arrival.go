@@ -13,7 +13,9 @@ import (
 // work elapses when the integral of rate*factor over wall time reaches W.
 // For Poisson arrivals the time change is exact (a thinned/stretched Poisson
 // process is again Poisson with the modulated rate); for Gamma and Weibull
-// renewals it is the standard rate-modulation approximation.
+// renewals it is the standard rate-modulation approximation. A periodic
+// clock's unit of work is exactly 1, so its arrivals come 1/rate apart and
+// a factor-F window divides the spacing inside it by exactly F.
 type arrivalClock struct {
 	proc    string
 	shape   float64
@@ -62,13 +64,16 @@ func sortedEnvelope(ws []EnvelopeWindow) []EnvelopeWindow {
 
 // drawWork returns one unit-mean renewal draw from the client's stream.
 // Exactly one logical draw per call, always in the same order, so a client's
-// stream replays identically whatever the scheduler does around it.
+// stream replays identically whatever the scheduler does around it. A
+// periodic clock draws nothing: its unit of work is exactly 1.
 func (a *arrivalClock) drawWork(r *rng.Rand) float64 {
 	switch a.proc {
 	case ProcGamma:
 		return r.Gamma(a.shape) * a.invMean
 	case ProcWeibull:
 		return r.Weibull(a.shape) * a.invMean
+	case ProcPeriodic:
+		return 1
 	default:
 		return r.Exp()
 	}

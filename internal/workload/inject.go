@@ -46,8 +46,9 @@ type CohortResult struct {
 	Offered, Delivered, Failed int
 	// Bytes is the delivered payload volume.
 	Bytes uint64
-	// FirstAt is the earliest offered arrival; LastDone the latest
-	// completion.
+	// FirstAt is the earliest offered arrival; LastDone the last instant
+	// any of the cohort's messages ended, delivered or failed (a refused
+	// post ends at its post).
 	FirstAt, LastDone units.Time
 	// Latency samples per-message arrival-to-completion times in
 	// nanoseconds (queueing delay behind a backlogged injector included —
@@ -71,11 +72,22 @@ type Result struct {
 	Name    string
 	Seed    uint64
 	Cohorts []CohortResult
-	// Elapsed is the full simulated span (first arrival to last
-	// completion across cohorts).
+	// Elapsed is the full simulated span: the first arrival to the last
+	// message's end, delivered or failed, across cohorts.
 	Elapsed units.Time
 	// Trace is the recorded trace when RunOpt.Record was set.
 	Trace *Trace
+}
+
+// Err reports the first cohort, in spec order, that failed messages, nil
+// when every offered message was delivered.
+func (r *Result) Err() error {
+	for i := range r.Cohorts {
+		if c := &r.Cohorts[i]; c.Failed > 0 {
+			return fmt.Errorf("workload %q: cohort %q: %d of %d offered message(s) failed", r.Name, c.Name, c.Failed, c.Offered)
+		}
+	}
+	return nil
 }
 
 // Run compiles the spec into injectors on sys, runs the simulation to
@@ -383,6 +395,7 @@ func (f *injectFrame) Step(t *sim.Task) {
 		case 1: // post returned: enqueue completion bookkeeping
 			if err := f.eps[f.pEp].LastPost(); err != nil {
 				f.res.Failed++
+				f.res.LastDone = max(f.res.LastDone, t.Now())
 			} else {
 				f.pending[f.pEp].Push(compEntry{at: f.pAt, size: f.pSize})
 			}
@@ -423,6 +436,7 @@ func (f *injectFrame) onComplete(t *sim.Task, ep *uct.Ep, count int, err error) 
 			panic("workload: completion queue underflow")
 		}
 		e := q.Pop()
+		f.res.LastDone = max(f.res.LastDone, now)
 		if err != nil {
 			f.res.Failed++
 			continue
@@ -430,9 +444,6 @@ func (f *injectFrame) onComplete(t *sim.Task, ep *uct.Ep, count int, err error) 
 		f.res.Delivered++
 		f.res.Bytes += uint64(e.size)
 		f.res.Latency.Add((now - e.at).Ns())
-		if now > f.res.LastDone {
-			f.res.LastDone = now
-		}
 	}
 }
 

@@ -92,6 +92,12 @@ func TestParseSpecValid(t *testing.T) {
 		t.Errorf("nested first key: got %+v, %v; want %+v", got, err, spec)
 	}
 
+	// The periodic process validates.
+	periodic := strings.Replace(validYAML, "process: poisson", "process: periodic", 1)
+	if got, err := ParseSpec([]byte(periodic)); err != nil || got.Cohorts[0].Arrival.Process != ProcPeriodic {
+		t.Errorf("periodic process: got %+v, %v", got, err)
+	}
+
 	// Every key of every spec struct decodes into its field.
 	want := &Spec{
 		Name: "every", Nodes: 8, Topology: "fattree", Radix: 4, Credits: 16, RxBudget: 8,
@@ -232,6 +238,8 @@ func TestParseSpecErrors(t *testing.T) {
 			`spec.cohorts[0].src[1]: line 8: "x" is not an integer`},
 		{"bad duration", mut("duration: 200us", "duration: 200"),
 			`spec.cohorts[0].duration: line 11: duration "200" needs a unit suffix (ps, ns, us, ms or s)`},
+		{"unknown process", mut("process: poisson", "process: cauchy"),
+			`workload "incast8": cohort "storm": unknown arrival process "cauchy" (want poisson, gamma, weibull or periodic)`},
 	}
 	for _, tc := range exact {
 		t.Run(tc.name, func(t *testing.T) {

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -62,6 +63,41 @@ func TestIncastRunDelivers(t *testing.T) {
 	}
 	if len(res.Trace.Recs) != c.Offered {
 		t.Fatalf("trace records %d, want %d", len(res.Trace.Recs), c.Offered)
+	}
+	if err := res.Err(); err != nil {
+		t.Fatalf("Err = %v on a run that delivered every message", err)
+	}
+}
+
+// TestAllFailedRunElapsed: when a 100% drop rate fails every message, the
+// run still spans its first arrival to its last failure, and Err names the
+// cohort with its failed and offered counts.
+func TestAllFailedRunElapsed(t *testing.T) {
+	spec := &Spec{
+		Name:   "drop1",
+		Nodes:  3,
+		Faults: FaultSpec{DropRate: 1},
+		Cohorts: []Cohort{{
+			Name:     "c",
+			Clients:  2,
+			Src:      []int{1, 2},
+			Dst:      []int{0},
+			Duration: 200 * units.Microsecond,
+			Arrival:  ArrivalSpec{Process: ProcPoisson, Rate: 1e5},
+			Size:     SizeSpec{Dist: SizeDistFixed, Bytes: 64},
+		}},
+	}
+	res := runSpec(t, spec, config.NoiseOff, 1, RunOpt{})
+	c := &res.Cohorts[0]
+	if c.Offered == 0 || c.Delivered != 0 || c.Failed != c.Offered {
+		t.Fatalf("offered %d, delivered %d, failed %d; want every offered message failed", c.Offered, c.Delivered, c.Failed)
+	}
+	if res.Elapsed <= 0 || c.LastDone <= c.FirstAt {
+		t.Errorf("elapsed %v (first arrival %v, last end %v), want a positive span", res.Elapsed, c.FirstAt, c.LastDone)
+	}
+	want := fmt.Sprintf(`workload "drop1": cohort "c": %d of %d offered message(s) failed`, c.Failed, c.Offered)
+	if err := res.Err(); err == nil || err.Error() != want {
+		t.Errorf("Err = %v, want %s", err, want)
 	}
 }
 

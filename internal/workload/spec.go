@@ -15,9 +15,10 @@ import (
 
 // Arrival process names accepted by ArrivalSpec.Process.
 const (
-	ProcPoisson = "poisson"
-	ProcGamma   = "gamma"
-	ProcWeibull = "weibull"
+	ProcPoisson  = "poisson"
+	ProcGamma    = "gamma"
+	ProcWeibull  = "weibull"
+	ProcPeriodic = "periodic"
 )
 
 // Size distribution names accepted by SizeSpec.Dist.
@@ -97,13 +98,14 @@ type Cohort struct {
 
 // ArrivalSpec selects the interarrival process of a cohort's clients.
 type ArrivalSpec struct {
-	// Process is poisson, gamma or weibull.
+	// Process is poisson, gamma, weibull or periodic (each arrival
+	// exactly 1/Rate after the last, no random draw).
 	Process string
 	// Rate is the per-client mean arrival rate in messages per second
 	// (before envelope modulation).
 	Rate float64
-	// Shape is the gamma/weibull shape parameter (ignored for poisson;
-	// 1 reduces both to poisson).
+	// Shape is the gamma/weibull shape parameter (ignored for poisson
+	// and periodic; 1 reduces both to poisson).
 	Shape float64
 }
 
@@ -341,13 +343,13 @@ func (c *Cohort) validate(nodes int) error {
 
 func (a *ArrivalSpec) validate() error {
 	switch a.Process {
-	case ProcPoisson:
+	case ProcPoisson, ProcPeriodic:
 	case ProcGamma, ProcWeibull:
 		if !(a.Shape >= minShape) || math.IsInf(a.Shape, 0) {
 			return fmt.Errorf("%s shape must be finite and at least %v, got %v", a.Process, minShape, a.Shape)
 		}
 	default:
-		return fmt.Errorf("unknown arrival process %q (want poisson, gamma or weibull)", a.Process)
+		return fmt.Errorf("unknown arrival process %q (want poisson, gamma, weibull or periodic)", a.Process)
 	}
 	if !(a.Rate > 0) || math.IsInf(a.Rate, 0) {
 		return fmt.Errorf("arrival rate must be positive and finite, got %v", a.Rate)
