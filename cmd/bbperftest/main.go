@@ -227,6 +227,7 @@ func main() {
 			// No explicit rates: sweep the default drop-rate ladder, one
 			// fresh system per point.
 			for _, res := range perftest.LossySweep(mkCfg(), []float64{0, 1e-4, 1e-3, 1e-2}, opt) {
+				exitOnErr(test, res.Err)
 				fmt.Println(res)
 			}
 			break
@@ -234,6 +235,7 @@ func main() {
 		sys := mkSys()
 		defer sys.Shutdown()
 		res := perftest.LossyPutBw(sys, opt)
+		exitOnErr(test, res.Err)
 		fmt.Println(res)
 		printFaultPorts(sys)
 		report(sys)

@@ -89,9 +89,6 @@ const (
 	// field. Unlike an RNR NAK it implies no backoff — the receiver is
 	// ready, the wire lost a frame — so the initiator replays immediately.
 	SeqNak
-
-	// NumFrameKinds sizes per-kind counter arrays.
-	NumFrameKinds = 4
 )
 
 // String implements fmt.Stringer.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"breakband/internal/campaign"
 	"breakband/internal/config"
 	"breakband/internal/faults"
 	"breakband/internal/mpi"
@@ -522,14 +523,13 @@ func ChaosSoak(base *config.Config, seed uint64, opt ChaosOptions) *ChaosResult 
 	return res
 }
 
-// ChaosLadder runs ChaosSoak across a seed ladder (fresh system per seed)
-// and returns the per-seed results.
+// ChaosLadder runs ChaosSoak across a seed ladder (fresh system per seed,
+// fanned out on a GOMAXPROCS-wide pool) and returns the per-seed results
+// in seed order.
 func ChaosLadder(base *config.Config, seeds []uint64, opt ChaosOptions) []*ChaosResult {
-	out := make([]*ChaosResult, 0, len(seeds))
-	for _, s := range seeds {
-		out = append(out, ChaosSoak(base, s, opt))
-	}
-	return out
+	return campaign.Map(0, seeds, func(_ int, s uint64) *ChaosResult {
+		return ChaosSoak(base, s, opt)
+	})
 }
 
 // String renders the result.

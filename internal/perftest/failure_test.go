@@ -10,7 +10,9 @@ import (
 // TestDriversReportTransportErrors: at a 100% drop rate every QP exhausts
 // its retries. Each driver stops posting at its first failed post, drains,
 // and returns the error in Err, instead of panicking or polling forever.
-// The event limit turns a hang into a fast failure.
+// The short rows post fewer messages per QP than uct.SQDepth, so no post
+// sees the failure: the drain retires it, and Err must carry it all the
+// same. The event limit turns a hang into a fast failure.
 func TestDriversReportTransportErrors(t *testing.T) {
 	const eventLimit = 2_000_000
 	mk := func(nodes int) func() *node.System {
@@ -23,6 +25,7 @@ func TestDriversReportTransportErrors(t *testing.T) {
 		}
 	}
 	opt := Options{Iters: 300, Warmup: 50}
+	short := Options{Iters: 10, Warmup: 1}
 	one := func(nodes int, run func(sys *node.System) error) func() error {
 		return func() error {
 			sys := mk(nodes)()
@@ -35,10 +38,15 @@ func TestDriversReportTransportErrors(t *testing.T) {
 		run  func() error
 	}{
 		{"PutBw", one(2, func(sys *node.System) error { return PutBw(sys, opt).Err })},
+		{"PutBwShort", one(2, func(sys *node.System) error { return PutBw(sys, short).Err })},
 		{"AmLat", one(2, func(sys *node.System) error { return AmLat(sys, opt).Err })},
 		{"MultiPutBw", one(2, func(sys *node.System) error { return MultiPutBw(sys, 2, opt).Err })},
+		{"MultiPutBwShort", one(2, func(sys *node.System) error { return MultiPutBw(sys, 2, short).Err })},
 		{"OversubscribedPutBw", one(4, func(sys *node.System) error { return OversubscribedPutBw(sys, 0, opt).Err })},
+		{"OversubscribedPutBwShort", one(4, func(sys *node.System) error { return OversubscribedPutBw(sys, 0, short).Err })},
 		{"AllToAllPutBw", one(4, func(sys *node.System) error { return AllToAllPutBw(sys, opt).Err })},
+		{"AllToAllPutBwShort", one(4, func(sys *node.System) error { return AllToAllPutBw(sys, short).Err })},
+		{"LossyPutBw", one(2, func(sys *node.System) error { return LossyPutBw(sys, opt).Err })},
 		{"SaturationSweep", func() error {
 			return SaturationSweep(mk(3), 0, []float64{0.8, 1.2}, 4096, 350, 1).Err
 		}},

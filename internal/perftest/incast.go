@@ -14,10 +14,9 @@ import (
 // winShared is the measured-window state shared by the concurrent senders
 // of a scenario: the window opens when the last sender finishes warmup and
 // closes when the last sender finishes posting. err is the first transport
-// error any sender's post returned.
+// error: one a sender's post returned, or one its drain retired.
 type winShared struct {
 	start, end units.Time
-	done       int
 	err        error
 }
 
@@ -43,11 +42,41 @@ type sender struct {
 	eps  []*uct.Ep
 	msg  []byte
 	rand *rng.Rand
+	// am, when nonzero, makes the sender a sequence-stamped stream: each
+	// post stamps msg with the next sequence number, seq, and sends it as
+	// an active message with this id instead of an RDMA write.
+	am  uint8
+	seq int
 	// mark, when set, collects each measured iteration's completion time
 	// in marks — the flap-incast scenario splits the run into pre/dip/post
 	// windows from them. Off on the hot scenarios.
 	mark  bool
 	marks []units.Time
+	// done is set once the sender's loop has drained its tail.
+	done bool
+}
+
+// post begins the sender's next post on ep: an RDMA write of msg, or the
+// stream's next sequence-stamped active message when am is set.
+func (s *sender) post(t *sim.Task, ep *uct.Ep) {
+	if s.am == 0 {
+		ep.StartPut(t, s.msg)
+		return
+	}
+	seqStamp(s.msg, s.seq)
+	s.seq++
+	ep.StartAm(t, s.am, s.msg)
+}
+
+// err reports the first error among the sender's endpoints, nil while
+// every one of its QPs is healthy.
+func (s *sender) err() error {
+	for _, ep := range s.eps {
+		if ep.Err != nil {
+			return ep.Err
+		}
+	}
+	return nil
 }
 
 // connectSenders gives every node of srcs (a node may repeat: one sender
@@ -78,8 +107,10 @@ func runPutLoops(sys *node.System, snd []*sender, opt Options, name string) *win
 		sys.K.SpawnTask(fmt.Sprintf("%s.sender%d", name, i), &putLoopFrame{cfg: sys.Cfg, s: s, opt: &opt, st: st})
 	}
 	sys.Run()
-	if st.done != len(snd) {
-		panic(fmt.Sprintf("perftest: only %d of %d %s senders finished", st.done, len(snd), name))
+	for i, s := range snd {
+		if !s.done {
+			panic(fmt.Sprintf("perftest: %s sender %d of %d never finished", name, i, len(snd)))
+		}
 	}
 	return st
 }
@@ -92,7 +123,9 @@ func runPutLoops(sys *node.System, snd []*sender, opt Options, name string) *win
 // completion every pollBatch posts, counted from the start of each phase,
 // and pays the measurement update and loop overhead (and takes the flap
 // mark) once per measured iteration. The calibration and the trace clear
-// act on the sender's own node.
+// act on the sender's own node. A QP that fails while the tail drains
+// retires its sends through error completions, so the drain ends on it
+// too, and the loop records its error.
 type putLoopFrame struct {
 	cfg *config.Config
 	s   *sender
@@ -119,7 +152,7 @@ func (f *putLoopFrame) Step(t *sim.Task) {
 				continue
 			}
 			f.pc = 2
-			s.eps[f.j].StartPut(t, s.msg)
+			s.post(t, s.eps[f.j])
 			return
 		case 2: // after a warmup post: batched poll
 			if f.st.postFailed(s.eps[f.j]) {
@@ -162,7 +195,7 @@ func (f *putLoopFrame) Step(t *sim.Task) {
 				continue
 			}
 			f.pc = 6
-			s.eps[f.j].StartPut(t, s.msg)
+			s.post(t, s.eps[f.j])
 			return
 		case 6: // after a measured post: batched poll
 			if f.st.postFailed(s.eps[f.j]) {
@@ -193,7 +226,10 @@ func (f *putLoopFrame) Step(t *sim.Task) {
 			s.w.StartFlush(t)
 			return
 		case 9:
-			f.st.done++
+			if err := s.err(); err != nil && f.st.err == nil {
+				f.st.err = err
+			}
+			s.done = true
 			t.Return()
 			return
 		}
@@ -222,8 +258,8 @@ type AllToAllResult struct {
 	PerNodeMsgRate float64
 	MaxSwitchQueue int
 	CreditStalls   uint64
-	// Err is the first transport error a post returned, nil on a complete
-	// run; the other fields are partial when it is set.
+	// Err is the first transport error a post returned or the drain
+	// retired, nil on a complete run; the other fields are then partial.
 	Err error
 }
 

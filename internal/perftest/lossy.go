@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"breakband/internal/campaign"
 	"breakband/internal/config"
 	"breakband/internal/nic"
 	"breakband/internal/node"
@@ -61,82 +62,24 @@ func seqStamp(msg []byte, i int) {
 	}
 }
 
-// lossyShared is the state the lossy sender, receiver and verifier share:
-// the receiver-side sequence check that turns "the transport recovered"
-// into an application-layer assertion.
-type lossyShared struct {
+// lossyRecvFrame is the lossy stream's verifier. It polls the receiver
+// worker until every message arrived or the stream's sender finished with
+// a failed QP, and its verify, the receiver's AM handler, runs the sequence
+// check that turns "the transport recovered" into an application-layer
+// assertion.
+type lossyRecvFrame struct {
 	seqCheck
-	total      int
-	lastRx     units.Time
-	failed     bool // the sender's QP errored (retry exhaustion)
-	senderDone bool
+	w      *uct.Worker
+	s      *sender
+	total  int
+	lastRx units.Time
+	pc     int
 }
 
 // verify is the receiver's AM handler.
-func (sh *lossyShared) verify(t *sim.Task, data []byte) {
-	sh.lastRx = t.Now()
-	sh.check(data)
-}
-
-// lossySendFrame streams sh.total sequence-stamped active messages with
-// batched polling, aborting when the QP fails (retry exhaustion under
-// heavy loss), then drains its in-flight tail with StartFlush, which also
-// ends on a failed QP: its sends retire through their error completions.
-type lossySendFrame struct {
-	w  *uct.Worker
-	ep *uct.Ep
-	sh *lossyShared
-
-	msg []byte
-	pc  int
-	i   int
-}
-
-func (f *lossySendFrame) Step(t *sim.Task) {
-	for {
-		switch f.pc {
-		case 0: // loop head
-			if f.i >= f.sh.total {
-				f.pc = 2
-				continue
-			}
-			seqStamp(f.msg, f.i)
-			f.pc = 1
-			f.ep.StartAm(t, amLossy, f.msg)
-			return
-		case 1:
-			if f.ep.Err != nil {
-				f.pc = 2
-				continue
-			}
-			if (f.i+1)%pollBatch == 0 {
-				f.i++
-				f.pc = 0
-				f.w.StartProgress(t)
-				return
-			}
-			f.i++
-			f.pc = 0
-		case 2: // drain the in-flight tail
-			f.pc = 3
-			f.w.StartFlush(t)
-			return
-		case 3:
-			f.sh.failed = f.ep.Err != nil
-			f.sh.senderDone = true
-			t.Return()
-			return
-		}
-	}
-}
-
-// lossyRecvFrame polls the receiver worker until every message arrived (or
-// the sender gave up), driving the AM verifier.
-type lossyRecvFrame struct {
-	w  *uct.Worker
-	ep *uct.Ep
-	sh *lossyShared
-	pc int
+func (f *lossyRecvFrame) verify(t *sim.Task, data []byte) {
+	f.lastRx = t.Now()
+	f.check(data)
 }
 
 func (f *lossyRecvFrame) Step(t *sim.Task) {
@@ -144,10 +87,10 @@ func (f *lossyRecvFrame) Step(t *sim.Task) {
 		switch f.pc {
 		case 0:
 			f.pc = 1
-			f.ep.StartPostRecvs(t, 64)
+			f.w.Eps[0].StartPostRecvs(t, 64)
 			return
 		case 1:
-			if f.sh.delivered >= f.sh.total || (f.sh.failed && f.sh.senderDone) {
+			if f.delivered >= f.total || (f.s.done && f.s.err() != nil) {
 				t.Return()
 				return
 			}
@@ -166,7 +109,7 @@ type LossyResult struct {
 	CorruptRate float64
 	Total       int
 	// Delivered counts messages the application accepted in sequence;
-	// short of Failed it must equal Total.
+	// short of Err it must equal Total.
 	Delivered int
 	// Application-layer integrity violations — all must be zero at any
 	// loss rate the transport survives.
@@ -174,9 +117,9 @@ type LossyResult struct {
 	Misordered int
 	Corrupted  int
 	BadLength  int
-	// Failed marks a run the sender QP did not survive (retry
-	// exhaustion, e.g. at 100% drop).
-	Failed bool
+	// Err is the first transport error a post returned or the drain
+	// retired, nil on a complete run; the other fields are then partial.
+	Err error
 	// Elapsed is start-of-run to last accepted delivery; GoodputMBs the
 	// delivered payload over it.
 	Elapsed    units.Time
@@ -193,45 +136,39 @@ type LossyResult struct {
 // at the application layer that delivery is bit-exact, exactly-once and
 // in-order — the transport's PSN/ACK-timeout/NAK machinery has to absorb
 // every injected drop and corruption. Goodput degrades with the loss rate;
-// integrity must not. Every message carries an 8-byte sequence stamp, so
-// opt.MsgSize must be at least 8; a smaller one panics.
+// integrity must not. The stream is one put_bw sender whose whole run is
+// the loop's unmeasured phase: a poll every pollBatch posts, no
+// measurement update, then the drain. Every message carries an 8-byte
+// sequence stamp, so opt.MsgSize must be at least 8; a smaller one panics.
 func LossyPutBw(sys *node.System, opt Options) *LossyResult {
 	opt.Defaults()
 	if opt.MsgSize < 8 {
 		panic(fmt.Sprintf("perftest: lossy message size %d: every message carries an 8-byte sequence stamp, so it needs at least 8 bytes", opt.MsgSize))
 	}
 	cfg := sys.Cfg
-	n0, n1 := sys.Nodes[0], sys.Nodes[1]
+	snd, recvW := connectSenders(sys, sys.Nodes[:1], sys.Nodes[1], opt, "lossy")
+	snd[0].am = amLossy
+	v := &lossyRecvFrame{seqCheck: seqCheck{msgSize: opt.MsgSize}, w: recvW, s: snd[0], total: opt.Iters}
+	recvW.SetAmHandler(amLossy, v.verify)
+	sys.K.SpawnTask("lossy.receiver", v)
+	st := runPutLoops(sys, snd, Options{Warmup: opt.Iters, MsgSize: opt.MsgSize, Mode: opt.Mode}, "lossy")
 
-	w0 := uct.NewWorker(n0, cfg)
-	w1 := uct.NewWorker(n1, cfg)
-	ep0 := w0.NewEp(opt.Mode, signalPeriod)
-	ep1 := w1.NewEp(opt.Mode, signalPeriod)
-	uct.Connect(ep0, ep1)
-
-	sh := &lossyShared{seqCheck: seqCheck{msgSize: opt.MsgSize}, total: opt.Iters}
-	w1.SetAmHandler(amLossy, sh.verify)
-
-	sys.K.SpawnTask("lossy.sender", &lossySendFrame{w: w0, ep: ep0, sh: sh, msg: make([]byte, opt.MsgSize)})
-	sys.K.SpawnTask("lossy.receiver", &lossyRecvFrame{w: w1, ep: ep1, sh: sh})
-	sys.Run()
-
-	if !sh.failed && sh.delivered != sh.total {
-		panic(fmt.Sprintf("perftest: lossy run ended with %d of %d delivered and no QP error", sh.delivered, sh.total))
+	if st.err == nil && v.delivered != v.total {
+		panic(fmt.Sprintf("perftest: lossy run ended with %d of %d delivered and no QP error", v.delivered, v.total))
 	}
 	res := &LossyResult{
 		DropRate:      cfg.Faults.DropRate,
 		CorruptRate:   cfg.Faults.CorruptRate,
-		Total:         sh.total,
-		Delivered:     sh.delivered,
-		Duplicated:    sh.dups,
-		Misordered:    sh.gaps,
-		Corrupted:     sh.corrupt,
-		BadLength:     sh.badLen,
-		Failed:        sh.failed,
-		Elapsed:       sh.lastRx,
-		SenderStats:   n0.NIC.Stats(),
-		ReceiverStats: n1.NIC.Stats(),
+		Total:         v.total,
+		Delivered:     v.delivered,
+		Duplicated:    v.dups,
+		Misordered:    v.gaps,
+		Corrupted:     v.corrupt,
+		BadLength:     v.badLen,
+		Err:           st.err,
+		Elapsed:       v.lastRx,
+		SenderStats:   sys.Nodes[0].NIC.Stats(),
+		ReceiverStats: sys.Nodes[1].NIC.Stats(),
 	}
 	if res.Elapsed > 0 {
 		res.GoodputMBs = float64(res.Delivered) * float64(opt.MsgSize) / 1e6 / res.Elapsed.Seconds()
@@ -246,26 +183,23 @@ func LossyPutBw(sys *node.System, opt Options) *LossyResult {
 // as both the drop and the corrupt rate), building a fresh system per
 // point — the payoff scenario of the fault-injection subsystem. Rate zero
 // is the lossless baseline: no injector is compiled and the timeout
-// machinery stays disarmed.
+// machinery stays disarmed. The points fan out on a GOMAXPROCS-wide pool.
 func LossySweep(base *config.Config, rates []float64, opt Options) []*LossyResult {
-	out := make([]*LossyResult, 0, len(rates))
-	for _, r := range rates {
+	return campaign.Map(0, rates, func(_ int, r float64) *LossyResult {
 		c := *base
 		c.Faults.DropRate = r
 		c.Faults.CorruptRate = r
 		sys := node.NewSystem(&c, 2)
-		res := LossyPutBw(sys, opt)
-		sys.Shutdown()
-		out = append(out, res)
-	}
-	return out
+		defer sys.Shutdown()
+		return LossyPutBw(sys, opt)
+	})
 }
 
 // String renders the result.
 func (r *LossyResult) String() string {
 	state := "ok"
-	if r.Failed {
-		state = "FAILED (retry exhaustion)"
+	if r.Err != nil {
+		state = "FAILED: " + r.Err.Error()
 	}
 	return fmt.Sprintf("lossy put_bw: drop %g corrupt %g: %d/%d delivered (%d dup, %d misordered, %d corrupt) in %v -> %.2f MB/s, wire -%d/-%d, %s",
 		r.DropRate, r.CorruptRate, r.Delivered, r.Total, r.Duplicated, r.Misordered, r.Corrupted,
@@ -288,8 +222,8 @@ type FlapIncastResult struct {
 	AckTimeouts, SeqNaks, Retransmits uint64
 	WireDropped                       uint64
 	Flaps                             uint64
-	// Err is the first transport error a post returned, nil on a complete
-	// run; the other fields are partial when it is set.
+	// Err is the first transport error a post returned or the drain
+	// retired, nil on a complete run; the other fields are then partial.
 	Err error
 	// Unmeasured, when set, names each window that falls outside the
 	// measured phase, which runs from the window start to the first

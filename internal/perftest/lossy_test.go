@@ -22,8 +22,8 @@ func TestLossySweepIntegrity(t *testing.T) {
 
 	for i, r := range res {
 		t.Logf("%v", r)
-		if r.Failed {
-			t.Fatalf("rate %g: QP failed; the retry budget should absorb this loss rate", rates[i])
+		if r.Err != nil {
+			t.Fatalf("rate %g: %v; the retry budget should absorb this loss rate", rates[i], r.Err)
 		}
 		if r.Delivered != r.Total {
 			t.Errorf("rate %g: %d of %d delivered", rates[i], r.Delivered, r.Total)
@@ -67,8 +67,9 @@ func TestLossySweepIntegrity(t *testing.T) {
 }
 
 // TestLossyTotalLossFailsCleanly: a 100% lossy link must end in a
-// transport-retry-exceeded QP error surfaced to the driver — not a hang
-// and not a silent partial run.
+// transport-retry-exceeded QP error surfaced to the driver in Err — not a
+// hang and not a silent partial run. The stream posts fewer messages than
+// the send queue holds, so no post sees the failure: the drain retires it.
 func TestLossyTotalLossFailsCleanly(t *testing.T) {
 	cfg := config.TX2CX4(config.NoiseOff, 1, true)
 	cfg.Faults.DropRate = 1.0
@@ -76,8 +77,11 @@ func TestLossyTotalLossFailsCleanly(t *testing.T) {
 	defer sys.Shutdown()
 	res := LossyPutBw(sys, Options{Iters: 50, MsgSize: 32})
 	t.Logf("%v", res)
-	if !res.Failed {
+	if res.Err == nil {
 		t.Fatal("run over a dead link did not fail")
+	}
+	if msg := res.Err.Error(); !strings.Contains(msg, "send failed") {
+		t.Errorf("Err = %q, want the sender QP's failed send", msg)
 	}
 	if res.Delivered != 0 {
 		t.Errorf("%d messages delivered over a 100%% lossy link", res.Delivered)

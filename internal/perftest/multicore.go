@@ -24,8 +24,8 @@ type MultiPutBwResult struct {
 	// zero for a single core (the paper's §4.2 observation), nonzero
 	// once enough cores gang up on the link.
 	LinkBlocked uint64
-	// Err is the first transport error a post returned, nil on a complete
-	// run; the other fields are partial when it is set.
+	// Err is the first transport error a post returned or the drain
+	// retired, nil on a complete run; the other fields are then partial.
 	Err error
 }
 

@@ -62,8 +62,8 @@ type OversubscribedResult struct {
 	// (PCIeWriteCycle): under saturation the per-sender injection
 	// interval converges to Senders x this.
 	ModelCycleNs float64
-	// Err is the first transport error a post returned, nil on a complete
-	// run; the other fields are partial when it is set.
+	// Err is the first transport error a post returned or the drain
+	// retired, nil on a complete run; the other fields are then partial.
 	Err error
 }
 

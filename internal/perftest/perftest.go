@@ -20,19 +20,19 @@
 // uct.Ep.StartPut/StartAm: the inline short path up to 32 bytes, buffered
 // copy above it, busy posts retried after a progress. A post error is
 // therefore a transport failure (the QP exhausted its retries): the sender
-// stops posting at its first one and drains, and the driver's result
-// carries the first such error in its Err field, nil on a complete run.
-// AmLat's two sides also stop waiting once either endpoint has failed.
-// The lossy stream and the chaos soak report failures in their own
-// results.
+// stops posting at its first one and drains. A QP can also fail after the
+// last post, while the tail drains. The driver's result carries the first
+// error that a post returned or that the drain retired in its Err field,
+// nil on a complete run. AmLat's two sides also stop waiting once either
+// endpoint has failed. The chaos soak reports failures in its own result.
 //
 // The senders drain their in-flight tail, outside the measured window, with
-// one call, uct.Worker.StartFlush: putLoopFrame and the lossy stream (the
-// workload injectors do the same). Like StartPut's busy-post retry, the
-// flush polls exactly when some endpoint still has a send in flight, and
-// under NoiseOff it parks on an empty completion queue instead of firing
-// one kernel event per poll; every simulated value is the spin's. Failed
-// sends retire through their error completions, so a flush ends on a failed
+// one call, uct.Worker.StartFlush, at the end of putLoopFrame (the workload
+// injectors do the same). Like StartPut's busy-post retry, the flush polls
+// exactly when some endpoint still has a send in flight, and under
+// NoiseOff it parks on an empty completion queue instead of firing one
+// kernel event per poll; every simulated value is the spin's. Failed sends
+// retire through their error completions, so a flush ends on a failed
 // endpoint too. AmLat polls for its pong itself.
 //
 // A run that times one software component selects its scope on the
@@ -42,16 +42,18 @@
 // One put_bw loop (putLoopFrame) runs every closed-loop sender: PutBw is one
 // sender, MultiPutBw (and MultiCoreSweep over it) one per core on the same
 // node, OversubscribedPutBw the N-to-1 incast (with or without a receiver
-// rx budget), FlapIncastPutBw the incast over a link flap, and
-// AllToAllPutBw one sender per node whose iteration posts to every peer.
-// connectSenders builds the one-endpoint sender sets and runPutLoops runs
-// any set against a shared measured window. SaturationSweep keeps no
-// sender of its own: each load step is one periodic cohort of the workload
-// injector (internal/workload), the one open-loop paced sender. The other
-// scenarios keep their own loops: AmLat (and LatencySizeSweep over it),
-// WindowedPutBw (the poll-window ablation), LossyPutBw and ChaosSoak
-// (sequence-verified streams under faults). ARCHITECTURE.md catalogs them
-// with the bbperftest command that runs each.
+// rx budget), FlapIncastPutBw the incast over a link flap, AllToAllPutBw
+// one sender per node whose iteration posts to every peer, and LossyPutBw
+// one sender of sequence-stamped active messages whose whole stream is the
+// loop's unmeasured phase. connectSenders builds the one-endpoint sender
+// sets (and AmLat's pair) and runPutLoops runs any set against a shared
+// measured window. SaturationSweep keeps no sender of its own: each load
+// step is one periodic cohort of the workload injector (internal/workload),
+// the one open-loop paced sender. The other scenarios keep their own
+// loops: AmLat (and LatencySizeSweep over it), WindowedPutBw (the
+// poll-window ablation) and ChaosSoak (sequence-verified MPI streams under
+// endpoint faults). ARCHITECTURE.md catalogs them with the bbperftest
+// command that runs each.
 package perftest
 
 import (
@@ -106,8 +108,8 @@ type PutBwResult struct {
 	MeanInjNs float64
 	Stats     uct.Stats
 	Worker    *uct.Worker
-	// Err is the first transport error a post returned, nil on a complete
-	// run; the other fields are partial when it is set.
+	// Err is the first transport error a post returned or the drain
+	// retired, nil on a complete run; the other fields are then partial.
 	Err error
 }
 
@@ -154,27 +156,22 @@ const amPing, amPong = 2, 3
 func AmLat(sys *node.System, opt Options) *AmLatResult {
 	opt.Defaults()
 	cfg := sys.Cfg
-	n0, n1 := sys.Nodes[0], sys.Nodes[1]
-
-	w0 := uct.NewWorker(n0, cfg)
-	w1 := uct.NewWorker(n1, cfg)
-	ep0 := w0.NewEp(opt.Mode, signalPeriod)
-	ep1 := w1.NewEp(opt.Mode, signalPeriod)
-	uct.Connect(ep0, ep1)
+	snd, w1 := connectSenders(sys, sys.Nodes[:1], sys.Nodes[1], opt, "am_lat")
+	w0, ep0, ep1 := snd[0].w, snd[0].eps[0], w1.Eps[0]
 
 	gotPong, gotPing := false, false
 	w0.SetAmHandler(amPong, func(t *sim.Task, data []byte) { gotPong = true })
 	w1.SetAmHandler(amPing, func(t *sim.Task, data []byte) { gotPing = true })
 
 	res := &AmLatResult{Iters: opt.Iters, RTTs: &stats.Sample{}, W0: w0, W1: w1, Ep0: ep0, Ep1: ep1}
-	msg := make([]byte, opt.MsgSize)
+	msg := snd[0].msg
 	total := opt.Warmup + opt.Iters
 
 	// Responder: wait for each ping, answer with a pong.
 	sys.K.SpawnTask("am_lat.responder", &amLatEchoFrame{w: w1, ep: ep1, msg: msg, total: total, gotPing: &gotPing, res: res})
 
 	// Initiator: ping, update measurement, spin for the pong.
-	sys.K.SpawnTask("am_lat.initiator", &amLatPingFrame{cfg: cfg, n0: n0, w0: w0, ep0: ep0, msg: msg,
+	sys.K.SpawnTask("am_lat.initiator", &amLatPingFrame{cfg: cfg, n0: sys.Nodes[0], w0: w0, ep0: ep0, msg: msg,
 		opt: &opt, res: res, total: total, gotPong: &gotPong})
 	sys.Run()
 

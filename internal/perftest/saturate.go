@@ -70,8 +70,9 @@ type SaturationPoint struct {
 	MeanLatency units.Time
 	Shares      [6]float64
 	Incomplete  int
-	// HotPort is the egress port with the deepest queue; its depth
-	// distribution is sampled at every enqueue/dequeue transition.
+	// HotPort is the busiest egress port (largest topo.PortStat.Busy), the
+	// stage that saturates; past the knee the deepest queue can be a
+	// sender's own backlog. Its depth is sampled at every enqueue/dequeue.
 	HotPort            string
 	QueueP50, QueueP99 float64
 	MaxQueue           int
@@ -182,16 +183,22 @@ func saturationPoint(sys *node.System, senders int, load float64, bottleneck uni
 		s.Add(float64(depth))
 	}
 
-	// The spec names only the traffic; workload.Run takes the fabric from
-	// sys. A periodic client's arrivals fall one period apart from one
+	// The spec states the system mkSys built (workload.Run refuses any
+	// other). A periodic client's arrivals fall one period apart from one
 	// period after the start, so the window holds exactly iters of them.
 	src := make([]int, senders)
 	for i := range src {
 		src[i] = i + 1
 	}
+	ts, cfg := sys.Topo().Spec(), sys.Cfg
 	spec := &workload.Spec{
-		Name:  "saturate",
-		Nodes: len(sys.Nodes),
+		Name:     "saturate",
+		Nodes:    len(sys.Nodes),
+		Topology: ts.Kind.String(),
+		Radix:    ts.Radix,
+		Credits:  ts.Credits,
+		RxBudget: cfg.NICRxBudget,
+		Faults:   workload.FaultSpec{DropRate: cfg.Faults.DropRate, CorruptRate: cfg.Faults.CorruptRate},
 		Cohorts: []workload.Cohort{{
 			Name:     "incast",
 			Clients:  senders,
@@ -220,10 +227,12 @@ func saturationPoint(sys *node.System, senders int, load float64, bottleneck uni
 		pt.Incomplete = rep.Incomplete
 	}
 
+	var busiest units.Time
 	for _, ps := range sys.Topo().PortStats() {
-		if ps.MaxQueue > pt.MaxQueue {
-			pt.MaxQueue = ps.MaxQueue
+		if ps.Busy > busiest {
+			busiest = ps.Busy
 			pt.HotPort = ps.Name
+			pt.MaxQueue = ps.MaxQueue
 			pt.HotUtilization = float64(ps.Busy) / float64(c.LastDone)
 			if s := depths[ps.Name]; s != nil {
 				pt.QueueP50 = s.Quantile(0.5)

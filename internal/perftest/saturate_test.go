@@ -195,6 +195,28 @@ func TestSaturationKnee(t *testing.T) {
 	}
 }
 
+// TestSaturationHotPortIsBottleneck: the hot port is the port that
+// saturates, the receiver downlink of a 4:1 single-switch incast, not the
+// deepest queue. At load 1.40 with 400 messages per sender a sender's own
+// injection backlog (host3.egress) outgrows the downlink's queue, which
+// the credits bound.
+func TestSaturationHotPortIsBottleneck(t *testing.T) {
+	const senders = 4
+	mkSys := func() *node.System {
+		cfg := tracedConfig(true, 0)
+		cfg.Topology = topo.Spec{Kind: topo.SingleSwitch}
+		return node.NewSystem(cfg, senders+1)
+	}
+	p := SaturationSweep(mkSys, senders, []float64{1.4}, 4096, 400, 1).Points[0]
+	if p.Err != nil {
+		t.Fatal(p.Err)
+	}
+	if p.HotPort != "sw0.port0" {
+		t.Errorf("hot port %s (max queue %d, %.0f%% busy), want the receiver downlink sw0.port0",
+			p.HotPort, p.MaxQueue, 100*p.HotUtilization)
+	}
+}
+
 // TestSaturationOffersItersPerSender: a load step's periodic cohort offers
 // exactly iters messages per sender, and below the knee delivers them all.
 func TestSaturationOffersItersPerSender(t *testing.T) {

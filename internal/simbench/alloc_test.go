@@ -298,7 +298,7 @@ func TestLossyRetransmitAllocBudget(t *testing.T) {
 		cfg.Faults.CorruptRate = 5e-3
 		sys := node.NewSystem(cfg, 2)
 		res := perftest.LossyPutBw(sys, perftest.Options{Iters: iters, MsgSize: 32})
-		if res.Failed || res.SenderStats.Retransmits == 0 {
+		if res.Err != nil || res.SenderStats.Retransmits == 0 {
 			t.Fatalf("scenario exercised no loss recovery: %v", res)
 		}
 		sys.Shutdown()

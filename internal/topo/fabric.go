@@ -32,9 +32,6 @@ type Fabric struct {
 	// port. Attached-but-unrouted ids live only in the ports map.
 	attached []bool
 
-	// Delivered counts delivered frames by kind, a test hook.
-	Delivered [fabric.NumFrameKinds]uint64
-
 	// Ideal two-endpoint tier (nil switches): one egress serialization,
 	// then a constant flight time (WireProp, plus SwitchLatency on the
 	// single-switch shape).
@@ -309,7 +306,10 @@ func (p *outPort) setUp() {
 // parameters (serialization, propagation, switch forwarding latency) come
 // from cfg; whether a path crosses a switch is the spec's choice alone.
 func NewFabric(k *sim.Kernel, cfg fabric.Config, spec Spec, hosts int) *Fabric {
-	spec = spec.resolve(hosts)
+	spec, err := spec.Resolve(hosts)
+	if err != nil {
+		panic("topo: " + err.Error())
+	}
 	t := &Fabric{
 		k:        k,
 		cfg:      cfg,
@@ -335,7 +335,6 @@ func NewFabric(k *sim.Kernel, cfg fabric.Config, spec Spec, hosts int) *Fabric {
 			t.tr.Emit(trace.Event{At: t.k.Now(), Kind: trace.EvDeliver,
 				TID: f.TID, Port: -1, Node: int16(f.Dst)})
 		}
-		t.Delivered[f.Kind]++
 		t.ports[f.Dst].RxFrame(f)
 	}
 	t.frames = fabric.NewFrameArena(t.frameReleased)
@@ -444,12 +443,10 @@ func (t *Fabric) arriveHost(lk *link, f *fabric.Frame) {
 	}
 	if pooled := f.Ref().Get() == f; pooled {
 		f.HopRef = lk.id + 1
-		t.Delivered[f.Kind]++
 		t.ports[f.Dst].RxFrame(f)
 		return
 	}
 	lk.credits++
-	t.Delivered[f.Kind]++
 	t.ports[f.Dst].RxFrame(f)
 	lk.up.kick()
 }

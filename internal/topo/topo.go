@@ -150,7 +150,7 @@ type Spec struct {
 	// link's downstream end); zero selects DefaultCredits.
 	Credits int
 
-	// hosts is filled in by resolve for diagnostics.
+	// hosts is filled in by Resolve for diagnostics.
 	hosts int
 }
 
@@ -175,21 +175,14 @@ func (s Spec) String() string {
 // or nil when it can. CLIs use it to turn flag mistakes into usage errors
 // instead of the panics NewFabric raises on programmer error.
 func (s Spec) Validate(hosts int) error {
-	_, err := s.resolveErr(hosts)
+	_, err := s.Resolve(hosts)
 	return err
 }
 
-// resolve validates the spec against the host count and fills defaults,
-// returning the concrete topology NewFabric compiles.
-func (s Spec) resolve(hosts int) Spec {
-	r, err := s.resolveErr(hosts)
-	if err != nil {
-		panic("topo: " + err.Error())
-	}
-	return r
-}
-
-func (s Spec) resolveErr(hosts int) (Spec, error) {
+// Resolve validates the spec against the host count and fills defaults,
+// returning the concrete topology NewFabric compiles for it, the one
+// Fabric.Spec reports.
+func (s Spec) Resolve(hosts int) (Spec, error) {
 	if hosts < 2 {
 		return s, fmt.Errorf("a fabric needs at least two hosts, got %d", hosts)
 	}

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -77,19 +78,22 @@ func TestSpecResolve(t *testing.T) {
 		{Spec{Kind: FatTree}, 8, FatTree},
 	}
 	for _, c := range cases {
-		r := c.spec.resolve(c.hosts)
+		r, err := c.spec.Resolve(c.hosts)
+		if err != nil {
+			t.Fatalf("Resolve(%v, %d hosts): %v", c.spec, c.hosts, err)
+		}
 		if r.Kind != c.want {
-			t.Errorf("resolve(%v, %d hosts): kind %v, want %v", c.spec, c.hosts, r.Kind, c.want)
+			t.Errorf("Resolve(%v, %d hosts): kind %v, want %v", c.spec, c.hosts, r.Kind, c.want)
 		}
 		if r.Credits != DefaultCredits {
-			t.Errorf("resolve(%v): credits %d, want default %d", c.spec, r.Credits, DefaultCredits)
+			t.Errorf("Resolve(%v): credits %d, want default %d", c.spec, r.Credits, DefaultCredits)
 		}
 	}
 	// Fat-tree default radix: smallest even k with k*k/2 >= hosts.
-	if r := (Spec{Kind: FatTree}).resolve(8); r.Radix != 4 {
+	if r, _ := (Spec{Kind: FatTree}).Resolve(8); r.Radix != 4 {
 		t.Errorf("fattree(8 hosts) default radix %d, want 4", r.Radix)
 	}
-	if r := (Spec{Kind: FatTree}).resolve(9); r.Radix != 6 {
+	if r, _ := (Spec{Kind: FatTree}).Resolve(9); r.Radix != 6 {
 		t.Errorf("fattree(9 hosts) default radix %d, want 6", r.Radix)
 	}
 }
@@ -118,7 +122,7 @@ func TestSpecValidationPanics(t *testing.T) {
 					t.Errorf("panic %q does not mention %q", r, c.msg)
 				}
 			}()
-			c.spec.resolve(c.hosts)
+			NewFabric(sim.NewKernel(), testCfg(), c.spec, c.hosts)
 		})
 	}
 }
@@ -464,8 +468,13 @@ func TestAckRoundTripOverStar(t *testing.T) {
 		if got := ports[0].info[0]; got != (fabric.AckInfo{QPN: 7, Counter: 42}) {
 			t.Errorf("hosts=%d: ack info %+v, want QPN 7 counter 42", hosts, got)
 		}
-		if fab.Delivered[fabric.Data] != 1 || fab.Delivered[fabric.TransportAck] != 1 {
-			t.Errorf("hosts=%d: delivered counts: %v", hosts, fab.Delivered)
+		// The data frame lands at dst, its ack at the initiator, and
+		// nothing anywhere else.
+		for i, p := range ports {
+			want := map[int][]fabric.FrameKind{0: {fabric.TransportAck}, dst: {fabric.Data}}[i]
+			if !slices.Equal(p.got, want) {
+				t.Errorf("hosts=%d: port %d got %v, want %v", hosts, i, p.got, want)
+			}
 		}
 		if fab.InUseFrames() != 0 {
 			t.Errorf("hosts=%d: %d frames leaked after ack round trip", hosts, fab.InUseFrames())

@@ -92,15 +92,16 @@ func (r *Result) Err() error {
 
 // Run compiles the spec into injectors on sys, runs the simulation to
 // completion and reports per-cohort results. The system must have been
-// built for the spec (node count equal to spec.Nodes — BuildConfig +
-// node.NewSystem is the canonical recipe). Run validates the spec first and
-// never panics on bad input.
+// built for the spec (BuildConfig + node.NewSystem is the canonical
+// recipe): Run refuses one whose node count, resolved topology, NIC rx
+// budget, link-fault rates or, when the spec sets one, seed differ from
+// the spec's. Run validates the spec first and never panics on bad input.
 func Run(spec *Spec, sys *node.System, opt RunOpt) (*Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if len(sys.Nodes) != spec.Nodes {
-		return nil, fmt.Errorf("workload %q: spec wants %d nodes, system has %d", spec.Name, spec.Nodes, len(sys.Nodes))
+	if err := spec.builtFor(sys); err != nil {
+		return nil, err
 	}
 	if opt.Replay != nil {
 		if err := opt.Replay.CompatibleWith(spec); err != nil {
@@ -113,6 +114,32 @@ func Run(spec *Spec, sys *node.System, opt RunOpt) (*Result, error) {
 	}
 	sys.Run()
 	return b.collect()
+}
+
+// builtFor reports the first field of the validated spec that sys was not
+// built for, nil when BuildConfig would have built its configuration.
+func (s *Spec) builtFor(sys *node.System) error {
+	ts, _ := s.TopoSpec()
+	topology, _ := ts.Resolve(s.Nodes)
+	cfg := sys.Cfg
+	differs := func(field string, want, have any) error {
+		return fmt.Errorf("workload %q: spec wants %s %v, system has %v", s.Name, field, want, have)
+	}
+	switch {
+	case len(sys.Nodes) != s.Nodes:
+		return differs("nodes", s.Nodes, len(sys.Nodes))
+	case sys.Net.Spec() != topology:
+		return differs("topology", topology, sys.Net.Spec())
+	case cfg.NICRxBudget != s.RxBudget:
+		return differs("rxbudget", s.RxBudget, cfg.NICRxBudget)
+	case cfg.Faults.DropRate != s.Faults.DropRate:
+		return differs("faults.droprate", s.Faults.DropRate, cfg.Faults.DropRate)
+	case cfg.Faults.CorruptRate != s.Faults.CorruptRate:
+		return differs("faults.corruptrate", s.Faults.CorruptRate, cfg.Faults.CorruptRate)
+	case s.Seed != 0 && cfg.Seed != s.Seed:
+		return differs("seed", s.Seed, cfg.Seed)
+	}
+	return nil
 }
 
 // builder wires a validated spec into injector tasks on a system.

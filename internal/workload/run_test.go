@@ -8,6 +8,7 @@ import (
 
 	"breakband/internal/config"
 	"breakband/internal/node"
+	"breakband/internal/topo"
 	"breakband/internal/uct"
 	"breakband/internal/units"
 )
@@ -164,4 +165,43 @@ func TestValidateMemoryBound(t *testing.T) {
 		t.Fatalf("%d senders into one node: Validate = %v, want a memory error", fit+1, err)
 	}
 	runSpec(t, spec(fit), config.NoiseOff, 1, RunOpt{})
+}
+
+// TestRunRefusesSystemItDoesNotDescribe: Run runs a spec only on the system
+// BuildConfig builds for it. A system that differs in its node count,
+// resolved topology, NIC rx budget, a link-fault rate or the seed the spec
+// sets is refused with one error naming the field.
+func TestRunRefusesSystemItDoesNotDescribe(t *testing.T) {
+	spec := incastSpec()
+	spec.RxBudget = 4
+	spec.Seed = 9
+	spec.Faults = FaultSpec{DropRate: 1e-3, CorruptRate: 1e-4}
+	spec.Cohorts[0].Duration = 20 * units.Microsecond
+	for _, tc := range []struct {
+		field string
+		nodes int
+		edit  func(cfg *config.Config)
+	}{
+		{"nodes", 4, func(cfg *config.Config) {}},
+		{"topology", 8, func(cfg *config.Config) { cfg.Topology = topo.Spec{Kind: topo.SingleSwitch} }},
+		{"topology", 8, func(cfg *config.Config) { cfg.Topology.Radix = 8 }},
+		{"topology", 8, func(cfg *config.Config) { cfg.Topology.Credits = 4 }},
+		{"rxbudget", 8, func(cfg *config.Config) { cfg.NICRxBudget = 0 }},
+		{"faults.droprate", 8, func(cfg *config.Config) { cfg.Faults.DropRate = 0 }},
+		{"faults.corruptrate", 8, func(cfg *config.Config) { cfg.Faults.CorruptRate = 0 }},
+		{"seed", 8, func(cfg *config.Config) { cfg.Seed = 1 }},
+	} {
+		cfg := spec.BuildConfig(config.NoiseOff, 1)
+		tc.edit(cfg)
+		sys := node.NewSystem(cfg, tc.nodes)
+		_, err := Run(spec, sys, RunOpt{})
+		sys.Shutdown()
+		if err == nil || strings.Contains(err.Error(), "\n") || !strings.Contains(err.Error(), "spec wants "+tc.field+" ") {
+			t.Errorf("a system differing in %s: Run = %v, want one line naming the field", tc.field, err)
+		}
+	}
+	res := runSpec(t, spec, config.NoiseOff, 1, RunOpt{})
+	if c := &res.Cohorts[0]; c.Offered == 0 || c.Delivered+c.Failed != c.Offered {
+		t.Errorf("the system BuildConfig built: delivered %d + failed %d of %d offered", c.Delivered, c.Failed, c.Offered)
+	}
 }
