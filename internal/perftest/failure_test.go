@@ -12,9 +12,10 @@ import (
 // and returns the error in Err, instead of panicking or polling forever.
 // The short rows post fewer messages per QP than uct.SQDepth, so no post
 // sees the failure: the drain retires it, and Err must carry it all the
-// same. The event limit turns a hang into a fast failure.
+// same. The event limit turns a hang into a fast failure, and a wait that
+// spins through the retry timeouts instead of parking into one as well.
 func TestDriversReportTransportErrors(t *testing.T) {
-	const eventLimit = 2_000_000
+	const eventLimit = 50_000
 	mk := func(nodes int) func() *node.System {
 		return func() *node.System {
 			cfg := config.TX2CX4(config.NoiseOff, 1, true)
@@ -47,6 +48,7 @@ func TestDriversReportTransportErrors(t *testing.T) {
 		{"AllToAllPutBw", one(4, func(sys *node.System) error { return AllToAllPutBw(sys, opt).Err })},
 		{"AllToAllPutBwShort", one(4, func(sys *node.System) error { return AllToAllPutBw(sys, short).Err })},
 		{"LossyPutBw", one(2, func(sys *node.System) error { return LossyPutBw(sys, opt).Err })},
+		{"WindowedPutBw", one(2, func(sys *node.System) error { return WindowedPutBw(sys, 32, 64).Err })},
 		{"SaturationSweep", func() error {
 			return SaturationSweep(mk(3), 0, []float64{0.8, 1.2}, 4096, 350, 1).Err
 		}},

@@ -62,18 +62,19 @@ func seqStamp(msg []byte, i int) {
 	}
 }
 
-// lossyRecvFrame is the lossy stream's verifier. It polls the receiver
-// worker until every message arrived or the stream's sender finished with
-// a failed QP, and its verify, the receiver's AM handler, runs the sequence
-// check that turns "the transport recovered" into an application-layer
-// assertion.
+// lossyRecvFrame is the lossy stream's verifier. It waits on the receiver
+// worker until finished, bound once per run, reports that every message
+// arrived or that the stream's sender finished with a failed QP, and its
+// verify, the receiver's AM handler, runs the sequence check that turns
+// "the transport recovered" into an application-layer assertion.
 type lossyRecvFrame struct {
 	seqCheck
-	w      *uct.Worker
-	s      *sender
-	total  int
-	lastRx units.Time
-	pc     int
+	w        *uct.Worker
+	s        *sender
+	total    int
+	lastRx   units.Time
+	finished func() bool
+	pc       int
 }
 
 // verify is the receiver's AM handler.
@@ -83,23 +84,15 @@ func (f *lossyRecvFrame) verify(t *sim.Task, data []byte) {
 }
 
 func (f *lossyRecvFrame) Step(t *sim.Task) {
-	for {
-		switch f.pc {
-		case 0:
-			f.pc = 1
-			f.w.Eps[0].StartPostRecvs(t, 64)
-			return
-		case 1:
-			if f.delivered >= f.total || (f.s.done && f.s.err() != nil) {
-				t.Return()
-				return
-			}
-			f.pc = 2
-			f.w.StartProgress(t)
-			return
-		case 2:
-			f.pc = 1
-		}
+	switch f.pc {
+	case 0:
+		f.pc = 1
+		f.w.Eps[0].StartPostRecvs(t, 64)
+	case 1:
+		f.pc = 2
+		f.w.StartProgressUntil(t, f.finished)
+	case 2:
+		t.Return()
 	}
 }
 
@@ -149,6 +142,7 @@ func LossyPutBw(sys *node.System, opt Options) *LossyResult {
 	snd, recvW := connectSenders(sys, sys.Nodes[:1], sys.Nodes[1], opt, "lossy")
 	snd[0].am = amLossy
 	v := &lossyRecvFrame{seqCheck: seqCheck{msgSize: opt.MsgSize}, w: recvW, s: snd[0], total: opt.Iters}
+	v.finished = func() bool { return v.delivered >= v.total || (v.s.done && v.s.err() != nil) }
 	recvW.SetAmHandler(amLossy, v.verify)
 	sys.K.SpawnTask("lossy.receiver", v)
 	st := runPutLoops(sys, snd, Options{Warmup: opt.Iters, MsgSize: opt.MsgSize, Mode: opt.Mode}, "lossy")

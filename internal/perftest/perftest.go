@@ -23,17 +23,22 @@
 // stops posting at its first one and drains. A QP can also fail after the
 // last post, while the tail drains. The driver's result carries the first
 // error that a post returned or that the drain retired in its Err field,
-// nil on a complete run. AmLat's two sides also stop waiting once either
-// endpoint has failed. The chaos soak reports failures in its own result.
+// nil on a complete run. The chaos soak reports failures in its own result.
 //
-// The senders drain their in-flight tail, outside the measured window, with
-// one call, uct.Worker.StartFlush, at the end of putLoopFrame (the workload
-// injectors do the same). Like StartPut's busy-post retry, the flush polls
-// exactly when some endpoint still has a send in flight, and under
-// NoiseOff it parks on an empty completion queue instead of firing one
-// kernel event per poll; every simulated value is the spin's. Failed sends
-// retire through their error completions, so a flush ends on a failed
-// endpoint too. AmLat polls for its pong itself.
+// The drivers that talk to uct wait for completions in one loop,
+// uct.Worker.StartProgressUntil, which tests its predicate before every
+// poll and, like StartPut's busy-post retry, parks on an empty completion
+// queue under NoiseOff instead of firing one kernel event per poll; every
+// simulated value is the spin's. The senders drain their in-flight tail,
+// outside the measured window, with StartFlush (that loop until no send is
+// in flight) at the end of putLoopFrame, as the workload injectors do, and
+// WindowedPutBw drains each window with it. Failed sends retire through
+// their error completions, so a flush ends on a failed endpoint too.
+// AmLat's two sides wait for their ping and pong, and the lossy verifier
+// for its stream, until the message arrives or the run has failed. A
+// parked wait sees only its own worker's completions: under NoiseOff, the
+// side whose peer failed stays parked until the system's Shutdown, and the
+// run ends when no event is left, with the same Err.
 //
 // A run that times one software component selects its scope on the
 // initiator node's profiler before it starts (internal/profile); the
@@ -52,8 +57,9 @@
 // the one open-loop paced sender. The other scenarios keep their own
 // loops: AmLat (and LatencySizeSweep over it), WindowedPutBw (the
 // poll-window ablation) and ChaosSoak (sequence-verified MPI streams under
-// endpoint faults). ARCHITECTURE.md catalogs them with the bbperftest
-// command that runs each.
+// endpoint faults). AmLat, WindowedPutBw and the lossy verifier keep their
+// loops but not their own polls. ARCHITECTURE.md catalogs them with the
+// bbperftest command that runs each.
 package perftest
 
 import (
@@ -159,20 +165,17 @@ func AmLat(sys *node.System, opt Options) *AmLatResult {
 	snd, w1 := connectSenders(sys, sys.Nodes[:1], sys.Nodes[1], opt, "am_lat")
 	w0, ep0, ep1 := snd[0].w, snd[0].eps[0], w1.Eps[0]
 
-	gotPong, gotPing := false, false
-	w0.SetAmHandler(amPong, func(t *sim.Task, data []byte) { gotPong = true })
-	w1.SetAmHandler(amPing, func(t *sim.Task, data []byte) { gotPing = true })
-
 	res := &AmLatResult{Iters: opt.Iters, RTTs: &stats.Sample{}, W0: w0, W1: w1, Ep0: ep0, Ep1: ep1}
 	msg := snd[0].msg
 	total := opt.Warmup + opt.Iters
 
 	// Responder: wait for each ping, answer with a pong.
-	sys.K.SpawnTask("am_lat.responder", &amLatEchoFrame{w: w1, ep: ep1, msg: msg, total: total, gotPing: &gotPing, res: res})
+	sys.K.SpawnTask("am_lat.responder", &amLatEchoFrame{w: w1, ep: ep1, msg: msg, total: total,
+		ping: newAmWait(w1, amPing, res), res: res})
 
-	// Initiator: ping, update measurement, spin for the pong.
+	// Initiator: ping, update measurement, wait for the pong.
 	sys.K.SpawnTask("am_lat.initiator", &amLatPingFrame{cfg: cfg, n0: sys.Nodes[0], w0: w0, ep0: ep0, msg: msg,
-		opt: &opt, res: res, total: total, gotPong: &gotPong})
+		opt: &opt, res: res, total: total, pong: newAmWait(w0, amPong, res)})
 	sys.Run()
 
 	res.AdjustedNs = res.ReportedNs - cfg.SW.MeasUpdate.Mean().Ns()/2
@@ -180,9 +183,9 @@ func AmLat(sys *node.System, opt Options) *AmLatResult {
 }
 
 // failed records the first transport error of the ping-pong: a post that
-// returned one, or either endpoint failing while its side waits (the peer
-// of a failed side would otherwise poll forever). It reports whether the
-// run has failed.
+// returned one, or either endpoint failing while its side waits (a spinning
+// peer of a failed side would otherwise poll forever). It reports whether
+// the run has failed.
 func (r *AmLatResult) failed(err error) bool {
 	switch {
 	case r.Err != nil:
@@ -196,15 +199,32 @@ func (r *AmLatResult) failed(err error) bool {
 	return r.Err != nil
 }
 
+// amWait is one side's wait in the ping-pong: the side's AM handler sets
+// got, and arrived, bound once per run, ends the side's
+// uct.Worker.StartProgressUntil on the message or on the run's failure.
+type amWait struct {
+	got     bool
+	arrived func() bool
+}
+
+// newAmWait registers w's handler for active message id and returns the
+// wait for it.
+func newAmWait(w *uct.Worker, id uint8, res *AmLatResult) *amWait {
+	a := &amWait{}
+	w.SetAmHandler(id, func(*sim.Task, []byte) { a.got = true })
+	a.arrived = func() bool { return res.failed(nil) || a.got }
+	return a
+}
+
 // amLatEchoFrame is the ping-pong responder: wait for each ping, answer
 // with a pong.
 type amLatEchoFrame struct {
-	w       *uct.Worker
-	ep      *uct.Ep
-	msg     []byte
-	total   int
-	gotPing *bool
-	res     *AmLatResult
+	w     *uct.Worker
+	ep    *uct.Ep
+	msg   []byte
+	total int
+	ping  *amWait
+	res   *AmLatResult
 
 	pc int
 	i  int
@@ -217,29 +237,24 @@ func (f *amLatEchoFrame) Step(t *sim.Task) {
 			f.pc = 1
 			f.ep.StartPostRecvs(t, 64)
 			return
-		case 1: // iteration head
+		case 1: // iteration head: wait for the ping
 			if f.i >= f.total {
 				t.Return()
 				return
 			}
 			f.pc = 2
-		case 2: // spin for the ping
+			f.w.StartProgressUntil(t, f.ping.arrived)
+			return
+		case 2: // the ping arrived, or the run failed
 			if f.res.failed(nil) {
 				t.Return()
 				return
 			}
-			if !*f.gotPing {
-				f.pc = 3
-				f.w.StartProgress(t)
-				return
-			}
-			*f.gotPing = false
-			f.pc = 4
+			f.ping.got = false
+			f.pc = 3
 			f.ep.StartAm(t, amPong, f.msg)
 			return
 		case 3:
-			f.pc = 2
-		case 4:
 			if f.res.failed(f.ep.LastPost()) {
 				t.Return()
 				return
@@ -251,17 +266,17 @@ func (f *amLatEchoFrame) Step(t *sim.Task) {
 }
 
 // amLatPingFrame is the ping-pong initiator: post the ping, run the
-// measurement update inside the round trip, spin for the pong.
+// measurement update inside the round trip, wait for the pong.
 type amLatPingFrame struct {
-	cfg     *config.Config
-	n0      *node.Node
-	w0      *uct.Worker
-	ep0     *uct.Ep
-	msg     []byte
-	opt     *Options
-	res     *AmLatResult
-	total   int
-	gotPong *bool
+	cfg   *config.Config
+	n0    *node.Node
+	w0    *uct.Worker
+	ep0   *uct.Ep
+	msg   []byte
+	opt   *Options
+	res   *AmLatResult
+	total int
+	pong  *amWait
 
 	pc    int
 	i     int
@@ -316,25 +331,20 @@ func (f *amLatPingFrame) Step(t *sim.Task) {
 			// the model).
 			t.Advance(cfg.SW.MeasUpdate.Sample(f.n0.Rand))
 			f.pc = 4
-		case 4: // spin for the pong
+			f.w0.StartProgressUntil(t, f.pong.arrived)
+			return
+		case 4: // the pong arrived, or the run failed
 			if f.res.failed(nil) {
 				t.Return()
 				return
 			}
-			if !*f.gotPong {
-				f.pc = 5
-				f.w0.StartProgress(t)
-				return
-			}
-			*f.gotPong = false
+			f.pong.got = false
 			t.Advance(cfg.SW.BenchLoop.Sample(f.n0.Rand))
 			if f.i >= f.opt.Warmup {
 				f.res.RTTs.Add((t.Now() - f.t0).Ns())
 			}
 			f.i++
 			f.pc = 1
-		case 5:
-			f.pc = 4
 		}
 	}
 }

@@ -48,8 +48,8 @@ type WindowedResult struct {
 	// ModelMin is the paper's §4.2 lower bound on the window: below
 	// MinPollPeriod the sender stalls on completion generation.
 	ModelMin int
-	// Err is the first transport error a post returned, nil on a complete
-	// run; PerMsgNs stays zero when Err is set.
+	// Err is the first transport error a post returned or a window's drain
+	// retired, nil on a complete run; PerMsgNs stays zero when Err is set.
 	Err error
 }
 
@@ -71,9 +71,10 @@ func WindowedPutBw(sys *node.System, window, iters int) *WindowedResult {
 	return res
 }
 
-// windowedFrame drives the poll-window ablation: post a window, poll the
-// window's completions before reusing it. A failed post ends the run after
-// a flush of the in-flight tail.
+// windowedFrame drives the poll-window ablation: post a window, then
+// drain it with uct.Worker.StartFlush before reusing it. A failed post
+// ends the window early; a QP that failed, in a post or in the drain, ends
+// the run with its error once the drain has retired the in-flight tail.
 type windowedFrame struct {
 	cfg     *config.Config
 	s       *sender
@@ -82,12 +83,10 @@ type windowedFrame struct {
 	window  int
 	warmup  int
 
-	pc        int
-	wnd       int
-	i         int
-	completed int
-	target    int
-	start     units.Time
+	pc    int
+	wnd   int
+	i     int
+	start units.Time
 }
 
 func (f *windowedFrame) Step(t *sim.Task) {
@@ -101,44 +100,33 @@ func (f *windowedFrame) Step(t *sim.Task) {
 			}
 			if f.wnd == f.warmup {
 				f.start = t.Now()
-				f.completed = 0
 			}
 			f.i = 0
 			f.pc = 1
 		case 1: // post loop head
 			if f.i >= f.window {
-				// Poll the window's completions before reusing it.
-				f.target = f.completed + f.window
+				// Drain the window before reusing it.
 				f.pc = 3
-				continue
+				f.s.w.StartFlush(t)
+				return
 			}
 			f.pc = 2
 			f.s.eps[0].StartPut(t, f.s.msg)
 			return
 		case 2:
-			if err := f.s.eps[0].LastPost(); err != nil {
-				f.res.Err = err
-				f.pc = 5
-				f.s.w.StartFlush(t)
-				return
-			}
 			f.i++
+			if f.s.eps[0].LastPost() != nil {
+				f.i = f.window // the QP failed: drain, then report it
+			}
 			f.pc = 1
-		case 3: // poll loop head
-			if f.completed < f.target {
-				f.pc = 4
-				f.s.w.StartProgress(t)
+		case 3: // drained
+			if f.res.Err = f.s.err(); f.res.Err != nil {
+				t.Return()
 				return
 			}
 			t.Advance(f.cfg.SW.MeasUpdate.Sample(f.s.rand))
 			f.wnd++
 			f.pc = 0
-		case 4:
-			f.completed += f.s.w.LastProgress()
-			f.pc = 3
-		case 5:
-			t.Return()
-			return
 		}
 	}
 }

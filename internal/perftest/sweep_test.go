@@ -2,6 +2,7 @@ package perftest
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"breakband/internal/config"
@@ -87,5 +88,39 @@ func TestWindowedPutBwBound(t *testing.T) {
 	if results[8] > 1.5*results[32] {
 		t.Errorf("window-8 = %.2f vs window-32 = %.2f: bound not flattening",
 			results[8], results[32])
+	}
+}
+
+// TestWindowedReportsDrainFailure: a QP that fails inside the last window
+// retires its sends through error completions while the window drains. The
+// run must return that failure, not a rate (seed 34 at drop 0.4 fails its
+// QP at counter 95, the last of 3 windows of 32).
+func TestWindowedReportsDrainFailure(t *testing.T) {
+	cfg := config.TX2CX4(config.NoiseOff, 34, true)
+	cfg.Faults.DropRate = 0.4
+	sys := node.NewSystem(cfg, 2)
+	defer sys.Shutdown()
+	sys.K.SetEventLimit(100_000)
+	res := WindowedPutBw(sys, 32, 32)
+	if fails := sys.Nodes[0].NIC.Stats().QPFails; fails != 1 {
+		t.Fatalf("%d QP failures; the case needs the one in the last window", fails)
+	}
+	if res.Err == nil || !strings.Contains(res.Err.Error(), "send failed") || res.PerMsgNs != 0 {
+		t.Errorf("Err %v with %.2f ns per message; want the failed send's error and no rate", res.Err, res.PerMsgNs)
+	}
+}
+
+// TestWindowAboveSendQueue: a window deeper than uct.SQDepth fills the send
+// queue, and StartPut's busy-post retry retires completions before the
+// window's drain. The run still ends, at the flat rate past the §4.2
+// bound: within 5% of window 32's.
+func TestWindowAboveSendQueue(t *testing.T) {
+	sys := mkDet()
+	defer sys.Shutdown()
+	sys.K.SetEventLimit(50_000)
+	res := WindowedPutBw(sys, 200, 400)
+	w32 := WindowedSweep(mkDet, []int{32}, 1024, 1)[0]
+	if res.Err != nil || res.PerMsgNs <= 0 || res.PerMsgNs > 1.05*w32.PerMsgNs {
+		t.Errorf("window 200: %.2f ns per message (Err %v); window 32: %.2f", res.PerMsgNs, res.Err, w32.PerMsgNs)
 	}
 }

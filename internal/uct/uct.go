@@ -16,8 +16,10 @@
 // by size, and retry a busy post after one worker progress. StartAmShort
 // and StartAmBcopy pick the path explicitly and leave a busy post to the
 // caller, for ucp, which queues its own.
-// StartFlush progresses a worker until no endpoint has a send in flight,
-// as UCX's uct_iface_flush does; the benchmarks drain their tails with it.
+// StartProgressUntil progresses a worker until a predicate holds, testing
+// it before every poll; the benchmarks wait for their messages with it.
+// StartFlush is that loop until no endpoint has a send in flight, as UCX's
+// uct_iface_flush does; the benchmarks drain their tails with it.
 // StartPostRecvs posts receive credits one at a time, each visible to
 // deliveries from its own post instant; progress reposts the credits its
 // receives consumed through it, on an empty poll or once replenishBatch
@@ -43,11 +45,12 @@
 //
 // # Parked polling
 //
-// The busy-post retry and the flush are spin loops: poll, and while the
-// poll comes back empty (and, in the retry, the transmit queue stays
-// full), pay the busy post and poll again. Each empty round takes
+// The busy-post retry and StartProgressUntil's wait loop are spin loops:
+// poll, and while the poll comes back empty and the loop's exit test still
+// fails (the retry's: a free transmit slot; the wait's: its predicate),
+// pay the busy post (retry only) and poll again. Each empty round takes
 // P = BusyPost (retry only) + LLPProgBarrier + LLPProgFailChk of virtual
-// time (37 ns in the calibrated retry, 28 ns in the flush), and spinning
+// time (37 ns in the calibrated retry, 28 ns in the wait), and spinning
 // through it costs one kernel event. Instead, after an empty poll the
 // loop parks its task (sim.Task.Park) and arms a memory write watch on
 // each endpoint's next send-CQ and receive-CQ slot. The first write that
@@ -57,6 +60,14 @@
 // BusyPosts in the retry) and j-1 to EmptyPolls, and the j-th poll reads
 // the CQs for real. Every simulated time and counter is therefore the
 // spin's, with one event per wait instead of one per poll.
+//
+// A parked loop wakes only on a write to its own worker's completion
+// slots. The retry's test and the flush's change only when this worker
+// polls a completion, and so does a wait for messages its AM handler
+// counts. A wait whose predicate also watches a peer, such as "or the
+// other side failed", does not see the peer fail while parked: under
+// NoiseOff it stays parked until its own slots are written or Shutdown
+// cancels its task, where the spin would have ended at its next test.
 //
 // A loop parks only when all of these hold, each read from its inputs:
 //
@@ -211,9 +222,13 @@ type Worker struct {
 	// task is cancelled; bound once so parking allocates nothing.
 	unpark func()
 
+	// flushed reports whether no endpoint has a send in flight: StartFlush's
+	// predicate, bound once so a flush allocates nothing.
+	flushed func() bool
+
 	// Preallocated frames (one progress chain per worker at a time).
-	progF  progressFrame
-	flushF flushFrame
+	progF progressFrame
+	waitF waitFrame
 }
 
 // NewWorker builds an LLP worker on a node. The worker draws its software
@@ -222,8 +237,16 @@ type Worker struct {
 func NewWorker(n *node.Node, cfg *config.Config) *Worker {
 	w := &Worker{Node: n, Cfg: cfg, amHandlers: make(map[uint8]AmHandler), rand: n.Rand}
 	w.progF.w = w
-	w.flushF.w = w
+	w.waitF.w = w
 	w.unpark = func() { w.Node.Mem.Unwatch(w) }
+	w.flushed = func() bool {
+		for _, e := range w.Eps {
+			if e.InFlight() > 0 {
+				return false
+			}
+		}
+		return true
+	}
 	return w
 }
 
@@ -861,34 +884,49 @@ func (e *Ep) nextSignaled() bool {
 }
 
 // StartFlush begins progressing the worker until no endpoint has a send in
-// flight (UCX's uct_iface_flush). It polls exactly when some endpoint still
-// has a send in flight, and parks on an empty poll like StartPut's retry
-// (see the package documentation). Failed sends retire through their error
-// CQEs, so a flush also ends on a failed endpoint.
-func (w *Worker) StartFlush(t *sim.Task) {
-	w.flushF.pc = 0
-	t.Call(&w.flushF)
+// flight (UCX's uct_iface_flush): the wait loop of StartProgressUntil, with
+// that predicate. Failed sends retire through their error CQEs, so a flush
+// also ends on a failed endpoint.
+func (w *Worker) StartFlush(t *sim.Task) { w.StartProgressUntil(t, w.flushed) }
+
+// StartProgressUntil begins the worker's wait loop: it tests done before
+// every poll and polls while done reports false, so it polls exactly where
+// StartProgress calls guarded by done would, and parks after an empty poll
+// like StartPut's retry (see the package documentation). done must not
+// pause, and is bound once per run: a closure or method value made per call
+// allocates. A parked wait wakes only on a write to this worker's
+// completion slots, so every simulated value is the spin's as long as done
+// changes only inside this worker's progress. A done that another task
+// turns true, such as "or the peer failed", is seen at the next test under
+// NoiseOn; under NoiseOff the wait stays parked until its own slots are
+// written or Shutdown cancels its task, and a run whose other tasks have
+// finished ends with no event left.
+func (w *Worker) StartProgressUntil(t *sim.Task, done func() bool) {
+	w.waitF.pc = 0
+	w.waitF.done = done
+	t.Call(&w.waitF)
 }
 
-// flushFrame is the flush loop behind StartFlush.
-type flushFrame struct {
-	w  *Worker
-	pc int
+// waitFrame is the wait loop behind StartProgressUntil.
+type waitFrame struct {
+	w    *Worker
+	pc   int
+	done func() bool
 }
 
-func (f *flushFrame) Step(t *sim.Task) {
+func (f *waitFrame) Step(t *sim.Task) {
 	w := f.w
 	for {
 		switch f.pc {
 		case 0:
-			if !w.sending() {
+			if f.done() {
 				t.Return()
 				return
 			}
 			f.pc = 1
 			w.StartProgress(t)
 			return
-		case 1: // polled: park on an empty CQ, or check again
+		case 1: // polled: park on an empty CQ, or test again
 			if w.park(t, false) {
 				f.pc = 2
 				return
@@ -902,16 +940,6 @@ func (f *flushFrame) Step(t *sim.Task) {
 	}
 }
 
-// sending reports whether any endpoint has a send in flight.
-func (w *Worker) sending() bool {
-	for _, e := range w.Eps {
-		if e.InFlight() > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // idlePoll is a parked poll loop. The polls it skips read the CQs at
 // first + (j-1)*period for j = 1, 2, ...; the wake records in polls the j
 // of the poll that sees the completion.
@@ -922,7 +950,7 @@ type idlePoll struct {
 	polls         uint64
 }
 
-// park parks t, which runs this worker's busy-post retry (busy) or flush,
+// park parks t, which runs this worker's busy-post retry (busy) or wait loop,
 // right after an empty poll, when the conditions in the package
 // documentation hold. It reports whether t parked; the caller's Step must
 // then return, and call startWokenProgress when t resumes.

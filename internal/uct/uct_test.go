@@ -742,7 +742,7 @@ func TestCancelParkedFlush(t *testing.T) {
 	if !task.Parked() || mem.Watches() != 2 {
 		t.Fatalf("after the drain: parked %v with %d watches; want parked on 2", task.Parked(), mem.Watches())
 	}
-	if rep := sys.K.StallReport(); !strings.Contains(rep, "parked in *uct.flushFrame") {
+	if rep := sys.K.StallReport(); !strings.Contains(rep, "parked in *uct.waitFrame") {
 		t.Errorf("stall report does not name the parked flush:\n%s", rep)
 	}
 	task.Cancel()

@@ -30,6 +30,8 @@ type Recovery struct {
 	AckTimeouts uint64
 	SeqNaksRecv uint64
 	RNRNaksRecv uint64
+	// Retransmits counts frame replays from every recovery path: RNR
+	// backoff expiry, sequence NAK and ACK timeout.
 	Retransmits uint64
 }
 
@@ -487,7 +489,7 @@ func (b *builder) collect() (*Result, error) {
 			rec.AckTimeouts += qp.AckTimeouts
 			rec.SeqNaksRecv += qp.SeqNaksRecv
 			rec.RNRNaksRecv += qp.RNRNaksRecv
-			rec.Retransmits += qp.Retransmits + qp.RnrRetransmits
+			rec.Retransmits += qp.Retransmits
 		}
 	}
 	var first, last units.Time

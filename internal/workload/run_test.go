@@ -102,6 +102,47 @@ func TestAllFailedRunElapsed(t *testing.T) {
 	}
 }
 
+// TestRecoveryCountsFrameReplays: a cohort's Retransmits is the sum of
+// its QPs' frame replays. A receiver rx budget of 2 RNR-NAKs the 4 KiB
+// incast, and every RNR round replays the refused QP's tail; the rounds
+// themselves (RnrRetransmits) replay nothing of their own.
+func TestRecoveryCountsFrameReplays(t *testing.T) {
+	spec := &Spec{
+		Name:     "rnr",
+		Nodes:    5,
+		RxBudget: 2,
+		Cohorts: []Cohort{{
+			Name:     "storm",
+			Clients:  4,
+			Src:      []int{1, 2, 3, 4},
+			Dst:      []int{0},
+			Duration: 100 * units.Microsecond,
+			Arrival:  ArrivalSpec{Process: ProcPoisson, Rate: 2e6},
+			Size:     SizeSpec{Dist: SizeDistFixed, Bytes: 4096},
+		}},
+	}
+	sys := node.NewSystem(spec.BuildConfig(config.NoiseOff, 1), spec.Nodes)
+	defer sys.Shutdown()
+	res, err := Run(spec, sys, RunOpt{})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	var replays, rounds uint64
+	for _, n := range sys.Nodes {
+		for _, qp := range n.NIC.QPs() {
+			replays += qp.Retransmits
+			rounds += qp.RnrRetransmits
+		}
+	}
+	rec := res.Cohorts[0].Recovery
+	if rec.RNRNaksRecv == 0 || rounds == 0 {
+		t.Fatalf("%d RNR NAKs and %d RNR rounds: the rx budget refused nothing", rec.RNRNaksRecv, rounds)
+	}
+	if rec.Retransmits != replays {
+		t.Errorf("cohort counts %d retransmits, its QPs replayed %d frames (in %d RNR rounds)", rec.Retransmits, replays, rounds)
+	}
+}
+
 // TestRecordReplayBitIdentical is the acceptance assertion: a recorded run
 // replays byte-identically — the replay re-records the exact trace bytes
 // and reproduces every per-cohort statistic.
