@@ -51,17 +51,3 @@ func (q *Queue[T]) Pop() T {
 	}
 	return v
 }
-
-// Remove deletes the i-th entry from the front, keeping the order of the
-// rest. It panics when i is out of range.
-func (q *Queue[T]) Remove(i int) {
-	if i == 0 {
-		q.Pop()
-		return
-	}
-	live := q.buf[q.head:]
-	copy(live[i:], live[i+1:])
-	var zero T
-	live[len(live)-1] = zero
-	q.buf = q.buf[:len(q.buf)-1]
-}

@@ -2,7 +2,7 @@ package fifo
 
 import "testing"
 
-func TestQueueOrderAndRemove(t *testing.T) {
+func TestQueueOrder(t *testing.T) {
 	var q Queue[int]
 	for i := 0; i < 10; i++ {
 		q.Push(i)
@@ -10,11 +10,7 @@ func TestQueueOrderAndRemove(t *testing.T) {
 	if q.Pop() != 0 || q.Pop() != 1 || q.Len() != 8 {
 		t.Fatalf("front pops wrong: len %d", q.Len())
 	}
-	q.Remove(3) // drops 5
-	want := []int{2, 3, 4, 6, 7, 8, 9}
-	if q.Len() != len(want) {
-		t.Fatalf("len %d after Remove, want %d", q.Len(), len(want))
-	}
+	want := []int{2, 3, 4, 5, 6, 7, 8, 9}
 	for i, w := range want {
 		if q.At(i) != w {
 			t.Fatalf("At(%d) = %d, want %d", i, q.At(i), w)

@@ -18,6 +18,10 @@
 // period (config.Config.SignalPeriod): MPI_Waitall completes a window only
 // through its signaled sends, so a window that ends on unsignaled isends
 // would wait forever. Messages are eager, at most ucp.MaxBcopy bytes.
+//
+// A request that fails (its QP exhausted its retries) ends the run, as
+// MPI_ERRORS_ARE_FATAL aborts the job: both ranks stop, and the result's
+// Err reports the first error any request failed with.
 package osu
 
 import (
@@ -99,12 +103,18 @@ type MessageRateResult struct {
 	WaitallTotalNs float64
 	Sender         *mpi.Rank
 	Receiver       *mpi.Rank
+	// Err is the first error a request of the run failed with, nil on a
+	// complete run. The sender stops after the window that holds it, and
+	// the rates then measure nothing.
+	Err error
 }
 
 // mrRecvFrame sinks everything at the protocol level (no per-window sync,
-// per the paper's footnote).
+// per the paper's footnote), until every message arrived or the sender
+// finished with a failed request.
 type mrRecvFrame struct {
 	r     *mpi.Rank
+	res   *MessageRateResult
 	total int
 	pc    int
 }
@@ -117,7 +127,7 @@ func (f *mrRecvFrame) Step(t *sim.Task) {
 			f.r.StartPreparePostedRecvs(t, 512)
 			return
 		case 1:
-			if int(f.r.Worker.Stats.RecvCompletions+f.r.Worker.Stats.UnexpectedMsgs) >= f.total {
+			if int(f.r.Worker.Stats.RecvCompletions+f.r.Worker.Stats.UnexpectedMsgs) >= f.total || f.res.Err != nil {
 				t.Return()
 				return
 			}
@@ -176,6 +186,11 @@ func (f *mrSendFrame) Step(t *sim.Task) {
 			f.i++
 			f.pc = 11
 		case 13: // window done
+			if err := firstErr(f.reqs); err != nil {
+				f.res.Err = err
+				t.Return()
+				return
+			}
 			f.res.WaitallTotalNs += (t.Now() - f.t0).Ns()
 			if !f.warmed {
 				// The warmup window just finished: reset and start the
@@ -201,6 +216,16 @@ func (f *mrSendFrame) Step(t *sim.Task) {
 	}
 }
 
+// firstErr reports the first error among reqs, nil when none failed.
+func firstErr(reqs []*mpi.Request) error {
+	for _, q := range reqs {
+		if err := q.Err(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // MessageRate runs the message-rate benchmark from rank 0 to rank 1.
 func MessageRate(sys *node.System, opt Options) *MessageRateResult {
 	opt.defaults()
@@ -213,7 +238,7 @@ func MessageRate(sys *node.System, opt Options) *MessageRateResult {
 	totalMsgs := (opt.Windows + 1) * opt.Window // +1 warmup window
 	data := make([]byte, opt.MsgSize)
 
-	sys.K.SpawnTask("osu_mr.recv", &mrRecvFrame{r: r1, total: totalMsgs})
+	sys.K.SpawnTask("osu_mr.recv", &mrRecvFrame{r: r1, res: res, total: totalMsgs})
 	sys.K.SpawnTask("osu_mr.send", &mrSendFrame{r: r0, cfg: cfg, opt: &opt, res: res, data: data,
 		reqs: make([]*mpi.Request, opt.Window)})
 	sys.Run()
@@ -233,11 +258,43 @@ type LatencyResult struct {
 	RTTs       *stats.Sample
 	Rank0      *mpi.Rank
 	Rank1      *mpi.Rank
+	// Err is the first error a request of the run failed with, nil on a
+	// complete run; ReportedNs then measures nothing.
+	Err error
+}
+
+// latRank is one rank of the ping-pong and its pending receive, which the
+// peer cancels when one of its own requests fails.
+type latRank struct {
+	r    *mpi.Rank
+	res  *LatencyResult
+	peer *latRank
+	recv *mpi.Request
+}
+
+// startRecv begins a blocking receive of tag from the peer: Irecv and
+// Wait, keeping the request for the peer to cancel.
+func (l *latRank) startRecv(t *sim.Task, tag int) {
+	l.recv = l.r.Irecv(t, l.peer.r.ID, tag)
+	l.r.StartWait(t, l.recv)
+}
+
+// over reports whether a request failed: req, just waited for, or one of
+// the peer's. The first failure becomes the run's Err and cancels the
+// peer's pending receive, which nothing will match now.
+func (l *latRank) over(t *sim.Task, req *mpi.Request) bool {
+	if err := req.Err(); err != nil && l.res.Err == nil {
+		l.res.Err = err
+		if l.peer.recv != nil {
+			l.peer.r.CancelRecv(t, l.peer.recv, err)
+		}
+	}
+	return l.res.Err != nil
 }
 
 // latEchoFrame is rank 1 of the ping-pong: recv then send, total times.
 type latEchoFrame struct {
-	r     *mpi.Rank
+	latRank
 	total int
 	data  []byte
 	pc    int
@@ -257,13 +314,21 @@ func (f *latEchoFrame) Step(t *sim.Task) {
 				return
 			}
 			f.pc = 2
-			f.r.StartRecv(t, 0, f.i)
+			f.startRecv(t, f.i)
 			return
 		case 2:
+			if f.over(t, f.recv) {
+				t.Return()
+				return
+			}
 			f.pc = 3
 			f.r.StartSend(t, 0, f.i, f.data)
 			return
 		case 3:
+			if f.over(t, f.r.LastIsend()) {
+				t.Return()
+				return
+			}
 			f.i++
 			f.pc = 1
 		}
@@ -273,10 +338,9 @@ func (f *latEchoFrame) Step(t *sim.Task) {
 // latPingFrame is rank 0 of the ping-pong: send then recv, timing the
 // post-warmup round trips.
 type latPingFrame struct {
-	r   *mpi.Rank
+	latRank
 	cfg *config.Config
 	opt *Options
-	res *LatencyResult
 	pc  int
 
 	data  []byte
@@ -308,10 +372,18 @@ func (f *latPingFrame) Step(t *sim.Task) {
 			f.r.StartSend(t, 1, f.i, f.data)
 			return
 		case 2:
+			if f.over(t, f.r.LastIsend()) {
+				t.Return()
+				return
+			}
 			f.pc = 3
-			f.r.StartRecv(t, 1, f.i)
+			f.startRecv(t, f.i)
 			return
 		case 3:
+			if f.over(t, f.recv) {
+				t.Return()
+				return
+			}
 			t.Advance(f.cfg.SW.BenchLoop.Sample(f.r.Node.Rand))
 			if f.i >= f.opt.Warmup {
 				f.res.RTTs.Add((t.Now() - f.t0).Ns())
@@ -337,8 +409,11 @@ func Latency(sys *node.System, opt Options) *LatencyResult {
 	total := opt.Warmup + opt.Iters
 	data := make([]byte, opt.MsgSize)
 
-	sys.K.SpawnTask("osu_lat.rank1", &latEchoFrame{r: r1, total: total, data: data})
-	sys.K.SpawnTask("osu_lat.rank0", &latPingFrame{r: r0, cfg: &cfg, opt: &opt, res: res, data: data, total: total})
+	echo := &latEchoFrame{latRank: latRank{r: r1, res: res}, total: total, data: data}
+	ping := &latPingFrame{latRank: latRank{r: r0, res: res}, cfg: &cfg, opt: &opt, data: data, total: total}
+	echo.peer, ping.peer = &ping.latRank, &echo.latRank
+	sys.K.SpawnTask("osu_lat.rank1", echo)
+	sys.K.SpawnTask("osu_lat.rank0", ping)
 	sys.Run()
 	return res
 }

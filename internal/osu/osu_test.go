@@ -183,3 +183,42 @@ func TestMessageRateAllocs(t *testing.T) {
 		t.Errorf("a message allocates %.3f objects and %.1f B, gate %d and %d B", objects, bytes, maxObjects, maxBytes)
 	}
 }
+
+// TestFailedRunEnds: at drop rate 1 the first QP to send exhausts its
+// retries. Both drivers end with that failure in Err, leaving no task
+// stuck, well under an event limit: the side whose peer failed used to
+// wait in its MPI loop forever, the message-rate receiver for messages
+// that would not come and the latency rank in MPI_Wait for a receive.
+func TestFailedRunEnds(t *testing.T) {
+	for _, noise := range []config.NoiseLevel{config.NoiseOff, config.NoiseOn} {
+		for _, d := range []struct {
+			name string
+			run  func(*node.System) error
+		}{
+			{"MessageRate", func(s *node.System) error { return MessageRate(s, Options{}).Err }},
+			{"Latency", func(s *node.System) error { return Latency(s, Options{}).Err }},
+		} {
+			cfg := config.TX2CX4(noise, 1, true)
+			cfg.Faults.DropRate = 1
+			sys := node.NewSystem(cfg, 2)
+			sys.K.SetEventLimit(1_000_000)
+			var err error
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s noise %v: %v", d.name, noise, r)
+					}
+				}()
+				err = d.run(sys)
+			}()
+			t.Logf("%s noise %v: %d events to %v, Err %v", d.name, noise, sys.K.Fired(), sys.K.Now(), err)
+			if err == nil || !strings.Contains(err.Error(), "send failed") {
+				t.Errorf("%s noise %v: Err %v, want the failed send", d.name, noise, err)
+			}
+			if rep := sys.K.StallReport(); rep != "" {
+				t.Errorf("%s noise %v: the run left tasks stuck:\n%s", d.name, noise, rep)
+			}
+			sys.Shutdown()
+		}
+	}
+}

@@ -49,9 +49,6 @@ const amEager uint8 = 1
 // tagHeaderBytes is the eager protocol header (the 8-byte tag).
 const tagHeaderBytes = 8
 
-// MaxEager is the largest payload an eager short send can carry.
-const MaxEager = 32 - tagHeaderBytes
-
 // MaxBcopy is the largest payload the eager buffered-copy path carries
 // (larger transfers would use a rendezvous protocol, out of scope for the
 // paper's small-message analysis).
@@ -87,13 +84,6 @@ func (r *Request) Err() error { return r.err }
 // Data returns the received payload (valid once a receive completes).
 func (r *Request) Data() []byte { return r.data }
 
-// inflightSend pairs a posted-but-uncompleted send with the endpoint that
-// carries it, so error completions can be attributed to the right requests.
-type inflightSend struct {
-	req *Request
-	ep  *uct.Ep
-}
-
 // pendingPost is a busy post waiting for a send slot. Its payload is its
 // own copy, since the sending endpoint reuses its eager buffer at once.
 type pendingPost struct {
@@ -121,11 +111,9 @@ type Worker struct {
 	Uct *uct.Worker
 	Cfg *config.Config
 
-	// inflight tracks successfully posted, uncompleted sends in post
-	// order (the reliable connection completes in order), each tagged
-	// with its carrying endpoint for error attribution.
-	inflight fifo.Queue[inflightSend]
-	pending  fifo.Queue[pendingPost]
+	// eps are the worker's endpoints, where a send CQE finds its sends.
+	eps     []*Ep
+	pending fifo.Queue[pendingPost]
 
 	expected   []*Request
 	unexpected unexpQueue
@@ -150,6 +138,10 @@ type Ep struct {
 	W     *Worker
 	UctEp *uct.Ep
 
+	// inflight holds the endpoint's posted, uncompleted sends in post
+	// order, the order its reliable connection completes them in.
+	inflight fifo.Queue[*Request]
+
 	sendF tagSendFrame
 }
 
@@ -158,6 +150,7 @@ type Ep struct {
 func (w *Worker) NewEp(mode uct.PostMode) *Ep {
 	e := &Ep{W: w, UctEp: w.Uct.NewEp(mode, w.Cfg.SignalPeriod)}
 	e.sendF.e = e
+	w.eps = append(w.eps, e)
 	return e
 }
 
@@ -176,10 +169,10 @@ func appendEager(buf []byte, tag uint64, data []byte) []byte {
 // tracked in req; cb runs when the operation completes. The payload is
 // copied before the frame returns, so the caller may reuse data. A full
 // transmit queue does not fail the operation: it is queued as pending and
-// posted during progress. Payloads up to MaxEager go through the inline
-// short path; larger ones (to MaxBcopy) through the buffered-copy path, as
-// UCX selects by size. The initiation error is reported by LastSend once
-// the frame returns; after one, req never completes.
+// posted during progress. uct picks the descriptor path by the eager
+// payload's size (uct.Ep.TryAm); a payload above MaxBcopy fails. The
+// initiation error is reported by LastSend once the frame returns; after
+// one, req never completes.
 func (e *Ep) StartTagSend(t *sim.Task, req *Request, tag uint64, data []byte, cb Callback) {
 	f := &e.sendF
 	f.pc = 0
@@ -230,16 +223,12 @@ func (f *tagSendFrame) Step(t *sim.Task) {
 			w.Stats.Sends++
 			f.payload = appendEager(f.payload[:0], f.tag, f.data)
 			f.pc = 1
-			if len(f.data) <= MaxEager {
-				e.UctEp.StartAmShort(t, amEager, f.payload)
-			} else {
-				e.UctEp.StartAmBcopy(t, amEager, f.payload)
-			}
+			e.UctEp.TryAm(t, amEager, f.payload)
 			return
 		case 1:
 			switch err := e.UctEp.LastPost(); err {
 			case nil:
-				w.inflight.Push(inflightSend{req: f.req, ep: e.UctEp})
+				e.inflight.Push(f.req)
 			case uct.ErrNoResource:
 				// Busy post: schedule for execution during progress
 				// (paper §6 caveat one).
@@ -304,18 +293,14 @@ func (f *progressFrame) Step(t *sim.Task) {
 			}
 			pp := w.pending.At(0)
 			f.pc = 2
-			if len(pp.payload) > tagHeaderBytes+MaxEager {
-				pp.ep.UctEp.StartAmBcopy(t, amEager, pp.payload)
-			} else {
-				pp.ep.UctEp.StartAmShort(t, amEager, pp.payload)
-			}
+			pp.ep.UctEp.TryAm(t, amEager, pp.payload)
 			return
 		case 2:
 			pp := w.pending.At(0)
 			switch err := pp.ep.UctEp.LastPost(); {
 			case err == nil:
 				w.pending.Pop()
-				w.inflight.Push(inflightSend{req: pp.req, ep: pp.ep.UctEp})
+				pp.ep.inflight.Push(pp.req)
 				w.Stats.PendingExecuted++
 				f.pc = 1
 			case err == uct.ErrNoResource:
@@ -341,38 +326,36 @@ func (f *progressFrame) Step(t *sim.Task) {
 	}
 }
 
-// onSendComplete retires the n oldest in-flight sends (one signaled CQE
-// covers a whole unsignaled batch). A successful completion retires the
-// globally oldest n — the reliable connection completes in order. An error
-// completion (the endpoint's QP failed and flushed its queue) retires the
-// oldest n posted on that endpoint, terminating each with the error: the
-// other endpoints' in-flight sends are unaffected.
+// onSendComplete retires the n oldest in-flight sends of the endpoint
+// whose CQE it is: one signaled CQE covers a whole unsignaled batch, and
+// the reliable connection completes in order. A successful completion
+// completes them; an error completion (the endpoint's QP failed and flushed
+// its queue) terminates each with the error. The other endpoints' in-flight
+// sends are unaffected either way.
 func (w *Worker) onSendComplete(t *sim.Task, ep *uct.Ep, n int, err error) {
-	if err != nil {
-		for i := 0; i < w.inflight.Len() && n > 0; {
-			if w.inflight.At(i).ep != ep {
-				i++
-				continue
-			}
-			req := w.inflight.At(i).req
-			w.inflight.Remove(i)
-			n--
-			w.failSend(t, req, err)
+	var q *fifo.Queue[*Request]
+	for _, e := range w.eps {
+		if e.UctEp == ep {
+			q = &e.inflight
+			break
 		}
-		return
 	}
-	if n > w.inflight.Len() {
-		panic(fmt.Sprintf("ucp: completion for %d sends with only %d in flight", n, w.inflight.Len()))
+	if n > q.Len() {
+		panic(fmt.Sprintf("ucp: completion for %d sends with only %d in flight", n, q.Len()))
 	}
 	// The callbacks are pause-free and never touch the queue, so popping
 	// each send just before its callback retires the same n.
 	for ; n > 0; n-- {
-		s := w.inflight.Pop()
+		req := q.Pop()
+		if err != nil {
+			w.failSend(t, req, err)
+			continue
+		}
 		t.Advance(w.Cfg.SW.UcpSendCB.Sample(w.Uct.Node.Rand))
-		s.req.completed = true
+		req.completed = true
 		w.Stats.SendCompletions++
-		if s.req.cb != nil {
-			s.req.cb.Complete(t)
+		if req.cb != nil {
+			req.cb.Complete(t)
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"breakband/internal/rng"
 	"breakband/internal/sim"
 	"breakband/internal/simtest"
+	"breakband/internal/topo"
 	"breakband/internal/uct"
 	"breakband/internal/units"
 )
@@ -363,7 +364,7 @@ func TestUnexpectedQueueBytes(t *testing.T) {
 func TestBcopyPathSendRecv(t *testing.T) {
 	sys, w0, w1, e0, e1 := harness(t, 1)
 	defer sys.Shutdown()
-	payload := make([]byte, 2048) // beyond MaxEager: buffered-copy path
+	payload := make([]byte, 2048) // too large to ride inline: the buffered-copy path
 	for i := range payload {
 		payload[i] = byte(i)
 	}
@@ -386,11 +387,51 @@ func TestBcopyPathSendRecv(t *testing.T) {
 	sys.Run()
 }
 
-// TestSendQueuesReuseArrays cycles the worker's two send queues the way a
-// message-rate window does: 192 sends posted, retired by three signaled
-// completions of 64, and busy posts parked and drained. In steady state
-// neither queue allocates: they reuse their backing arrays instead of
-// reslicing their heads away.
+// TestSendCompletesOnItsOwnEndpoint: a worker with two endpoints completes
+// each send on its own endpoint's CQE. On a radix-4 fat-tree node 0 sends
+// one byte to node 2, on the other leaf, and then one to node 1, on its
+// own. The near send's CQE is polled first and completes the near request;
+// the far request completes on the far send's CQE, not on the near one.
+func TestSendCompletesOnItsOwnEndpoint(t *testing.T) {
+	cfg := config.TX2CX4(config.NoiseOff, 1, true)
+	cfg.SignalPeriod = 1
+	cfg.Topology = topo.Spec{Kind: topo.FatTree, Radix: 4}
+	sys := node.NewSystem(cfg, 4)
+	defer sys.Shutdown()
+	var w [3]*Worker
+	for i := range w {
+		w[i] = NewWorker(uct.NewWorker(sys.Nodes[i], cfg), cfg)
+	}
+	far, near := w[0].NewEp(uct.PIOInline), w[0].NewEp(uct.PIOInline)
+	for _, c := range []struct {
+		e    *Ep
+		peer *Worker
+	}{{far, w[2]}, {near, w[1]}} {
+		pe := c.peer.NewEp(uct.PIOInline)
+		uct.Connect(c.e.UctEp, pe.UctEp)
+		simtest.Start(sys.K, "rx", postRecvs(pe, 8))
+	}
+	var farAt, nearAt units.Time
+	var farReq, nearReq *Request
+	simtest.Start(sys.K, "tx",
+		sleep(units.Microsecond),
+		send(t, far, 1, []byte{1}, func(tk *sim.Task) { farAt = tk.Now() }, &farReq),
+		send(t, near, 2, []byte{2}, func(tk *sim.Task) { nearAt = tk.Now() }, &nearReq),
+		progressUntil(w[0], func() bool { return farReq.Completed() && nearReq.Completed() }))
+	sys.Run()
+	if wantNear, wantFar := units.Time(2719350), units.Time(3534380); nearAt != wantNear || farAt != wantFar {
+		t.Errorf("near send completed at %v and far at %v; want %v and %v, each on its own CQE", nearAt, farAt, wantNear, wantFar)
+	}
+	if far.inflight.Len() != 0 || near.inflight.Len() != 0 {
+		t.Errorf("%d far and %d near sends left in flight", far.inflight.Len(), near.inflight.Len())
+	}
+}
+
+// TestSendQueuesReuseArrays cycles the two send queues the way a
+// message-rate window does: 192 sends posted on the endpoint, retired by
+// three signaled completions of 64, and busy posts parked on the worker and
+// drained. In steady state neither queue allocates: they reuse their
+// backing arrays instead of reslicing their heads away.
 func TestSendQueuesReuseArrays(t *testing.T) {
 	sys, w0, _, e0, _ := harness(t, 64)
 	defer sys.Shutdown()
@@ -399,7 +440,7 @@ func TestSendQueuesReuseArrays(t *testing.T) {
 	simtest.Start(sys.K, "cycle", func(tk *sim.Task) {
 		window := func() {
 			for i := 0; i < 192; i++ {
-				w0.inflight.Push(inflightSend{req: req, ep: e0.UctEp})
+				e0.inflight.Push(req)
 			}
 			for i := 0; i < 3; i++ {
 				w0.onSendComplete(tk, e0.UctEp, 64, nil)
@@ -418,7 +459,7 @@ func TestSendQueuesReuseArrays(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("a steady-state window allocates %.2f times, want 0", allocs)
 	}
-	if w0.inflight.Len() != 0 || w0.Stats.SendCompletions != 192*102 {
-		t.Errorf("%d sends left in flight, %d completions", w0.inflight.Len(), w0.Stats.SendCompletions)
+	if e0.inflight.Len() != 0 || w0.Stats.SendCompletions != 192*102 {
+		t.Errorf("%d sends left in flight, %d completions", e0.inflight.Len(), w0.Stats.SendCompletions)
 	}
 }

@@ -3,19 +3,23 @@
 // rc_mlx5 data path.
 //
 // An LLP_post executes the paper's §4.1 sequence: prepare the message
-// descriptor (with the payload memcpy'd inline), a store memory barrier, the
-// DoorBell-counter increment, a second store barrier, and the PIO copy of
-// the 64-byte descriptor to device memory. An LLP_prog reads one completion
-// queue entry behind a load memory barrier. Busy posts (attempts against a
-// full transmit queue) fail fast with ErrNoResource, exactly the semantic
-// the paper's injection model builds on.
+// descriptor, a store memory barrier, the DoorBell-counter increment, a
+// second store barrier, and the hand-off of the descriptor to the NIC: a
+// PIO copy of the 64-byte descriptor, payload inline, to device memory, or
+// a DoorBell after which the NIC DMA-reads the descriptor and, for a
+// buffered copy, the payload. One frame runs it on every descriptor path.
+// An LLP_prog reads one completion queue entry behind a load memory
+// barrier. Busy posts (attempts against a full transmit queue) fail fast
+// with ErrNoResource, exactly the semantic the paper's injection model
+// builds on.
 //
-// StartPut and StartAm are the one post path of the perftest benchmarks
-// and the workload injector: they take the inline short path up to
-// mlx.InlineMax bytes and the buffered-copy path above it, as UCX selects
-// by size, and retry a busy post after one worker progress. StartAmShort
-// and StartAmBcopy pick the path explicitly and leave a busy post to the
-// caller, for ucp, which queues its own.
+// A post's size picks its path, as UCX selects by size: the payload rides
+// inline up to mlx.InlineMax bytes on a PIOInline or DoorbellInline
+// endpoint, and anything larger, or any payload on a DoorbellGather
+// endpoint, takes the buffered copy. StartPut and StartAm are the post of
+// the perftest benchmarks and the workload injector, and retry a busy post
+// after one worker progress. TryAm posts once and leaves a busy post to
+// the caller, for ucp, which queues its own.
 // StartProgressUntil progresses a worker until a predicate holds, testing
 // it before every poll; the benchmarks wait for their messages with it.
 // StartFlush is that loop until no endpoint has a send in flight, as UCX's
@@ -37,11 +41,11 @@
 // entries (see nic.CreateQP), so however many completions a run writes
 // they back at most 8 and 32 KiB.
 //
-// Every post attempt, its §4.1 stages (md_setup, barrier_md, barrier_dbc,
-// pio_copy) and every poll begin their scope on the node's profiler
-// (internal/profile), which times only the scope selected for the run. A
-// post attempt records as llp_post or busy_post, a poll as llp_prog or
-// empty_poll.
+// Every post attempt, the §4.1 stages of an inline post (md_setup,
+// barrier_md, barrier_dbc, and pio_copy on the PIO path) and every poll
+// begin their scope on the node's profiler (internal/profile), which times
+// only the scope selected for the run. A post attempt records as llp_post
+// or busy_post, a poll as llp_prog or empty_poll.
 //
 // # Parked polling
 //
@@ -137,9 +141,9 @@ const (
 	// NIC DMA-reads the descriptor (one PCIe round trip).
 	DoorbellInline
 	// DoorbellGather: descriptor and payload are both fetched by the NIC
-	// (two PCIe round trips) — the paper's §2 steps (2) and (3). Short
-	// posts too take the buffered-copy path: the payload is staged in
-	// registered memory and the NIC gathers it.
+	// (two PCIe round trips) — the paper's §2 steps (2) and (3). Every
+	// post, however short, takes the buffered copy: the payload is staged
+	// in registered memory and the NIC gathers it.
 	DoorbellGather
 )
 
@@ -320,10 +324,9 @@ type Ep struct {
 	lastPost error
 
 	// Preallocated frames (one in-flight operation per endpoint at a time).
-	postF   postFrame
-	gatherF gatherFrame
-	sizedF  sizedPostFrame
-	recvsF  recvsFrame
+	postF  postFrame
+	sizedF sizedPostFrame
+	recvsF recvsFrame
 }
 
 // Receive-pool geometry: slots sized for the largest bcopy message.
@@ -380,7 +383,6 @@ func (w *Worker) NewEp(mode PostMode, signalPeriod int) *Ep {
 	pool := w.Node.Mem.Alloc(fmt.Sprintf("uct.ep%d.rxpool", qp.QPN), MaxBcopy*recvPoolSlots, 64)
 	ep := &Ep{w: w, qp: qp, Mode: mode, SignalPeriod: signalPeriod, staging: st.Base, recvPool: pool.Base}
 	ep.postF.e = ep
-	ep.gatherF.e = ep
 	ep.sizedF.e = ep
 	ep.recvsF.e = ep
 	w.Eps = append(w.Eps, ep)
@@ -487,33 +489,16 @@ func (e *Ep) InFlight() int { return int(e.pi - e.completed) }
 func (e *Ep) FreeSlots() int { return e.qp.SQ.Depth - e.InFlight() }
 
 // LastPost reports the outcome of the most recently completed post frame
-// (StartPut/StartAm or one of the explicit-path active messages). Valid once
-// the frame has returned to its caller.
+// (StartPut, StartAm or TryAm). Valid once the frame has returned to its
+// caller.
 func (e *Ep) LastPost() error { return e.lastPost }
 
-// StartAmShort begins sending an active message (send-receive semantics)
-// of data (<= mlx.InlineMax bytes) on the short path. The outcome is
-// reported by LastPost: ErrNoResource on a full queue (a busy post costing
-// SW.BusyPost, per Table 1).
-func (e *Ep) StartAmShort(t *sim.Task, id uint8, data []byte) {
-	e.startPost(t, mlx.OpSend, id, 0, data)
-}
-
-// StartAmBcopy begins sending an active message too large for the inline
-// path (up to MaxBcopy bytes): the payload is copied into registered
-// staging memory and the NIC gathers it by DMA — UCX's buffered-copy
-// protocol. LastPost reports the outcome as for StartAmShort.
-func (e *Ep) StartAmBcopy(t *sim.Task, id uint8, data []byte) {
-	e.startGather(t, mlx.OpSend, id, 0, data)
-}
-
 // StartPut begins an RDMA write of data to the peer's RemoteBuf on the path
-// its size selects, as UCX does: the inline short path up to mlx.InlineMax
-// bytes, the buffered-copy path above it. A busy post progresses the worker
-// and posts again, so LastPost never reports ErrNoResource; any other error
-// (a payload above MaxBcopy, a failed QP) is left there for the caller.
-// While the queue stays full the retry parks on an empty poll (see the
-// package documentation).
+// its size selects (see startPost). A busy post progresses the worker and
+// posts again, so LastPost never reports ErrNoResource; any other error (a
+// payload above MaxBcopy, a failed QP) is left there for the caller. While
+// the queue stays full the retry parks on an empty poll (see the package
+// documentation).
 func (e *Ep) StartPut(t *sim.Task, data []byte) {
 	e.startSized(t, mlx.OpRDMAWrite, 0, data)
 }
@@ -522,6 +507,14 @@ func (e *Ep) StartPut(t *sim.Task, data []byte) {
 // retrying busy posts like StartPut.
 func (e *Ep) StartAm(t *sim.Task, id uint8, data []byte) {
 	e.startSized(t, mlx.OpSend, id, data)
+}
+
+// TryAm begins sending an active message on the path its size selects, like
+// StartAm, but posts once: a full transmit queue leaves ErrNoResource in
+// LastPost (a busy post costing SW.BusyPost, per Table 1). It is ucp's post,
+// which queues its own busy posts.
+func (e *Ep) TryAm(t *sim.Task, id uint8, data []byte) {
+	e.startPost(t, mlx.OpSend, id, 0, data)
 }
 
 func (e *Ep) startSized(t *sim.Task, op mlx.Opcode, amID uint8, data []byte) {
@@ -534,8 +527,8 @@ func (e *Ep) startSized(t *sim.Task, op mlx.Opcode, amID uint8, data []byte) {
 }
 
 // sizedPostFrame is the benchmark post loop behind StartPut and StartAm:
-// post on the short or bcopy path by size and, while the transmit queue is
-// full, progress the worker and post again, parking on an empty poll.
+// post and, while the transmit queue is full, progress the worker and post
+// again, parking on an empty poll.
 type sizedPostFrame struct {
 	e    *Ep
 	pc   int
@@ -554,11 +547,7 @@ func (f *sizedPostFrame) Step(t *sim.Task) {
 			if f.op == mlx.OpRDMAWrite {
 				raddr = e.RemoteBuf
 			}
-			if len(f.data) <= mlx.InlineMax {
-				e.startPost(t, f.op, f.amID, raddr, f.data)
-			} else {
-				e.startGather(t, f.op, f.amID, raddr, f.data)
-			}
+			e.startPost(t, f.op, f.amID, raddr, f.data)
 			return
 		case 1:
 			if e.lastPost != ErrNoResource {
@@ -583,46 +572,51 @@ func (f *sizedPostFrame) Step(t *sim.Task) {
 	}
 }
 
-// startPost begins a short post. A DoorbellGather endpoint has the NIC
-// fetch every payload by DMA, so its short posts take the buffered-copy
-// path; an oversized one still fails on the short path's size check.
+// startPost begins one post attempt on the path the payload's size selects,
+// decided here once, as UCX selects by size: the payload rides inline in
+// the descriptor up to mlx.InlineMax bytes on a PIOInline or DoorbellInline
+// endpoint; anything larger, and every payload on a DoorbellGather
+// endpoint, is staged for the NIC's DMA gather (the buffered copy), up to
+// MaxBcopy bytes. A full transmit queue leaves ErrNoResource in LastPost.
 func (e *Ep) startPost(t *sim.Task, op mlx.Opcode, amID uint8, raddr uint64, data []byte) {
-	if e.Mode == DoorbellGather && len(data) <= mlx.InlineMax {
-		e.startGather(t, op, amID, raddr, data)
-		return
-	}
 	f := &e.postF
 	f.pc = 0
 	f.op = op
 	f.amID = amID
 	f.raddr = raddr
 	f.data = data
+	f.gather = e.Mode == DoorbellGather || len(data) > mlx.InlineMax
 	t.Call(f)
 }
 
-func (e *Ep) startGather(t *sim.Task, op mlx.Opcode, amID uint8, raddr uint64, data []byte) {
-	f := &e.gatherF
-	f.pc = 0
-	f.op = op
-	f.amID = amID
-	f.raddr = raddr
-	f.data = data
-	t.Call(f)
-}
-
-// postFrame is the inline descriptor path of PIOInline and DoorbellInline
-// endpoints: the paper's §4.1 LLP_post sequence as a resumable state
-// machine.
+// postFrame is the one LLP_post: the paper's §4.1 sequence as a resumable
+// state machine, on every descriptor path. The paths share the prologue
+// (the size and failed-QP checks, the llp_post scope, the busy post, the
+// entry cost), the descriptor-building step, the DoorBell record between
+// two store barriers, the DoorBell MMIO write and the exit, and each keeps
+// its own order of them:
+//
+//   - PIO inline: descriptor, barriers and record, then a PIO copy of the
+//     whole descriptor to the BlueFlame window.
+//   - DoorBell inline: descriptor, barriers and record, the store into the
+//     send-queue ring, then the DoorBell; the NIC DMA-reads the descriptor.
+//   - Gather: the payload staged in registered memory (the bcopy memcpy),
+//     a descriptor pointing at it, the ring store, barriers and record, then
+//     the DoorBell; the NIC DMA-reads the descriptor and then the payload
+//     (paper §2 steps 2-3).
+//
+// An inline post times the §4.1 stage scopes (md_setup, barrier_md,
+// barrier_dbc, and pio_copy on the PIO path); a gather post times none.
 type postFrame struct {
-	e     *Ep
-	pc    int
-	op    mlx.Opcode
-	amID  uint8
-	raddr uint64
-	data  []byte
-	tok   profile.Token
-	wqe   mlx.WQE
-	enc   [mlx.WQESize]byte
+	e      *Ep
+	pc     int
+	op     mlx.Opcode
+	amID   uint8
+	raddr  uint64
+	data   []byte
+	gather bool // the payload is staged for the NIC's DMA gather
+	tok    profile.Token
+	enc    [mlx.WQESize]byte
 }
 
 // finish records the post outcome and pops the frame.
@@ -630,6 +624,14 @@ func (f *postFrame) finish(t *sim.Task, err error) {
 	f.e.lastPost = err
 	f.data = nil
 	t.Return()
+}
+
+// stage begins the §4.1 stage scope s, which only an inline post times.
+func (f *postFrame) stage(t *sim.Task, s profile.Scope) profile.Token {
+	if f.gather {
+		return profile.Token{}
+	}
+	return f.e.w.Node.Prof.Begin(t, s)
 }
 
 func (f *postFrame) Step(t *sim.Task) {
@@ -641,8 +643,8 @@ func (f *postFrame) Step(t *sim.Task) {
 	for {
 		switch f.pc {
 		case 0:
-			if len(f.data) > mlx.InlineMax {
-				f.finish(t, fmt.Errorf("uct: short post limited to %d bytes, got %d", mlx.InlineMax, len(f.data)))
+			if len(f.data) > MaxBcopy {
+				f.finish(t, fmt.Errorf("uct: post limited to %d bytes, got %d", MaxBcopy, len(f.data)))
 				return
 			}
 			if e.Err != nil {
@@ -666,33 +668,60 @@ func (f *postFrame) Step(t *sim.Task) {
 
 			// (0/1) Function-call entry, code-path branches.
 			t.Advance(sw.LLPPostEntry.Sample(r))
-
-			// (1) Prepare the message descriptor (memcpy of the inline
-			// payload). The WQE and its 64-byte encoding live in the
+			f.pc = 1
+			if f.gather {
+				// Stage the payload: the bcopy memcpy.
+				t.Advance(units.Time(len(f.data)) * sw.MemcpyPerByte)
+				if t.Pause() {
+					return
+				}
+			}
+		case 1:
+			// (1) Prepare the message descriptor: the payload memcpy'd
+			// inline, or a pointer to its staged copy. Encode reads the
+			// fields of its kind, and the 64-byte encoding lives in the
 			// preallocated frame, so the steady-state post allocates
 			// nothing.
-			stTok := prof.Begin(t, profile.MDSetup)
-			f.wqe = mlx.WQE{
+			var staged uint64
+			stTok := f.stage(t, profile.MDSetup)
+			if f.gather {
+				staged = e.takeStaging()
+				w.Node.Mem.Write(staged, f.data)
+			}
+			wqe := mlx.WQE{
 				Opcode:     f.op,
 				Signaled:   e.nextSignaled(),
-				Inline:     true,
+				Inline:     !f.gather,
 				WQEIdx:     e.pi,
 				QPN:        e.qp.QPN,
 				AmID:       f.amID,
 				Payload:    f.data,
+				GatherAddr: staged,
+				GatherLen:  uint32(len(f.data)),
 				RemoteAddr: f.raddr,
 			}
-			enc, err := f.wqe.Encode()
+			enc, err := wqe.Encode()
 			if err != nil {
 				panic(fmt.Sprintf("uct: WQE encode: %v", err))
 			}
 			f.enc = enc
 			t.Advance(sw.MDSetup.Sample(r))
 			prof.End(t, stTok)
-
+			if !f.gather {
+				f.pc = 2
+				continue
+			}
+			// A gather descriptor is stored into the ring before the
+			// barriers.
+			t.Advance(sw.SQRingWrite.Sample(r))
+			f.pc = 3
+			if t.Pause() {
+				return
+			}
+		case 2:
 			// (2) Store barrier: the MD must be fully written before
 			// signalling.
-			stTok = prof.Begin(t, profile.BarrierMD)
+			stTok := f.stage(t, profile.BarrierMD)
 			t.Advance(sw.BarrierMD.Sample(r))
 			prof.End(t, stTok)
 
@@ -709,160 +738,53 @@ func (f *postFrame) Step(t *sim.Task) {
 
 			// (4) Store barrier: the DBC update must be visible before the
 			// device write.
-			stTok = prof.Begin(t, profile.BarrierDBC)
+			stTok = f.stage(t, profile.BarrierDBC)
 			t.Advance(sw.BarrierDBC.Sample(r))
 			prof.End(t, stTok)
 
 			// (5) Hand the descriptor to the NIC.
-			switch e.Mode {
-			case PIOInline:
-				// PIO copy to Device-GRE memory, in 64-byte chunks.
+			switch {
+			case f.gather: // already in the ring: ring the DoorBell
+				t.Advance(sw.DoorbellRing.Sample(r))
+				f.pc = 4
+			case e.Mode == PIOInline: // PIO copy to Device-GRE memory, in 64-byte chunks
 				stTok = prof.Begin(t, profile.PIOCopy)
 				t.Advance(sw.PIOCopy.Sample(r))
 				prof.End(t, stTok)
-				f.pc = 1
-				if t.Pause() {
-					return
-				}
-			case DoorbellInline:
+				f.pc = 5
+			default: // DoorbellInline: store into the ring, then ring
 				t.Advance(sw.SQRingWrite.Sample(r))
-				f.pc = 2
-				if t.Pause() {
-					return
-				}
+				f.pc = 3
 			}
-		case 1: // PIO: the whole descriptor in one MMIO write. The ring copy
+			if t.Pause() {
+				return
+			}
+		case 3: // the regular store of the WQE into the send-queue ring
+			w.Node.Mem.Write(e.qp.SQ.EntryAddr(e.pi), f.enc[:])
+			if f.gather {
+				f.pc = 2 // the barriers and the DoorBell record follow
+				continue
+			}
+			t.Advance(sw.DBRecUpdate.Sample(r))
+			t.Advance(sw.DoorbellRing.Sample(r))
+			f.pc = 4
+			if t.Pause() {
+				return
+			}
+		case 4: // the 8-byte DoorBell MMIO write
+			var db [8]byte
+			binary.LittleEndian.PutUint16(db[:], e.pi+1)
+			w.Node.RC.MMIOWrite(e.qp.DBAddr, db[:])
+			f.pc = 6
+		case 5: // PIO: the whole descriptor in one MMIO write. The ring copy
 			// is stored first — BlueFlame is a fetch-skipping hint, and the
 			// NIC falls back to fetching the ring slot when it cannot consume
 			// the hint in order (e.g. a gather descriptor on the same QP is
 			// still being fetched).
 			w.Node.Mem.Write(e.qp.SQ.EntryAddr(e.pi), f.enc[:])
 			w.Node.RC.MMIOWrite(e.qp.BFAddr, f.enc[:])
-			f.pc = 4
-		case 2: // Regular store of the WQE into the ring, then the
-			// 8-byte DoorBell MMIO write.
-			w.Node.Mem.Write(e.qp.SQ.EntryAddr(e.pi), f.enc[:])
-			t.Advance(sw.DBRecUpdate.Sample(r))
-			t.Advance(sw.DoorbellRing.Sample(r))
-			f.pc = 3
-			if t.Pause() {
-				return
-			}
-		case 3:
-			var db [8]byte
-			binary.LittleEndian.PutUint16(db[:], e.pi+1)
-			w.Node.RC.MMIOWrite(e.qp.DBAddr, db[:])
-			f.pc = 4
-		case 4:
-			t.Advance(sw.LLPPostExit.Sample(r))
-			e.pi++
-			w.Stats.Posts++
-			prof.End(t, f.tok)
-			f.finish(t, nil)
-			return
-		}
-	}
-}
-
-// gatherFrame is the buffered-copy descriptor path: stage the payload, write
-// a gather WQE into the send queue ring, and ring the 8-byte DoorBell. The
-// NIC fetches the descriptor and the payload by DMA (paper §2 steps 2-3).
-type gatherFrame struct {
-	e     *Ep
-	pc    int
-	op    mlx.Opcode
-	amID  uint8
-	raddr uint64
-	data  []byte
-	tok   profile.Token
-	wqe   mlx.WQE
-	enc   [mlx.WQESize]byte
-}
-
-func (f *gatherFrame) finish(t *sim.Task, err error) {
-	f.e.lastPost = err
-	f.data = nil
-	t.Return()
-}
-
-func (f *gatherFrame) Step(t *sim.Task) {
-	e := f.e
-	w := e.w
-	sw := &w.Cfg.SW
-	r := w.rand
-	prof := w.Node.Prof
-	for {
-		switch f.pc {
-		case 0:
-			if len(f.data) > MaxBcopy {
-				f.finish(t, fmt.Errorf("uct: bcopy post limited to %d bytes, got %d", MaxBcopy, len(f.data)))
-				return
-			}
-			if e.Err != nil {
-				f.finish(t, e.Err)
-				return
-			}
-
-			f.tok = prof.Begin(t, profile.LLPPost)
-			if e.FreeSlots() == 0 {
-				t.Advance(sw.BusyPost.Sample(r))
-				w.Stats.BusyPosts++
-				prof.EndAs(t, f.tok, profile.BusyPost)
-				f.finish(t, ErrNoResource)
-				return
-			}
-
-			t.Advance(sw.LLPPostEntry.Sample(r))
-			// Stage the payload (the bcopy memcpy).
-			t.Advance(units.Time(len(f.data)) * sw.MemcpyPerByte)
-			f.pc = 1
-			if t.Pause() {
-				return
-			}
-		case 1:
-			staged := e.takeStaging()
-			w.Node.Mem.Write(staged, f.data)
-			// Build and store the gather descriptor.
-			f.wqe = mlx.WQE{
-				Opcode:     f.op,
-				Signaled:   e.nextSignaled(),
-				Inline:     false,
-				WQEIdx:     e.pi,
-				QPN:        e.qp.QPN,
-				AmID:       f.amID,
-				GatherAddr: staged,
-				GatherLen:  uint32(len(f.data)),
-				RemoteAddr: f.raddr,
-			}
-			enc, err := f.wqe.Encode()
-			if err != nil {
-				panic(fmt.Sprintf("uct: WQE encode: %v", err))
-			}
-			f.enc = enc
-			t.Advance(sw.MDSetup.Sample(r))
-			t.Advance(sw.SQRingWrite.Sample(r))
-			f.pc = 2
-			if t.Pause() {
-				return
-			}
-		case 2:
-			w.Node.Mem.Write(e.qp.SQ.EntryAddr(e.pi), f.enc[:])
-			t.Advance(sw.BarrierMD.Sample(r))
-			// No Pause for the doorbell record: see postFrame.
-			var dbr [8]byte
-			binary.LittleEndian.PutUint16(dbr[:], e.pi+1)
-			w.Node.Mem.Write(e.qp.DBRAddr, dbr[:])
-			t.Advance(sw.DBCIncrement.Sample(r))
-			t.Advance(sw.BarrierDBC.Sample(r))
-			t.Advance(sw.DoorbellRing.Sample(r))
-			f.pc = 3
-			if t.Pause() {
-				return
-			}
-		case 3:
-			var db [8]byte
-			binary.LittleEndian.PutUint16(db[:], e.pi+1)
-			w.Node.RC.MMIOWrite(e.qp.DBAddr, db[:])
+			f.pc = 6
+		case 6:
 			t.Advance(sw.LLPPostExit.Sample(r))
 			e.pi++
 			w.Stats.Posts++

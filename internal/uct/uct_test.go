@@ -41,8 +41,9 @@ func drain(w *Worker, e *Ep) simtest.Step {
 	return simtest.While(func() bool { return e.InFlight() > 0 }, w.StartProgress)
 }
 
-// putShort posts data to offset 0 of e's remote buffer.
-func putShort(e *Ep, data []byte) simtest.Step {
+// tryPut posts data to offset 0 of e's remote buffer once, on the path its
+// size selects: a full transmit queue leaves ErrNoResource in LastPost.
+func tryPut(e *Ep, data []byte) simtest.Step {
 	return func(tk *sim.Task) { e.startPost(tk, mlx.OpRDMAWrite, 0, e.RemoteBuf, data) }
 }
 
@@ -53,7 +54,7 @@ func TestPutShortDeliversPayload(t *testing.T) {
 	e0.RemoteBuf = dst.Base
 	payload := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	simtest.Start(sys.K, "test",
-		putShort(e0, payload),
+		tryPut(e0, payload),
 		func(*sim.Task) {
 			if err := e0.LastPost(); err != nil {
 				t.Errorf("put: %v", err)
@@ -86,7 +87,7 @@ func TestAmShortInvokesHandler(t *testing.T) {
 	)
 	simtest.Start(sys.K, "tx",
 		func(tk *sim.Task) { tk.Advance(units.Microsecond) }, // let receives post
-		func(tk *sim.Task) { e0.StartAmShort(tk, 7, payload) },
+		func(tk *sim.Task) { e0.TryAm(tk, 7, payload) },
 		func(*sim.Task) {
 			if err := e0.LastPost(); err != nil {
 				t.Errorf("am: %v", err)
@@ -112,7 +113,7 @@ func TestBusyPostOnFullQueue(t *testing.T) {
 	posted := 0
 	simtest.Start(sys.K, "test",
 		simtest.While(func() bool { return posted < depth },
-			putShort(e0, []byte{1}),
+			tryPut(e0, []byte{1}),
 			func(*sim.Task) {
 				if err := e0.LastPost(); err != nil {
 					t.Fatalf("post %d failed: %v", posted, err)
@@ -124,7 +125,7 @@ func TestBusyPostOnFullQueue(t *testing.T) {
 				t.Errorf("FreeSlots = %d after filling", e0.FreeSlots())
 			}
 		},
-		putShort(e0, []byte{1}),
+		tryPut(e0, []byte{1}),
 		func(*sim.Task) {
 			if err := e0.LastPost(); err != ErrNoResource {
 				t.Errorf("overfull post returned %v, want ErrNoResource", err)
@@ -135,7 +136,7 @@ func TestBusyPostOnFullQueue(t *testing.T) {
 		},
 		// Progress must free a slot and let the post succeed.
 		simtest.While(func() bool { return e0.FreeSlots() == 0 }, w0.StartProgress),
-		putShort(e0, []byte{1}),
+		tryPut(e0, []byte{1}),
 		func(*sim.Task) {
 			if err := e0.LastPost(); err != nil {
 				t.Errorf("post after progress: %v", err)
@@ -157,7 +158,7 @@ func TestBusyPostCost(t *testing.T) {
 	var t0 units.Time
 	simtest.Start(sys.K, "test",
 		simtest.While(func() bool { return posted < depth },
-			putShort(e0, []byte{1}),
+			tryPut(e0, []byte{1}),
 			func(*sim.Task) { posted++ }),
 		func(tk *sim.Task) {
 			t0 = tk.Now()
@@ -193,6 +194,50 @@ func TestLLPPostCostMatchesTable(t *testing.T) {
 	sys.Run()
 }
 
+// TestLLPPostEveryPath pins one post's wall time on each descriptor path,
+// and the kernel events its run fires: a StartPut on an idle endpoint in
+// each mode, inline and just past mlx.InlineMax. A PIO or DoorBell inline
+// post up to 32 bytes takes its own path's cost; anything larger, and every
+// post on a DoorbellGather endpoint, takes the gather path, whose bcopy
+// memcpy adds 30 ps per byte.
+func TestLLPPostEveryPath(t *testing.T) {
+	gather := func(size int) units.Time { return 112070 + units.Time(size)*30 }
+	for _, c := range []struct {
+		mode   PostMode
+		size   int
+		wall   units.Time
+		events uint64
+	}{
+		{PIOInline, 8, 175420, 19},
+		{PIOInline, 32, 175420, 19},
+		{PIOInline, 33, gather(33), 35},
+		{PIOInline, 4096, gather(4096), 35},
+		{DoorbellInline, 8, 112970, 27},
+		{DoorbellInline, 32, 112970, 27},
+		{DoorbellInline, 33, gather(33), 35},
+		{DoorbellInline, 4096, gather(4096), 35},
+		{DoorbellGather, 8, gather(8), 35},
+		{DoorbellGather, 32, gather(32), 35},
+		{DoorbellGather, 33, gather(33), 35},
+		{DoorbellGather, 4096, gather(4096), 35},
+	} {
+		sys, _, _, e0, _ := harness(t)
+		e0.Mode = c.mode
+		e0.RemoteBuf = sys.Nodes[1].Mem.Alloc("dst", MaxBcopy, 64).Base
+		data := make([]byte, c.size)
+		var t0, wall units.Time
+		simtest.Start(sys.K, "post",
+			func(tk *sim.Task) { t0 = tk.Now(); e0.StartPut(tk, data) },
+			func(tk *sim.Task) { wall = tk.Now() - t0 })
+		sys.Run()
+		if err := e0.LastPost(); err != nil || wall != c.wall || sys.K.Fired() != c.events {
+			t.Errorf("%v %dB: post took %v and the run fired %d events (err %v); want %v and %d",
+				c.mode, c.size, wall, sys.K.Fired(), err, c.wall, c.events)
+		}
+		sys.Shutdown()
+	}
+}
+
 func TestUnsignaledPeriod(t *testing.T) {
 	cfg := config.TX2CX4(config.NoiseOff, 1, true)
 	sys := node.NewSystem(cfg, 2)
@@ -209,7 +254,7 @@ func TestUnsignaledPeriod(t *testing.T) {
 	posted := 0
 	simtest.Start(sys.K, "test",
 		simtest.While(func() bool { return posted < 8 },
-			putShort(e0, []byte{1}),
+			tryPut(e0, []byte{1}),
 			func(*sim.Task) {
 				if err := e0.LastPost(); err != nil {
 					t.Fatalf("post %d: %v", posted, err)
@@ -230,20 +275,6 @@ func TestUnsignaledPeriod(t *testing.T) {
 	}
 }
 
-func TestOversizedPostRejected(t *testing.T) {
-	sys, _, _, e0, _ := harness(t)
-	defer sys.Shutdown()
-	simtest.Start(sys.K, "test",
-		putShort(e0, make([]byte, 33)),
-		func(*sim.Task) {
-			if err := e0.LastPost(); err == nil || err == ErrNoResource {
-				t.Errorf("oversized post returned %v", err)
-			}
-		},
-	)
-	sys.Run()
-}
-
 func TestDoorbellModesDeliver(t *testing.T) {
 	for _, mode := range []PostMode{DoorbellInline, DoorbellGather} {
 		cfg := config.TX2CX4(config.NoiseOff, 1, true)
@@ -257,7 +288,7 @@ func TestDoorbellModesDeliver(t *testing.T) {
 		e0.RemoteBuf = dst.Base
 		payload := []byte{5, 6, 7, 8}
 		simtest.Start(sys.K, "test",
-			putShort(e0, payload),
+			tryPut(e0, payload),
 			func(*sim.Task) {
 				if err := e0.LastPost(); err != nil {
 					t.Errorf("%v post: %v", mode, err)
@@ -283,7 +314,7 @@ func TestStageProfiling(t *testing.T) {
 		simtest.Start(sys.K, "test",
 			func(tk *sim.Task) { sys.Nodes[0].Prof.Calibrate(tk) },
 			simtest.While(func() bool { return posted < 50 },
-				putShort(e0, []byte{1}),
+				tryPut(e0, []byte{1}),
 				drain(w0, e0),
 				func(*sim.Task) { posted++ }),
 		)
@@ -311,7 +342,7 @@ func TestDeterminism(t *testing.T) {
 		e0.RemoteBuf = dst.Base
 		var end units.Time
 		posted := 0
-		post := putShort(e0, []byte{1})
+		post := tryPut(e0, []byte{1})
 		simtest.Start(sys.K, "test",
 			simtest.While(func() bool { return posted < 200 },
 				post,
@@ -432,9 +463,9 @@ func postStream(t *testing.T, s stream) streamRun {
 	return r
 }
 
-// retryFrame is the busy-post retry spelled out over an explicit-path post:
-// post, and while the transmit queue is full, progress the worker and post
-// again, with no pause in between — StartPut's loop without its parking.
+// retryFrame is the busy-post retry spelled out over a no-retry post: post,
+// and while the transmit queue is full, progress the worker and post again,
+// with no pause in between — StartPut's loop without its parking.
 type retryFrame struct {
 	w    *Worker
 	e    *Ep
@@ -457,17 +488,17 @@ func (f *retryFrame) Step(t *sim.Task) {
 	}
 }
 
-// retried wraps an explicit-path post in the busy-post retry loop.
+// retried wraps a no-retry post in the busy-post retry loop.
 func retried(w *Worker, e *Ep, post simtest.Step) simtest.Step {
 	return func(tk *sim.Task) { tk.Call(&retryFrame{w: w, e: e, post: post}) }
 }
 
-// TestSizedPostMatchesExplicitPaths: StartPut and StartAm post exactly
-// what the explicit path their size selects posts — short up to
-// mlx.InlineMax (32) bytes, bcopy above — with busy posts retried, so a
-// stream long enough to fill the transmit queue gives the same posts, busy
-// posts, polls and completion times either way. Under NoiseOff the sized
-// retry parks on its empty polls and fires fewer kernel events; under
+// TestSizedPostMatchesExplicitPaths: StartPut and StartAm post exactly what
+// the no-retry post (startPost, TryAm) posts — inline up to mlx.InlineMax
+// (32) bytes, bcopy above — with busy posts retried by a test-side loop,
+// so a stream long enough to fill the transmit queue gives the same posts,
+// busy posts, polls and completion times either way. Under NoiseOff the
+// sized retry parks on its empty polls and fires fewer kernel events; under
 // NoiseOn, with the busy post profiled, or over a PCIe link whose 10 ns
 // propagation is shorter than a poll period (the tie rule), it spins like
 // the explicit loop and fires the same events.
@@ -490,16 +521,9 @@ func TestSizedPostMatchesExplicitPaths(t *testing.T) {
 			short := size <= 32
 			for _, am := range []bool{false, true} {
 				explicit := func(w *Worker, e *Ep) simtest.Step {
-					var post simtest.Step
-					switch {
-					case am && short:
-						post = func(tk *sim.Task) { e.StartAmShort(tk, 7, payload) }
-					case am:
-						post = func(tk *sim.Task) { e.StartAmBcopy(tk, 7, payload) }
-					case short:
-						post = func(tk *sim.Task) { e.startPost(tk, mlx.OpRDMAWrite, 0, e.RemoteBuf, payload) }
-					default:
-						post = func(tk *sim.Task) { e.startGather(tk, mlx.OpRDMAWrite, 0, e.RemoteBuf, payload) }
+					post := tryPut(e, payload)
+					if am {
+						post = func(tk *sim.Task) { e.TryAm(tk, 7, payload) }
 					}
 					return retried(w, e, post)
 				}
@@ -753,7 +777,7 @@ func TestCancelParkedFlush(t *testing.T) {
 }
 
 // TestSizedPostOversizedErrors: a payload above MaxBcopy fits neither path;
-// StartPut and StartAm return with the error in LastPost instead of
+// StartPut, StartAm and TryAm return with the error in LastPost instead of
 // retrying or panicking.
 func TestSizedPostOversizedErrors(t *testing.T) {
 	sys, w0, _, e0, _ := harness(t)
@@ -771,6 +795,8 @@ func TestSizedPostOversizedErrors(t *testing.T) {
 		check("StartPut"),
 		func(tk *sim.Task) { e0.StartAm(tk, 7, big) },
 		check("StartAm"),
+		func(tk *sim.Task) { e0.TryAm(tk, 7, big) },
+		check("TryAm"),
 	)
 	sys.Run()
 	if w0.Stats.Posts != 0 || w0.Stats.BusyPosts != 0 {
@@ -810,15 +836,15 @@ func TestRecvOrderReusesArray(t *testing.T) {
 	}
 }
 
-// TestStagingPagesFollowInFlight: a gather post takes the staging slot
-// freed last, so an endpoint backs as many 4 KiB staging pages as it ever
+// TestStagingPagesFollowInFlight: a gather post (here a 64-byte payload,
+// too large to ride inline) takes the staging slot freed last, so an endpoint backs as many 4 KiB staging pages as it ever
 // had bcopy sends in flight at once, not one per send-queue entry; and a
 // CQE frees the slot of every post it retires, an error CQE included.
 func TestStagingPagesFollowInFlight(t *testing.T) {
 	bcopy := func(t *testing.T, e *Ep) simtest.Step {
 		data := make([]byte, 64)
 		return simtest.Seq(
-			func(tk *sim.Task) { e.startGather(tk, mlx.OpRDMAWrite, 0, e.RemoteBuf, data) },
+			tryPut(e, data),
 			func(*sim.Task) {
 				if err := e.LastPost(); err != nil {
 					t.Fatalf("bcopy post: %v", err)
@@ -980,7 +1006,7 @@ func TestFullSendQueueRetiresInOrder(t *testing.T) {
 			post := func(k int) simtest.Step {
 				i := 0
 				return simtest.While(func() bool { return i < k },
-					putShort(e0, data),
+					tryPut(e0, data),
 					func(*sim.Task) {
 						if err := e0.LastPost(); err != nil {
 							t.Fatalf("post %d: %v", i, err)
