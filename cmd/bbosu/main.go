@@ -8,7 +8,8 @@
 //	bbosu [flags] mr|latency
 //
 // A flag value no run can use exits 2 with one line on stderr before any
-// system is built.
+// system is built. A run that ends with an error (a request failed, or the
+// run stalled with a rank still waiting) exits 1 with one line on stderr.
 package main
 
 import (
@@ -54,17 +55,28 @@ func main() {
 	switch flag.Arg(0) {
 	case "mr":
 		res := osu.MessageRate(sys, osu.Options{Windows: *flagWindows, Window: *flagWindow, MsgSize: *flagSize})
+		exitOnErr(res.Err)
 		fmt.Println(res)
 		fmt.Printf("paper model (Equation 2): 264.97 ns/msg; paper observed: %.2f ns/msg\n",
 			config.TabObsOverallInj)
 	case "latency":
 		res := osu.Latency(sys, osu.Options{Iters: *flagIters, MsgSize: *flagSize})
+		exitOnErr(res.Err)
 		fmt.Println(res)
 		fmt.Printf("paper model (§6): %.2f ns; paper observed: %.2f ns\n",
 			config.TabE2ELatencyModel, config.TabObsE2ELatency)
 	default:
 		fmt.Fprintf(os.Stderr, "bbosu: unknown test %q\n", flag.Arg(0))
 		os.Exit(2)
+	}
+}
+
+// exitOnErr ends a run that failed or stalled: one line on stderr, exit
+// status 1.
+func exitOnErr(err error) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "bbosu: %s: %v\n", flag.Arg(0), err)
+		os.Exit(1)
 	}
 }
 

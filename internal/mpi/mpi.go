@@ -19,6 +19,16 @@
 // it, and the MPICH work after the successful one, mpich_after_progress).
 // The wait scopes time receive waits only, so per-wait totals reconstruct
 // from means and loop counts.
+//
+// MPI_Wait and MPI_Waitall test their requests before every
+// ucp_worker_progress. Under NoiseOff, after an empty round whose test
+// still fails, they park through ucp.Worker.Park, which reaches uct's one
+// park (uct.Worker.Park, whose package documentation has the rules), each
+// skipped round costing its per-iteration share (MpichWaitLoop,
+// MpichWaitallOp) above ucp's. The round a parked wait is woken for adds
+// the rounds it skipped to WaitLoops and RecvWaitLoops in closed form, so
+// every simulated value and counter is the spin's. A wait parked on a
+// receive that another rank cancels (CancelRecv) is woken by the cancel.
 package mpi
 
 import (
@@ -343,8 +353,10 @@ type waitFrame struct {
 
 	// measured: a receive wait, the only kind the wait scopes time.
 	measured bool
-	waitTok  profile.Token
-	progTok  profile.Token
+	// polled: the loop has progressed, so it may park after an empty round.
+	polled  bool
+	waitTok profile.Token
+	progTok profile.Token
 }
 
 // begin opens scope s on a receive wait; on any other wait it returns the
@@ -363,6 +375,7 @@ func (f *waitFrame) Step(t *sim.Task) {
 		case 0:
 			r.Stats.Waits++
 			f.measured = f.req.isRecv
+			f.polled = false
 			if f.measured {
 				r.Stats.RecvWaits++
 			}
@@ -375,6 +388,10 @@ func (f *waitFrame) Step(t *sim.Task) {
 				f.pc = 3
 				continue
 			}
+			if f.polled && r.Worker.Park(t, r.Cfg.SW.MpichWaitLoop) {
+				f.pc = 4
+				return
+			}
 			r.Stats.WaitLoops++
 			if f.measured {
 				r.Stats.RecvWaitLoops++
@@ -386,7 +403,16 @@ func (f *waitFrame) Step(t *sim.Task) {
 			return
 		case 2:
 			r.Node.Prof.End(t, f.progTok)
+			f.polled = true
 			f.pc = 1
+		case 4: // woken: the rounds run parked, the last one's poll still to come
+			n := r.Worker.StartWokenProgress(t)
+			r.Stats.WaitLoops += n
+			if f.measured {
+				r.Stats.RecvWaitLoops += n
+			}
+			f.pc = 2
+			return
 		case 3:
 			// MPICH work after the successful ucp_worker_progress (paper
 			// §6: 36.89 ns).
@@ -413,6 +439,8 @@ type waitallFrame struct {
 	r    *Rank
 	pc   int
 	reqs []*Request
+	// polled: the loop has progressed, so it may park after an empty round.
+	polled bool
 }
 
 func (f *waitallFrame) Step(t *sim.Task) {
@@ -421,6 +449,7 @@ func (f *waitallFrame) Step(t *sim.Task) {
 		switch f.pc {
 		case 0:
 			t.Advance(r.Cfg.SW.MpichWaitEnt.Sample(r.Node.Rand))
+			f.polled = false
 			f.pc = 1
 		case 1:
 			remaining := 0
@@ -434,12 +463,23 @@ func (f *waitallFrame) Step(t *sim.Task) {
 				t.Return()
 				return
 			}
+			if f.polled && r.Worker.Park(t, r.Cfg.SW.MpichWaitallOp) {
+				f.pc = 2
+				return
+			}
 			r.Stats.WaitLoops++
 			// Per-operation bookkeeping share of the waitall loop.
 			t.Advance(r.Cfg.SW.MpichWaitallOp.Sample(r.Node.Rand))
-			f.pc = 1
+			f.pc = 3
 			r.Worker.StartProgress(t)
 			return
+		case 2: // woken: the rounds run parked, the last one's poll still to come
+			r.Stats.WaitLoops += r.Worker.StartWokenProgress(t)
+			f.pc = 3
+			return
+		case 3:
+			f.polled = true
+			f.pc = 1
 		}
 	}
 }

@@ -21,11 +21,18 @@
 //
 // A request that fails (its QP exhausted its retries) ends the run, as
 // MPI_ERRORS_ARE_FATAL aborts the job: both ranks stop, and the result's
-// Err reports the first error any request failed with.
+// Err reports the first error any request failed with. The failing rank
+// ends its peer's wait through the peer's own worker: the message-rate
+// sender wakes the receiver's parked sink loop, and a latency rank cancels
+// the peer's pending receive, which wakes the peer's MPI_Wait
+// (uct.Worker.Wake). A run that drains with a rank still waiting, for a
+// message that arrived garbled, say, stalled: Err then names where each
+// waiting task sits.
 package osu
 
 import (
 	"fmt"
+	"strings"
 
 	"breakband/internal/config"
 	"breakband/internal/mpi"
@@ -103,40 +110,33 @@ type MessageRateResult struct {
 	WaitallTotalNs float64
 	Sender         *mpi.Rank
 	Receiver       *mpi.Rank
-	// Err is the first error a request of the run failed with, nil on a
-	// complete run. The sender stops after the window that holds it, and
-	// the rates then measure nothing.
+	// Err is the first error a request of the run failed with, or the
+	// stall of a run that drained with a rank still waiting, nil on a
+	// complete run. The sender stops after the window that holds a failed
+	// request, and the rates then measure nothing.
 	Err error
 }
 
 // mrRecvFrame sinks everything at the protocol level (no per-window sync,
-// per the paper's footnote), until every message arrived or the sender
-// finished with a failed request.
+// per the paper's footnote): ucp's wait loop until finished, bound once per
+// run, reports that every message arrived or that the sender finished with
+// a failed request.
 type mrRecvFrame struct {
-	r     *mpi.Rank
-	res   *MessageRateResult
-	total int
-	pc    int
+	r        *mpi.Rank
+	finished func() bool
+	pc       int
 }
 
 func (f *mrRecvFrame) Step(t *sim.Task) {
-	for {
-		switch f.pc {
-		case 0:
-			f.pc = 1
-			f.r.StartPreparePostedRecvs(t, 512)
-			return
-		case 1:
-			if int(f.r.Worker.Stats.RecvCompletions+f.r.Worker.Stats.UnexpectedMsgs) >= f.total || f.res.Err != nil {
-				t.Return()
-				return
-			}
-			f.pc = 2
-			f.r.Worker.StartProgress(t)
-			return
-		case 2:
-			f.pc = 1
-		}
+	switch f.pc {
+	case 0:
+		f.pc = 1
+		f.r.StartPreparePostedRecvs(t, 512)
+	case 1:
+		f.pc = 2
+		f.r.Worker.StartProgressUntil(t, f.finished)
+	case 2:
+		t.Return()
 	}
 }
 
@@ -188,6 +188,7 @@ func (f *mrSendFrame) Step(t *sim.Task) {
 		case 13: // window done
 			if err := firstErr(f.reqs); err != nil {
 				f.res.Err = err
+				f.res.Receiver.Worker.Uct.Wake() // the receiver's sink loop tests Err
 				t.Return()
 				return
 			}
@@ -235,13 +236,19 @@ func MessageRate(sys *node.System, opt Options) *MessageRateResult {
 	r0, r1 := comm.Ranks[0], comm.Ranks[1]
 	res := &MessageRateResult{Sender: r0, Receiver: r1}
 
-	totalMsgs := (opt.Windows + 1) * opt.Window // +1 warmup window
+	totalMsgs := uint64(opt.Windows+1) * uint64(opt.Window) // +1 warmup window
 	data := make([]byte, opt.MsgSize)
 
-	sys.K.SpawnTask("osu_mr.recv", &mrRecvFrame{r: r1, res: res, total: totalMsgs})
+	finished := func() bool {
+		return r1.Worker.Stats.RecvCompletions+r1.Worker.Stats.UnexpectedMsgs >= totalMsgs || res.Err != nil
+	}
+	sys.K.SpawnTask("osu_mr.recv", &mrRecvFrame{r: r1, finished: finished})
 	sys.K.SpawnTask("osu_mr.send", &mrSendFrame{r: r0, cfg: cfg, opt: &opt, res: res, data: data,
 		reqs: make([]*mpi.Request, opt.Window)})
 	sys.Run()
+	if res.Err == nil {
+		res.Err = stalled(sys.K)
+	}
 
 	res.Messages = opt.Windows * opt.Window
 	res.MeanInjNs = res.Elapsed.Ns() / float64(res.Messages)
@@ -258,7 +265,8 @@ type LatencyResult struct {
 	RTTs       *stats.Sample
 	Rank0      *mpi.Rank
 	Rank1      *mpi.Rank
-	// Err is the first error a request of the run failed with, nil on a
+	// Err is the first error a request of the run failed with, or the
+	// stall of a run that drained with a rank still waiting, nil on a
 	// complete run; ReportedNs then measures nothing.
 	Err error
 }
@@ -415,7 +423,25 @@ func Latency(sys *node.System, opt Options) *LatencyResult {
 	sys.K.SpawnTask("osu_lat.rank1", echo)
 	sys.K.SpawnTask("osu_lat.rank0", ping)
 	sys.Run()
+	if res.Err == nil {
+		res.Err = stalled(sys.K)
+	}
 	return res
+}
+
+// stalled reports the tasks a drained run left unfinished, as one line
+// naming each one's frame (sim.Task.StallSite), nil when every task
+// finished.
+func stalled(k *sim.Kernel) error {
+	stuck := k.StuckTasks()
+	if len(stuck) == 0 {
+		return nil
+	}
+	sites := make([]string, len(stuck))
+	for i, t := range stuck {
+		sites[i] = t.StallSite()
+	}
+	return fmt.Errorf("osu: the run stalled at %v with %d task(s) unfinished: %s", k.Now(), len(stuck), strings.Join(sites, "; "))
 }
 
 // String renders the message-rate result.

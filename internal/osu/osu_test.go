@@ -8,6 +8,7 @@ import (
 
 	"breakband/internal/config"
 	"breakband/internal/node"
+	"breakband/internal/sim"
 	"breakband/internal/ucp"
 	"breakband/internal/uct"
 )
@@ -64,10 +65,12 @@ func TestMessageRateWaitallAccounting(t *testing.T) {
 // TestMessageRateEventsPerMessage gates the kernel events the NoiseOff
 // message rate (bench's osu_mr) fires per delivered message, warmup window
 // included. With no analyzer attached the PCIe links fire no tap-only
-// events and no ACK arrivals: the run fires about 20.6 events per message,
-// against 25.6 when every link fed a tap.
+// events and no ACK arrivals, and the receiver's sink loop and the
+// sender's MPI_Waitall park on an empty completion queue: the run fires
+// about 15.3 events per message, against 20.6 when the MPI and ucp waits
+// spun and 25.6 when every link fed a tap as well.
 func TestMessageRateEventsPerMessage(t *testing.T) {
-	const maxPerMsg = 22
+	const maxPerMsg = 16
 	sys := newSys(t, config.NoiseOff)
 	defer sys.Shutdown()
 	MessageRate(sys, Options{Windows: 30})
@@ -78,7 +81,26 @@ func TestMessageRateEventsPerMessage(t *testing.T) {
 	perMsg := float64(sys.K.Fired()) / float64(delivered)
 	t.Logf("%d events for %d messages: %.2f per message (gate %d)", sys.K.Fired(), delivered, perMsg, maxPerMsg)
 	if perMsg > maxPerMsg {
-		t.Errorf("%.2f kernel events per delivered message, gate %d: does an untapped link fire tap-only events again?", perMsg, maxPerMsg)
+		t.Errorf("%.2f kernel events per delivered message, gate %d: does a wait spin, or an untapped link fire tap-only events, again?", perMsg, maxPerMsg)
+	}
+}
+
+// TestLatencyEventsPerIteration gates the kernel events the NoiseOff
+// latency ping-pong fires per iteration, warmup included. Each rank's
+// MPI_Wait parks on an empty completion queue, so an iteration fires about
+// 44 events; when the waits spun, 121, 81 of them empty polls.
+func TestLatencyEventsPerIteration(t *testing.T) {
+	const maxPerIter = 50
+	sys := newSys(t, config.NoiseOff)
+	defer sys.Shutdown()
+	res := Latency(sys, Options{Iters: 300, Warmup: 30})
+	if res.Err != nil || res.RTTs.N() != 300 {
+		t.Fatalf("%d round trips, Err %v", res.RTTs.N(), res.Err)
+	}
+	perIter := float64(sys.K.Fired()) / 330
+	t.Logf("%d events for 330 iterations: %.2f per iteration (gate %d)", sys.K.Fired(), perIter, maxPerIter)
+	if perIter > maxPerIter {
+		t.Errorf("%.2f kernel events per iteration, gate %d: does MPI_Wait spin again?", perIter, maxPerIter)
 	}
 }
 
@@ -189,6 +211,7 @@ func TestMessageRateAllocs(t *testing.T) {
 // stuck, well under an event limit: the side whose peer failed used to
 // wait in its MPI loop forever, the message-rate receiver for messages
 // that would not come and the latency rank in MPI_Wait for a receive.
+// Under NoiseOff that side parks, and the failing side wakes it.
 func TestFailedRunEnds(t *testing.T) {
 	for _, noise := range []config.NoiseLevel{config.NoiseOff, config.NoiseOn} {
 		for _, d := range []struct {
@@ -220,5 +243,29 @@ func TestFailedRunEnds(t *testing.T) {
 			}
 			sys.Shutdown()
 		}
+	}
+}
+
+// parkFrame parks its task for good.
+type parkFrame struct{}
+
+func (parkFrame) Step(t *sim.Task) { t.Park(func() {}) }
+
+// TestStalledIsOneLine: a run that drains with a task still parked ends
+// with one error line naming each unfinished task and its frame, and one
+// whose tasks all finished with none.
+func TestStalledIsOneLine(t *testing.T) {
+	k := sim.NewKernel()
+	k.SpawnTask("a", parkFrame{})
+	k.SpawnTask("b", parkFrame{})
+	k.Run()
+	err := stalled(k)
+	if err == nil || strings.Contains(err.Error(), "\n") ||
+		!strings.Contains(err.Error(), "a: parked in osu.parkFrame") || !strings.Contains(err.Error(), "b: parked in osu.parkFrame") {
+		t.Errorf("stalled = %v, want one line naming both parked tasks", err)
+	}
+	k.Shutdown()
+	if err := stalled(k); err != nil {
+		t.Errorf("after Shutdown: stalled = %v, want nil", err)
 	}
 }

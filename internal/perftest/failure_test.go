@@ -14,6 +14,10 @@ import (
 // sees the failure: the drain retires it, and Err must carry it all the
 // same. The event limit turns a hang into a fast failure, and a wait that
 // spins through the retry timeouts instead of parking into one as well.
+// No row may leave a task stuck: a side parked on its peer (am_lat's
+// responder, the lossy verifier) is woken when the peer fails. The sweep
+// shuts its points' systems down itself, so its row checks one of its
+// points on a system the test holds.
 func TestDriversReportTransportErrors(t *testing.T) {
 	const eventLimit = 50_000
 	mk := func(nodes int) func() *node.System {
@@ -27,16 +31,17 @@ func TestDriversReportTransportErrors(t *testing.T) {
 	}
 	opt := Options{Iters: 300, Warmup: 50}
 	short := Options{Iters: 10, Warmup: 1}
-	one := func(nodes int, run func(sys *node.System) error) func() error {
-		return func() error {
+	one := func(nodes int, run func(sys *node.System) error) func() (error, string) {
+		return func() (error, string) {
 			sys := mk(nodes)()
 			defer sys.Shutdown()
-			return run(sys)
+			err := run(sys)
+			return err, sys.K.StallReport()
 		}
 	}
 	for _, tc := range []struct {
 		name string
-		run  func() error
+		run  func() (error, string)
 	}{
 		{"PutBw", one(2, func(sys *node.System) error { return PutBw(sys, opt).Err })},
 		{"PutBwShort", one(2, func(sys *node.System) error { return PutBw(sys, short).Err })},
@@ -49,8 +54,12 @@ func TestDriversReportTransportErrors(t *testing.T) {
 		{"AllToAllPutBwShort", one(4, func(sys *node.System) error { return AllToAllPutBw(sys, short).Err })},
 		{"LossyPutBw", one(2, func(sys *node.System) error { return LossyPutBw(sys, opt).Err })},
 		{"WindowedPutBw", one(2, func(sys *node.System) error { return WindowedPutBw(sys, 32, 64).Err })},
-		{"SaturationSweep", func() error {
-			return SaturationSweep(mk(3), 0, []float64{0.8, 1.2}, 4096, 350, 1).Err
+		{"SaturationSweep", func() (error, string) {
+			err := SaturationSweep(mk(3), 0, []float64{0.8, 1.2}, 4096, 350, 1).Err
+			sys := mk(3)()
+			defer sys.Shutdown()
+			saturationPoint(sys, 2, 1.2, SaturationBottleneck(sys.Cfg, 4096), 4096, 350)
+			return err, sys.K.StallReport()
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -59,10 +68,14 @@ func TestDriversReportTransportErrors(t *testing.T) {
 					t.Fatalf("panicked: %v", p)
 				}
 			}()
-			if err := tc.run(); err == nil {
+			err, stall := tc.run()
+			if err == nil {
 				t.Error("Err is nil at a 100% drop rate")
 			} else {
 				t.Log(err)
+			}
+			if stall != "" {
+				t.Errorf("the run left tasks stuck:\n%s", stall)
 			}
 		})
 	}

@@ -52,8 +52,11 @@ type sender struct {
 	// windows from them. Off on the hot scenarios.
 	mark  bool
 	marks []units.Time
-	// done is set once the sender's loop has drained its tail.
-	done bool
+	// done is set once the sender's loop has drained its tail; the loop
+	// then wakes waiter, when set, the worker whose wait tests done (the
+	// lossy stream's verifier).
+	done   bool
+	waiter *uct.Worker
 }
 
 // post begins the sender's next post on ep: an RDMA write of msg, or the
@@ -230,6 +233,9 @@ func (f *putLoopFrame) Step(t *sim.Task) {
 				f.st.err = err
 			}
 			s.done = true
+			if s.waiter != nil {
+				s.waiter.Wake()
+			}
 			t.Return()
 			return
 		}

@@ -141,6 +141,7 @@ func LossyPutBw(sys *node.System, opt Options) *LossyResult {
 	cfg := sys.Cfg
 	snd, recvW := connectSenders(sys, sys.Nodes[:1], sys.Nodes[1], opt, "lossy")
 	snd[0].am = amLossy
+	snd[0].waiter = recvW
 	v := &lossyRecvFrame{seqCheck: seqCheck{msgSize: opt.MsgSize}, w: recvW, s: snd[0], total: opt.Iters}
 	v.finished = func() bool { return v.delivered >= v.total || (v.s.done && v.s.err() != nil) }
 	recvW.SetAmHandler(amLossy, v.verify)

@@ -36,9 +36,9 @@
 // their error completions, so a flush ends on a failed endpoint too.
 // AmLat's two sides wait for their ping and pong, and the lossy verifier
 // for its stream, until the message arrives or the run has failed. A
-// parked wait sees only its own worker's completions: under NoiseOff, the
-// side whose peer failed stays parked until the system's Shutdown, and the
-// run ends when no event is left, with the same Err.
+// parked wait sees its own worker's completions, so the side that fails
+// wakes its peer (uct.Worker.Wake): the peer ends where its spin would
+// have, and a failed run leaves no task parked.
 //
 // A run that times one software component selects its scope on the
 // initiator node's profiler before it starts (internal/profile); the
@@ -184,19 +184,27 @@ func AmLat(sys *node.System, opt Options) *AmLatResult {
 
 // failed records the first transport error of the ping-pong: a post that
 // returned one, or either endpoint failing while its side waits (a spinning
-// peer of a failed side would otherwise poll forever). It reports whether
-// the run has failed.
+// peer of a failed side would otherwise poll forever). The side that
+// records it wakes both workers, so a peer parked in its wait tests again
+// (uct.Worker.Wake; the recording side's own is not parked). It reports
+// whether the run has failed.
 func (r *AmLatResult) failed(err error) bool {
+	if r.Err != nil {
+		return true
+	}
 	switch {
-	case r.Err != nil:
 	case err != nil:
 		r.Err = err
 	case r.Ep0.Err != nil:
 		r.Err = r.Ep0.Err
 	case r.Ep1.Err != nil:
 		r.Err = r.Ep1.Err
+	default:
+		return false
 	}
-	return r.Err != nil
+	r.W0.Wake()
+	r.W1.Wake()
+	return true
 }
 
 // amWait is one side's wait in the ping-pong: the side's AM handler sets

@@ -15,7 +15,8 @@
 // A task that would only spin until another component acts parks instead
 // (Task.Park): it schedules nothing, and the component's event callback
 // wakes it (Task.WakeAt) at the instant the spin would have noticed. The
-// uct poll loops park this way on an empty completion queue.
+// wait loops of uct, ucp and MPI park this way on an empty completion
+// queue, through uct's one park.
 //
 // Tasks never run concurrently with each other or with the kernel: at any
 // instant exactly one frame Step or event callback is executing, so shared

@@ -7,11 +7,14 @@ import (
 	"breakband/internal/config"
 	"breakband/internal/fabric"
 	"breakband/internal/memsim"
+	"breakband/internal/mpi"
 	"breakband/internal/node"
 	"breakband/internal/perftest"
 	"breakband/internal/sim"
+	"breakband/internal/simtest"
 	"breakband/internal/topo"
 	"breakband/internal/trace"
+	"breakband/internal/uct"
 	"breakband/internal/workload"
 )
 
@@ -99,6 +102,54 @@ func TestParkWakeZeroAlloc(t *testing.T) {
 	k.Shutdown()
 	if mem.Watches() != 0 {
 		t.Errorf("Shutdown left %d watches armed", mem.Watches())
+	}
+}
+
+// TestParkedWaitsZeroAlloc carries the park/wake gate through the wait
+// loop of every layer: uct's and ucp's StartProgressUntil, MPI_Wait and
+// MPI_Waitall, each at NoiseOff waiting for something that never comes, so
+// it parks on its empty completion queue. A cycle — a Wake from another
+// event, the woken round's poll, the re-test and the park again —
+// allocates nothing.
+func TestParkedWaitsZeroAlloc(t *testing.T) {
+	never := func() bool { return false }
+	for _, c := range []struct {
+		name string
+		wait func(r *mpi.Rank) simtest.Step
+	}{
+		{"uct", func(r *mpi.Rank) simtest.Step {
+			return func(tk *sim.Task) { r.Worker.Uct.StartProgressUntil(tk, never) }
+		}},
+		{"ucp", func(r *mpi.Rank) simtest.Step {
+			return func(tk *sim.Task) { r.Worker.StartProgressUntil(tk, never) }
+		}},
+		{"mpi-wait", func(r *mpi.Rank) simtest.Step {
+			return func(tk *sim.Task) { r.StartWait(tk, r.Irecv(tk, 0, 1)) }
+		}},
+		{"mpi-waitall", func(r *mpi.Rank) simtest.Step {
+			return func(tk *sim.Task) { r.StartWaitall(tk, []*mpi.Request{r.Irecv(tk, 0, 1)}) }
+		}},
+	} {
+		sys := node.NewSystem(config.TX2CX4(config.NoiseOff, 1, true), 2)
+		r := mpi.NewComm(sys.Nodes, sys.Cfg, uct.PIOInline).Ranks[1]
+		task := simtest.Start(sys.K, c.name, c.wait(r))
+		sys.Run()
+		wake := func(any) { r.Worker.Uct.Wake() }
+		cycle := func() {
+			sys.K.AfterArg(1, wake, nil)
+			sys.K.Run()
+		}
+		for i := 0; i < 8; i++ { // warm the slot pool and the watch table
+			cycle()
+		}
+		allocs := testing.AllocsPerRun(500, cycle)
+		if !task.Parked() || r.Worker.Uct.Stats.Progresses < 500 {
+			t.Errorf("%s: parked %v after %d polls; want parked, woken once per cycle", c.name, task.Parked(), r.Worker.Uct.Stats.Progresses)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: a wake, woken round and park allocate %.2f per cycle, want 0", c.name, allocs)
+		}
+		sys.Shutdown()
 	}
 }
 

@@ -22,6 +22,16 @@
 // machines: callers use StartTagSend/StartProgress plus the Last* getters.
 // One task may drive a Worker (and each Ep) at a time.
 //
+// StartProgressUntil progresses the worker until a predicate holds, testing
+// it before every ucp_worker_progress. Under NoiseOff it parks after an
+// empty round through uct's one park (uct.Worker.Park, whose package
+// documentation has the rules), adding UcpProgress to each skipped round;
+// MPI_Wait and MPI_Waitall park through Park and StartWokenProgress the
+// same way, with their own share of the round. A round that posted or
+// failed a pending send does not park. CancelRecv wakes the worker whose
+// receive it cancels (uct.Worker.Wake), so a wait parked on that receive
+// ends where the spin would have.
+//
 // The caller provides each operation's Request and its Callback, so an
 // upper layer can keep the ucp request inside its own and be its callback
 // (internal/mpi does): an operation then allocates one object across both
@@ -39,6 +49,7 @@ import (
 	"breakband/internal/config"
 	"breakband/internal/fifo"
 	"breakband/internal/profile"
+	"breakband/internal/rng"
 	"breakband/internal/sim"
 	"breakband/internal/uct"
 )
@@ -121,6 +132,7 @@ type Worker struct {
 	Stats Stats
 
 	progF progressFrame
+	waitF waitFrame
 }
 
 // NewWorker wraps a uct worker. It registers the send-completion and
@@ -128,6 +140,7 @@ type Worker struct {
 func NewWorker(u *uct.Worker, cfg *config.Config) *Worker {
 	w := &Worker{Uct: u, Cfg: cfg}
 	w.progF.w = w
+	w.waitF.w = w
 	u.SetSendCompletion(w.onSendComplete)
 	u.SetAmHandler(amEager, w.onEager)
 	return w
@@ -277,6 +290,8 @@ type progressFrame struct {
 	w  *Worker
 	pc int
 	n  int
+	// pended: the round posted or failed a pending send.
+	pended bool
 }
 
 func (f *progressFrame) Step(t *sim.Task) {
@@ -285,6 +300,7 @@ func (f *progressFrame) Step(t *sim.Task) {
 		switch f.pc {
 		case 0:
 			t.Advance(w.Cfg.SW.UcpProgress.Sample(w.Uct.Node.Rand))
+			f.pended = false
 			f.pc = 1
 		case 1:
 			if w.pending.Len() == 0 || w.pending.At(0).ep.UctEp.FreeSlots() == 0 {
@@ -302,6 +318,7 @@ func (f *progressFrame) Step(t *sim.Task) {
 				w.pending.Pop()
 				pp.ep.inflight.Push(pp.req)
 				w.Stats.PendingExecuted++
+				f.pended = true
 				f.pc = 1
 			case err == uct.ErrNoResource:
 				// Raced with another consumer of the slot.
@@ -312,6 +329,7 @@ func (f *progressFrame) Step(t *sim.Task) {
 				// request with the error instead of retrying forever.
 				w.pending.Pop()
 				w.failSend(t, pp.req, err)
+				f.pended = true
 				f.pc = 1
 			}
 		case 3:
@@ -321,6 +339,87 @@ func (f *progressFrame) Step(t *sim.Task) {
 		case 4:
 			f.n = w.Uct.LastProgress()
 			t.Return()
+			return
+		}
+	}
+}
+
+// Park parks t, which runs a wait loop over this worker, right after one of
+// the loop's ucp_worker_progress rounds and the exit test that followed it,
+// through uct's park (uct.Worker.Park): only while the node draws no jitter,
+// and after a round that retired nothing and posted or failed no pending
+// send. above is the cost the caller's loop pays each round before
+// ucp_worker_progress (nil for none), drawn like ucp's own from the node's
+// stream, and ucp adds UcpProgress. It reports whether t parked: the
+// caller's Step must then return, and on resuming begin its round with
+// StartWokenProgress.
+func (w *Worker) Park(t *sim.Task, above rng.Dist) bool {
+	// Tested inline, so a spinning NoiseOn round pays no call.
+	return w.Uct.Node.Rand == nil && w.park(t, above)
+}
+
+// park is Park past its jitter test.
+func (w *Worker) park(t *sim.Task, above rng.Dist) bool {
+	f := &w.progF
+	return f.n == 0 && !f.pended && w.Uct.Park(t, above, w.Cfg.SW.UcpProgress)
+}
+
+// StartWokenProgress begins the ucp_worker_progress of the round a parked
+// loop was woken for, at its LLP poll (uct.Worker.StartWokenProgress): the
+// skipped rounds' pending checks found the same queue, so the round goes
+// straight to the poll. It returns the number of rounds the loop ran
+// parked, this one included, for the caller's per-round counters.
+func (w *Worker) StartWokenProgress(t *sim.Task) uint64 {
+	f := &w.progF
+	f.pc = 4
+	f.pended = false
+	t.Call(f)
+	return w.Uct.StartWokenProgress(t)
+}
+
+// StartProgressUntil begins ucp's wait loop: it tests done before every
+// ucp_worker_progress and progresses while done reports false, parking
+// after an empty round (see Park). done must not pause, and is bound once
+// per run. A task that turns done true from outside this worker's progress
+// must call Wake on the worker's uct worker after the change.
+func (w *Worker) StartProgressUntil(t *sim.Task, done func() bool) {
+	f := &w.waitF
+	f.pc = 0
+	f.done = done
+	f.polled = false
+	t.Call(f)
+}
+
+// waitFrame is the wait loop behind StartProgressUntil.
+type waitFrame struct {
+	w      *Worker
+	pc     int
+	done   func() bool
+	polled bool // the loop has progressed: Park may follow an empty round
+}
+
+func (f *waitFrame) Step(t *sim.Task) {
+	w := f.w
+	for {
+		switch f.pc {
+		case 0: // test; then progress, or park after an empty round
+			if f.done() {
+				t.Return()
+				return
+			}
+			f.pc = 1
+			if f.polled && w.Park(t, nil) {
+				f.pc = 2
+				return
+			}
+			w.StartProgress(t)
+			return
+		case 1: // progressed
+			f.polled = true
+			f.pc = 0
+		case 2: // woken: the round that sees the change
+			f.pc = 1
+			w.StartWokenProgress(t)
 			return
 		}
 	}
@@ -375,7 +474,9 @@ func (w *Worker) failSend(t *sim.Task, req *Request, err error) {
 // source endpoint died and nothing will arrive). It reports false if the
 // request is no longer expected — it already completed, possibly with data
 // that arrived before the failure. Mirrors the CQEFlushErr contract: flushed
-// operations complete with an error instead of hanging.
+// operations complete with an error instead of hanging. A task other than
+// the worker's own may cancel: it wakes the worker's parked wait, if any,
+// which then sees the receive end where its spin would have.
 func (w *Worker) CancelRecv(t *sim.Task, req *Request, err error) bool {
 	for i, q := range w.expected {
 		if q == req {
@@ -386,6 +487,7 @@ func (w *Worker) CancelRecv(t *sim.Task, req *Request, err error) bool {
 			if req.cb != nil {
 				req.cb.Complete(t)
 			}
+			w.Uct.Wake()
 			return true
 		}
 	}

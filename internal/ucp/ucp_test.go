@@ -9,6 +9,7 @@ import (
 
 	"breakband/internal/config"
 	"breakband/internal/node"
+	"breakband/internal/profile"
 	"breakband/internal/rng"
 	"breakband/internal/sim"
 	"breakband/internal/simtest"
@@ -461,5 +462,185 @@ func TestSendQueuesReuseArrays(t *testing.T) {
 	}
 	if e0.inflight.Len() != 0 || w0.Stats.SendCompletions != 192*102 {
 		t.Errorf("%d sends left in flight, %d completions", e0.inflight.Len(), w0.Stats.SendCompletions)
+	}
+}
+
+// spinFrame is StartProgressUntil spelled out over StartProgress: test
+// done, and while it fails, progress the worker, with no pause in between
+// — the wait loop without its parking.
+type spinFrame struct {
+	w    *Worker
+	done func() bool
+}
+
+func (f *spinFrame) Step(t *sim.Task) {
+	if f.done() {
+		t.Return()
+		return
+	}
+	f.w.StartProgress(t)
+}
+
+// waitCase is the system of one ucp wait run: its noise level, a scope
+// selected on both nodes' profilers, the PCIe propagation when set, and
+// the drop rate; parks says whether the waits park there.
+type waitCase struct {
+	name  string
+	noise config.NoiseLevel
+	scope profile.Scope
+	prop  units.Time
+	drop  float64
+	parks bool
+}
+
+var waitCases = []waitCase{
+	{"noiseoff", config.NoiseOff, profile.None, 0, 0, true},
+	{"noiseon", config.NoiseOn, profile.None, 0, 0, false},
+	{"progress-profiled", config.NoiseOff, profile.LLPProg, 0, 0, false},
+	{"short-pcie-prop", config.NoiseOff, profile.None, units.Nanoseconds(10), 0, false},
+	{"failed-pending-posts", config.NoiseOff, profile.None, 0, 1, true},
+}
+
+// waitRun is what a wait run observed: both workers' ucp and uct stats,
+// when each side's wait returned, whether the sender was ever seen parked
+// with its pending queue blocked, and the kernel events the run fired.
+type waitRun struct {
+	tx, rx         Stats
+	utx, urx       uct.Stats
+	txEnd, rxEnd   units.Time
+	parkedBehindSQ bool
+	events         uint64
+}
+
+// waitStream sends three send queues' worth of 8-byte tagged messages
+// from node 0 on one endpoint, each signaled completion retiring a whole
+// queue: past the first queue they wait in the pending queue, which each
+// completion unblocks by a queue, posted well before the next completion
+// can arrive. The sender waits until every send request completed, the
+// receiver until every message arrived or the sender's script, done,
+// wakes it. Both wait in StartProgressUntil, or with spin set in
+// spinFrame. A sampler every microsecond notes whether the sender is
+// parked with sends pending.
+func waitStream(t *testing.T, c waitCase, spin bool) waitRun {
+	t.Helper()
+	const n = 3 * uct.SQDepth
+	cfg := config.TX2CX4(c.noise, 1, true)
+	cfg.SignalPeriod = uct.SQDepth
+	if c.prop != 0 {
+		cfg.PCIeProp = c.prop
+	}
+	cfg.Faults.DropRate = c.drop
+	sys := node.NewSystem(cfg, 2)
+	defer sys.Shutdown()
+	w0 := NewWorker(uct.NewWorker(sys.Nodes[0], cfg), cfg)
+	w1 := NewWorker(uct.NewWorker(sys.Nodes[1], cfg), cfg)
+	e0, e1 := w0.NewEp(uct.PIOInline), w1.NewEp(uct.PIOInline)
+	uct.Connect(e0.UctEp, e1.UctEp)
+	for _, nd := range sys.Nodes {
+		nd.Prof.Select(c.scope)
+	}
+	wait := func(w *Worker, done func() bool) simtest.Step {
+		if spin {
+			return func(tk *sim.Task) { tk.Call(&spinFrame{w: w, done: done}) }
+		}
+		return func(tk *sim.Task) { w.StartProgressUntil(tk, done) }
+	}
+	var r waitRun
+	reqs := make([]Request, n)
+	sent := func() bool {
+		for i := range reqs {
+			if !reqs[i].Completed() {
+				return false
+			}
+		}
+		return true
+	}
+	finished := false
+	arrived := func() bool { return finished || w1.Stats.UnexpectedMsgs >= n }
+	simtest.Start(sys.K, "rx", postRecvs(e1, 512), wait(w1, arrived), func(tk *sim.Task) { r.rxEnd = tk.Now() })
+	msg := make([]byte, 8)
+	tx := []simtest.Step{sleep(units.Microsecond)}
+	for i := range reqs {
+		tx = append(tx, func(tk *sim.Task) { e0.StartTagSend(tk, &reqs[i], uint64(i), msg, nil) })
+	}
+	tx = append(tx, wait(w0, sent), func(tk *sim.Task) {
+		r.txEnd = tk.Now()
+		finished = true
+		w1.Uct.Wake()
+	})
+	txTask := simtest.Start(sys.K, "tx", tx...)
+	var sample func()
+	sample = func() {
+		if txTask.Parked() && w0.pending.Len() > 0 {
+			r.parkedBehindSQ = true
+		}
+		if !txTask.Done() {
+			sys.K.After(units.Microsecond, sample)
+		}
+	}
+	sys.K.After(units.Microsecond, sample)
+	sys.Run()
+	if rep := sys.K.StallReport(); rep != "" {
+		t.Fatalf("%s spin=%v: %s", c.name, spin, rep)
+	}
+	r.tx, r.rx, r.utx, r.urx, r.events = w0.Stats, w1.Stats, w0.Uct.Stats, w1.Uct.Stats, sys.K.Fired()
+	return r
+}
+
+// TestProgressUntilMatchesSpin: StartProgressUntil polls exactly where the
+// spinning loop polls, so both sides' ucp and uct stats and the instants
+// their waits end are the spin's. The sender waits with most of its sends
+// pending behind a full send queue; at drop rate 1 its QP fails and the
+// pending posts fail with it, and the receiver, which nothing reaches, is
+// woken by the sender's script. Under NoiseOff the waits park, the sender
+// with its pending queue blocked, and fire fewer kernel events; under
+// NoiseOn, with a scope profiled, or over a PCIe link whose 10 ns
+// propagation is shorter than a round (the tie rule), they spin and fire
+// the same events.
+func TestProgressUntilMatchesSpin(t *testing.T) {
+	for _, c := range waitCases {
+		want := waitStream(t, c, true)
+		got := waitStream(t, c, false)
+		if got.tx != want.tx || got.rx != want.rx || got.utx != want.utx || got.urx != want.urx ||
+			got.txEnd != want.txEnd || got.rxEnd != want.rxEnd {
+			t.Errorf("%s: StartProgressUntil gave tx %+v %+v done at %v, rx %+v %+v done at %v; spin tx %+v %+v at %v, rx %+v %+v at %v",
+				c.name, got.tx, got.utx, got.txEnd, got.rx, got.urx, got.rxEnd,
+				want.tx, want.utx, want.txEnd, want.rx, want.urx, want.rxEnd)
+		}
+		if got.tx.BusyPosts == 0 {
+			t.Errorf("%s: no busy post: no send waited in the pending queue", c.name)
+		}
+		if c.drop == 1 && (got.tx.SendFailures != got.tx.Sends || got.rx.UnexpectedMsgs != 0) {
+			t.Errorf("%s: %d of %d sends failed, %d arrived; want every send failed", c.name, got.tx.SendFailures, got.tx.Sends, got.rx.UnexpectedMsgs)
+		}
+		if c.parks {
+			if got.events >= want.events || !got.parkedBehindSQ {
+				t.Errorf("%s: %d kernel events (spin %d), parked behind the send queue %v; want fewer, and parked",
+					c.name, got.events, want.events, got.parkedBehindSQ)
+			}
+		} else if got.events != want.events {
+			t.Errorf("%s: %d kernel events, spin %d; want the same", c.name, got.events, want.events)
+		}
+	}
+}
+
+// TestNoParkAfterPendingWork: a wait never parks right after a progress
+// round that posted or failed a pending send, even one whose poll came
+// back empty: the round changed the pending queue the next one tests, so
+// the loop spins that round instead. After a round with no pending work
+// it parks.
+func TestNoParkAfterPendingWork(t *testing.T) {
+	for _, pended := range []bool{true, false} {
+		sys, w0, _, _, _ := harness(t, 64)
+		parked := false
+		simtest.Start(sys.K, "wait", func(tk *sim.Task) {
+			w0.progF.pended = pended
+			parked = w0.Park(tk, nil)
+		})
+		sys.Run()
+		if parked == pended {
+			t.Errorf("after a round with pending work %v: parked %v", pended, parked)
+		}
+		sys.Shutdown()
 	}
 }

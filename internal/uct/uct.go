@@ -49,40 +49,61 @@
 //
 // # Parked polling
 //
-// The busy-post retry and StartProgressUntil's wait loop are spin loops:
-// poll, and while the poll comes back empty and the loop's exit test still
-// fails (the retry's: a free transmit slot; the wait's: its predicate),
-// pay the busy post (retry only) and poll again. Each empty round takes
-// P = BusyPost (retry only) + LLPProgBarrier + LLPProgFailChk of virtual
-// time (37 ns in the calibrated retry, 28 ns in the wait), and spinning
-// through it costs one kernel event. Instead, after an empty poll the
-// loop parks its task (sim.Task.Park) and arms a memory write watch on
-// each endpoint's next send-CQ and receive-CQ slot. The first write that
-// makes one of those slots valid wakes the task at the first skipped poll
-// instant at or after the write: p1 + (j-1)*P, where p1 is the first poll
-// the loop skipped. On wake the worker adds j to Progresses (and to
-// BusyPosts in the retry) and j-1 to EmptyPolls, and the j-th poll reads
-// the CQs for real. Every simulated time and counter is therefore the
-// spin's, with one event per wait instead of one per poll.
+// Every idle wait loop in the stack spins over one worker's poll: uct's
+// busy-post retry (behind StartPut and StartAm) and its wait loop
+// StartProgressUntil, ucp's StartProgressUntil (internal/ucp), and MPI_Wait
+// and MPI_Waitall (internal/mpi). A round tests the loop's exit condition,
+// pays the costs of the layers above the poll, and polls. While the poll
+// comes back empty and the test still fails, each round takes the same
+// period of virtual time,
 //
-// A parked loop wakes only on a write to its own worker's completion
-// slots. The retry's test and the flush's change only when this worker
-// polls a completion, and so does a wait for messages its AM handler
-// counts. A wait whose predicate also watches a peer, such as "or the
-// other side failed", does not see the peer fail while parked: under
-// NoiseOff it stays parked until its own slots are written or Shutdown
-// cancels its task, where the spin would have ended at its next test.
+//	P = above + LLPProgBarrier + LLPProgFailChk
+//
+// where above is the layers' share of the round: BusyPost in the retry
+// (37 ns calibrated in all), nothing in a uct wait (28 ns), UcpProgress in
+// a ucp wait (28.9 ns), MpichWaitLoop + UcpProgress in MPI_Wait (40.9 ns)
+// and MpichWaitallOp + UcpProgress in MPI_Waitall (42.76 ns). Spinning
+// through a round costs one kernel event. Instead, after an empty round the
+// loop re-tests its exit condition and, while it still fails, parks its
+// task (Park, sim.Task.Park) with a memory write watch on each endpoint's
+// next send-CQ and receive-CQ slot. The first write that makes one of
+// those slots valid wakes the task at the first skipped poll instant at or
+// after the write: p1 + (j-1)*P, where p1 is the CQ read of the first round
+// the loop skipped. StartWokenProgress adds j to Progresses and j-1 to
+// EmptyPolls and returns j, each layer adds j to its own per-round counters
+// (BusyPosts in the retry, MPI's WaitLoops), and the j-th poll reads the
+// CQs for real. Every simulated time and counter is therefore the spin's,
+// with one event per wait instead of one per round. An empty poll reposts
+// every receive credit its worker owes, so the skipped polls repost none.
+//
+// An exit test may also read what another task changes: a peer's failure,
+// a receive the peer cancels. That task calls Wake on the parked worker
+// right after the change, which resumes the loop at the first skipped poll
+// at or after the change, by the same formula as a CQ write: that round's
+// test is the first the spin runs after the change. A change on a skipped
+// poll's exact instant is seen by that poll; the spin sees it there too
+// when the changing event was scheduled at least P ahead, as the tie rule
+// has it for CQ writes. ucp.Worker.CancelRecv
+// wakes the worker whose receive it cancels; osu's failing sender wakes its
+// receiver, and am_lat's and the lossy stream's failing side its peer.
 //
 // A loop parks only when all of these hold, each read from its inputs:
 //
-//   - the worker draws no jitter (no rand stream: NoiseOff), so every
-//     skipped cost is its mean. Under NoiseOn every poll draws from the
-//     stream, so the loop keeps spinning and the draws stay in order;
+//   - the worker draws no jitter (no rand stream: NoiseOff), nor, for the
+//     ucp and MPI waits, its node (ucp.Worker.Park tests the node's
+//     stream, from which ucp's and MPI's costs draw), so every skipped cost
+//     is its mean. Under NoiseOn every round draws from the streams, so the
+//     loop keeps spinning and the draws stay in order. Both tests are
+//     inline, so a spinning round pays no call;
 //   - its node's profiler has no scope selected (profile.Profiler.Selected
 //     is None): a timed poll reads the timer, which the skipped polls
-//     would have to replay;
-//   - the empty poll reposted no receive credits, so it paused nothing
-//     after its CQ reads and no write can have slipped in unwatched;
+//     would have to replay. Like the jitter test, it comes before any
+//     period is computed;
+//   - the round just finished retired nothing and, in ucp, posted or
+//     failed no pending send, and the loop's exit test failed again since;
+//   - no watched slot is already valid: a completion that landed after the
+//     round's CQ reads (while its empty poll reposted receive credits, say)
+//     is left for the next poll to see;
 //   - the tie rule: P is shorter than the shortest lead with which any CQ
 //     write is scheduled — pcie.RCToMem of a CQESize write for the Root
 //     Complex's DMA commits, the PCIe link's propagation
@@ -559,14 +580,14 @@ func (f *sizedPostFrame) Step(t *sim.Task) {
 			e.w.StartProgress(t)
 			return
 		case 2: // polled: park on an empty CQ, or post again
-			if e.w.park(t, true) {
+			if e.w.Park(t, e.w.Cfg.SW.BusyPost) {
 				f.pc = 3
 				return
 			}
 			f.pc = 0
-		case 3: // woken: the poll that sees the completion
+		case 3: // woken: the poll that sees the completion, a busy post before each
 			f.pc = 2
-			e.w.startWokenProgress(t)
+			e.w.Stats.BusyPosts += e.w.StartWokenProgress(t)
 			return
 		}
 	}
@@ -816,76 +837,85 @@ func (w *Worker) StartFlush(t *sim.Task) { w.StartProgressUntil(t, w.flushed) }
 // StartProgress calls guarded by done would, and parks after an empty poll
 // like StartPut's retry (see the package documentation). done must not
 // pause, and is bound once per run: a closure or method value made per call
-// allocates. A parked wait wakes only on a write to this worker's
-// completion slots, so every simulated value is the spin's as long as done
-// changes only inside this worker's progress. A done that another task
-// turns true, such as "or the peer failed", is seen at the next test under
-// NoiseOn; under NoiseOff the wait stays parked until its own slots are
-// written or Shutdown cancels its task, and a run whose other tasks have
-// finished ends with no event left.
+// allocates. A parked wait wakes on a write to this worker's completion
+// slots and on Wake, so every simulated value is the spin's as long as done
+// changes only inside this worker's progress or in a task that calls Wake
+// after changing it.
 func (w *Worker) StartProgressUntil(t *sim.Task, done func() bool) {
 	w.waitF.pc = 0
 	w.waitF.done = done
+	w.waitF.polled = false
 	t.Call(&w.waitF)
 }
 
 // waitFrame is the wait loop behind StartProgressUntil.
 type waitFrame struct {
-	w    *Worker
-	pc   int
-	done func() bool
+	w      *Worker
+	pc     int
+	done   func() bool
+	polled bool // the loop has polled: Park may follow an empty poll
 }
 
 func (f *waitFrame) Step(t *sim.Task) {
 	w := f.w
 	for {
 		switch f.pc {
-		case 0:
+		case 0: // test; then poll, or park after an empty poll
 			if f.done() {
 				t.Return()
 				return
 			}
 			f.pc = 1
-			w.StartProgress(t)
-			return
-		case 1: // polled: park on an empty CQ, or test again
-			if w.park(t, false) {
+			if f.polled && w.Park(t) {
 				f.pc = 2
 				return
 			}
+			w.StartProgress(t)
+			return
+		case 1: // polled
+			f.polled = true
 			f.pc = 0
 		case 2: // woken: the poll that sees the completion
 			f.pc = 1
-			w.startWokenProgress(t)
+			w.StartWokenProgress(t)
 			return
 		}
 	}
 }
 
-// idlePoll is a parked poll loop. The polls it skips read the CQs at
-// first + (j-1)*period for j = 1, 2, ...; the wake records in polls the j
-// of the poll that sees the completion.
+// idlePoll is a parked wait loop. The rounds it skips read the CQs at
+// first + (j-1)*period for j = 1, 2, ...; the wake records in rounds the j
+// of the round whose poll it resumes at.
 type idlePoll struct {
 	t             *sim.Task
 	first, period units.Time
-	busy          bool // the busy-post retry: a busy post precedes each poll
-	polls         uint64
+	rounds        uint64
 }
 
-// park parks t, which runs this worker's busy-post retry (busy) or wait loop,
-// right after an empty poll, when the conditions in the package
-// documentation hold. It reports whether t parked; the caller's Step must
-// then return, and call startWokenProgress when t resumes.
-func (w *Worker) park(t *sim.Task, busy bool) bool {
-	if f := &w.progF; f.n != 0 || !f.quiet || w.rand != nil || w.Node.Prof.Selected() != profile.None {
+// Park parks t, which runs a wait loop over this worker, right after one
+// of the loop's rounds and the exit test that followed it, when the
+// conditions in the package documentation hold: among them, the round's
+// poll retired nothing. above are the costs each round of the loop pays
+// before its poll, in the layers above it (a nil one costs nothing); Park
+// adds the poll's own. It reports whether t parked: the caller's Step must
+// then return, and on resuming begin its round with StartWokenProgress.
+func (w *Worker) Park(t *sim.Task, above ...rng.Dist) bool {
+	// Tested inline, so a spinning NoiseOn round pays no call.
+	return w.rand == nil && w.park(t, above)
+}
+
+// park is Park past its jitter test.
+func (w *Worker) park(t *sim.Task, above []rng.Dist) bool {
+	if w.Node.Prof.Selected() != profile.None || w.progF.n != 0 || w.cqReady() {
 		return false
 	}
 	sw := &w.Cfg.SW
-	var toRead units.Time // from here to the first skipped poll's CQ read
-	if busy {
-		toRead = sw.BusyPost.Sample(nil)
+	toRead := sw.LLPProgBarrier.Sample(nil) // from here to the first skipped round's CQ read
+	for _, d := range above {
+		if d != nil {
+			toRead += d.Sample(nil)
+		}
 	}
-	toRead += sw.LLPProgBarrier.Sample(nil)
 	period := toRead + sw.LLPProgFailChk.Sample(nil)
 	if period <= 0 || period >= min(pcie.RCToMem(w.Cfg.RCToMemBase, mlx.CQESize), w.Cfg.PCIeProp) {
 		return false
@@ -895,52 +925,69 @@ func (w *Worker) park(t *sim.Task, busy bool) bool {
 		mem.Watch(e.qp.SendCQ.EntryAddr(e.sendCI), mlx.CQESize, cqWritten, w)
 		mem.Watch(e.qp.RecvCQ.EntryAddr(e.recvCI), mlx.CQESize, cqWritten, w)
 	}
-	w.idle = idlePoll{t: t, first: t.Now() + toRead, period: period, busy: busy}
+	w.idle = idlePoll{t: t, first: t.Now() + toRead, period: period}
 	t.Park(w.unpark)
 	return true
 }
 
-// cqWritten is the watch on a parked worker's completion slots. Once a
-// write makes one of them valid, it disarms the watches and wakes the
-// loop at the first skipped poll at or after the write.
-func cqWritten(a any) {
-	w := a.(*Worker)
-	ready := false
+// cqReady reports whether the next slot of some endpoint's send or receive
+// CQ holds a valid completion.
+func (w *Worker) cqReady() bool {
 	for _, e := range w.Eps {
 		if e.cqValid(e.qp.SendCQ, e.sendCI) || e.cqValid(e.qp.RecvCQ, e.recvCI) {
-			ready = true
-			break
+			return true
 		}
 	}
-	if !ready {
-		return
+	return false
+}
+
+// cqWritten is the watch on a parked worker's completion slots: a write
+// that makes one of them valid wakes the loop.
+func cqWritten(a any) {
+	if w := a.(*Worker); w.cqReady() {
+		w.wake()
 	}
+}
+
+// Wake resumes the worker's parked wait loop, if it has one, after another
+// task changed what the loop's exit test reads: the loop runs the first
+// skipped round whose poll is at or after the change, then tests again.
+// A worker that is not parked is left alone.
+func (w *Worker) Wake() {
+	if t := w.idle.t; t != nil && t.Parked() {
+		w.wake()
+	}
+}
+
+// wake disarms the parked loop's watches and resumes it at the first
+// skipped poll at or after the kernel's current instant.
+func (w *Worker) wake() {
 	w.Node.Mem.Unwatch(w)
 	id := &w.idle
 	j := units.Time(1)
 	if now := id.t.Kernel().Now(); now > id.first {
 		j += (now - id.first + id.period - 1) / id.period
 	}
-	id.polls = uint64(j)
+	id.rounds = uint64(j)
 	id.t.WakeAt(id.first + (j-1)*id.period)
 }
 
-// startWokenProgress accounts the polls a parked loop skipped — j
-// progresses, j-1 of them empty, each after a busy post in the retry — and
-// begins the j-th at its CQ read, where the spin would stand.
-func (w *Worker) startWokenProgress(t *sim.Task) {
+// StartWokenProgress begins the round a parked loop was woken for: it
+// accounts the polls of the j rounds the loop ran parked — j progresses,
+// j-1 of them empty — begins the j-th poll at its CQ read, where the spin
+// would stand, and returns j, which the layers above add to their own
+// per-round counters.
+func (w *Worker) StartWokenProgress(t *sim.Task) uint64 {
 	id := &w.idle
-	w.Stats.Progresses += id.polls
-	w.Stats.EmptyPolls += id.polls - 1
-	if id.busy {
-		w.Stats.BusyPosts += id.polls
-	}
+	w.Stats.Progresses += id.rounds
+	w.Stats.EmptyPolls += id.rounds - 1
 	id.t = nil
 	f := &w.progF
 	f.pc = 1
 	f.i = 0
 	f.tok = profile.Token{}
 	t.Call(f)
+	return id.rounds
 }
 
 // StartProgress begins one completion-queue poll, dequeuing at most one
@@ -966,9 +1013,6 @@ type progressFrame struct {
 	pc int
 	i  int // endpoint scan index
 	n  int // result: operations retired
-	// quiet: the last poll was empty and reposted no receive credits, so
-	// it paused nothing after its CQ reads.
-	quiet bool
 
 	tok profile.Token
 	// Recv-path locals preserved across the large-payload pause.
@@ -1148,7 +1192,6 @@ func (f *progressFrame) Step(t *sim.Task) {
 			w.Stats.EmptyPolls++
 			prof.EndAs(t, f.tok, profile.EmptyPoll)
 			f.n = 0
-			f.quiet = true
 			f.i = 0
 			f.pc = 9
 		case 9:
@@ -1161,7 +1204,6 @@ func (f *progressFrame) Step(t *sim.Task) {
 			if e.owedRecvCredits == 0 {
 				continue
 			}
-			f.quiet = false
 			e.startRepost(t)
 			return
 		}

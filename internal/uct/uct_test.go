@@ -718,39 +718,63 @@ func TestParkedWakeBySecondEndpoint(t *testing.T) {
 	}
 }
 
-// TestNoParkAfterRepost: an empty poll that reposts a receive credit pauses
-// after its CQ reads, so the loop must not park on it: a send CQE landing
-// during the repost is seen by the next poll, as in the spinning drain.
-func TestNoParkAfterRepost(t *testing.T) {
+// TestParkAfterRepost: an empty poll that reposts a receive credit pauses
+// after its CQ reads, so a completion can land unwatched while it
+// reposts. The loop parks only if no watched slot is valid by then:
+//   - a send CQE that lands during the repost is seen by the next poll;
+//   - when none lands, the loop parks right after the repost and is woken
+//     by the send CQE much later.
+//
+// Either way the flush polls where the spinning drain loop does, with the
+// same stats and end time and fewer kernel events.
+func TestParkAfterRepost(t *testing.T) {
 	cfg := config.TX2CX4(config.NoiseOff, 1, true)
 	sw := &cfg.SW
 	barrier := sw.LLPProgBarrier.Mean()
 	period := barrier + sw.LLPProgFailChk.Mean()
 	woken := barrier + 3*period // the poll that reads the active message
 	// The next poll reads the CQs empty at this instant and then reposts
-	// the consumed credit.
+	// the consumed credit, until reposted.
 	emptyRead := woken + sw.LLPProgCQERead.Mean() + sw.LLPProgMisc.Mean() + sw.AmRxHandle.Mean() + barrier
-	run := func(flush bool) (Stats, units.Time) {
-		sys, w0, _, e0, _ := harness(t)
-		defer sys.Shutdown()
-		e0b := w0.NewEp(PIOInline, 1)
-		e0b.postOneRecv()
-		e0.pi = 1
-		sys.K.At(woken-1, writeCQE(e0b, e0b.qp.RecvCQ, mlx.CQERecv))
-		sys.K.At(emptyRead+sw.LLPProgFailChk.Mean()+sw.PostRecv.Mean()/2, writeCQE(e0, e0.qp.SendCQ, mlx.CQEReq))
-		tail := drain(w0, e0)
-		if flush {
-			tail = w0.StartFlush
+	reposted := emptyRead + sw.LLPProgFailChk.Mean() + sw.PostRecv.Mean()
+	for _, c := range []struct {
+		name   string
+		sendAt units.Time // the send CQE's write
+		parks  bool       // the flush is parked a few periods after the repost
+	}{
+		{"CQE during the repost", emptyRead + sw.LLPProgFailChk.Mean() + sw.PostRecv.Mean()/2, false},
+		{"CQE after the repost", reposted + 20*period, true},
+	} {
+		run := func(flush bool) (Stats, units.Time, uint64, bool) {
+			sys, w0, _, e0, _ := harness(t)
+			defer sys.Shutdown()
+			e0b := w0.NewEp(PIOInline, 1)
+			e0b.postOneRecv()
+			e0.pi = 1
+			sys.K.At(woken-1, writeCQE(e0b, e0b.qp.RecvCQ, mlx.CQERecv))
+			sys.K.At(c.sendAt, writeCQE(e0, e0.qp.SendCQ, mlx.CQEReq))
+			tail := drain(w0, e0)
+			if flush {
+				tail = w0.StartFlush
+			}
+			var end units.Time
+			task := simtest.Start(sys.K, "flush", tail, func(tk *sim.Task) { end = tk.Now() })
+			parked := false
+			sys.K.At(reposted+3*period, func() { parked = task.Parked() })
+			sys.Run()
+			return w0.Stats, end, sys.K.Fired(), parked
 		}
-		var end units.Time
-		simtest.Start(sys.K, "flush", tail, func(tk *sim.Task) { end = tk.Now() })
-		sys.Run()
-		return w0.Stats, end
-	}
-	got, gotEnd := run(true)
-	want, wantEnd := run(false)
-	if got != want || gotEnd != wantEnd || gotEnd == 0 {
-		t.Errorf("flush: %+v, done at %v; drain loop: %+v, done at %v", got, gotEnd, want, wantEnd)
+		got, gotEnd, gotEvents, parked := run(true)
+		want, wantEnd, wantEvents, _ := run(false)
+		if got != want || gotEnd != wantEnd || gotEnd == 0 || got.RecvCQEs != 1 || got.SendCQEs != 1 {
+			t.Errorf("%s: flush %+v, done at %v; drain loop %+v, done at %v", c.name, got, gotEnd, want, wantEnd)
+		}
+		if gotEvents >= wantEvents {
+			t.Errorf("%s: flush fired %d kernel events, drain loop %d; want fewer", c.name, gotEvents, wantEvents)
+		}
+		if parked != c.parks {
+			t.Errorf("%s: flush parked %v after the repost, want %v", c.name, parked, c.parks)
+		}
 	}
 }
 
