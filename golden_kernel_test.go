@@ -85,6 +85,12 @@ import (
 // alltoall_noiseoff included, was verified byte-identical before the
 // re-capture.
 //
+// The chaos_* events= fields count kernel events, so they move whenever
+// an event that only recorded a time goes: they were re-captured when an
+// untapped PCIe link began to send a TLP's ACK and UpdateFC from one event
+// and to reserve the DLLP work nothing reads yet (sim.Kernel.Reserve). No
+// other field of any entry moved.
+//
 // Refresh (only for intentional semantic changes, never to paper over a
 // kernel regression): GOLDEN_UPDATE=1 go test -run TestGoldenKernelOutputs .
 func TestGoldenKernelOutputs(t *testing.T) {

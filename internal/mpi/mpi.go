@@ -28,7 +28,8 @@
 // MpichWaitallOp) above ucp's. The round a parked wait is woken for adds
 // the rounds it skipped to WaitLoops and RecvWaitLoops in closed form, so
 // every simulated value and counter is the spin's. A wait parked on a
-// receive that another rank cancels (CancelRecv) is woken by the cancel.
+// receive that another rank cancels (CancelRecv) is woken by the cancel,
+// and pays the receive's MPICH callback itself when it sees it.
 package mpi
 
 import (
@@ -51,10 +52,12 @@ type Request struct {
 	rank *Rank
 	// ep is a receive's source endpoint, which the wait loops check for
 	// failure; nil when the rank has no connection to the source.
-	ep     *ucp.Ep
+	ep *ucp.Ep
+	// task is the task that posted a receive, the one that runs its MPICH
+	// callback.
+	task   *sim.Task
 	done   bool
 	isRecv bool
-	err    error
 }
 
 // sendCallback and recvCallback are an MPI request as the MPICH callback
@@ -90,12 +93,7 @@ func (r *Request) Done() bool { return r.done }
 // Requests fail when their endpoint's QP enters the error state: the send
 // was flushed undelivered, or the posted receive was cancelled because the
 // peer died.
-func (r *Request) Err() error {
-	if r.err != nil {
-		return r.err
-	}
-	return r.ucp.Err()
-}
+func (r *Request) Err() error { return r.ucp.Err() }
 
 // Data returns the payload of a completed receive.
 func (r *Request) Data() []byte {
@@ -264,7 +262,6 @@ func (f *isendFrame) Step(t *sim.Task) {
 			// Initiation failed (the endpoint's QP is in the error
 			// state): the request terminates immediately with the error
 			// instead of panicking — MPI_Wait reports it as a status.
-			f.req.err = err
 			f.req.done = true
 		}
 		prof.End(t, f.ucpTok)
@@ -280,7 +277,7 @@ func (f *isendFrame) Step(t *sim.Task) {
 // so it needs no Start form.
 func (r *Rank) Irecv(t *sim.Task, src int, tag int) *Request {
 	r.Stats.Irecvs++
-	req := &Request{rank: r, isRecv: true, ep: r.eps[src]}
+	req := &Request{rank: r, isRecv: true, ep: r.eps[src], task: t}
 	t.Advance(r.Cfg.SW.MpiIrecv.Sample(r.Node.Rand))
 	r.Worker.TagRecvNB(t, &req.ucp, tagFor(src, tag), (*recvCallback)(req))
 	// An unexpected message may have completed it synchronously.
@@ -299,11 +296,16 @@ func (r *Rank) Irecv(t *sim.Task, src int, tag int) *Request {
 // checkFailed tests a pending request against its endpoint's health and
 // terminates it if the transport has failed: a posted receive whose source
 // endpoint errored is cancelled (the MPICH receive callback still runs, so
-// the request machinery observes completion). It reports whether the
-// request terminated. A healthy endpoint costs a pointer test and
-// schedules nothing.
+// the request machinery observes completion). A receive another task
+// cancelled (CancelRecv) gets its MPICH callback here, on the waiting
+// task. It reports whether the request terminated. A healthy endpoint
+// costs a pointer test and schedules nothing.
 func (r *Rank) checkFailed(t *sim.Task, req *Request) bool {
 	if req.done {
+		return true
+	}
+	if req.ucp.Completed() {
+		(*recvCallback)(req).Complete(t)
 		return true
 	}
 	if !req.isRecv || req.ep == nil || req.ep.Err() == nil {
@@ -326,16 +328,19 @@ func (r *Rank) CheckFailed(t *sim.Task, req *Request) bool {
 // CancelRecv abandons a pending receive with the given error, as when an
 // application-level deadline expires while the peer is unreachable. The
 // request terminates (Err reports err) and its buffer slot is released; a
-// receive that already completed is left alone and false is returned.
+// receive that already completed is left alone and false is returned. The
+// receive's MPICH callback runs on the task that posted it: at once when
+// that task cancels, and otherwise in its wait, which pays the callback
+// on its own clock when it sees the cancel, while the canceller's clock
+// stays where it is.
 func (r *Rank) CancelRecv(t *sim.Task, req *Request, err error) bool {
 	if req.done || !req.isRecv {
 		return false
 	}
-	if !r.Worker.CancelRecv(t, &req.ucp, err) {
-		return false
+	if t != req.task {
+		return r.Worker.WithdrawRecv(&req.ucp, err)
 	}
-	req.done = true
-	return true
+	return r.Worker.CancelRecv(t, &req.ucp, err)
 }
 
 // StartWait begins blocking until req completes, driving the progress

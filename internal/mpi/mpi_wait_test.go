@@ -322,8 +322,10 @@ func TestWaitallMatchesSpin(t *testing.T) {
 // will match, polling first at r1 and parking after that poll; its
 // skipped polls read at r1 + k*P, with P = MpichWaitLoop + UcpProgress +
 // the poll's barrier and failed check. Another task cancels the receive
-// at T. The wait ends after the first poll at or after T, exactly where
-// the spinning wait ends, and parked it fires a handful of kernel events.
+// at T, and its clock stays at T. The wait sees the cancel after the first
+// poll at or after T, pays the receive's MPICH callback and ends, exactly
+// where the spinning wait ends, and parked it fires a handful of kernel
+// events.
 func TestCancelEndsParkedWait(t *testing.T) {
 	cfg := config.TX2CX4(config.NoiseOff, 1, true)
 	sw := &cfg.SW
@@ -343,7 +345,7 @@ func TestCancelEndsParkedWait(t *testing.T) {
 		{"on a poll", pollAt(k), k},
 		{"1ps after a poll", pollAt(k) + 1, k + 1},
 	} {
-		var ends [2]units.Time
+		var ends, cancelled [2]units.Time
 		var events [2]uint64
 		var loops [2]uint64
 		for v, spin := range []waiter{true, false} {
@@ -358,6 +360,7 @@ func TestCancelEndsParkedWait(t *testing.T) {
 				if !rank.CancelRecv(tk, req, errCancel) {
 					t.Errorf("%s: the receive was not pending at %v", c.name, c.at)
 				}
+				cancelled[v] = tk.Now()
 			})
 			sys.Run()
 			if rep := sys.K.StallReport(); rep != "" {
@@ -366,10 +369,13 @@ func TestCancelEndsParkedWait(t *testing.T) {
 			events[v], loops[v] = sys.K.Fired(), rank.Stats.WaitLoops
 			sys.Shutdown()
 		}
-		want := pollAt(c.k) + sw.LLPProgFailChk.Mean() + sw.MpichAfterPrg.Mean()
+		want := pollAt(c.k) + sw.LLPProgFailChk.Mean() + sw.MpichRecvCB.Mean() + sw.MpichAfterPrg.Mean()
 		if ends[1] != want || ends[0] != want || loops[1] != loops[0] || loops[1] != uint64(c.k+1) {
 			t.Errorf("%s: parked wait ended at %v after %d loops, spin at %v after %d; want %v after %d",
 				c.name, ends[1], loops[1], ends[0], loops[0], want, c.k+1)
+		}
+		if cancelled[0] != c.at || cancelled[1] != c.at {
+			t.Errorf("%s: the canceller's clock moved from %v to %v (spin) and %v (parked)", c.name, c.at, cancelled[0], cancelled[1])
 		}
 		if events[1] >= events[0]/4 {
 			t.Errorf("%s: parked wait fired %d kernel events, spin %d", c.name, events[1], events[0])

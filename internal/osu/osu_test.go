@@ -65,12 +65,14 @@ func TestMessageRateWaitallAccounting(t *testing.T) {
 // TestMessageRateEventsPerMessage gates the kernel events the NoiseOff
 // message rate (bench's osu_mr) fires per delivered message, warmup window
 // included. With no analyzer attached the PCIe links fire no tap-only
-// events and no ACK arrivals, and the receiver's sink loop and the
-// sender's MPI_Waitall park on an empty completion queue: the run fires
-// about 15.3 events per message, against 20.6 when the MPI and ucp waits
-// spun and 25.6 when every link fed a tap as well.
+// events and one DLLP event per flow-controlled TLP, reserving the rest,
+// and the receiver's sink loop and the sender's MPI_Waitall park on an
+// empty completion queue: the run fires about 11.2 events per message,
+// against 15.3 with an event for every DLLP send and UpdateFC arrival,
+// 20.6 when the MPI and ucp waits spun as well and 25.6 when every link
+// fed a tap too.
 func TestMessageRateEventsPerMessage(t *testing.T) {
-	const maxPerMsg = 16
+	const maxPerMsg = 12
 	sys := newSys(t, config.NoiseOff)
 	defer sys.Shutdown()
 	MessageRate(sys, Options{Windows: 30})
@@ -87,10 +89,13 @@ func TestMessageRateEventsPerMessage(t *testing.T) {
 
 // TestLatencyEventsPerIteration gates the kernel events the NoiseOff
 // latency ping-pong fires per iteration, warmup included. Each rank's
-// MPI_Wait parks on an empty completion queue, so an iteration fires about
-// 44 events; when the waits spun, 121, 81 of them empty polls.
+// MPI_Wait parks on an empty completion queue, and the untapped PCIe links
+// send each TLP's DLLPs from one event and reserve the rest, so an
+// iteration fires about 32 events; with an event for every DLLP send and
+// UpdateFC arrival, 44; when the waits spun as well, 121, 81 of them empty
+// polls.
 func TestLatencyEventsPerIteration(t *testing.T) {
-	const maxPerIter = 50
+	const maxPerIter = 35
 	sys := newSys(t, config.NoiseOff)
 	defer sys.Shutdown()
 	res := Latency(sys, Options{Iters: 300, Warmup: 30})

@@ -59,10 +59,22 @@ type channel struct {
 	// model (the issue path is frozen; credits and ordering are evaluated
 	// again when the channel resumes).
 	stalled bool
+	// On an untapped link, DLLP work that nothing reads yet is a kernel
+	// reservation (sim.Kernel.Reserve), settled in order before the
+	// channel next reads what it changes. fc holds the reserved UpdateFC
+	// arrivals that return credits to this channel's sender: they settle
+	// before send reads the credits, and become real events when a TLP
+	// parks, since retryPending must then run at each arrival. So fc is
+	// empty whenever a TLP is pended, and retryPending, which reads
+	// credits only for pended TLPs, never needs to settle it. acks holds
+	// the reserved ACKs of credit-free TLPs that take this channel's
+	// serializer: they settle before its next transmit or DLLP send.
+	fc   fifo.Queue[fcReturn]
+	acks fifo.Queue[sim.Reservation]
 	// stats
-	sentTLP, sentDLLP uint64
-	blocked           uint64
-	maxPend           int
+	sentTLP uint64
+	blocked uint64
+	maxPend int
 
 	// Continuations, bound once at link construction so the steady-state
 	// per-packet path schedules events without allocating closures.
@@ -70,7 +82,15 @@ type channel struct {
 	tapTLPFn     func(any) // Up only: tap as the packet leaves the endpoint
 	arriveDLLPFn func(any)
 	tapDLLPFn    func(any) // Up only
-	sendDLLPFn   func(any) // delayed DLLP emission (ACK / UpdateFC)
+	sendAckFn    func(any) // a delivered TLP's ACK, and its UpdateFC
+}
+
+// fcReturn is a reserved UpdateFC arrival: the credits it returns and
+// where in the event order it lands.
+type fcReturn struct {
+	r      sim.Reservation
+	kind   CreditKind
+	credit Credits
 }
 
 // Link is the full-duplex RC<->endpoint link.
@@ -85,7 +105,8 @@ type Link struct {
 	// tap is the passive observer just before the endpoint, nil when none
 	// is attached. An untapped link fires no event that exists only to feed
 	// it: no departure event for an upstream packet, and no arrival for a
-	// DLLP whose arrival changes no state (an ACK).
+	// DLLP whose arrival changes no state (an ACK). It also reserves the
+	// DLLP work that nothing reads yet (channel.fc and channel.acks).
 	tap Tap
 	// onUpIssued, when set, observes each previously credit-blocked
 	// upstream TLP at the moment it finally transmits, in pend-FIFO order.
@@ -134,7 +155,7 @@ func NewLink(k *sim.Kernel, prop units.Time) *Link {
 		down.deliverDLLP(d)
 		d.Release()
 	}
-	down.sendDLLPFn = func(a any) { down.sendDLLP(a.(*DLLP)) }
+	down.sendAckFn = func(a any) { down.sendAck(a.(*DLLP)) }
 	up.tapTLPFn = func(a any) { l.tap.ObserveTLP(l.k.Now(), Up, a.(*TLP)) }
 	up.tapDLLPFn = func(a any) { l.tap.ObserveDLLP(l.k.Now(), Up, a.(*DLLP)) }
 	up.arriveTLPFn = func(a any) { up.deliver(a.(*TLP)) }
@@ -143,7 +164,7 @@ func NewLink(k *sim.Kernel, prop units.Time) *Link {
 		up.deliverDLLP(d)
 		d.Release()
 	}
-	up.sendDLLPFn = func(a any) { up.sendDLLP(a.(*DLLP)) }
+	up.sendAckFn = func(a any) { up.sendAck(a.(*DLLP)) }
 	return l
 }
 
@@ -226,6 +247,7 @@ func (l *Link) InUsePackets() (tlps, dllps int) {
 // while posted writes and completions may pass blocked non-posted reads
 // (the spec's deadlock-avoidance allowance).
 func (c *channel) send(t *TLP) bool {
+	c.settleFC()
 	if c.stalled {
 		c.park(t)
 		return false
@@ -252,8 +274,19 @@ func (c *channel) take(kind CreditKind, need Credits) bool {
 	return true
 }
 
-// park appends t to the pend queue.
+// park appends t to the pend queue. From now on retryPending must run at
+// the instant each UpdateFC for this channel arrives, so the reserved
+// arrivals become real events.
 func (c *channel) park(t *TLP) {
+	l := c.link
+	for c.fc.Len() > 0 {
+		f := c.fc.Pop()
+		d := l.dllps.Alloc()
+		d.Type = UpdateFC
+		d.Kind = f.kind
+		d.Credit = f.credit
+		l.k.Materialize(f.r, c.reverse().arriveDLLPFn, d)
+	}
 	c.pend.Push(t)
 	if t.Type == MWr {
 		c.pendPosted++
@@ -264,7 +297,7 @@ func (c *channel) park(t *TLP) {
 	}
 	// Upstream pend is the receiver-overload signal the attribution cares
 	// about: a host write waiting out PCIe credits. Arg carries the depth.
-	if l := c.link; c.dir == Up && l.tr != nil {
+	if c.dir == Up && l.tr != nil {
 		l.tr.Emit(trace.Event{At: l.k.Now(), Kind: trace.EvPend,
 			Node: l.trNode, Arg: uint64(c.pend.Len())})
 	}
@@ -276,9 +309,7 @@ func (c *channel) transmit(t *TLP) {
 	t.Seq = c.seq
 	c.seq++
 	c.sentTLP++
-	start := units.Max(k.Now(), c.busyUntil)
-	txDone := start + SerTime(t.WireBytes())
-	c.busyUntil = txDone
+	txDone := c.serialize(t.WireBytes())
 	arrival := txDone + c.link.prop
 
 	// The analyzer tap sits just before the endpoint: downstream packets
@@ -290,24 +321,55 @@ func (c *channel) transmit(t *TLP) {
 	k.AtArg(arrival, c.arriveTLPFn, t)
 }
 
-// deliver hands t to the receiving side, emits the ACK DLLP, and schedules
-// the credit return. Ownership of t passes to the receiver (see the package
-// borrow contract).
+// serialize puts n bytes on the channel's serializer behind whatever
+// occupies it and reports when they are through. The reserved ACKs that
+// are due took the serializer before them, so it settles those first.
+func (c *channel) serialize(n int) units.Time {
+	c.settleAcks()
+	c.busyUntil = units.Max(c.link.k.Now(), c.busyUntil) + SerTime(n)
+	return c.busyUntil
+}
+
+// settleAcks puts the reserved ACKs that are due on the serializer, in
+// order.
+func (c *channel) settleAcks() {
+	k := c.link.k
+	for c.acks.Len() > 0 && k.Due(c.acks.At(0)) {
+		r := c.acks.Pop()
+		c.busyUntil = units.Max(r.At(), c.busyUntil) + SerTime(DLLPBytes)
+	}
+}
+
+// settleFC returns the credits of the reserved UpdateFC arrivals that are
+// due.
+func (c *channel) settleFC() {
+	k := c.link.k
+	for c.fc.Len() > 0 && k.Due(c.fc.At(0).r) {
+		f := c.fc.Pop()
+		c.avail[f.kind] = c.avail[f.kind].plus(f.credit)
+	}
+}
+
+// deliver hands t to the receiving side. Ownership of t passes to the
+// receiver (see the package borrow contract). After the turnaround the
+// reverse channel sends t's ACK and, for a flow-controlled TLP, right
+// behind it the UpdateFC returning its credits: one event sends both, as
+// nothing can fire between two events at one instant with consecutive
+// seqs. The event carries the ACK, and the credits in its Kind and Credit
+// until it sends the UpdateFC. On an untapped link a credit-free TLP's ACK
+// only takes the reverse serializer, so it is reserved there instead.
 func (c *channel) deliver(t *TLP) {
 	l := c.link
-	// Data-link ACK back to the sender after the turnaround delay.
-	ack := l.dllps.Alloc()
-	ack.Type = Ack
-	ack.AckSeq = t.Seq
-	l.k.AfterArg(AckDelay, c.reverse().sendDLLPFn, ack)
-
-	// The credit return follows the ACK after the same turnaround.
-	if kind, need := creditsFor(t); need.Hdr > 0 {
-		upd := l.dllps.Alloc()
-		upd.Type = UpdateFC
-		upd.Kind = kind
-		upd.Credit = need
-		l.k.AfterArg(AckDelay, c.reverse().sendDLLPFn, upd)
+	rev := c.reverse()
+	if kind, need := creditsFor(t); need.Hdr > 0 || l.tap != nil {
+		ack := l.dllps.Alloc()
+		ack.Type = Ack
+		ack.AckSeq = t.Seq
+		ack.Kind = kind
+		ack.Credit = need
+		l.k.AfterArg(AckDelay, rev.sendAckFn, ack)
+	} else {
+		rev.acks.Push(l.k.Reserve(l.k.Now() + AckDelay))
 	}
 
 	var rx Receiver
@@ -329,28 +391,47 @@ func (c *channel) reverse() *channel {
 	return c.link.down
 }
 
-// sendDLLP transmits a DLLP on this channel. DLLPs share the wire with TLPs
-// (they occupy the serializer) and pass the tap under the same placement
-// rules. On an untapped link a DLLP that deliverDLLP would ignore (an ACK)
-// still takes its serializer time, but ends here: its arrival would change
-// nothing, so it gets no event.
-func (c *channel) sendDLLP(d *DLLP) {
+// sendAck sends a delivered TLP's ACK, ack, on this channel and, when ack
+// carries credits, the UpdateFC returning them right behind it. DLLPs
+// share the wire with TLPs (they occupy the serializer) and pass the tap
+// under the same placement rules. On an untapped link the ACK still takes
+// its serializer time but ends here, since its arrival would change
+// nothing, and the UpdateFC's arrival is reserved while its channel has
+// nothing pended and is not paused: the credits then settle when that
+// channel next reads them.
+func (c *channel) sendAck(ack *DLLP) {
 	l := c.link
-	k := l.k
-	c.sentDLLP++
-	start := units.Max(k.Now(), c.busyUntil)
-	txDone := start + SerTime(DLLPBytes)
-	c.busyUntil = txDone
-	arrival := txDone + l.prop
-
-	if l.tap == nil && d.Type != UpdateFC {
-		d.Release()
+	kind, credit := ack.Kind, ack.Credit
+	ack.Kind, ack.Credit = 0, Credits{}
+	txDone := c.serialize(DLLPBytes)
+	if l.tap != nil {
+		c.emitDLLP(ack, txDone)
+	} else {
+		ack.Release()
+	}
+	if credit.Hdr == 0 {
 		return
 	}
-	if l.tap != nil && c.dir == Up {
-		k.AtArg(txDone, c.tapDLLPFn, d)
+	txDone = c.serialize(DLLPBytes)
+	if fwd := c.reverse(); l.tap == nil && fwd.pend.Len() == 0 && !fwd.stalled {
+		fwd.fc.Push(fcReturn{r: l.k.Reserve(txDone + l.prop), kind: kind, credit: credit})
+		return
 	}
-	k.AtArg(arrival, c.arriveDLLPFn, d)
+	upd := l.dllps.Alloc()
+	upd.Type = UpdateFC
+	upd.Kind = kind
+	upd.Credit = credit
+	c.emitDLLP(upd, txDone)
+}
+
+// emitDLLP schedules the arrival of d, which leaves the serializer at
+// txDone, and on a tapped link its departure past the tap upstream.
+func (c *channel) emitDLLP(d *DLLP, txDone units.Time) {
+	l := c.link
+	if l.tap != nil && c.dir == Up {
+		l.k.AtArg(txDone, c.tapDLLPFn, d)
+	}
+	l.k.AtArg(txDone+l.prop, c.arriveDLLPFn, d)
 }
 
 // deliverDLLP applies a DLLP at the receiving side. ACKs retire the replay
@@ -362,10 +443,7 @@ func (c *channel) deliverDLLP(d *DLLP) {
 		return
 	}
 	fwd := c.reverse() // credits apply to traffic flowing opposite the DLLP
-	have := fwd.avail[d.Kind]
-	have.Hdr += d.Credit.Hdr
-	have.Data += d.Credit.Data
-	fwd.avail[d.Kind] = have
+	fwd.avail[d.Kind] = fwd.avail[d.Kind].plus(d.Credit)
 	fwd.retryPending()
 }
 

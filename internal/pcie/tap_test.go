@@ -75,9 +75,10 @@ func tapTraffic(tapped bool, nDown, nUp int) tapRun {
 
 // TestUntappedLinkSkipsTapOnlyEvents: a link without a tap delivers every
 // TLP at the same instant and keeps the same serializer schedule as a
-// tapped one, but fires no tap event for an upstream TLP or DLLP and no
-// arrival for an ACK. The tapped link still records every ACK, and its TLP
-// to ACK round trips are the ones the link produced before untapped links
+// tapped one, but fires no tap event for an upstream TLP or DLLP, no
+// arrival for an ACK, and no arrival for an UpdateFC whose channel has
+// nothing pended. The tapped link still records every ACK, and its TLP to
+// ACK round trips are the ones the link produced before untapped links
 // dropped those events.
 func TestUntappedLinkSkipsTapOnlyEvents(t *testing.T) {
 	const nDown, nUp = 40, 25
@@ -99,14 +100,19 @@ func TestUntappedLinkSkipsTapOnlyEvents(t *testing.T) {
 	}
 
 	// Every downstream TLP sends an ACK and an UpdateFC up, every upstream
-	// TLP an ACK and an UpdateFC down. Untapped, the link skips the
-	// departure tap of each upstream TLP (nUp) and upstream DLLP (2*nDown),
-	// and the arrival of every ACK (nDown + nUp). The tapped link fires
-	// what every link fired before untapped links skipped them.
-	if on.fired != 456 {
-		t.Errorf("tapped link fired %d events, want 456", on.fired)
+	// TLP an ACK and an UpdateFC down, each pair from one event. Untapped,
+	// the link skips the departure tap of each upstream TLP (nUp) and
+	// upstream DLLP (2*nDown), and the arrival of every ACK (nDown + nUp).
+	// It also reserves the arrival of each UpdateFC sent while its channel
+	// has nothing pended: every upstream TLP's, and the downstream TLPs'
+	// but for the first 31, whose UpdateFCs leave while the burst's last
+	// credit-blocked write still waits. The tapped link fires one DLLP
+	// event per TLP and every arrival.
+	const pendedFC = 31
+	if on.fired != 391 {
+		t.Errorf("tapped link fired %d events, want 391", on.fired)
 	}
-	if want := uint64(3*nDown + 2*nUp); on.fired-off.fired != want {
+	if want := uint64(3*nDown + 2*nUp + nDown + nUp - pendedFC); on.fired-off.fired != want {
 		t.Errorf("untapped link fired %d events, tapped %d: want exactly %d fewer", off.fired, on.fired, want)
 	}
 

@@ -8,10 +8,34 @@
 // multi-core ablation exercises) and preserves per-direction ordering, as
 // PCIe does. A passive tap interface lets internal/analyzer observe traffic
 // "just before the NIC", matching the paper's Lecroy analyzer placement. A
-// link carries at most one tap (Link.SetTap), and an untapped link
-// schedules no event whose only job is to feed one: upstream packets get
-// no departure event, and ACK DLLPs, whose arrival changes no state, get no
-// arrival. Every simulated instant is the same either way.
+// link carries at most one tap (Link.SetTap).
+//
+// # What a link schedules
+//
+// Each TLP gets its arrival event, and AckDelay after its delivery one
+// event on the reverse channel sends its ACK and, for a flow-controlled
+// TLP, right behind it the UpdateFC returning its credits. A tapped link
+// also schedules the departure of each upstream packet past the tap and
+// the arrival of every DLLP, since the analyzer observes each one.
+//
+// An untapped link schedules no event whose only job is to feed a tap,
+// and reserves (sim.Kernel.Reserve) the DLLP work that nothing reads yet
+// instead of scheduling it:
+//
+//   - An ACK's arrival changes no state, so it gets nothing.
+//   - An UpdateFC's arrival is reserved while the channel it credits has
+//     nothing pended and is not paused. Its credits settle before that
+//     channel next reads them, in send. When a TLP parks on the channel,
+//     every reserved arrival there becomes a real event
+//     (sim.Kernel.Materialize), since retryPending must run at each.
+//   - The ACK of a credit-free TLP (a CplD) is reserved at delivery on the
+//     reverse serializer, and takes its slot there before that channel's
+//     next transmit or DLLP send.
+//
+// Every simulated instant, credit count and serializer schedule is the
+// same either way, and a run ends at the same instant: the kernel's clock
+// catches up with the reservations (FuzzUntappedLink checks all of it
+// against a tapped link). Only Kernel.Fired differs.
 //
 // # One calibrated link
 //
@@ -261,6 +285,11 @@ const (
 type Credits struct {
 	Hdr  int
 	Data int
+}
+
+// plus adds o to c.
+func (c Credits) plus(o Credits) Credits {
+	return Credits{Hdr: c.Hdr + o.Hdr, Data: c.Data + o.Data}
 }
 
 // creditsFor computes the credits a TLP consumes.

@@ -53,6 +53,23 @@
 //     O(log n) amortized per Cancel. (at, seq) keys are unique, so the pop
 //     order — and every fired event and Fired count — is the same as
 //     without it.
+//   - A reservation is an event's place in the order without the event:
+//     Reserve(at) takes the seq At(at, ...) would take, so every other
+//     event keeps its own, and queues nothing. A component reserves a
+//     state change that nothing reads yet and settles it when it next
+//     reads that state: Due reports whether the reservation is ordered
+//     before the running event (RunUntil records the running event's
+//     seq), and a reader settles every due reservation first, in order,
+//     so it sees exactly what the real event would have left. When
+//     something must happen at the reserved instant itself, Materialize
+//     turns the reservation into the real event at the reserved (at,
+//     seq), which fires exactly where At would have fired it. A
+//     reservation holds no slot and no heap entry; the kernel keeps only
+//     its instant while it lies ahead of the clock, so that Run and
+//     RunUntil leave the clock where the real events would have: at the
+//     latest event or reservation at or before the deadline. Fired counts
+//     real events only. The PCIe link reserves its DLLP work this way on
+//     an untapped link (internal/pcie).
 //
 // # Batched time advancement
 //
@@ -171,11 +188,30 @@ func (k *Kernel) purge() {
 	}
 }
 
+// Reservation is an event's place in the kernel's order, (at, seq),
+// taken by Reserve without the event.
+type Reservation struct {
+	at  Time
+	seq uint64
+}
+
+// At reports the reserved instant.
+func (r Reservation) At() Time { return r.at }
+
 // Kernel is a discrete-event simulator instance.
 type Kernel struct {
 	now  Time
 	seq  uint64
 	heap []heapEnt
+	// cur is the seq of the running event, which Due compares a
+	// reservation at now against. Once RunUntil has returned past its
+	// deadline it is the next seq to be assigned: every event and
+	// reservation at or before now is then past.
+	cur uint64
+	// ahead holds the instants of reservations that may lie ahead of the
+	// clock, for RunUntil to catch the clock up to; entries at or before
+	// the clock are dropped when the slice fills.
+	ahead []Time
 
 	slots []slot
 	free  []int32
@@ -250,11 +286,75 @@ func (k *Kernel) AfterArg(d Time, fn func(any), arg any) EventRef {
 	return k.AtArg(k.now+d, fn, arg)
 }
 
+// Reserve takes the place in the event order that At(at, ...) would take
+// now, the same seq, and queues nothing: every event scheduled after it
+// gets the seq it would have got had the reserved event been real. The
+// caller settles the state change it stands for when Due first reports
+// it, or makes it real with Materialize. Reserving in the past panics, as
+// scheduling there does.
+func (k *Kernel) Reserve(at Time) Reservation {
+	if at < k.now {
+		panic(fmt.Sprintf("sim: reserving in the past (now=%v at=%v)", k.now, at))
+	}
+	r := Reservation{at: at, seq: k.seq}
+	k.seq++
+	if at > k.now {
+		if len(k.ahead) == cap(k.ahead) {
+			k.dropPast()
+		}
+		k.ahead = append(k.ahead, at)
+	}
+	return r
+}
+
+// dropPast drops the reserved instants that no longer lie ahead of the
+// clock.
+func (k *Kernel) dropPast() {
+	n := 0
+	for _, at := range k.ahead {
+		if at > k.now {
+			k.ahead[n] = at
+			n++
+		}
+	}
+	k.ahead = k.ahead[:n]
+}
+
+// Due reports whether r is ordered before the running event, so the state
+// change it stands for has happened by now and a reader must settle it
+// first. Between runs a reservation is due once the clock has reached it.
+func (k *Kernel) Due(r Reservation) bool {
+	return r.at < k.now || (r.at == k.now && r.seq < k.cur)
+}
+
+// Materialize makes r a real event: fn(arg) fires at r's instant and in
+// r's place in the order, exactly where AtArg at reservation time would
+// have fired it. A due reservation panics, like scheduling in the past.
+// See AtArg for arg.
+func (k *Kernel) Materialize(r Reservation, fn func(any), arg any) EventRef {
+	if k.Due(r) {
+		panic(fmt.Sprintf("sim: materializing a reservation already past (now=%v at=%v)", k.now, r.at))
+	}
+	id, s := k.takeSlot()
+	s.afn = fn
+	s.arg = arg
+	k.push(heapEnt{at: r.at, seq: r.seq, id: id})
+	return EventRef{k: k, id: id, gen: s.gen}
+}
+
 // allocSlot takes a pooled slot, marks it live and queues it at time at.
 func (k *Kernel) allocSlot(at Time) (int32, *slot) {
 	if at < k.now {
 		panic(fmt.Sprintf("sim: scheduling event in the past (now=%v at=%v)", k.now, at))
 	}
+	id, s := k.takeSlot()
+	k.push(heapEnt{at: at, seq: k.seq, id: id})
+	k.seq++
+	return id, s
+}
+
+// takeSlot takes a pooled slot and marks it live.
+func (k *Kernel) takeSlot() (int32, *slot) {
 	var id int32
 	if n := len(k.free); n > 0 {
 		id = k.free[n-1]
@@ -266,8 +366,6 @@ func (k *Kernel) allocSlot(at Time) (int32, *slot) {
 	s := &k.slots[id]
 	s.live = true
 	k.live++
-	k.push(heapEnt{at: at, seq: k.seq, id: id})
-	k.seq++
 	return id, s
 }
 
@@ -281,7 +379,9 @@ func (k *Kernel) Run() uint64 {
 }
 
 // RunUntil executes events with timestamps <= deadline. The clock is left at
-// the last executed event's time.
+// the last executed event's time, or at the latest reservation at or before
+// the deadline when that is later: where it would stand had every
+// reservation been a real event. A Stop leaves it at the stopping event.
 func (k *Kernel) RunUntil(deadline Time) uint64 {
 	k.stopped = false
 	var fired uint64
@@ -308,6 +408,7 @@ func (k *Kernel) RunUntil(deadline Time) uint64 {
 		}
 		k.live--
 		k.now = e.at
+		k.cur = e.seq
 		k.fired++
 		fired++
 		if k.limit > 0 && k.fired > k.limit {
@@ -319,7 +420,27 @@ func (k *Kernel) RunUntil(deadline Time) uint64 {
 			fn()
 		}
 	}
+	if !k.stopped {
+		k.catchUp(deadline)
+	}
 	return fired
+}
+
+// catchUp moves the clock past the reservations at or before deadline, to
+// the latest of them when it is later than the last fired event, and
+// counts every event and reservation at or before the clock as past.
+func (k *Kernel) catchUp(deadline Time) {
+	n := 0
+	for _, at := range k.ahead {
+		if at > deadline {
+			k.ahead[n] = at
+			n++
+		} else if at > k.now {
+			k.now = at
+		}
+	}
+	k.ahead = k.ahead[:n]
+	k.cur = k.seq
 }
 
 // Pending reports the number of live events still queued.

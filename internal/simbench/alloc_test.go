@@ -6,6 +6,7 @@ import (
 
 	"breakband/internal/config"
 	"breakband/internal/fabric"
+	"breakband/internal/fifo"
 	"breakband/internal/memsim"
 	"breakband/internal/mpi"
 	"breakband/internal/node"
@@ -49,6 +50,42 @@ func TestSchedulePathZeroAlloc(t *testing.T) {
 		k.Run()
 	}); allocs != 0 {
 		t.Errorf("AfterArg/Run allocates %.2f per event, want 0", allocs)
+	}
+}
+
+// TestReserveSettleZeroAlloc pins the reservation path at zero
+// allocations: a chain of events each reserves a state change ahead of the
+// clock, as a PCIe link reserves an UpdateFC arrival, and settles the
+// earlier ones Due reports. Within one long Run the kernel keeps the
+// reserved instants for its end clock in an array it reuses.
+func TestReserveSettleZeroAlloc(t *testing.T) {
+	const chain = 100
+	k := sim.NewKernel()
+	var q fifo.Queue[sim.Reservation]
+	steps, settled := 0, 0
+	var step func(any)
+	step = func(any) {
+		for q.Len() > 0 && k.Due(q.At(0)) {
+			q.Pop()
+			settled++
+		}
+		q.Push(k.Reserve(k.Now() + 3))
+		if steps++; steps%chain != 0 {
+			k.AfterArg(2, step, nil)
+		}
+	}
+	cycle := func() {
+		k.AfterArg(1, step, nil)
+		k.Run()
+	}
+	for i := 0; i < 8; i++ { // warm the slot pool, the queue and the kernel's instants
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("a chain of %d reserves and settles allocates %.2f, want 0", chain, allocs)
+	}
+	if settled != steps-q.Len() || q.Len() > 2 {
+		t.Errorf("settled %d of %d reservations with %d left, want all but at most 2", settled, steps, q.Len())
 	}
 }
 

@@ -28,9 +28,9 @@
 // documentation has the rules), adding UcpProgress to each skipped round;
 // MPI_Wait and MPI_Waitall park through Park and StartWokenProgress the
 // same way, with their own share of the round. A round that posted or
-// failed a pending send does not park. CancelRecv wakes the worker whose
-// receive it cancels (uct.Worker.Wake), so a wait parked on that receive
-// ends where the spin would have.
+// failed a pending send does not park. CancelRecv and WithdrawRecv wake
+// the worker whose receive they end (uct.Worker.Wake), so a wait parked on
+// that receive ends where the spin would have.
 //
 // The caller provides each operation's Request and its Callback, so an
 // upper layer can keep the ucp request inside its own and be its callback
@@ -184,8 +184,8 @@ func appendEager(buf []byte, tag uint64, data []byte) []byte {
 // transmit queue does not fail the operation: it is queued as pending and
 // posted during progress. uct picks the descriptor path by the eager
 // payload's size (uct.Ep.TryAm); a payload above MaxBcopy fails. The
-// initiation error is reported by LastSend once the frame returns; after
-// one, req never completes.
+// initiation error is reported by LastSend once the frame returns, and by
+// req's Err; after one, req never completes.
 func (e *Ep) StartTagSend(t *sim.Task, req *Request, tag uint64, data []byte, cb Callback) {
 	f := &e.sendF
 	f.pc = 0
@@ -217,6 +217,9 @@ type tagSendFrame struct {
 // finish records the initiation outcome and pops the frame.
 func (f *tagSendFrame) finish(t *sim.Task, err error) {
 	f.err = err
+	if err != nil {
+		f.req.err = err
+	}
 	f.req, f.data, f.cb = nil, nil, nil
 	t.Return()
 }
@@ -471,27 +474,37 @@ func (w *Worker) failSend(t *sim.Task, req *Request, err error) {
 }
 
 // CancelRecv terminates a posted-but-unmatched receive with an error (the
-// source endpoint died and nothing will arrive). It reports false if the
-// request is no longer expected — it already completed, possibly with data
-// that arrived before the failure. Mirrors the CQEFlushErr contract: flushed
-// operations complete with an error instead of hanging. A task other than
-// the worker's own may cancel: it wakes the worker's parked wait, if any,
-// which then sees the receive end where its spin would have.
+// source endpoint died and nothing will arrive) and runs its callback on
+// t. It reports false if the request is no longer expected — it already
+// completed, possibly with data that arrived before the failure. Mirrors
+// the CQEFlushErr contract: flushed operations complete with an error
+// instead of hanging.
 func (w *Worker) CancelRecv(t *sim.Task, req *Request, err error) bool {
-	for i, q := range w.expected {
-		if q == req {
-			w.expected = slices.Delete(w.expected, i, i+1)
-			req.err = err
-			req.completed = true
-			w.Stats.RecvFailures++
-			if req.cb != nil {
-				req.cb.Complete(t)
-			}
-			w.Uct.Wake()
-			return true
-		}
+	if !w.WithdrawRecv(req, err) {
+		return false
 	}
-	return false
+	if req.cb != nil {
+		req.cb.Complete(t)
+	}
+	return true
+}
+
+// WithdrawRecv is CancelRecv without the callback, for a task other than
+// the worker's own: the request completes with err, and the task that
+// waits on it runs the callback when its wait sees that. It wakes the
+// worker's parked wait, if any, which then sees the receive end where its
+// spin would have.
+func (w *Worker) WithdrawRecv(req *Request, err error) bool {
+	i := slices.Index(w.expected, req)
+	if i < 0 {
+		return false
+	}
+	w.expected = slices.Delete(w.expected, i, i+1)
+	req.err = err
+	req.completed = true
+	w.Stats.RecvFailures++
+	w.Uct.Wake()
+	return true
 }
 
 // onEager handles an arriving eager message inside uct progress. The

@@ -208,18 +208,18 @@ func TestLLPPostEveryPath(t *testing.T) {
 		wall   units.Time
 		events uint64
 	}{
-		{PIOInline, 8, 175420, 19},
-		{PIOInline, 32, 175420, 19},
-		{PIOInline, 33, gather(33), 35},
-		{PIOInline, 4096, gather(4096), 35},
-		{DoorbellInline, 8, 112970, 27},
-		{DoorbellInline, 32, 112970, 27},
-		{DoorbellInline, 33, gather(33), 35},
-		{DoorbellInline, 4096, gather(4096), 35},
-		{DoorbellGather, 8, gather(8), 35},
-		{DoorbellGather, 32, gather(32), 35},
-		{DoorbellGather, 33, gather(33), 35},
-		{DoorbellGather, 4096, gather(4096), 35},
+		{PIOInline, 8, 175420, 13},
+		{PIOInline, 32, 175420, 13},
+		{PIOInline, 33, gather(33), 23},
+		{PIOInline, 4096, gather(4096), 23},
+		{DoorbellInline, 8, 112970, 18},
+		{DoorbellInline, 32, 112970, 18},
+		{DoorbellInline, 33, gather(33), 23},
+		{DoorbellInline, 4096, gather(4096), 23},
+		{DoorbellGather, 8, gather(8), 23},
+		{DoorbellGather, 32, gather(32), 23},
+		{DoorbellGather, 33, gather(33), 23},
+		{DoorbellGather, 4096, gather(4096), 23},
 	} {
 		sys, _, _, e0, _ := harness(t)
 		e0.Mode = c.mode

@@ -246,3 +246,37 @@ func TestRunRefusesSystemItDoesNotDescribe(t *testing.T) {
 		t.Errorf("the system BuildConfig built: delivered %d + failed %d of %d offered", c.Delivered, c.Failed, c.Offered)
 	}
 }
+
+// TestMixedTenantsEventsPerMessage gates the kernel events the NoiseOff
+// mixed-tenants example (seed 1) fires per delivered message. Its senders
+// drain their tails parked on their completion slots, and the untapped
+// PCIe links send each TLP's DLLPs from one event and reserve the UpdateFC
+// arrivals and credit-free ACKs nothing reads yet: the run fires about 30
+// events per message, against 38.7 with an event for every DLLP send and
+// UpdateFC arrival. Most of the rest are switch hops and TLPs.
+func TestMixedTenantsEventsPerMessage(t *testing.T) {
+	const maxPerMsg = 32
+	spec, err := LoadSpec("../../examples/workload/mixed-tenants.yaml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := node.NewSystem(spec.BuildConfig(config.NoiseOff, 1), spec.Nodes)
+	defer sys.Shutdown()
+	res, err := Run(spec, sys, RunOpt{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	delivered := 0
+	for i := range res.Cohorts {
+		c := &res.Cohorts[i]
+		if c.Delivered == 0 || c.Delivered != c.Offered {
+			t.Fatalf("cohort %s delivered %d of %d offered", c.Name, c.Delivered, c.Offered)
+		}
+		delivered += c.Delivered
+	}
+	perMsg := float64(sys.K.Fired()) / float64(delivered)
+	t.Logf("%d events for %d messages: %.2f per message (gate %d)", sys.K.Fired(), delivered, perMsg, maxPerMsg)
+	if perMsg > maxPerMsg {
+		t.Errorf("%.2f kernel events per delivered message, gate %d: does a DLLP, a tap or a poll loop fire events again?", perMsg, maxPerMsg)
+	}
+}
