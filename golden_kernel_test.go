@@ -88,8 +88,10 @@ import (
 // The chaos_* events= fields count kernel events, so they move whenever
 // an event that only recorded a time goes: they were re-captured when an
 // untapped PCIe link began to send a TLP's ACK and UpdateFC from one event
-// and to reserve the DLLP work nothing reads yet (sim.Kernel.Reserve). No
-// other field of any entry moved.
+// and to reserve the DLLP work nothing reads yet (sim.Kernel.Reserve), and
+// again when a switch port began to reserve its txDone and queue the
+// frame's arrival at kick (sim.Kernel.AtFor). No other field of any entry
+// moved either time.
 //
 // Refresh (only for intentional semantic changes, never to paper over a
 // kernel regression): GOLDEN_UPDATE=1 go test -run TestGoldenKernelOutputs .

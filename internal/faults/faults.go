@@ -159,11 +159,19 @@ type Link struct {
 	Flaps     uint64
 }
 
-// Decide returns the departing frame's fate. Scripted drops fire first;
-// the Bernoulli draw is keyed to the per-link frame ordinal alone, so a
-// decision depends only on (seed, port, ordinal) — never on event
-// interleaving across links.
+// Decide returns the departing frame's fate and counts it: Count(Draw()).
 func (l *Link) Decide() Outcome {
+	o := l.Draw()
+	l.Count(o)
+	return o
+}
+
+// Draw returns the next frame's fate without counting it, for a port that
+// decides when a frame starts to serialize and counts the fault when the
+// frame leaves. Scripted drops fire first; the Bernoulli draw is keyed to
+// the per-link frame ordinal alone, so a decision depends only on (seed,
+// port, ordinal) — never on event interleaving across links.
+func (l *Link) Draw() Outcome {
 	l.sent++
 	// The draw is unconditional so the stream stays ordinal-aligned:
 	// adding a scripted drop leaves every other Bernoulli decision on the
@@ -174,22 +182,29 @@ func (l *Link) Decide() Outcome {
 	}
 	if l.script != nil {
 		if _, hit := l.script[l.sent]; hit {
-			l.Dropped++
 			return Drop
 		}
 	}
 	if u < l.drop {
-		l.Dropped++
 		return Drop
 	}
 	if u < l.drop+l.corrupt {
-		l.Corrupted++
 		return Corrupt
 	}
 	return Deliver
 }
 
-// CountDrop records a fault-induced drop decided outside Decide (a frame
+// Count records a drawn fault: a Drop in Dropped, a Corrupt in Corrupted.
+func (l *Link) Count(o Outcome) {
+	switch o {
+	case Drop:
+		l.Dropped++
+	case Corrupt:
+		l.Corrupted++
+	}
+}
+
+// CountDrop records a fault-induced drop decided outside Draw (a frame
 // dropped from a dead port's queue, or pushed at a dead port).
 func (l *Link) CountDrop() { l.Dropped++ }
 

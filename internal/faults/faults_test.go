@@ -225,3 +225,31 @@ func TestEndpointFaultBookkeeping(t *testing.T) {
 		t.Errorf("NodeTotals = %d/%d, want 3/1", crashes, pauses)
 	}
 }
+
+// TestDrawThenCountIsDecide: Draw returns Decide's outcome for the same
+// ordinal without counting it, and Count records it as Decide does, so a
+// port may draw a frame's fate when it starts the frame and count the
+// fault when the frame leaves.
+func TestDrawThenCountIsDecide(t *testing.T) {
+	cfg := Config{DropRate: 0.2, CorruptRate: 0.1, DropNth: []ScriptedDrop{{Port: "p", N: 3}}}
+	decided, drawn := MustInjector(5, cfg).Link("p"), MustInjector(5, cfg).Link("p")
+	for i := 0; i < 200; i++ {
+		want := decided.Decide()
+		dropped, corrupted := drawn.Dropped, drawn.Corrupted
+		got := drawn.Draw()
+		if got != want {
+			t.Fatalf("draw %d = %v, Decide = %v", i, got, want)
+		}
+		if drawn.Dropped != dropped || drawn.Corrupted != corrupted {
+			t.Fatalf("draw %d counted its outcome", i)
+		}
+		drawn.Count(got)
+	}
+	if drawn.Dropped != decided.Dropped || drawn.Corrupted != decided.Corrupted || drawn.Sent() != decided.Sent() {
+		t.Errorf("draw and count: %d dropped, %d corrupted, %d sent; Decide: %d, %d, %d",
+			drawn.Dropped, drawn.Corrupted, drawn.Sent(), decided.Dropped, decided.Corrupted, decided.Sent())
+	}
+	if decided.Dropped == 0 || decided.Corrupted == 0 {
+		t.Errorf("%d drops and %d corruptions in 200 frames: the rates exercised too little", decided.Dropped, decided.Corrupted)
+	}
+}

@@ -254,3 +254,17 @@ func (m *Memory) ReadInto(addr uint64, dst []byte) {
 	m.check(addr, len(dst), "read")
 	m.readAt(addr, dst)
 }
+
+// ByteAt reads the one byte at addr: a poll that tests a flag byte reads
+// only it.
+func (m *Memory) ByteAt(addr uint64) byte {
+	if addr >= m.size {
+		m.check(addr, 1, "read")
+	}
+	if i := addr >> pageShift; i < uint64(len(m.pages)) {
+		if p := m.pages[i]; p != nil {
+			return p[addr&pageMask]
+		}
+	}
+	return 0
+}

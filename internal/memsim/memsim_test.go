@@ -59,6 +59,9 @@ func TestWriteRead(t *testing.T) {
 	if !bytes.Equal(dst[:], []byte{3, 4, 5, 6}) {
 		t.Errorf("ReadInto = %v", dst)
 	}
+	if b, unwritten := m.ByteAt(r.Base+7), m.ByteAt(r.Base+8); b != 8 || unwritten != 0 {
+		t.Errorf("ByteAt = %d, %d past the write; want 8, 0", b, unwritten)
+	}
 }
 
 func TestOutOfRangePanics(t *testing.T) {
@@ -67,6 +70,7 @@ func TestOutOfRangePanics(t *testing.T) {
 		func() { m.Write(10, make([]byte, 8)) },
 		func() { m.Read(0, 17) },
 		func() { m.ReadInto(16, make([]byte, 1)) },
+		func() { m.ByteAt(16) },
 	} {
 		func() {
 			defer func() {
@@ -343,7 +347,7 @@ func FuzzMemory(f *testing.F) {
 		touched := map[uint64]bool{}
 		var writes uint64
 		for step := 0; len(ops) >= 5 && step < 64; step++ {
-			kind := ops[0] % 3
+			kind := ops[0] % 4
 			addr := fuzzAnchors[int(ops[1])%len(fuzzAnchors)] + uint64(int64(int8(ops[2])))
 			n := int(binary.LittleEndian.Uint16(ops[3:5])) % (2*pageSize + 1)
 			ops = ops[5:]
@@ -371,6 +375,9 @@ func FuzzMemory(f *testing.F) {
 			case 2:
 				gotPanic = panics(func() { got = m.Read(addr, n) })
 				wantPanic = panics(func() { want = ref[addr:end] })
+			case 3:
+				gotPanic = panics(func() { got = []byte{m.ByteAt(addr)} })
+				wantPanic = panics(func() { want = ref[addr : addr+1] })
 			}
 			if gotPanic != wantPanic {
 				t.Fatalf("step %d: op %d at %#x len %d: panicked %v, reference panicked %v", step, kind, addr, n, gotPanic, wantPanic)

@@ -70,6 +70,23 @@
 //     latest event or reservation at or before the deadline. Fired counts
 //     real events only. The PCIe link reserves its DLLP work this way on
 //     an untapped link (internal/pcie).
+//   - An early event is the event a reservation's real event would
+//     schedule, queued at once instead (AtFor), so that the reservation
+//     need never become real. Queued now, it takes an earlier seq than the
+//     real event would give it, and would fire ahead of any event taken
+//     for its instant between now and the reservation. So the kernel
+//     guards that instant until the reservation is due: an At, AtArg or
+//     Reserve for it from an event ordered before the reservation is a
+//     tie, on which the kernel cancels the early event and materializes
+//     the reservation with a fallback that schedules the event as the
+//     real one would (AtFor has the rule for two early events at one
+//     instant). Every event then fires exactly where it would have. A
+//     guard lives only while its reservation lies ahead, so only a
+//     schedule at least the early event's lead over its reservation ahead
+//     of the clock can hit one: a shorter schedule skips the lookup, and
+//     with no guard the check is one compare. The guards live in an array
+//     the kernel reuses. The switch ports queue each frame's arrival this
+//     way (internal/topo).
 //
 // # Batched time advancement
 //
@@ -95,6 +112,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"breakband/internal/trace"
@@ -198,6 +216,23 @@ type Reservation struct {
 // At reports the reserved instant.
 func (r Reservation) At() Time { return r.at }
 
+// before reports whether r is ordered before o.
+func (r Reservation) before(o Reservation) bool {
+	return r.at < o.at || (r.at == o.at && r.seq < o.seq)
+}
+
+// guard is an early event's claim on its instant. AtFor queued the event
+// before its reservation's real event would have, so until the
+// reservation is due an event taken at the same instant would fire after
+// it instead of before: such a tie demotes it (see AtFor).
+type guard struct {
+	at       Time
+	r        Reservation
+	id       int32
+	gen      uint32
+	fallback func(any)
+}
+
 // Kernel is a discrete-event simulator instance.
 type Kernel struct {
 	now  Time
@@ -208,6 +243,9 @@ type Kernel struct {
 	// deadline it is the next seq to be assigned: every event and
 	// reservation at or before now is then past.
 	cur uint64
+	// lead is the least lead of an early event over its reservation among
+	// the guards (MaxTime with none; see guards).
+	lead Time
 	// ahead holds the instants of reservations that may lie ahead of the
 	// clock, for RunUntil to catch the clock up to; entries at or before
 	// the clock are dropped when the slice fills.
@@ -228,11 +266,21 @@ type Kernel struct {
 	// component captures the pointer at construction and guards every emit
 	// with a single nil test, keeping the disabled path byte-identical.
 	tracer *trace.Tracer
+
+	// guards are the early events AtFor queued, until a sweep finds them
+	// fired, demoted or their reservations due. An event can land on a
+	// guarded instant only while the guard's reservation lies ahead, so a
+	// schedule less than lead ahead of the clock skips the sweep. until is
+	// the latest of their reservations' instants: once the clock passes
+	// it, every guard is past. They sit after the fields the event loop
+	// reads, which keep their cache lines.
+	guards []guard
+	until  Time
 }
 
 // NewKernel returns a kernel with the clock at zero.
 func NewKernel() *Kernel {
-	return &Kernel{}
+	return &Kernel{lead: units.MaxTime}
 }
 
 // Now reports the current virtual time.
@@ -296,6 +344,9 @@ func (k *Kernel) Reserve(at Time) Reservation {
 	if at < k.now {
 		panic(fmt.Sprintf("sim: reserving in the past (now=%v at=%v)", k.now, at))
 	}
+	if at-k.now >= k.lead {
+		k.sweep(at, beforeAll)
+	}
 	r := Reservation{at: at, seq: k.seq}
 	k.seq++
 	if at > k.now {
@@ -318,6 +369,11 @@ func (k *Kernel) dropPast() {
 		}
 	}
 	k.ahead = k.ahead[:n]
+	if n > cap(k.ahead)/2 {
+		// Keep the next drop at least half the array away, so each
+		// instant is scanned O(1) times on average.
+		k.ahead = slices.Grow(k.ahead, cap(k.ahead))
+	}
 }
 
 // Due reports whether r is ordered before the running event, so the state
@@ -342,10 +398,121 @@ func (k *Kernel) Materialize(r Reservation, fn func(any), arg any) EventRef {
 	return EventRef{k: k, id: id, gen: s.gen}
 }
 
-// allocSlot takes a pooled slot, marks it live and queues it at time at.
+// AtFor schedules fn(arg) at absolute time at now, on behalf of r: the
+// event r stands for would schedule it when it fires. Queued now, the
+// event takes an earlier seq than that event would give it, so the kernel
+// guards its instant until r is due. An At, AtArg or Reserve for that
+// instant made before then is a tie: the event would have been queued
+// after it, so the kernel cancels the early event and runs
+// Materialize(r, fallback, arg) instead, and fallback, at r's place,
+// schedules fn(arg) as r's real event would have. A later AtFor for that
+// instant demotes it the same way only when its own reservation comes
+// before r, since its event would then have been queued first. Every
+// event therefore fires where it would had r been real. at must lie at or
+// after both r and the clock; the caller settles r, or demotes the event
+// (Demote) before it reads what r changes ahead of it. See AtArg for arg.
+func (k *Kernel) AtFor(r Reservation, at Time, fn func(any), arg any, fallback func(any)) EventRef {
+	if at < r.at || at < k.now {
+		panic(fmt.Sprintf("sim: an early event before its reservation or the clock (now=%v reserved at=%v at=%v)", k.now, r.at, at))
+	}
+	// A full array is swept before it grows, so past guards never pile
+	// up in it.
+	if at-k.now >= k.lead || len(k.guards) == cap(k.guards) {
+		k.sweep(at, r)
+	}
+	id, s := k.takeSlot()
+	k.push(heapEnt{at: at, seq: k.seq, id: id})
+	k.seq++
+	s.afn = fn
+	s.arg = arg
+	// Fill the new guard in place: a guard composed on the stack and
+	// copied in costs a store-forwarding stall on this hot path.
+	k.guards = append(k.guards, guard{})
+	g := &k.guards[len(k.guards)-1]
+	g.at, g.r, g.id, g.gen, g.fallback = at, r, id, s.gen, fallback
+	k.lead = min(k.lead, at-r.at)
+	k.until = max(k.until, r.at)
+	return EventRef{k: k, id: id, gen: s.gen}
+}
+
+// Demote turns an early event that AtFor queued back into its
+// reservation's real event, as a tie does, for a caller about to read,
+// ahead of the reservation, state that only its real event may change.
+// An event that fired, was demoted already, or whose reservation is due
+// is left alone.
+func (k *Kernel) Demote(ev EventRef) {
+	for i, g := range k.guards {
+		if g.id != ev.id || g.gen != ev.gen {
+			continue
+		}
+		last := len(k.guards) - 1
+		k.guards[i] = k.guards[last]
+		k.guards = k.guards[:last]
+		if k.early(g) {
+			k.demote(g)
+		}
+		return
+	}
+}
+
+// beforeAll is ordered before every reservation: the place of a plain
+// schedule, which ties with every early event at its instant.
+var beforeAll = Reservation{at: -1}
+
+// sweep drops the guards whose events fired or were demoted or whose
+// reservations are due, and demotes the early events at at that an event
+// taken there now on behalf of r would have been queued before: those
+// whose reservations come after r. It recomputes lead.
+func (k *Kernel) sweep(at Time, r Reservation) {
+	if k.now > k.until {
+		k.guards = k.guards[:0]
+		k.lead = units.MaxTime
+		return
+	}
+	n := 0
+	lead := units.MaxTime
+	for _, g := range k.guards {
+		if !k.early(g) {
+			continue
+		}
+		if g.at == at && r.before(g.r) {
+			k.demote(g)
+			continue
+		}
+		k.guards[n] = g
+		n++
+		lead = min(lead, g.at-g.r.at)
+	}
+	k.guards = k.guards[:n]
+	k.lead = lead
+}
+
+// early reports whether g's event is still queued ahead of its
+// reservation's real event.
+func (k *Kernel) early(g guard) bool {
+	if k.Due(g.r) {
+		return false
+	}
+	s := &k.slots[g.id]
+	return s.gen == g.gen && s.live
+}
+
+// demote replaces g's early event with its reservation's real event,
+// which runs the fallback on the early event's arg.
+func (k *Kernel) demote(g guard) {
+	arg := k.slots[g.id].arg
+	k.Materialize(g.r, g.fallback, arg)
+	EventRef{k: k, id: g.id, gen: g.gen}.Cancel()
+}
+
+// allocSlot takes a pooled slot, marks it live and queues it at time at,
+// demoting the early events that a schedule there ties with.
 func (k *Kernel) allocSlot(at Time) (int32, *slot) {
 	if at < k.now {
 		panic(fmt.Sprintf("sim: scheduling event in the past (now=%v at=%v)", k.now, at))
+	}
+	if at-k.now >= k.lead {
+		k.sweep(at, beforeAll)
 	}
 	id, s := k.takeSlot()
 	k.push(heapEnt{at: at, seq: k.seq, id: id})

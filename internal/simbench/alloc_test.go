@@ -89,6 +89,49 @@ func TestReserveSettleZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestEarlyEventZeroAlloc pins the early-event path at zero allocations:
+// a chain of events each reserves an instant ahead of the clock and queues
+// the event it stands for at once (AtFor), as a switch port reserves its
+// txDone and queues the frame's arrival, and every other link lands a
+// plain event on the guarded instant first, so the kernel demotes that
+// early event to its fallback, which queues it again. The kernel's guards
+// live in an array it reuses.
+func TestEarlyEventZeroAlloc(t *testing.T) {
+	const chain = 100
+	k := sim.NewKernel()
+	steps, arrived, fell := 0, 0, 0
+	noop := func(any) {}
+	arrive := func(any) { arrived++ }
+	fallback := func(arg any) {
+		fell++
+		k.AfterArg(2, arrive, arg)
+	}
+	var step func(any)
+	step = func(any) {
+		r := k.Reserve(k.Now() + 1)
+		k.AtFor(r, k.Now()+3, arrive, nil, fallback)
+		if steps%2 == 1 {
+			k.AtArg(k.Now()+3, noop, nil)
+		}
+		if steps++; steps%chain != 0 {
+			k.AfterArg(2, step, nil)
+		}
+	}
+	cycle := func() {
+		k.AfterArg(1, step, nil)
+		k.Run()
+	}
+	for i := 0; i < 8; i++ { // warm the slot pool, the guards and the kernel's instants
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("a chain of %d early events, half of them demoted, allocates %.2f, want 0", chain, allocs)
+	}
+	if arrived != steps || fell != steps/2 {
+		t.Errorf("%d of %d early events arrived and %d fell back, want all of them and half", arrived, steps, fell)
+	}
+}
+
 // watchParkFrame parks its task on a memory write watch, forever: each
 // wake re-arms the watch and parks again — the shape of a uct poll loop
 // waiting on its completion slots.

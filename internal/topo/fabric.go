@@ -92,8 +92,11 @@ type link struct {
 	// when the downstream is a switch (folded into the arrival event).
 	prop    units.Time
 	credits int
-	dstSw   *Switch
-	dstHost int
+	// reserved counts the reserved txDones at dstSw's ports whose frames
+	// hold a credit of this link (see settleReturns).
+	reserved int
+	dstSw    *Switch
+	dstHost  int
 	// up is the port driving this link; returning credits kicks it.
 	up *outPort
 	// arriveFn is the link's bound continuation: the per-frame hop event
@@ -122,15 +125,31 @@ type outPort struct {
 	// frame).
 	cur      qent
 	busy     bool
-	txDoneFn func()
+	txDoneFn func(any)
+	// reserved marks cur's txDone as a kernel reservation, res, with the
+	// frame's arrival already queued as early, rather than a real event
+	// (see kick). out is cur's fault outcome, drawn at kick. contended
+	// records that the last frame pushed here found the port sending:
+	// until a push finds it idle, frames are likely to be pushed behind
+	// the next one too, so its txDone stays real rather than be reserved
+	// and then demoted, which costs more than the real event.
+	reserved  bool
+	res       sim.Reservation
+	early     sim.EventRef
+	out       faults.Outcome
+	contended bool
 
 	// flt is the port's fault-injection state (nil when no injector was
 	// adopted or the schedule never touches this port: one pointer test on
 	// the transmit path). down marks a flapped-dead link: the port
 	// transmits nothing, queued and arriving frames are dropped, and —
-	// on fat-tree up-links — ECMP routes divert around it.
-	flt  *faults.Link
-	down bool
+	// on fat-tree up-links — ECMP routes divert around it. eager marks a
+	// port with scripted flaps: it keeps every txDone a real event and
+	// draws each fault there, since a frame a flap kills mid-transmission
+	// must consume no fault ordinal.
+	flt   *faults.Link
+	down  bool
+	eager bool
 
 	// trID is the port's interned trace id (-1 when tracing is disabled);
 	// isUp marks a fat-tree leaf uplink, where pushing a frame records the
@@ -157,6 +176,9 @@ func (p *outPort) push(e qent) {
 		p.drop(e)
 		return
 	}
+	p.settle()
+	p.demote()
+	p.contended = p.busy
 	p.q.Push(e)
 	if p.q.Len() > p.maxQueue {
 		p.maxQueue = p.q.Len()
@@ -179,11 +201,19 @@ func (p *outPort) push(e qent) {
 // downstream link has a buffer credit: consume the credit, put the frame
 // on the wire for its serialization time. Dead ports transmit nothing
 // (their credits sit quarantined until the link comes back).
+//
+// The frame's txDone is reserved, and its arrival queued at once
+// (sim.Kernel.AtFor), when nothing reads what the txDone changes before
+// it is due: the frame draws no fault (the draw moves here; a fault's
+// txDone counts it), the queue behind it is empty, and the port upstream
+// is not stalled on the credit the frame holds. Otherwise it is a real
+// event, and so on an eager port and on a contended one.
 func (p *outPort) kick() {
+	p.settle()
 	if p.busy || p.down || p.q.Len() == 0 {
 		return
 	}
-	if p.link.credits == 0 {
+	if p.link.credits == 0 && !p.link.settleReturns() {
 		p.creditStalls++
 		if tr := p.fab.tr; tr != nil {
 			if f := p.q.At(0).f; f.TID != 0 {
@@ -206,7 +236,90 @@ func (p *outPort) kick() {
 	p.cur = e
 	ser := fabric.SerTime(e.f.Bytes)
 	p.busyTime += ser
-	p.fab.k.At(p.fab.k.Now()+ser, p.txDoneFn)
+	k := p.fab.k
+	txDone := k.Now() + ser
+	if !p.eager && p.flt != nil {
+		p.out = p.flt.Draw()
+	}
+	if p.eager || p.out != faults.Deliver || p.q.Len() > 0 || p.contended || (e.in != nil && e.in.upStalled()) {
+		k.AtArg(txDone, p.txDoneFn, nil)
+		return
+	}
+	p.reserved = true
+	p.res = k.Reserve(txDone)
+	p.early = k.AtFor(p.res, txDone+p.link.prop, p.link.arriveFn, e.f, p.txDoneFn)
+	if e.in != nil {
+		e.in.reserved++
+	}
+}
+
+// settle applies a due reserved txDone: the frame has left, the port is
+// idle and the inbound credit is back. The reservation rules leave
+// nothing else for the real event to do: no frame waits behind it, and
+// the port upstream is not stalled on the credit.
+func (p *outPort) settle() {
+	if !p.reserved || !p.fab.k.Due(p.res) {
+		return
+	}
+	e := p.cur
+	p.unreserve()
+	p.cur = qent{}
+	p.busy = false
+	p.forwarded++
+	if e.in != nil {
+		e.in.credits++
+	}
+}
+
+// demote makes a reserved txDone that is not due a real event, which
+// queues the arrival as txDone does, before something reads what it
+// changes.
+func (p *outPort) demote() {
+	if !p.reserved {
+		return
+	}
+	p.fab.k.Demote(p.early)
+	p.unreserve()
+}
+
+// unreserve marks cur's txDone as no longer a pending reservation.
+func (p *outPort) unreserve() {
+	p.reserved = false
+	if in := p.cur.in; in != nil {
+		in.reserved--
+	}
+}
+
+// upStalled reports whether the port driving lk waits for one of its
+// credits: up, idle, with frames queued and none left.
+func (lk *link) upStalled() bool {
+	u := lk.up
+	return lk.credits == 0 && !u.busy && !u.down && u.q.Len() > 0
+}
+
+// settleReturns settles the due reserved txDones that return credits to
+// lk, and reports whether any credit is back. When none is, it demotes
+// the rest: the port driving lk stalls, and their real events restart
+// it.
+func (lk *link) settleReturns() bool {
+	if lk.reserved == 0 {
+		return false
+	}
+	outs := lk.dstSw.outs
+	for i := range outs {
+		if q := &outs[i]; q.reserved && q.cur.in == lk {
+			q.settle()
+		}
+	}
+	if lk.credits > 0 {
+		return true
+	}
+	for i := range outs {
+		if q := &outs[i]; q.reserved && q.cur.in == lk {
+			q.demote()
+		}
+	}
+	return false
 }
 
 // drop loses e at this port: the inbound buffer credit it held returns
@@ -229,11 +342,15 @@ func (p *outPort) drop(e qent) {
 // cable (plus switch forwarding when the downstream is a switch), the
 // inbound credit the frame was holding returns (possibly restarting a
 // stalled upstream port), and the next queued frame starts. The fault
-// decision sits here — after serialization, which a lost frame still
-// consumes — so a drop vanishes from the wire (its downstream buffer
-// credit returns at once) and a corruption flies on to die at the next
-// store-and-forward CRC check.
-func (p *outPort) txDone() {
+// takes effect and is counted here — after serialization, which a lost
+// frame still consumes — so a drop vanishes from the wire (its downstream
+// buffer credit returns at once) and a corruption flies on to die at the
+// next store-and-forward CRC check. It is also the real event of a
+// reserved txDone demoted before it was due.
+func (p *outPort) txDone(any) {
+	if p.reserved {
+		p.unreserve()
+	}
 	e := p.cur
 	p.cur = qent{}
 	p.busy = false
@@ -248,16 +365,22 @@ func (p *outPort) txDone() {
 		p.drop(e)
 		return
 	}
-	if p.flt != nil {
-		switch p.flt.Decide() {
-		case faults.Drop:
-			lk.credits++
-			p.drop(e)
-			p.kick()
-			return
-		case faults.Corrupt:
-			e.f.Corrupted = true
-		}
+	out := p.out
+	if p.eager && p.flt != nil {
+		out = p.flt.Draw()
+	}
+	p.out = faults.Deliver
+	if out != faults.Deliver {
+		p.flt.Count(out)
+	}
+	switch out {
+	case faults.Drop:
+		lk.credits++
+		p.drop(e)
+		p.kick()
+		return
+	case faults.Corrupt:
+		e.f.Corrupted = true
 	}
 	p.fab.k.AtArg(p.fab.k.Now()+lk.prop, lk.arriveFn, e.f)
 	if e.in != nil {
@@ -614,6 +737,7 @@ func (t *Fabric) InjectFaults(inj *faults.Injector) {
 		p := byName[name]
 		p.flt = inj.Link(name)
 		for _, fl := range inj.FlapsFor(name) {
+			p.eager = true
 			t.k.At(fl.Down, p.setDown)
 			t.k.At(fl.Up, p.setUp)
 		}
@@ -774,7 +898,10 @@ type PortStat struct {
 	// Name is the compiled port name, e.g. "host0.egress", "sw0.port3",
 	// "leaf1.up0", "spine0.port2".
 	Name string
-	// Forwarded counts frames whose transmission this port started.
+	// Forwarded counts the frames this port put on the wire, each when
+	// its serialization ends, lost ones included: a frame a fault drops
+	// at this port, or a flap kills during its transmission. It settles
+	// on read.
 	Forwarded uint64
 	// MaxQueue is the deepest FIFO this port reached.
 	MaxQueue int
@@ -797,6 +924,7 @@ type PortStat struct {
 func (t *Fabric) PortStats() []PortStat {
 	var out []PortStat
 	add := func(p *outPort) {
+		p.settle()
 		ps := PortStat{
 			Name:         p.name,
 			Forwarded:    p.forwarded,

@@ -69,6 +69,31 @@
 // Fabric.UncontendedWire reports the uncontended wire time on every tier;
 // stall attribution calibrates against it.
 //
+// # What a port schedules
+//
+// An uncontended hop costs one kernel event, the frame's arrival. When a
+// port starts a frame (kick), the end of its serialization (txDone) would
+// schedule the arrival, return the inbound credit the frame holds and
+// start the next queued frame. When nothing can read those changes before
+// txDone is due — the frame draws no fault (the port draws at kick, and a
+// dropped or corrupted frame's txDone counts the fault on the injector's
+// counters, which its readers read directly), no frame waits behind it,
+// and the port upstream is not stalled on the credit — the port reserves
+// txDone (sim.Kernel.Reserve) and queues the arrival at once
+// (sim.Kernel.AtFor), whose tie guard keeps every event in its order. The
+// reservation settles when the port or the credit it returns is next read:
+// at the port's next push or kick, at PortStats, and when the port
+// upstream finds no credit left, which settles the due returns on its link
+// first. It becomes the real txDone when a frame is pushed behind it
+// before it is due, or when that upstream port stalls on the credit. A
+// port whose last pushed frame found it sending keeps its txDones real
+// until a push finds it idle: in a saturated pipeline nearly every
+// reservation would be demoted, which costs more than the real event. A
+// port with scripted flaps keeps every txDone real and draws its faults
+// there, since a frame a flap kills mid-transmission must consume no fault
+// ordinal. FuzzReservedHops checks the fabric against one whose ports keep
+// every txDone real.
+//
 // # Pooled frames and the borrow contract
 //
 // The fabric owns a generation-checked frame arena (fabric.NewFrameArena),

@@ -1219,11 +1219,10 @@ func (e *Ep) startRepost(t *sim.Task) {
 	e.StartPostRecvs(t, n)
 }
 
-// cqValid reads the CQ slot for consumer counter ci into the worker's
-// scratch and reports whether its generation marks it valid.
+// cqValid reports whether the generation byte, the last of the CQ slot
+// for consumer counter ci, marks the slot valid. It reads that byte alone.
 func (e *Ep) cqValid(ring mlx.Ring, ci uint16) bool {
-	e.w.Node.Mem.ReadInto(ring.EntryAddr(ci), e.w.scratch[:])
-	return e.w.scratch[mlx.CQESize-1] == ring.Gen(ci)
+	return e.w.Node.Mem.ByteAt(ring.EntryAddr(ci)+mlx.CQESize-1) == ring.Gen(ci)
 }
 
 // readCQ reads the CQ slot for consumer counter ci and returns the decoded
@@ -1235,6 +1234,7 @@ func (e *Ep) readCQ(ring mlx.Ring, ci uint16) *mlx.CQE {
 	if !e.cqValid(ring, ci) {
 		return nil
 	}
+	e.w.Node.Mem.ReadInto(ring.EntryAddr(ci), e.w.scratch[:])
 	if err := e.w.cqe.DecodeFrom(e.w.scratch[:]); err != nil {
 		panic(fmt.Sprintf("uct: corrupt CQE at ci=%d: %v", ci, err))
 	}
