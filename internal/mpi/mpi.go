@@ -21,15 +21,18 @@
 // from means and loop counts.
 //
 // MPI_Wait and MPI_Waitall test their requests before every
-// ucp_worker_progress. Under NoiseOff, after an empty round whose test
-// still fails, they park through ucp.Worker.Park, which reaches uct's one
-// park (uct.Worker.Park, whose package documentation has the rules), each
+// ucp_worker_progress. After an empty round whose test still fails, they
+// park through ucp.Worker.Park, which reaches uct's one park
+// (uct.Worker.Park, whose package documentation has the rules), each
 // skipped round costing its per-iteration share (MpichWaitLoop,
-// MpichWaitallOp) above ucp's. The round a parked wait is woken for adds
-// the rounds it skipped to WaitLoops and RecvWaitLoops in closed form, so
-// every simulated value and counter is the spin's. A wait parked on a
-// receive that another rank cancels (CancelRecv) is woken by the cancel,
-// and pays the receive's MPICH callback itself when it sees it.
+// MpichWaitallOp) above ucp's; under NoiseOn the wake draws those shares,
+// in the spin's order, from the node's stream. A receive wait that times
+// its ucp_worker_progress calls keeps spinning, since every skipped round
+// would read the timer. The round a parked wait is woken for adds the
+// rounds it skipped to WaitLoops and RecvWaitLoops, so every simulated
+// value and counter is the spin's. A wait parked on a receive that another
+// rank cancels (CancelRecv) is woken by the cancel, and pays the receive's
+// MPICH callback itself when it sees it.
 package mpi
 
 import (
@@ -393,7 +396,8 @@ func (f *waitFrame) Step(t *sim.Task) {
 				f.pc = 3
 				continue
 			}
-			if f.polled && r.Worker.Park(t, r.Cfg.SW.MpichWaitLoop) {
+			if f.polled && !(f.measured && r.Node.Prof.Times(profile.UCPWorkerProgress)) &&
+				r.Worker.Park(t, r.Cfg.SW.MpichWaitLoop) {
 				f.pc = 4
 				return
 			}

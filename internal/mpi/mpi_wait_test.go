@@ -25,6 +25,11 @@ type spinWaitFrame struct {
 	measured bool
 	waitTok  profile.Token
 	progTok  profile.Token
+	// polls, when set, collects the kernel's clock as each
+	// ucp_worker_progress returns: an empty poll that reposted nothing
+	// returns within its CQ read's event, so the clock is that read's
+	// instant.
+	polls *[]units.Time
 }
 
 func (f *spinWaitFrame) begin(t *sim.Task, s profile.Scope) profile.Token {
@@ -47,6 +52,9 @@ func (f *spinWaitFrame) Step(t *sim.Task) {
 		f.pc = 1
 	} else {
 		r.Node.Prof.End(t, f.progTok)
+		if f.polls != nil {
+			*f.polls = append(*f.polls, t.Kernel().Now())
+		}
 	}
 	if r.checkFailed(t, f.req) {
 		afterTok := f.begin(t, profile.MPICHAfterProgress)
@@ -128,10 +136,16 @@ type mpiCase struct {
 
 var mpiCases = []mpiCase{
 	{"noiseoff", config.NoiseOff, profile.None, 0, 0, true},
-	{"noiseon", config.NoiseOn, profile.None, 0, 0, false},
-	{"progress-profiled", config.NoiseOff, profile.UCPWorkerProgress, 0, 0, false},
-	{"short-pcie-prop", config.NoiseOff, profile.None, units.Nanoseconds(10), 0, false},
+	{"noiseon", config.NoiseOn, profile.None, 0, 0, true},
+	// A timed ucp_worker_progress keeps a receive wait spinning; send
+	// waits and MPI_Waitall, which do not open it, still park.
+	{"progress-profiled", config.NoiseOff, profile.UCPWorkerProgress, 0, 0, true},
+	{"noiseon-isend-profiled", config.NoiseOn, profile.MPIIsend, 0, 0, true},
+	{"poll-profiled", config.NoiseOn, profile.EmptyPoll, 0, 0, false},
+	{"short-pcie-prop", config.NoiseOff, profile.None, units.Nanoseconds(10), 0, true},
+	{"noiseon-short-pcie-prop", config.NoiseOn, profile.None, units.Nanoseconds(10), 0, true},
 	{"failed", config.NoiseOff, profile.None, 0, 1, true},
+	{"noiseon-failed", config.NoiseOn, profile.None, 0, 1, true},
 }
 
 // rankRun is what one rank saw in a wait run: its MPI, ucp and uct stats
@@ -201,14 +215,14 @@ func compareRuns(t *testing.T, what string, c mpiCase, got, want mpiRun) {
 	}
 }
 
-// TestWaitMatchesSpin: a blocking ping-pong whose every MPI_Wait parks
-// under NoiseOff polls exactly where the spinning wait does, so both
-// ranks' stats, WaitLoops and RecvWaitLoops included, and the instants
-// their scripts end are the spin's. At drop rate 1 the first ping fails;
-// rank 0 then cancels rank 1's pending receive, which wakes rank 1's
-// parked wait. Under NoiseOn, with the progress scope profiled, or over a
-// 10 ns PCIe propagation (the tie rule) the waits spin and fire the same
-// kernel events.
+// TestWaitMatchesSpin: a blocking ping-pong whose MPI_Waits park polls
+// exactly where the spinning wait does, under NoiseOff and NoiseOn alike,
+// so both ranks' stats, WaitLoops and RecvWaitLoops included, and the
+// instants their scripts end are the spin's. At drop rate 1 the first ping
+// fails; rank 0 then cancels rank 1's pending receive, which wakes rank
+// 1's parked wait. Over a 10 ns PCIe propagation, shorter than a round,
+// the tie rule still finds the spin's polls. With the poll's scope
+// profiled the waits spin and fire the same kernel events.
 func TestWaitMatchesSpin(t *testing.T) {
 	const iters = 20
 	for _, c := range mpiCases {

@@ -41,7 +41,33 @@ type Node struct {
 	Tap  *analyzer.Analyzer // PCIe analyzer on Link (nil until AttachTap)
 	Prof *profile.Profiler
 	Rand *rng.Rand // software-cost noise stream (nil when noise is off)
+	// Bound counts the uct workers bound to each noise stream, across the
+	// nodes of its System, which share it.
+	Bound *Bindings
 }
+
+// Bindings counts, per noise stream, the uct workers whose software costs
+// draw from it (uct.NewWorker binds the node's stream, and
+// uct.Worker.SetRand moves the binding), so a wait loop that replays a
+// stream's draws while it is parked can check that no other worker draws
+// from that stream. It makes its map when a first stream binds.
+type Bindings struct{ n map[*rng.Rand]int }
+
+// Bind adds d (1 or -1) to r's count; a nil r is no stream.
+func (b *Bindings) Bind(r *rng.Rand, d int) {
+	if r == nil {
+		return
+	}
+	if b.n == nil {
+		b.n = make(map[*rng.Rand]int)
+	}
+	if b.n[r] += d; b.n[r] == 0 {
+		delete(b.n, r)
+	}
+}
+
+// Count reports how many workers are bound to r.
+func (b *Bindings) Count(r *rng.Rand) int { return b.n[r] }
 
 // System is a set of nodes on a common fabric, driven by one simulation
 // kernel.
@@ -55,6 +81,8 @@ type System struct {
 	// Faults is the compiled fault injector, nil unless cfg.Faults enables
 	// anything (per-link counters for reports live here).
 	Faults *faults.Injector
+
+	bound Bindings // every node's Bound
 }
 
 // NewSystem builds n nodes per cfg, wired through the topology
@@ -81,7 +109,9 @@ func NewSystem(cfg *config.Config, n int) *System {
 		sys.Topo().InjectFaults(inj)
 	}
 	for i := 0; i < n; i++ {
-		sys.Nodes = append(sys.Nodes, newNode(k, sys.Net, cfg, i))
+		nd := newNode(k, sys.Net, cfg, i)
+		nd.Bound = &sys.bound
+		sys.Nodes = append(sys.Nodes, nd)
 	}
 	if sys.Faults != nil {
 		sys.scheduleEndpointFaults()

@@ -13,6 +13,12 @@ import (
 	"breakband/internal/uct"
 )
 
+// noiseLevels names both noise levels, for the tests that run under each.
+var noiseLevels = []struct {
+	name  string
+	noise config.NoiseLevel
+}{{"noiseoff", config.NoiseOff}, {"noiseon", config.NoiseOn}}
+
 func newSys(t *testing.T, noise config.NoiseLevel) *node.System {
 	t.Helper()
 	return node.NewSystem(config.TX2CX4(noise, 1, true), 2)
@@ -62,50 +68,57 @@ func TestMessageRateWaitallAccounting(t *testing.T) {
 	}
 }
 
-// TestMessageRateEventsPerMessage gates the kernel events the NoiseOff
-// message rate (bench's osu_mr) fires per delivered message, warmup window
-// included. With no analyzer attached the PCIe links fire no tap-only
-// events and one DLLP event per flow-controlled TLP, reserving the rest,
-// and the receiver's sink loop and the sender's MPI_Waitall park on an
-// empty completion queue: the run fires about 11.2 events per message,
-// against 15.3 with an event for every DLLP send and UpdateFC arrival,
-// 20.6 when the MPI and ucp waits spun as well and 25.6 when every link
-// fed a tap too.
+// TestMessageRateEventsPerMessage gates the kernel events the message
+// rate (bench's osu_mr) fires per delivered message, warmup window
+// included, under both noise levels. With no analyzer attached the PCIe
+// links fire no tap-only events and one DLLP event per flow-controlled
+// TLP, reserving the rest, and the receiver's sink loop and the sender's
+// MPI_Waitall park on an empty completion queue, drawing a noisy run's
+// skipped costs when they wake: the run fires about 11.2 events per
+// message, against 15.3 with an event for every DLLP send and UpdateFC
+// arrival, 20.6 when the MPI and ucp waits spun as well (16.6 under
+// NoiseOn, whose waits spun until they drew their skipped costs at the
+// wake) and 25.6 when every link fed a tap too.
 func TestMessageRateEventsPerMessage(t *testing.T) {
 	const maxPerMsg = 12
-	sys := newSys(t, config.NoiseOff)
-	defer sys.Shutdown()
-	MessageRate(sys, Options{Windows: 30})
-	delivered := sys.Nodes[1].NIC.Stats().RxFrames
-	if want := uint64(31 * DefaultWindow); delivered != want {
-		t.Fatalf("receiver took %d messages, want %d", delivered, want)
-	}
-	perMsg := float64(sys.K.Fired()) / float64(delivered)
-	t.Logf("%d events for %d messages: %.2f per message (gate %d)", sys.K.Fired(), delivered, perMsg, maxPerMsg)
-	if perMsg > maxPerMsg {
-		t.Errorf("%.2f kernel events per delivered message, gate %d: does a wait spin, or an untapped link fire tap-only events, again?", perMsg, maxPerMsg)
+	for _, c := range noiseLevels {
+		sys := newSys(t, c.noise)
+		MessageRate(sys, Options{Windows: 30})
+		delivered := sys.Nodes[1].NIC.Stats().RxFrames
+		if want := uint64(31 * DefaultWindow); delivered != want {
+			t.Fatalf("%s: receiver took %d messages, want %d", c.name, delivered, want)
+		}
+		perMsg := float64(sys.K.Fired()) / float64(delivered)
+		t.Logf("%s: %d events for %d messages: %.2f per message (gate %d)", c.name, sys.K.Fired(), delivered, perMsg, maxPerMsg)
+		if perMsg > maxPerMsg {
+			t.Errorf("%s: %.2f kernel events per delivered message, gate %d: does a wait spin, or an untapped link fire tap-only events, again?", c.name, perMsg, maxPerMsg)
+		}
+		sys.Shutdown()
 	}
 }
 
-// TestLatencyEventsPerIteration gates the kernel events the NoiseOff
-// latency ping-pong fires per iteration, warmup included. Each rank's
-// MPI_Wait parks on an empty completion queue, and the untapped PCIe links
-// send each TLP's DLLPs from one event and reserve the rest, so an
-// iteration fires about 32 events; with an event for every DLLP send and
-// UpdateFC arrival, 44; when the waits spun as well, 121, 81 of them empty
-// polls.
+// TestLatencyEventsPerIteration gates the kernel events the latency
+// ping-pong fires per iteration, warmup included, under both noise levels.
+// Each rank's MPI_Wait parks on an empty completion queue, and the
+// untapped PCIe links send each TLP's DLLPs from one event and reserve the
+// rest, so an iteration fires about 32 events; with an event for every
+// DLLP send and UpdateFC arrival, 44; when the waits spun as well, 121, 81
+// of them empty polls (109 under NoiseOn, whose waits spun until they drew
+// their skipped costs at the wake).
 func TestLatencyEventsPerIteration(t *testing.T) {
 	const maxPerIter = 35
-	sys := newSys(t, config.NoiseOff)
-	defer sys.Shutdown()
-	res := Latency(sys, Options{Iters: 300, Warmup: 30})
-	if res.Err != nil || res.RTTs.N() != 300 {
-		t.Fatalf("%d round trips, Err %v", res.RTTs.N(), res.Err)
-	}
-	perIter := float64(sys.K.Fired()) / 330
-	t.Logf("%d events for 330 iterations: %.2f per iteration (gate %d)", sys.K.Fired(), perIter, maxPerIter)
-	if perIter > maxPerIter {
-		t.Errorf("%.2f kernel events per iteration, gate %d: does MPI_Wait spin again?", perIter, maxPerIter)
+	for _, c := range noiseLevels {
+		sys := newSys(t, c.noise)
+		res := Latency(sys, Options{Iters: 300, Warmup: 30})
+		if res.Err != nil || res.RTTs.N() != 300 {
+			t.Fatalf("%s: %d round trips, Err %v", c.name, res.RTTs.N(), res.Err)
+		}
+		perIter := float64(sys.K.Fired()) / 330
+		t.Logf("%s: %d events for 330 iterations: %.2f per iteration (gate %d)", c.name, sys.K.Fired(), perIter, maxPerIter)
+		if perIter > maxPerIter {
+			t.Errorf("%s: %.2f kernel events per iteration, gate %d: does MPI_Wait spin again?", c.name, perIter, maxPerIter)
+		}
+		sys.Shutdown()
 	}
 }
 

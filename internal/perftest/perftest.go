@@ -28,8 +28,8 @@
 // The drivers that talk to uct wait for completions in one loop,
 // uct.Worker.StartProgressUntil, which tests its predicate before every
 // poll and, like StartPut's busy-post retry, parks on an empty completion
-// queue under NoiseOff instead of firing one kernel event per poll; every
-// simulated value is the spin's. The senders drain their in-flight tail,
+// queue instead of firing one kernel event per poll, under NoiseOff and
+// NoiseOn alike; every simulated value is the spin's. The senders drain their in-flight tail,
 // outside the measured window, with StartFlush (that loop until no send is
 // in flight) at the end of putLoopFrame, as the workload injectors do, and
 // WindowedPutBw drains each window with it. Failed sends retire through

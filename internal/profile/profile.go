@@ -149,12 +149,18 @@ type Token struct {
 	t1 units.Time
 }
 
+// Times reports whether Begin(t, s) reads the timer: whether s or its
+// partner is selected.
+func (pr *Profiler) Times(s Scope) bool {
+	return pr.sel != None && (pr.sel == s || pr.sel == s.Partner())
+}
+
 // Begin opens scope s when s or its partner is selected. The timer read
 // costs simulated time, perturbing the measured system exactly as real
 // instrumentation does. Otherwise it reads no timer and returns the zero
 // Token.
 func (pr *Profiler) Begin(t *sim.Task, s Scope) Token {
-	if pr.sel == None || (pr.sel != s && pr.sel != s.Partner()) {
+	if !pr.Times(s) {
 		return Token{}
 	}
 	return Token{s: s, t1: pr.readTimer(t)}

@@ -33,7 +33,9 @@
 //     Scheduling reuses a free slot instead of heap-allocating, so the
 //     steady-state schedule path performs zero allocations.
 //   - The priority queue is a hand-rolled value-typed 4-ary min-heap of
-//     {at, seq, id} entries ordered by (at, seq). Compared to
+//     {at, seq, id, lead} entries ordered by (at, seq); lead, how far
+//     ahead of the clock the event was queued, fills what would be
+//     padding. Compared to
 //     container/heap's interface-based binary heap this removes the
 //     per-operation boxing and interface dispatch and halves the tree
 //     depth, trading slightly more comparisons per level for far fewer
@@ -87,6 +89,17 @@
 //     with no guard the check is one compare. The guards live in an array
 //     the kernel reuses. The switch ports queue each frame's arrival this
 //     way (internal/topo).
+//   - A parked task is woken late, by a change that comes after the
+//     instant its spin would have queued the resume at. Mark takes a place
+//     in the order (a seq, as a scheduling call would), Scheduled reports
+//     the place of the call that queued the running event (its seq, and
+//     the clock less its lead), and AtArgAsOf queues an event late into a
+//     mark's place: the mark's own seq, or, for an instant alone
+//     (MarkAt), the odd seq just below the first event at its instant
+//     queued at or after that instant, found by a walk of the heap
+//     entries no later than it. Calls take even seqs two apart to leave
+//     that room (seqStep). uct's parked wait loops resume this way where
+//     their spin would have.
 //
 // # Batched time advancement
 //
@@ -112,6 +125,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -140,11 +154,26 @@ type slot struct {
 	live bool
 }
 
-// heapEnt is a value-typed entry of the 4-ary min-heap.
+// heapEnt is a value-typed entry of the 4-ary min-heap. lead is how far
+// ahead of the clock the event was queued, saturated at maxLead; it fills
+// what would be padding.
 type heapEnt struct {
-	at  Time
-	seq uint64
-	id  int32
+	at   Time
+	seq  uint64
+	id   int32
+	lead uint32
+}
+
+// maxLead is the longest lead a heap entry records: a call made earlier
+// reads as made maxLead ps (4.29 ms) before its event.
+const maxLead = math.MaxUint32
+
+// leadOf is the lead of an event at at queued at clock from.
+func leadOf(at, from Time) uint32 {
+	if d := at - from; d < maxLead {
+		return uint32(d)
+	}
+	return maxLead
 }
 
 // less orders entries by (at, seq): time first, scheduling order at ties.
@@ -154,6 +183,11 @@ func (e heapEnt) less(o heapEnt) bool {
 	}
 	return e.seq < o.seq
 }
+
+// seqStep is the seq distance between scheduling calls: every call takes
+// an even seq, leaving the odd one below it for an event queued late just
+// ahead of that call (AtArgAsOf at a MarkAt mark).
+const seqStep = 2
 
 // EventRef identifies a scheduled event so it can be cancelled. The zero
 // EventRef is valid and cancels nothing.
@@ -239,10 +273,12 @@ type Kernel struct {
 	seq  uint64
 	heap []heapEnt
 	// cur is the seq of the running event, which Due compares a
-	// reservation at now against. Once RunUntil has returned past its
-	// deadline it is the next seq to be assigned: every event and
-	// reservation at or before now is then past.
-	cur uint64
+	// reservation at now against, and curLead its heap entry's lead. Once
+	// RunUntil has returned past its deadline they are the next seq to be
+	// assigned and 0: every event and reservation at or before now is
+	// then past.
+	cur     uint64
+	curLead uint32
 	// lead is the least lead of an early event over its reservation among
 	// the guards (MaxTime with none; see guards).
 	lead Time
@@ -348,7 +384,7 @@ func (k *Kernel) Reserve(at Time) Reservation {
 		k.sweep(at, beforeAll)
 	}
 	r := Reservation{at: at, seq: k.seq}
-	k.seq++
+	k.seq += seqStep
 	if at > k.now {
 		if len(k.ahead) == cap(k.ahead) {
 			k.dropPast()
@@ -383,6 +419,100 @@ func (k *Kernel) Due(r Reservation) bool {
 	return r.at < k.now || (r.at == k.now && r.seq < k.cur)
 }
 
+// Mark is a place in the order in which events are queued: the clock and
+// the seq of a scheduling call. Marks compare by seq, so one mark comes
+// before another exactly when its call came first.
+type Mark struct {
+	at  Time
+	seq uint64
+}
+
+// At reports the clock at the marked call.
+func (m Mark) At() Time { return m.at }
+
+// Before reports whether m's call came before o's.
+func (m Mark) Before(o Mark) bool { return m.seq < o.seq }
+
+// Mark takes the next place in the scheduling order, as a scheduling call
+// would, and returns it: every event queued from now on comes after it. An
+// event queued late into the place (AtArgAsOf) takes its seq.
+func (k *Kernel) Mark() Mark {
+	m := Mark{at: k.now, seq: k.seq}
+	k.seq += seqStep
+	return m
+}
+
+// anySeq is the seq of a Mark that names an instant only (MarkAt).
+const anySeq = math.MaxUint64
+
+// MarkAt returns a mark for instant x alone, for AtArgAsOf: it stands
+// before every call made at x or later and after every earlier one. Before
+// does not compare it.
+func MarkAt(x Time) Mark { return Mark{at: x, seq: anySeq} }
+
+// AtArgAsOf is AtArg for an event queued late: fn(arg) fires at at in the
+// place m's call would have given it, after the events there that were
+// queued before m and ahead of those queued after it. A Mark from
+// Kernel.Mark places it exactly, in the place the mark took; one from
+// MarkAt(x) goes ahead of the events at at queued at x or later, which it
+// finds among the queued events no later than at, and two such events in
+// one place fire in the order the heap leaves them. A task woken from a
+// park resumes this way (Task.WakeAt) where its spin would have. See AtArg
+// for arg.
+func (k *Kernel) AtArgAsOf(at Time, m Mark, fn func(any), arg any) EventRef {
+	if at < k.now {
+		panic(fmt.Sprintf("sim: scheduling event in the past (now=%v at=%v)", k.now, at))
+	}
+	// place is m as a reservation key, for the guards AtFor left.
+	seq, place := m.seq, Reservation{at: m.at, seq: m.seq}
+	if m.seq == anySeq {
+		seq, place.seq = k.seq-1, 0
+		if len(k.heap) > 0 && k.heap[0].at <= at {
+			seq = k.firstSince(0, at, m.at, k.since(k.heap[0], at, m.at, k.seq)) - 1
+		}
+	}
+	if at-k.now >= k.lead {
+		k.sweep(at, place)
+	}
+	id, s := k.takeSlot()
+	s.afn = fn
+	s.arg = arg
+	k.push(heapEnt{at: at, seq: seq, id: id, lead: leadOf(at, m.at)})
+	return EventRef{k: k, id: id, gen: s.gen}
+}
+
+// firstSince returns the least of first and the seqs of the live events at
+// at whose scheduling call came at instant x or later, among heap entry
+// i's descendants. It visits only the entries no later than at.
+func (k *Kernel) firstSince(i int, at, x Time, first uint64) uint64 {
+	h := k.heap
+	for c := i<<2 + 1; c <= i<<2+4 && c < len(h); c++ {
+		if e := h[c]; e.at <= at {
+			first = k.since(e, at, x, first)
+			first = k.firstSince(c, at, x, first)
+		}
+	}
+	return first
+}
+
+// since folds heap entry e into firstSince's least seq.
+func (k *Kernel) since(e heapEnt, at, x Time, first uint64) uint64 {
+	if e.at == at && Time(e.lead) <= at-x && e.seq < first && k.slots[e.id].live {
+		return e.seq
+	}
+	return first
+}
+
+// Scheduled returns the place of the call that queued the running event: a
+// task parked until some change can ask whether the change was queued
+// before or after an event its spin would have queued. For an event
+// materialized from a reservation the seq is the reservation's and the
+// clock the Materialize call's; for one queued late, its place's. A call
+// made more than maxLead before its event reads as made maxLead before.
+// Between runs it is the next place, after every event at or before the
+// clock.
+func (k *Kernel) Scheduled() Mark { return Mark{at: k.now - Time(k.curLead), seq: k.cur} }
+
 // Materialize makes r a real event: fn(arg) fires at r's instant and in
 // r's place in the order, exactly where AtArg at reservation time would
 // have fired it. A due reservation panics, like scheduling in the past.
@@ -394,7 +524,7 @@ func (k *Kernel) Materialize(r Reservation, fn func(any), arg any) EventRef {
 	id, s := k.takeSlot()
 	s.afn = fn
 	s.arg = arg
-	k.push(heapEnt{at: r.at, seq: r.seq, id: id})
+	k.push(heapEnt{at: r.at, seq: r.seq, id: id, lead: leadOf(r.at, k.now)})
 	return EventRef{k: k, id: id, gen: s.gen}
 }
 
@@ -421,8 +551,8 @@ func (k *Kernel) AtFor(r Reservation, at Time, fn func(any), arg any, fallback f
 		k.sweep(at, r)
 	}
 	id, s := k.takeSlot()
-	k.push(heapEnt{at: at, seq: k.seq, id: id})
-	k.seq++
+	k.push(heapEnt{at: at, seq: k.seq, id: id, lead: leadOf(at, k.now)})
+	k.seq += seqStep
 	s.afn = fn
 	s.arg = arg
 	// Fill the new guard in place: a guard composed on the stack and
@@ -515,8 +645,8 @@ func (k *Kernel) allocSlot(at Time) (int32, *slot) {
 		k.sweep(at, beforeAll)
 	}
 	id, s := k.takeSlot()
-	k.push(heapEnt{at: at, seq: k.seq, id: id})
-	k.seq++
+	k.push(heapEnt{at: at, seq: k.seq, id: id, lead: leadOf(at, k.now)})
+	k.seq += seqStep
 	return id, s
 }
 
@@ -575,7 +705,7 @@ func (k *Kernel) RunUntil(deadline Time) uint64 {
 		}
 		k.live--
 		k.now = e.at
-		k.cur = e.seq
+		k.cur, k.curLead = e.seq, e.lead
 		k.fired++
 		fired++
 		if k.limit > 0 && k.fired > k.limit {
@@ -607,7 +737,7 @@ func (k *Kernel) catchUp(deadline Time) {
 		}
 	}
 	k.ahead = k.ahead[:n]
-	k.cur = k.seq
+	k.cur, k.curLead = k.seq, 0
 }
 
 // Pending reports the number of live events still queued.

@@ -189,9 +189,10 @@ func (t *Task) Park(unpark func()) {
 func (t *Task) Parked() bool { return t.unpark != nil }
 
 // WakeAt schedules a parked task to resume at absolute time at, as one
-// pooled event. The waker has disarmed itself; at must not precede the
-// task's clock at Park.
-func (t *Task) WakeAt(at Time) {
+// pooled event queued late into place m (Kernel.AtArgAsOf): where the
+// task's spin would have queued its resume. The waker has disarmed
+// itself; at must not precede the task's clock at Park.
+func (t *Task) WakeAt(at Time, m Mark) {
 	if t.unpark == nil {
 		panic(fmt.Sprintf("sim: WakeAt on task %q, which is not parked", t.name))
 	}
@@ -199,7 +200,7 @@ func (t *Task) WakeAt(at Time) {
 		panic(fmt.Sprintf("sim: task %q woken at %v, before it parked at %v", t.name, at, t.parkedAt))
 	}
 	t.unpark = nil
-	t.pending = t.k.AtArg(at, taskStep, t)
+	t.pending = t.k.AtArgAsOf(at, m, taskStep, t)
 }
 
 // Call pushes f as a sub-frame; it begins executing before the caller's

@@ -220,9 +220,9 @@ func TestParkWakeAt(t *testing.T) {
 					t.Error("WakeAt before the park clock did not panic")
 				}
 			}()
-			task.WakeAt(29)
+			task.WakeAt(29, k.Mark())
 		}()
-		task.WakeAt(45)
+		task.WakeAt(45, k.Mark())
 	})
 	k.Run()
 	if f.resumed != 45 || !task.Done() || task.Parked() {
@@ -237,7 +237,7 @@ func TestParkWakeAt(t *testing.T) {
 			t.Error("WakeAt on a task that is not parked did not panic")
 		}
 	}()
-	task.WakeAt(100)
+	task.WakeAt(100, k.Mark())
 }
 
 // TestCancelParkedTask: cancelling a parked task runs its unpark once and

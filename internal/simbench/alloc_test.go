@@ -152,7 +152,7 @@ func (f *watchParkFrame) Step(t *sim.Task) {
 func wakeWatchPark(a any) {
 	f := a.(*watchParkFrame)
 	f.mem.Unwatch(f)
-	f.t.WakeAt(f.t.Kernel().Now())
+	f.t.WakeAt(f.t.Kernel().Now(), f.t.Kernel().Mark())
 }
 
 // TestParkWakeZeroAlloc pins the park/wake cycle at zero allocations: a
@@ -187,12 +187,18 @@ func TestParkWakeZeroAlloc(t *testing.T) {
 
 // TestParkedWaitsZeroAlloc carries the park/wake gate through the wait
 // loop of every layer: uct's and ucp's StartProgressUntil, MPI_Wait and
-// MPI_Waitall, each at NoiseOff waiting for something that never comes, so
-// it parks on its empty completion queue. A cycle — a Wake from another
-// event, the woken round's poll, the re-test and the park again —
-// allocates nothing.
+// MPI_Waitall, each under NoiseOff and NoiseOn waiting for something that
+// never comes, so it parks on its empty completion queue. A cycle — a Wake
+// from another event, which under NoiseOn draws the skipped rounds, the
+// woken round's poll, the re-test and the park again — allocates nothing.
 func TestParkedWaitsZeroAlloc(t *testing.T) {
 	never := func() bool { return false }
+	for _, noise := range []config.NoiseLevel{config.NoiseOff, config.NoiseOn} {
+		parkedWaitsZeroAlloc(t, noise, never)
+	}
+}
+
+func parkedWaitsZeroAlloc(t *testing.T, noise config.NoiseLevel, never func() bool) {
 	for _, c := range []struct {
 		name string
 		wait func(r *mpi.Rank) simtest.Step
@@ -210,7 +216,7 @@ func TestParkedWaitsZeroAlloc(t *testing.T) {
 			return func(tk *sim.Task) { r.StartWaitall(tk, []*mpi.Request{r.Irecv(tk, 0, 1)}) }
 		}},
 	} {
-		sys := node.NewSystem(config.TX2CX4(config.NoiseOff, 1, true), 2)
+		sys := node.NewSystem(config.TX2CX4(noise, 1, true), 2)
 		r := mpi.NewComm(sys.Nodes, sys.Cfg, uct.PIOInline).Ranks[1]
 		task := simtest.Start(sys.K, c.name, c.wait(r))
 		sys.Run()
@@ -224,10 +230,10 @@ func TestParkedWaitsZeroAlloc(t *testing.T) {
 		}
 		allocs := testing.AllocsPerRun(500, cycle)
 		if !task.Parked() || r.Worker.Uct.Stats.Progresses < 500 {
-			t.Errorf("%s: parked %v after %d polls; want parked, woken once per cycle", c.name, task.Parked(), r.Worker.Uct.Stats.Progresses)
+			t.Errorf("%s noise %d: parked %v after %d polls; want parked, woken once per cycle", c.name, noise, task.Parked(), r.Worker.Uct.Stats.Progresses)
 		}
 		if allocs != 0 {
-			t.Errorf("%s: a wake, woken round and park allocate %.2f per cycle, want 0", c.name, allocs)
+			t.Errorf("%s noise %d: a wake, woken round and park allocate %.2f per cycle, want 0", c.name, noise, allocs)
 		}
 		sys.Shutdown()
 	}

@@ -23,14 +23,16 @@
 // One task may drive a Worker (and each Ep) at a time.
 //
 // StartProgressUntil progresses the worker until a predicate holds, testing
-// it before every ucp_worker_progress. Under NoiseOff it parks after an
-// empty round through uct's one park (uct.Worker.Park, whose package
-// documentation has the rules), adding UcpProgress to each skipped round;
-// MPI_Wait and MPI_Waitall park through Park and StartWokenProgress the
-// same way, with their own share of the round. A round that posted or
-// failed a pending send does not park. CancelRecv and WithdrawRecv wake
-// the worker whose receive they end (uct.Worker.Wake), so a wait parked on
-// that receive ends where the spin would have.
+// it before every ucp_worker_progress. It parks after an empty round
+// through uct's one park (uct.Worker.Park, whose package documentation has
+// the rules), adding UcpProgress to each skipped round; MPI_Wait and
+// MPI_Waitall park through Park and StartWokenProgress the same way, with
+// their own share of the round. Under NoiseOn the skipped rounds draw
+// their costs from the node's stream when the loop wakes, so a ucp or MPI
+// wait parks only while its uct worker is the one bound to that stream. A
+// round that posted or failed a pending send does not park. CancelRecv and
+// WithdrawRecv wake the worker whose receive they end (uct.Worker.Wake),
+// so a wait parked on that receive ends where the spin would have.
 //
 // The caller provides each operation's Request and its Callback, so an
 // upper layer can keep the ucp request inside its own and be its callback
@@ -349,22 +351,15 @@ func (f *progressFrame) Step(t *sim.Task) {
 
 // Park parks t, which runs a wait loop over this worker, right after one of
 // the loop's ucp_worker_progress rounds and the exit test that followed it,
-// through uct's park (uct.Worker.Park): only while the node draws no jitter,
-// and after a round that retired nothing and posted or failed no pending
-// send. above is the cost the caller's loop pays each round before
-// ucp_worker_progress (nil for none), drawn like ucp's own from the node's
-// stream, and ucp adds UcpProgress. It reports whether t parked: the
-// caller's Step must then return, and on resuming begin its round with
-// StartWokenProgress.
+// through uct's park (uct.Worker.Park): only after a round that retired
+// nothing and posted or failed no pending send. above is the cost the
+// caller's loop pays each round before ucp_worker_progress (nil for none),
+// drawn like ucp's own from the node's stream, and ucp adds UcpProgress.
+// It reports whether t parked: the caller's Step must then return, and on
+// resuming begin its round with StartWokenProgress.
 func (w *Worker) Park(t *sim.Task, above rng.Dist) bool {
-	// Tested inline, so a spinning NoiseOn round pays no call.
-	return w.Uct.Node.Rand == nil && w.park(t, above)
-}
-
-// park is Park past its jitter test.
-func (w *Worker) park(t *sim.Task, above rng.Dist) bool {
 	f := &w.progF
-	return f.n == 0 && !f.pended && w.Uct.Park(t, above, w.Cfg.SW.UcpProgress)
+	return f.n == 0 && !f.pended && w.Uct.Park(t, w.Uct.Node.Rand, above, w.Cfg.SW.UcpProgress)
 }
 
 // StartWokenProgress begins the ucp_worker_progress of the round a parked

@@ -495,10 +495,14 @@ type waitCase struct {
 
 var waitCases = []waitCase{
 	{"noiseoff", config.NoiseOff, profile.None, 0, 0, true},
-	{"noiseon", config.NoiseOn, profile.None, 0, 0, false},
+	{"noiseon", config.NoiseOn, profile.None, 0, 0, true},
 	{"progress-profiled", config.NoiseOff, profile.LLPProg, 0, 0, false},
-	{"short-pcie-prop", config.NoiseOff, profile.None, units.Nanoseconds(10), 0, false},
+	{"noiseon-progress-profiled", config.NoiseOn, profile.LLPProg, 0, 0, false},
+	{"noiseon-send-profiled", config.NoiseOn, profile.UCPTagSendNB, 0, 0, true},
+	{"short-pcie-prop", config.NoiseOff, profile.None, units.Nanoseconds(10), 0, true},
+	{"noiseon-short-pcie-prop", config.NoiseOn, profile.None, units.Nanoseconds(10), 0, true},
 	{"failed-pending-posts", config.NoiseOff, profile.None, 0, 1, true},
+	{"noiseon-failed-pending-posts", config.NoiseOn, profile.None, 0, 1, true},
 }
 
 // waitRun is what a wait run observed: both workers' ucp and uct stats,
@@ -592,11 +596,10 @@ func waitStream(t *testing.T, c waitCase, spin bool) waitRun {
 // their waits end are the spin's. The sender waits with most of its sends
 // pending behind a full send queue; at drop rate 1 its QP fails and the
 // pending posts fail with it, and the receiver, which nothing reaches, is
-// woken by the sender's script. Under NoiseOff the waits park, the sender
-// with its pending queue blocked, and fire fewer kernel events; under
-// NoiseOn, with a scope profiled, or over a PCIe link whose 10 ns
-// propagation is shorter than a round (the tie rule), they spin and fire
-// the same events.
+// woken by the sender's script. Under NoiseOff and NoiseOn, and over a PCIe
+// link whose 10 ns propagation is shorter than a round, the waits park,
+// the sender with its pending queue blocked, and fire fewer kernel events;
+// with the poll's scope profiled they spin and fire the same events.
 func TestProgressUntilMatchesSpin(t *testing.T) {
 	for _, c := range waitCases {
 		want := waitStream(t, c, true)

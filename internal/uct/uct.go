@@ -53,66 +53,81 @@
 // busy-post retry (behind StartPut and StartAm) and its wait loop
 // StartProgressUntil, ucp's StartProgressUntil (internal/ucp), and MPI_Wait
 // and MPI_Waitall (internal/mpi). A round tests the loop's exit condition,
-// pays the costs of the layers above the poll, and polls. While the poll
-// comes back empty and the test still fails, each round takes the same
-// period of virtual time,
-//
-//	P = above + LLPProgBarrier + LLPProgFailChk
-//
-// where above is the layers' share of the round: BusyPost in the retry
-// (37 ns calibrated in all), nothing in a uct wait (28 ns), UcpProgress in
-// a ucp wait (28.9 ns), MpichWaitLoop + UcpProgress in MPI_Wait (40.9 ns)
-// and MpichWaitallOp + UcpProgress in MPI_Waitall (42.76 ns). Spinning
-// through a round costs one kernel event. Instead, after an empty round the
-// loop re-tests its exit condition and, while it still fails, parks its
-// task (Park, sim.Task.Park) with a memory write watch on each endpoint's
-// next send-CQ and receive-CQ slot. The first write that makes one of
-// those slots valid wakes the task at the first skipped poll instant at or
-// after the write: p1 + (j-1)*P, where p1 is the CQ read of the first round
-// the loop skipped. StartWokenProgress adds j to Progresses and j-1 to
-// EmptyPolls and returns j, each layer adds j to its own per-round counters
-// (BusyPosts in the retry, MPI's WaitLoops), and the j-th poll reads the
-// CQs for real. Every simulated time and counter is therefore the spin's,
+// pays the costs of the layers above the poll, and polls: the load barrier
+// (LLPProgBarrier), the CQ reads, and on an empty poll the failed check
+// (LLPProgFailChk). above is the layers' share of the round: BusyPost in
+// the retry, nothing in a uct wait, UcpProgress in a ucp wait,
+// MpichWaitLoop + UcpProgress in MPI_Wait and MpichWaitallOp + UcpProgress
+// in MPI_Waitall. Spinning through a round costs one kernel event.
+// Instead, after an empty round the loop re-tests its exit condition and,
+// while it still fails, parks its task (Park, sim.Task.Park) with a memory
+// write watch on each endpoint's next send-CQ and receive-CQ slot. The
+// first write that makes one of those slots valid wakes the task at the
+// first skipped poll that sees the write, where the task resumes its loop:
+// StartWokenProgress adds the j rounds run parked to Progresses and j-1 to
+// EmptyPolls, each layer adds j to its own per-round counters (BusyPosts
+// in the retry, MPI's WaitLoops), and the j-th poll reads the CQs for
+// real. Every simulated time, counter and draw is therefore the spin's,
 // with one event per wait instead of one per round. An empty poll reposts
 // every receive credit its worker owes, so the skipped polls repost none.
 //
+// Under NoiseOff every round takes the mean period P = above +
+// LLPProgBarrier + LLPProgFailChk, and the skipped polls read the CQs at
+// p1 + (j-1)*P, p1 being the first skipped round's CQ read: the wake
+// computes j in closed form. Under NoiseOn each cost is a draw, and the
+// draws define simulated time, so the park records the task's clock and
+// the wake replays the skipped rounds: it draws each round's costs from the
+// worker's stream in the spin's order (above, in the order the layers pay
+// them, then LLPProgBarrier; LLPProgFailChk after the CQ read) up to the
+// first poll that sees the change. The woken round skips the draws the
+// replay made: its layers do not pay above again, and its poll starts at
+// the CQ read. A parked task that is cancelled first draws the rounds its
+// spin would have drawn by the cancel, so its worker's stream stands where
+// the spin's would.
+//
 // An exit test may also read what another task changes: a peer's failure,
 // a receive the peer cancels. That task calls Wake on the parked worker
-// right after the change, which resumes the loop at the first skipped poll
-// at or after the change, by the same formula as a CQ write: that round's
-// test is the first the spin runs after the change. A change on a skipped
-// poll's exact instant is seen by that poll; the spin sees it there too
-// when the changing event was scheduled at least P ahead, as the tie rule
-// has it for CQ writes. ucp.Worker.CancelRecv
-// wakes the worker whose receive it cancels; osu's failing sender wakes its
-// receiver, and am_lat's and the lossy stream's failing side its peer.
+// right after the change, which resumes the loop like a CQ write: that
+// round's test is the first the spin runs after the change.
+// ucp.Worker.CancelRecv wakes the worker whose receive it cancels; osu's
+// failing sender wakes its receiver, and am_lat's and the lossy stream's
+// failing side its peer.
+//
+// The tie rule. A change landing on a skipped poll's exact instant is seen
+// by the spin's poll there when the change was queued before the spin
+// queued that poll's resume: at the park for the first skipped poll, at
+// the previous skipped poll's CQ read for the others. The park takes its
+// place in the kernel's scheduling order (sim.Kernel.Mark), and the wake
+// asks where the change was queued (sim.Kernel.Scheduled), so both noise
+// levels resolve a tie exactly, whatever the change's lead: a CQ write's,
+// or a Wake's, which is the waking task's own. A change queued at the very
+// instant of the previous skipped poll's read is taken as queued after it.
+// The woken poll's resume, too, goes where the spin would have queued it
+// (sim.Task.WakeAt, sim.Kernel.AtArgAsOf): ahead of any event at that
+// instant queued after that place, such as a second change landing on the
+// woken poll after the first one woke the loop. A loop therefore parks
+// whatever the CQ writes' leads: over an integrated NIC's 10 ns PCIeProp,
+// shorter than every round, too.
 //
 // A loop parks only when all of these hold, each read from its inputs:
 //
-//   - the worker draws no jitter (no rand stream: NoiseOff), nor, for the
-//     ucp and MPI waits, its node (ucp.Worker.Park tests the node's
-//     stream, from which ucp's and MPI's costs draw), so every skipped cost
-//     is its mean. Under NoiseOn every round draws from the streams, so the
-//     loop keeps spinning and the draws stay in order. Both tests are
-//     inline, so a spinning round pays no call;
-//   - its node's profiler has no scope selected (profile.Profiler.Selected
-//     is None): a timed poll reads the timer, which the skipped polls
-//     would have to replay. Like the jitter test, it comes before any
-//     period is computed;
+//   - under NoiseOn, every cost the replay draws comes from the worker's
+//     stream, and the worker is the only one bound to that stream
+//     (node.Node.Bound: NewWorker binds the node's stream, SetRand moves
+//     the binding), so nothing draws from it between park and wake. The
+//     ucp and MPI waits draw their layers' costs from the node's stream,
+//     so they park only while their worker is bound to it alone;
+//   - its node's profiler times no scope a skipped round opens
+//     (profile.Profiler.Times): llp_prog and empty_poll in every loop,
+//     llp_post and busy_post in the busy-post retry, ucp_worker_progress
+//     in a measured MPI receive wait (checked by the layer that opens it).
+//     A timed scope reads the timer, which the skipped rounds would have
+//     to replay; any other scope reads no timer in a skipped round;
 //   - the round just finished retired nothing and, in ucp, posted or
 //     failed no pending send, and the loop's exit test failed again since;
 //   - no watched slot is already valid: a completion that landed after the
 //     round's CQ reads (while its empty poll reposted receive credits, say)
-//     is left for the next poll to see;
-//   - the tie rule: P is shorter than the shortest lead with which any CQ
-//     write is scheduled — pcie.RCToMem of a CQESize write for the Root
-//     Complex's DMA commits, the PCIe link's propagation
-//     (config.Config.PCIeProp) for a dead NIC's flush CQEs. A write
-//     landing exactly on a poll instant was then scheduled before the
-//     spin's resume event for that poll, so the spin sees it, and the
-//     parked loop, woken from inside the write, resumes after it and sees
-//     it too. A configuration with a shorter lead (an integrated NIC's
-//     10 ns PCIeProp) keeps the spin.
+//     is left for the next poll to see.
 //
 // # Execution model
 //
@@ -136,7 +151,6 @@ import (
 	"breakband/internal/mlx"
 	"breakband/internal/nic"
 	"breakband/internal/node"
-	"breakband/internal/pcie"
 	"breakband/internal/profile"
 	"breakband/internal/rng"
 	"breakband/internal/sim"
@@ -261,9 +275,10 @@ type Worker struct {
 // independent streams.
 func NewWorker(n *node.Node, cfg *config.Config) *Worker {
 	w := &Worker{Node: n, Cfg: cfg, amHandlers: make(map[uint8]AmHandler), rand: n.Rand}
+	n.Bound.Bind(n.Rand, 1)
 	w.progF.w = w
 	w.waitF.w = w
-	w.unpark = func() { w.Node.Mem.Unwatch(w) }
+	w.unpark = w.cancelPark
 	w.flushed = func() bool {
 		for _, e := range w.Eps {
 			if e.InFlight() > 0 {
@@ -279,7 +294,11 @@ func NewWorker(n *node.Node, cfg *config.Config) *Worker {
 // to their means, as in NoiseOff mode). The multi-core ablation derives one
 // stream per simulated core from the campaign seed and the core identity,
 // so co-node cores' draws decouple from event scheduling order.
-func (w *Worker) SetRand(r *rng.Rand) { w.rand = r }
+func (w *Worker) SetRand(r *rng.Rand) {
+	w.Node.Bound.Bind(w.rand, -1)
+	w.Node.Bound.Bind(r, 1)
+	w.rand = r
+}
 
 // SetAmHandler registers the receive callback for an active-message id.
 func (w *Worker) SetAmHandler(id uint8, h AmHandler) { w.amHandlers[id] = h }
@@ -580,7 +599,7 @@ func (f *sizedPostFrame) Step(t *sim.Task) {
 			e.w.StartProgress(t)
 			return
 		case 2: // polled: park on an empty CQ, or post again
-			if e.w.Park(t, e.w.Cfg.SW.BusyPost) {
+			if !e.w.Node.Prof.Times(profile.LLPPost) && e.w.Park(t, e.w.rand, e.w.Cfg.SW.BusyPost) {
 				f.pc = 3
 				return
 			}
@@ -866,7 +885,7 @@ func (f *waitFrame) Step(t *sim.Task) {
 				return
 			}
 			f.pc = 1
-			if f.polled && w.Park(t) {
+			if f.polled && w.Park(t, nil) {
 				f.pc = 2
 				return
 			}
@@ -883,41 +902,63 @@ func (f *waitFrame) Step(t *sim.Task) {
 	}
 }
 
-// idlePoll is a parked wait loop. The rounds it skips read the CQs at
-// first + (j-1)*period for j = 1, 2, ...; the wake records in rounds the j
-// of the round whose poll it resumes at.
+// idlePoll is a parked wait loop. Under NoiseOff the rounds it skips read
+// the CQs at first + (j-1)*period for j = 1, 2, ...; under noise replay
+// draws them from at, the task's clock at the park. The wake records in
+// rounds the j of the round whose poll it resumes at.
 type idlePoll struct {
 	t             *sim.Task
 	first, period units.Time
 	rounds        uint64
+
+	// mark is the park's place in the kernel's scheduling order, where the
+	// spin would have queued its first skipped poll.
+	mark sim.Mark
+	// noisy: the rounds draw their costs (see replay); above[:nAbove] are
+	// the costs each round pays before its poll, in the layers above it.
+	noisy  bool
+	at     units.Time
+	above  [2]rng.Dist
+	nAbove int
 }
 
 // Park parks t, which runs a wait loop over this worker, right after one
 // of the loop's rounds and the exit test that followed it, when the
 // conditions in the package documentation hold: among them, the round's
 // poll retired nothing. above are the costs each round of the loop pays
-// before its poll, in the layers above it (a nil one costs nothing); Park
-// adds the poll's own. It reports whether t parked: the caller's Step must
-// then return, and on resuming begin its round with StartWokenProgress.
-func (w *Worker) Park(t *sim.Task, above ...rng.Dist) bool {
-	// Tested inline, so a spinning NoiseOn round pays no call.
-	return w.rand == nil && w.park(t, above)
-}
-
-// park is Park past its jitter test.
-func (w *Worker) park(t *sim.Task, above []rng.Dist) bool {
-	if w.Node.Prof.Selected() != profile.None || w.progF.n != 0 || w.cqReady() {
+// before its poll, in the layers above it, in the order it pays them (a
+// nil one costs nothing), all drawn from r (nil when there are none); Park
+// adds the poll's own, drawn from the worker's stream. It reports whether
+// t parked: the caller's Step must then return, and on resuming begin its
+// round with StartWokenProgress.
+func (w *Worker) Park(t *sim.Task, r *rng.Rand, above ...rng.Dist) bool {
+	if w.Node.Prof.Times(profile.LLPProg) || w.progF.n != 0 || w.cqReady() {
 		return false
 	}
+	id := &w.idle
 	sw := &w.Cfg.SW
 	toRead := sw.LLPProgBarrier.Sample(nil) // from here to the first skipped round's CQ read
+	id.nAbove = 0
 	for _, d := range above {
-		if d != nil {
-			toRead += d.Sample(nil)
+		if d == nil {
+			continue
 		}
+		if id.nAbove == len(id.above) {
+			panic(fmt.Sprintf("uct: a wait loop parked with more than %d costs above its poll", len(id.above)))
+		}
+		id.above[id.nAbove] = d
+		id.nAbove++
+		toRead += d.Sample(nil)
 	}
 	period := toRead + sw.LLPProgFailChk.Sample(nil)
-	if period <= 0 || period >= min(pcie.RCToMem(w.Cfg.RCToMemBase, mlx.CQESize), w.Cfg.PCIeProp) {
+	if period <= 0 {
+		return false
+	}
+	// A noisy loop replays its draws at the wake, which finds the spin's
+	// values only if nothing else draws from the streams meanwhile: every
+	// cost must come from the worker's stream, bound to no other worker.
+	id.noisy = w.rand != nil || r != nil && id.nAbove > 0
+	if id.noisy && (id.nAbove > 0 && r != w.rand || w.Node.Bound.Count(w.rand) != 1) {
 		return false
 	}
 	mem := w.Node.Mem
@@ -925,7 +966,13 @@ func (w *Worker) park(t *sim.Task, above []rng.Dist) bool {
 		mem.Watch(e.qp.SendCQ.EntryAddr(e.sendCI), mlx.CQESize, cqWritten, w)
 		mem.Watch(e.qp.RecvCQ.EntryAddr(e.recvCI), mlx.CQESize, cqWritten, w)
 	}
-	w.idle = idlePoll{t: t, first: t.Now() + toRead, period: period}
+	id.t = t
+	id.mark = t.Kernel().Mark()
+	if id.noisy {
+		id.at = t.Now()
+	} else {
+		id.first, id.period = t.Now()+toRead, period
+	}
 	t.Park(w.unpark)
 	return true
 }
@@ -960,16 +1007,79 @@ func (w *Worker) Wake() {
 }
 
 // wake disarms the parked loop's watches and resumes it at the first
-// skipped poll at or after the kernel's current instant.
+// skipped poll that sees the running event's change, queued where its spin
+// would have queued that poll's resume.
 func (w *Worker) wake() {
 	w.Node.Mem.Unwatch(w)
 	id := &w.idle
-	j := units.Time(1)
-	if now := id.t.Kernel().Now(); now > id.first {
-		j += (now - id.first + id.period - 1) / id.period
+	k := id.t.Kernel()
+	now, sched := k.Now(), k.Scheduled()
+	var at, prev units.Time
+	if id.noisy {
+		at, prev, id.rounds = w.replay(now, sched)
+	} else {
+		j := units.Time(1)
+		if now > id.first {
+			j += (now - id.first + id.period - 1) / id.period
+		}
+		at, prev = id.first+(j-1)*id.period, id.first+(j-2)*id.period
+		if at == now && !id.seen(uint64(j), prev, sched) {
+			at, prev, j = at+id.period, at, j+1
+		}
+		id.rounds = uint64(j)
 	}
-	id.rounds = uint64(j)
-	id.t.WakeAt(id.first + (j-1)*id.period)
+	place := id.mark
+	if id.rounds > 1 {
+		place = sim.MarkAt(prev)
+	}
+	id.t.WakeAt(at, place)
+}
+
+// seen reports whether the spin's poll of skipped round j, at the instant
+// of a change made by an event queued at sched, runs after the change: the
+// change was queued before the spin would have queued the poll's resume,
+// at the park for the first round and at prev, the previous round's CQ
+// read, for the others (a change queued at prev itself counts as after).
+func (id *idlePoll) seen(j uint64, prev units.Time, sched sim.Mark) bool {
+	if j == 1 {
+		return sched.Before(id.mark)
+	}
+	return sched.At() < prev
+}
+
+// replay draws a noisy parked loop's skipped rounds from the worker's
+// stream, in the spin's order (the costs above the poll, LLPProgBarrier,
+// then after the CQ read LLPProgFailChk), up to the first round whose poll
+// the spin runs after a change made at now by an event queued at sched. It
+// returns that poll's instant, the previous round's, and the round's j;
+// the costs of round j past its CQ read are left to the round itself.
+func (w *Worker) replay(now units.Time, sched sim.Mark) (at, prev units.Time, j uint64) {
+	id := &w.idle
+	sw := &w.Cfg.SW
+	r := w.rand
+	at = id.at
+	for j = 1; ; j++ {
+		for _, d := range id.above[:id.nAbove] {
+			at += d.Sample(r)
+		}
+		at += sw.LLPProgBarrier.Sample(r)
+		if at > now || at == now && id.seen(j, prev, sched) {
+			return at, prev, j
+		}
+		prev = at
+		at += sw.LLPProgFailChk.Sample(r)
+	}
+}
+
+// cancelPark disarms a parked loop whose task is cancelled. A noisy loop
+// first draws the rounds its spin would have drawn by the cancel, so the
+// worker's stream stands where the spin's would.
+func (w *Worker) cancelPark() {
+	w.Node.Mem.Unwatch(w)
+	if w.idle.noisy {
+		k := w.idle.t.Kernel()
+		w.replay(k.Now(), k.Scheduled())
+	}
 }
 
 // StartWokenProgress begins the round a parked loop was woken for: it

@@ -497,11 +497,11 @@ func retried(w *Worker, e *Ep, post simtest.Step) simtest.Step {
 // the no-retry post (startPost, TryAm) posts — inline up to mlx.InlineMax
 // (32) bytes, bcopy above — with busy posts retried by a test-side loop,
 // so a stream long enough to fill the transmit queue gives the same posts,
-// busy posts, polls and completion times either way. Under NoiseOff the
-// sized retry parks on its empty polls and fires fewer kernel events; under
-// NoiseOn, with the busy post profiled, or over a PCIe link whose 10 ns
-// propagation is shorter than a poll period (the tie rule), it spins like
-// the explicit loop and fires the same events.
+// busy posts, polls and completion times either way. Under NoiseOff and
+// NoiseOn, and over a PCIe link whose 10 ns propagation is shorter than a
+// poll period, the sized retry parks on its empty polls and fires fewer
+// kernel events; with the post profiled it spins like the explicit loop
+// and fires the same events.
 func TestSizedPostMatchesExplicitPaths(t *testing.T) {
 	const n = 300 // > SQDepth: the queue fills and busy posts retry
 	for _, v := range []struct {
@@ -512,9 +512,12 @@ func TestSizedPostMatchesExplicitPaths(t *testing.T) {
 		parks bool
 	}{
 		{"noiseoff", config.NoiseOff, profile.None, 0, true},
-		{"noiseon", config.NoiseOn, profile.None, 0, false},
+		{"noiseon", config.NoiseOn, profile.None, 0, true},
 		{"busy-post-profiled", config.NoiseOff, profile.BusyPost, 0, false},
-		{"short-pcie-prop", config.NoiseOff, profile.None, units.Nanoseconds(10), false},
+		{"noiseon-post-profiled", config.NoiseOn, profile.LLPPost, 0, false},
+		{"noiseon-pio-profiled", config.NoiseOn, profile.PIOCopy, 0, true},
+		{"short-pcie-prop", config.NoiseOff, profile.None, units.Nanoseconds(10), true},
+		{"noiseon-short-pcie-prop", config.NoiseOn, profile.None, units.Nanoseconds(10), true},
 	} {
 		for _, size := range []int{8, 32, 33, 4096} {
 			payload := make([]byte, size)
@@ -562,6 +565,67 @@ func TestSizedPostMatchesExplicitPaths(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// spinFrame polls its worker forever, as the wait loop spins on a
+// predicate that never holds: each poll right after the last, with no
+// pause in between.
+type spinFrame struct{ w *Worker }
+
+func (f *spinFrame) Step(t *sim.Task) { f.w.StartProgress(t) }
+
+// TestCancelledNoisyParkSettlesItsDraws: a NoiseOn wait parked on a CQ
+// that nothing writes, its task cancelled at instant c, leaves its
+// worker's stream where the spinning loop, cancelled at c too, leaves it:
+// the cancel draws the rounds the spin drew by then, whether c falls
+// before the round's CQ read, between the read and the next round's, or
+// on a read.
+func TestCancelledNoisyParkSettlesItsDraws(t *testing.T) {
+	never := func() bool { return false }
+	x := uint64(12345)
+	for i := 0; i < 200; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+		c := units.Nanoseconds(200) + units.Time(x>>40)%units.Microseconds(4)
+		var next [2]uint64
+		var polls [2]uint64
+		for v, spin := range []bool{true, false} {
+			sys, w0, _, _, _ := harnessWith(t, config.TX2CX4(config.NoiseOn, 1, true))
+			wait := func(tk *sim.Task) { w0.StartProgressUntil(tk, never) }
+			if spin {
+				wait = func(tk *sim.Task) { tk.Call(&spinFrame{w: w0}) }
+			}
+			task := simtest.Start(sys.K, "wait", wait)
+			sys.K.At(c, task.Cancel)
+			sys.Run()
+			next[v], polls[v] = sys.Nodes[0].Rand.Uint64(), w0.Stats.Progresses
+			sys.Shutdown()
+		}
+		if next[0] != next[1] || polls[1] == 0 {
+			t.Fatalf("cancelled at %v: the parked wait's stream draws %x next, the spin's %x (%d and %d polls)", c, next[1], next[0], polls[1], polls[0])
+		}
+	}
+}
+
+// TestSharedStreamKeepsTheSpin: a NoiseOn wait parks only while its
+// worker is the one bound to its stream. A second worker on the node draws
+// from the node's stream too, so the first one's wait spins; once SetRand
+// moves the second worker to a stream of its own, it parks.
+func TestSharedStreamKeepsTheSpin(t *testing.T) {
+	never := func() bool { return false }
+	for _, moved := range []bool{false, true} {
+		cfg := config.TX2CX4(config.NoiseOn, 1, true)
+		sys, w0, _, _, _ := harnessWith(t, cfg)
+		w2 := NewWorker(sys.Nodes[0], cfg)
+		if moved {
+			w2.SetRand(cfg.Rand("node0.other"))
+		}
+		task := simtest.Start(sys.K, "wait", func(tk *sim.Task) { w0.StartProgressUntil(tk, never) })
+		sys.K.RunUntil(units.Microsecond)
+		if task.Parked() != moved || w0.Stats.Progresses == 0 {
+			t.Errorf("second worker on its own stream %v: parked %v after %d polls; want parked %v", moved, task.Parked(), w0.Stats.Progresses, moved)
+		}
+		sys.Shutdown()
 	}
 }
 
